@@ -171,6 +171,8 @@ def cmd_sweep(args) -> int:
     else:
         if args.B_stop is None:
             raise InvalidInputError("--B-stop is required when --B-steps > 1")
+        if not (math.isfinite(args.B_start) and math.isfinite(args.B_stop)):
+            raise InvalidInputError(f"field range must be finite, got {args.B_start} .. {args.B_stop}")
         Bs = list(np.linspace(args.B_start, args.B_stop, args.B_steps))
     lines = []
     for B in Bs:

@@ -37,6 +37,8 @@ class PotentialProfile:
         vals = tuple(float(v) for v in np.atleast_1d(np.asarray(values, dtype=float)))
         if len(vals) < 1:
             raise InvalidInputError("potential profile needs at least one value")
+        if not all(math.isfinite(v) for v in vals):
+            raise InvalidInputError("potential values must be finite (no NaN or Infinity)")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -133,6 +135,12 @@ class MagneticField:
         return cls(magnetic_phase(B, N))
 
 
+def _check_finite(**values: float) -> None:
+    for name, x in values.items():
+        if not math.isfinite(x):
+            raise InvalidModelError(f"{name} must be finite, got {x}")
+
+
 @dataclass(frozen=True)
 class ZigzagModel:
     """Zigzag tube: N hexagons around, phase b, potential scaled by coupling t."""
@@ -145,6 +153,7 @@ class ZigzagModel:
     def __post_init__(self) -> None:
         if not isinstance(self.N, (int, np.integer)) or self.N < 2:
             raise InvalidModelError(f"need integer N >= 2, got {self.N!r}")
+        _check_finite(b=self.b, t=self.t)
 
     def channel_constant(self, k: int) -> float:
         """c_k = cos(b + pi*k/N) for k in 1..N."""
@@ -169,3 +178,4 @@ class ArmchairModel:
         if len(self.phases) != 3:
             raise InvalidModelError("armchair model needs exactly three phases (b1, b2, b3)")
         object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
+        _check_finite(b1=self.phases[0], b2=self.phases[1], b3=self.phases[2], t=self.t)

@@ -4,8 +4,10 @@ Band edges of a 2p-periodic scalar channel are the eigenvalues of the
 quasi-periodic matrices K(+1) and K(-1); sorting the combined 4p values and
 pairing them consecutively yields the bands, with the discriminant kept as an
 independent validator.  Block channels have no edge rule, so their bands are
-the ranges of the sorted eigenvalue branches over a unit-circle sweep with
-local refinement of each extremum.
+the ranges of the sorted eigenvalue branches over the unit circle: the fiber
+matrices of a grid of multipliers are assembled and diagonalised as stacks,
+and the grid extrema of all branches are refined by golden-section searches
+that advance together, one stacked eigensolve per iteration.
 """
 
 from __future__ import annotations
@@ -100,11 +102,15 @@ class FloquetMatrix:
         return np.linalg.eigvalsh(self.matrix)
 
 
-def _check_unimodular(tau: complex) -> complex:
-    tau = complex(tau)
-    if abs(abs(tau) - 1.0) > UNIMODULAR_TOL:
-        raise InvalidParameterError(f"quasi-momentum multiplier must be unimodular, got |tau| = {abs(tau)}")
-    return tau
+def _check_unimodular(taus) -> np.ndarray:
+    """The multipliers as a complex array; refuses any that is off the unit circle."""
+    taus = np.asarray(taus, dtype=complex)
+    off = np.abs(np.abs(taus) - 1.0) > UNIMODULAR_TOL
+    if off.any():
+        raise InvalidParameterError(
+            f"quasi-momentum multiplier must be unimodular, got |tau| = {abs(taus[off][0])}"
+        )
+    return taus
 
 
 def floquet_matrix(offdiag, diag, tau: complex) -> np.ndarray:
@@ -114,7 +120,7 @@ def floquet_matrix(offdiag, diag, tau: complex) -> np.ndarray:
     and enters the corners scaled by tau.  Hermitian for |tau| = 1; complex
     bonds are allowed (used before gauge reduction).
     """
-    tau = _check_unimodular(tau)
+    tau = complex(_check_unimodular(tau))
     a = np.asarray(offdiag, dtype=complex)
     v = np.asarray(diag, dtype=float)
     m = v.size
@@ -133,22 +139,33 @@ def floquet_scalar(jac: ScalarPeriodicJacobi, tau: complex) -> FloquetMatrix:
     return FloquetMatrix(floquet_matrix(jac.a, jac.v, tau), complex(tau))
 
 
-def floquet_block(block: BlockPeriodicJacobi, tau: complex) -> FloquetMatrix:
-    """2p x 2p fiber matrix of a block channel with constant off-diagonal block."""
-    tau = _check_unimodular(tau)
+def _block_fibers(block: BlockPeriodicJacobi, taus) -> np.ndarray:
+    """Stack of 2p x 2p fiber matrices L(tau) of a block channel, one per multiplier.
+
+    The terms are added in a fixed order (diagonal blocks, bonds, then the
+    tau-scaled corners) because for p = 1 the corners land on the diagonal
+    block, and the rounding of the sum depends on that order.
+    """
+    taus = _check_unimodular(taus).reshape(-1, 1, 1)
     P = block.p
     a = block.a_block
-    L = np.zeros((2 * P, 2 * P), dtype=complex)
+    L = np.zeros((taus.shape[0], 2 * P, 2 * P), dtype=complex)
     for j in range(P):
-        L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
+        L[:, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
     for j in range(P - 1):
-        L[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
-        L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
-    L[2 * P - 2 : 2 * P, 0:2] += tau * a.conj().T
-    L[0:2, 2 * P - 2 : 2 * P] += np.conj(tau) * a
-    if np.max(np.abs(L - L.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(L))):
+        L[:, 2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
+        L[:, 2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
+    L[:, 2 * P - 2 : 2 * P, 0:2] += taus * a.conj().T
+    L[:, 0:2, 2 * P - 2 : 2 * P] += np.conj(taus) * a
+    residual = np.max(np.abs(L - np.conj(np.swapaxes(L, 1, 2))), axis=(1, 2))
+    if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(1, 2)))):
         raise InternalConsistencyError("block fiber matrix is not Hermitian")
-    return FloquetMatrix(L, tau)
+    return L
+
+
+def floquet_block(block: BlockPeriodicJacobi, tau: complex) -> FloquetMatrix:
+    """2p x 2p fiber matrix of a block channel with constant off-diagonal block."""
+    return FloquetMatrix(_block_fibers(block, [tau])[0], complex(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +267,67 @@ def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
 # block-channel sweep
 
 
-def _golden_refine(f, theta_lo, theta_hi, minimize: bool, tol: float = 1e-10) -> float:
-    """Golden-section extremum of f on [theta_lo, theta_hi]; returns extreme value."""
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    sign = 1.0 if minimize else -1.0
-    a, b = theta_lo, theta_hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = sign * f(c), sign * f(d)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = sign * f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = sign * f(d)
-    return sign * min(fc, fd)
+FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one stack
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def _first_min(x, y) -> np.ndarray:
+    """Elementwise ``min(x, y)`` with Python's tie rule: x unless y is smaller.
+
+    ``np.minimum`` may return either of 0.0 and -0.0 on a tie, and the two
+    print differently.
+    """
+    return np.where(y < x, y, x)
+
+
+def _fiber_levels(block: BlockPeriodicJacobi, thetas) -> np.ndarray:
+    """Sorted eigenvalues of L(exp(i*theta)) for each theta, as a (len(thetas), 2p) array.
+
+    The multipliers come from ``cmath.exp`` because ``np.exp`` may differ from
+    it in the last bit, which would change the printed edges.
+    """
+    taus = [cmath.exp(1j * th) for th in thetas]
+    return np.concatenate(
+        [
+            np.linalg.eigvalsh(_block_fibers(block, taus[i : i + FIBER_STACK]))
+            for i in range(0, len(taus), FIBER_STACK)
+        ]
+    )
+
+
+def _branch_values(block: BlockPeriodicJacobi, thetas, rows) -> np.ndarray:
+    """Eigenvalue ``rows[i]`` of the fiber matrix at ``thetas[i]``, for every i."""
+    return _fiber_levels(block, thetas)[np.arange(len(rows)), rows]
+
+
+def _golden_extrema(block, lo, hi, rows, signs, tol: float = 1e-10) -> np.ndarray:
+    """Extreme values of eigenvalue branches by golden-section search, in lockstep.
+
+    Search i minimises ``signs[i] * E_rows[i](theta)`` on ``[lo[i], hi[i]]`` and
+    returns the extreme value of the branch.  Each search keeps its own
+    bracket and stop rule; one iteration solves the new probes of all
+    searches still running as one stack.
+    """
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    c = b - INVPHI * (b - a)
+    d = a + INVPHI * (b - a)
+    fc = signs * _branch_values(block, c, rows)
+    fd = signs * _branch_values(block, d, rows)
+    active = np.flatnonzero(b - a > tol)
+    while active.size:
+        to_left = fc[active] < fd[active]
+        left, right = active[to_left], active[~to_left]  # keep [a, d] or [c, b]
+        b[left], d[left], fd[left] = d[left], c[left], fc[left]
+        c[left] = b[left] - INVPHI * (b[left] - a[left])
+        a[right], c[right], fc[right] = c[right], d[right], fd[right]
+        d[right] = a[right] + INVPHI * (b[right] - a[right])
+        probes = np.concatenate([left, right])
+        values = signs[probes] * _branch_values(
+            block, np.concatenate([c[left], d[right]]), rows[probes]
+        )
+        fc[left], fd[right] = values[: left.size], values[left.size :]
+        active = active[b[active] - a[active] > tol]
+    return signs * _first_min(fc, fd)
 
 
 def spectrum_block(
@@ -276,35 +336,31 @@ def spectrum_block(
     """Bands of a block channel: ranges of sorted eigenvalue branches over the circle.
 
     Each sorted branch is continuous in the multiplier, so its range is an
-    interval; grid extrema are refined by golden-section search before the
-    branch ranges are merged.
+    interval.  The grid of fiber matrices is solved in stacks; then the grid
+    minimum and maximum of every non-constant branch are refined by
+    golden-section searches that run in lockstep, one stacked eigensolve per
+    iteration, before the branch ranges are merged.
     """
     if grid_size < 16 or grid_size & (grid_size - 1) != 0:
         raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    size = 2 * block.p
-    levels = np.empty((grid_size, size))
-    for i, th in enumerate(thetas):
-        levels[i] = floquet_block(block, cmath.exp(1j * th)).eigenvalues()
-
+    levels = _fiber_levels(block, thetas)
     step = 2.0 * np.pi / grid_size
-    bands = []
-    for j in range(size):
-        branch = levels[:, j]
-
-        def branch_at(theta: float, j=j) -> float:
-            return float(floquet_block(block, cmath.exp(1j * theta)).eigenvalues()[j])
-
-        i_min = int(np.argmin(branch))
-        i_max = int(np.argmax(branch))
-        span = float(branch.max() - branch.min())
-        if span < 1e-13 * max(1.0, float(np.max(np.abs(branch)))):
-            lo = hi = float(branch[i_min])  # constant branch
-        else:
-            lo = _golden_refine(branch_at, thetas[i_min] - step, thetas[i_min] + step, minimize=True)
-            hi = _golden_refine(branch_at, thetas[i_max] - step, thetas[i_max] + step, minimize=False)
-        bands.append((min(lo, float(branch[i_min])), max(hi, float(branch[i_max]))))
-    return merge_intervals(bands)
+    size = 2 * block.p
+    i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
+    grid_lo, grid_hi = levels[i_min, np.arange(size)], levels[i_max, np.arange(size)]
+    constant = grid_hi - grid_lo < 1e-13 * np.maximum(1.0, np.max(np.abs(levels), axis=0))
+    rows = np.flatnonzero(~constant)
+    lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
+    if rows.size:
+        centres = np.concatenate([thetas[i_min[rows]], thetas[i_max[rows]]])
+        signs = np.repeat([1.0, -1.0], rows.size)
+        extrema = _golden_extrema(
+            block, centres - step, centres + step, np.concatenate([rows, rows]), signs
+        )
+        lo[rows] = _first_min(extrema[: rows.size], grid_lo[rows])
+        hi[rows] = -_first_min(-extrema[rows.size :], -grid_hi[rows])  # max(x, y), same tie rule
+    return merge_intervals(zip(lo, hi))
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +459,12 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
             covering = tuple(sorted({k for blo, bhi, k in ac if blo - 1e-12 <= mid <= bhi + 1e-12}))
             if covering:
                 segments.append((lo, hi, 2.0 * len(covering), covering))
+        # a band thinner than the cut spacing may own no segment: keep it as its own
+        for blo, bhi, k in ac:
+            if bhi - blo <= 1e-12:
+                mid = 0.5 * (blo + bhi)
+                if not any(lo - 1e-12 <= mid <= hi + 1e-12 for lo, hi, _, _ in segments):
+                    segments.append((blo, bhi, 2.0, (k,)))
 
     # isolated flat energies become degenerate union bands of infinite multiplicity
     for e, k in sorted(flats):

@@ -268,3 +268,29 @@ def test_asym_small_v_armchair_command(tmp_path):
     )
     assert code == 0
     assert all(r["pass"] for r in json.loads(text))
+
+
+
+@pytest.mark.parametrize(
+    "potential, argv",
+    [
+        ("[NaN, 1.0]", "bands --lattice zigzag --b 0.1"),
+        ("[NaN, 1.0]", "bands --lattice armchair --B 0.3"),
+        ("[Infinity, 1.0]", "bands --lattice zigzag --b 0.1"),
+        ("[Infinity, 1.0]", "bands --lattice armchair --B 0.3"),
+        ("[0.5, -0.5]", "bands --lattice zigzag --b nan"),
+        ("[0.5, -0.5]", "bands --lattice armchair --b1 nan --b2 0 --b3 0"),
+        ("[0.5, -0.5]", "bands --lattice zigzag --B nan"),
+        ("[0.5, -0.5]", "bands --lattice armchair --B nan"),
+        ("[0.5, -0.5]", "bands --lattice zigzag --b 0.1 --t inf"),
+        ("[0.5, -0.5]", "bands --lattice armchair --B 0.3 --t inf"),
+        ("[0.5, -0.5]", "sweep --lattice zigzag --B-start 0 --B-stop nan --B-steps 3"),
+        ("[0.5, -0.5]", "sweep --lattice armchair --B-start 0 --B-stop nan --B-steps 3"),
+    ],
+)
+def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
+    pot = tmp_path / "v.json"
+    pot.write_text(potential)
+    code = main(argv.split() + ["--N", "4", "--potential", str(pot)])
+    assert code == 2
+    assert capsys.readouterr().out == ""

@@ -254,6 +254,67 @@ def test_block_sweep_shift_equivariance():
     )
 
 
+def _per_fiber_block_bands(block, grid_size):
+    """Reference sweep: one fiber matrix per grid point and per golden-section probe."""
+    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    levels = np.array([floquet_block(block, cmath.exp(1j * th)).eigenvalues() for th in thetas])
+    step = 2.0 * np.pi / grid_size
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def extremum(j, centre, sign):
+        def f(theta):
+            return sign * float(floquet_block(block, cmath.exp(1j * theta)).eigenvalues()[j])
+
+        a, b = centre - step, centre + step
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = f(c), f(d)
+        while b - a > 1e-10:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = f(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = f(d)
+        return sign * min(fc, fd)
+
+    bands = []
+    for j in range(2 * block.p):
+        branch = levels[:, j]
+        i_min, i_max = int(np.argmin(branch)), int(np.argmax(branch))
+        lo, hi = float(branch[i_min]), float(branch[i_max])
+        if hi - lo >= 1e-13 * max(1.0, float(np.max(np.abs(branch)))):
+            lo = min(extremum(j, thetas[i_min], 1.0), lo)
+            hi = max(extremum(j, thetas[i_max], -1.0), hi)
+        bands.append((lo, hi))
+    return merge_intervals(bands)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_block_sweep_matches_per_fiber_reference(seed):
+    # the stacked sweep and lockstep refinement do the same arithmetic as the
+    # one-fiber-at-a-time loop, so the edges agree exactly
+    from nanotube_bands import decompose_armchair
+
+    rng = np.random.default_rng(40 + seed)
+    q = int(rng.integers(1, 7))
+    model = ArmchairModel(
+        int(rng.integers(2, 6)), tuple(rng.normal(size=3)),
+        PotentialProfile(rng.uniform(-1, 1, size=q)), t=float(np.exp(rng.uniform(-3, 3.7))),
+    )
+    for block in decompose_armchair(model):
+        assert spectrum_block(block, grid_size=32) == _per_fiber_block_bands(block, 32)
+    flat = _scalar_as_blocks(chain(2, 0.0, rng.normal(size=4)))  # every branch is constant
+    assert spectrum_block(flat, grid_size=16) == _per_fiber_block_bands(flat, 16)
+
+
+def test_block_fibers_reject_bad_multiplier():
+    jac = chain(1, 1.0, [0.0, 0.0])
+    with pytest.raises(InvalidParameterError):
+        floquet_block(_scalar_as_blocks(jac), 1.1)
+
+
 def test_block_sweep_rejects_bad_grid():
     jac = chain(1, 1.0, [0.0, 0.0])
     with pytest.raises(InvalidParameterError):
@@ -350,6 +411,22 @@ def test_union_multiplicity_segmentation():
     assert bs.union_gaps == ()
 
 
+def test_union_keeps_bands_thinner_than_the_cut_spacing():
+    # near-flat channel k = 2 has bands thinner than 1e-12; they own no
+    # segment of the cut grid, and the union used to drop them
+    from nanotube_bands.oracle import build_full_hamiltonian
+
+    potential = [
+        0.273923, -0.460427, -0.918053, -0.966945, 0.62654, 0.825511, 0.213272, 0.458993,
+        0.08725, 0.870145, 0.631707, -0.994523, 0.714809, -0.932829, 0.459311, -0.648689,
+    ]
+    model = ZigzagModel(4, -3.106873458412769, PotentialProfile(potential), t=4.500851068224242)
+    union = np.array(full_spectrum(model).union_intervals())
+    levels = build_full_hamiltonian(model, 2 * model.potential.p).eigenvalues()
+    outside = np.maximum(union[None, :, 0] - levels[:, None], levels[:, None] - union[None, :, 1])
+    assert np.max(np.min(outside, axis=1)) <= 1e-8
+
+
 def test_json_schema_shape():
     model = ZigzagModel(2, 0.0, PotentialProfile([0.5, -0.5]), t=1.0)
     d = full_spectrum(model).to_json_dict()
@@ -413,6 +490,35 @@ def test_block_fiber_hermitian_random():
             tau = cmath.exp(2j * math.pi * rng.random())
             L = floquet_block(block, tau).matrix
             assert np.max(np.abs(L - L.conj().T)) < 1e-14 * max(1.0, float(np.max(np.abs(L))))
+
+
+def test_block_fiber_stack_matches_one_matrix_assembly():
+    # the stacked builder adds the terms in the order of a one-matrix build;
+    # for p = 1 both corners land on the diagonal block, so the order shows
+    # in the last bits
+    from nanotube_bands import decompose_armchair
+    from nanotube_bands.spectral import _block_fibers
+
+    rng = np.random.default_rng(15)
+    for q in (1, 2, 3, 4, 6):
+        model = ArmchairModel(
+            int(rng.integers(2, 7)), tuple(rng.normal(size=3)), PotentialProfile(rng.normal(size=q)),
+            t=float(rng.normal()),
+        )
+        taus = [cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=16)]
+        for block in decompose_armchair(model):
+            P, a = block.p, block.a_block
+            stack = _block_fibers(block, taus)
+            for tau, got in zip(taus, stack):
+                L = np.zeros((2 * P, 2 * P), dtype=complex)
+                for j in range(P):
+                    L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
+                for j in range(P - 1):
+                    L[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
+                    L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
+                L[2 * P - 2 : 2 * P, 0:2] += tau * a.conj().T
+                L[0:2, 2 * P - 2 : 2 * P] += np.conj(tau) * a
+                assert np.array_equal(got, L)
 
 
 def test_free_fiber_explicit_eigenvectors_any_multiplier():
