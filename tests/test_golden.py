@@ -31,7 +31,7 @@ V5 = [0.31, -0.74, 0.58, -0.12, 0.93]
 V6 = [0.6, -0.35, 0.15, -0.9, 0.72, -0.28]
 V12 = [-1.125, -0.542, 0.945, 0.238, 1.175, -0.123, 0.388, 0.576, 0.091, 0.795, -0.318, -0.688]
 
-# name -> (potential, argv with "{pot}" for the potential file, exit code)
+# name -> (potential, argv without --potential, expected exit code)
 CASES = {
     "arm_q1_N3_B0_g16": (V1, "bands --lattice armchair --N 3 --B 0 --grid 16", 0),
     "arm_q1_N6_Bm2.5_t30_g512": (V1, "bands --lattice armchair --N 6 --B -2.5 --t 30 --grid 512", 0),
