@@ -2,8 +2,11 @@
 
 Each case runs ``cli.main`` in process and compares its stdout with
 ``tests/golden/<name>.txt`` as an exact string, so any change in the printed
-bytes fails.  The zigzag cases use models with no channel band thinner than
-1e-12, so the union's handling of thin bands does not enter them.
+bytes fails.  The zigzag cases pin the union as well as the channel bands:
+an exact flat-band phase ``b = pi/2 - pi k/N`` (flat levels inside bands and
+isolated ones of infinite multiplicity), a model whose near-flat channel has
+bands thinner than 1e-12, a large model (N = 64, odd q = 15) and a sweep whose
+field range steps onto a flat amplitude.
 
 After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -29,6 +32,12 @@ V2 = [0.8, -0.45]
 V3 = [0.9, -0.2, -0.65]
 V5 = [0.31, -0.74, 0.58, -0.12, 0.93]
 V6 = [0.6, -0.35, 0.15, -0.9, 0.72, -0.28]
+V4 = [0.55, -0.3, 0.85, -0.95]
+V15 = [0.62, -0.18, 0.91, -0.77, 0.05, 0.48, -0.96, 0.33, -0.52, 0.74, -0.09, 0.27, -0.61, 0.86, -0.4]
+V16 = [
+    0.273923, -0.460427, -0.918053, -0.966945, 0.62654, 0.825511, 0.213272, 0.458993,
+    0.08725, 0.870145, 0.631707, -0.994523, 0.714809, -0.932829, 0.459311, -0.648689,
+]
 V12 = [-1.125, -0.542, 0.945, 0.238, 1.175, -0.123, 0.388, 0.576, 0.091, 0.795, -0.318, -0.688]
 
 # name -> (potential, argv without --potential, expected exit code)
@@ -47,6 +56,13 @@ CASES = {
     "zig_bands_json": (V5, "bands --lattice zigzag --N 5 --b 0.3 --t 2", 0),
     "zig_bands_csv": (V6, "bands --lattice zigzag --N 7 --B 1.1 --t 0.5 --format csv", 0),
     "zig_sweep": (V2, "sweep --lattice zigzag --N 4 --B-start 0.2 --B-stop 2.6 --B-steps 5 --t 1.5", 0),
+    # b = pi/2 - 5 pi/8: channel 5 is flat; two of its levels sit in union gaps
+    "zig_flat_phase_json": (V4, "bands --lattice zigzag --N 8 --b -0.39269908169872414 --t 2.5", 0),
+    "zig_thin_bands_json": (V16, "bands --lattice zigzag --N 4 --b -3.106873458412769 --t 4.500851068224242", 0),
+    "zig_N64_q15_json": (V15, "bands --lattice zigzag --N 64 --b 0.7 --t 0.9", 0),
+    "zig_N64_q15_csv": (V15, "bands --lattice zigzag --N 64 --B -1.7 --t 3.2 --format csv", 0),
+    # the step B = 4 * 2.1776327054761078 / 4 is flat_field_amplitudes(5, 2, [0])[0]
+    "zig_sweep_flat": (V4, "sweep --lattice zigzag --N 5 --B-start 0 --B-stop 2.1776327054761078 --B-steps 5 --t 0.8", 0),
 }
 
 
