@@ -44,14 +44,21 @@ def fmt_float(x: float, sig: int | None = None) -> str:
     return f"{float(x):.{sig}g}"
 
 
-def render_json(obj, indent: int = 0) -> str:
-    """JSON with deterministic float formatting (insertion-ordered keys)."""
+def render_json(obj, indent: int = 0, sig: int | None = None) -> str:
+    """JSON with deterministic float formatting (insertion-ordered keys).
+
+    ``sig`` significant digits per float; when None it is read once from the
+    environment and passed down the recursion.
+    """
+    sig = _precision() if sig is None else sig
+    if isinstance(obj, (float, np.floating)):  # the common leaf, tested first
+        return fmt_float(float(obj), sig)
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         items = [
-            f'{pad}  "{k}": {render_json(v, indent + 1)}' for k, v in obj.items()
+            f'{pad}  "{k}": {render_json(v, indent + 1, sig)}' for k, v in obj.items()
         ]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
@@ -60,8 +67,8 @@ def render_json(obj, indent: int = 0) -> str:
             return "[]"
         flat = all(isinstance(x, (int, float, str, bool)) or x is None for x in seq)
         if flat:
-            return "[" + ", ".join(render_json(x) for x in seq) + "]"
-        items = [f"{pad}  " + render_json(x, indent + 1) for x in seq]
+            return "[" + ", ".join(render_json(x, 0, sig) for x in seq) + "]"
+        items = [f"{pad}  " + render_json(x, indent + 1, sig) for x in seq]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
@@ -71,8 +78,6 @@ def render_json(obj, indent: int = 0) -> str:
         return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return fmt_float(float(obj))
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
@@ -141,13 +146,14 @@ def _check_grid(grid: int) -> int:
 
 
 def _bands_csv(structure) -> str:
+    sig = _precision()
     lines = []
     for ch in structure.channels:
         for idx, (lo, hi) in enumerate(ch.bands, start=1):
-            lines.append(f"{ch.k},{idx},{fmt_float(lo)},{fmt_float(hi)}")
+            lines.append(f"{ch.k},{idx},{fmt_float(lo, sig)},{fmt_float(hi, sig)}")
     for ch in structure.channels:
         for e in sorted(ch.flat_bands):
-            lines.append(f"flat,{ch.k},{fmt_float(e)}")
+            lines.append(f"flat,{ch.k},{fmt_float(e, sig)}")
     return "\n".join(lines) + "\n"
 
 
@@ -174,6 +180,7 @@ def cmd_sweep(args) -> int:
         if not (math.isfinite(args.B_start) and math.isfinite(args.B_stop)):
             raise InvalidInputError(f"field range must be finite, got {args.B_start} .. {args.B_stop}")
         Bs = list(np.linspace(args.B_start, args.B_stop, args.B_steps))
+    sig = _precision()
     lines = []
     for B in Bs:
         if args.lattice == "zigzag":
@@ -188,15 +195,26 @@ def cmd_sweep(args) -> int:
             entries = [(lo, hi) for lo, hi in ch.bands] + [(e, e) for e in ch.flat_bands]
             for idx, (lo, hi) in enumerate(sorted(entries), start=1):
                 lines.append(
-                    f"{fmt_float(B)},{fmt_float(b)},{ch.k},{idx},{fmt_float(lo)},{fmt_float(hi)}"
+                    f"{fmt_float(B, sig)},{fmt_float(b, sig)},{ch.k},{idx},"
+                    f"{fmt_float(lo, sig)},{fmt_float(hi, sig)}"
                 )
     _write("\n".join(lines) + "\n", args.output)
     return 0
 
 
+def _finite_ck(text) -> float:
+    try:
+        ck = float(text)
+    except ValueError:
+        raise InvalidInputError(f"channel constant must be a number, got {text!r}") from None
+    if not math.isfinite(ck):
+        raise InvalidInputError(f"channel constant must be finite, got {ck}")
+    return ck
+
+
 def _zigzag_channel_constant(args) -> float:
     if args.ck is not None:
-        return args.ck
+        return _finite_ck(args.ck)
     if args.k is None:
         raise InvalidInputError("--ck or --k (with a field spec) is required")
     b = args.b if args.b is not None else magnetic_phase(args.B or 0.0, args.N)
@@ -208,7 +226,7 @@ def cmd_asym(args) -> int:
     reports = []
     if regime == "ck_to_zero":
         profile = _load_profile(args)
-        cks = [float(x) for x in args.ck_values.split(",")] if args.ck_values else [0.02, 0.01, 0.005]
+        cks = [_finite_ck(x) for x in args.ck_values.split(",")] if args.ck_values else [0.02, 0.01, 0.005]
         reports = asy.measure_ck_shrink(profile, cks, s=args.s, t=args.t, tolerance=args.tolerance or 0.05)
     elif regime == "small_t":
         if args.potential is not None:
@@ -254,6 +272,8 @@ def cmd_asym(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise InvalidInputError(f"--tol must be finite and positive, got {args.tol}")
     model = build_model(args)
     L = args.L if args.L is not None else 3 * model.potential.p
     report = compare_decomposition(model, L, tol=args.tol)
@@ -320,9 +340,41 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _is_negative_value(token: str) -> bool:
+    """Whether a token is a negative number (or a comma list that starts with one)."""
+    if not token.startswith("-"):
+        return False
+    if token[1:2].isdigit() or token[1:2] == ".":
+        return True
+    try:
+        float(token)  # -inf, -nan
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--opt -1e-3`` as ``--opt=-1e-3``.
+
+    argparse reads a token that starts with '-' as an option name unless it
+    looks like a plain negative number, which exponent notation, ``-5.``,
+    ``-inf`` and comma lists do not, and then refuses the option before it for
+    a missing value.  No option name of this CLI starts with '-' and a digit,
+    and every ``--`` option but ``--help`` takes one value.
+    """
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if prev.startswith("--") and "=" not in prev and prev != "--help" and _is_negative_value(token):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = make_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (

@@ -3,15 +3,19 @@
 Band edges of a 2p-periodic scalar channel are the eigenvalues of the
 quasi-periodic matrices K(+1) and K(-1); sorting the combined 4p values and
 pairing them consecutively yields the bands, with the discriminant kept as an
-independent validator.  Block channels have no edge rule, so their bands are
-the ranges of the sorted eigenvalue branches over the unit circle: the fiber
-matrices of a grid of multipliers are assembled and diagonalised as stacks,
-and the grid extrema of all branches are refined by golden-section searches
-that advance together, one stacked eigensolve per iteration.
+independent validator that runs the transfer-matrix recurrence on all band
+midpoints (and then all open-gap midpoints) of a channel at once.  Block
+channels have no edge rule, so their bands are the ranges of the sorted
+eigenvalue branches over the unit circle: the fiber matrices of a grid of
+multipliers are assembled and diagonalised as stacks, and the grid extrema of
+all branches are refined by golden-section searches that advance together,
+one stacked eigensolve per iteration.  The union over channels is built by
+one sweep line over the sorted channel edges.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
@@ -172,25 +176,36 @@ def floquet_block(block: BlockPeriodicJacobi, tau: complex) -> FloquetMatrix:
 # monodromy / discriminant
 
 
-def monodromy(jac: ScalarPeriodicJacobi, z: float) -> np.ndarray:
-    """One-period transfer matrix of the three-term recurrence at energy z."""
+def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
+    """One-period transfer matrix of the three-term recurrence at energy z.
+
+    ``z`` is a scalar or an array; the result has shape ``z.shape + (2, 2)``.
+    The 2p step matrices of all energies are built at once and multiplied as
+    stacks, one 2x2 product per energy and step, as for a single energy, so
+    an array of energies gives the bits of one call per energy.
+    """
     a = jac.a
     if np.min(a) <= FLAT_CHANNEL_TOL:
         raise FlatBandChannelError("monodromy undefined for a flat-band channel (vanishing bond)")
+    z = np.asarray(z, dtype=float)
     m = 2 * jac.p
+    steps = np.zeros((m,) + z.shape + (2, 2))
+    steps[..., 0, 1] = 1.0
+    steps[..., 1, 0] = (-a[np.arange(-1, m - 1)] / a).reshape((m,) + (1,) * z.ndim)
+    steps[..., 1, 1] = np.moveaxis((z[..., None] - jac.v) / a, -1, 0)
     M = np.eye(2)
-    for i in range(m):
-        step = np.array(
-            [[0.0, 1.0], [-a[(i - 1) % m] / a[i], (z - jac.v[i]) / a[i]]]
-        )
+    for step in steps:
         M = step @ M
     return M
 
 
-def discriminant(jac: ScalarPeriodicJacobi, z: float) -> float:
-    """Half-trace of the monodromy matrix; the spectrum is its [-1, 1] preimage."""
+def discriminant(jac: ScalarPeriodicJacobi, z):
+    """Half-trace of the monodromy matrix; the spectrum is its [-1, 1] preimage.
+
+    Elementwise over an array ``z``.
+    """
     M = monodromy(jac, z)
-    return 0.5 * (M[0, 0] + M[1, 1])
+    return 0.5 * (M[..., 0, 0] + M[..., 1, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +237,10 @@ def schroedinger_band_edges(q) -> list[tuple[float, float]]:
 def band_edges_scalar(jac: ScalarPeriodicJacobi, validate: bool = True) -> list[tuple[float, float]]:
     """Bands of one scalar channel from the K(+/-1) eigenvalues.
 
-    Validates against the discriminant: |D| <= 1 on band midpoints and
-    |D| > 1 on midpoints of open gaps.
+    Validates against the discriminant, evaluated once for all band midpoints
+    and once for all open-gap midpoints: |D| <= 1 on band midpoints and
+    |D| > 1 on midpoints of open gaps.  The first failing band (or gap) is
+    reported.
     """
     if jac.is_flat:
         raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
@@ -231,21 +248,26 @@ def band_edges_scalar(jac: ScalarPeriodicJacobi, validate: bool = True) -> list[
     bands = [(edges[2 * i], edges[2 * i + 1]) for i in range(2 * jac.p)]
     if validate:
         scale = max(1.0, float(np.max(np.abs(edges))))
-        for lo, hi in bands:
-            if hi - lo > 1e-12 * scale:
-                d = discriminant(jac, 0.5 * (lo + hi))
-                if abs(d) > 1.0 + 1e-8:
-                    raise InternalConsistencyError(
-                        f"discriminant {d} exceeds 1 inside band [{lo}, {hi}]"
-                    )
-        for i in range(len(bands) - 1):
-            glo, ghi = bands[i][1], bands[i + 1][0]
-            if ghi - glo > 1e-6 * scale:
-                d = discriminant(jac, 0.5 * (glo + ghi))
-                if abs(d) <= 1.0:
-                    raise InternalConsistencyError(
-                        f"discriminant {d} inside [-1,1] at open gap ({glo}, {ghi})"
-                    )
+        lo, hi = edges[0::2], edges[1::2]
+        wide = np.flatnonzero(hi - lo > 1e-12 * scale)
+        if wide.size:
+            d = discriminant(jac, 0.5 * (lo[wide] + hi[wide]))
+            bad = np.flatnonzero(np.abs(d) > 1.0 + 1e-8)
+            if bad.size:
+                i = wide[bad[0]]
+                raise InternalConsistencyError(
+                    f"discriminant {d[bad[0]]} exceeds 1 inside band [{lo[i]}, {hi[i]}]"
+                )
+        glo, ghi = hi[:-1], lo[1:]
+        gaps = np.flatnonzero(ghi - glo > 1e-6 * scale)
+        if gaps.size:
+            d = discriminant(jac, 0.5 * (glo[gaps] + ghi[gaps]))
+            bad = np.flatnonzero(np.abs(d) <= 1.0)
+            if bad.size:
+                i = gaps[bad[0]]
+                raise InternalConsistencyError(
+                    f"discriminant {d[bad[0]]} inside [-1,1] at open gap ({glo[i]}, {ghi[i]})"
+                )
     return bands
 
 
@@ -256,7 +278,11 @@ def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
     t*(v+) +/- sqrt((t*(v-))^2 + 1) with v+- the half-sum/half-difference of
     (v[2j], v[2j+1]).  Sorted, each value has infinite multiplicity.
     """
-    pairs = t * profile.pairs()
+    return _dimer_levels(t * profile.pairs())
+
+
+def _dimer_levels(pairs) -> np.ndarray:
+    """Sorted levels v+ -/+ sqrt(v-^2 + 1) of unit-bond dimers with on-site (p, 2) ``pairs``."""
     vplus = 0.5 * (pairs[:, 0] + pairs[:, 1])
     vminus = 0.5 * (pairs[:, 0] - pairs[:, 1])
     root = np.sqrt(vminus**2 + 1.0)
@@ -440,37 +466,76 @@ class BandStructure:
 def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     """Merge per-channel bands into union bands with per-segment multiplicity.
 
-    The union is cut at every channel edge so that each reported union band
-    has a constant covering-channel set; adjacent segments with identical
+    The union is cut at every channel edge (a cut within 1e-12 of the last
+    kept one is dropped) so that each reported union band has a constant
+    covering-channel set.  A sweep line finds those sets: the segment
+    midpoints are visited in ascending order while two pointers walk the
+    bands sorted by ``lo - 1e-12`` and by ``hi + 1e-12``, a per-channel count
+    of open bands keeps the covering set, and its sorted tuple is rebuilt
+    only when a channel enters or leaves.  A band thinner than the cut
+    spacing that no segment holds becomes its own union band, and a flat
+    level that nothing holds a degenerate one of infinite multiplicity; both
+    lookups bisect the sorted segments.  Adjacent segments with identical
     provenance are fused, and gaps thinner than the merge tolerance vanish.
+    Cost: O(B log B) for B channel bands, plus the size of the output.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
     flats = [(e, ch.k) for ch in channels for e in ch.flat_bands]
 
     segments: list[tuple[float, float, float, tuple[int, ...]]] = []
     if ac:
-        cuts = np.unique(np.array([x for lo, hi, _ in ac for x in (lo, hi)]))
+        cuts = np.unique(np.array([x for lo, hi, _ in ac for x in (lo, hi)])).tolist()
         keep = [cuts[0]]
         for x in cuts[1:]:
             if x - keep[-1] > 1e-12:
-                keep.append(float(x))
+                keep.append(x)
+        starts = sorted((blo - 1e-12, k) for blo, _, k in ac)
+        ends = sorted((bhi + 1e-12, k) for _, bhi, k in ac)
+        count = dict.fromkeys((k for _, _, k in ac), 0)  # open bands per channel
+        active: set[int] = set()
+        covering: tuple[int, ...] = ()
+        i = j = 0
         for lo, hi in zip(keep[:-1], keep[1:]):
             mid = 0.5 * (lo + hi)
-            covering = tuple(sorted({k for blo, bhi, k in ac if blo - 1e-12 <= mid <= bhi + 1e-12}))
+            changed = False
+            while i < len(starts) and starts[i][0] <= mid:  # blo - 1e-12 <= mid
+                k = starts[i][1]
+                count[k] += 1
+                if count[k] == 1:
+                    active.add(k)
+                    changed = True
+                i += 1
+            while j < len(ends) and ends[j][0] < mid:  # no longer mid <= bhi + 1e-12
+                k = ends[j][1]
+                count[k] -= 1
+                if count[k] == 0:
+                    active.discard(k)
+                    changed = True
+                j += 1
+            if changed:
+                covering = tuple(sorted(active))
             if covering:
                 segments.append((lo, hi, 2.0 * len(covering), covering))
-        # a band thinner than the cut spacing may own no segment: keep it as its own
-        for blo, bhi, k in ac:
-            if bhi - blo <= 1e-12:
-                mid = 0.5 * (blo + bhi)
-                if not any(lo - 1e-12 <= mid <= hi + 1e-12 for lo, hi, _, _ in segments):
-                    segments.append((blo, bhi, 2.0, (k,)))
+    seg_lo = [lo - 1e-12 for lo, _, _, _ in segments]  # both ascending
+    seg_hi = [hi + 1e-12 for _, hi, _, _ in segments]
+    extra: list[tuple[float, float, float, tuple[int, ...]]] = []
 
+    def held(x: float) -> bool:
+        """Whether a segment, or an entry appended after them, holds x within 1e-12."""
+        i = bisect.bisect_right(seg_lo, x) - 1
+        if i >= 0 and x <= seg_hi[i]:
+            return True
+        return any(lo - 1e-12 <= x <= hi + 1e-12 for lo, hi, _, _ in extra)
+
+    # a band thinner than the cut spacing may own no segment: keep it as its own
+    for blo, bhi, k in ac:
+        if bhi - blo <= 1e-12 and not held(0.5 * (blo + bhi)):
+            extra.append((blo, bhi, 2.0, (k,)))
     # isolated flat energies become degenerate union bands of infinite multiplicity
     for e, k in sorted(flats):
-        inside = any(lo - 1e-12 <= e <= hi + 1e-12 for lo, hi, _, _ in segments)
-        if not inside:
-            segments.append((e, e, math.inf, (k,)))
+        if not held(e):
+            extra.append((e, e, math.inf, (k,)))
+    segments += extra
     segments.sort()
 
     fused: list[list] = []
@@ -494,11 +559,7 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
 
 def zigzag_channel_bands(jac: ScalarPeriodicJacobi, k: int) -> ChannelBands:
     if jac.is_flat:
-        profile_pairs = jac.v.reshape(jac.p, 2)
-        vplus = 0.5 * profile_pairs.sum(axis=1)
-        vminus = 0.5 * (profile_pairs[:, 0] - profile_pairs[:, 1])
-        root = np.sqrt(vminus**2 + 1.0)
-        flats = np.sort(np.concatenate([vplus - root, vplus + root]))
+        flats = _dimer_levels(jac.v.reshape(jac.p, 2))
         return ChannelBands(k=k, c_k=jac.c_k, bands=(), flat_bands=tuple(float(e) for e in flats))
     bands = band_edges_scalar(jac)
     return ChannelBands(k=k, c_k=jac.c_k, bands=tuple(bands))

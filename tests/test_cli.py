@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,15 @@ def test_asym_small_v_armchair_command(tmp_path):
         ("[0.5, -0.5]", "bands --lattice armchair --B 0.3 --t inf"),
         ("[0.5, -0.5]", "sweep --lattice zigzag --B-start 0 --B-stop nan --B-steps 3"),
         ("[0.5, -0.5]", "sweep --lattice armchair --B-start 0 --B-stop nan --B-steps 3"),
+        ("[0.5, -0.5]", "verify --lattice zigzag --b 0.1 --tol nan"),
+        ("[0.5, -0.5]", "verify --lattice zigzag --b 0.1 --tol inf"),
+        ("[0.5, -0.5]", "verify --lattice armchair --B 0.3 --tol 0"),
+        ("[0.5, -0.5]", "verify --lattice zigzag --b 0.1 --tol -1e-8"),
+        ("[0.5, -0.5]", "asym --regime small_t --ck nan"),
+        ("[0.5, -0.5]", "asym --regime small_t --ck -inf"),
+        ("[0.5, -0.5]", "asym --regime ck_to_zero --ck-values 0.01,inf"),
+        ("[0.5, -0.5]", "asym --regime ck_to_zero --ck-values nan,0.01"),
+        ("[0.5, -0.5]", "asym --regime ck_to_zero --ck-values 0.01,x"),
     ],
 )
 def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
@@ -294,3 +304,33 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
     code = main(argv.split() + ["--N", "4", "--potential", str(pot)])
     assert code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bands --lattice zigzag --b -2.220446049250313e-16",
+        "bands --lattice zigzag --B -1e-3 --t -1.5e0",
+        "bands --lattice armchair --b1 -1e-3 --b2 -2E-3 --b3 -3e-3 --grid 16",
+        "bands --lattice armchair --B -5e-1 --t -2e0 --grid 16",
+        "sweep --lattice zigzag --B-start -1e-1 --B-stop -2e-1 --B-steps 2",
+        "sweep --lattice armchair --B-start -1e-1 --B-steps 1 --grid 16",
+        "asym --regime small_t --ck -1e-1",
+        "asym --regime ck_to_zero --ck-values -2e-2,-1e-2",
+        "verify --lattice zigzag --b -1e-1 --t -2e0",
+        "verify --lattice armchair --B 0.3 --tol -1e-8",
+    ],
+)
+def test_negative_exponent_option_values(tmp_path, capsys, argv):
+    # argparse takes "-1e-3" for an option name; it must reach the option as
+    # its value, exactly as the "--opt=-1e-3" spelling does
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.5, -0.5]")
+    tail = ["--N", "4", "--potential", str(pot)]
+    code = main(argv.split() + tail)
+    spaced = capsys.readouterr()
+    joined = re.sub(r"(--[\w-]+) (-[\d.])", r"\1=\2", argv).split()
+    assert main(joined + tail) == code
+    assert capsys.readouterr().out == spaced.out
+    assert "expected one argument" not in spaced.err
+    assert code == (2 if "--tol" in argv else 0)

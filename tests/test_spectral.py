@@ -427,6 +427,154 @@ def test_union_keeps_bands_thinner_than_the_cut_spacing():
     assert np.max(np.min(outside, axis=1)) <= 1e-8
 
 
+def _quadratic_union(channels):
+    """The all-pairs union that the sweep line replaced: (union bands, union gaps)."""
+    from nanotube_bands.spectral import GAP_MERGE_TOL, UnionBand
+
+    ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
+    flats = [(e, ch.k) for ch in channels for e in ch.flat_bands]
+    segments = []
+    if ac:
+        cuts = np.unique(np.array([x for lo, hi, _ in ac for x in (lo, hi)]))
+        keep = [cuts[0]]
+        for x in cuts[1:]:
+            if x - keep[-1] > 1e-12:
+                keep.append(float(x))
+        for lo, hi in zip(keep[:-1], keep[1:]):
+            mid = 0.5 * (lo + hi)
+            covering = tuple(sorted({k for blo, bhi, k in ac if blo - 1e-12 <= mid <= bhi + 1e-12}))
+            if covering:
+                segments.append((lo, hi, 2.0 * len(covering), covering))
+        for blo, bhi, k in ac:
+            if bhi - blo <= 1e-12:
+                mid = 0.5 * (blo + bhi)
+                if not any(lo - 1e-12 <= mid <= hi + 1e-12 for lo, hi, _, _ in segments):
+                    segments.append((blo, bhi, 2.0, (k,)))
+    for e, k in sorted(flats):
+        if not any(lo - 1e-12 <= e <= hi + 1e-12 for lo, hi, _, _ in segments):
+            segments.append((e, e, math.inf, (k,)))
+    segments.sort()
+    fused = []
+    for lo, hi, mult, ks in segments:
+        if fused and lo - fused[-1][1] <= GAP_MERGE_TOL and fused[-1][2] == mult and fused[-1][3] == ks:
+            fused[-1][1] = max(fused[-1][1], hi)
+        else:
+            fused.append([lo, hi, mult, ks])
+    gaps = [(h1, l2) for (_, h1, _, _), (l2, _, _, _) in zip(fused[:-1], fused[1:]) if l2 - h1 >= GAP_MERGE_TOL]
+    return tuple(UnionBand(*f) for f in fused), tuple(gaps)
+
+
+def _random_channels(rng):
+    """Channel sets built to hit every tie of the union's 1e-12 rules.
+
+    Edges come from a coarse grid plus offsets below, at and above 1e-12, so
+    bands touch, share edges, repeat, and are thinner than the cut spacing;
+    flat levels sit inside bands, on edges, within 1e-12 of edges and of
+    each other.
+    """
+    nudges = np.array([0.0, 0.0, 0.0, 3e-13, -3e-13, 1e-12, -1e-12, 1.5e-12, -2e-12, 2.1e-12, 4e-12, 1e-9, 5e-9])
+    grid = np.round(rng.uniform(-3.0, 3.0, size=8), 2)
+
+    def point():
+        return float(rng.choice(grid) + rng.choice(nudges))
+
+    edges = []
+    channels = []
+    for k in range(1, int(rng.integers(1, 9)) + 1):
+        bands = []
+        for _ in range(int(rng.integers(0, 6))):
+            lo = point()
+            kind = rng.random()
+            if kind < 0.25:
+                hi = lo + float(rng.choice([0.0, 2e-13, 1e-12, 9e-13]))  # thinner than the cut spacing
+            elif kind < 0.35:
+                hi = lo - 1.0  # empty: dropped by the union
+            else:
+                hi = max(lo, point())
+            bands.append((lo, hi))
+            edges += [lo, hi]
+        flats = []
+        for _ in range(int(rng.integers(0, 4)) if rng.random() < 0.5 else 0):
+            if edges and rng.random() < 0.6:
+                flats.append(float(rng.choice(edges) + rng.choice(nudges)))
+            else:
+                flats.append(point())
+        if flats and rng.random() < 0.5:
+            flats.append(flats[-1] + float(rng.choice([0.0, 5e-13, 1e-12])))  # flats within 1e-12
+        channels.append(ChannelBands(k=k, c_k=None, bands=tuple(bands), flat_bands=tuple(flats)))
+    order = rng.permutation(len(channels))
+    return [channels[i] for i in order]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_union_matches_quadratic_reference(seed):
+    rng = np.random.default_rng([23, seed])
+    for _ in range(150):
+        channels = _random_channels(rng)
+        bs = assemble_band_structure(channels)
+        bands, gaps = _quadratic_union(channels)
+        assert bs.union_bands == bands
+        assert bs.union_gaps == gaps
+
+
+@pytest.mark.parametrize(
+    "below, above",
+    [
+        (0.9999999999980009, 1.000000000000001),
+        (-1.000000000001999, -0.9999999999999989),
+        (0.49999999999933425, 0.5000000000013343),
+        (-1.0000000000009996, -0.9999999999989995),
+    ],
+)
+def test_union_keeps_the_rounding_of_its_tolerance_tests(below, above):
+    # the midpoint of the cuts (below, above) lies within an ulp of
+    # above - 1e-12 and below + 1e-12, where "lo - 1e-12 <= mid" and
+    # "lo <= mid + 1e-12" (or the same pair at hi) round differently
+    channels = [
+        ChannelBands(k=1, c_k=None, bands=((below - 1.0, below),)),
+        ChannelBands(k=2, c_k=None, bands=((above, above + 1.0),)),
+        ChannelBands(k=3, c_k=None, bands=((below - 2.0, above + 2.0),)),
+    ]
+    bs = assemble_band_structure(channels)
+    assert (bs.union_bands, bs.union_gaps) == _quadratic_union(channels)
+
+
+def test_union_matches_quadratic_reference_on_models():
+    rng = np.random.default_rng(29)
+    for _ in range(12):
+        N = int(rng.integers(3, 25))
+        q = int(rng.integers(1, 9))
+        b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N if rng.random() < 0.3 else float(rng.normal())
+        model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
+        bs = full_spectrum(model)
+        assert (bs.union_bands, bs.union_gaps) == _quadratic_union(list(bs.channels))
+
+
+def _matmul_monodromy(jac, z):
+    """The 2x2-product loop that the array recurrence replaced."""
+    m = 2 * jac.p
+    M = np.eye(2)
+    for i in range(m):
+        step = np.array([[0.0, 1.0], [-jac.a[(i - 1) % m] / jac.a[i], (z - jac.v[i]) / jac.a[i]]])
+        M = step @ M
+    return M
+
+
+def test_discriminant_of_an_array_matches_scalar_calls():
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        p = int(rng.integers(1, 17))
+        jac = chain(p, rng.uniform(0.05, 2.0), rng.normal(size=2 * p) * rng.uniform(0.1, 5.0))
+        zs = rng.normal(size=int(rng.integers(1, 20))) * 3.0
+        D = discriminant(jac, zs)
+        M = monodromy(jac, zs)
+        assert D.shape == zs.shape and M.shape == zs.shape + (2, 2)
+        for z, d, m in zip(zs, D, M):
+            assert d == pytest.approx(discriminant(jac, z), rel=1e-12, abs=0.0)
+            assert np.array_equal(m, _matmul_monodromy(jac, z))  # same 2x2 products, same bits
+    assert discriminant(chain(1, 1.0, [0.0, 0.0]), np.empty((0,))).shape == (0,)
+
+
 def test_json_schema_shape():
     model = ZigzagModel(2, 0.0, PotentialProfile([0.5, -0.5]), t=1.0)
     d = full_spectrum(model).to_json_dict()
