@@ -341,13 +341,11 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def _is_negative_value(token: str) -> bool:
-    """Whether a token is a negative number (or a comma list that starts with one)."""
+    """Whether a token is a negative number, or a comma list that starts with one."""
     if not token.startswith("-"):
         return False
-    if token[1:2].isdigit() or token[1:2] == ".":
-        return True
     try:
-        float(token)  # -inf, -nan
+        float(token.split(",")[0])
     except ValueError:
         return False
     return True
