@@ -6,7 +6,9 @@ bytes fails.  The zigzag cases pin the union as well as the channel bands:
 an exact flat-band phase ``b = pi/2 - pi k/N`` (flat levels inside bands and
 isolated ones of infinite multiplicity), a model whose near-flat channel has
 bands thinner than 1e-12, a large model (N = 64, odd q = 15) and a sweep whose
-field range steps onto a flat amplitude.
+field range steps onto a flat amplitude.  The ``small_v_armchair`` cases pin
+the edges of the periodic Schroedinger operator for an odd and a one-site
+period.
 
 After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -53,6 +55,12 @@ CASES = {
     "arm_q6_N6_B2.1_t0.05_g512": (V6, "bands --lattice armchair --N 6 --B 2.1 --t 0.05 --grid 512", 0),
     "arm_asym_large_t": (V12, "asym --regime large_t_armchair --N 4 --B 0 --t 40 --k 4", 0),
     "arm_verify": (V3, "verify --lattice armchair --N 4 --B 0.9 --t 2", 0),
+    # rung-paired potentials: the only outputs that go through schroedinger_band_edges;
+    # for p = 1 both fiber corners land on one matrix entry
+    "arm_small_v_p1": ([0.2, 0.2], "asym --regime small_v_armchair --N 4", 0),
+    "arm_small_v_p3": (
+        [0.15, 0.15, -0.1, -0.1, -0.05, -0.05], "asym --regime small_v_armchair --N 4", 0,
+    ),
     "zig_bands_json": (V5, "bands --lattice zigzag --N 5 --b 0.3 --t 2", 0),
     "zig_bands_csv": (V6, "bands --lattice zigzag --N 7 --B 1.1 --t 0.5 --format csv", 0),
     "zig_sweep": (V2, "sweep --lattice zigzag --N 4 --B-start 0.2 --B-stop 2.6 --B-steps 5 --t 1.5", 0),
