@@ -2,10 +2,8 @@
 
 from .core import (
     ArmchairModel,
-    MagneticField,
     PotentialProfile,
     ZigzagModel,
-    effective_period,
     flat_field_amplitudes,
     load_potential,
     magnetic_phase,
@@ -25,8 +23,6 @@ from .spectral import (
     band_edges_scalar,
     discriminant,
     flat_band_spectrum,
-    floquet_block,
-    floquet_scalar,
     full_spectrum,
     monodromy,
     spectrum_block,
@@ -38,7 +34,6 @@ __all__ = [
     "BandStructure",
     "BlockPeriodicJacobi",
     "ChannelBands",
-    "MagneticField",
     "PotentialProfile",
     "ScalarPeriodicJacobi",
     "ZigzagModel",
@@ -50,11 +45,8 @@ __all__ = [
     "decompose_armchair",
     "decompose_zigzag",
     "discriminant",
-    "effective_period",
     "flat_band_spectrum",
     "flat_field_amplitudes",
-    "floquet_block",
-    "floquet_scalar",
     "full_spectrum",
     "gauge_reduce",
     "load_potential",

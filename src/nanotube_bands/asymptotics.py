@@ -767,6 +767,11 @@ def armchair_cluster_center_errors(
     return errors
 
 
+def _clip(intervals, lo, hi) -> list[tuple[float, float]]:
+    """The parts of the intervals that lie inside (lo, hi)."""
+    return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
+
+
 def measure_low_energy_window(
     model: ZigzagModel, tolerance: float = 1e-8
 ) -> list[AsymptoticReport]:
@@ -778,12 +783,9 @@ def measure_low_energy_window(
     chans = {ch.k: list(ch.bands) for ch in structure.channels}
     out = []
 
-    def clip(intervals, lo, hi):
-        return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
-
     if windows.r_high is not None:
         for lo, hi in ((windows.r_high, windows.rho_high), (-windows.rho_high, -windows.r_high)):
-            dev = max_edge_deviation(clip(union, lo, hi), clip(chans[model.N], lo, hi))
+            dev = max_edge_deviation(_clip(union, lo, hi), _clip(chans[model.N], lo, hi))
             out.append(
                 AsymptoticReport(
                     regime="low_energy_window",
@@ -796,8 +798,8 @@ def measure_low_energy_window(
     if windows.r_low is not None:
         kc = model.N // 3
         dev = max_edge_deviation(
-            clip(union, -windows.r_low, windows.r_low),
-            clip(chans[kc], -windows.r_low, windows.r_low),
+            _clip(union, -windows.r_low, windows.r_low),
+            _clip(chans[kc], -windows.r_low, windows.r_low),
         )
         out.append(
             AsymptoticReport(
@@ -813,7 +815,7 @@ def measure_low_energy_window(
         # set by the unperturbed inner edges
         r = 0.5 * min(abs(2.0 * abs(model.channel_constant(k)) - 1.0) for k in range(1, model.N + 1))
         flats = [e for e, _ in structure.flat_bands if -r <= e <= r]
-        clipped = clip(union, -r, r)
+        clipped = _clip(union, -r, r)
         out.append(
             AsymptoticReport(
                 regime="low_energy_window",
@@ -871,15 +873,12 @@ def measure_small_v_armchair(
             )
         )
 
-    def clip(intervals, lo, hi):
-        return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
-
     j_bands = schroedinger_band_edges(profile.pairs()[:, 0])
     overlay = merge_intervals(
         [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
     )
     dev = max_edge_deviation(
-        clip(union, pred.r_minus, pred.r_plus), clip(overlay, pred.r_minus, pred.r_plus)
+        _clip(union, pred.r_minus, pred.r_plus), _clip(overlay, pred.r_minus, pred.r_plus)
     )
     out.append(
         AsymptoticReport(

@@ -19,6 +19,7 @@ from . import asymptotics as asy
 from .armchair import tube_geometry
 from .core import ArmchairModel, PotentialProfile, ZigzagModel, load_potential, magnetic_phase
 from .errors import (
+    FlatBandChannelError,
     InternalConsistencyError,
     InvalidInputError,
     InvalidModelError,
@@ -376,6 +377,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (
+        FlatBandChannelError,
         InvalidInputError,
         InvalidModelError,
         InvalidParameterError,

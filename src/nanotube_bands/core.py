@@ -73,9 +73,6 @@ class PotentialProfile:
         scale = max(1.0, float(np.max(np.abs(vals))))
         return abs(float(np.sum(vals))) <= tol * scale
 
-    def scaled(self, factor: float) -> "PotentialProfile":
-        return PotentialProfile([factor * v for v in self.values])
-
 
 def load_potential(path) -> PotentialProfile:
     """Read a potential profile from a JSON array of numbers."""
@@ -117,22 +114,6 @@ def flat_field_amplitudes(N: int, k: int, s_range) -> list[float]:
         if amp >= 0.0:
             out.append(amp)
     return out
-
-
-def effective_period(profile: PotentialProfile) -> int:
-    """Half of the channel coefficient period: q/2 for even q, q for odd q."""
-    return profile.p
-
-
-@dataclass(frozen=True)
-class MagneticField:
-    """Axial magnetic field in canonical phase form."""
-
-    b: float
-
-    @classmethod
-    def from_amplitude(cls, B: float, N: int) -> "MagneticField":
-        return cls(magnetic_phase(B, N))
 
 
 def _check_finite(**values: float) -> None:

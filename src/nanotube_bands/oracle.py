@@ -17,7 +17,7 @@ import numpy as np
 from .armchair import decompose_armchair
 from .core import ArmchairModel, ZigzagModel
 from .errors import InternalConsistencyError, InvalidTruncationError
-from .spectral import floquet_block, floquet_matrix
+from .spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
 from .zigzag import channel_offdiagonals
 
 
@@ -33,9 +33,6 @@ class FiniteHamiltonian:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    def site_index(self, n: int, j: int, k: int) -> int:
-        return (n % self.L) * 2 * self.N + j * self.N + (k % self.N)
 
     def eigenvalues(self) -> np.ndarray:
         return np.linalg.eigvalsh(self.matrix)
@@ -112,20 +109,17 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
     p = model.potential.p
     M = L // p
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
-    eigs = []
     if isinstance(model, ZigzagModel):
         diag = model.t * model.potential.period_values()
-        for k in range(1, model.N + 1):
-            bonds = channel_offdiagonals(model, k)
-            for tau in taus:
-                eigs.append(np.linalg.eigvalsh(floquet_matrix(bonds, diag, tau)))
+        fibers = [
+            scalar_period_matrix(channel_offdiagonals(model, k), diag) for k in range(1, model.N + 1)
+        ]
     elif isinstance(model, ArmchairModel):
-        for block in decompose_armchair(model):
-            for tau in taus:
-                eigs.append(floquet_block(block, tau).eigenvalues())
+        fibers = [block_period_matrix(block) for block in decompose_armchair(model)]
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
-    return np.sort(np.concatenate(eigs))
+    eigs = [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus)) for period, wrap in fibers]
+    return np.sort(np.concatenate(eigs, axis=None))
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,19 @@
-"""Spectral engine: transfer matrices, Floquet matrices, band extraction, unions.
+"""Spectral engine: transfer matrices, fiber matrices, band extraction, unions.
 
-Band edges of a 2p-periodic scalar channel are the eigenvalues of the
-quasi-periodic matrices K(+1) and K(-1); sorting the combined 4p values and
-pairing them consecutively yields the bands, with the discriminant kept as an
-independent validator that runs the transfer-matrix recurrence on all band
-midpoints (and then all open-gap midpoints) of a channel at once.  Block
-channels have no edge rule, so their bands are the ranges of the sorted
-eigenvalue branches over the unit circle: the fiber matrices of a grid of
-multipliers are assembled and diagonalised as stacks, and the grid extrema of
-all branches are refined by golden-section searches that advance together,
-one stacked eigensolve per iteration.  The union over channels is built by
-one sweep line over the sorted channel edges.
+Every fiber matrix L(tau) of a channel comes from one stacked builder,
+``fiber_matrices``: the multiplier-free period matrix of the channel is built
+once (``scalar_period_matrix``, ``block_period_matrix``) and tau enters only
+through its wrap-around corner blocks.  Band edges of a 2p-periodic scalar
+channel are the eigenvalues of L(+1) and L(-1); sorting the combined 4p
+values and pairing them consecutively yields the bands, with the
+discriminant kept as an independent validator that runs the transfer-matrix
+recurrence on all band midpoints (and then all open-gap midpoints) of a
+channel at once.  Block channels have no edge rule, so their bands are the
+ranges of the sorted eigenvalue branches over the unit circle: the fiber
+matrices of a grid of multipliers are diagonalised as stacks, and the grid
+extrema of all branches are refined by golden-section searches that advance
+together, one stacked eigensolve per iteration.  The union over channels is
+built by one sweep line over the sorted channel edges.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armchair import BlockPeriodicJacobi, decompose_armchair
-from .core import FLAT_CHANNEL_TOL, ArmchairModel, PotentialProfile, ZigzagModel
+from .core import ArmchairModel, PotentialProfile, ZigzagModel
 from .errors import (
     FlatBandChannelError,
     InternalConsistencyError,
@@ -88,22 +91,7 @@ def max_edge_deviation(bands_a, bands_b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Floquet matrices
-
-
-@dataclass(frozen=True)
-class FloquetMatrix:
-    """Finite Hermitian matrix of one quasi-momentum fiber."""
-
-    matrix: np.ndarray
-    tau: complex
-
-    @property
-    def size(self) -> int:
-        return self.matrix.shape[0]
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+# fiber matrices
 
 
 def _check_unimodular(taus) -> np.ndarray:
@@ -117,59 +105,55 @@ def _check_unimodular(taus) -> np.ndarray:
     return taus
 
 
-def floquet_matrix(offdiag, diag, tau: complex) -> np.ndarray:
-    """m x m fiber matrix of an m-periodic Jacobi operator with bonds offdiag.
+def fiber_matrices(period, wrap, taus) -> np.ndarray:
+    """Stack of fiber matrices L(tau), one per multiplier, as a (len(taus), m, m) array.
 
-    offdiag[i] couples sites i and i+1; offdiag[m-1] is the wrap-around bond
-    and enters the corners scaled by tau.  Hermitian for |tau| = 1; complex
-    bonds are allowed (used before gauge reduction).
+    ``period`` is the m x m matrix of one period without its wrap-around
+    coupling, ``wrap`` the r x r block W of that coupling.  L(tau) adds
+    tau*W onto the lower-left r x r corner of the period matrix and
+    conj(tau)*W^H onto the upper-right one, in that order and on those
+    slices only: when the corners overlap the diagonal (m = r) or the bonds
+    (m = 2r), the rounding of the sum depends on the order, and adding a
+    zero elsewhere could flip the sign of a zero entry.
     """
-    tau = complex(_check_unimodular(tau))
+    taus = _check_unimodular(taus).reshape(-1, 1, 1)
+    m, r = period.shape[0], wrap.shape[0]
+    L = np.repeat(period[None], taus.shape[0], axis=0)
+    L[:, m - r :, :r] += taus * wrap
+    L[:, :r, m - r :] += np.conj(taus) * wrap.conj().T
+    residual = np.max(np.abs(L - np.conj(np.swapaxes(L, 1, 2))), axis=(1, 2))
+    if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(1, 2)))):
+        raise InternalConsistencyError("fiber matrix is not Hermitian")
+    return L
+
+
+def scalar_period_matrix(offdiag, diag) -> tuple[np.ndarray, np.ndarray]:
+    """Period matrix and 1 x 1 wrap block of an m-periodic scalar Jacobi operator.
+
+    offdiag[i] couples sites i and i+1; offdiag[m-1] is the wrap-around bond.
+    Complex bonds are allowed (used before gauge reduction).
+    """
     a = np.asarray(offdiag, dtype=complex)
     v = np.asarray(diag, dtype=float)
     m = v.size
     K = np.zeros((m, m), dtype=complex)
-    K[np.arange(m), np.arange(m)] = v
-    for i in range(m - 1):
-        K[i, i + 1] += a[i]
-        K[i + 1, i] += np.conj(a[i])
-    K[m - 1, 0] += tau * a[m - 1]
-    K[0, m - 1] += np.conj(tau * a[m - 1])
-    return K
+    i = np.arange(m)
+    K[i, i] = v
+    K[i[:-1], i[1:]] += a[: m - 1]
+    K[i[1:], i[:-1]] += np.conj(a[: m - 1])
+    return K, a[m - 1 :].reshape(1, 1)
 
 
-def floquet_scalar(jac: ScalarPeriodicJacobi, tau: complex) -> FloquetMatrix:
-    """Fiber matrix K(tau) + diag(v) of a gauge-reduced scalar channel."""
-    return FloquetMatrix(floquet_matrix(jac.a, jac.v, tau), complex(tau))
-
-
-def _block_fibers(block: BlockPeriodicJacobi, taus) -> np.ndarray:
-    """Stack of 2p x 2p fiber matrices L(tau) of a block channel, one per multiplier.
-
-    The terms are added in a fixed order (diagonal blocks, bonds, then the
-    tau-scaled corners) because for p = 1 the corners land on the diagonal
-    block, and the rounding of the sum depends on that order.
-    """
-    taus = _check_unimodular(taus).reshape(-1, 1, 1)
-    P = block.p
-    a = block.a_block
-    L = np.zeros((taus.shape[0], 2 * P, 2 * P), dtype=complex)
+def block_period_matrix(block: BlockPeriodicJacobi) -> tuple[np.ndarray, np.ndarray]:
+    """Period matrix and 2 x 2 wrap block a^H of a block channel."""
+    P, a = block.p, block.a_block
+    L = np.zeros((2 * P, 2 * P), dtype=complex)
     for j in range(P):
-        L[:, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
+        L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
     for j in range(P - 1):
-        L[:, 2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
-        L[:, 2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
-    L[:, 2 * P - 2 : 2 * P, 0:2] += taus * a.conj().T
-    L[:, 0:2, 2 * P - 2 : 2 * P] += np.conj(taus) * a
-    residual = np.max(np.abs(L - np.conj(np.swapaxes(L, 1, 2))), axis=(1, 2))
-    if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(1, 2)))):
-        raise InternalConsistencyError("block fiber matrix is not Hermitian")
-    return L
-
-
-def floquet_block(block: BlockPeriodicJacobi, tau: complex) -> FloquetMatrix:
-    """2p x 2p fiber matrix of a block channel with constant off-diagonal block."""
-    return FloquetMatrix(_block_fibers(block, [tau])[0], complex(tau))
+        L[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
+        L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
+    return L, a.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -184,9 +168,9 @@ def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
     stacks, one 2x2 product per energy and step, as for a single energy, so
     an array of energies gives the bits of one call per energy.
     """
-    a = jac.a
-    if np.min(a) <= FLAT_CHANNEL_TOL:
+    if jac.is_flat:
         raise FlatBandChannelError("monodromy undefined for a flat-band channel (vanishing bond)")
+    a = jac.a
     z = np.asarray(z, dtype=float)
     m = 2 * jac.p
     steps = np.zeros((m,) + z.shape + (2, 2))
@@ -218,13 +202,8 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
     The 2m periodic/anti-periodic eigenvalues interlace so that consecutive
     pairs of the sorted union bound the m bands.
     """
-    edges = np.concatenate(
-        [
-            np.linalg.eigvalsh(floquet_matrix(offdiag, diag, 1.0)),
-            np.linalg.eigvalsh(floquet_matrix(offdiag, diag, -1.0)),
-        ]
-    )
-    return np.sort(edges)
+    levels = np.linalg.eigvalsh(fiber_matrices(*scalar_period_matrix(offdiag, diag), [1.0, -1.0]))
+    return np.sort(levels, axis=None)
 
 
 def schroedinger_band_edges(q) -> list[tuple[float, float]]:
@@ -234,7 +213,7 @@ def schroedinger_band_edges(q) -> list[tuple[float, float]]:
     return [(edges[2 * i], edges[2 * i + 1]) for i in range(q.size)]
 
 
-def band_edges_scalar(jac: ScalarPeriodicJacobi, validate: bool = True) -> list[tuple[float, float]]:
+def band_edges_scalar(jac: ScalarPeriodicJacobi) -> list[tuple[float, float]]:
     """Bands of one scalar channel from the K(+/-1) eigenvalues.
 
     Validates against the discriminant, evaluated once for all band midpoints
@@ -246,28 +225,27 @@ def band_edges_scalar(jac: ScalarPeriodicJacobi, validate: bool = True) -> list[
         raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
     edges = periodic_jacobi_band_edges(jac.a, jac.v)
     bands = [(edges[2 * i], edges[2 * i + 1]) for i in range(2 * jac.p)]
-    if validate:
-        scale = max(1.0, float(np.max(np.abs(edges))))
-        lo, hi = edges[0::2], edges[1::2]
-        wide = np.flatnonzero(hi - lo > 1e-12 * scale)
-        if wide.size:
-            d = discriminant(jac, 0.5 * (lo[wide] + hi[wide]))
-            bad = np.flatnonzero(np.abs(d) > 1.0 + 1e-8)
-            if bad.size:
-                i = wide[bad[0]]
-                raise InternalConsistencyError(
-                    f"discriminant {d[bad[0]]} exceeds 1 inside band [{lo[i]}, {hi[i]}]"
-                )
-        glo, ghi = hi[:-1], lo[1:]
-        gaps = np.flatnonzero(ghi - glo > 1e-6 * scale)
-        if gaps.size:
-            d = discriminant(jac, 0.5 * (glo[gaps] + ghi[gaps]))
-            bad = np.flatnonzero(np.abs(d) <= 1.0)
-            if bad.size:
-                i = gaps[bad[0]]
-                raise InternalConsistencyError(
-                    f"discriminant {d[bad[0]]} inside [-1,1] at open gap ({glo[i]}, {ghi[i]})"
-                )
+    scale = max(1.0, float(np.max(np.abs(edges))))
+    lo, hi = edges[0::2], edges[1::2]
+    wide = np.flatnonzero(hi - lo > 1e-12 * scale)
+    if wide.size:
+        d = discriminant(jac, 0.5 * (lo[wide] + hi[wide]))
+        bad = np.flatnonzero(np.abs(d) > 1.0 + 1e-8)
+        if bad.size:
+            i = wide[bad[0]]
+            raise InternalConsistencyError(
+                f"discriminant {d[bad[0]]} exceeds 1 inside band [{lo[i]}, {hi[i]}]"
+            )
+    glo, ghi = hi[:-1], lo[1:]
+    gaps = np.flatnonzero(ghi - glo > 1e-6 * scale)
+    if gaps.size:
+        d = discriminant(jac, 0.5 * (glo[gaps] + ghi[gaps]))
+        bad = np.flatnonzero(np.abs(d) <= 1.0)
+        if bad.size:
+            i = gaps[bad[0]]
+            raise InternalConsistencyError(
+                f"discriminant {d[bad[0]]} inside [-1,1] at open gap ({glo[i]}, {ghi[i]})"
+            )
     return bands
 
 
@@ -295,6 +273,7 @@ def _dimer_levels(pairs) -> np.ndarray:
 
 FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one stack
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL = 1e-10  # a golden-section search stops once its bracket is this narrow
 
 
 def _first_min(x, y) -> np.ndarray:
@@ -306,8 +285,10 @@ def _first_min(x, y) -> np.ndarray:
     return np.where(y < x, y, x)
 
 
-def _fiber_levels(block: BlockPeriodicJacobi, thetas) -> np.ndarray:
-    """Sorted eigenvalues of L(exp(i*theta)) for each theta, as a (len(thetas), 2p) array.
+def _fiber_levels(fiber, thetas) -> np.ndarray:
+    """Sorted eigenvalues of L(exp(i*theta)) for each theta, as a (len(thetas), m) array.
+
+    ``fiber`` is the (period matrix, wrap block) pair of the channel.
 
     The multipliers come from ``cmath.exp`` because ``np.exp`` may differ from
     it in the last bit, which would change the printed edges.
@@ -315,18 +296,18 @@ def _fiber_levels(block: BlockPeriodicJacobi, thetas) -> np.ndarray:
     taus = [cmath.exp(1j * th) for th in thetas]
     return np.concatenate(
         [
-            np.linalg.eigvalsh(_block_fibers(block, taus[i : i + FIBER_STACK]))
+            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK]))
             for i in range(0, len(taus), FIBER_STACK)
         ]
     )
 
 
-def _branch_values(block: BlockPeriodicJacobi, thetas, rows) -> np.ndarray:
+def _branch_values(fiber, thetas, rows) -> np.ndarray:
     """Eigenvalue ``rows[i]`` of the fiber matrix at ``thetas[i]``, for every i."""
-    return _fiber_levels(block, thetas)[np.arange(len(rows)), rows]
+    return _fiber_levels(fiber, thetas)[np.arange(len(rows)), rows]
 
 
-def _golden_extrema(block, lo, hi, rows, signs, tol: float = 1e-10) -> np.ndarray:
+def _golden_extrema(fiber, lo, hi, rows, signs) -> np.ndarray:
     """Extreme values of eigenvalue branches by golden-section search, in lockstep.
 
     Search i minimises ``signs[i] * E_rows[i](theta)`` on ``[lo[i], hi[i]]`` and
@@ -337,9 +318,9 @@ def _golden_extrema(block, lo, hi, rows, signs, tol: float = 1e-10) -> np.ndarra
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
-    fc = signs * _branch_values(block, c, rows)
-    fd = signs * _branch_values(block, d, rows)
-    active = np.flatnonzero(b - a > tol)
+    fc = signs * _branch_values(fiber, c, rows)
+    fd = signs * _branch_values(fiber, d, rows)
+    active = np.flatnonzero(b - a > GOLDEN_TOL)
     while active.size:
         to_left = fc[active] < fd[active]
         left, right = active[to_left], active[~to_left]  # keep [a, d] or [c, b]
@@ -349,10 +330,10 @@ def _golden_extrema(block, lo, hi, rows, signs, tol: float = 1e-10) -> np.ndarra
         d[right] = a[right] + INVPHI * (b[right] - a[right])
         probes = np.concatenate([left, right])
         values = signs[probes] * _branch_values(
-            block, np.concatenate([c[left], d[right]]), rows[probes]
+            fiber, np.concatenate([c[left], d[right]]), rows[probes]
         )
         fc[left], fd[right] = values[: left.size], values[left.size :]
-        active = active[b[active] - a[active] > tol]
+        active = active[b[active] - a[active] > GOLDEN_TOL]
     return signs * _first_min(fc, fd)
 
 
@@ -370,7 +351,8 @@ def spectrum_block(
     if grid_size < 16 or grid_size & (grid_size - 1) != 0:
         raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    levels = _fiber_levels(block, thetas)
+    fiber = block_period_matrix(block)
+    levels = _fiber_levels(fiber, thetas)
     step = 2.0 * np.pi / grid_size
     size = 2 * block.p
     i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
@@ -382,7 +364,7 @@ def spectrum_block(
         centres = np.concatenate([thetas[i_min[rows]], thetas[i_max[rows]]])
         signs = np.repeat([1.0, -1.0], rows.size)
         extrema = _golden_extrema(
-            block, centres - step, centres + step, np.concatenate([rows, rows]), signs
+            fiber, centres - step, centres + step, np.concatenate([rows, rows]), signs
         )
         lo[rows] = _first_min(extrema[: rows.size], grid_lo[rows])
         hi[rows] = -_first_min(-extrema[rows.size :], -grid_hi[rows])  # max(x, y), same tie rule

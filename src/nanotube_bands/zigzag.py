@@ -45,7 +45,8 @@ class ScalarPeriodicJacobi:
 
     @property
     def is_flat(self) -> bool:
-        return bool(np.min(self.a) < FLAT_CHANNEL_TOL)
+        """A bond at or below FLAT_CHANNEL_TOL splits the chain into dimers."""
+        return bool(np.min(self.a) <= FLAT_CHANNEL_TOL)
 
 
 def channel_offdiagonals(model: ZigzagModel, k: int) -> np.ndarray:
@@ -68,12 +69,7 @@ def gauge_reduce(offdiag, diag, c_k: float | None = None) -> ScalarPeriodicJacob
     v = np.asarray(diag, dtype=float)
     if a.shape != v.shape or a.ndim != 1 or a.size % 2 != 0:
         raise ValueError("off-diagonal and diagonal must be 1-d arrays of equal even length")
-    p = a.size // 2
-    if c_k is None and p >= 1:
-        evens = a[1::2]
-        if np.allclose(a[0::2], 1.0, atol=1e-12) and np.allclose(evens, evens[0], atol=1e-12):
-            c_k = float(evens[0] / 2.0)
-    return ScalarPeriodicJacobi(p=p, a=a, v=v, c_k=c_k)
+    return ScalarPeriodicJacobi(p=a.size // 2, a=a, v=v, c_k=c_k)
 
 
 def decompose_zigzag(model: ZigzagModel) -> list[ScalarPeriodicJacobi]:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
-from nanotube_bands.spectral import band_edges_scalar, floquet_matrix
+from nanotube_bands.spectral import band_edges_scalar, fiber_matrices, scalar_period_matrix
 
 
 def zero_mean_profile(rng, q):
@@ -342,8 +342,9 @@ def test_unperturbed_eigenvector_residuals():
             ref = asy.unperturbed_edges(a, p)
             bonds = np.ones(2 * p)
             bonds[1::2] = a
+            period, wrap = scalar_period_matrix(bonds, np.zeros(2 * p))
             for n in range(1, 2 * p):
-                K = floquet_matrix(bonds, np.zeros(2 * p), ref.multiplier(n))
+                K = fiber_matrices(period, wrap, [ref.multiplier(n)])[0]
                 for sign in (+1, -1):
                     lam = ref.edge(n, sign)
                     vec = ref.eigenvector(n, sign)

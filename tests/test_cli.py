@@ -309,6 +309,28 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        # a bond of 2e-13, and one of exactly FLAT_CHANNEL_TOL: both are flat channels
+        "asym --regime ck_to_zero --ck-values 1e-13",
+        "asym --regime ck_to_zero --ck-values 5e-13",
+        # zigzag commands never reach spectrum_block; the CLI refuses the grid itself
+        "bands --lattice zigzag --b 0.1 --grid 100",
+        "sweep --lattice zigzag --B-start 0 --grid 100",
+    ],
+)
+def test_refused_input_exits_2_with_error_line(tmp_path, capsys, argv):
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.5, -0.5]")
+    code = main(argv.split() + ["--N", "4", "--potential", str(pot)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         "bands --lattice zigzag --b -2.220446049250313e-16",
         "bands --lattice zigzag --B -1e-3 --t -1.5e0",
         "bands --lattice armchair --b1 -1e-3 --b2 -2E-3 --b3 -3e-3 --grid 16",

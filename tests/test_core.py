@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 
 from nanotube_bands import (
     PotentialProfile,
-    effective_period,
     flat_field_amplitudes,
     load_potential,
     magnetic_phase,
@@ -74,7 +73,7 @@ def test_flat_field_inversion(N, data):
 
 @pytest.mark.parametrize("q,p", [(4, 2), (3, 3), (1, 1), (6, 3), (5, 5)])
 def test_effective_period(q, p):
-    assert effective_period(PotentialProfile(range(1, q + 1))) == p
+    assert PotentialProfile(range(1, q + 1)).p == p
 
 
 @given(values=st.lists(st.floats(-5, 5), min_size=1, max_size=9), n=st.integers(-10**6, 10**6))

@@ -15,8 +15,6 @@ from nanotube_bands import (
     band_edges_scalar,
     discriminant,
     flat_band_spectrum,
-    floquet_block,
-    floquet_scalar,
     full_spectrum,
     monodromy,
     spectrum_block,
@@ -24,12 +22,15 @@ from nanotube_bands import (
 from nanotube_bands.errors import FlatBandChannelError, InvalidParameterError
 from nanotube_bands.spectral import (
     assemble_band_structure,
+    block_period_matrix,
     ChannelBands,
+    fiber_matrices,
     interval_gaps,
     intervals_contain,
     max_edge_deviation,
     merge_intervals,
     periodic_jacobi_band_edges,
+    scalar_period_matrix,
     schroedinger_band_edges,
 )
 
@@ -38,6 +39,16 @@ def chain(p, a, v, c_k=None):
     bonds = np.ones(2 * p)
     bonds[1::2] = a
     return ScalarPeriodicJacobi(p=p, a=bonds, v=np.asarray(v, dtype=float), c_k=c_k)
+
+
+def scalar_fiber(jac, tau):
+    """The fiber matrix K(tau) + diag(v) of a scalar channel."""
+    return fiber_matrices(*scalar_period_matrix(jac.a, jac.v), [tau])[0]
+
+
+def block_fiber_levels(block, taus):
+    """Sorted fiber eigenvalues of a block channel, one row per multiplier."""
+    return np.linalg.eigvalsh(fiber_matrices(*block_period_matrix(block), taus))
 
 
 # ---------------------------------------------------------------------------
@@ -117,15 +128,15 @@ def test_band_edges_satisfy_discriminant():
 
 
 def test_floquet_scalar_free_point():
-    K = floquet_scalar(chain(1, 1.0, [0.0, 0.0]), 1.0)
-    np.testing.assert_allclose(K.matrix, [[0, 2], [2, 0]])
-    np.testing.assert_allclose(K.eigenvalues(), [-2, 2])
+    K = scalar_fiber(chain(1, 1.0, [0.0, 0.0]), 1.0)
+    np.testing.assert_allclose(K, [[0, 2], [2, 0]])
+    np.testing.assert_allclose(np.linalg.eigvalsh(K), [-2, 2])
 
 
 def test_floquet_scalar_flat_block_structure():
     v = np.array([0.3, -0.2, 0.8, 0.1])
     jac = chain(2, 0.0, v)
-    eigs = [floquet_scalar(jac, cmath.exp(1j * th)).eigenvalues() for th in (0.0, 0.7, 2.4, math.pi)]
+    eigs = [np.linalg.eigvalsh(scalar_fiber(jac, cmath.exp(1j * th))) for th in (0.0, 0.7, 2.4, math.pi)]
     for e in eigs[1:]:
         np.testing.assert_allclose(e, eigs[0], atol=1e-12)
     blocks = np.linalg.eigvalsh(np.array([[0.3, 1], [1, -0.2]])).tolist()
@@ -133,9 +144,53 @@ def test_floquet_scalar_flat_block_structure():
     np.testing.assert_allclose(eigs[0], sorted(blocks), atol=1e-12)
 
 
+def _floquet_matrix_reference(offdiag, diag, tau):
+    """One scalar fiber matrix, built entry by entry: bonds first, then the corners."""
+    a = np.asarray(offdiag, dtype=complex)
+    v = np.asarray(diag, dtype=float)
+    m = v.size
+    K = np.zeros((m, m), dtype=complex)
+    K[np.arange(m), np.arange(m)] = v
+    for i in range(m - 1):
+        K[i, i + 1] += a[i]
+        K[i + 1, i] += np.conj(a[i])
+    K[m - 1, 0] += tau * a[m - 1]
+    K[0, m - 1] += np.conj(tau * a[m - 1])
+    return K
+
+
+def _signed_zero_chain(rng, m):
+    """Random complex bonds and real diagonal of length m, with some entries -0.0 or +0.0."""
+    parts = rng.normal(size=(3, m))
+    parts[rng.random(size=parts.shape) < 0.2] = -0.0
+    parts[rng.random(size=parts.shape) < 0.1] = 0.0
+    return parts[0] + 1j * parts[1], parts[2]
+
+
+def test_scalar_fiber_stack_matches_one_matrix_reference():
+    # at tau = +-1 every product is exact, so the stack and the entry-by-entry
+    # build agree bit for bit, eigenvalues included; at complex tau the corner
+    # product is rounded by another multiply loop and may differ in the last bit
+    rng = np.random.default_rng(16)
+    for m in [1, 2] * 20 + list(rng.integers(1, 33, size=200)):
+        a, v = _signed_zero_chain(rng, int(m))
+        period, wrap = scalar_period_matrix(a, v)
+        for tau, got in zip((1.0, -1.0), fiber_matrices(period, wrap, [1.0, -1.0])):
+            ref = _floquet_matrix_reference(a, v, complex(tau))
+            assert np.array_equal(got, ref)
+            assert np.array_equal(np.linalg.eigvalsh(got), np.linalg.eigvalsh(ref))
+        taus = [cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=4)]
+        corners = np.zeros((m, m), dtype=bool)
+        corners[m - 1, 0] = corners[0, m - 1] = True
+        for tau, got in zip(taus, fiber_matrices(period, wrap, taus)):
+            ref = _floquet_matrix_reference(a, v, tau)
+            assert np.array_equal(got[~corners], ref[~corners])
+            np.testing.assert_allclose(got[corners], ref[corners], rtol=1e-15, atol=0)
+
+
 def test_floquet_scalar_rejects_bad_multiplier():
     with pytest.raises(InvalidParameterError):
-        floquet_scalar(chain(1, 1.0, [0.0, 0.0]), 1.1)
+        scalar_fiber(chain(1, 1.0, [0.0, 0.0]), 1.1)
 
 
 @given(
@@ -147,7 +202,7 @@ def test_floquet_scalar_rejects_bad_multiplier():
 @settings(max_examples=60)
 def test_floquet_hermitian(p, a, phi, data):
     v = data.draw(st.lists(st.floats(-3, 3), min_size=2 * p, max_size=2 * p))
-    K = floquet_scalar(chain(p, a, v), cmath.exp(1j * phi)).matrix
+    K = scalar_fiber(chain(p, a, v), cmath.exp(1j * phi))
     assert np.max(np.abs(K - K.conj().T)) < 1e-14 * max(1.0, np.max(np.abs(K)))
 
 
@@ -155,12 +210,12 @@ def test_floquet_hermitian(p, a, phi, data):
 @settings(max_examples=60)
 def test_free_fiber_eigenvalues(p, a, phi):
     # eigenvalues of the zero-potential fiber are +-|a + e^{i(phi + 2 pi n)/p}|
-    K = floquet_scalar(chain(p, a, np.zeros(2 * p)), cmath.exp(1j * phi))
+    K = scalar_fiber(chain(p, a, np.zeros(2 * p)), cmath.exp(1j * phi))
     expected = []
     for n in range(1, p + 1):
         mag = abs(a + cmath.exp(1j * (phi + 2 * math.pi * n) / p))
         expected += [-mag, mag]
-    np.testing.assert_allclose(K.eigenvalues(), np.sort(expected), atol=1e-10)
+    np.testing.assert_allclose(np.linalg.eigvalsh(K), np.sort(expected), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +246,7 @@ def test_edges_match_sweep_envelope():
     edges = band_edges_scalar(jac)
     thetas = 2 * math.pi * np.arange(512) / 512
     levels = np.array(
-        [floquet_scalar(jac, cmath.exp(1j * th)).eigenvalues() for th in thetas]
+        [np.linalg.eigvalsh(scalar_fiber(jac, cmath.exp(1j * th))) for th in thetas]
     )
     envelope = [(levels[:, j].min(), levels[:, j].max()) for j in range(4)]
     assert max_edge_deviation(edges, envelope) < 1e-8
@@ -257,13 +312,13 @@ def test_block_sweep_shift_equivariance():
 def _per_fiber_block_bands(block, grid_size):
     """Reference sweep: one fiber matrix per grid point and per golden-section probe."""
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    levels = np.array([floquet_block(block, cmath.exp(1j * th)).eigenvalues() for th in thetas])
+    levels = np.array([block_fiber_levels(block, [cmath.exp(1j * th)])[0] for th in thetas])
     step = 2.0 * np.pi / grid_size
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
 
     def extremum(j, centre, sign):
         def f(theta):
-            return sign * float(floquet_block(block, cmath.exp(1j * theta)).eigenvalues()[j])
+            return sign * float(block_fiber_levels(block, [cmath.exp(1j * theta)])[0, j])
 
         a, b = centre - step, centre + step
         c, d = b - invphi * (b - a), a + invphi * (b - a)
@@ -312,7 +367,7 @@ def test_block_sweep_matches_per_fiber_reference(seed):
 def test_block_fibers_reject_bad_multiplier():
     jac = chain(1, 1.0, [0.0, 0.0])
     with pytest.raises(InvalidParameterError):
-        floquet_block(_scalar_as_blocks(jac), 1.1)
+        block_fiber_levels(_scalar_as_blocks(jac), [1.1])
 
 
 def test_block_sweep_rejects_bad_grid():
@@ -636,7 +691,7 @@ def test_block_fiber_hermitian_random():
         )
         for block in decompose_armchair(model):
             tau = cmath.exp(2j * math.pi * rng.random())
-            L = floquet_block(block, tau).matrix
+            L = fiber_matrices(*block_period_matrix(block), [tau])[0]
             assert np.max(np.abs(L - L.conj().T)) < 1e-14 * max(1.0, float(np.max(np.abs(L))))
 
 
@@ -645,7 +700,6 @@ def test_block_fiber_stack_matches_one_matrix_assembly():
     # for p = 1 both corners land on the diagonal block, so the order shows
     # in the last bits
     from nanotube_bands import decompose_armchair
-    from nanotube_bands.spectral import _block_fibers
 
     rng = np.random.default_rng(15)
     for q in (1, 2, 3, 4, 6):
@@ -656,7 +710,7 @@ def test_block_fiber_stack_matches_one_matrix_assembly():
         taus = [cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=16)]
         for block in decompose_armchair(model):
             P, a = block.p, block.a_block
-            stack = _block_fibers(block, taus)
+            stack = fiber_matrices(*block_period_matrix(block), taus)
             for tau, got in zip(taus, stack):
                 L = np.zeros((2 * P, 2 * P), dtype=complex)
                 for j in range(P):
@@ -679,7 +733,7 @@ def test_free_fiber_explicit_eigenvectors_any_multiplier():
         a = float(rng.uniform(0.05, 2.0))
         phi = float(rng.uniform(0, 2 * math.pi))
         jac = chain(p, a, np.zeros(2 * p))
-        K = floquet_scalar(jac, cmath.exp(1j * phi)).matrix
+        K = scalar_fiber(jac, cmath.exp(1j * phi))
         for n in range(1, p + 1):
             r = (phi + 2 * math.pi * n) / p
             eps = a + cmath.exp(1j * r)
@@ -711,16 +765,10 @@ def test_block_sweep_complete_and_attained():
         )
         block = decompose_armchair(model)[0]
         bands = spectrum_block(block, grid_size=128)
-        probe = np.concatenate(
-            [floquet_block(block, cmath.exp(2j * math.pi * x)).eigenvalues()
-             for x in rng.random(40)]
-        )
+        probe = block_fiber_levels(block, [cmath.exp(2j * math.pi * x) for x in rng.random(40)]).ravel()
         ok, margin = intervals_contain(bands, [(e, e) for e in probe], tol=1e-9)
         assert ok, margin
-        fine = np.concatenate(
-            [floquet_block(block, cmath.exp(2j * math.pi * m / 2048)).eigenvalues()
-             for m in range(2048)]
-        )
+        fine = block_fiber_levels(block, [cmath.exp(2j * math.pi * m / 2048) for m in range(2048)]).ravel()
         for lo, hi in bands:
             assert np.min(np.abs(fine - lo)) < 1e-4
             assert np.min(np.abs(fine - hi)) < 1e-4
@@ -735,8 +783,6 @@ def test_block_edges_not_at_real_multipliers():
     model = ArmchairModel(3, (0.8, -0.5, 1.1), PotentialProfile([0.7, -0.4]), t=1.0)
     block = decompose_armchair(model)[0]
     swept = spectrum_block(block, grid_size=128)
-    pm = np.sort(np.concatenate([
-        floquet_block(block, 1.0).eigenvalues(), floquet_block(block, -1.0).eigenvalues()
-    ]))
+    pm = np.sort(block_fiber_levels(block, [1.0, -1.0]), axis=None)
     naive = merge_intervals([(pm[2 * i], pm[2 * i + 1]) for i in range(len(pm) // 2)])
     assert max_edge_deviation(swept, naive) > 1e-3

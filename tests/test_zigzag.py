@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nanotube_bands import PotentialProfile, ZigzagModel, decompose_zigzag, gauge_reduce
-from nanotube_bands.spectral import floquet_matrix
+from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix
 from nanotube_bands.zigzag import channel_offdiagonals, channel_symmetry_map
 
 
@@ -66,8 +66,8 @@ def test_gauge_reduce_spectrum_preserving_on_fibers():
         twist = np.prod(bonds / np.abs(bonds))
         for _ in range(4):
             tau = cmath.exp(2j * math.pi * rng.random())
-            ec = np.linalg.eigvalsh(floquet_matrix(bonds, diag, tau))
-            er = np.linalg.eigvalsh(floquet_matrix(np.abs(bonds), diag, tau * twist))
+            ec = np.linalg.eigvalsh(fiber_matrices(*scalar_period_matrix(bonds, diag), [tau]))
+            er = np.linalg.eigvalsh(fiber_matrices(*scalar_period_matrix(np.abs(bonds), diag), [tau * twist]))
             assert np.max(np.abs(ec - er)) < 1e-10
 
 
