@@ -159,6 +159,12 @@ def _floquet_matrix_reference(offdiag, diag, tau):
     return K
 
 
+def _same_bits(x, y):
+    """Exact equality that also tells -0.0 from +0.0."""
+    x, y = np.asarray(x), np.asarray(y)
+    return x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
 def _signed_zero_chain(rng, m):
     """Random complex bonds and real diagonal of length m, with some entries -0.0 or +0.0."""
     parts = rng.normal(size=(3, m))
@@ -169,22 +175,23 @@ def _signed_zero_chain(rng, m):
 
 def test_scalar_fiber_stack_matches_one_matrix_reference():
     # at tau = +-1 every product is exact, so the stack and the entry-by-entry
-    # build agree bit for bit, eigenvalues included; at complex tau the corner
-    # product is rounded by another multiply loop and may differ in the last bit
+    # build agree bit for bit, signed zeros and eigenvalues included; at
+    # complex tau the corner product is rounded by another multiply loop and
+    # may differ in the last bit
     rng = np.random.default_rng(16)
     for m in [1, 2] * 20 + list(rng.integers(1, 33, size=200)):
         a, v = _signed_zero_chain(rng, int(m))
         period, wrap = scalar_period_matrix(a, v)
         for tau, got in zip((1.0, -1.0), fiber_matrices(period, wrap, [1.0, -1.0])):
             ref = _floquet_matrix_reference(a, v, complex(tau))
-            assert np.array_equal(got, ref)
-            assert np.array_equal(np.linalg.eigvalsh(got), np.linalg.eigvalsh(ref))
+            assert _same_bits(got, ref)
+            assert _same_bits(np.linalg.eigvalsh(got), np.linalg.eigvalsh(ref))
         taus = [cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=4)]
         corners = np.zeros((m, m), dtype=bool)
         corners[m - 1, 0] = corners[0, m - 1] = True
         for tau, got in zip(taus, fiber_matrices(period, wrap, taus)):
             ref = _floquet_matrix_reference(a, v, tau)
-            assert np.array_equal(got[~corners], ref[~corners])
+            assert _same_bits(got[~corners], ref[~corners])
             np.testing.assert_allclose(got[corners], ref[corners], rtol=1e-15, atol=0)
 
 
@@ -720,7 +727,7 @@ def test_block_fiber_stack_matches_one_matrix_assembly():
                     L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
                 L[2 * P - 2 : 2 * P, 0:2] += tau * a.conj().T
                 L[0:2, 2 * P - 2 : 2 * P] += np.conj(tau) * a
-                assert np.array_equal(got, L)
+                assert _same_bits(got, L)
 
 
 def test_free_fiber_explicit_eigenvectors_any_multiplier():
