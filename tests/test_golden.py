@@ -8,7 +8,8 @@ isolated ones of infinite multiplicity), a model whose near-flat channel has
 bands thinner than 1e-12, a large model (N = 64, odd q = 15) and a sweep whose
 field range steps onto a flat amplitude.  The ``small_v_armchair`` cases pin
 the edges of the periodic Schroedinger operator for an odd and a one-site
-period.
+period; the other ``asym`` cases pin one run of every zigzag regime, with and
+without its optional reports.
 
 After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -60,6 +61,26 @@ CASES = {
     "arm_small_v_p1": ([0.2, 0.2], "asym --regime small_v_armchair --N 4", 0),
     "arm_small_v_p3": (
         [0.15, 0.15, -0.1, -0.1, -0.05, -0.05], "asym --regime small_v_armchair --N 4", 0,
+    ),
+    "zig_asym_ck_to_zero": ([3.0, 0.0, -3.0, 1.0], "asym --regime ck_to_zero --N 4 --s 1", 0),
+    # the values of sample_open_gap_potential(4, seed=15)
+    "zig_asym_small_t_p2": (
+        [-0.08708415254307389, -0.21110168944821417, 0.5092875314395022, -0.21110168944821417],
+        "asym --regime small_t --N 4 --ck 0.65", 0,
+    ),
+    # p = 1 at the unit-hopping chain: the central gap is the only report
+    "zig_asym_small_t_p1": ([0.4, -0.4], "asym --regime small_t --N 4 --ck 0.5", 0),
+    # width reports, then the window and disjointness checks
+    "zig_asym_large_t": ([0.9, -0.3, 0.4, -1.1], "asym --regime large_t_zigzag --N 5 --b 0.2 --t 40", 0),
+    # p = 1: no disjointness report
+    "zig_asym_large_t_p1": ([1.0, -1.0], "asym --regime large_t_zigzag --N 5 --b 0.2 --t 40", 0),
+    # N divisible by 3 and p > 2N: two outer windows and the central one
+    "zig_asym_low_energy_N3": (
+        [-0.2, 0.08, -0.29, 0.25, 0.13, 0.07, -0.04], "asym --regime low_energy_window --N 3 --b 0 --t 0.05", 0,
+    ),
+    # N not divisible by 3: the central-gap report
+    "zig_asym_low_energy_N4": (
+        [0.0476, -0.3159, 0.5842, -0.3159], "asym --regime low_energy_window --N 4 --b 0.02 --t 0.05", 0,
     ),
     # zigzag oracle: scalar fibers with complex bonds at complex multipliers
     "zig_verify": ([0.4, -0.3, 0.7], "verify --lattice zigzag --N 5 --b 0.4 --t 2", 0),
