@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Run every asymptotic regime on a representative configuration and print a
-measured-vs-predicted table."""
+measured-vs-predicted table; exit 1 if any report fails.
+
+    PYTHONPATH=src python scripts/asymptotics_survey.py
+"""
 
 import sys
 
@@ -8,6 +11,15 @@ import numpy as np
 
 from nanotube_bands import ArmchairModel, PotentialProfile, ZigzagModel
 from nanotube_bands import asymptotics as asy
+
+# Pairwise spacings >= 0.14: the exact floats of sorting uniform(-1.2, 1.2)
+# draws from np.random.default_rng(2) until the spacing holds (draw 451 390),
+# then shuffling with the same generator.
+CLUSTER_12 = [
+    -1.1249657836958813, -0.542219568092015, 0.9448995184844453, 0.23802600619077374,
+    1.1747087611293485, -0.12271945785023464, 0.38809340992924746, 0.5756525170774185,
+    0.09065230312749528, 0.7953154242043883, -0.3184103435597643, -0.6882735662909277,
+]
 
 
 def show(reports):
@@ -34,18 +46,10 @@ def main() -> int:
 
     print("strong-coupling zigzag clusters (t = 40)")
     model = ZigzagModel(5, 0.2, PotentialProfile([0.9, -0.3, 0.4, -1.1]), t=40.0)
-    reports, extra = asy.measure_large_t_zigzag(model)
-    ok &= show(reports)
-    print(f"  windows contain bands: {extra['windows_contain_bands']}, "
-          f"same-rank channel bands disjoint: {extra['same_rank_bands_disjoint']}")
+    ok &= show(asy.measure_large_t_zigzag(model))
 
     print("strong-coupling armchair clusters (t = 40, 12-periodic potential)")
-    rng = np.random.default_rng(2)
-    v = np.sort(rng.uniform(-1.2, 1.2, size=12))
-    while np.min(np.diff(v)) < 0.14:
-        v = np.sort(rng.uniform(-1.2, 1.2, size=12))
-    rng.shuffle(v)
-    arm = ArmchairModel(4, (0.0, 0.0, 0.0), PotentialProfile(v), t=40.0)
+    arm = ArmchairModel(4, (0.0, 0.0, 0.0), PotentialProfile(CLUSTER_12), t=40.0)
     ok &= show(asy.measure_large_t_armchair(arm, k=4))
 
     print("weak rung-paired armchair potential (11-periodic)")

@@ -13,7 +13,6 @@ from .armchair import (
     BlockPeriodicJacobi,
     decompose_armchair,
     model_from_field,
-    shifted_schroedinger_inclusion,
     tube_geometry,
 )
 from .spectral import (
@@ -28,6 +27,7 @@ from .spectral import (
     spectrum_block,
 )
 from .oracle import build_full_hamiltonian, compare_decomposition
+from .asymptotics import shifted_schroedinger_inclusion
 
 __all__ = [
     "ArmchairModel",

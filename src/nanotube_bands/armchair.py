@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ArmchairModel, PotentialProfile
-from .errors import InvalidInputError, InvalidModelError
+from .errors import InvalidModelError
 
 
 @dataclass(frozen=True)
@@ -131,63 +131,3 @@ def model_from_field(N: int, B: float, potential: PotentialProfile, t: float = 1
     """Armchair model with the physically consistent phase triple for field B."""
     _, phases = tube_geometry(N, B)
     return ArmchairModel(N=N, phases=phases, potential=potential, t=t)
-
-
-@dataclass(frozen=True)
-class InclusionReport:
-    """Spectral containment margins for the shifted-Schroedinger comparison."""
-
-    armchair_ok: bool
-    armchair_margin: float
-    zigzag_checked: bool
-    zigzag_ok: bool
-    zigzag_margin: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.armchair_ok and (self.zigzag_ok or not self.zigzag_checked)
-
-
-def shifted_schroedinger_inclusion(
-    profile: PotentialProfile, N: int, tol: float = 1e-8, grid_size: int = 512
-) -> InclusionReport:
-    """Check the shifted Schroedinger containments for a rung-paired potential.
-
-    With v[2j] == v[2j+1] and zero field, the k = N armchair channel splits
-    into two copies of the p-periodic Schroedinger operator J(v_even) shifted
-    by -1 and +1, so (sigma(J) +/- 1) must lie inside the armchair spectrum.
-    For N divisible by 3 the zigzag tube with the p-periodic potential v_even
-    contains sigma(J) outright through its unit-hopping channel.
-    """
-    from . import spectral  # local import: spectral depends on this module
-
-    pairs = profile.pairs()
-    if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > 1e-12:
-        raise InvalidInputError("rung-paired potential required: v[2j] must equal v[2j+1]")
-    v_even = pairs[:, 0]
-
-    j_bands = spectral.schroedinger_band_edges(v_even)
-    shifted = [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
-
-    arm = ArmchairModel(N=N, phases=(0.0, 0.0, 0.0), potential=profile, t=1.0)
-    arm_bands = spectral.full_spectrum(arm, grid_size=grid_size).union_intervals()
-    arm_ok, arm_margin = spectral.intervals_contain(arm_bands, shifted, tol=tol)
-
-    zig_checked = N % 3 == 0
-    zig_ok, zig_margin = True, math.inf
-    if zig_checked:
-        from .core import ZigzagModel
-
-        zig = ZigzagModel(N=N, b=0.0, potential=PotentialProfile(v_even), t=1.0)
-        zig_bands = spectral.full_spectrum(zig).union_intervals()
-        zig_ok, zig_margin = spectral.intervals_contain(zig_bands, j_bands, tol=tol)
-
-    return InclusionReport(
-        armchair_ok=arm_ok,
-        armchair_margin=arm_margin,
-        zigzag_checked=zig_checked,
-        zigzag_ok=zig_ok,
-        zigzag_margin=zig_margin,
-        tolerance=tol,
-    )

@@ -2,10 +2,13 @@
 
 Every predictor here has an independent numerical counterpart in
 :mod:`nanotube_bands.spectral`; the harness functions at the bottom compare
-the two and emit :class:`AsymptoticReport` records.  Index conventions match
-the rest of the package: potentials are 0-based arrays with dimer pairs
-``(v[2j], v[2j+1])``, bonds ``a[i]`` couple sites i and i+1, and gap n
-separates bands n and n+1 (1-based) of a 2p-band channel.
+the two.  This is the only module that decides how a regime is checked: each
+``measure_*`` returns the complete list of :class:`AsymptoticReport` records
+of its regime, and its signature holds the regime's default tolerances.
+
+Index conventions match the rest of the package: potentials are 0-based
+arrays with dimer pairs ``(v[2j], v[2j+1])``, bonds ``a[i]`` couple sites i
+and i+1, and gap n separates bands n and n+1 (1-based) of a 2p-band channel.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from .spectral import (
     flat_band_spectrum,
     full_spectrum,
     interval_gaps,
+    intervals_contain,
     merge_intervals,
     max_edge_deviation,
     schroedinger_band_edges,
@@ -321,12 +325,16 @@ class LargeTZigzagPrediction:
     center: float
     width: float
     window: tuple[float, float]
-    separation_product: float
     dressing: float        # second-order center shift coefficient
 
 
 def _bond(i: int, a: float, period: int) -> float:
     return 1.0 if i % period % 2 == 0 else a
+
+
+def _check_distinct(vals: np.ndarray) -> None:
+    if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(vals.size)) < 1e-12:
+        raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
 
 
 def predict_large_t_zigzag(
@@ -348,8 +356,7 @@ def predict_large_t_zigzag(
     vals = profile.period_values()
     if not 1 <= n <= m:
         raise InvalidInputError(f"position n must lie in 1..{m}, got {n}")
-    if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(m)) < 1e-12:
-        raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
+    _check_distinct(vals)
     a = 2.0 * abs(c_k)
     i = n - 1
     left = _bond(i - 1, a, m) ** 2 / (vals[(i - 1) % m] - vals[i])
@@ -372,7 +379,6 @@ def predict_large_t_zigzag(
         center=float(t * vals[i] - dressing / t),
         width=float(width),
         window=(float(t * vals[i] - delta / t), float(t * vals[i] + delta / t)),
-        separation_product=sep,
         dressing=float(dressing),
     )
 
@@ -383,15 +389,12 @@ def predict_large_t_zigzag(
 
 @dataclass(frozen=True)
 class SmallVArmchairPrediction:
-    hats: np.ndarray                    # rung-potential Fourier data, index n = 0..p-1
     edges: list[tuple[float, float]]    # predicted Schroedinger gap edges (z_n^-, z_n^+)
     in_gap_opening_set: bool
     r_minus: float
     r_plus: float
     rtilde_minus: float
     rtilde_plus: float
-    central_plus: list[int]             # gaps mapped into [r_minus, r_plus] as gamma_n + 1
-    central_minus: list[int]            # gaps mapped there as gamma_n - 1
     negative_window: list[int]          # gamma_n - 1 inside [-rtilde_plus, -rtilde_minus]
     positive_window: list[int]          # gamma_n + 1 inside [rtilde_minus, rtilde_plus]
 
@@ -417,13 +420,79 @@ def in_gap_opening_set(q, tol: float = 1e-9) -> bool:
     return True
 
 
-def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
-    """First-order gap data of the rung potential and the windows into which
-    the shifted copies of those gaps land inside the armchair spectrum."""
+def _rung_values(profile: PotentialProfile) -> np.ndarray:
+    """The p rung values of a rung-paired potential (v[2j] == v[2j+1])."""
     pairs = profile.pairs()
     if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > 1e-12:
         raise InvalidInputError("rung-paired potential required: v[2j] must equal v[2j+1]")
-    q = pairs[:, 0]
+    return pairs[:, 0]
+
+
+def _shifted_overlay(profile: PotentialProfile, N: int, grid_size: int) -> tuple:
+    """Rung values, Schroedinger bands, their copies shifted by -1 and +1, and
+    the union of the zero-field armchair tube with this potential.
+
+    With v[2j] == v[2j+1] and zero field, the k = N armchair channel splits
+    into two copies of the p-periodic Schroedinger operator J(v_even) shifted
+    by -1 and +1.
+    """
+    q = _rung_values(profile)
+    j_bands = schroedinger_band_edges(q)
+    shifted = [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
+    model = ArmchairModel(N=N, phases=(0.0, 0.0, 0.0), potential=profile, t=1.0)
+    return q, j_bands, shifted, full_spectrum(model, grid_size=grid_size).union_intervals()
+
+
+@dataclass(frozen=True)
+class InclusionReport:
+    """Spectral containment margins for the shifted-Schroedinger comparison."""
+
+    armchair_ok: bool
+    armchair_margin: float
+    zigzag_checked: bool
+    zigzag_ok: bool
+    zigzag_margin: float
+    tolerance: float
+
+    @property
+    def passed(self) -> bool:
+        return self.armchair_ok and (self.zigzag_ok or not self.zigzag_checked)
+
+
+def shifted_schroedinger_inclusion(
+    profile: PotentialProfile, N: int, tol: float = 1e-8, grid_size: int = 512
+) -> InclusionReport:
+    """Check the shifted Schroedinger containments for a rung-paired potential.
+
+    (sigma(J) +/- 1) must lie inside the armchair spectrum (see
+    :func:`_shifted_overlay`).  For N divisible by 3 the zigzag tube with the
+    p-periodic potential v_even contains sigma(J) outright through its
+    unit-hopping channel.
+    """
+    v_even, j_bands, shifted, arm_bands = _shifted_overlay(profile, N, grid_size)
+    arm_ok, arm_margin = intervals_contain(arm_bands, shifted, tol=tol)
+
+    zig_checked = N % 3 == 0
+    zig_ok, zig_margin = True, math.inf
+    if zig_checked:
+        zig = ZigzagModel(N=N, b=0.0, potential=PotentialProfile(v_even), t=1.0)
+        zig_bands = full_spectrum(zig).union_intervals()
+        zig_ok, zig_margin = intervals_contain(zig_bands, j_bands, tol=tol)
+
+    return InclusionReport(
+        armchair_ok=arm_ok,
+        armchair_margin=arm_margin,
+        zigzag_checked=zig_checked,
+        zigzag_ok=zig_ok,
+        zigzag_margin=zig_margin,
+        tolerance=tol,
+    )
+
+
+def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
+    """First-order gap data of the rung potential and the windows into which
+    the shifted copies of those gaps land inside the armchair spectrum."""
+    q = _rung_values(profile)
     p = q.size
     hats = rung_fourier(q)
     edges = []
@@ -435,15 +504,12 @@ def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchai
     rtilde_minus = 1.0 + 2.0 * math.cos(math.pi / (2 * N) + 1.0 / (6 * p))
     rtilde_plus = 1.0 + 2.0 * math.cos(1.0 / (6 * p))
     return SmallVArmchairPrediction(
-        hats=hats,
         edges=edges,
         in_gap_opening_set=in_gap_opening_set(q),
         r_minus=r_minus,
         r_plus=r_plus,
         rtilde_minus=rtilde_minus,
         rtilde_plus=rtilde_plus,
-        central_plus=[n for n in range(1, p) if abs(n - p / 3) <= p / (2 * N)],
-        central_minus=[n for n in range(1, p) if abs(n - 2 * p / 3) <= p / (2 * N)],
         negative_window=[n for n in range(1, p) if n <= p / (2 * N)],
         positive_window=[n for n in range(1, p) if n >= p - p / (2 * N)],
     )
@@ -491,8 +557,7 @@ def predict_large_t_armchair(
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
     vals = np.asarray(profile.values, dtype=float)
-    if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(q)) < 1e-12:
-        raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
+    _check_distinct(vals)
     if not 1 <= j <= q:
         raise InvalidInputError(f"position j must lie in 1..{q}, got {j}")
     i = j - 1
@@ -618,7 +683,12 @@ def _channel_jacobi(profile: PotentialProfile, c_k: float, t: float) -> ScalarPe
 
 
 def measure_ck_shrink(
-    profile: PotentialProfile, c_values, s: int, t: float = 1.0, tolerance: float = 0.05
+    profile: PotentialProfile,
+    c_values=(0.02, 0.01, 0.005),
+    *,
+    s: int,
+    t: float = 1.0,
+    tolerance: float = 0.05,
 ) -> list[AsymptoticReport]:
     """Band-s width against the collapse law for each channel constant."""
     out = []
@@ -671,14 +741,18 @@ def measure_small_t_slopes(
     return out
 
 
-def measure_large_t_zigzag(
-    model: ZigzagModel, tolerance: float = 0.1
-) -> tuple[list[AsymptoticReport], dict]:
-    """Width ratios plus window-containment and channel-disjointness checks."""
+def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[AsymptoticReport]:
+    """Width ratios, then the window-containment and same-rank-disjointness checks.
+
+    A check is a report with ``params={"check": name}``, predicted 0 and
+    measured 0 (holds) or 1 (fails).  At p = 1 the same-rank bands are nested
+    for all t (exact closed form), so there is no disjointness report.
+    """
     p = model.potential.p
     m = 2 * p
     reports = []
     bands_by_channel: dict[int, list] = {}
+    contained = True
     jacs = decompose_zigzag(model)
     for k in range(1, model.N + 1):
         c = model.channel_constant(k)
@@ -689,6 +763,8 @@ def measure_large_t_zigzag(
         for n in range(1, m + 1):
             pred = predict_large_t_zigzag(model.potential, c, n, model.t)
             lo, hi = bands[pred.band_rank - 1]
+            if lo < pred.window[0] or hi > pred.window[1]:
+                contained = False
             reports.append(
                 AsymptoticReport(
                     regime="large_t_zigzag",
@@ -698,20 +774,9 @@ def measure_large_t_zigzag(
                     tolerance=tolerance,
                 )
             )
-    # window containment across all channels
-    contained = True
-    for k, bands in bands_by_channel.items():
-        c = model.channel_constant(k)
-        for n in range(1, m + 1):
-            pred = predict_large_t_zigzag(model.potential, c, n, model.t)
-            lo, hi = bands[pred.band_rank - 1]
-            if lo < pred.window[0] or hi > pred.window[1]:
-                contained = False
-    # disjointness of same-rank bands across channels with distinct |c_k|;
-    # at p = 1 the same-rank bands are nested for all t (exact closed form),
-    # so the check reports None there
-    disjoint = None
+    checks = [("windows_contain_bands", contained)]
     if p >= 2:
+        # same-rank bands of channels with distinct |c_k| must not overlap
         disjoint = True
         ks = sorted(bands_by_channel)
         for idx, k1 in enumerate(ks):
@@ -724,31 +789,46 @@ def measure_large_t_zigzag(
                     lo2, hi2 = bands_by_channel[k2][r]
                     if min(hi1, hi2) - max(lo1, lo2) > 0:
                         disjoint = False
-    return reports, {"windows_contain_bands": contained, "same_rank_bands_disjoint": disjoint}
+        checks.append(("same_rank_bands_disjoint", disjoint))
+    for name, ok in checks:
+        reports.append(
+            AsymptoticReport(
+                regime="large_t_zigzag",
+                params={"check": name},
+                predicted=0.0,
+                measured=0.0 if ok else 1.0,
+                tolerance=0.5,
+            )
+        )
+    return reports
+
+
+def _armchair_clusters(
+    model: ArmchairModel, k: int, grid_size: int
+) -> list[tuple[LargeTArmchairPrediction, tuple[float, float]]]:
+    """(prediction, measured band) of every position of block channel k."""
+    bands = spectrum_block(decompose_armchair(model)[k - 1], grid_size=grid_size)
+    out = []
+    for j in range(1, model.potential.q + 1):
+        pred = predict_large_t_armchair(model.potential, k, j, model.t, model.N, model.phases)
+        out.append((pred, bands[pred.band_rank - 1]))
+    return out
 
 
 def measure_large_t_armchair(
     model: ArmchairModel, k: int, grid_size: int = 64, tolerance: float = 0.1
 ) -> list[AsymptoticReport]:
     """Cluster width ratios for one block channel of a strongly coupled tube."""
-    block = decompose_armchair(model)[k - 1]
-    bands = spectrum_block(block, grid_size=grid_size)
-    out = []
-    for j in range(1, model.potential.q + 1):
-        pred = predict_large_t_armchair(
-            model.potential, k, j, model.t, model.N, model.phases
+    return [
+        AsymptoticReport(
+            regime="large_t_armchair",
+            params={"k": k, "j": pred.j, "t": model.t},
+            predicted=pred.width,
+            measured=float(hi - lo),
+            tolerance=tolerance,
         )
-        lo, hi = bands[pred.band_rank - 1]
-        out.append(
-            AsymptoticReport(
-                regime="large_t_armchair",
-                params={"k": k, "j": j, "t": model.t},
-                predicted=pred.width,
-                measured=float(hi - lo),
-                tolerance=tolerance,
-            )
-        )
-    return out
+        for pred, (lo, hi) in _armchair_clusters(model, k, grid_size)
+    ]
 
 
 def armchair_cluster_center_errors(
@@ -757,13 +837,8 @@ def armchair_cluster_center_errors(
     """|measured center - predicted| per position across couplings ts."""
     errors: dict[int, list[float]] = {}
     for t in ts:
-        model = model_factory(t)
-        block = decompose_armchair(model)[k - 1]
-        bands = spectrum_block(block, grid_size=grid_size)
-        for j in range(1, model.potential.q + 1):
-            pred = predict_large_t_armchair(model.potential, k, j, t, model.N, model.phases)
-            lo, hi = bands[pred.band_rank - 1]
-            errors.setdefault(j, []).append(abs(0.5 * (lo + hi) - pred.center))
+        for pred, (lo, hi) in _armchair_clusters(model_factory(t), k, grid_size):
+            errors.setdefault(pred.j, []).append(abs(0.5 * (lo + hi) - pred.center))
     return errors
 
 
@@ -775,53 +850,39 @@ def _clip(intervals, lo, hi) -> list[tuple[float, float]]:
 def measure_low_energy_window(
     model: ZigzagModel, tolerance: float = 1e-8
 ) -> list[AsymptoticReport]:
-    """Spectral content of the single-channel windows against the full union."""
-    p = model.potential.p
-    windows = low_energy_windows(model.N, p)
+    """Spectral content of the single-channel windows against the full union.
+
+    A window with a channel compares the union there with that channel's
+    bands; the central gap (channel None) has no spectrum at all, so its
+    measure is the band length plus the flat levels inside it.
+    """
+    windows = low_energy_windows(model.N, model.potential.p)
     structure = full_spectrum(model)
     union = structure.union_intervals()
     chans = {ch.k: list(ch.bands) for ch in structure.channels}
-    out = []
-
+    cases = []
     if windows.r_high is not None:
-        for lo, hi in ((windows.r_high, windows.rho_high), (-windows.rho_high, -windows.r_high)):
-            dev = max_edge_deviation(_clip(union, lo, hi), _clip(chans[model.N], lo, hi))
-            out.append(
-                AsymptoticReport(
-                    regime="low_energy_window",
-                    params={"window": [lo, hi], "channel": model.N},
-                    predicted=0.0,
-                    measured=float(dev),
-                    tolerance=tolerance,
-                )
-            )
+        cases += [((windows.r_high, windows.rho_high), model.N), ((-windows.rho_high, -windows.r_high), model.N)]
     if windows.r_low is not None:
-        kc = model.N // 3
-        dev = max_edge_deviation(
-            _clip(union, -windows.r_low, windows.r_low),
-            _clip(chans[kc], -windows.r_low, windows.r_low),
-        )
-        out.append(
-            AsymptoticReport(
-                regime="low_energy_window",
-                params={"window": [-windows.r_low, windows.r_low], "channel": kc},
-                predicted=0.0,
-                measured=float(dev),
-                tolerance=tolerance,
-            )
-        )
+        cases.append(((-windows.r_low, windows.r_low), model.N // 3))
     if windows.central_gap_expected:
-        # no central spectrum at all: total band length inside the half-radius
-        # set by the unperturbed inner edges
+        # half-radius set by the unperturbed inner edges
         r = 0.5 * min(abs(2.0 * abs(model.channel_constant(k)) - 1.0) for k in range(1, model.N + 1))
-        flats = [e for e, _ in structure.flat_bands if -r <= e <= r]
-        clipped = _clip(union, -r, r)
+        cases.append(((-r, r), None))
+    out = []
+    for (lo, hi), k in cases:
+        clipped = _clip(union, lo, hi)
+        if k is None:
+            flats = [e for e, _ in structure.flat_bands if lo <= e <= hi]
+            measured = sum(b - a for a, b in clipped) + len(flats)
+        else:
+            measured = max_edge_deviation(clipped, _clip(chans[k], lo, hi))
         out.append(
             AsymptoticReport(
                 regime="low_energy_window",
-                params={"window": [-r, r], "channel": None},
+                params={"window": [lo, hi], "channel": k},
                 predicted=0.0,
-                measured=float(sum(hi - lo for lo, hi in clipped) + len(flats)),
+                measured=float(measured),
                 tolerance=tolerance,
             )
         )
@@ -843,8 +904,7 @@ def measure_small_v_armchair(
     the comparison is set equality against the independently computed bands.
     """
     pred = predict_small_v_armchair(profile, N)
-    model = ArmchairModel(N=N, phases=(0.0, 0.0, 0.0), potential=profile, t=1.0)
-    union = full_spectrum(model, grid_size=grid_size).union_intervals()
+    _, _, shifted, union = _shifted_overlay(profile, N, grid_size)
     gaps = interval_gaps(union)
     out = []
     cases = [(n, -1.0, (-pred.rtilde_plus, -pred.rtilde_minus)) for n in pred.negative_window]
@@ -873,12 +933,8 @@ def measure_small_v_armchair(
             )
         )
 
-    j_bands = schroedinger_band_edges(profile.pairs()[:, 0])
-    overlay = merge_intervals(
-        [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
-    )
     dev = max_edge_deviation(
-        _clip(union, pred.r_minus, pred.r_plus), _clip(overlay, pred.r_minus, pred.r_plus)
+        _clip(union, pred.r_minus, pred.r_plus), _clip(merge_intervals(shifted), pred.r_minus, pred.r_plus)
     )
     out.append(
         AsymptoticReport(

@@ -96,16 +96,18 @@ def _write(text: str, path: str | None) -> None:
 # model assembly
 
 
-def _add_model_args(sp, lattice_required: bool = True) -> None:
-    sp.add_argument("--lattice", choices=("zigzag", "armchair"), required=lattice_required)
+def _add_model_args(sp) -> None:
     sp.add_argument("--N", type=int, required=True)
+    sp.add_argument("--potential", type=str, default=None, help="JSON array of on-site values")
+    sp.add_argument("--t", type=float, default=1.0, help="potential coupling")
+
+
+def _add_field_args(sp) -> None:
     sp.add_argument("--b", type=float, default=None, help="zigzag hopping phase")
     sp.add_argument("--B", type=float, default=None, help="physical field amplitude")
     sp.add_argument("--b1", type=float, default=None)
     sp.add_argument("--b2", type=float, default=None)
     sp.add_argument("--b3", type=float, default=None)
-    sp.add_argument("--potential", type=str, default=None, help="JSON array of on-site values")
-    sp.add_argument("--t", type=float, default=1.0, help="potential coupling")
 
 
 def _load_profile(args) -> PotentialProfile:
@@ -114,10 +116,10 @@ def _load_profile(args) -> PotentialProfile:
     return load_potential(args.potential)
 
 
-def build_model(args):
+def build_model(args, lattice: str):
     profile = _load_profile(args)
     triple = [x for x in (args.b1, args.b2, args.b3) if x is not None]
-    if args.lattice == "zigzag":
+    if lattice == "zigzag":
         given = sum(x is not None for x in (args.b, args.B))
         if given != 1 or triple:
             raise InvalidInputError("zigzag model needs exactly one of --b / --B")
@@ -159,7 +161,7 @@ def _bands_csv(structure) -> str:
 
 
 def cmd_bands(args) -> int:
-    model = build_model(args)
+    model = build_model(args, args.lattice)
     structure = full_spectrum(model, grid_size=_check_grid(args.grid))
     if args.format == "csv":
         _write(_bands_csv(structure), args.output)
@@ -224,11 +226,16 @@ def _zigzag_channel_constant(args) -> float:
 
 def cmd_asym(args) -> int:
     regime = args.regime
-    reports = []
+    opts = {}
+    if args.tolerance is not None:
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise InvalidInputError(f"--tolerance must be finite and positive, got {args.tolerance}")
+        opts["tolerance"] = args.tolerance
     if regime == "ck_to_zero":
         profile = _load_profile(args)
-        cks = [_finite_ck(x) for x in args.ck_values.split(",")] if args.ck_values else [0.02, 0.01, 0.005]
-        reports = asy.measure_ck_shrink(profile, cks, s=args.s, t=args.t, tolerance=args.tolerance or 0.05)
+        if args.ck_values:
+            opts["c_values"] = [_finite_ck(x) for x in args.ck_values.split(",")]
+        reports = asy.measure_ck_shrink(profile, s=args.s, t=args.t, **opts)
     elif regime == "small_t":
         if args.potential is not None:
             profile = load_potential(args.potential)
@@ -236,38 +243,21 @@ def cmd_asym(args) -> int:
             profile = asy.sample_open_gap_potential(args.sample_period, seed=args.seed)
         else:
             raise InvalidInputError("small_t needs --potential or --sample-period")
-        c_k = _zigzag_channel_constant(args)
-        reports = asy.measure_small_t_slopes(profile, c_k, tolerance=args.tolerance or 1e-3)
+        reports = asy.measure_small_t_slopes(profile, _zigzag_channel_constant(args), **opts)
     elif regime == "large_t_zigzag":
-        args.lattice = "zigzag"
-        model = build_model(args)
-        reports, extra = asy.measure_large_t_zigzag(model, tolerance=args.tolerance or 0.1)
-        for name, ok in extra.items():
-            if ok is None:
-                continue
-            reports.append(
-                asy.AsymptoticReport(
-                    regime=regime,
-                    params={"check": name},
-                    predicted=0.0,
-                    measured=0.0 if ok else 1.0,
-                    tolerance=0.5,
-                )
-            )
+        reports = asy.measure_large_t_zigzag(build_model(args, "zigzag"), **opts)
     elif regime == "large_t_armchair":
-        args.lattice = "armchair"
-        model = build_model(args)
+        model = build_model(args, "armchair")
         k = args.k if args.k is not None else model.N
-        reports = asy.measure_large_t_armchair(model, k=k, tolerance=args.tolerance or 0.1)
+        reports = asy.measure_large_t_armchair(model, k=k, **opts)
     elif regime == "small_v_armchair":
-        profile = _load_profile(args)
-        reports = asy.measure_small_v_armchair(profile, N=args.N)
+        reports = asy.measure_small_v_armchair(_load_profile(args), N=args.N, **opts)
     elif regime == "low_energy_window":
-        args.lattice = "zigzag"
-        model = build_model(args)
-        reports = asy.measure_low_energy_window(model, tolerance=args.tolerance or 1e-8)
+        reports = asy.measure_low_energy_window(build_model(args, "zigzag"), **opts)
     else:
         raise InvalidInputError(f"unknown regime {regime!r}")
+    if not reports:
+        raise NotApplicableError(f"regime {regime} has no report for this input")
     _write(render_json([r.to_json_dict() for r in reports]), args.output)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -275,7 +265,7 @@ def cmd_asym(args) -> int:
 def cmd_verify(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         raise InvalidInputError(f"--tol must be finite and positive, got {args.tol}")
-    model = build_model(args)
+    model = build_model(args, args.lattice)
     L = args.L if args.L is not None else 3 * model.potential.p
     report = compare_decomposition(model, L, tol=args.tol)
     _write(render_json(report.to_json_dict()), args.output)
@@ -296,13 +286,16 @@ def make_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("bands", help="band structure of one model")
+    sp.add_argument("--lattice", choices=("zigzag", "armchair"), required=True)
     _add_model_args(sp)
+    _add_field_args(sp)
     sp.add_argument("--grid", type=int, default=512)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
     sp.add_argument("--output", type=str, default=None)
     sp.set_defaults(func=cmd_bands)
 
     sp = sub.add_parser("sweep", help="band edges over a field range")
+    sp.add_argument("--lattice", choices=("zigzag", "armchair"), required=True)
     _add_model_args(sp)
     sp.add_argument("--B-start", dest="B_start", type=float, required=True)
     sp.add_argument("--B-stop", dest="B_stop", type=float, default=None)
@@ -313,7 +306,8 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("asym", help="measured-vs-predicted asymptotic reports")
     sp.add_argument("--regime", choices=asy.REGIMES, required=True)
-    _add_model_args(sp, lattice_required=False)
+    _add_model_args(sp)
+    _add_field_args(sp)
     sp.add_argument("--k", type=int, default=None, help="channel index")
     sp.add_argument("--ck", type=float, default=None, help="channel constant, overrides --k")
     sp.add_argument("--ck-values", dest="ck_values", type=str, default=None,
@@ -326,7 +320,9 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_asym)
 
     sp = sub.add_parser("verify", help="full-Hamiltonian vs channel-decomposition oracle")
+    sp.add_argument("--lattice", choices=("zigzag", "armchair"), required=True)
     _add_model_args(sp)
+    _add_field_args(sp)
     sp.add_argument("--L", type=int, default=None, help="axial cells (default 3p)")
     sp.add_argument("--tol", type=float, default=1e-8)
     sp.add_argument("--output", type=str, default=None)

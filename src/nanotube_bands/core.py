@@ -140,9 +140,6 @@ class ZigzagModel:
         """c_k = cos(b + pi*k/N) for k in 1..N."""
         return math.cos(self.b + math.pi * k / self.N)
 
-    def channel_constants(self) -> np.ndarray:
-        return np.array([self.channel_constant(k) for k in range(1, self.N + 1)])
-
 
 @dataclass(frozen=True)
 class ArmchairModel:

@@ -225,13 +225,16 @@ def test_large_t_zigzag_rejects_repeated_values():
 
 def test_large_t_zigzag_harness():
     model = ZigzagModel(5, 0.2, PotentialProfile([0.9, -0.3, 0.4, -1.1]), t=40.0)
-    reports, extra = asy.measure_large_t_zigzag(model)
+    reports = asy.measure_large_t_zigzag(model)
     assert all(r.passed for r in reports)
-    assert extra["windows_contain_bands"]
-    assert extra["same_rank_bands_disjoint"] is True
+    checks = {r.params["check"]: r.passed for r in reports if "check" in r.params}
+    assert checks == {"windows_contain_bands": True, "same_rank_bands_disjoint": True}
+    assert [r.params for r in reports[-2:]] == [
+        {"check": "windows_contain_bands"}, {"check": "same_rank_bands_disjoint"}
+    ]
     half_period_one = ZigzagModel(5, 0.2, PotentialProfile([1.0, -1.0]), t=40.0)
-    _, extra1 = asy.measure_large_t_zigzag(half_period_one)
-    assert extra1["same_rank_bands_disjoint"] is None
+    checks1 = [r.params["check"] for r in asy.measure_large_t_zigzag(half_period_one) if "check" in r.params]
+    assert checks1 == ["windows_contain_bands"]
 
 
 def test_large_t_zigzag_width_scaling():
@@ -361,8 +364,8 @@ def test_large_t_zigzag_window_holds_at_t20():
             v = rng.uniform(-1.5, 1.5, size=q)
         model = ZigzagModel(int(rng.integers(2, 7)), float(rng.uniform(0.05, 0.6)),
                             PotentialProfile(v), t=20.0)
-        _, extra = asy.measure_large_t_zigzag(model)
-        assert extra["windows_contain_bands"]
+        reports = asy.measure_large_t_zigzag(model)
+        assert [r.passed for r in reports if r.params.get("check") == "windows_contain_bands"] == [True]
 
 
 def test_flat_levels_inside_every_channel_for_coprime_even_N():

@@ -241,14 +241,9 @@ def test_sweep_missing_stop_exits_2(tmp_path, vfiles):
     assert code == 2
 
 
-def test_asym_large_t_armchair_command(tmp_path):
-    rng = np.random.default_rng(2)
-    v = np.sort(rng.uniform(-1.2, 1.2, size=12))
-    while np.min(np.diff(v)) < 0.14:
-        v = np.sort(rng.uniform(-1.2, 1.2, size=12))
-    rng.shuffle(v)
+def test_asym_large_t_armchair_command(tmp_path, armchair_cluster_12):
     pot = tmp_path / "v12.json"
-    pot.write_text("[" + ", ".join(repr(float(x)) for x in v) + "]")
+    pot.write_text(json.dumps(armchair_cluster_12))
     code, text = run(
         tmp_path, "asym", "--regime", "large_t_armchair", "--N", "4", "--B", "0",
         "--potential", str(pot), "--t", "40", "--k", "4",
@@ -315,6 +310,14 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
         # zigzag commands never reach spectrum_block; the CLI refuses the grid itself
         "bands --lattice zigzag --b 0.1 --grid 100",
         "sweep --lattice zigzag --B-start 0 --grid 100",
+        # asym tolerances must be finite and positive, as verify --tol
+        "asym --regime ck_to_zero --tolerance 0",
+        "asym --regime ck_to_zero --tolerance nan",
+        "asym --regime ck_to_zero --tolerance -1",
+        "asym --regime ck_to_zero --tolerance inf",
+        "asym --regime small_v_armchair --tolerance 0",
+        # p = 1 off the unit-hopping chain: small_t has no admissible gap, so no report
+        "asym --regime small_t --ck 0.3",
     ],
 )
 def test_refused_input_exits_2_with_error_line(tmp_path, capsys, argv):
@@ -345,9 +348,10 @@ def test_refused_input_exits_2_with_error_line(tmp_path, capsys, argv):
 )
 def test_negative_exponent_option_values(tmp_path, capsys, argv):
     # argparse takes "-1e-3" for an option name; it must reach the option as
-    # its value, exactly as the "--opt=-1e-3" spelling does
+    # its value, exactly as the "--opt=-1e-3" spelling does.  The potential is
+    # zero-mean with p = 3, so that small_t has gaps to report at c_k = -0.1
     pot = tmp_path / "v.json"
-    pot.write_text("[0.5, -0.5]")
+    pot.write_text("[0.5, -0.2, -0.3]")
     tail = ["--N", "4", "--potential", str(pot)]
     code = main(argv.split() + tail)
     spaced = capsys.readouterr()
@@ -356,3 +360,51 @@ def test_negative_exponent_option_values(tmp_path, capsys, argv):
     assert capsys.readouterr().out == spaced.out
     assert "expected one argument" not in spaced.err
     assert code == (2 if "--tol" in argv else 0)
+
+
+@pytest.mark.parametrize("potential, ck, code", [("[0.3]", "0.3", 2), ("[0.4, -0.4]", "0.5", 0)])
+def test_asym_small_t_at_half_period_one(tmp_path, capsys, potential, ck, code):
+    # only the unit-hopping chain (2|c_k| = 1) has a first-order central gap at p = 1
+    pot = tmp_path / "v.json"
+    pot.write_text(potential)
+    assert main(["asym", "--regime", "small_t", "--N", "4", "--ck", ck, "--potential", str(pot)]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == "" and captured.err.startswith("error: ")
+    else:
+        assert len(json.loads(captured.out)) == 1
+
+
+def test_asym_tolerance_reaches_small_v_armchair(tmp_path):
+    # --tolerance sets the edge-window reports; the set-equality report keeps its own
+    pot = tmp_path / "paired.json"
+    pot.write_text(
+        "[0.016, 0.016, -0.001764, -0.001764, -0.006236, -0.006236,"
+        " -0.006236, -0.006236, -0.001764, -0.001764]"
+    )
+    argv = ("asym", "--regime", "small_v_armchair", "--N", "2", "--potential", str(pot))
+    code, text = run(tmp_path, *argv)
+    assert code == 0
+    assert [r["tolerance"] for r in json.loads(text)] == [0.1, 0.1, 1e-6]
+    code, text = run(tmp_path, *argv, "--tolerance", "1e-30")
+    assert code == 1
+    reports = json.loads(text)
+    assert [r["tolerance"] for r in reports] == [1e-30, 1e-30, 1e-6]
+    assert [r["pass"] for r in reports] == [False, False, True]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "sweep --lattice zigzag --b 5 --B-start 0",
+        "sweep --lattice zigzag --B 1 --B-start 0",
+        "sweep --lattice armchair --b1 0.1 --b2 0.1 --b3 0.1 --B-start 0",
+        "asym --regime large_t_zigzag --lattice zigzag --b 0.2",
+    ],
+)
+def test_unread_options_exit_2(tmp_path, argv):
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.9, -0.3, 0.4, -1.1]")
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split() + ["--N", "4", "--potential", str(pot)])
+    assert exc.value.code == 2
