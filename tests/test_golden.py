@@ -5,8 +5,10 @@ Each case runs ``cli.main`` in process and compares its stdout with
 bytes fails.  The zigzag cases pin the union as well as the channel bands:
 an exact flat-band phase ``b = pi/2 - pi k/N`` (flat levels inside bands and
 isolated ones of infinite multiplicity), a model whose near-flat channel has
-bands thinner than 1e-12, a large model (N = 64, odd q = 15) and a sweep whose
-field range steps onto a flat amplitude.  The ``small_v_armchair`` cases pin
+bands thinner than 1e-12, a large model (N = 64, odd q = 15), a sweep whose
+field range steps onto a flat amplitude and a sweep of 16 channels at 17
+fields, more channels than one stacked eigensolve takes.  One armchair sweep
+pins the block channels of ``sweep``.  The ``small_v_armchair`` cases pin
 the edges of the periodic Schroedinger operator for an odd and a one-site
 period; the other ``asym`` cases pin one run of every zigzag regime, with and
 without its optional reports.
@@ -94,6 +96,9 @@ CASES = {
     "zig_N64_q15_csv": (V15, "bands --lattice zigzag --N 64 --B -1.7 --t 3.2 --format csv", 0),
     # the step B = 4 * 2.1776327054761078 / 4 is flat_field_amplitudes(5, 2, [0])[0]
     "zig_sweep_flat": (V4, "sweep --lattice zigzag --N 5 --B-start 0 --B-stop 2.1776327054761078 --B-steps 5 --t 0.8", 0),
+    # 16 channels at 17 steps: more channels than one stacked eigensolve takes
+    "zig_sweep_N16_17steps": (V3, "sweep --lattice zigzag --N 16 --B-start -1.5 --B-stop 2.5 --B-steps 17 --t 1.3", 0),
+    "arm_sweep": (V2, "sweep --lattice armchair --N 3 --B-start -0.4 --B-stop 1.2 --B-steps 3 --t 0.7 --grid 64", 0),
 }
 
 
