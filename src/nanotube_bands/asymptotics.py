@@ -807,6 +807,8 @@ def _armchair_clusters(
     model: ArmchairModel, k: int, grid_size: int
 ) -> list[tuple[LargeTArmchairPrediction, tuple[float, float]]]:
     """(prediction, measured band) of every position of block channel k."""
+    if not 1 <= k <= model.N:
+        raise InvalidInputError(f"channel index k must lie in 1..{model.N}, got {k}")
     bands = spectrum_block(decompose_armchair(model)[k - 1], grid_size=grid_size)
     out = []
     for j in range(1, model.potential.q + 1):

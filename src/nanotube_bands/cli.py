@@ -28,7 +28,7 @@ from .errors import (
     NotApplicableError,
 )
 from .oracle import compare_decomposition
-from .spectral import full_spectrum
+from .spectral import armchair_channels, full_spectrum, zigzag_channels
 
 
 def _precision() -> int:
@@ -183,24 +183,24 @@ def cmd_sweep(args) -> int:
         if not (math.isfinite(args.B_start) and math.isfinite(args.B_stop)):
             raise InvalidInputError(f"field range must be finite, got {args.B_start} .. {args.B_stop}")
         Bs = list(np.linspace(args.B_start, args.B_stop, args.B_steps))
+    if args.lattice == "zigzag":
+        models = [ZigzagModel(N=args.N, b=magnetic_phase(B, args.N), potential=profile, t=args.t) for B in Bs]
+        phases = [model.b for model in models]
+        per_step = zigzag_channels(models)  # every field step in one stacked solve
+    else:
+        models = [
+            ArmchairModel(N=args.N, phases=tube_geometry(args.N, B)[1], potential=profile, t=args.t) for B in Bs
+        ]
+        phases = [model.phases[0] for model in models]
+        per_step = (armchair_channels(model, grid) for model in models)
     sig = _precision()
     lines = []
-    for B in Bs:
-        if args.lattice == "zigzag":
-            b = magnetic_phase(B, args.N)
-            model = ZigzagModel(N=args.N, b=b, potential=profile, t=args.t)
-        else:
-            _, phases = tube_geometry(args.N, B)
-            b = phases[0]
-            model = ArmchairModel(N=args.N, phases=phases, potential=profile, t=args.t)
-        structure = full_spectrum(model, grid_size=grid)
-        for ch in structure.channels:
+    for B, b, channels in zip(Bs, phases, per_step):
+        field = f"{fmt_float(B, sig)},{fmt_float(b, sig)}"
+        for ch in channels:
             entries = [(lo, hi) for lo, hi in ch.bands] + [(e, e) for e in ch.flat_bands]
             for idx, (lo, hi) in enumerate(sorted(entries), start=1):
-                lines.append(
-                    f"{fmt_float(B, sig)},{fmt_float(b, sig)},{ch.k},{idx},"
-                    f"{fmt_float(lo, sig)},{fmt_float(hi, sig)}"
-                )
+                lines.append(f"{field},{ch.k},{idx},{fmt_float(lo, sig)},{fmt_float(hi, sig)}")
     _write("\n".join(lines) + "\n", args.output)
     return 0
 

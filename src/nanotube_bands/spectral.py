@@ -2,18 +2,25 @@
 
 Every fiber matrix L(tau) of a channel comes from one stacked builder,
 ``fiber_matrices``: the multiplier-free period matrix of the channel is built
-once (``scalar_period_matrix``, ``block_period_matrix``) and tau enters only
-through its wrap-around corner blocks.  Band edges of a 2p-periodic scalar
-channel are the eigenvalues of L(+1) and L(-1); sorting the combined 4p
-values and pairing them consecutively yields the bands, with the
-discriminant kept as an independent validator that runs the transfer-matrix
-recurrence on all band midpoints (and then all open-gap midpoints) of a
-channel at once.  Block channels have no edge rule, so their bands are the
-ranges of the sorted eigenvalue branches over the unit circle: the fiber
-matrices of a grid of multipliers are diagonalised as stacks, and the grid
-extrema of all branches are refined by golden-section searches that advance
-together, one stacked eigensolve per iteration.  The union over channels is
-built by one sweep line over the sorted channel edges.
+once (``scalar_period_matrix``, ``block_period_matrix``; both take a stack of
+channels) and tau enters only through its wrap-around corner blocks.
+
+Band edges of a 2p-periodic scalar channel are the eigenvalues of L(+1) and
+L(-1); sorting the combined 4p values and pairing them consecutively yields
+the bands.  Scalar channels of one period are solved as stacks
+(``band_edges_scalar_stack``): the K(+1)/K(-1) fiber matrices of up to
+FIBER_STACK / 2 channels -- all channels of a model, or of every field step
+of a sweep -- go to one eigensolve, and the discriminant, kept as an
+independent validator, runs the transfer-matrix recurrence once on all band
+midpoints of the stack and once on all open-gap midpoints, each energy with
+its own channel's coefficients.  One channel is a stack of one.
+
+Block channels have no edge rule, so their bands are the ranges of the
+sorted eigenvalue branches over the unit circle: the fiber matrices of a
+grid of multipliers are diagonalised as stacks, and the grid extrema of all
+branches are refined by golden-section searches that advance together, one
+stacked eigensolve per iteration.  The union over channels is built by one
+sweep line over the sorted channel edges.
 """
 
 from __future__ import annotations
@@ -36,6 +43,7 @@ from .zigzag import ScalarPeriodicJacobi, decompose_zigzag
 
 GAP_MERGE_TOL = 1e-9  # gaps thinner than this are reported as closed
 UNIMODULAR_TOL = 1e-12
+FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one stack
 
 
 # ---------------------------------------------------------------------------
@@ -106,23 +114,24 @@ def _check_unimodular(taus) -> np.ndarray:
 
 
 def fiber_matrices(period, wrap, taus) -> np.ndarray:
-    """Stack of fiber matrices L(tau), one per multiplier, as a (len(taus), m, m) array.
+    """Fiber matrices L(tau), one per multiplier, as a (..., len(taus), m, m) array.
 
     ``period`` is the m x m matrix of one period without its wrap-around
-    coupling, ``wrap`` the r x r block W of that coupling.  L(tau) adds
-    tau*W onto the lower-left r x r corner of the period matrix and
-    conj(tau)*W^H onto the upper-right one, in that order and on those
-    slices only: when the corners overlap the diagonal (m = r) or the bonds
-    (m = 2r), the rounding of the sum depends on the order, and adding a
-    zero elsewhere could flip the sign of a zero entry.
+    coupling, ``wrap`` the r x r block W of that coupling; leading axes of
+    both are a stack of channels.  L(tau) adds tau*W onto the lower-left
+    r x r corner of the period matrix and conj(tau)*W^H onto the upper-right
+    one, in that order and on those slices only: when the corners overlap
+    the diagonal (m = r) or the bonds (m = 2r), the rounding of the sum
+    depends on the order, and adding a zero elsewhere could flip the sign of
+    a zero entry.
     """
     taus = _check_unimodular(taus).reshape(-1, 1, 1)
-    m, r = period.shape[0], wrap.shape[0]
-    L = np.repeat(period[None], taus.shape[0], axis=0)
-    L[:, m - r :, :r] += taus * wrap
-    L[:, :r, m - r :] += np.conj(taus) * wrap.conj().T
-    residual = np.max(np.abs(L - np.conj(np.swapaxes(L, 1, 2))), axis=(1, 2))
-    if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(1, 2)))):
+    m, r = period.shape[-1], wrap.shape[-1]
+    L = np.repeat(period[..., None, :, :], taus.shape[0], axis=-3)
+    L[..., m - r :, :r] += taus * wrap[..., None, :, :]
+    L[..., :r, m - r :] += np.conj(taus) * np.swapaxes(wrap.conj(), -1, -2)[..., None, :, :]
+    residual = np.max(np.abs(L - np.conj(np.swapaxes(L, -1, -2))), axis=(-2, -1))
+    if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(-2, -1)))):
         raise InternalConsistencyError("fiber matrix is not Hermitian")
     return L
 
@@ -131,17 +140,18 @@ def scalar_period_matrix(offdiag, diag) -> tuple[np.ndarray, np.ndarray]:
     """Period matrix and 1 x 1 wrap block of an m-periodic scalar Jacobi operator.
 
     offdiag[i] couples sites i and i+1; offdiag[m-1] is the wrap-around bond.
-    Complex bonds are allowed (used before gauge reduction).
+    Complex bonds are allowed (used before gauge reduction).  (C, m) arrays
+    give the (C, m, m) and (C, 1, 1) stacks of C operators.
     """
     a = np.asarray(offdiag, dtype=complex)
     v = np.asarray(diag, dtype=float)
-    m = v.size
-    K = np.zeros((m, m), dtype=complex)
+    m = v.shape[-1]
+    K = np.zeros(v.shape + (m,), dtype=complex)
     i = np.arange(m)
-    K[i, i] = v
-    K[i[:-1], i[1:]] += a[: m - 1]
-    K[i[1:], i[:-1]] += np.conj(a[: m - 1])
-    return K, a[m - 1 :].reshape(1, 1)
+    K[..., i, i] = v
+    K[..., i[:-1], i[1:]] += a[..., : m - 1]
+    K[..., i[1:], i[:-1]] += np.conj(a[..., : m - 1])
+    return K, a[..., m - 1 :, None]
 
 
 def block_period_matrix(block: BlockPeriodicJacobi) -> tuple[np.ndarray, np.ndarray]:
@@ -166,7 +176,9 @@ def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
     ``z`` is a scalar or an array; the result has shape ``z.shape + (2, 2)``.
     The 2p step matrices of all energies are built at once and multiplied as
     stacks, one 2x2 product per energy and step, as for a single energy, so
-    an array of energies gives the bits of one call per energy.
+    an array of energies gives the bits of one call per energy.  When ``jac``
+    is a stack of channels, its coefficients of shape ``z.shape + (2p,)``
+    give each energy the steps of its own channel.
     """
     if jac.is_flat:
         raise FlatBandChannelError("monodromy undefined for a flat-band channel (vanishing bond)")
@@ -175,7 +187,7 @@ def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
     m = 2 * jac.p
     steps = np.zeros((m,) + z.shape + (2, 2))
     steps[..., 0, 1] = 1.0
-    steps[..., 1, 0] = (-a[np.arange(-1, m - 1)] / a).reshape((m,) + (1,) * z.ndim)
+    steps[..., 1, 0] = np.moveaxis(np.broadcast_to(-a[..., np.arange(-1, m - 1)] / a, z.shape + (m,)), -1, 0)
     steps[..., 1, 1] = np.moveaxis((z[..., None] - jac.v) / a, -1, 0)
     M = np.eye(2)
     for step in steps:
@@ -197,13 +209,14 @@ def discriminant(jac: ScalarPeriodicJacobi, z):
 
 
 def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
-    """Sorted band edges of an m-periodic scalar Jacobi operator.
+    """Sorted band edges of an m-periodic scalar Jacobi operator, or of a stack of them.
 
     The 2m periodic/anti-periodic eigenvalues interlace so that consecutive
-    pairs of the sorted union bound the m bands.
+    pairs of the sorted union bound the m bands.  (C, m) coefficients give
+    the (C, 2m) edges of C operators from one eigensolve.
     """
     levels = np.linalg.eigvalsh(fiber_matrices(*scalar_period_matrix(offdiag, diag), [1.0, -1.0]))
-    return np.sort(levels, axis=None)
+    return np.sort(levels.reshape(levels.shape[:-2] + (-1,)), axis=-1)
 
 
 def schroedinger_band_edges(q) -> list[tuple[float, float]]:
@@ -214,39 +227,61 @@ def schroedinger_band_edges(q) -> list[tuple[float, float]]:
 
 
 def band_edges_scalar(jac: ScalarPeriodicJacobi) -> list[tuple[float, float]]:
-    """Bands of one scalar channel from the K(+/-1) eigenvalues.
+    """Bands of one scalar channel: ``band_edges_scalar_stack`` of that channel alone."""
+    return band_edges_scalar_stack([jac])[0]
 
-    Validates against the discriminant, evaluated once for all band midpoints
-    and once for all open-gap midpoints: |D| <= 1 on band midpoints and
-    |D| > 1 on midpoints of open gaps.  The first failing band (or gap) is
-    reported.
+
+def band_edges_scalar_stack(jacs) -> list[list[tuple[float, float]]]:
+    """Bands of each of many scalar channels of one period, from stacked solves.
+
+    The channels go in stacks of FIBER_STACK / 2, two fiber matrices each.
+    One stack makes one eigensolve of its K(+/-1) fiber matrices, then
+    validates against the discriminant, evaluated once for all band
+    midpoints and once for all open-gap midpoints of the stack: |D| <= 1 on
+    band midpoints and |D| > 1 on midpoints of open gaps.  Each energy runs
+    its own channel's recurrence, so it gets the bits of a one-channel call.
+    The first failing channel is reported, with its first failing band, or
+    else its first failing gap.  A flat channel is refused before any work.
     """
-    if jac.is_flat:
+    stacks = [
+        ScalarPeriodicJacobi(
+            p=jacs[0].p,
+            a=np.stack([jac.a for jac in jacs[i : i + FIBER_STACK // 2]]),
+            v=np.stack([jac.v for jac in jacs[i : i + FIBER_STACK // 2]]),
+        )
+        for i in range(0, len(jacs), FIBER_STACK // 2)
+    ]
+    if any(stack.is_flat for stack in stacks):
         raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
-    edges = periodic_jacobi_band_edges(jac.a, jac.v)
-    bands = [(edges[2 * i], edges[2 * i + 1]) for i in range(2 * jac.p)]
-    scale = max(1.0, float(np.max(np.abs(edges))))
-    lo, hi = edges[0::2], edges[1::2]
-    wide = np.flatnonzero(hi - lo > 1e-12 * scale)
-    if wide.size:
-        d = discriminant(jac, 0.5 * (lo[wide] + hi[wide]))
-        bad = np.flatnonzero(np.abs(d) > 1.0 + 1e-8)
-        if bad.size:
-            i = wide[bad[0]]
-            raise InternalConsistencyError(
-                f"discriminant {d[bad[0]]} exceeds 1 inside band [{lo[i]}, {hi[i]}]"
-            )
-    glo, ghi = hi[:-1], lo[1:]
-    gaps = np.flatnonzero(ghi - glo > 1e-6 * scale)
-    if gaps.size:
-        d = discriminant(jac, 0.5 * (glo[gaps] + ghi[gaps]))
-        bad = np.flatnonzero(np.abs(d) <= 1.0)
-        if bad.size:
-            i = gaps[bad[0]]
-            raise InternalConsistencyError(
-                f"discriminant {d[bad[0]]} inside [-1,1] at open gap ({glo[i]}, {ghi[i]})"
-            )
-    return bands
+    out: list[list[tuple[float, float]]] = []
+    for stack in stacks:
+        edges = periodic_jacobi_band_edges(stack.a, stack.v)
+        scale = np.maximum(1.0, np.max(np.abs(edges), axis=1, keepdims=True))
+        lo, hi = edges[:, 0::2], edges[:, 1::2]
+        band = np.nonzero(hi - lo > 1e-12 * scale)  # (channels, indices) of the wide bands
+        gap = np.nonzero(lo[:, 1:] - hi[:, :-1] > 1e-6 * scale)  # and of the open gaps
+        blo, bhi, glo, ghi = lo[band], hi[band], hi[:, :-1][gap], lo[:, 1:][gap]
+        d_band = _stacked_discriminant(stack, band[0], 0.5 * (blo + bhi))
+        d_gap = _stacked_discriminant(stack, gap[0], 0.5 * (glo + ghi))
+        # (channel, bands before gaps, message) of the first failure of each pass
+        failures = [
+            (band[0][j], 0, f"discriminant {d_band[j]} exceeds 1 inside band [{blo[j]}, {bhi[j]}]")
+            for j in np.flatnonzero(np.abs(d_band) > 1.0 + 1e-8)[:1]
+        ] + [
+            (gap[0][j], 1, f"discriminant {d_gap[j]} inside [-1,1] at open gap ({glo[j]}, {ghi[j]})")
+            for j in np.flatnonzero(np.abs(d_gap) <= 1.0)[:1]
+        ]
+        if failures:
+            raise InternalConsistencyError(min(failures)[2])
+        out += [list(zip(row_lo, row_hi)) for row_lo, row_hi in zip(lo, hi)]
+    return out
+
+
+def _stacked_discriminant(stack: ScalarPeriodicJacobi, rows, z) -> np.ndarray:
+    """Discriminant of channel ``rows[i]`` of a stack of channels at energy ``z[i]``."""
+    if not z.size:
+        return z
+    return discriminant(ScalarPeriodicJacobi(p=stack.p, a=stack.a[rows], v=stack.v[rows]), z)
 
 
 def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
@@ -271,7 +306,6 @@ def _dimer_levels(pairs) -> np.ndarray:
 # block-channel sweep
 
 
-FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one stack
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 GOLDEN_TOL = 1e-10  # a golden-section search stops once its bracket is this narrow
 
@@ -456,10 +490,13 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     of open bands keeps the covering set, and its sorted tuple is rebuilt
     only when a channel enters or leaves.  A band thinner than the cut
     spacing that no segment holds becomes its own union band, and a flat
-    level that nothing holds a degenerate one of infinite multiplicity; both
-    lookups bisect the sorted segments.  Adjacent segments with identical
-    provenance are fused, and gaps thinner than the merge tolerance vanish.
-    Cost: O(B log B) for B channel bands, plus the size of the output.
+    level that nothing holds a degenerate one of infinite multiplicity.  Both
+    lookups bisect the sorted segments and the padded intervals of the
+    entries added so far, which are kept fused into a sorted disjoint list:
+    fusing closed intervals that meet changes no membership.  Adjacent
+    segments with identical provenance are fused, and gaps thinner than the
+    merge tolerance vanish.  Cost: O(B log B) for B channel bands, plus the
+    size of the output and the list insertions of the extra entries.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
     flats = [(e, ch.k) for ch in channels for e in ch.flat_bands]
@@ -501,22 +538,34 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     seg_lo = [lo - 1e-12 for lo, _, _, _ in segments]  # both ascending
     seg_hi = [hi + 1e-12 for _, hi, _, _ in segments]
     extra: list[tuple[float, float, float, tuple[int, ...]]] = []
+    ex_lo: list[float] = []  # the padded extra entries, overlaps fused: disjoint and ascending
+    ex_hi: list[float] = []
 
     def held(x: float) -> bool:
         """Whether a segment, or an entry appended after them, holds x within 1e-12."""
-        i = bisect.bisect_right(seg_lo, x) - 1
-        if i >= 0 and x <= seg_hi[i]:
-            return True
-        return any(lo - 1e-12 <= x <= hi + 1e-12 for lo, hi, _, _ in extra)
+        for los, his in ((seg_lo, seg_hi), (ex_lo, ex_hi)):
+            i = bisect.bisect_right(los, x) - 1
+            if i >= 0 and x <= his[i]:
+                return True
+        return False
+
+    def add(entry: tuple[float, float, float, tuple[int, ...]]) -> None:
+        """Append an extra entry and fuse its padded interval into (ex_lo, ex_hi)."""
+        extra.append(entry)
+        lo, hi = entry[0] - 1e-12, entry[1] + 1e-12
+        i, j = bisect.bisect_left(ex_hi, lo), bisect.bisect_right(ex_lo, hi)  # [i, j) overlap it
+        if i < j:
+            lo, hi = min(lo, ex_lo[i]), max(hi, ex_hi[j - 1])
+        ex_lo[i:j], ex_hi[i:j] = [lo], [hi]
 
     # a band thinner than the cut spacing may own no segment: keep it as its own
     for blo, bhi, k in ac:
         if bhi - blo <= 1e-12 and not held(0.5 * (blo + bhi)):
-            extra.append((blo, bhi, 2.0, (k,)))
+            add((blo, bhi, 2.0, (k,)))
     # isolated flat energies become degenerate union bands of infinite multiplicity
     for e, k in sorted(flats):
         if not held(e):
-            extra.append((e, e, math.inf, (k,)))
+            add((e, e, math.inf, (k,)))
     segments += extra
     segments.sort()
 
@@ -539,12 +588,43 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
 # whole-model spectra
 
 
-def zigzag_channel_bands(jac: ScalarPeriodicJacobi, k: int) -> ChannelBands:
-    if jac.is_flat:
-        flats = _dimer_levels(jac.v.reshape(jac.p, 2))
-        return ChannelBands(k=k, c_k=jac.c_k, bands=(), flat_bands=tuple(float(e) for e in flats))
-    bands = band_edges_scalar(jac)
-    return ChannelBands(k=k, c_k=jac.c_k, bands=tuple(bands))
+def zigzag_channels(models) -> list[list[ChannelBands]]:
+    """Channel bands of each zigzag model, k = 1..N, without the union.
+
+    The dispersive channels of all models go to one ``band_edges_scalar_stack``
+    call, so the models must share their potential period; a flat channel
+    gets the levels of its dimers.
+    """
+    jacs = [[(jac, jac.is_flat) for jac in decompose_zigzag(model)] for model in models]
+    bands = iter(band_edges_scalar_stack([jac for chans in jacs for jac, flat in chans if not flat]))
+    return [
+        [
+            ChannelBands(
+                k=k, c_k=jac.c_k, bands=(),
+                flat_bands=tuple(float(e) for e in _dimer_levels(jac.v.reshape(jac.p, 2))),
+            )
+            if flat
+            else ChannelBands(k=k, c_k=jac.c_k, bands=tuple(next(bands)))
+            for k, (jac, flat) in enumerate(chans, start=1)
+        ]
+        for chans in jacs
+    ]
+
+
+def armchair_channels(model: ArmchairModel, grid_size: int = 512) -> list[ChannelBands]:
+    """Channel bands of an armchair model, k = 1..N, without the union.
+
+    A branch range thinner than 1e-12 is reported as a flat level.
+    """
+    channels = []
+    for k, block in enumerate(decompose_armchair(model), start=1):
+        bands = spectrum_block(block, grid_size=grid_size)
+        ac_bands = tuple((lo, hi) for lo, hi in bands if hi - lo >= 1e-12)
+        flats = tuple(lo for lo, hi in bands if hi - lo < 1e-12)
+        channels.append(
+            ChannelBands(k=k, c_k=math.cos(math.pi * k / model.N), bands=ac_bands, flat_bands=flats)
+        )
+    return channels
 
 
 def armchair_unperturbed(N: int, vt: float) -> BandStructure:
@@ -568,19 +648,9 @@ def armchair_unperturbed(N: int, vt: float) -> BandStructure:
 def full_spectrum(model, grid_size: int = 512) -> BandStructure:
     """Union band structure of a zigzag or armchair model over all channels."""
     if isinstance(model, ZigzagModel):
-        channels = [
-            zigzag_channel_bands(jac, k)
-            for k, jac in enumerate(decompose_zigzag(model), start=1)
-        ]
+        (channels,) = zigzag_channels([model])
     elif isinstance(model, ArmchairModel):
-        channels = []
-        for k, block in enumerate(decompose_armchair(model), start=1):
-            bands = spectrum_block(block, grid_size=grid_size)
-            ac_bands = tuple((lo, hi) for lo, hi in bands if hi - lo >= 1e-12)
-            flats = tuple(lo for lo, hi in bands if hi - lo < 1e-12)
-            channels.append(
-                ChannelBands(k=k, c_k=math.cos(math.pi * k / model.N), bands=ac_bands, flat_bands=flats)
-            )
+        channels = armchair_channels(model, grid_size)
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
     return assemble_band_structure(channels)

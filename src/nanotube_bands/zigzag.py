@@ -26,6 +26,9 @@ class ScalarPeriodicJacobi:
     a : nonnegative off-diagonals, length 2p (a[2p-1] is the wrap-around bond)
     v : diagonal, length 2p, already scaled by the coupling t
     c_k : signed channel constant cos(b + pi*k/N), kept for reporting
+
+    (C, 2p) arrays ``a`` and ``v`` hold a stack of C channels of one period,
+    which ``monodromy`` and ``discriminant`` evaluate row by row.
     """
 
     p: int
@@ -36,7 +39,7 @@ class ScalarPeriodicJacobi:
     def __post_init__(self) -> None:
         a = np.asarray(self.a, dtype=float)
         v = np.asarray(self.v, dtype=float)
-        if a.shape != (2 * self.p,) or v.shape != (2 * self.p,):
+        if a.shape != v.shape or a.shape[-1:] != (2 * self.p,):
             raise ValueError(f"need 2p = {2 * self.p} off-diagonals and diagonals")
         a.setflags(write=False)
         v.setflags(write=False)

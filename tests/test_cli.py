@@ -252,6 +252,21 @@ def test_asym_large_t_armchair_command(tmp_path, armchair_cluster_12):
     assert all(r["pass"] for r in json.loads(text))
 
 
+@pytest.mark.parametrize("k", [0, -3, 5])
+def test_asym_large_t_armchair_refuses_channel_out_of_range(tmp_path, capsys, armchair_cluster_12, k):
+    # k = 0 and -3 used to index channels 4 and 1 from the end; k = N + 1 raised IndexError
+    pot = tmp_path / "v12.json"
+    pot.write_text(json.dumps(armchair_cluster_12))
+    code = main([
+        "asym", "--regime", "large_t_armchair", "--N", "4", "--B", "0",
+        "--potential", str(pot), "--t", "40", "--k", str(k),
+    ])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: channel index k must lie in 1..4, got {k}\n"
+
+
 def test_asym_small_v_armchair_command(tmp_path):
     j = np.arange(11)
     q = 0.01 * sum(

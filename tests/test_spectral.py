@@ -13,13 +13,16 @@ from nanotube_bands import (
     ZigzagModel,
     armchair_unperturbed,
     band_edges_scalar,
+    decompose_zigzag,
     discriminant,
     flat_band_spectrum,
+    flat_field_amplitudes,
     full_spectrum,
+    magnetic_phase,
     monodromy,
     spectrum_block,
 )
-from nanotube_bands.errors import FlatBandChannelError, InvalidParameterError
+from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError, InvalidParameterError
 from nanotube_bands.spectral import (
     assemble_band_structure,
     block_period_matrix,
@@ -579,6 +582,46 @@ def test_union_matches_quadratic_reference(seed):
         assert bs.union_gaps == gaps
 
 
+def _thin_band_channels(rng):
+    """Channels dense in bands thinner than 1e-12 and in flat levels, few wide bands.
+
+    Thin bands and flat levels fall on a grid of 0.7e-12 around a few
+    centres, so that the padded intervals of the entries the union adds for
+    them overlap, chain, and touch at exactly 1e-12.
+    """
+    centres = rng.uniform(-4.0, 4.0, size=3)
+
+    def point():
+        return float(rng.choice(centres) + 0.7e-12 * int(rng.integers(-12, 13)))
+
+    channels = []
+    for k in range(1, int(rng.integers(2, 12)) + 1):
+        bands = [(lo, lo + float(rng.choice([0.0, 3e-13, 1e-12]))) for lo in (point() for _ in range(int(rng.integers(0, 9))))]
+        if rng.random() < 0.2:
+            lo = float(rng.choice(centres)) + float(rng.uniform(-1e-10, 1e-10))
+            bands.append((lo, lo + float(rng.uniform(1e-11, 1e-9))))
+        flats = [point() for _ in range(int(rng.integers(0, 5)))]
+        channels.append(ChannelBands(k=k, c_k=None, bands=tuple(bands), flat_bands=tuple(flats)))
+    return channels
+
+
+def _union_bits(bands):
+    return [(float(b.lo).hex(), float(b.hi).hex(), b.multiplicity, b.channels) for b in bands]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_union_of_thin_bands_and_flat_levels_matches_linear_scan(seed):
+    # the entries kept for thin bands and isolated flat levels are looked up
+    # by bisection; the reference scans every earlier entry
+    rng = np.random.default_rng([67, seed])
+    for _ in range(100):
+        channels = _thin_band_channels(rng)
+        bs = assemble_band_structure(channels)
+        bands, gaps = _quadratic_union(channels)
+        assert _union_bits(bs.union_bands) == _union_bits(bands)
+        assert bs.union_gaps == gaps
+
+
 @pytest.mark.parametrize(
     "below, above",
     [
@@ -635,6 +678,160 @@ def test_discriminant_of_an_array_matches_scalar_calls():
             assert d == pytest.approx(discriminant(jac, z), rel=1e-12, abs=0.0)
             assert np.array_equal(m, _matmul_monodromy(jac, z))  # same 2x2 products, same bits
     assert discriminant(chain(1, 1.0, [0.0, 0.0]), np.empty((0,))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# stacked scalar channels against the per-channel loop
+
+
+def _per_channel_edges(jac, mutate=None):
+    """The one-channel edge routine that the stacked path replaced, kept as its exact reference.
+
+    Two fiber matrices per eigensolve, built as the old period-matrix and
+    corner code did, and one 2x2-product loop per validated energy.
+    ``mutate(z, d)`` replaces the discriminant d at energy z.
+    """
+    a, v, m = np.asarray(jac.a, dtype=complex), jac.v, 2 * jac.p
+    i = np.arange(m)
+    K = np.zeros((m, m), dtype=complex)
+    K[i, i] = v
+    K[i[:-1], i[1:]] += a[: m - 1]
+    K[i[1:], i[:-1]] += np.conj(a[: m - 1])
+    wrap = a[m - 1 :].reshape(1, 1)
+    taus = np.array([1.0, -1.0], dtype=complex).reshape(-1, 1, 1)
+    L = np.repeat(K[None], 2, axis=0)
+    L[:, m - 1 :, :1] += taus * wrap
+    L[:, :1, m - 1 :] += np.conj(taus) * wrap.conj().T
+    edges = np.sort(np.linalg.eigvalsh(L), axis=None)
+
+    def disc(z):
+        M = _matmul_monodromy(jac, z)
+        d = 0.5 * (M[0, 0] + M[1, 1])
+        return d if mutate is None else float(mutate(z, d))
+
+    scale = max(1.0, float(np.max(np.abs(edges))))
+    lo, hi = edges[0::2], edges[1::2]
+    for i in np.flatnonzero(hi - lo > 1e-12 * scale):
+        d = disc(0.5 * (lo[i] + hi[i]))
+        if abs(d) > 1.0 + 1e-8:
+            raise InternalConsistencyError(f"discriminant {d} exceeds 1 inside band [{lo[i]}, {hi[i]}]")
+    glo, ghi = hi[:-1], lo[1:]
+    for i in np.flatnonzero(ghi - glo > 1e-6 * scale):
+        d = disc(0.5 * (glo[i] + ghi[i]))
+        if abs(d) <= 1.0:
+            raise InternalConsistencyError(f"discriminant {d} inside [-1,1] at open gap ({glo[i]}, {ghi[i]})")
+    return list(zip(lo, hi))
+
+
+def _channel_outcome(models, stacked, mutate=None):
+    """Bits of (bands, flat levels) per channel of each model, or the message of the first failure."""
+    from nanotube_bands.spectral import _dimer_levels, zigzag_channels
+
+    try:
+        if stacked:
+            per_model = [[(ch.bands, ch.flat_bands) for ch in chans] for chans in zigzag_channels(models)]
+        else:
+            per_model = [
+                [
+                    ((), tuple(float(e) for e in _dimer_levels(jac.v.reshape(jac.p, 2))))
+                    if jac.is_flat
+                    else (tuple(_per_channel_edges(jac, mutate)), ())
+                    for jac in decompose_zigzag(model)
+                ]
+                for model in models
+            ]
+    except InternalConsistencyError as exc:
+        return str(exc)
+    return [
+        [(np.array(bands, dtype=float).tobytes(), np.array(flats, dtype=float).tobytes()) for bands, flats in chans]
+        for chans in per_model
+    ]
+
+
+def _sweep_models(rng, N, q, t, flat_step):
+    """Zigzag models of one potential at 1-5 fields; ``flat_step`` puts one on a flat amplitude."""
+    prof = PotentialProfile(rng.uniform(-1, 1, q))
+    fields = list(rng.uniform(-3, 3, int(rng.integers(1, 6))))
+    if flat_step:
+        fields.insert(int(rng.integers(0, len(fields) + 1)), flat_field_amplitudes(N, int(rng.integers(1, N + 1)), [0, 1])[0])
+    return [ZigzagModel(N, magnetic_phase(B, N), prof, t=t) for B in fields]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_scalar_channels_match_per_channel_loop(seed):
+    # p = 1 (q = 1, 2), exact flat phases, sweeps onto flat amplitudes, and
+    # up to 5 x 16 channels: stacks of more than FIBER_STACK / 2 channels
+    rng = np.random.default_rng([47, seed])
+    for _ in range(10):
+        N, q = int(rng.integers(2, 17)), int(rng.integers(1, 7))
+        t = float(np.exp(rng.uniform(-3, 2.5)))
+        if rng.random() < 0.3:
+            prof = PotentialProfile(rng.uniform(-1, 1, q))
+            models = [ZigzagModel(N, math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N, prof, t=t)]
+        else:
+            models = _sweep_models(rng, N, q, t, flat_step=rng.random() < 0.5)
+        want = _channel_outcome(models, stacked=False)
+        assert _channel_outcome(models, stacked=True) == want
+
+
+def test_stacked_scalar_channels_match_per_channel_loop_at_N120():
+    rng = np.random.default_rng(53)
+    models = [ZigzagModel(120, 0.7, PotentialProfile(rng.uniform(-1, 1, 5)), t=1.7)]
+    assert _channel_outcome(models, stacked=True) == _channel_outcome(models, stacked=False)
+
+
+def test_stacked_scalar_channels_raise_like_per_channel_loop():
+    # large t and odd q, with some channel at c_k = 1/2 (all bonds 1): the
+    # discriminant validator refuses many of these (exit 3); the stack must
+    # report the per-channel loop's first failure by field step, k, bands
+    # before gaps, including failures past the first stack
+    rng = np.random.default_rng(59)
+    raised = 0
+    for _ in range(8):
+        N, q, t = int(rng.integers(3, 17)), int(rng.choice([9, 11, 13])), float(rng.uniform(7, 23))
+        prof = PotentialProfile(rng.uniform(-1, 1, q))
+        bs = list(rng.uniform(-3, 3, int(rng.integers(0, 4))))
+        bs.append(math.pi / 3 - math.pi * int(rng.integers(1, N + 1)) / N)
+        models = [ZigzagModel(N, b, prof, t=t) for b in bs]
+        want = _channel_outcome(models, stacked=False)
+        raised += isinstance(want, str)
+        assert _channel_outcome(models, stacked=True) == want
+    assert raised >= 3
+
+
+def _flip_some(z, d):
+    """The discriminant with its verdict flipped at about one energy in 11, chosen by z alone."""
+    flip = np.floor(np.abs(z) * 1e6) % 11 == 0
+    return np.where(flip, np.where(np.abs(d) > 1.0, 0.0, 3.0), d)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_stacked_validator_reports_the_first_failure_in_loop_order(monkeypatch, seed):
+    # valid models never fail the gap pass, so a stand-in discriminant flips
+    # the verdict at some band and some gap midpoints; the stack must then
+    # report what the per-channel loop reports: the first failure by field
+    # step, k, bands before gaps
+    from nanotube_bands import spectral
+
+    real = spectral.discriminant
+    monkeypatch.setattr(spectral, "discriminant", lambda jac, z: _flip_some(z, real(jac, z)))
+    rng = np.random.default_rng([61, seed])
+    messages = []
+    for _ in range(12):
+        N, q = int(rng.integers(2, 13)), int(rng.integers(1, 7))
+        models = _sweep_models(rng, N, q, float(np.exp(rng.uniform(-2, 1.5))), flat_step=False)
+        want = _channel_outcome(models, stacked=False, mutate=_flip_some)
+        assert _channel_outcome(models, stacked=True) == want
+        messages.append(want if isinstance(want, str) else "")
+    assert any("band" in m for m in messages) and any("gap" in m for m in messages)
+
+
+def test_band_edges_scalar_stack_refuses_flat_channel():
+    from nanotube_bands.spectral import band_edges_scalar_stack
+
+    with pytest.raises(FlatBandChannelError):
+        band_edges_scalar_stack([chain(1, 1.0, [0.0, 0.0]), chain(1, 0.0, [0.0, 0.0])])
+    assert band_edges_scalar_stack([]) == []
 
 
 def test_json_schema_shape():
