@@ -243,13 +243,14 @@ def band_edges_scalar_stack(jacs) -> list[list[tuple[float, float]]]:
     The first failing channel is reported, with its first failing band, or
     else its first failing gap.  A flat channel is refused before any work.
     """
+    size = FIBER_STACK // 2
     stacks = [
         ScalarPeriodicJacobi(
             p=jacs[0].p,
-            a=np.stack([jac.a for jac in jacs[i : i + FIBER_STACK // 2]]),
-            v=np.stack([jac.v for jac in jacs[i : i + FIBER_STACK // 2]]),
+            a=np.stack([jac.a for jac in jacs[i : i + size]]),
+            v=np.stack([jac.v for jac in jacs[i : i + size]]),
         )
-        for i in range(0, len(jacs), FIBER_STACK // 2)
+        for i in range(0, len(jacs), size)
     ]
     if any(stack.is_flat for stack in stacks):
         raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")

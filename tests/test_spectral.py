@@ -596,7 +596,8 @@ def _thin_band_channels(rng):
 
     channels = []
     for k in range(1, int(rng.integers(2, 12)) + 1):
-        bands = [(lo, lo + float(rng.choice([0.0, 3e-13, 1e-12]))) for lo in (point() for _ in range(int(rng.integers(0, 9))))]
+        lows = [point() for _ in range(int(rng.integers(0, 9)))]
+        bands = [(lo, lo + float(rng.choice([0.0, 3e-13, 1e-12]))) for lo in lows]
         if rng.random() < 0.2:
             lo = float(rng.choice(centres)) + float(rng.uniform(-1e-10, 1e-10))
             bands.append((lo, lo + float(rng.uniform(1e-11, 1e-9))))
@@ -753,7 +754,8 @@ def _sweep_models(rng, N, q, t, flat_step):
     prof = PotentialProfile(rng.uniform(-1, 1, q))
     fields = list(rng.uniform(-3, 3, int(rng.integers(1, 6))))
     if flat_step:
-        fields.insert(int(rng.integers(0, len(fields) + 1)), flat_field_amplitudes(N, int(rng.integers(1, N + 1)), [0, 1])[0])
+        flat = flat_field_amplitudes(N, int(rng.integers(1, N + 1)), [0, 1])[0]
+        fields.insert(int(rng.integers(0, len(fields) + 1)), flat)
     return [ZigzagModel(N, magnetic_phase(B, N), prof, t=t) for B in fields]
 
 
