@@ -11,7 +11,9 @@ fields, more channels than one stacked eigensolve takes.  One armchair sweep
 pins the block channels of ``sweep``.  The ``small_v_armchair`` cases pin
 the edges of the periodic Schroedinger operator for an odd and a one-site
 period; the other ``asym`` cases pin one run of every zigzag regime, with and
-without its optional reports.
+without its optional reports.  A case may carry a fourth entry, the
+``NANOTUBE_BANDS_PRECISION`` it runs under; three cases pin zigzag ``bands``
+JSON, ``bands`` CSV and a ``sweep`` away from the default 12 digits.
 
 After a deliberate change of output, rewrite the files with
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
@@ -25,6 +27,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -45,7 +48,7 @@ V16 = [
 ]
 V12 = [-1.125, -0.542, 0.945, 0.238, 1.175, -0.123, 0.388, 0.576, 0.091, 0.795, -0.318, -0.688]
 
-# name -> (potential, argv without --potential, expected exit code)
+# name -> (potential, argv without --potential, expected exit code[, precision])
 CASES = {
     "arm_q1_N3_B0_g16": (V1, "bands --lattice armchair --N 3 --B 0 --grid 16", 0),
     "arm_q1_N6_Bm2.5_t30_g512": (V1, "bands --lattice armchair --N 6 --B -2.5 --t 30 --grid 512", 0),
@@ -99,15 +102,22 @@ CASES = {
     # 16 channels at 17 steps: more channels than one stacked eigensolve takes
     "zig_sweep_N16_17steps": (V3, "sweep --lattice zigzag --N 16 --B-start -1.5 --B-stop 2.5 --B-steps 17 --t 1.3", 0),
     "arm_sweep": (V2, "sweep --lattice armchair --N 3 --B-start -0.4 --B-stop 1.2 --B-steps 3 --t 0.7 --grid 64", 0),
+    # the output formats away from the default precision
+    "zig_flat_phase_json_p17": (V4, "bands --lattice zigzag --N 8 --b -0.39269908169872414 --t 2.5", 0, 17),
+    "zig_bands_csv_p5": (V6, "bands --lattice zigzag --N 7 --B 1.1 --t 0.5 --format csv", 0, 5),
+    "zig_sweep_N16_17steps_p17": (
+        V3, "sweep --lattice zigzag --N 16 --B-start -1.5 --B-stop 2.5 --B-steps 17 --t 1.3", 0, 17,
+    ),
 }
 
 
 def run_case(name: str, tmp_dir: Path) -> tuple[int, str]:
-    potential, argv, _ = CASES[name]
+    potential, argv, _, *precision = CASES[name]
     pot = tmp_dir / f"{name}.json"
     pot.write_text(json.dumps(potential))
+    env = {"NANOTUBE_BANDS_PRECISION": str(precision[0])} if precision else {}
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with mock.patch.dict(os.environ, env), contextlib.redirect_stdout(out):
         code = main(argv.split() + ["--potential", str(pot)])
     return code, out.getvalue()
 
