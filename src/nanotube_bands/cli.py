@@ -3,7 +3,9 @@
 Exit codes: 0 success, 1 completed but a requested check failed, 2 bad input,
 3 internal consistency failure.  Floats are rendered with a fixed number of
 significant digits (env NANOTUBE_BANDS_PRECISION, default 12) so identical
-configurations produce byte-identical files.
+configurations produce byte-identical files.  This module alone knows the
+output schemas: ``bands`` JSON and CSV and ``sweep`` CSV are written as tables
+of rows by ``_table``, the other commands through ``render_json``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,10 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
+from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -32,10 +37,14 @@ from .spectral import armchair_channels, full_spectrum, zigzag_channels
 
 
 def _precision() -> int:
+    text = os.environ.get("NANOTUBE_BANDS_PRECISION", "12")
     try:
-        return max(1, int(os.environ.get("NANOTUBE_BANDS_PRECISION", "12")))
+        sig = int(text)
     except ValueError:
-        return 12
+        sig = 0
+    if sig < 1:
+        raise InvalidInputError(f"NANOTUBE_BANDS_PRECISION must be an integer >= 1, got {text!r}")
+    return sig
 
 
 def fmt_float(x: float, sig: int | None = None) -> str:
@@ -80,6 +89,38 @@ def render_json(obj, indent: int = 0, sig: int | None = None) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     raise TypeError(f"cannot render {type(obj)!r}")
+
+
+_SLOT = re.compile(r"%[%dgs]")
+
+
+@lru_cache(maxsize=None)
+def _row_template(row: str, spec: str) -> tuple[int, tuple[int, ...], str]:
+    """Fields per row, the float columns, and ``row`` with ``spec`` in its float slots."""
+    slots = [slot for slot in _SLOT.findall(row) if slot != "%%"]
+    template = _SLOT.sub(lambda m: spec if m.group() == "%g" else m.group(), row)
+    return len(slots), tuple(i for i, slot in enumerate(slots) if slot == "%g"), template
+
+
+def _table(row: str, rows, sig: int, sep: str) -> str:
+    """``rows`` written through the row template ``row``, joined by ``sep``.
+
+    ``row`` is ``%`` text with a ``%g`` slot per float field, ``%d`` or ``%s``
+    for any other field and ``%%`` for a literal percent sign, so text pasted
+    into a row is escaped first.  The whole table is one ``%`` call.  Floats
+    are written ``%.{sig}g``, which is ``fmt_float`` on every finite float; a
+    table that holds a non-finite float writes its floats through
+    ``fmt_float`` one by one, so that ``"inf"`` and ``"nan"`` keep their quotes.
+    """
+    if not rows:
+        return ""
+    values = list(chain.from_iterable(rows))
+    width, columns, template = _row_template(row, f"%.{sig}g")
+    if not all(all(map(math.isfinite, values[i::width])) for i in columns):
+        width, columns, template = _row_template(row, "%s")
+        for i in columns:
+            values[i::width] = [fmt_float(x, sig) for x in values[i::width]]
+    return sep.join([template] * len(rows)) % tuple(values)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -148,25 +189,58 @@ def _check_grid(grid: int) -> int:
 # commands
 
 
+def _pairs(rows, indent: int, sig: int) -> str:
+    """A JSON list of ``[lo, hi]`` pairs at ``indent``, as ``render_json`` lays it out."""
+    if not rows:
+        return "[]"
+    pad = "  " * indent
+    return "[\n" + _table(pad + "  [%g, %g]", rows, sig, ",\n") + "\n" + pad + "]"
+
+
+_UNION_BAND = '      {\n        "lo": %g,\n        "hi": %g,\n        "multiplicity": %s\n      }'
+
+
+def _bands_json(structure) -> str:
+    """``bands`` JSON: each channel's bands, flat levels and gaps, then the union.
+
+    The bytes are those of ``render_json`` on the nested tree of the same
+    keys, written table by table instead of value by value.
+    """
+    sig = _precision()
+    channels = [
+        '    {\n      "k": %s,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }'
+        % (
+            render_json(ch.k, sig=sig),
+            render_json(ch.c_k, sig=sig),
+            _pairs(ch.bands, 3, sig),
+            _table("%g", [(e,) for e in ch.flat_bands], sig, ", "),
+            _pairs(ch.gaps, 3, sig),
+        )
+        for ch in structure.channels
+    ]
+    union = [
+        (b.lo, b.hi, '"inf"' if math.isinf(b.multiplicity) else int(b.multiplicity))
+        for b in structure.union_bands
+    ]
+    return '{\n  "channels": %s,\n  "union": {\n    "bands": %s,\n    "gaps": %s\n  }\n}' % (
+        "[\n" + ",\n".join(channels) + "\n  ]" if channels else "[]",
+        "[\n" + _table(_UNION_BAND, union, sig, ",\n") + "\n    ]" if union else "[]",
+        _pairs(structure.union_gaps, 2, sig),
+    )
+
+
 def _bands_csv(structure) -> str:
     sig = _precision()
-    lines = []
-    for ch in structure.channels:
-        for idx, (lo, hi) in enumerate(ch.bands, start=1):
-            lines.append(f"{ch.k},{idx},{fmt_float(lo, sig)},{fmt_float(hi, sig)}")
-    for ch in structure.channels:
-        for e in sorted(ch.flat_bands):
-            lines.append(f"flat,{ch.k},{fmt_float(e, sig)}")
-    return "\n".join(lines) + "\n"
+    bands = [(ch.k, idx, lo, hi) for ch in structure.channels for idx, (lo, hi) in enumerate(ch.bands, start=1)]
+    flat = [(ch.k, e) for ch in structure.channels for e in sorted(ch.flat_bands)]
+    tables = [_table("%d,%d,%g,%g", bands, sig, "\n"), _table("flat,%d,%g", flat, sig, "\n")]
+    return "\n".join(text for text in tables if text) + "\n"
 
 
 def cmd_bands(args) -> int:
     model = build_model(args, args.lattice)
     structure = full_spectrum(model, grid_size=_check_grid(args.grid))
-    if args.format == "csv":
-        _write(_bands_csv(structure), args.output)
-    else:
-        _write(render_json(structure.to_json_dict()), args.output)
+    _write((_bands_csv if args.format == "csv" else _bands_json)(structure), args.output)
     return 0
 
 
@@ -193,15 +267,13 @@ def cmd_sweep(args) -> int:
         ]
         phases = [model.phases[0] for model in models]
         per_step = (armchair_channels(model, grid) for model in models)
-    sig = _precision()
-    lines = []
-    for B, b, channels in zip(Bs, phases, per_step):
-        field = f"{fmt_float(B, sig)},{fmt_float(b, sig)}"
-        for ch in channels:
-            entries = [(lo, hi) for lo, hi in ch.bands] + [(e, e) for e in ch.flat_bands]
-            for idx, (lo, hi) in enumerate(sorted(entries), start=1):
-                lines.append(f"{field},{ch.k},{idx},{fmt_float(lo, sig)},{fmt_float(hi, sig)}")
-    _write("\n".join(lines) + "\n", args.output)
+    rows = [
+        (B, b, ch.k, idx, lo, hi)
+        for B, b, channels in zip(Bs, phases, per_step)
+        for ch in channels
+        for idx, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)
+    ]
+    _write(_table("%g,%g,%d,%d,%g,%g", rows, _precision(), "\n") + "\n", args.output)
     return 0
 
 
@@ -224,8 +296,37 @@ def _zigzag_channel_constant(args) -> float:
     return math.cos(b + math.pi * args.k / args.N)
 
 
+# the options each asym regime reads besides --N, --tolerance and --output
+_ASYM_READS = {
+    "ck_to_zero": {"potential", "t", "s", "ck_values"},
+    "small_t": {"potential", "sample_period", "seed", "ck", "k", "b", "B"},
+    "large_t_zigzag": {"potential", "t", "b", "B"},
+    "large_t_armchair": {"potential", "t", "B", "b1", "b2", "b3", "k"},
+    "small_v_armchair": {"potential"},
+    "low_energy_window": {"potential", "t", "b", "B"},
+}
+_ASYM_OPTIONS = ("potential", "t", "b", "B", "b1", "b2", "b3", "k", "ck", "ck_values", "s", "sample_period", "seed")
+
+
+def _refuse_unread_asym_options(args) -> None:
+    reads = set(_ASYM_READS[args.regime])
+    if args.regime == "small_t":
+        if args.potential is not None:
+            reads -= {"sample_period", "seed"}
+        if args.ck is not None:
+            reads -= {"k", "b", "B"}
+        elif args.b is not None:
+            reads.discard("B")
+    unread = ["--" + d.replace("_", "-") for d in _ASYM_OPTIONS if d not in reads and getattr(args, d) is not None]
+    if unread:
+        raise InvalidInputError(f"regime {args.regime} does not read {', '.join(unread)}")
+
+
 def cmd_asym(args) -> int:
     regime = args.regime
+    _refuse_unread_asym_options(args)
+    if args.t is None:  # unset until checked above; the default of every command
+        args.t = 1.0
     opts = {}
     if args.tolerance is not None:
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
@@ -235,12 +336,12 @@ def cmd_asym(args) -> int:
         profile = _load_profile(args)
         if args.ck_values:
             opts["c_values"] = [_finite_ck(x) for x in args.ck_values.split(",")]
-        reports = asy.measure_ck_shrink(profile, s=args.s, t=args.t, **opts)
+        reports = asy.measure_ck_shrink(profile, s=1 if args.s is None else args.s, t=args.t, **opts)
     elif regime == "small_t":
         if args.potential is not None:
             profile = load_potential(args.potential)
         elif args.sample_period is not None:
-            profile = asy.sample_open_gap_potential(args.sample_period, seed=args.seed)
+            profile = asy.sample_open_gap_potential(args.sample_period, seed=0 if args.seed is None else args.seed)
         else:
             raise InvalidInputError("small_t needs --potential or --sample-period")
         reports = asy.measure_small_t_slopes(profile, _zigzag_channel_constant(args), **opts)
@@ -308,13 +409,14 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--regime", choices=asy.REGIMES, required=True)
     _add_model_args(sp)
     _add_field_args(sp)
+    sp.set_defaults(t=None)  # a regime that does not read --t refuses it
     sp.add_argument("--k", type=int, default=None, help="channel index")
-    sp.add_argument("--ck", type=float, default=None, help="channel constant, overrides --k")
+    sp.add_argument("--ck", type=float, default=None, help="channel constant, instead of --k and a field")
     sp.add_argument("--ck-values", dest="ck_values", type=str, default=None,
                     help="comma list of channel constants (ck_to_zero)")
-    sp.add_argument("--s", type=int, default=1, help="band index (ck_to_zero)")
+    sp.add_argument("--s", type=int, default=None, help="band index (ck_to_zero, default 1)")
     sp.add_argument("--sample-period", dest="sample_period", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=None, help="seed of --sample-period (default 0)")
     sp.add_argument("--tolerance", type=float, default=None)
     sp.add_argument("--output", type=str, default=None)
     sp.set_defaults(func=cmd_asym)

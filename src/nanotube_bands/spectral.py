@@ -454,31 +454,6 @@ class BandStructure:
         ivs = self.union_intervals()
         return (ivs[0][0], ivs[-1][1]) if ivs else (math.nan, math.nan)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "channels": [
-                {
-                    "k": ch.k,
-                    "c_k": ch.c_k,
-                    "bands": [[lo, hi] for lo, hi in ch.bands],
-                    "flat_bands": list(ch.flat_bands),
-                    "gaps": [[lo, hi] for lo, hi in ch.gaps],
-                }
-                for ch in self.channels
-            ],
-            "union": {
-                "bands": [
-                    {
-                        "lo": b.lo,
-                        "hi": b.hi,
-                        "multiplicity": "inf" if math.isinf(b.multiplicity) else int(b.multiplicity),
-                    }
-                    for b in self.union_bands
-                ],
-                "gaps": [[lo, hi] for lo, hi in self.union_gaps],
-            },
-        }
-
 
 def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     """Merge per-channel bands into union bands with per-segment multiplicity.

@@ -423,3 +423,61 @@ def test_unread_options_exit_2(tmp_path, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv.split() + ["--N", "4", "--potential", str(pot)])
     assert exc.value.code == 2
+
+
+PRECISION_COMMANDS = [
+    "bands --lattice zigzag --N 3 --b 0.1",
+    "bands --lattice zigzag --N 3 --b 0.1 --format csv",
+    "bands --lattice armchair --N 3 --B 0.2 --grid 16",
+    "sweep --lattice zigzag --N 3 --B-start 0 --B-stop 1 --B-steps 2",
+    "verify --lattice zigzag --N 3 --b 0.1",
+    "asym --regime large_t_zigzag --N 3 --b 0.1 --t 40",
+]
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+@pytest.mark.parametrize("argv", PRECISION_COMMANDS + ["geometry --N 3 --B 0.5"])
+def test_invalid_precision_exits_2(tmp_path, capsys, monkeypatch, vfiles, argv, value):
+    # these used to print 12 digits ("abc") or 1 digit ("0", "-3") and exit 0
+    monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", value)
+    tail = [] if argv.startswith("geometry") else ["--potential", vfiles["pm"]]
+    out = tmp_path / "out.txt"
+    code = main(argv.split() + tail + ["--output", str(out)])
+    assert code == 2
+    assert not out.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: NANOTUBE_BANDS_PRECISION must be an integer >= 1, got {value!r}\n"
+
+
+@pytest.mark.parametrize("argv", PRECISION_COMMANDS)
+def test_large_precision_is_accepted(tmp_path, monkeypatch, vfiles, argv):
+    monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", "60")
+    code, text = run(tmp_path, *argv.split(), "--potential", vfiles["pm"])
+    assert code == 0 and text.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "potential, argv, unread",
+    [
+        ("[0.2, 0.2]", "asym --regime small_v_armchair --N 4 --t 5 --B 3 --k 2 --s 3 --seed 4",
+         "--t, --B, --k, --s, --seed"),
+        ("[0.4, -0.4]", "asym --regime small_t --N 4 --ck 0.65 --t 30 --seed 9 --sample-period 3",
+         "--t, --sample-period, --seed"),
+        ("[0.4, -0.4]", "asym --regime small_t --N 4 --ck 0.5 --k 1 --b 0.2", "--b, --k"),
+        ("[0.4, -0.4]", "asym --regime small_t --N 4 --k 1 --b 0.2 --B 0.1", "--B"),
+        ("[3.0, 0.0, -3.0, 1.0]", "asym --regime ck_to_zero --N 4 --b 0.3 --k 2", "--b, --k"),
+        ("[0.9, -0.3, 0.4, -1.1]", "asym --regime large_t_zigzag --N 5 --b 0.2 --t 40 --k 2", "--k"),
+        ("[0.9, -0.3, 0.4, -1.1]", "asym --regime large_t_armchair --N 4 --B 0 --t 40 --k 4 --ck 0.3", "--ck"),
+        ("[0.9, -0.3, 0.4, -1.1]", "asym --regime low_energy_window --N 4 --b 0.02 --t 0.05 --s 2", "--s"),
+    ],
+)
+def test_asym_refuses_options_the_regime_does_not_read(tmp_path, capsys, potential, argv, unread):
+    # each used to print the same bytes as the run without the unread options
+    pot = tmp_path / "v.json"
+    pot.write_text(potential)
+    assert main(argv.split() + ["--potential", str(pot)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    regime = argv.split()[2]
+    assert captured.err == f"error: regime {regime} does not read {unread}\n"

@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -22,6 +23,7 @@ from nanotube_bands import (
     monodromy,
     spectrum_block,
 )
+from nanotube_bands.cli import _bands_json
 from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError, InvalidParameterError
 from nanotube_bands.spectral import (
     assemble_band_structure,
@@ -838,13 +840,13 @@ def test_band_edges_scalar_stack_refuses_flat_channel():
 
 def test_json_schema_shape():
     model = ZigzagModel(2, 0.0, PotentialProfile([0.5, -0.5]), t=1.0)
-    d = full_spectrum(model).to_json_dict()
+    d = json.loads(_bands_json(full_spectrum(model)))
     assert set(d) == {"channels", "union"}
     assert set(d["channels"][0]) == {"k", "c_k", "bands", "flat_bands", "gaps"}
     assert set(d["union"]) == {"bands", "gaps"}
-    iso = assemble_band_structure(
+    iso = json.loads(_bands_json(assemble_band_structure(
         [ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.5,))]
-    ).to_json_dict()
+    )))
     assert iso["union"]["bands"][0]["multiplicity"] == "inf"
 
 

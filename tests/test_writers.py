@@ -1,0 +1,235 @@
+"""The table writers of ``bands`` JSON, ``bands`` CSV and ``sweep`` against exact references.
+
+The references are the writers they replaced: the nested tree of
+``BandStructure.to_json_dict`` rendered by ``render_json``, and the per-value
+``fmt_float`` row loops of ``_bands_csv`` and ``cmd_sweep``.  Every case
+compares bytes at 1, 6, 12 and 17 significant digits.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from nanotube_bands import cli
+from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel, magnetic_phase
+from nanotube_bands.spectral import (
+    BandStructure,
+    ChannelBands,
+    UnionBand,
+    armchair_channels,
+    assemble_band_structure,
+    full_spectrum,
+    zigzag_channels,
+)
+
+PRECISIONS = (1, 6, 12, 17)
+
+
+def reference_json_dict(structure) -> dict:
+    """The body of the former ``BandStructure.to_json_dict``."""
+    return {
+        "channels": [
+            {
+                "k": ch.k,
+                "c_k": ch.c_k,
+                "bands": [[lo, hi] for lo, hi in ch.bands],
+                "flat_bands": list(ch.flat_bands),
+                "gaps": [[lo, hi] for lo, hi in ch.gaps],
+            }
+            for ch in structure.channels
+        ],
+        "union": {
+            "bands": [
+                {
+                    "lo": b.lo,
+                    "hi": b.hi,
+                    "multiplicity": "inf" if math.isinf(b.multiplicity) else int(b.multiplicity),
+                }
+                for b in structure.union_bands
+            ],
+            "gaps": [[lo, hi] for lo, hi in structure.union_gaps],
+        },
+    }
+
+
+def reference_bands_csv(structure, sig: int) -> str:
+    """The former ``_bands_csv`` row loop."""
+    fmt = cli.fmt_float
+    lines = []
+    for ch in structure.channels:
+        for idx, (lo, hi) in enumerate(ch.bands, start=1):
+            lines.append(f"{ch.k},{idx},{fmt(lo, sig)},{fmt(hi, sig)}")
+    for ch in structure.channels:
+        for e in sorted(ch.flat_bands):
+            lines.append(f"flat,{ch.k},{fmt(e, sig)}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_sweep_csv(Bs, phases, per_step, sig: int) -> str:
+    """The former ``cmd_sweep`` row loop."""
+    fmt = cli.fmt_float
+    lines = []
+    for B, b, channels in zip(Bs, phases, per_step):
+        field = f"{fmt(B, sig)},{fmt(b, sig)}"
+        for ch in channels:
+            entries = [(lo, hi) for lo, hi in ch.bands] + [(e, e) for e in ch.flat_bands]
+            for idx, (lo, hi) in enumerate(sorted(entries), start=1):
+                lines.append(f"{field},{ch.k},{idx},{fmt(lo, sig)},{fmt(hi, sig)}")
+    return "\n".join(lines) + "\n"
+
+
+def assert_writers_match(structure, monkeypatch) -> None:
+    for sig in PRECISIONS:
+        monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
+        assert cli._bands_json(structure) == cli.render_json(reference_json_dict(structure))
+        assert cli._bands_csv(structure) == reference_bands_csv(structure, sig)
+
+
+def zigzag_models():
+    rng = np.random.default_rng(2024)
+    models = []
+    for i in range(24):
+        N, q = int(rng.integers(2, 21)), int(rng.integers(1, 9))
+        potential = PotentialProfile(list(rng.uniform(-1.0, 1.0, q)))
+        t = float(np.exp(rng.uniform(np.log(0.05), np.log(40.0))))
+        if i % 3 == 0:  # an exact flat phase: c_k = cos(b + pi k/N) = 0
+            b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N
+        else:
+            b = float(rng.uniform(-math.pi, math.pi))
+        models.append(ZigzagModel(N, b, potential, t=t))
+    # bands thinner than 1e-12 in a near-flat channel (the zig_thin_bands_json golden)
+    thin = [
+        0.273923, -0.460427, -0.918053, -0.966945, 0.62654, 0.825511, 0.213272, 0.458993,
+        0.08725, 0.870145, 0.631707, -0.994523, 0.714809, -0.932829, 0.459311, -0.648689,
+    ]
+    models.append(ZigzagModel(4, -3.106873458412769, PotentialProfile(thin), t=4.500851068224242))
+    models.append(ZigzagModel(64, 0.7, PotentialProfile(list(rng.uniform(-1.0, 1.0, 15))), t=0.9))
+    return models
+
+
+@pytest.mark.parametrize("model", zigzag_models(), ids=lambda m: f"N{m.N}_q{m.potential.q}_b{m.b:.3f}")
+def test_zigzag_writers_match_reference(model, monkeypatch):
+    assert_writers_match(full_spectrum(model), monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_armchair_writers_match_reference(seed, monkeypatch):
+    rng = np.random.default_rng([7, seed])
+    N, q = int(rng.integers(2, 6)), int(rng.integers(1, 6))
+    model = ArmchairModel(
+        N=N, phases=tuple(rng.uniform(-1.0, 1.0, 3)), potential=PotentialProfile(list(rng.uniform(-1.0, 1.0, q))),
+        t=float(np.exp(rng.uniform(np.log(0.05), np.log(30.0)))),
+    )
+    assert_writers_match(full_spectrum(model, grid_size=64), monkeypatch)
+
+
+INF, NAN = math.inf, math.nan
+F64 = np.float64
+
+
+def hand_built_structures():
+    odd = ChannelBands(
+        k=1, c_k=None,
+        bands=((-INF, -1.5), (-0.0, 0.0), (F64(0.25), F64(1.0) / 3), (2.0, NAN), (3.0, INF)),
+        flat_bands=(F64(-0.0), 5e-324, -1e300, NAN),
+    )
+    finite = ChannelBands(
+        k=2, c_k=F64(0.3),
+        bands=((F64(-2.0) / 3, -1e-300), (1e-5, 1.2345678901234567e17)),
+        flat_bands=(0.5, F64(-0.125)),
+    )
+    empty = ChannelBands(k=3, c_k=0.0, bands=())
+    union = (
+        UnionBand(-INF, -1.5, 2.0, (1,)),
+        UnionBand(F64(-0.0), 0.0, F64(4.0), (1, 2)),
+        UnionBand(0.5, 0.5, INF, (2,)),
+        UnionBand(1e-5, NAN, 2.0, (2,)),
+    )
+    return {
+        "non_finite_and_float64": BandStructure((odd, finite, empty), union, ((-1.5, -0.0), (NAN, INF))),
+        "finite_float64_union": BandStructure((finite,), union[1:3], ((F64(0.0), 0.5),)),
+        "empty_channels_empty_union": BandStructure((empty, ChannelBands(k=4, c_k=None, bands=()))),
+        "no_channels": BandStructure(()),
+        "flat_only": assemble_band_structure([ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.5, -0.0))]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(hand_built_structures()))
+def test_hand_built_writers_match_reference(name, monkeypatch):
+    assert_writers_match(hand_built_structures()[name], monkeypatch)
+
+
+def run_sweep(argv, potential, tmp_path):
+    pot = tmp_path / "v.json"
+    pot.write_text(json.dumps(potential))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv.split() + ["--potential", str(pot)])
+    assert code == 0
+    return out.getvalue()
+
+
+def sweep_fields(B_start, B_stop, steps):
+    return list(np.linspace(B_start, B_stop, steps))
+
+
+@pytest.mark.parametrize(
+    "potential, N, t, B_stop, steps",
+    [
+        ([0.8, -0.45], 4, 1.5, 2.6, 5),
+        # steps onto the flat amplitude flat_field_amplitudes(5, 2, [0])[0]
+        ([0.55, -0.3, 0.85, -0.95], 5, 0.8, 2.1776327054761078, 5),
+        ([0.9, -0.2, -0.65], 16, 1.3, 2.5, 17),
+        ([0.31, -0.74, 0.58, -0.12, 0.93], 7, 25.0, 6.0, 9),
+    ],
+)
+def test_zigzag_sweep_matches_reference(potential, N, t, B_stop, steps, tmp_path, monkeypatch):
+    Bs = sweep_fields(-0.4, B_stop, steps)
+    models = [ZigzagModel(N, magnetic_phase(B, N), PotentialProfile(potential), t=t) for B in Bs]
+    per_step = zigzag_channels(models)
+    argv = f"sweep --lattice zigzag --N {N} --t {t!r} --B-start -0.4 --B-stop {B_stop!r} --B-steps {steps}"
+    for sig in PRECISIONS:
+        monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
+        want = reference_sweep_csv(Bs, [m.b for m in models], per_step, sig)
+        assert run_sweep(argv, potential, tmp_path) == want
+
+
+def test_armchair_sweep_matches_reference(tmp_path, monkeypatch):
+    potential = [0.8, -0.45]
+    Bs = sweep_fields(-0.4, 1.2, 3)
+    models = [
+        ArmchairModel(N=3, phases=cli.tube_geometry(3, B)[1], potential=PotentialProfile(potential), t=0.7)
+        for B in Bs
+    ]
+    per_step = [armchair_channels(model, 64) for model in models]
+    phases = [model.phases[0] for model in models]
+    argv = "sweep --lattice armchair --N 3 --t 0.7 --B-start -0.4 --B-stop 1.2 --B-steps 3 --grid 64"
+    for sig in PRECISIONS:
+        monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
+        assert run_sweep(argv, potential, tmp_path) == reference_sweep_csv(Bs, phases, per_step, sig)
+
+
+def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
+    # the solvers never return such edges: the channels are substituted
+    structure = hand_built_structures()["non_finite_and_float64"]
+    steps = [list(structure.channels), [], list(structure.channels[1:])]
+    monkeypatch.setattr(cli, "zigzag_channels", lambda models: steps)
+    Bs = sweep_fields(0.0, 1.0, 3)
+    phases = [magnetic_phase(B, 4) for B in Bs]
+    for sig in PRECISIONS:
+        monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
+        out = run_sweep("sweep --lattice zigzag --N 4 --B-start 0 --B-stop 1 --B-steps 3", [0.1, -0.1], tmp_path)
+        assert out == reference_sweep_csv(Bs, phases, steps, sig)
+        assert '"nan"' in out and '"-inf"' in out
+
+
+def test_table_escapes_literal_percent():
+    assert cli._table("%%%d,%g%%", [(3, 0.5), (4, -0.25)], 12, ";") == "%3,0.5%;%4,-0.25%"
+    assert cli._table("%%g=%g", [(math.inf,)], 12, "") == '%g="inf"'
+    assert cli._table("%g", [], 12, ",") == ""
