@@ -94,7 +94,7 @@ def render_json(obj, indent: int = 0, sig: int | None = None) -> str:
 _SLOT = re.compile(r"%[%dgs]")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)  # a few row templates per precision
 def _row_template(row: str, spec: str) -> tuple[int, tuple[int, ...], str]:
     """Fields per row, the float columns, and ``row`` with ``spec`` in its float slots."""
     slots = [slot for slot in _SLOT.findall(row) if slot != "%%"]
@@ -208,10 +208,10 @@ def _bands_json(structure) -> str:
     """
     sig = _precision()
     channels = [
-        '    {\n      "k": %s,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }'
+        '    {\n      "k": %d,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }'
         % (
-            render_json(ch.k, sig=sig),
-            render_json(ch.c_k, sig=sig),
+            ch.k,
+            "null" if ch.c_k is None else fmt_float(ch.c_k, sig),
             _pairs(ch.bands, 3, sig),
             _table("%g", [(e,) for e in ch.flat_bands], sig, ", "),
             _pairs(ch.gaps, 3, sig),
