@@ -7,8 +7,10 @@ an exact flat-band phase ``b = pi/2 - pi k/N`` (flat levels inside bands and
 isolated ones of infinite multiplicity), a model whose near-flat channel has
 bands thinner than 1e-12, a large model (N = 64, odd q = 15), a sweep whose
 field range steps onto a flat amplitude and a sweep of 16 channels at 17
-fields, more channels than one stacked eigensolve takes.  One armchair sweep
-pins the block channels of ``sweep``.  The ``small_v_armchair`` cases pin
+fields, more channels than one stacked eigensolve takes.  Two armchair
+sweeps pin the block channels of ``sweep``, one of them 54 channels at the
+default grid; the armchair ``bands`` cases cover both formats and B = 0,
+where channels k and N - k are complex conjugates.  The ``small_v_armchair`` cases pin
 the edges of the periodic Schroedinger operator for an odd and a one-site
 period; the other ``asym`` cases pin one run of every zigzag regime, with and
 without its optional reports.  A case may carry a fourth entry, the
@@ -102,6 +104,14 @@ CASES = {
     # 16 channels at 17 steps: more channels than one stacked eigensolve takes
     "zig_sweep_N16_17steps": (V3, "sweep --lattice zigzag --N 16 --B-start -1.5 --B-stop 2.5 --B-steps 17 --t 1.3", 0),
     "arm_sweep": (V2, "sweep --lattice armchair --N 3 --B-start -0.4 --B-stop 1.2 --B-steps 3 --t 0.7 --grid 64", 0),
+    # 6 channels at 9 fields, odd p = 5 and the default grid: one lockstep refinement
+    # of 1 080 golden-section searches, 17 stacked eigensolves per iteration
+    "arm_sweep_N6_9steps_g512": (
+        V5, "sweep --lattice armchair --N 6 --B-start -1.1 --B-stop 2.9 --B-steps 9 --t 1.7 --grid 512", 0,
+    ),
+    "arm_q4_N5_B0.6_t2_csv": (V4, "bands --lattice armchair --N 5 --B 0.6 --t 2 --grid 64 --format csv", 0),
+    # B = 0: channels k and N - k have complex-conjugate fibers
+    "arm_q3_N8_B0_t1.3_g64": (V3, "bands --lattice armchair --N 8 --B 0 --t 1.3 --grid 64", 0),
     # the output formats away from the default precision
     "zig_flat_phase_json_p17": (V4, "bands --lattice zigzag --N 8 --b -0.39269908169872414 --t 2.5", 0, 17),
     "zig_bands_csv_p5": (V6, "bands --lattice zigzag --N 7 --B 1.1 --t 0.5 --format csv", 0, 5),
