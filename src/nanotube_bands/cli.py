@@ -179,9 +179,13 @@ def build_model(args, lattice: str):
     return ArmchairModel(N=args.N, phases=phases, potential=profile, t=args.t)
 
 
+MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swept
+MAX_B_STEPS = 1024  # a sweep holds its whole table until it writes it: 515 MB at N = 64, q = 16
+
+
 def _check_grid(grid: int) -> int:
-    if grid < 16 or grid & (grid - 1) != 0:
-        raise InvalidInputError(f"--grid must be a power of two >= 16, got {grid}")
+    if not 16 <= grid <= MAX_GRID or grid & (grid - 1) != 0:
+        raise InvalidInputError(f"--grid must be a power of two in [16, {MAX_GRID}], got {grid}")
     return grid
 
 
@@ -245,8 +249,8 @@ def cmd_bands(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.B_steps < 1:
-        raise InvalidInputError("--B-steps must be >= 1")
+    if not 1 <= args.B_steps <= MAX_B_STEPS:
+        raise InvalidInputError(f"--B-steps must be in [1, {MAX_B_STEPS}], got {args.B_steps}")
     profile = _load_profile(args)
     grid = _check_grid(args.grid)
     if args.B_steps == 1:
@@ -266,7 +270,7 @@ def cmd_sweep(args) -> int:
             ArmchairModel(N=args.N, phases=tube_geometry(args.N, B)[1], potential=profile, t=args.t) for B in Bs
         ]
         phases = [model.phases[0] for model in models]
-        per_step = (armchair_channels(model, grid) for model in models)
+        per_step = armchair_channels(models, grid)  # every field step in one lockstep refinement
     rows = [
         (B, b, ch.k, idx, lo, hi)
         for B, b, channels in zip(Bs, phases, per_step)
@@ -469,9 +473,14 @@ def _attach_negative_values(argv: list[str]) -> list[str]:
     return out
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on first use: building it costs more than a parse."""
+    return make_parser()
+
+
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
+    args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except (

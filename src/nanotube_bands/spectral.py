@@ -2,8 +2,9 @@
 
 Every fiber matrix L(tau) of a channel comes from one stacked builder,
 ``fiber_matrices``: the multiplier-free period matrix of the channel is built
-once (``scalar_period_matrix``, ``block_period_matrix``; both take a stack of
-channels) and tau enters only through its wrap-around corner blocks.
+once (``scalar_period_matrix`` takes a stack of channels,
+``block_period_matrix`` one channel) and tau enters only through its
+wrap-around corner blocks, the multipliers broadcast against the channels.
 
 Band edges of a 2p-periodic scalar channel are the eigenvalues of L(+1) and
 L(-1); sorting the combined 4p values and pairing them consecutively yields
@@ -17,10 +18,13 @@ its own channel's coefficients.  One channel is a stack of one.
 
 Block channels have no edge rule, so their bands are the ranges of the
 sorted eigenvalue branches over the unit circle: the fiber matrices of a
-grid of multipliers are diagonalised as stacks, and the grid extrema of all
-branches are refined by golden-section searches that advance together, one
-stacked eigensolve per iteration.  The union over channels is built by one
-sweep line over the sorted channel edges.
+grid of multipliers are diagonalised as stacks, channel by channel, and the
+grid extrema of all branches of all channels -- of a model, or of every
+field step of a sweep -- are refined by golden-section searches that advance
+together (``spectrum_block_stack``): each probe pairs its own channel with
+its own multiplier, and one iteration solves the new probes of every search
+still running in stacks of FIBER_STACK.  The union over channels is built by
+one sweep line over the sorted channel edges.
 """
 
 from __future__ import annotations
@@ -114,22 +118,26 @@ def _check_unimodular(taus) -> np.ndarray:
 
 
 def fiber_matrices(period, wrap, taus) -> np.ndarray:
-    """Fiber matrices L(tau), one per multiplier, as a (..., len(taus), m, m) array.
+    """Fiber matrices L(tau), as an array of shape ``S + (m, m)``.
 
     ``period`` is the m x m matrix of one period without its wrap-around
     coupling, ``wrap`` the r x r block W of that coupling; leading axes of
-    both are a stack of channels.  L(tau) adds tau*W onto the lower-left
-    r x r corner of the period matrix and conj(tau)*W^H onto the upper-right
-    one, in that order and on those slices only: when the corners overlap
-    the diagonal (m = r) or the bonds (m = 2r), the rounding of the sum
-    depends on the order, and adding a zero elsewhere could flip the sign of
-    a zero entry.
+    both are a stack of channels.  The multipliers broadcast against those
+    axes, and S is the broadcast shape: one period with T multipliers gives T
+    matrices, C channels with C multipliers pair channel i with ``taus[i]``,
+    and ``period[:, None]`` gives every channel at every multiplier.  L(tau)
+    adds tau*W onto the lower-left r x r corner of the period matrix and
+    conj(tau)*W^H onto the upper-right one, in that order and on those slices
+    only: when the corners overlap the diagonal (m = r) or the bonds (m = 2r),
+    the rounding of the sum depends on the order, and adding a zero elsewhere
+    could flip the sign of a zero entry.
     """
-    taus = _check_unimodular(taus).reshape(-1, 1, 1)
+    taus = _check_unimodular(taus)[..., None, None]
     m, r = period.shape[-1], wrap.shape[-1]
-    L = np.repeat(period[..., None, :, :], taus.shape[0], axis=-3)
-    L[..., m - r :, :r] += taus * wrap[..., None, :, :]
-    L[..., :r, m - r :] += np.conj(taus) * np.swapaxes(wrap.conj(), -1, -2)[..., None, :, :]
+    shape = np.broadcast_shapes(period.shape[:-2], wrap.shape[:-2], taus.shape[:-2])
+    L = np.broadcast_to(period, shape + (m, m)).copy()
+    L[..., m - r :, :r] += taus * wrap
+    L[..., :r, m - r :] += np.conj(taus) * np.swapaxes(wrap.conj(), -1, -2)
     residual = np.max(np.abs(L - np.conj(np.swapaxes(L, -1, -2))), axis=(-2, -1))
     if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(-2, -1)))):
         raise InternalConsistencyError("fiber matrix is not Hermitian")
@@ -215,7 +223,8 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
     pairs of the sorted union bound the m bands.  (C, m) coefficients give
     the (C, 2m) edges of C operators from one eigensolve.
     """
-    levels = np.linalg.eigvalsh(fiber_matrices(*scalar_period_matrix(offdiag, diag), [1.0, -1.0]))
+    period, wrap = scalar_period_matrix(offdiag, diag)
+    levels = np.linalg.eigvalsh(fiber_matrices(period[..., None, :, :], wrap[..., None, :, :], [1.0, -1.0]))
     return np.sort(levels.reshape(levels.shape[:-2] + (-1,)), axis=-1)
 
 
@@ -320,41 +329,49 @@ def _first_min(x, y) -> np.ndarray:
     return np.where(y < x, y, x)
 
 
-def _fiber_levels(fiber, thetas) -> np.ndarray:
-    """Sorted eigenvalues of L(exp(i*theta)) for each theta, as a (len(thetas), m) array.
+def _fiber_levels(fibers, chans, taus) -> np.ndarray:
+    """Sorted eigenvalues of L(taus[i]) of channel ``chans[i]``, for every i, as a (len(taus), m) array.
 
-    ``fiber`` is the (period matrix, wrap block) pair of the channel.
+    ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
+    channels.  Each probe pairs its own channel with its own multiplier, and
+    FIBER_STACK probes go to one eigensolve; ``eigvalsh`` solves every matrix
+    of a stack on its own, so a probe's levels do not depend on its stack.
+    """
+    periods, wraps = fibers
+    stacks = [slice(i, i + FIBER_STACK) for i in range(0, len(taus), FIBER_STACK)]
+    return np.concatenate(
+        [np.linalg.eigvalsh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s])) for s in stacks]
+    )
+
+
+def _multipliers(thetas) -> np.ndarray:
+    """exp(i*theta) of every theta.
 
     The multipliers come from ``cmath.exp`` because ``np.exp`` may differ from
     it in the last bit, which would change the printed edges.
     """
-    taus = [cmath.exp(1j * th) for th in thetas]
-    return np.concatenate(
-        [
-            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK]))
-            for i in range(0, len(taus), FIBER_STACK)
-        ]
-    )
+    return np.array([cmath.exp(1j * th) for th in thetas])
 
 
-def _branch_values(fiber, thetas, rows) -> np.ndarray:
-    """Eigenvalue ``rows[i]`` of the fiber matrix at ``thetas[i]``, for every i."""
-    return _fiber_levels(fiber, thetas)[np.arange(len(rows)), rows]
+def _branch_values(fibers, chans, thetas, rows) -> np.ndarray:
+    """Eigenvalue ``rows[i]`` of the fiber matrix of channel ``chans[i]`` at ``thetas[i]``, for every i."""
+    return _fiber_levels(fibers, chans, _multipliers(thetas))[np.arange(len(rows)), rows]
 
 
-def _golden_extrema(fiber, lo, hi, rows, signs) -> np.ndarray:
+def _golden_extrema(fibers, chans, lo, hi, rows, signs) -> np.ndarray:
     """Extreme values of eigenvalue branches by golden-section search, in lockstep.
 
-    Search i minimises ``signs[i] * E_rows[i](theta)`` on ``[lo[i], hi[i]]`` and
-    returns the extreme value of the branch.  Each search keeps its own
-    bracket and stop rule; one iteration solves the new probes of all
-    searches still running as one stack.
+    Search i minimises ``signs[i] * E_rows[i](theta)`` of channel ``chans[i]``
+    on ``[lo[i], hi[i]]`` and returns the extreme value of the branch.  Each
+    search keeps its own bracket and stop rule; one iteration solves the new
+    probes of all searches still running, of every channel, as stacks.
     """
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c = b - INVPHI * (b - a)
     d = a + INVPHI * (b - a)
-    fc = signs * _branch_values(fiber, c, rows)
-    fd = signs * _branch_values(fiber, d, rows)
+    n = a.size
+    values = _branch_values(fibers, np.tile(chans, 2), np.concatenate([c, d]), np.tile(rows, 2))
+    fc, fd = signs * values[:n], signs * values[n:]
     active = np.flatnonzero(b - a > GOLDEN_TOL)
     while active.size:
         to_left = fc[active] < fd[active]
@@ -365,7 +382,7 @@ def _golden_extrema(fiber, lo, hi, rows, signs) -> np.ndarray:
         d[right] = a[right] + INVPHI * (b[right] - a[right])
         probes = np.concatenate([left, right])
         values = signs[probes] * _branch_values(
-            fiber, np.concatenate([c[left], d[right]]), rows[probes]
+            fibers, chans[probes], np.concatenate([c[left], d[right]]), rows[probes]
         )
         fc[left], fd[right] = values[: left.size], values[left.size :]
         active = active[b[active] - a[active] > GOLDEN_TOL]
@@ -375,35 +392,50 @@ def _golden_extrema(fiber, lo, hi, rows, signs) -> np.ndarray:
 def spectrum_block(
     block: BlockPeriodicJacobi, grid_size: int = 512
 ) -> list[tuple[float, float]]:
-    """Bands of a block channel: ranges of sorted eigenvalue branches over the circle.
+    """Bands of one block channel: ``spectrum_block_stack`` of that channel alone."""
+    return spectrum_block_stack([block], grid_size)[0]
+
+
+def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float, float]]]:
+    """Bands of each of many block channels of one period: ranges of sorted eigenvalue branches.
 
     Each sorted branch is continuous in the multiplier, so its range is an
-    interval.  The grid of fiber matrices is solved in stacks; then the grid
-    minimum and maximum of every non-constant branch are refined by
-    golden-section searches that run in lockstep, one stacked eigensolve per
-    iteration, before the branch ranges are merged.
+    interval.  Channel by channel, the grid of fiber matrices is solved in
+    stacks and only the grid minimum and maximum of each branch and their
+    thetas are kept.  Then the grid minimum and maximum of every non-constant
+    branch of every channel are refined by golden-section searches that all
+    run in one lockstep loop, before each channel's branch ranges are merged.
     """
     if grid_size < 16 or grid_size & (grid_size - 1) != 0:
         raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    fiber = block_period_matrix(block)
-    levels = _fiber_levels(fiber, thetas)
+    taus = _multipliers(thetas)
+    fibers = tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
     step = 2.0 * np.pi / grid_size
-    size = 2 * block.p
-    i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
-    grid_lo, grid_hi = levels[i_min, np.arange(size)], levels[i_max, np.arange(size)]
-    constant = grid_hi - grid_lo < 1e-13 * np.maximum(1.0, np.max(np.abs(levels), axis=0))
-    rows = np.flatnonzero(~constant)
-    lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
-    if rows.size:
-        centres = np.concatenate([thetas[i_min[rows]], thetas[i_max[rows]]])
-        signs = np.repeat([1.0, -1.0], rows.size)
-        extrema = _golden_extrema(
-            fiber, centres - step, centres + step, np.concatenate([rows, rows]), signs
-        )
-        lo[rows] = _first_min(extrema[: rows.size], grid_lo[rows])
-        hi[rows] = -_first_min(-extrema[rows.size :], -grid_hi[rows])  # max(x, y), same tie rule
-    return merge_intervals(zip(lo, hi))
+    size = 2 * blocks[0].p
+    grid_ranges, chans, rows, centres, signs = [], [], [], [], []
+    for chan in range(len(blocks)):
+        levels = _fiber_levels(fibers, np.full(grid_size, chan), taus)
+        i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
+        grid_lo, grid_hi = levels[i_min, np.arange(size)], levels[i_max, np.arange(size)]
+        constant = grid_hi - grid_lo < 1e-13 * np.maximum(1.0, np.max(np.abs(levels), axis=0))
+        moving = np.flatnonzero(~constant)
+        grid_ranges.append((grid_lo, grid_hi, moving))
+        chans.append(np.full(2 * moving.size, chan))
+        rows.append(np.concatenate([moving, moving]))
+        centres.append(np.concatenate([thetas[i_min[moving]], thetas[i_max[moving]]]))
+        signs.append(np.repeat([1.0, -1.0], moving.size))
+    chans, rows, centres, signs = map(np.concatenate, (chans, rows, centres, signs))
+    extrema = _golden_extrema(fibers, chans, centres - step, centres + step, rows, signs) if chans.size else centres
+    out, start = [], 0
+    for grid_lo, grid_hi, moving in grid_ranges:
+        n = moving.size
+        lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
+        lo[moving] = _first_min(extrema[start : start + n], grid_lo[moving])
+        hi[moving] = -_first_min(-extrema[start + n : start + 2 * n], -grid_hi[moving])  # max(x, y), same tie rule
+        out.append(merge_intervals(zip(lo, hi)))
+        start += 2 * n
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -587,20 +619,28 @@ def zigzag_channels(models) -> list[list[ChannelBands]]:
     ]
 
 
-def armchair_channels(model: ArmchairModel, grid_size: int = 512) -> list[ChannelBands]:
-    """Channel bands of an armchair model, k = 1..N, without the union.
+def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
+    """Channel bands of each armchair model, k = 1..N, without the union.
 
-    A branch range thinner than 1e-12 is reported as a flat level.
+    The block channels of all models go to one ``spectrum_block_stack``
+    call, so the models must share their potential period.  A branch range
+    thinner than 1e-12 is reported as a flat level.
     """
-    channels = []
-    for k, block in enumerate(decompose_armchair(model), start=1):
-        bands = spectrum_block(block, grid_size=grid_size)
-        ac_bands = tuple((lo, hi) for lo, hi in bands if hi - lo >= 1e-12)
-        flats = tuple(lo for lo, hi in bands if hi - lo < 1e-12)
-        channels.append(
-            ChannelBands(k=k, c_k=math.cos(math.pi * k / model.N), bands=ac_bands, flat_bands=flats)
-        )
-    return channels
+    blocks = [decompose_armchair(model) for model in models]
+    bands = iter(spectrum_block_stack([block for chans in blocks for block in chans], grid_size))
+    return [
+        [_block_channel_bands(k, model.N, next(bands)) for k in range(1, len(chans) + 1)]
+        for model, chans in zip(models, blocks)
+    ]
+
+
+def _block_channel_bands(k: int, N: int, bands) -> ChannelBands:
+    return ChannelBands(
+        k=k,
+        c_k=math.cos(math.pi * k / N),
+        bands=tuple((lo, hi) for lo, hi in bands if hi - lo >= 1e-12),
+        flat_bands=tuple(lo for lo, hi in bands if hi - lo < 1e-12),
+    )
 
 
 def armchair_unperturbed(N: int, vt: float) -> BandStructure:
@@ -626,7 +666,7 @@ def full_spectrum(model, grid_size: int = 512) -> BandStructure:
     if isinstance(model, ZigzagModel):
         (channels,) = zigzag_channels([model])
     elif isinstance(model, ArmchairModel):
-        channels = armchair_channels(model, grid_size)
+        (channels,) = armchair_channels([model], grid_size)
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
     return assemble_band_structure(channels)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import re
@@ -5,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from nanotube_bands import flat_field_amplitudes
+from nanotube_bands import cli, flat_field_amplitudes
 from nanotube_bands.cli import main
 
 
@@ -481,3 +483,77 @@ def test_asym_refuses_options_the_regime_does_not_read(tmp_path, capsys, potenti
     assert captured.out == ""
     regime = argv.split()[2]
     assert captured.err == f"error: regime {regime} does not read {unread}\n"
+
+
+@pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
+@pytest.mark.parametrize(
+    "argv, refused",
+    [
+        ("bands --N 2 --B 0.3 --grid 65536", None),
+        ("bands --N 2 --B 0.3 --grid 131072", "--grid"),
+        ("bands --N 2 --B 0.3 --grid 1099511627776", "--grid"),
+        ("sweep --N 2 --B-start 0 --B-stop 1 --B-steps 1024 --grid 16", None),
+        ("sweep --N 2 --B-start 0 --B-stop 1 --B-steps 1025 --grid 16", "--B-steps"),
+        ("sweep --N 2 --B-start 0 --B-stop 1 --B-steps 10000000000000 --grid 16", "--B-steps"),
+        ("sweep --N 2 --B-start 0 --B-steps 1 --grid 131072", "--grid"),
+    ],
+)
+def test_resolution_bounds(tmp_path, capsys, vfiles, lattice, argv, refused):
+    # --grid at most 2**16 and --B-steps at most 1024; beyond them a run used
+    # to end in a numpy memory error and a traceback
+    words = argv.split()
+    out = tmp_path / "out.txt"
+    code = main(words[:1] + ["--lattice", lattice] + words[1:] + ["--potential", vfiles["pm"], "--output", str(out)])
+    captured = capsys.readouterr()
+    if refused is None:
+        assert code == 0
+        assert out.read_text(encoding="utf-8").endswith("\n")
+    else:
+        assert code == 2
+        assert not out.exists() and captured.out == ""
+        assert captured.err.startswith(f"error: {refused} must be ")
+
+
+def run_in_process(argv):
+    """(exit code, stdout, stderr) of one ``main`` call, argparse exits included."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_built_once_gives_fresh_parser_results(monkeypatch, vfiles):
+    sequence = [
+        "bands --lattice armchair --N 3 --B 0.2 --grid 16 --potential {pm}",
+        "sweep --lattice zigzag --N 3 --B-start 0 --B-stop 1 --B-steps 2 --potential {pm}",
+        "asym --regime large_t_zigzag --N 3 --b 0.1 --t 40 --potential {pm}",
+        "verify --lattice armchair --N 3 --B 0.4 --potential {pm}",
+        "geometry --N 3 --B 0.5",
+        "bands --lattice hexagonal --N 3 --potential {pm}",  # argparse usage error
+        "asym --regime small_t --N 3 --ck 0.5 --t 2 --potential {pm}",  # refused option
+        "sweep --help",
+        "--help",
+        "bands --lattice zigzag --N 3 --b 0.1 --format csv --potential {pm}",
+        "bands --lattice zigzag --N 3",  # missing --potential
+        "geometry --N 3 --B 0.5 --cells",  # argparse: option without its value
+        "verify --lattice zigzag --N 3 --b 0.1 --potential {pm}",
+    ]
+    argvs = [argv.format(pm=vfiles["pm"]).split() for argv in sequence]
+    built = []
+    make_parser = cli.make_parser
+    monkeypatch.setattr(cli, "make_parser", lambda: built.append(1) or make_parser())
+    fresh = []
+    for argv in argvs:
+        cli._parser.cache_clear()
+        fresh.append(run_in_process(argv))
+    assert len(built) == len(argvs)
+    cli._parser.cache_clear()
+    built.clear()
+    shared = [run_in_process(argv) for argv in argvs]
+    assert built == [1]
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 0]
+    assert "usage: nanotube-bands sweep" in shared[7][1] and "invalid choice" in shared[5][2]

@@ -207,7 +207,7 @@ def test_armchair_sweep_matches_reference(tmp_path, monkeypatch):
         ArmchairModel(N=3, phases=cli.tube_geometry(3, B)[1], potential=PotentialProfile(potential), t=0.7)
         for B in Bs
     ]
-    per_step = [armchair_channels(model, 64) for model in models]
+    per_step = armchair_channels(models, 64)
     phases = [model.phases[0] for model in models]
     argv = "sweep --lattice armchair --N 3 --t 0.7 --B-start -0.4 --B-stop 1.2 --B-steps 3 --grid 64"
     for sig in PRECISIONS:
