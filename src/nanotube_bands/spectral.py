@@ -412,30 +412,29 @@ def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float,
     taus = _multipliers(thetas)
     fibers = tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
     step = 2.0 * np.pi / grid_size
-    size = 2 * blocks[0].p
-    grid_ranges, chans, rows, centres, signs = [], [], [], [], []
+    shape = (len(blocks), 2 * blocks[0].p)  # (channel, branch)
+    grid_lo, grid_hi, theta_lo, theta_hi = (np.empty(shape) for _ in range(4))
+    moving = np.empty(shape, dtype=bool)
     for chan in range(len(blocks)):
         levels = _fiber_levels(fibers, np.full(grid_size, chan), taus)
         i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
-        grid_lo, grid_hi = levels[i_min, np.arange(size)], levels[i_max, np.arange(size)]
-        constant = grid_hi - grid_lo < 1e-13 * np.maximum(1.0, np.max(np.abs(levels), axis=0))
-        moving = np.flatnonzero(~constant)
-        grid_ranges.append((grid_lo, grid_hi, moving))
-        chans.append(np.full(2 * moving.size, chan))
-        rows.append(np.concatenate([moving, moving]))
-        centres.append(np.concatenate([thetas[i_min[moving]], thetas[i_max[moving]]]))
-        signs.append(np.repeat([1.0, -1.0], moving.size))
-    chans, rows, centres, signs = map(np.concatenate, (chans, rows, centres, signs))
-    extrema = _golden_extrema(fibers, chans, centres - step, centres + step, rows, signs) if chans.size else centres
-    out, start = [], 0
-    for grid_lo, grid_hi, moving in grid_ranges:
-        n = moving.size
-        lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
-        lo[moving] = _first_min(extrema[start : start + n], grid_lo[moving])
-        hi[moving] = -_first_min(-extrema[start + n : start + 2 * n], -grid_hi[moving])  # max(x, y), same tie rule
-        out.append(merge_intervals(zip(lo, hi)))
-        start += 2 * n
-    return out
+        grid_lo[chan], grid_hi[chan] = levels[i_min, np.arange(shape[1])], levels[i_max, np.arange(shape[1])]
+        theta_lo[chan], theta_hi[chan] = thetas[i_min], thetas[i_max]
+        scale = np.maximum(1.0, np.max(np.abs(levels), axis=0))
+        moving[chan] = ~(grid_hi[chan] - grid_lo[chan] < 1e-13 * scale)
+    chans, rows = np.nonzero(moving)
+    n = chans.size
+    centres = np.concatenate([theta_lo[moving], theta_hi[moving]])
+    signs = np.repeat([1.0, -1.0], n)
+    extrema = (
+        _golden_extrema(fibers, np.tile(chans, 2), centres - step, centres + step, np.tile(rows, 2), signs)
+        if n
+        else centres
+    )
+    lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
+    lo[moving] = _first_min(extrema[:n], grid_lo[moving])
+    hi[moving] = -_first_min(-extrema[n:], -grid_hi[moving])  # max(x, y), same tie rule
+    return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
 
 
 # ---------------------------------------------------------------------------
@@ -626,21 +625,20 @@ def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
     call, so the models must share their potential period.  A branch range
     thinner than 1e-12 is reported as a flat level.
     """
-    blocks = [decompose_armchair(model) for model in models]
-    bands = iter(spectrum_block_stack([block for chans in blocks for block in chans], grid_size))
+    blocks = [block for model in models for block in decompose_armchair(model)]
+    bands = iter(spectrum_block_stack(blocks, grid_size))
     return [
-        [_block_channel_bands(k, model.N, next(bands)) for k in range(1, len(chans) + 1)]
-        for model, chans in zip(models, blocks)
+        [
+            ChannelBands(
+                k=k,
+                c_k=math.cos(math.pi * k / model.N),
+                bands=tuple((lo, hi) for lo, hi in chan if hi - lo >= 1e-12),
+                flat_bands=tuple(lo for lo, hi in chan if hi - lo < 1e-12),
+            )
+            for k, chan in zip(range(1, model.N + 1), bands)
+        ]
+        for model in models
     ]
-
-
-def _block_channel_bands(k: int, N: int, bands) -> ChannelBands:
-    return ChannelBands(
-        k=k,
-        c_k=math.cos(math.pi * k / N),
-        bands=tuple((lo, hi) for lo, hi in bands if hi - lo >= 1e-12),
-        flat_bands=tuple(lo for lo, hi in bands if hi - lo < 1e-12),
-    )
 
 
 def armchair_unperturbed(N: int, vt: float) -> BandStructure:
