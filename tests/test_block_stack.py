@@ -152,6 +152,14 @@ def test_model_channels_match_per_channel_reference(seed):
     assert_same_channels(got, ref_armchair_channels(model, grid))
 
 
+@pytest.mark.parametrize("N, q, t, B, grid", [(12, 12, 40.0, 0.0, 16), (2, 1, 0.05, 1.1, 512), (12, 7, 0.05, -2.0, 64)])
+def test_range_ends_match_per_channel_reference(N, q, t, B, grid):
+    rng = np.random.default_rng(100 * N + q)
+    model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+    (got,) = armchair_channels([model], grid)
+    assert_same_channels(got, ref_armchair_channels(model, grid))
+
+
 @pytest.mark.parametrize("steps, N, potential, grid", [(7, 4, [0.8, -0.45, 0.1], 64), (3, 9, [0.5], 16)])
 def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path, monkeypatch):
     monkeypatch.delenv("NANOTUBE_BANDS_PRECISION", raising=False)

@@ -10,10 +10,11 @@ field range steps onto a flat amplitude and a sweep of 16 channels at 17
 fields, more channels than one stacked eigensolve takes.  Two armchair
 sweeps pin the block channels of ``sweep``, one of them 54 channels at the
 default grid; the armchair ``bands`` cases cover both formats and B = 0,
-where channels k and N - k are complex conjugates.  The ``small_v_armchair`` cases pin
-the edges of the periodic Schroedinger operator for an odd and a one-site
-period; the other ``asym`` cases pin one run of every zigzag regime, with and
-without its optional reports.  A case may carry a fourth entry, the
+where channels k and N - k are complex conjugates.  The
+``small_v_armchair`` cases pin the edges of the periodic Schroedinger
+operator for an odd and a one-site period; the other ``asym`` cases pin one
+run of every zigzag regime, with and without its optional reports.  A case
+may carry a fourth entry, the
 ``NANOTUBE_BANDS_PRECISION`` it runs under; three cases pin zigzag ``bands``
 JSON, ``bands`` CSV and a ``sweep`` away from the default 12 digits.
 
