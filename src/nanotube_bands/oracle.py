@@ -5,6 +5,14 @@ exact quasi-momentum sample of the channel decomposition, so the eigenvalue
 multiset of the 2NL x 2NL matrix must equal the union of fiber-matrix spectra
 to machine precision.  The fiber matrices here keep the raw complex hoppings;
 gauge reduction would shift the sample points by the loop flux.
+
+The torus matrix is assembled from the hopping rules alone, with nothing taken
+from the channel formulas.  Its eigensolve uses only the rotation ``k -> k+1``
+that the torus commutes with: a unitary DFT over k splits the matrix into N
+blocks of size 2L, and the Frobenius norm of everything off those blocks is
+measured, not assumed.  That norm bounds the spectral norm, so by Weyl's
+theorem every torus level lies within it of a block level; a norm above the
+rounding level refuses the matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +29,9 @@ from .spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
 from .zigzag import channel_offdiagonals
 
 
+ROTATION_TOL = 1e-12  # off-block residual allowed, relative to max(1, max|H|)
+
+
 @dataclass(frozen=True)
 class FiniteHamiltonian:
     """Dense Hermitian matrix of the tube closed after L axial cells."""
@@ -35,10 +46,30 @@ class FiniteHamiltonian:
         return self.matrix.shape[0]
 
     def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
+        """Sorted levels, solved as N circumferential blocks of size 2L.
+
+        Sites are ordered (n, j, k) with k fastest, so a unitary DFT over k on
+        both sides turns a rotation-invariant matrix into N diagonal blocks.
+        The Frobenius norm of what lies off them bounds the distance from any
+        full-matrix level to a block level; above the rounding level the
+        matrix is refused rather than solved.
+        """
+        N = self.N
+        m = self.dimension // N
+        Ht = np.fft.ifft(np.fft.fft(self.matrix.reshape(m, N, m, N), axis=1, norm="ortho"), axis=3, norm="ortho")
+        diagonal = np.arange(N)
+        blocks = Ht[:, diagonal, :, diagonal]  # (N, m, m), a copy
+        Ht[:, diagonal, :, diagonal] = 0.0
+        off = float(np.linalg.norm(Ht))
+        bound = ROTATION_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
+        if off > bound:
+            raise InternalConsistencyError(
+                f"torus Hamiltonian is not rotation invariant: off-block norm {off} exceeds {bound}"
+            )
+        return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
-MAX_CELLS = 64  # dense eigensolves only; keeps dimensions at desk scale
+MAX_CELLS = 64  # bounds the dense 2NL x 2NL matrix the oracle assembles; keeps it at desk scale
 
 
 def _check_truncation(model, L: int) -> None:
@@ -46,55 +77,47 @@ def _check_truncation(model, L: int) -> None:
     if not isinstance(L, (int, np.integer)) or L < 1 or L % p != 0:
         raise InvalidTruncationError(f"axial length L = {L!r} must be a positive multiple of p = {p}")
     if L > MAX_CELLS:
-        raise InvalidTruncationError(f"axial length L = {L} exceeds the dense-solver cap {MAX_CELLS}")
+        raise InvalidTruncationError(f"axial length L = {L} exceeds the dense-matrix cap {MAX_CELLS}")
 
 
 def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:
     """Assemble the cyclic tube Hamiltonian directly from the hopping rules.
 
-    Rows are filled from the j = 0 sites only; the honeycomb is bipartite, so
-    every bond has exactly one such endpoint and accumulation handles the
-    multi-edges that appear for small L.
+    Site (n, j, k) is row (2n + j)N + k.  The honeycomb is bipartite, so every
+    bond is listed once from its j = 0 end, in the order (n, k, bond) with
+    each amplitude followed by its conjugate; one unbuffered ``np.add.at``
+    sums them in that order into the multi-edges that appear for small L.
     """
     _check_truncation(model, L)
     N = model.N
     dim = 2 * N * L
     H = np.zeros((dim, dim), dtype=complex)
+    sites = np.arange(dim)
+    # added onto the zeros, not assigned: a -0.0 product is stored as 0.0
+    H[sites, sites] += model.t * np.repeat(model.potential.extended(2 * L), N)
 
-    def idx(n, j, k):
-        return (n % L) * 2 * N + j * N + (k % N)
-
-    values = model.potential
-    for n in range(L):
-        for j in (0, 1):
-            for k in range(N):
-                H[idx(n, j, k), idx(n, j, k)] += model.t * values.value(2 * n + j)
-
+    # bond amplitudes and the (n, k) offsets of their j = 1 ends
     if isinstance(model, ZigzagModel):
-        e_plus = cmath.exp(1j * model.b)
-        e_minus = cmath.exp(-1j * model.b)
-        neighbours = lambda n, k: (
-            (e_minus, n - 1, k),      # phase b2 = -b
-            (e_plus, n - 1, k - 1),   # phase b1 = +b
-            (1.0, n, k),              # phase b3 = 0
-        )
+        amps = (cmath.exp(-1j * model.b), cmath.exp(1j * model.b), 1.0)  # phases b2 = -b, b1 = +b, b3 = 0
+        dn = (-1, -1, 0)
     elif isinstance(model, ArmchairModel):
         b1, b2, b3 = model.phases
-        neighbours = lambda n, k: (
-            (cmath.exp(1j * b2), n + 1, k),
-            (cmath.exp(1j * b1), n - 1, k - 1),
-            (cmath.exp(1j * b3), n, k),
-        )
+        amps = (cmath.exp(1j * b2), cmath.exp(1j * b1), cmath.exp(1j * b3))
+        dn = (1, -1, 0)
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
+    dk = (0, -1, 0)
 
-    for n in range(L):
-        for k in range(N):
-            row = idx(n, 0, k)
-            for amp, nn, kk in neighbours(n, k):
-                col = idx(nn, 1, kk)
-                H[row, col] += amp
-                H[col, row] += np.conj(amp)
+    n = np.arange(L)[:, None, None]
+    k = np.arange(N)[None, :, None]
+    rows = np.broadcast_to(2 * N * n + k, (L, N, 3))
+    cols = 2 * N * ((n + np.array(dn)) % L) + N + (k + np.array(dk)) % N
+    amps = np.array(amps, dtype=complex)
+    np.add.at(
+        H,
+        (np.stack([rows, cols], axis=-1).ravel(), np.stack([cols, rows], axis=-1).ravel()),
+        np.broadcast_to(np.stack([amps, amps.conj()], axis=-1), (L, N, 3, 2)).ravel(),
+    )
 
     herm = np.max(np.abs(H - H.conj().T))
     if herm > 1e-14 * max(1.0, np.max(np.abs(H))):
@@ -110,16 +133,14 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
     M = L // p
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
     if isinstance(model, ZigzagModel):
+        offdiag = np.stack([channel_offdiagonals(model, k) for k in range(1, model.N + 1)])
         diag = model.t * model.potential.period_values()
-        fibers = [
-            scalar_period_matrix(channel_offdiagonals(model, k), diag) for k in range(1, model.N + 1)
-        ]
+        period, wrap = scalar_period_matrix(offdiag, np.broadcast_to(diag, offdiag.shape))
     elif isinstance(model, ArmchairModel):
-        fibers = [block_period_matrix(block) for block in decompose_armchair(model)]
+        period, wrap = map(np.stack, zip(*map(block_period_matrix, decompose_armchair(model))))
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
-    eigs = [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus)) for period, wrap in fibers]
-    return np.sort(np.concatenate(eigs, axis=None))
+    return np.sort(np.linalg.eigvalsh(fiber_matrices(period[:, None], wrap[:, None], taus)), axis=None)
 
 
 @dataclass(frozen=True)
@@ -144,5 +165,5 @@ def compare_decomposition(model, L: int, tol: float = 1e-8) -> DecompositionRepo
         raise InternalConsistencyError(
             f"dimension mismatch: full {full.size} vs fiber union {fibers.size}"
         )
-    dev = float(np.max(np.abs(np.sort(full) - fibers)))
+    dev = float(np.max(np.abs(full - fibers)))
     return DecompositionReport(dim=full.size, max_abs_dev=dev, tolerance=tol)
