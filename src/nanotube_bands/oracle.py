@@ -56,10 +56,11 @@ class FiniteHamiltonian:
         """
         N = self.N
         m = self.dimension // N
-        Ht = np.fft.ifft(np.fft.fft(self.matrix.reshape(m, N, m, N), axis=1, norm="ortho"), axis=3, norm="ortho")
-        diagonal = np.arange(N)
-        blocks = Ht[:, diagonal, :, diagonal]  # (N, m, m), a copy
-        Ht[:, diagonal, :, diagonal] = 0.0
+        k = np.arange(N)
+        F = np.exp(-2j * np.pi / N * (np.outer(k, k) % N)) / np.sqrt(N)  # unitary DFT
+        Ht = (F @ (self.matrix.reshape(-1, N) @ F.conj().T).reshape(m, N, m * N)).reshape(m, N, m, N)
+        blocks = Ht[:, k, :, k]  # (N, m, m), a copy
+        Ht[:, k, :, k] = 0.0
         off = float(np.linalg.norm(Ht))
         bound = ROTATION_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
         if off > bound:
@@ -113,14 +114,15 @@ def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:
     rows = np.broadcast_to(2 * N * n + k, (L, N, 3))
     cols = 2 * N * ((n + np.array(dn)) % L) + N + (k + np.array(dk)) % N
     amps = np.array(amps, dtype=complex)
-    np.add.at(
-        H,
-        (np.stack([rows, cols], axis=-1).ravel(), np.stack([cols, rows], axis=-1).ravel()),
-        np.broadcast_to(np.stack([amps, amps.conj()], axis=-1), (L, N, 3, 2)).ravel(),
-    )
+    r = np.stack([rows, cols], axis=-1).ravel()
+    c = np.stack([cols, rows], axis=-1).ravel()
+    np.add.at(H, (r, c), np.broadcast_to(np.stack([amps, amps.conj()], axis=-1), (L, N, 3, 2)).ravel())
 
-    herm = np.max(np.abs(H - H.conj().T))
-    if herm > 1e-14 * max(1.0, np.max(np.abs(H))):
+    # H - H^H is 0 - 0 off the written entries, so its residual is taken on them only
+    r, c = np.concatenate([sites, r]), np.concatenate([sites, c])
+    written = H[r, c]
+    herm = np.max(np.abs(written - H[c, r].conj()))
+    if herm > 1e-14 * max(1.0, np.max(np.abs(written))):
         raise InternalConsistencyError(f"full Hamiltonian not Hermitian: residual {herm}")
     lattice = "zigzag" if isinstance(model, ZigzagModel) else "armchair"
     return FiniteHamiltonian(matrix=H, N=N, L=L, lattice=lattice)
