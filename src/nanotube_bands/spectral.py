@@ -131,17 +131,31 @@ def fiber_matrices(period, wrap, taus) -> np.ndarray:
     only: when the corners overlap the diagonal (m = r) or the bonds (m = 2r),
     the rounding of the sum depends on the order, and adding a zero elsewhere
     could flip the sign of a zero entry.
+
+    Every matrix is checked to be Hermitian to 1e-12 of max(1, its largest
+    entry).  Off the corners it holds the period matrix's entries, and the
+    corners mirror each other, so the residuals of the period matrices and
+    of the corners cover every entry; only when one exceeds 1e-12 is each
+    matrix weighed against its own scale.
     """
     taus = _check_unimodular(taus)[..., None, None]
     m, r = period.shape[-1], wrap.shape[-1]
-    shape = np.broadcast_shapes(period.shape[:-2], wrap.shape[:-2], taus.shape[:-2])
-    L = np.broadcast_to(period, shape + (m, m)).copy()
-    L[..., m - r :, :r] += taus * wrap
-    L[..., :r, m - r :] += np.conj(taus) * np.swapaxes(wrap.conj(), -1, -2)
-    residual = np.max(np.abs(L - np.conj(np.swapaxes(L, -1, -2))), axis=(-2, -1))
-    if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(-2, -1)))):
-        raise InternalConsistencyError("fiber matrix is not Hermitian")
+    corner = taus * wrap
+    L = np.empty(np.broadcast(period[..., 0, 0], corner[..., 0, 0]).shape + (m, m), dtype=complex)
+    L[...] = period
+    lower, upper = L[..., m - r :, :r], L[..., :r, m - r :]
+    lower += corner
+    upper += np.swapaxes(corner.conj(), -1, -2)  # conj(tau) W^H, to the bit
+    if max(_adjoint_mismatch(period, period), _adjoint_mismatch(lower, upper)) > 1e-12:
+        residual = np.max(np.abs(L - np.conj(np.swapaxes(L, -1, -2))), axis=(-2, -1))
+        if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(-2, -1)))):
+            raise InternalConsistencyError("fiber matrix is not Hermitian")
     return L
+
+
+def _adjoint_mismatch(a, b) -> float:
+    """Largest entry of |a - b^H| over stacks of matrices (0 for empty stacks)."""
+    return np.abs(a - np.swapaxes(np.conj(b), -1, -2)).max(initial=0.0)
 
 
 def scalar_period_matrix(offdiag, diag) -> tuple[np.ndarray, np.ndarray]:
@@ -316,8 +330,8 @@ def _dimer_levels(pairs) -> np.ndarray:
 # block-channel sweep
 
 
-INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-GOLDEN_TOL = 1e-10  # a golden-section search stops once its bracket is this narrow
+NEWTON_TOL = 1e-10  # a Newton search stops once its next step or its bracket is this small
+NEWTON_MAX_ITER = 100  # probes per search; bisection alone needs at most 33 on a grid-16 bracket
 
 
 def _first_min(x, y) -> np.ndarray:
@@ -329,19 +343,9 @@ def _first_min(x, y) -> np.ndarray:
     return np.where(y < x, y, x)
 
 
-def _fiber_levels(fibers, chans, taus) -> np.ndarray:
-    """Sorted eigenvalues of L(taus[i]) of channel ``chans[i]``, for every i, as a (len(taus), m) array.
-
-    ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
-    channels.  Each probe pairs its own channel with its own multiplier, and
-    FIBER_STACK probes go to one eigensolve; ``eigvalsh`` solves every matrix
-    of a stack on its own, so a probe's levels do not depend on its stack.
-    """
-    periods, wraps = fibers
-    stacks = [slice(i, i + FIBER_STACK) for i in range(0, len(taus), FIBER_STACK)]
-    return np.concatenate(
-        [np.linalg.eigvalsh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s])) for s in stacks]
-    )
+def _stacks(n: int) -> list[slice]:
+    """Consecutive slices of at most FIBER_STACK of n probes, one eigensolve each."""
+    return [slice(i, i + FIBER_STACK) for i in range(0, n, FIBER_STACK)]
 
 
 def _multipliers(thetas) -> np.ndarray:
@@ -353,40 +357,92 @@ def _multipliers(thetas) -> np.ndarray:
     return np.array([cmath.exp(1j * th) for th in thetas])
 
 
-def _branch_values(fibers, chans, thetas, rows) -> np.ndarray:
-    """Eigenvalue ``rows[i]`` of the fiber matrix of channel ``chans[i]`` at ``thetas[i]``, for every i."""
-    return _fiber_levels(fibers, chans, _multipliers(thetas))[np.arange(len(rows)), rows]
+def _branch_derivatives(fibers, chans, thetas, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalue ``rows[i]`` of channel ``chans[i]`` at ``thetas[i]`` and its first two theta derivatives.
 
-
-def _golden_extrema(fibers, chans, lo, hi, rows, signs) -> np.ndarray:
-    """Extreme values of eigenvalue branches by golden-section search, in lockstep.
-
-    Search i minimises ``signs[i] * E_rows[i](theta)`` of channel ``chans[i]``
-    on ``[lo[i], hi[i]]`` and returns the extreme value of the branch.  Each
-    search keeps its own bracket and stop rule; one iteration solves the new
-    probes of all searches still running, of every channel, as stacks.
+    ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
+    channels.  Each probe pairs its own channel with its own multiplier, and
+    FIBER_STACK probes go to one ``eigh``, which solves every matrix of a
+    stack on its own; the derivatives are elementwise sums over the probe's
+    own vectors, so a probe's values do not depend on its stack.  theta
+    enters only through the corners: L' holds i*tau*W on the lower-left one
+    and -i*conj(tau)*W^H on the upper-right, L'' holds -tau*W and
+    -conj(tau)*W^H there.  Then E' = v^H L' v (Hellmann-Feynman) and
+    E'' = v^H L'' v + 2 sum_{j != r} |v_j^H L' v|^2 / (E_r - E_j); at p = 1
+    both corners are the whole matrix, so their terms are added, never one
+    in place of the other.  A degenerate level gives a non-finite E''.
     """
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c = b - INVPHI * (b - a)
-    d = a + INVPHI * (b - a)
-    n = a.size
-    values = _branch_values(fibers, np.tile(chans, 2), np.concatenate([c, d]), np.tile(rows, 2))
-    fc, fd = signs * values[:n], signs * values[n:]
-    active = np.flatnonzero(b - a > GOLDEN_TOL)
-    while active.size:
-        to_left = fc[active] < fd[active]
-        left, right = active[to_left], active[~to_left]  # keep [a, d] or [c, b]
-        b[left], d[left], fd[left] = d[left], c[left], fc[left]
-        c[left] = b[left] - INVPHI * (b[left] - a[left])
-        a[right], c[right], fc[right] = c[right], d[right], fd[right]
-        d[right] = a[right] + INVPHI * (b[right] - a[right])
-        probes = np.concatenate([left, right])
-        values = signs[probes] * _branch_values(
-            fibers, chans[probes], np.concatenate([c[left], d[right]]), rows[probes]
+    periods, wraps = fibers
+    taus = _multipliers(thetas)
+    solved = [np.linalg.eigh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s])) for s in _stacks(len(taus))]
+    levels = np.concatenate([w for w, _ in solved])
+    vectors = np.concatenate([v for _, v in solved])
+    i = np.arange(len(rows))
+    m, r = vectors.shape[-1], wraps.shape[-1]
+    wrap, v = wraps[chans], vectors[i, :, rows]
+    top, bot = v[:, :r], v[:, m - r :]
+    w_top = (wrap * top[:, None, :]).sum(-1)  # W v_top
+    wh_bot = (wrap.conj() * bot[:, :, None]).sum(-2)  # W^H v_bot
+    g = taus * (bot.conj() * w_top).sum(-1)  # tau v_bot^H W v_top: E' = -2 Im g, v^H L'' v = -2 Re g
+    # every V_j^H L' v, the lower-left corner's term plus the upper-right one's
+    coupling = (vectors[:, m - r :, :].conj() * (1j * taus[:, None] * w_top)[:, :, None]).sum(1) + (
+        vectors[:, :r, :].conj() * (-1j * taus.conj()[:, None] * wh_bot)[:, :, None]
+    ).sum(1)
+    level = levels[i, rows]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = (coupling.real**2 + coupling.imag**2) / (level[:, None] - levels)
+    terms[i, rows] = 0.0
+    return level, -2.0 * g.imag, -2.0 * g.real + 2.0 * terms.sum(-1)
+
+
+def _newton_extrema(fibers, chans, centres, step, rows, signs) -> np.ndarray:
+    """Extreme values of eigenvalue branches by safeguarded Newton searches in theta, in lockstep.
+
+    Search i minimises f = ``signs[i] * E_rows[i](theta)`` of channel
+    ``chans[i]`` from ``centres[i]`` inside the bracket
+    ``[centres[i] - step, centres[i] + step]`` and returns the most extreme
+    branch value it probed.  Each probe gives f, f' and f''; the sign of f'
+    moves one end of the bracket to the probe (at a maximum, f' = 0 > f'',
+    the upper end).  The next probe is the Newton step when f'' > 0, the
+    step lands strictly inside the bracket and it is at most half the step
+    before last, else the midpoint of the bracket.  Bisection converges on
+    kinks where two branches cross and on near-degenerate branches; the
+    step rule (that of Numerical Recipes' ``rtsafe``) keeps Newton from
+    cycling across a kink between two convex pieces.  A search stops once
+    its next step or its bracket is at most NEWTON_TOL; one still running
+    after NEWTON_MAX_ITER probes is an internal error.  Each search keeps its
+    own bracket and stop rule; one iteration solves the probes of all
+    searches still running, of every channel, as stacks.
+    """
+    theta = np.array(centres, dtype=float)
+    lo, hi = theta - step, theta + step
+    best = np.full(theta.shape, np.inf)
+    last = hi - lo  # the last step of each search
+    before = last.copy()  # and the one before it
+    active = np.arange(theta.size)
+    for _ in range(NEWTON_MAX_ITER):
+        if not active.size:
+            break
+        sign, th = signs[active], theta[active]
+        f, df, ddf = (sign * x for x in _branch_derivatives(fibers, chans[active], th, rows[active]))
+        best[active] = _first_min(best[active], f)
+        descends_left = (df > 0) | ((df == 0) & (ddf < 0))
+        hi[active[descends_left]] = th[descends_left]
+        lo[active[df < 0]] = th[df < 0]
+        a, b = lo[active], hi[active]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = th - df / ddf
+        usable = (ddf > 0) & (a < newton) & (newton < b) & (np.abs(newton - th) <= 0.5 * before[active])
+        theta[active] = np.where(usable, newton, 0.5 * (a + b))
+        moved = np.abs(theta[active] - th)
+        before[active], last[active] = last[active], moved
+        active = active[(moved > NEWTON_TOL) & (b - a > NEWTON_TOL)]
+    if active.size:
+        raise InternalConsistencyError(
+            f"block-channel edge search did not converge in {NEWTON_MAX_ITER} probes "
+            f"(bracket {hi[active[0]] - lo[active[0]]:.3g} around theta {theta[active[0]]!r})"
         )
-        fc[left], fd[right] = values[: left.size], values[left.size :]
-        active = active[b[active] - a[active] > GOLDEN_TOL]
-    return signs * _first_min(fc, fd)
+    return signs * best
 
 
 def spectrum_block(
@@ -400,23 +456,34 @@ def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float,
     """Bands of each of many block channels of one period: ranges of sorted eigenvalue branches.
 
     Each sorted branch is continuous in the multiplier, so its range is an
-    interval.  Channel by channel, the grid of fiber matrices is solved in
-    stacks and only the grid minimum and maximum of each branch and their
-    thetas are kept.  Then the grid minimum and maximum of every non-constant
-    branch of every channel are refined by golden-section searches that all
-    run in one lockstep loop, before each channel's branch ranges are merged.
+    interval; ``_block_branch_ranges`` finds the ranges of every branch of
+    every channel, and each channel's ranges are merged into its bands.
+    """
+    return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(*_block_branch_ranges(blocks, grid_size))]
+
+
+def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and maximum of every sorted eigenvalue branch, as two (channel, branch) arrays.
+
+    Channel by channel, the grid of fiber matrices is solved in stacks and
+    only the grid minimum and maximum of each branch and their thetas are
+    kept.  Then the grid minimum and maximum of every non-constant branch of
+    every channel are refined by safeguarded Newton searches that all run in
+    one lockstep loop (``_newton_extrema``), each seeded at its grid point
+    within one grid step either side; a refined value replaces the grid one
+    only when it is more extreme.
     """
     if grid_size < 16 or grid_size & (grid_size - 1) != 0:
         raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     taus = _multipliers(thetas)
     fibers = tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
-    step = 2.0 * np.pi / grid_size
     shape = (len(blocks), 2 * blocks[0].p)  # (channel, branch)
     grid_lo, grid_hi, theta_lo, theta_hi = (np.empty(shape) for _ in range(4))
     moving = np.empty(shape, dtype=bool)
     for chan in range(len(blocks)):
-        levels = _fiber_levels(fibers, np.full(grid_size, chan), taus)
+        period, wrap = fibers[0][chan], fibers[1][chan]
+        levels = np.concatenate([np.linalg.eigvalsh(fiber_matrices(period, wrap, taus[s])) for s in _stacks(grid_size)])
         i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
         grid_lo[chan], grid_hi[chan] = levels[i_min, np.arange(shape[1])], levels[i_max, np.arange(shape[1])]
         theta_lo[chan], theta_hi[chan] = thetas[i_min], thetas[i_max]
@@ -426,15 +493,11 @@ def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float,
     n = chans.size
     centres = np.concatenate([theta_lo[moving], theta_hi[moving]])
     signs = np.repeat([1.0, -1.0], n)
-    extrema = (
-        _golden_extrema(fibers, np.tile(chans, 2), centres - step, centres + step, np.tile(rows, 2), signs)
-        if n
-        else centres
-    )
+    extrema = _newton_extrema(fibers, np.tile(chans, 2), centres, 2.0 * np.pi / grid_size, np.tile(rows, 2), signs)
     lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
     lo[moving] = _first_min(extrema[:n], grid_lo[moving])
     hi[moving] = -_first_min(-extrema[n:], -grid_hi[moving])  # max(x, y), same tie rule
-    return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,22 @@
-"""The stacked block-channel routine against the per-channel one it replaced.
+"""The block-channel edges: Newton refinement against the golden-section routine it replaced.
 
 ``spectrum_block_stack`` refines the branch extrema of every channel it is
-given -- all channels of a model, or of every field step of a sweep -- in one
-lockstep golden-section loop, each probe pairing its own channel with its own
-multiplier.  The reference below is the former one-channel ``spectrum_block``
-with its own ``_golden_extrema`` loop, kept verbatim.  ``eigvalsh`` solves the
-matrices of a stack one by one and every search visits the same thetas, so
-the edges must agree to the bit: they are compared as ``tobytes`` of float
-arrays, where 0.0 and -0.0 differ.
+given -- all channels of a model, or of every field step of a sweep -- by
+safeguarded Newton searches in one lockstep loop, each probe pairing its own
+channel with its own multiplier.  Two properties are checked:
+
+* Stacking.  ``eigh`` solves the matrices of a stack one by one and every
+  search visits the same thetas whatever else runs in its loop, so a
+  channel's edges are the same bits whether it is solved alone or in a model
+  or sweep stack.  They are compared as ``tobytes`` of float arrays, where
+  0.0 and -0.0 differ.
+* Accuracy.  The reference below is the former one-channel
+  ``spectrum_block`` with its own golden-section loop, kept verbatim with
+  its two constants.  Every refined edge is at least as extreme as the
+  golden-section edge up to 16 ulps of the channel's largest level
+  (golden section keeps the most extreme of ~41 rounded probes, Newton of
+  ~5), and within 1e-13 of that scale of a dense zoom-grid reference
+  (``block_reference``).
 """
 
 from __future__ import annotations
@@ -16,18 +25,22 @@ import cmath
 import contextlib
 import io
 import math
+import os
+import tempfile
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from block_reference import assert_edges, dense_branch_ranges
 from nanotube_bands import cli, spectral
 from nanotube_bands.armchair import BlockPeriodicJacobi, decompose_armchair, tube_geometry
 from nanotube_bands.core import ArmchairModel, PotentialProfile
 from nanotube_bands.errors import InternalConsistencyError, InvalidParameterError
+from nanotube_bands.oracle import build_full_hamiltonian
 from nanotube_bands.spectral import (
     FIBER_STACK,
-    GOLDEN_TOL,
-    INVPHI,
     armchair_channels,
     block_period_matrix,
     fiber_matrices,
@@ -35,8 +48,11 @@ from nanotube_bands.spectral import (
     spectrum_block_stack,
 )
 
+INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_TOL = 1e-10  # a golden-section search stops once its bracket is this narrow
+
 # ---------------------------------------------------------------------------
-# reference: one channel at a time
+# reference: one channel at a time, by golden section
 
 
 def ref_fiber_levels(fiber, thetas):
@@ -74,7 +90,7 @@ def ref_golden_extrema(fiber, lo, hi, rows, signs):
     return signs * np.where(fd < fc, fd, fc)
 
 
-def ref_spectrum_block(block, grid_size):
+def ref_branch_ranges(block, grid_size):
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     fiber = block_period_matrix(block)
     levels = ref_fiber_levels(fiber, thetas)
@@ -91,22 +107,15 @@ def ref_spectrum_block(block, grid_size):
         extrema = ref_golden_extrema(fiber, centres - step, centres + step, np.concatenate([rows, rows]), signs)
         lo[rows] = np.where(grid_lo[rows] < extrema[: rows.size], grid_lo[rows], extrema[: rows.size])
         hi[rows] = -np.where(-grid_hi[rows] < -extrema[rows.size :], -grid_hi[rows], -extrema[rows.size :])
-    return spectral.merge_intervals(zip(lo, hi))
+    return lo, hi
 
 
-def ref_armchair_channels(model, grid_size):
-    out = []
-    for k, block in enumerate(decompose_armchair(model), start=1):
-        bands = ref_spectrum_block(block, grid_size)
-        out.append(
-            spectral.ChannelBands(
-                k=k,
-                c_k=math.cos(math.pi * k / model.N),
-                bands=tuple((lo, hi) for lo, hi in bands if hi - lo >= 1e-12),
-                flat_bands=tuple(lo for lo, hi in bands if hi - lo < 1e-12),
-            )
-        )
-    return out
+def ref_spectrum_block(block, grid_size):
+    return spectral.merge_intervals(zip(*ref_branch_ranges(block, grid_size)))
+
+
+# ---------------------------------------------------------------------------
+# the properties
 
 
 def bits(bands) -> bytes:
@@ -118,6 +127,15 @@ def assert_same_channels(got, want):
     for g, w in zip(got, want):
         assert bits(g.bands) == bits(w.bands), g.k
         assert bits(g.flat_bands) == bits(w.flat_bands), g.k
+
+
+def check_stack(blocks, grid_size):
+    """Branch ranges of a stack of channels: the bits of each channel alone, and accurate."""
+    lo, hi = spectral._block_branch_ranges(blocks, grid_size)
+    for block, chan_lo, chan_hi in zip(blocks, lo, hi):
+        alone_lo, alone_hi = spectral._block_branch_ranges([block], grid_size)
+        assert chan_lo.tobytes() == alone_lo[0].tobytes() and chan_hi.tobytes() == alone_hi[0].tobytes()
+        assert_edges(chan_lo, chan_hi, *ref_branch_ranges(block, grid_size), *dense_branch_ranges(block, grid_size))
 
 
 def flat_block(p, v):
@@ -148,16 +166,14 @@ def seeded_model(seed):
 @pytest.mark.parametrize("seed", range(15))
 def test_model_channels_match_per_channel_reference(seed):
     model, grid = seeded_model(seed)
-    (got,) = armchair_channels([model], grid)
-    assert_same_channels(got, ref_armchair_channels(model, grid))
+    check_stack(decompose_armchair(model), grid)
 
 
 @pytest.mark.parametrize("N, q, t, B, grid", [(12, 12, 40.0, 0.0, 16), (2, 1, 0.05, 1.1, 512), (12, 7, 0.05, -2.0, 64)])
 def test_range_ends_match_per_channel_reference(N, q, t, B, grid):
     rng = np.random.default_rng(100 * N + q)
     model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(rng.uniform(-1, 1, q)), t=t)
-    (got,) = armchair_channels([model], grid)
-    assert_same_channels(got, ref_armchair_channels(model, grid))
+    check_stack(decompose_armchair(model), grid)
 
 
 @pytest.mark.parametrize("steps, N, potential, grid", [(7, 4, [0.8, -0.45, 0.1], 64), (3, 9, [0.5], 16)])
@@ -165,10 +181,10 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
     monkeypatch.delenv("NANOTUBE_BANDS_PRECISION", raising=False)
     Bs = list(np.linspace(-2.0, 3.0, steps))
     models = [ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(potential), t=1.7) for B in Bs]
-    per_step = armchair_channels(models, grid)
-    want = [ref_armchair_channels(model, grid) for model in models]
-    for got, ref in zip(per_step, want):
-        assert_same_channels(got, ref)
+    per_step = [armchair_channels([model], grid)[0] for model in models]
+    for got, want in zip(armchair_channels(models, grid), per_step):
+        assert_same_channels(got, want)
+    check_stack([block for model in models for block in decompose_armchair(model)], grid)
     # the CLI writes those channels: one row per interval of each step and channel
     pot = tmp_path / "v.json"
     pot.write_text(str(potential))
@@ -178,7 +194,7 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
         assert cli.main(argv.split() + ["--potential", str(pot)]) == 0
     rows = [
         (B, model.phases[0], ch.k, idx, lo, hi)
-        for B, model, channels in zip(Bs, models, want)
+        for B, model, channels in zip(Bs, models, per_step)
         for ch in channels
         for idx, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)
     ]
@@ -196,16 +212,17 @@ def test_mixed_stack_with_constant_channels_matches_reference():
     blocks.insert(2, flat_block(2, rng.uniform(-1, 1, 4)))
     blocks.append(flat_block(2, rng.uniform(-1, 1, 4)))
     for grid in (16, 64):
+        check_stack(blocks, grid)
         got = spectrum_block_stack(blocks, grid)
         for block, bands in zip(blocks, got):
-            assert bits(bands) == bits(ref_spectrum_block(block, grid))
+            assert bits(bands) == bits(spectrum_block_stack([block], grid)[0])
+    # a constant branch keeps its grid value, the golden-section reference's too
     assert spectrum_block_stack(blocks[2:3], 16) == [ref_spectrum_block(blocks[2], 16)]
     assert all(hi - lo < 1e-12 for lo, hi in spectrum_block_stack([blocks[2]], 16)[0])
 
 
-def test_lockstep_searches_that_finish_at_different_iterations(monkeypatch):
-    # brackets of the widths of grids 16 and 4096 on two channels: the narrow
-    # searches stop about 11 iterations before the wide ones
+def lockstep_case():
+    """Searches on two channels with brackets of the widths of grids 16 and 4096, at random thetas."""
     rng = np.random.default_rng(32)
     model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(rng.uniform(-1, 1, 3)), t=2.0)
     blocks = decompose_armchair(model)[:2]
@@ -216,25 +233,34 @@ def test_lockstep_searches_that_finish_at_different_iterations(monkeypatch):
     chans = np.repeat([0, 0, 1, 1], size)
     width = np.repeat([2 * math.pi / 16, 2 * math.pi / 16, 2 * math.pi / 4096, 2 * math.pi / 4096], size)
     centres = rng.uniform(0, 2 * math.pi, rows.size)
+    return fibers, chans, centres, width, rows, signs
 
+
+def test_lockstep_searches_that_finish_at_different_iterations(monkeypatch):
+    fibers, chans, centres, width, rows, signs = lockstep_case()
     probes_per_call = []
-    branch_values = spectral._branch_values
+    derivatives = spectral._branch_derivatives
 
     def counting(fibers, chans, thetas, rows):
         probes_per_call.append(len(thetas))
-        return branch_values(fibers, chans, thetas, rows)
+        return derivatives(fibers, chans, thetas, rows)
 
-    monkeypatch.setattr(spectral, "_branch_values", counting)
-    got = spectral._golden_extrema(fibers, chans, centres - width, centres + width, rows, signs)
-    for chan, block in enumerate(blocks):
+    monkeypatch.setattr(spectral, "_branch_derivatives", counting)
+    got = spectral._newton_extrema(fibers, chans, centres, width, rows, signs)
+    lockstep = list(probes_per_call)
+    for chan in (0, 1):
         mine = chans == chan
-        want = ref_golden_extrema(
-            block_period_matrix(block), (centres - width)[mine], (centres + width)[mine], rows[mine], signs[mine]
-        )
+        alone = tuple(part[chan : chan + 1] for part in fibers)
+        want = spectral._newton_extrema(alone, np.zeros(mine.sum(), dtype=int), centres[mine], width[mine], rows[mine], signs[mine])
         assert got[mine].tobytes() == want.tobytes()
-    assert probes_per_call[0] == 2 * rows.size and probes_per_call[1] == rows.size
-    assert probes_per_call[-1] == rows.size // 2  # the wide searches run on alone
-    assert probes_per_call.count(rows.size // 2) >= 10
+    for search in range(rows.size):  # and every search alone
+        probes_per_call.clear()
+        one = np.array([search])
+        want = spectral._newton_extrema(fibers, chans[one], centres[one], width[one], rows[one], signs[one])
+        assert got[one].tobytes() == want.tobytes()
+        assert probes_per_call == [1] * len(probes_per_call)
+    assert lockstep[0] == rows.size and lockstep == sorted(lockstep, reverse=True)
+    assert len(set(lockstep)) >= 3 and lockstep[-1] < rows.size // 2  # searches stop at different iterations
 
 
 def test_stacks_of_different_periods_are_refused():
@@ -295,12 +321,138 @@ def test_paired_multipliers_match_one_matrix_builds(kind):
 
 
 def test_paired_multipliers_keep_both_checks():
-    model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile([0.5, -0.5]), t=1.0)
-    periods, wraps = (np.stack(x) for x in zip(*map(block_period_matrix, decompose_armchair(model))))
-    taus = np.exp(1j * np.arange(4.0))
-    with pytest.raises(InvalidParameterError):
-        fiber_matrices(periods, wraps, np.where(np.arange(4) == 3, 1.01 * taus, taus))
-    broken = periods.copy()
-    broken[2, 0, 1] += 1e-6  # one matrix of the stack is not Hermitian
-    with pytest.raises(InternalConsistencyError):
-        fiber_matrices(broken, wraps, taus)
+    for p in (1, 2, 5):  # p = 1 puts both corners on the whole matrix, p = 2 on the bonds
+        model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(np.linspace(0.5, -0.5, 2 * p)), t=1.0)
+        periods, wraps = (np.stack(x) for x in zip(*map(block_period_matrix, decompose_armchair(model))))
+        m = 2 * p
+        taus = np.exp(1j * np.arange(4.0))
+        with pytest.raises(InvalidParameterError):
+            fiber_matrices(periods, wraps, np.where(np.arange(4) == 3, 1.01 * taus, taus))
+        # off the corners (for p > 1), in the lower-left corner and in the upper-right one
+        for entry in ((0, 1), (m - 1, 0), (1, m - 2)):
+            broken = periods.copy()
+            broken[(2,) + entry] += 1e-6  # one matrix of the stack is not Hermitian
+            with pytest.raises(InternalConsistencyError):
+                fiber_matrices(broken, wraps, taus)
+            with pytest.raises(InternalConsistencyError):
+                fiber_matrices(broken[2], wraps[2], taus)  # one period at every multiplier
+            broken[(2,) + entry] = periods[(2,) + entry] + 1e-13  # within the tolerance
+            fiber_matrices(broken, wraps, taus)
+
+
+# ---------------------------------------------------------------------------
+# the Newton search
+
+
+def block_fibers(blocks):
+    return tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
+
+
+@pytest.mark.parametrize("p", [1, 2, 5])
+def test_branch_derivatives_match_finite_differences(p):
+    # p = 1 puts both corners of L' on the whole matrix and p = 2 on the bonds:
+    # a corner term assigned over the other one instead of added to it is off by O(1)
+    rng = np.random.default_rng(40 + p)
+    model = ArmchairModel(5, tuple(rng.normal(size=3)), PotentialProfile(rng.uniform(-1, 1, 2 * p)), t=1.3)
+    blocks = decompose_armchair(model)
+    fibers = block_fibers(blocks)
+    chans = rng.integers(0, len(blocks), 60)
+    rows = rng.integers(0, 2 * p, 60)
+    thetas = rng.uniform(0.0, 2 * math.pi, 60)
+    level, slope, curvature = spectral._branch_derivatives(fibers, chans, thetas, rows)
+    h = 1e-4
+    values = np.array([
+        ref_fiber_levels(block_period_matrix(blocks[c]), [th - h, th, th + h])
+        for c, th in zip(chans, thetas)
+    ])  # (probe, theta, level)
+    down, mid, up = values[np.arange(60), :, rows].T
+    gaps = np.abs(values[:, 1] - mid[:, None])
+    gaps[np.arange(60), rows] = np.inf
+    apart = np.min(gaps, axis=1) > 0.05  # finite differences need the other levels well away
+    assert apart.sum() >= 30
+    np.testing.assert_allclose(level, mid, rtol=0, atol=1e-13)  # eigh and eigvalsh round apart
+    np.testing.assert_allclose(slope[apart], ((up - down) / (2 * h))[apart], rtol=0, atol=1e-6)
+    np.testing.assert_allclose(curvature[apart], ((up - 2 * mid + down) / h**2)[apart], rtol=0, atol=1e-4)
+
+
+def crossing_block(phi):
+    """p = 1 channel with fiber matrices diag(2 cos(theta), 2 cos(theta + phi)): two branches that cross."""
+    return BlockPeriodicJacobi(p=1, a_block=np.diag([1.0, np.exp(-1j * phi)]), d_blocks=np.zeros((1, 2, 2)))
+
+
+def test_kink_at_the_extremum_is_bisected_to_the_bracket():
+    # the upper branch max(2 cos(theta), 2 cos(theta + 1)) has its minimum at the
+    # crossing theta = pi - 1/2, where both pieces are convex and their Newton
+    # steps point past the kink: only bisection gets there
+    lo, hi = spectral._block_branch_ranges([crossing_block(1.0)], 64)
+    slope = 2.0 * math.sin(0.5)
+    exact = -2.0 * math.cos(0.5)
+    assert exact - 4 * np.finfo(float).eps <= lo[0, 1] <= exact + slope * spectral.NEWTON_TOL
+    assert -exact - slope * spectral.NEWTON_TOL <= hi[0, 0] <= -exact + 4 * np.finfo(float).eps
+    assert (lo[0, 0], hi[0, 1]) == (-2.0, 2.0)  # smooth extrema on the grid
+
+
+def test_constant_branch_stops_at_its_first_probe(monkeypatch):
+    block = flat_block(2, [0.3, -0.6, 0.1, 0.9])
+    fibers = block_fibers([block])
+    calls = []
+    derivatives = spectral._branch_derivatives
+
+    def counting(fibers, chans, thetas, rows):
+        calls.append(derivatives(fibers, chans, thetas, rows))
+        return calls[-1]
+
+    monkeypatch.setattr(spectral, "_branch_derivatives", counting)
+    rows = np.tile(np.arange(4), 2)
+    signs = np.repeat([1.0, -1.0], 4)
+    got = spectral._newton_extrema(fibers, np.zeros(8, dtype=int), np.full(8, 0.7), 0.1, rows, signs)
+    ((level, slope, curvature),) = calls  # one probe each: f' = f'' = 0 at the centre
+    assert not slope.any() and not curvature.any()
+    assert got.tobytes() == level.tobytes()
+
+
+def test_search_that_does_not_converge_is_an_internal_error(monkeypatch, tmp_path):
+    monkeypatch.delenv("NANOTUBE_BANDS_PRECISION", raising=False)
+    model = ArmchairModel(3, tube_geometry(3, 0.4)[1], PotentialProfile([0.5, -0.2, 0.1]), t=1.0)
+    monkeypatch.setattr(spectral, "NEWTON_MAX_ITER", 2)
+    with pytest.raises(InternalConsistencyError, match="did not converge in 2 probes"):
+        armchair_channels([model], 64)
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.5, -0.2, 0.1]")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(["bands", "--lattice", "armchair", "--N", "3", "--B", "0.4", "--grid", "64", "--potential", str(pot)])
+    assert code == 3 and "did not converge" in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# every torus level inside the printed union
+
+
+@st.composite
+def armchair_cases(draw):
+    N = draw(st.integers(2, 16))
+    q = draw(st.integers(1, 12))
+    seed = draw(st.integers(0, 2**32 - 1))
+    potential = [float(x) for x in np.random.default_rng(seed).uniform(-1.0, 1.0, q)]
+    return N, potential, 10.0 ** draw(st.floats(-4.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.sampled_from([16, 64]))
+
+
+@given(case=armchair_cases())
+@settings(max_examples=25, deadline=None)
+def test_torus_levels_lie_in_the_printed_union(case):
+    N, potential, t, B, grid = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "v.json")
+        with open(path, "w") as f:
+            json.dump(potential, f)
+        out = io.StringIO()
+        argv = ["bands", "--lattice", "armchair", "--N", str(N), "--B", repr(B), "--t", repr(t), "--grid", str(grid)]
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv + ["--potential", path]) == 0
+    union = np.array([(band["lo"], band["hi"]) for band in json.loads(out.getvalue())["union"]["bands"]])
+    model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(potential), t=t)
+    H = build_full_hamiltonian(model, 2 * model.potential.p)
+    levels = H.eigenvalues()
+    outside = np.maximum(union[:, 0][None, :] - levels[:, None], levels[:, None] - union[:, 1][None, :])
+    assert np.max(np.min(np.maximum(outside, 0.0), axis=1)) <= 1e-8 * max(1.0, float(np.max(np.abs(H.matrix))))
