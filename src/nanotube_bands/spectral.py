@@ -20,11 +20,15 @@ Block channels have no edge rule, so their bands are the ranges of the
 sorted eigenvalue branches over the unit circle: the fiber matrices of a
 grid of multipliers are diagonalised as stacks, channel by channel, and the
 grid extrema of all branches of all channels -- of a model, or of every
-field step of a sweep -- are refined by golden-section searches that advance
-together (``spectrum_block_stack``): each probe pairs its own channel with
-its own multiplier, and one iteration solves the new probes of every search
-still running in stacks of FIBER_STACK.  The union over channels is built by
-one sweep line over the sorted channel edges.
+field step of a sweep -- are refined by safeguarded Newton searches in theta
+that advance together (``spectrum_block_stack``).  theta enters a fiber
+matrix only through its wrap corners, so one ``eigh`` per probe gives the
+branch value, its slope (Hellmann-Feynman) and its curvature; a bracket
+around the grid point is bisected wherever Newton cannot be trusted, as at
+kinks where two branches cross.  Each probe pairs its own channel with its
+own multiplier, and one iteration solves the probes of every search still
+running in stacks of FIBER_STACK.  The union over channels is built by one
+sweep line over the sorted channel edges.
 """
 
 from __future__ import annotations
@@ -374,7 +378,9 @@ def _branch_derivatives(fibers, chans, thetas, rows) -> tuple[np.ndarray, np.nda
     """
     periods, wraps = fibers
     taus = _multipliers(thetas)
-    solved = [np.linalg.eigh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s])) for s in _stacks(len(taus))]
+    solved = [
+        np.linalg.eigh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s])) for s in _stacks(len(taus))
+    ]
     levels = np.concatenate([w for w, _ in solved])
     vectors = np.concatenate([v for _, v in solved])
     i = np.arange(len(rows))
@@ -459,7 +465,8 @@ def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float,
     interval; ``_block_branch_ranges`` finds the ranges of every branch of
     every channel, and each channel's ranges are merged into its bands.
     """
-    return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(*_block_branch_ranges(blocks, grid_size))]
+    lo, hi = _block_branch_ranges(blocks, grid_size)
+    return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
 
 
 def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -483,7 +490,9 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
     moving = np.empty(shape, dtype=bool)
     for chan in range(len(blocks)):
         period, wrap = fibers[0][chan], fibers[1][chan]
-        levels = np.concatenate([np.linalg.eigvalsh(fiber_matrices(period, wrap, taus[s])) for s in _stacks(grid_size)])
+        levels = np.concatenate(
+            [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus[s])) for s in _stacks(grid_size)]
+        )
         i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
         grid_lo[chan], grid_hi[chan] = levels[i_min, np.arange(shape[1])], levels[i_max, np.arange(shape[1])]
         theta_lo[chan], theta_hi[chan] = thetas[i_min], thetas[i_max]
@@ -493,7 +502,8 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
     n = chans.size
     centres = np.concatenate([theta_lo[moving], theta_hi[moving]])
     signs = np.repeat([1.0, -1.0], n)
-    extrema = _newton_extrema(fibers, np.tile(chans, 2), centres, 2.0 * np.pi / grid_size, np.tile(rows, 2), signs)
+    step = 2.0 * np.pi / grid_size
+    extrema = _newton_extrema(fibers, np.tile(chans, 2), centres, step, np.tile(rows, 2), signs)
     lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
     lo[moving] = _first_min(extrema[:n], grid_lo[moving])
     hi[moving] = -_first_min(-extrema[n:], -grid_hi[moving])  # max(x, y), same tie rule

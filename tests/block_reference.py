@@ -27,7 +27,10 @@ def fiber_levels(fiber, thetas) -> np.ndarray:
     """Sorted levels of L(exp(i theta)) of one channel, one row per theta."""
     taus = [cmath.exp(1j * th) for th in np.ravel(thetas)]
     return np.concatenate(
-        [np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK])) for i in range(0, len(taus), FIBER_STACK)]
+        [
+            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK]))
+            for i in range(0, len(taus), FIBER_STACK)
+        ]
     )
 
 

@@ -24,10 +24,10 @@ from __future__ import annotations
 import cmath
 import contextlib
 import io
+import json
 import math
 import os
 import tempfile
-import json
 
 import numpy as np
 import pytest
@@ -135,7 +135,12 @@ def check_stack(blocks, grid_size):
     for block, chan_lo, chan_hi in zip(blocks, lo, hi):
         alone_lo, alone_hi = spectral._block_branch_ranges([block], grid_size)
         assert chan_lo.tobytes() == alone_lo[0].tobytes() and chan_hi.tobytes() == alone_hi[0].tobytes()
-        assert_edges(chan_lo, chan_hi, *ref_branch_ranges(block, grid_size), *dense_branch_ranges(block, grid_size))
+        reference, dense = ref_branch_ranges(block, grid_size), dense_branch_ranges(block, grid_size)
+        assert_edges(chan_lo, chan_hi, *reference, *dense)
+
+
+def block_fibers(blocks):
+    return tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
 
 
 def flat_block(p, v):
@@ -169,7 +174,9 @@ def test_model_channels_match_per_channel_reference(seed):
     check_stack(decompose_armchair(model), grid)
 
 
-@pytest.mark.parametrize("N, q, t, B, grid", [(12, 12, 40.0, 0.0, 16), (2, 1, 0.05, 1.1, 512), (12, 7, 0.05, -2.0, 64)])
+@pytest.mark.parametrize(
+    "N, q, t, B, grid", [(12, 12, 40.0, 0.0, 16), (2, 1, 0.05, 1.1, 512), (12, 7, 0.05, -2.0, 64)]
+)
 def test_range_ends_match_per_channel_reference(N, q, t, B, grid):
     rng = np.random.default_rng(100 * N + q)
     model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(rng.uniform(-1, 1, q)), t=t)
@@ -226,7 +233,7 @@ def lockstep_case():
     rng = np.random.default_rng(32)
     model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(rng.uniform(-1, 1, 3)), t=2.0)
     blocks = decompose_armchair(model)[:2]
-    fibers = tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
+    fibers = block_fibers(blocks)
     size = 2 * blocks[0].p
     rows = np.tile(np.arange(size), 4)
     signs = np.repeat([1.0, -1.0, 1.0, -1.0], size)
@@ -251,7 +258,8 @@ def test_lockstep_searches_that_finish_at_different_iterations(monkeypatch):
     for chan in (0, 1):
         mine = chans == chan
         alone = tuple(part[chan : chan + 1] for part in fibers)
-        want = spectral._newton_extrema(alone, np.zeros(mine.sum(), dtype=int), centres[mine], width[mine], rows[mine], signs[mine])
+        zeros = np.zeros(mine.sum(), dtype=int)
+        want = spectral._newton_extrema(alone, zeros, centres[mine], width[mine], rows[mine], signs[mine])
         assert got[mine].tobytes() == want.tobytes()
     for search in range(rows.size):  # and every search alone
         probes_per_call.clear()
@@ -344,10 +352,6 @@ def test_paired_multipliers_keep_both_checks():
 # the Newton search
 
 
-def block_fibers(blocks):
-    return tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
-
-
 @pytest.mark.parametrize("p", [1, 2, 5])
 def test_branch_derivatives_match_finite_differences(p):
     # p = 1 puts both corners of L' on the whole matrix and p = 2 on the bonds:
@@ -421,7 +425,7 @@ def test_search_that_does_not_converge_is_an_internal_error(monkeypatch, tmp_pat
     pot.write_text("[0.5, -0.2, 0.1]")
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = cli.main(["bands", "--lattice", "armchair", "--N", "3", "--B", "0.4", "--grid", "64", "--potential", str(pot)])
+        code = cli.main(f"bands --lattice armchair --N 3 --B 0.4 --grid 64 --potential {pot}".split())
     assert code == 3 and "did not converge" in err.getvalue()
 
 
@@ -435,7 +439,8 @@ def armchair_cases(draw):
     q = draw(st.integers(1, 12))
     seed = draw(st.integers(0, 2**32 - 1))
     potential = [float(x) for x in np.random.default_rng(seed).uniform(-1.0, 1.0, q)]
-    return N, potential, 10.0 ** draw(st.floats(-4.0, 3.0)), draw(st.floats(-3.0, 3.0)), draw(st.sampled_from([16, 64]))
+    t = 10.0 ** draw(st.floats(-4.0, 3.0))
+    return N, potential, t, draw(st.floats(-3.0, 3.0)), draw(st.sampled_from([16, 64]))
 
 
 @given(case=armchair_cases())
@@ -447,9 +452,9 @@ def test_torus_levels_lie_in_the_printed_union(case):
         with open(path, "w") as f:
             json.dump(potential, f)
         out = io.StringIO()
-        argv = ["bands", "--lattice", "armchair", "--N", str(N), "--B", repr(B), "--t", repr(t), "--grid", str(grid)]
+        argv = f"bands --lattice armchair --N {N} --B {B!r} --t {t!r} --grid {grid} --potential {path}"
         with contextlib.redirect_stdout(out):
-            assert cli.main(argv + ["--potential", path]) == 0
+            assert cli.main(argv.split()) == 0
     union = np.array([(band["lo"], band["hi"]) for band in json.loads(out.getvalue())["union"]["bands"]])
     model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(potential), t=t)
     H = build_full_hamiltonian(model, 2 * model.potential.p)

@@ -106,7 +106,7 @@ CASES = {
     "zig_sweep_N16_17steps": (V3, "sweep --lattice zigzag --N 16 --B-start -1.5 --B-stop 2.5 --B-steps 17 --t 1.3", 0),
     "arm_sweep": (V2, "sweep --lattice armchair --N 3 --B-start -0.4 --B-stop 1.2 --B-steps 3 --t 0.7 --grid 64", 0),
     # 6 channels at 9 fields, odd p = 5 and the default grid: one lockstep refinement
-    # of 1 080 golden-section searches, 17 stacked eigensolves per iteration
+    # of 1 080 Newton searches, 17 stacked eigensolves in its first iteration
     "arm_sweep_N6_9steps_g512": (
         V5, "sweep --lattice armchair --N 6 --B-start -1.1 --B-stop 2.9 --B-steps 9 --t 1.7 --grid 512", 0,
     ),
