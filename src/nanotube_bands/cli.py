@@ -124,13 +124,22 @@ def _table(row: str, rows, sig: int, sep: str) -> str:
 
 
 def _write(text: str, path: str | None) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+    _write_chunks((text,), path)
+
+
+def _write_chunks(chunks, path: str | None) -> None:
+    """The concatenated ``chunks`` to ``path`` (stdout when None), ending in a newline."""
+    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="\n")
+    last = ""
+    try:
+        for chunk in chunks:
+            out.write(chunk)
+            last = chunk or last
+        if not last.endswith("\n"):
+            out.write("\n")
+    finally:
+        if path is not None:
+            out.close()
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +189,7 @@ def build_model(args, lattice: str):
 
 
 MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swept
-MAX_B_STEPS = 1024  # a sweep holds its whole table until it writes it: 515 MB at N = 64, q = 16
+MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
 
 
 def _check_grid(grid: int) -> int:
@@ -208,7 +217,8 @@ def _bands_json(structure) -> str:
     """``bands`` JSON: each channel's bands, flat levels and gaps, then the union.
 
     The bytes are those of ``render_json`` on the nested tree of the same
-    keys, written table by table instead of value by value.
+    keys, written table by table instead of value by value; the union table
+    is read from the columns of the structure.
     """
     sig = _precision()
     channels = [
@@ -222,10 +232,8 @@ def _bands_json(structure) -> str:
         )
         for ch in structure.channels
     ]
-    union = [
-        (b.lo, b.hi, '"inf"' if math.isinf(b.multiplicity) else int(b.multiplicity))
-        for b in structure.union_bands
-    ]
+    mult = ['"inf"' if math.isinf(m) else int(m) for m in structure.multiplicity.tolist()]
+    union = list(zip(structure.lo.tolist(), structure.hi.tolist(), mult))
     return '{\n  "channels": %s,\n  "union": {\n    "bands": %s,\n    "gaps": %s\n  }\n}' % (
         "[\n" + ",\n".join(channels) + "\n  ]" if channels else "[]",
         "[\n" + _table(_UNION_BAND, union, sig, ",\n") + "\n    ]" if union else "[]",
@@ -233,18 +241,22 @@ def _bands_json(structure) -> str:
     )
 
 
-def _bands_csv(structure) -> str:
+def _bands_csv(channels) -> str:
     sig = _precision()
-    bands = [(ch.k, idx, lo, hi) for ch in structure.channels for idx, (lo, hi) in enumerate(ch.bands, start=1)]
-    flat = [(ch.k, e) for ch in structure.channels for e in sorted(ch.flat_bands)]
+    bands = [(ch.k, idx, lo, hi) for ch in channels for idx, (lo, hi) in enumerate(ch.bands, start=1)]
+    flat = [(ch.k, e) for ch in channels for e in sorted(ch.flat_bands)]
     tables = [_table("%d,%d,%g,%g", bands, sig, "\n"), _table("flat,%d,%g", flat, sig, "\n")]
     return "\n".join(text for text in tables if text) + "\n"
 
 
 def cmd_bands(args) -> int:
     model = build_model(args, args.lattice)
-    structure = full_spectrum(model, grid_size=_check_grid(args.grid))
-    _write((_bands_csv if args.format == "csv" else _bands_json)(structure), args.output)
+    grid = _check_grid(args.grid)
+    if args.format == "csv":  # the channels alone: CSV prints no union
+        (channels,) = zigzag_channels([model]) if args.lattice == "zigzag" else armchair_channels([model], grid)
+        _write(_bands_csv(channels), args.output)
+    else:
+        _write(_bands_json(full_spectrum(model, grid_size=grid)), args.output)
     return 0
 
 
@@ -271,13 +283,17 @@ def cmd_sweep(args) -> int:
         ]
         phases = [model.phases[0] for model in models]
         per_step = armchair_channels(models, grid)  # every field step in one lockstep refinement
-    rows = [
-        (B, b, ch.k, idx, lo, hi)
+    sig = _precision()
+    tables = (  # one table per field step, written as it is made
+        _table(
+            "%g,%g,%d,%d,%g,%g",
+            [(B, b, ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)],
+            sig,
+            "\n",
+        )
         for B, b, channels in zip(Bs, phases, per_step)
-        for ch in channels
-        for idx, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)
-    ]
-    _write(_table("%g,%g,%d,%d,%g,%g", rows, _precision(), "\n") + "\n", args.output)
+    )
+    _write_chunks((text + "\n" for text in tables if text), args.output)
     return 0
 
 

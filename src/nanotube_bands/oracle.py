@@ -26,7 +26,7 @@ from .armchair import decompose_armchair
 from .core import ArmchairModel, ZigzagModel
 from .errors import InternalConsistencyError, InvalidTruncationError
 from .spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
-from .zigzag import channel_offdiagonals
+from .zigzag import channel_bonds
 
 
 ROTATION_TOL = 1e-12  # off-block residual allowed, relative to max(1, max|H|)
@@ -135,7 +135,7 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
     M = L // p
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
     if isinstance(model, ZigzagModel):
-        offdiag = np.stack([channel_offdiagonals(model, k) for k in range(1, model.N + 1)])
+        offdiag, _ = channel_bonds(model)
         diag = model.t * model.potential.period_values()
         period, wrap = scalar_period_matrix(offdiag, np.broadcast_to(diag, offdiag.shape))
     elif isinstance(model, ArmchairModel):

@@ -9,12 +9,13 @@ wrap-around corner blocks, the multipliers broadcast against the channels.
 Band edges of a 2p-periodic scalar channel are the eigenvalues of L(+1) and
 L(-1); sorting the combined 4p values and pairing them consecutively yields
 the bands.  Scalar channels of one period are solved as stacks
-(``band_edges_scalar_stack``): the K(+1)/K(-1) fiber matrices of up to
+(``scalar_stack_edges``): the K(+1)/K(-1) fiber matrices of up to
 FIBER_STACK / 2 channels -- all channels of a model, or of every field step
-of a sweep -- go to one eigensolve, and the discriminant, kept as an
-independent validator, runs the transfer-matrix recurrence once on all band
-midpoints of the stack and once on all open-gap midpoints, each energy with
-its own channel's coefficients.  One channel is a stack of one.
+of a sweep, built as one array per model -- go to one eigensolve, and the
+discriminant, kept as an independent validator, runs the transfer-matrix
+recurrence once on all band midpoints of the stack and once on all open-gap
+midpoints, each energy with its own channel's coefficients.  One channel is
+a stack of one.
 
 Block channels have no edge rule, so their bands are the ranges of the
 sorted eigenvalue branches over the unit circle: the fiber matrices of a
@@ -27,8 +28,13 @@ branch value, its slope (Hellmann-Feynman) and its curvature; a bracket
 around the grid point is bisected wherever Newton cannot be trusted, as at
 kinks where two branches cross.  Each probe pairs its own channel with its
 own multiplier, and one iteration solves the probes of every search still
-running in stacks of FIBER_STACK.  The union over channels is built by one
-sweep line over the sorted channel edges.
+running in stacks of FIBER_STACK.
+
+The union over channels is built as numpy columns (``assemble_band_structure``):
+the channel edges cut the energy axis into segments, a cumulative sum of
++1/-1 band events gives each channel's coverage of every segment, and the
+fused table is stored as lo, hi, multiplicity and coverage columns; the
+``UnionBand`` records are a view built on first access.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import compress
 
 import numpy as np
 
@@ -47,7 +55,7 @@ from .errors import (
     InternalConsistencyError,
     InvalidParameterError,
 )
-from .zigzag import ScalarPeriodicJacobi, decompose_zigzag
+from .zigzag import ScalarPeriodicJacobi, zigzag_channel_stack
 
 GAP_MERGE_TOL = 1e-9  # gaps thinner than this are reported as closed
 UNIMODULAR_TOL = 1e-12
@@ -259,7 +267,17 @@ def band_edges_scalar(jac: ScalarPeriodicJacobi) -> list[tuple[float, float]]:
 
 
 def band_edges_scalar_stack(jacs) -> list[list[tuple[float, float]]]:
-    """Bands of each of many scalar channels of one period, from stacked solves.
+    """Bands of each of many scalar channels of one period: ``scalar_stack_edges`` as lists of pairs."""
+    if not jacs:
+        return []
+    lo, hi = scalar_stack_edges(
+        ScalarPeriodicJacobi(p=jacs[0].p, a=np.stack([jac.a for jac in jacs]), v=np.stack([jac.v for jac in jacs]))
+    )
+    return [list(zip(row_lo, row_hi)) for row_lo, row_hi in zip(lo, hi)]
+
+
+def scalar_stack_edges(channels: ScalarPeriodicJacobi) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper edges of the 2p bands of each of a stack of C scalar channels, as two (C, 2p) arrays.
 
     The channels go in stacks of FIBER_STACK / 2, two fiber matrices each.
     One stack makes one eigensolve of its K(+/-1) fiber matrices, then
@@ -270,19 +288,12 @@ def band_edges_scalar_stack(jacs) -> list[list[tuple[float, float]]]:
     The first failing channel is reported, with its first failing band, or
     else its first failing gap.  A flat channel is refused before any work.
     """
-    size = FIBER_STACK // 2
-    stacks = [
-        ScalarPeriodicJacobi(
-            p=jacs[0].p,
-            a=np.stack([jac.a for jac in jacs[i : i + size]]),
-            v=np.stack([jac.v for jac in jacs[i : i + size]]),
-        )
-        for i in range(0, len(jacs), size)
-    ]
-    if any(stack.is_flat for stack in stacks):
+    if channels.is_flat:
         raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
-    out: list[list[tuple[float, float]]] = []
-    for stack in stacks:
+    size = FIBER_STACK // 2
+    lows, highs = [np.empty((0, 2 * channels.p))], [np.empty((0, 2 * channels.p))]
+    for i in range(0, len(channels.a), size):
+        stack = ScalarPeriodicJacobi(p=channels.p, a=channels.a[i : i + size], v=channels.v[i : i + size])
         edges = periodic_jacobi_band_edges(stack.a, stack.v)
         scale = np.maximum(1.0, np.max(np.abs(edges), axis=1, keepdims=True))
         lo, hi = edges[:, 0::2], edges[:, 1::2]
@@ -301,8 +312,9 @@ def band_edges_scalar_stack(jacs) -> list[list[tuple[float, float]]]:
         ]
         if failures:
             raise InternalConsistencyError(min(failures)[2])
-        out += [list(zip(row_lo, row_hi)) for row_lo, row_hi in zip(lo, hi)]
-    return out
+        lows.append(lo)
+        highs.append(hi)
+    return np.concatenate(lows), np.concatenate(highs)
 
 
 def _stacked_discriminant(stack: ScalarPeriodicJacobi, rows, z) -> np.ndarray:
@@ -411,8 +423,12 @@ def _newton_extrema(fibers, chans, centres, step, rows, signs) -> np.ndarray:
     moves one end of the bracket to the probe (at a maximum, f' = 0 > f'',
     the upper end).  The next probe is the Newton step when f'' > 0, the
     step lands strictly inside the bracket and it is at most half the step
-    before last, else the midpoint of the bracket.  Bisection converges on
-    kinks where two branches cross and on near-degenerate branches; the
+    before last, else the midpoint of the bracket.  A Newton step of at most
+    NEWTON_TOL is taken even where it fails those tests, and the search
+    stops on it: once a search has converged its step rounds to zero, and
+    the probe stays on the bracket end that the last probe moved to it.
+    Bisection converges on kinks where two branches cross and on
+    near-degenerate branches; the
     step rule (that of Numerical Recipes' ``rtsafe``) keeps Newton from
     cycling across a kink between two convex pieces.  A search stops once
     its next step or its bracket is at most NEWTON_TOL; one still running
@@ -438,7 +454,8 @@ def _newton_extrema(fibers, chans, centres, step, rows, signs) -> np.ndarray:
         a, b = lo[active], hi[active]
         with np.errstate(divide="ignore", invalid="ignore"):
             newton = th - df / ddf
-        usable = (ddf > 0) & (a < newton) & (newton < b) & (np.abs(newton - th) <= 0.5 * before[active])
+        step_ok = (a < newton) & (newton < b) & (np.abs(newton - th) <= 0.5 * before[active])
+        usable = (ddf > 0) & (step_ok | (np.abs(newton - th) <= NEWTON_TOL))  # a converged step may round to 0
         theta[active] = np.where(usable, newton, 0.5 * (a + b))
         moved = np.abs(theta[active] - th)
         before[active], last[active] = last[active], moved
@@ -516,16 +533,24 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
 
 @dataclass(frozen=True)
 class ChannelBands:
-    """Bands, flat energies and gaps of one channel, with provenance."""
+    """Bands, flat energies and gaps of one channel, with provenance.
+
+    ``gaps`` are the gaps of at least GAP_MERGE_TOL between the merged bands.
+    They are computed once, when the channel is built: from the bands, unless
+    the builder passes them (``zigzag_channels`` finds them for a whole stack
+    of channels at once).
+    """
 
     k: int
     c_k: float | None
     bands: tuple[tuple[float, float], ...]
     flat_bands: tuple[float, ...] = ()
+    gaps: tuple[tuple[float, float], ...] | None = None
 
-    @property
-    def gaps(self) -> list[tuple[float, float]]:
-        return [g for g in interval_gaps(self.bands) if g[1] - g[0] >= GAP_MERGE_TOL]
+    def __post_init__(self) -> None:
+        if self.gaps is None:
+            gaps = tuple(g for g in interval_gaps(self.bands) if g[1] - g[0] >= GAP_MERGE_TOL)
+            object.__setattr__(self, "gaps", gaps)
 
     def intervals(self) -> list[tuple[float, float]]:
         return list(self.bands) + [(e, e) for e in self.flat_bands]
@@ -539,24 +564,64 @@ class UnionBand:
     channels: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+def _column(dtype=float, width: int | None = None):
+    """An empty column of the union table, as a dataclass default."""
+    return field(default_factory=lambda: np.empty((0,) if width is None else (0, width), dtype=dtype))
+
+
+@dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Per-channel bands plus their union with multiplicity accounting."""
+    """Per-channel bands plus their union with multiplicity accounting.
+
+    The union is kept as columns, one row per union band: ``lo``, ``hi``,
+    ``multiplicity`` (2 per covering channel; inf marks a flat level) and the
+    boolean ``coverage``, whose column j tells whether channel
+    ``channel_ids[j]`` covers the band.  ``union_bands``, the same table as
+    ``UnionBand`` records, is built from them on first access.
+    """
 
     channels: tuple[ChannelBands, ...]
-    union_bands: tuple[UnionBand, ...] = field(default=())
-    union_gaps: tuple[tuple[float, float], ...] = field(default=())
+    lo: np.ndarray = _column()
+    hi: np.ndarray = _column()
+    multiplicity: np.ndarray = _column()
+    coverage: np.ndarray = _column(bool, 0)
+    channel_ids: np.ndarray = _column(int)
+    union_gaps: tuple[tuple[float, float], ...] = ()
+
+    @cached_property
+    def union_bands(self) -> tuple[UnionBand, ...]:
+        ids = self.channel_ids.tolist()
+        return tuple(
+            UnionBand(lo, hi, mult, tuple(compress(ids, row)))
+            for lo, hi, mult, row in zip(
+                self.lo.tolist(), self.hi.tolist(), self.multiplicity.tolist(), self.coverage.tolist()
+            )
+        )
 
     @property
     def flat_bands(self) -> list[tuple[float, int]]:
         return [(e, ch.k) for ch in self.channels for e in ch.flat_bands]
 
     def union_intervals(self) -> list[tuple[float, float]]:
-        return [(b.lo, b.hi) for b in self.union_bands]
+        return list(zip(self.lo.tolist(), self.hi.tolist()))
 
     def hull(self) -> tuple[float, float]:
-        ivs = self.union_intervals()
-        return (ivs[0][0], ivs[-1][1]) if ivs else (math.nan, math.nan)
+        return (float(self.lo[0]), float(self.hi[-1])) if self.lo.size else (math.nan, math.nan)
+
+
+def _spaced_cuts(cuts: np.ndarray) -> np.ndarray:
+    """The sorted distinct ``cuts`` less each cut within 1e-12 of the last one kept.
+
+    The rule is sequential, but a cut more than 1e-12 above its predecessor
+    is always kept (it is further still from any kept cut below), so the
+    loop visits only the cuts that lie within 1e-12 of their predecessor.
+    """
+    keep = np.ones(cuts.size, dtype=bool)
+    for i in (np.flatnonzero(np.diff(cuts) <= 1e-12) + 1).tolist():
+        if keep[i - 1]:
+            last = cuts[i - 1]
+        keep[i] = cuts[i] - last > 1e-12
+    return cuts[keep]
 
 
 def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
@@ -564,131 +629,142 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
 
     The union is cut at every channel edge (a cut within 1e-12 of the last
     kept one is dropped) so that each reported union band has a constant
-    covering-channel set.  A sweep line finds those sets: the segment
-    midpoints are visited in ascending order while two pointers walk the
-    bands sorted by ``lo - 1e-12`` and by ``hi + 1e-12``, a per-channel count
-    of open bands keeps the covering set, and its sorted tuple is rebuilt
-    only when a channel enters or leaves.  A band thinner than the cut
-    spacing that no segment holds becomes its own union band, and a flat
-    level that nothing holds a degenerate one of infinite multiplicity.  Both
-    lookups bisect the sorted segments and the padded intervals of the
-    entries added so far, which are kept fused into a sorted disjoint list:
-    fusing closed intervals that meet changes no membership.  Adjacent
-    segments with identical provenance are fused, and gaps thinner than the
-    merge tolerance vanish.  Cost: O(B log B) for B channel bands, plus the
-    size of the output and the list insertions of the extra entries.
+    covering-channel set.  Band b covers the segments whose midpoints lie in
+    ``[lo_b - 1e-12, hi_b + 1e-12]``, a run of segments that two
+    ``searchsorted`` calls find; a +1/-1 event per band and a cumulative sum
+    over the segments give every channel's count of covering bands, and the
+    covering set of a segment is where that count is positive.  A band
+    thinner than the cut spacing that no segment holds becomes its own union
+    band, and a flat level that nothing holds a degenerate one of infinite
+    multiplicity; an entry is looked up by bisection in the segments and in
+    the padded intervals of the entries added before it, which are kept
+    fused into a sorted disjoint list.  Each entry kept has its own ``lo``,
+    so one stable sort merges the segments and the extra entries.  Adjacent
+    entries with identical multiplicity and covering set that are at most
+    GAP_MERGE_TOL apart are fused, and the gaps of at least GAP_MERGE_TOL
+    between the fused bands are the union gaps.  The table is built as
+    columns (see ``BandStructure``).  Cost: O(B log B + S C) for B channel
+    bands, S segments and C channels, plus the list insertions of the extra
+    entries.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
-    flats = [(e, ch.k) for ch in channels for e in ch.flat_bands]
+    flats = sorted((e, ch.k) for ch in channels for e in ch.flat_bands)
+    blo, bhi = (np.array([band[i] for band in ac], dtype=float) for i in (0, 1))
+    ids, col = np.unique(np.array([band[2] for band in ac] + [k for _, k in flats], dtype=int), return_inverse=True)
 
-    segments: list[tuple[float, float, float, tuple[int, ...]]] = []
-    if ac:
-        cuts = np.unique(np.array([x for lo, hi, _ in ac for x in (lo, hi)])).tolist()
-        keep = [cuts[0]]
-        for x in cuts[1:]:
-            if x - keep[-1] > 1e-12:
-                keep.append(x)
-        starts = sorted((blo - 1e-12, k) for blo, _, k in ac)
-        ends = sorted((bhi + 1e-12, k) for _, bhi, k in ac)
-        count = dict.fromkeys((k for _, _, k in ac), 0)  # open bands per channel
-        active: set[int] = set()
-        covering: tuple[int, ...] = ()
-        i = j = 0
-        for lo, hi in zip(keep[:-1], keep[1:]):
-            mid = 0.5 * (lo + hi)
-            changed = False
-            while i < len(starts) and starts[i][0] <= mid:  # blo - 1e-12 <= mid
-                k = starts[i][1]
-                count[k] += 1
-                if count[k] == 1:
-                    active.add(k)
-                    changed = True
-                i += 1
-            while j < len(ends) and ends[j][0] < mid:  # no longer mid <= bhi + 1e-12
-                k = ends[j][1]
-                count[k] -= 1
-                if count[k] == 0:
-                    active.discard(k)
-                    changed = True
-                j += 1
-            if changed:
-                covering = tuple(sorted(active))
-            if covering:
-                segments.append((lo, hi, 2.0 * len(covering), covering))
-    seg_lo = [lo - 1e-12 for lo, _, _, _ in segments]  # both ascending
-    seg_hi = [hi + 1e-12 for _, hi, _, _ in segments]
-    extra: list[tuple[float, float, float, tuple[int, ...]]] = []
+    cuts = _spaced_cuts(np.unique(np.concatenate([blo, bhi])))
+    mids = 0.5 * (cuts[:-1] + cuts[1:])
+    # (channel, segment) counts of covering bands, which never exceed the number of bands
+    counts = np.zeros((ids.size, mids.size + 1), dtype=np.int16 if len(ac) < 2**15 else np.int32)
+    np.add.at(counts, (col[: len(ac)], np.searchsorted(mids, blo - 1e-12, "left")), 1)
+    np.add.at(counts, (col[: len(ac)], np.searchsorted(mids, bhi + 1e-12, "right")), -1)
+    np.cumsum(counts, axis=1, out=counts)
+    cover = counts[:, :-1] > 0
+    covered = cover.any(axis=0)
+    seg_lo, seg_hi, cover = cuts[:-1][covered], cuts[1:][covered], cover[:, covered]
+    pad_lo, pad_hi = seg_lo - 1e-12, np.append(seg_hi + 1e-12, math.nan)  # ascending; the nan is never read
+
+    def held_by_segments(x: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(pad_lo, x, "right")  # the segments [0, i) start at or below x
+        return (i > 0) & (x <= pad_hi[i - 1])
+
     ex_lo: list[float] = []  # the padded extra entries, overlaps fused: disjoint and ascending
     ex_hi: list[float] = []
+    extra: list[tuple[float, float, float]] = []  # (lo, hi, multiplicity) of each extra entry
+    extra_cols: list[int] = []  # and its channel's coverage column
 
-    def held(x: float) -> bool:
-        """Whether a segment, or an entry appended after them, holds x within 1e-12."""
-        for los, his in ((seg_lo, seg_hi), (ex_lo, ex_hi)):
-            i = bisect.bisect_right(los, x) - 1
-            if i >= 0 and x <= his[i]:
-                return True
-        return False
-
-    def add(entry: tuple[float, float, float, tuple[int, ...]]) -> None:
-        """Append an extra entry and fuse its padded interval into (ex_lo, ex_hi)."""
-        extra.append(entry)
-        lo, hi = entry[0] - 1e-12, entry[1] + 1e-12
+    def add(lo: float, hi: float, mult: float, column: int, x: float) -> None:
+        """Append an extra entry unless one appended before holds x within 1e-12."""
+        i = bisect.bisect_right(ex_lo, x) - 1
+        if i >= 0 and x <= ex_hi[i]:
+            return
+        extra.append((lo, hi, mult))
+        extra_cols.append(column)
+        lo, hi = lo - 1e-12, hi + 1e-12
         i, j = bisect.bisect_left(ex_hi, lo), bisect.bisect_right(ex_lo, hi)  # [i, j) overlap it
         if i < j:
             lo, hi = min(lo, ex_lo[i]), max(hi, ex_hi[j - 1])
         ex_lo[i:j], ex_hi[i:j] = [lo], [hi]
 
     # a band thinner than the cut spacing may own no segment: keep it as its own
-    for blo, bhi, k in ac:
-        if bhi - blo <= 1e-12 and not held(0.5 * (blo + bhi)):
-            add((blo, bhi, 2.0, (k,)))
+    mid = 0.5 * (blo + bhi)
+    for i in np.flatnonzero((bhi - blo <= 1e-12) & ~held_by_segments(mid)).tolist():
+        add(float(blo[i]), float(bhi[i]), 2.0, int(col[i]), float(mid[i]))
     # isolated flat energies become degenerate union bands of infinite multiplicity
-    for e, k in sorted(flats):
-        if not held(e):
-            add((e, e, math.inf, (k,)))
-    segments += extra
-    segments.sort()
+    levels = np.array([e for e, _ in flats], dtype=float)
+    for i in np.flatnonzero(~held_by_segments(levels)).tolist():
+        add(flats[i][0], flats[i][0], math.inf, int(col[len(ac) + i]), flats[i][0])
 
-    fused: list[list] = []
-    for lo, hi, mult, ks in segments:
-        if fused and lo - fused[-1][1] <= GAP_MERGE_TOL and fused[-1][2] == mult and fused[-1][3] == ks:
-            fused[-1][1] = max(fused[-1][1], hi)
-        else:
-            fused.append([lo, hi, mult, ks])
+    ex = np.array(extra, dtype=float).reshape(-1, 3)
+    ex_cover = np.zeros((ids.size, len(extra)), dtype=bool)
+    ex_cover[np.array(extra_cols, dtype=int), np.arange(len(extra))] = True
+    order = np.argsort(np.concatenate([seg_lo, ex[:, 0]]), kind="stable")
+    lo = np.concatenate([seg_lo, ex[:, 0]])[order]
+    hi = np.concatenate([seg_hi, ex[:, 1]])[order]
+    mult = np.concatenate([2.0 * cover.sum(axis=0), ex[:, 2]])[order]
+    cover = np.concatenate([cover, ex_cover], axis=1)[:, order]
 
-    union_bands = tuple(UnionBand(lo, hi, mult, ks) for lo, hi, mult, ks in fused)
-    gaps = []
-    for (l1, h1, _, _), (l2, h2, _, _) in zip(fused[:-1], fused[1:]):
-        if l2 - h1 >= GAP_MERGE_TOL:
-            gaps.append((h1, l2))
-    return BandStructure(tuple(channels), union_bands, tuple(gaps))
+    # hi ascends with lo, so the fused band that entry i - 1 ends reaches hi[i - 1]
+    joined = (lo[1:] - hi[:-1] <= GAP_MERGE_TOL) & (mult[1:] == mult[:-1]) & (cover[:, 1:] == cover[:, :-1]).all(axis=0)
+    first = np.flatnonzero(np.concatenate([[lo.size > 0], ~joined]))
+    lo, hi, mult, cover = lo[first], np.maximum.reduceat(hi, first), mult[first], cover[:, first].T
+    gap = lo[1:] - hi[:-1] >= GAP_MERGE_TOL
+    gaps = tuple(zip(hi[:-1][gap].tolist(), lo[1:][gap].tolist()))
+    return BandStructure(tuple(channels), lo, hi, mult, cover, ids, gaps)
 
 
 # ---------------------------------------------------------------------------
 # whole-model spectra
 
 
+def _sorted_band_gaps(lo, hi) -> list[tuple[tuple[float, float], ...]]:
+    """The gaps of each row of ascending bands ``(lo, hi)``: ``ChannelBands.gaps`` of that row, to the bit.
+
+    Sorted edges give ascending bands whose upper edges ascend too, so band
+    i + 1 starts a new merged band exactly where ``merge_intervals`` does not
+    fuse it, ``lo[i + 1] > hi[i] + GAP_MERGE_TOL``, and the gap between them
+    is kept when ``lo[i + 1] - hi[i] >= GAP_MERGE_TOL``.
+    """
+    apart = (lo[:, 1:] > hi[:, :-1] + GAP_MERGE_TOL) & (lo[:, 1:] - hi[:, :-1] >= GAP_MERGE_TOL)
+    pairs = list(zip(hi[:, :-1][apart].tolist(), lo[:, 1:][apart].tolist()))
+    ends = np.cumsum(apart.sum(axis=1)).tolist()
+    return [tuple(pairs[start:stop]) for start, stop in zip([0] + ends, ends)]
+
+
 def zigzag_channels(models) -> list[list[ChannelBands]]:
     """Channel bands of each zigzag model, k = 1..N, without the union.
 
-    The dispersive channels of all models go to one ``band_edges_scalar_stack``
-    call, so the models must share their potential period; a flat channel
-    gets the levels of its dimers.
+    Each model's channels are built as one stack (``zigzag_channel_stack``),
+    and the dispersive channels of all models go to one
+    ``scalar_stack_edges`` call, so the models must share their potential
+    period; a flat channel gets the levels of its dimers.  The gaps of all
+    channels are found at once (``_sorted_band_gaps``).
     """
-    jacs = [[(jac, jac.is_flat) for jac in decompose_zigzag(model)] for model in models]
-    bands = iter(band_edges_scalar_stack([jac for chans in jacs for jac, flat in chans if not flat]))
-    return [
-        [
-            ChannelBands(
-                k=k, c_k=jac.c_k, bands=(),
-                flat_bands=tuple(float(e) for e in _dimer_levels(jac.v.reshape(jac.p, 2))),
-            )
-            if flat
-            else ChannelBands(k=k, c_k=jac.c_k, bands=tuple(next(bands)))
-            for k, (jac, flat) in enumerate(chans, start=1)
-        ]
-        for chans in jacs
-    ]
+    if not models:
+        return []
+    stacks = [zigzag_channel_stack(model) for model in models]
+    flat = [stack.flat for stack in stacks]
+    lo, hi = scalar_stack_edges(
+        ScalarPeriodicJacobi(
+            p=stacks[0].p,
+            a=np.concatenate([stack.a[~f] for stack, f in zip(stacks, flat)]),
+            v=np.concatenate([stack.v[~f] for stack, f in zip(stacks, flat)]),
+        )
+    )
+    dispersive = iter(zip(lo, hi, _sorted_band_gaps(lo, hi)))
+    out = []
+    for stack, f in zip(stacks, flat):
+        levels = tuple(_dimer_levels(stack.v[0].reshape(stack.p, 2)).tolist()) if f.any() else ()
+        channels = []
+        for k, (c_k, is_flat) in enumerate(zip(stack.c_k.tolist(), f.tolist()), start=1):
+            if is_flat:
+                channels.append(ChannelBands(k=k, c_k=c_k, bands=(), flat_bands=levels))
+            else:
+                row_lo, row_hi, gaps = next(dispersive)
+                bands = tuple(zip(row_lo.tolist(), row_hi.tolist()))
+                channels.append(ChannelBands(k=k, c_k=c_k, bands=bands, gaps=gaps))
+        out.append(channels)
+    return out
 
 
 def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:

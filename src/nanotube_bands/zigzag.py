@@ -28,7 +28,8 @@ class ScalarPeriodicJacobi:
     c_k : signed channel constant cos(b + pi*k/N), kept for reporting
 
     (C, 2p) arrays ``a`` and ``v`` hold a stack of C channels of one period,
-    which ``monodromy`` and ``discriminant`` evaluate row by row.
+    which ``monodromy`` and ``discriminant`` evaluate row by row; the c_k of
+    a stack are a (C,) array.
     """
 
     p: int
@@ -47,19 +48,31 @@ class ScalarPeriodicJacobi:
         object.__setattr__(self, "v", v)
 
     @property
+    def flat(self) -> np.ndarray:
+        """Per channel: a bond at or below FLAT_CHANNEL_TOL splits the chain into dimers."""
+        return np.min(self.a, axis=-1) <= FLAT_CHANNEL_TOL
+
+    @property
     def is_flat(self) -> bool:
-        """A bond at or below FLAT_CHANNEL_TOL splits the chain into dimers."""
-        return bool(np.min(self.a) <= FLAT_CHANNEL_TOL)
+        """Whether the channel, or any channel of a stack, is flat."""
+        return bool(np.any(self.flat))
 
 
-def channel_offdiagonals(model: ZigzagModel, k: int) -> np.ndarray:
-    """Complex pre-gauge bond amplitudes of channel k over one period 2p."""
-    p = model.potential.p
-    c_k = model.channel_constant(k)
-    amp = 2.0 * np.exp(-1j * np.pi * k / model.N) * c_k
-    bonds = np.ones(2 * p, dtype=complex)
-    bonds[1::2] = amp
-    return bonds
+def channel_bonds(model: ZigzagModel) -> tuple[np.ndarray, np.ndarray]:
+    """Complex pre-gauge bond amplitudes of all N channels over one period 2p, and the N c_k.
+
+    Row k - 1 of the (N, 2p) bonds holds channel k: 1 on the even bonds and
+    ``2 exp(-i pi k/N) c_k`` on the odd ones.  The exponent is
+    0 + i*(-pi*k/N), rounded as the scalar ``-1j * np.pi * k / N`` rounds it,
+    so every row has the bits of a one-channel build.
+    """
+    N, p = model.N, model.potential.p
+    c = np.array([model.channel_constant(k) for k in range(1, N + 1)])
+    phase = np.zeros(N, dtype=complex)
+    phase.imag = -np.pi * np.arange(1, N + 1) / N
+    bonds = np.ones((N, 2 * p), dtype=complex)
+    bonds[:, 1::2] = (2.0 * np.exp(phase) * c)[:, None]
+    return bonds, c
 
 
 def gauge_reduce(offdiag, diag, c_k: float | None = None) -> ScalarPeriodicJacobi:
@@ -75,14 +88,26 @@ def gauge_reduce(offdiag, diag, c_k: float | None = None) -> ScalarPeriodicJacob
     return ScalarPeriodicJacobi(p=a.size // 2, a=a, v=v, c_k=c_k)
 
 
-def decompose_zigzag(model: ZigzagModel) -> list[ScalarPeriodicJacobi]:
-    """All N gauge-reduced channels, k = 1..N."""
-    p = model.potential.p
+def zigzag_channel_stack(model: ZigzagModel) -> ScalarPeriodicJacobi:
+    """All N gauge-reduced channels, k = 1..N, as one stack.
+
+    ``a`` holds the (N, 2p) moduli of ``channel_bonds``, ``v`` the diagonal
+    ``t * v`` broadcast to every channel, and ``c_k`` the (N,) channel
+    constants.
+    """
+    bonds, c = channel_bonds(model)
+    a = np.abs(bonds)
     diag = model.t * model.potential.period_values()
-    channels = []
-    for k in range(1, model.N + 1):
-        channels.append(gauge_reduce(channel_offdiagonals(model, k), diag, c_k=model.channel_constant(k)))
-    return channels
+    return ScalarPeriodicJacobi(p=model.potential.p, a=a, v=np.broadcast_to(diag, a.shape), c_k=c)
+
+
+def decompose_zigzag(model: ZigzagModel) -> list[ScalarPeriodicJacobi]:
+    """All N gauge-reduced channels, k = 1..N: the rows of ``zigzag_channel_stack``."""
+    stack = zigzag_channel_stack(model)
+    return [
+        ScalarPeriodicJacobi(p=stack.p, a=a, v=v, c_k=c_k)
+        for a, v, c_k in zip(stack.a, stack.v, stack.c_k.tolist())
+    ]
 
 
 def channel_symmetry_map(N: int, b: float, k: int) -> dict[str, tuple[int, float]]:

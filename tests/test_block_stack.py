@@ -415,6 +415,26 @@ def test_constant_branch_stops_at_its_first_probe(monkeypatch):
     assert got.tobytes() == level.tobytes()
 
 
+def test_converged_search_stops_when_its_step_rounds_to_zero(monkeypatch):
+    # the lower branch of crossing_block(1.0) is 2 cos(theta) near pi, far from
+    # the other one; Newton converges in a few probes, after which its step
+    # rounds to zero on a bracket end, which used to set off ~25 bisections
+    fibers = block_fibers([crossing_block(1.0)])
+    calls = []
+    derivatives = spectral._branch_derivatives
+
+    def counting(fibers, chans, thetas, rows):
+        calls.append(thetas.copy())
+        return derivatives(fibers, chans, thetas, rows)
+
+    monkeypatch.setattr(spectral, "_branch_derivatives", counting)
+    zero = np.zeros(1, dtype=int)
+    got = spectral._newton_extrema(fibers, zero, np.array([math.pi + 0.02]), 0.1, zero, np.ones(1))
+    assert len(calls) <= 6  # 30 when the search bisected on
+    assert abs(calls[-1][0] - math.pi) <= spectral.NEWTON_TOL
+    assert got[0] == pytest.approx(-2.0, abs=4 * np.finfo(float).eps)
+
+
 def test_search_that_does_not_converge_is_an_internal_error(monkeypatch, tmp_path):
     monkeypatch.delenv("NANOTUBE_BANDS_PRECISION", raising=False)
     model = ArmchairModel(3, tube_geometry(3, 0.4)[1], PotentialProfile([0.5, -0.2, 0.1]), t=1.0)

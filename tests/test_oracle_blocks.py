@@ -28,7 +28,7 @@ from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel
 from nanotube_bands.errors import InternalConsistencyError
 from nanotube_bands.oracle import FiniteHamiltonian, build_full_hamiltonian, channel_fiber_eigenvalues
 from nanotube_bands.spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
-from nanotube_bands.zigzag import channel_offdiagonals
+from nanotube_bands.zigzag import channel_bonds
 
 # ---------------------------------------------------------------------------
 # references: the loop builder and the per-channel fiber solve
@@ -79,9 +79,7 @@ def per_channel_fiber_levels(model, L: int) -> np.ndarray:
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
     if isinstance(model, ZigzagModel):
         diag = model.t * model.potential.period_values()
-        fibers = [
-            scalar_period_matrix(channel_offdiagonals(model, k), diag) for k in range(1, model.N + 1)
-        ]
+        fibers = [scalar_period_matrix(bonds, diag) for bonds in channel_bonds(model)[0]]
     else:
         fibers = [block_period_matrix(block) for block in decompose_armchair(model)]
     eigs = [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus)) for period, wrap in fibers]

@@ -658,6 +658,66 @@ def test_union_matches_quadratic_reference_on_models():
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
         bs = full_spectrum(model)
         assert (bs.union_bands, bs.union_gaps) == _quadratic_union(list(bs.channels))
+    # large models, where the +k/-k channel pairs put many cuts within 1e-12
+    # of each other, two of them on a flat phase
+    for N, q, flat in ((120, 24, True), (96, 17, False), (64, 24, True)):
+        b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N if flat else float(rng.normal())
+        model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
+        bs = full_spectrum(model)
+        assert any(ch.flat_bands for ch in bs.channels) == flat
+        assert (bs.union_bands, bs.union_gaps) == _quadratic_union(list(bs.channels))
+    # and the structures without a segment: no channels, no bands, flat levels only
+    for channels in (
+        [],
+        [ChannelBands(k=1, c_k=None, bands=()), ChannelBands(k=2, c_k=None, bands=((1.0, 0.0),))],
+        [ChannelBands(k=3, c_k=0.0, bands=(), flat_bands=(0.5, -0.0, 0.5 + 5e-13)),
+         ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(-0.0, 2.0))],
+    ):
+        bs = assemble_band_structure(channels)
+        assert (bs.union_bands, bs.union_gaps) == _quadratic_union(channels)
+
+
+def test_zigzag_channel_gaps_match_merged_bands():
+    # zigzag_channels finds the gaps of a whole stack of channels at once;
+    # ChannelBands finds them from the bands by merge_intervals, to the bit
+    from nanotube_bands.spectral import zigzag_channels
+
+    rng = np.random.default_rng(43)
+    closed = 0
+    for i in range(60):
+        N, q = int(rng.integers(2, 40)), int(rng.integers(1, 17))
+        if i % 3 == 0:  # c_k = 1/2 for one k: all bonds 1, and half the 2q-periodic gaps close
+            b = math.pi / 3 - math.pi * int(rng.integers(1, N + 1)) / N
+        else:
+            b = float(rng.normal())
+        # t stays below the range (5-25 at c_k = 1/2, odd q) where the discriminant
+        # validator refuses valid channels (ROADMAP item 2); small t closes gaps too
+        t = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
+        model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+        for ch in zigzag_channels([model])[0]:
+            merged = ChannelBands(k=ch.k, c_k=ch.c_k, bands=ch.bands, flat_bands=ch.flat_bands).gaps
+            assert [(lo.hex(), hi.hex()) for lo, hi in ch.gaps] == [(lo.hex(), hi.hex()) for lo, hi in merged]
+            closed += len(ch.bands) - 1 - len(ch.gaps)
+    assert closed > 0  # some neighbours fused
+
+
+def test_sorted_band_gaps_keep_the_rounding_of_merge_intervals():
+    # neighbours GAP_MERGE_TOL apart give or take a few ulps, where
+    # "lo <= hi + tol" and "lo - hi >= tol" round differently
+    from nanotube_bands.spectral import GAP_MERGE_TOL, _sorted_band_gaps
+
+    rng = np.random.default_rng(47)
+    edges = np.sort(rng.uniform(-3.0, 3.0, size=(200, 16)), axis=1)
+    for row in edges:
+        for i in range(1, 15, 2):  # move some band starts onto the tolerance
+            if rng.random() < 0.6:
+                row[i + 1] = row[i] + GAP_MERGE_TOL
+                row[i + 1] += int(rng.integers(-3, 4)) * np.spacing(row[i + 1])
+                row[i + 1 :] = np.maximum(row[i + 1 :], row[i + 1])
+    lo, hi = edges[:, 0::2], edges[:, 1::2]
+    for gaps, row_lo, row_hi in zip(_sorted_band_gaps(lo, hi), lo, hi):
+        want = ChannelBands(k=1, c_k=None, bands=tuple(zip(row_lo.tolist(), row_hi.tolist()))).gaps
+        assert gaps == want
 
 
 def _matmul_monodromy(jac, z):

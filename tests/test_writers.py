@@ -21,7 +21,6 @@ from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel, ma
 from nanotube_bands.spectral import (
     BandStructure,
     ChannelBands,
-    UnionBand,
     armchair_channels,
     assemble_band_structure,
     full_spectrum,
@@ -88,7 +87,7 @@ def assert_writers_match(structure, monkeypatch) -> None:
     for sig in PRECISIONS:
         monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
         assert cli._bands_json(structure) == cli.render_json(reference_json_dict(structure))
-        assert cli._bands_csv(structure) == reference_bands_csv(structure, sig)
+        assert cli._bands_csv(structure.channels) == reference_bands_csv(structure, sig)
 
 
 def zigzag_models():
@@ -133,6 +132,18 @@ INF, NAN = math.inf, math.nan
 F64 = np.float64
 
 
+def union_columns(bands) -> dict:
+    """``BandStructure`` union columns of (lo, hi, multiplicity, channels) rows."""
+    ids = sorted({k for *_, ks in bands for k in ks})
+    return {
+        "lo": np.array([b[0] for b in bands], dtype=float),
+        "hi": np.array([b[1] for b in bands], dtype=float),
+        "multiplicity": np.array([b[2] for b in bands], dtype=float),
+        "coverage": np.array([[k in b[3] for k in ids] for b in bands], dtype=bool).reshape(len(bands), len(ids)),
+        "channel_ids": np.array(ids, dtype=int),
+    }
+
+
 def hand_built_structures():
     odd = ChannelBands(
         k=1, c_k=None,
@@ -145,19 +156,41 @@ def hand_built_structures():
         flat_bands=(0.5, F64(-0.125)),
     )
     empty = ChannelBands(k=3, c_k=0.0, bands=())
-    union = (
-        UnionBand(-INF, -1.5, 2.0, (1,)),
-        UnionBand(F64(-0.0), 0.0, F64(4.0), (1, 2)),
-        UnionBand(0.5, 0.5, INF, (2,)),
-        UnionBand(1e-5, NAN, 2.0, (2,)),
-    )
+    union = [
+        (-INF, -1.5, 2.0, (1,)),
+        (F64(-0.0), 0.0, F64(4.0), (1, 2)),
+        (0.5, 0.5, INF, (2,)),
+        (1e-5, NAN, 2.0, (2,)),
+    ]
     return {
-        "non_finite_and_float64": BandStructure((odd, finite, empty), union, ((-1.5, -0.0), (NAN, INF))),
-        "finite_float64_union": BandStructure((finite,), union[1:3], ((F64(0.0), 0.5),)),
+        "non_finite_and_float64": BandStructure(
+            (odd, finite, empty), **union_columns(union), union_gaps=((-1.5, -0.0), (NAN, INF))
+        ),
+        "finite_float64_union": BandStructure((finite,), **union_columns(union[1:3]), union_gaps=((F64(0.0), 0.5),)),
         "empty_channels_empty_union": BandStructure((empty, ChannelBands(k=4, c_k=None, bands=()))),
         "no_channels": BandStructure(()),
         "flat_only": assemble_band_structure([ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.5, -0.0))]),
     }
+
+
+def test_hand_built_union_columns_read_back():
+    # the columns of the hand-built union give back its rows, -0.0, nan and inf included
+    structure = hand_built_structures()["non_finite_and_float64"]
+    rows = [(b.lo, b.hi, b.multiplicity, b.channels) for b in structure.union_bands]
+    assert [(repr(lo), repr(hi), m, ks) for lo, hi, m, ks in rows] == [
+        ("-inf", "-1.5", 2.0, (1,)),
+        ("-0.0", "0.0", 4.0, (1, 2)),
+        ("0.5", "0.5", INF, (2,)),
+        ("1e-05", "nan", 2.0, (2,)),
+    ]
+    assert repr(structure.union_intervals()[1]) == "(-0.0, 0.0)" and repr(structure.hull()) == "(-inf, nan)"
+
+
+def test_bands_json_builds_no_union_records():
+    structure = full_spectrum(ZigzagModel(6, 0.3, PotentialProfile([0.4, -0.2, 0.7]), t=1.1))
+    text = cli._bands_json(structure)
+    assert "union_bands" not in vars(structure)  # the lazy view was never built
+    assert text == cli.render_json(reference_json_dict(structure))
 
 
 @pytest.mark.parametrize("name", sorted(hand_built_structures()))

@@ -7,7 +7,51 @@ from hypothesis import given, settings, strategies as st
 
 from nanotube_bands import PotentialProfile, ZigzagModel, decompose_zigzag, gauge_reduce
 from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix
-from nanotube_bands.zigzag import channel_offdiagonals, channel_symmetry_map
+from nanotube_bands.zigzag import channel_bonds, channel_symmetry_map, zigzag_channel_stack
+
+
+def channel_offdiagonals(model, k):
+    """Pre-gauge bonds of channel k, one channel at a time: the reference for ``channel_bonds``."""
+    p = model.potential.p
+    c_k = model.channel_constant(k)
+    amp = 2.0 * np.exp(-1j * np.pi * k / model.N) * c_k
+    bonds = np.ones(2 * p, dtype=complex)
+    bonds[1::2] = amp
+    return bonds
+
+
+def per_k_decompose(model):
+    """The per-channel loop that ``zigzag_channel_stack`` replaced."""
+    diag = model.t * model.potential.period_values()
+    return [
+        gauge_reduce(channel_offdiagonals(model, k), diag, c_k=model.channel_constant(k))
+        for k in range(1, model.N + 1)
+    ]
+
+
+def test_channel_stack_matches_per_channel_build_bit_for_bit():
+    rng = np.random.default_rng(41)
+    for i in range(300):
+        N, q = int(rng.integers(2, 130)), int(rng.integers(1, 33))
+        if i % 3 == 0:  # an exact flat phase: c_k = cos(b + pi k/N) = 0 for one k
+            b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N
+        else:
+            b = float(rng.uniform(-8.0, 8.0))
+        model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1.0, 1.0, q)), t=float(rng.uniform(0.01, 50.0)))
+        want = per_k_decompose(model)
+        bonds, c = channel_bonds(model)
+        stack = zigzag_channel_stack(model)
+        assert bonds.tobytes() == np.stack([channel_offdiagonals(model, k) for k in range(1, N + 1)]).tobytes()
+        assert stack.a.tobytes() == np.stack([jac.a for jac in want]).tobytes()
+        assert np.ascontiguousarray(stack.v).tobytes() == np.stack([jac.v for jac in want]).tobytes()
+        assert c.tolist() == [jac.c_k for jac in want]
+        assert stack.flat.tolist() == [jac.is_flat for jac in want]
+        for got, ref in zip(decompose_zigzag(model), want):
+            assert (got.p, got.a.tobytes(), got.v.tobytes()) == (ref.p, ref.a.tobytes(), ref.v.tobytes())
+            assert got.c_k == ref.c_k
+            assert type(got.c_k) is float and got.is_flat == ref.is_flat
+        if i % 3 == 0:
+            assert stack.flat.any()
 
 
 def test_free_schroedinger_channel():
