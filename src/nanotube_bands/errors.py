@@ -27,3 +27,11 @@ class InvalidTruncationError(ValueError):
 
 class InternalConsistencyError(RuntimeError):
     """A cross-check between two independent computations failed."""
+
+
+class HillOrderError(InternalConsistencyError):
+    """Scalar fiber levels out of the discrete Hill order; ``channel`` is the failing row of the solved stack."""
+
+    def __init__(self, message: str, channel: int) -> None:
+        super().__init__(message)
+        self.channel = channel

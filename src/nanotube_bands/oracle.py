@@ -71,6 +71,7 @@ class FiniteHamiltonian:
 
 
 MAX_CELLS = 64  # bounds the dense 2NL x 2NL matrix the oracle assembles; keeps it at desk scale
+MAX_DIM = 2048  # and its dimension 2NL: a 2048-level torus peaks at ~220 MB RSS, and the peak grows as dim^2
 
 
 def _check_truncation(model, L: int) -> None:
@@ -79,6 +80,8 @@ def _check_truncation(model, L: int) -> None:
         raise InvalidTruncationError(f"axial length L = {L!r} must be a positive multiple of p = {p}")
     if L > MAX_CELLS:
         raise InvalidTruncationError(f"axial length L = {L} exceeds the dense-matrix cap {MAX_CELLS}")
+    if 2 * model.N * L > MAX_DIM:
+        raise InvalidTruncationError(f"torus dimension 2NL = {2 * model.N * L} exceeds the dense-matrix cap {MAX_DIM}")
 
 
 def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:

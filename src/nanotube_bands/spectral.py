@@ -6,16 +6,12 @@ once (``scalar_period_matrix`` takes a stack of channels,
 ``block_period_matrix`` one channel) and tau enters only through its
 wrap-around corner blocks, the multipliers broadcast against the channels.
 
-Band edges of a 2p-periodic scalar channel are the eigenvalues of L(+1) and
-L(-1); sorting the combined 4p values and pairing them consecutively yields
-the bands.  Scalar channels of one period are solved as stacks
-(``scalar_stack_edges``): the K(+1)/K(-1) fiber matrices of up to
-FIBER_STACK / 2 channels -- all channels of a model, or of every field step
-of a sweep, built as one array per model -- go to one eigensolve, and the
-discriminant, kept as an independent validator, runs the transfer-matrix
-recurrence once on all band midpoints of the stack and once on all open-gap
-midpoints, each energy with its own channel's coefficients.  One channel is
-a stack of one.
+Band edges of an m-periodic scalar channel are the sorted eigenvalues of
+K(+1) and K(-1), paired consecutively (``periodic_jacobi_band_edges``, the
+one scalar edge routine); all channels of a model, or of every field step of
+a sweep, are solved as stacks of FIBER_STACK / 2 channels.  The levels are
+checked by the discrete Hill theorem, which orders them ``+ - - + + - - + ...``
+from the bottom for positive bonds; the check reads only the solved levels.
 
 Block channels have no edge rule, so their bands are the ranges of the
 sorted eigenvalue branches over the unit circle: the fiber matrices of a
@@ -52,6 +48,7 @@ from .armchair import BlockPeriodicJacobi, decompose_armchair
 from .core import ArmchairModel, PotentialProfile, ZigzagModel
 from .errors import (
     FlatBandChannelError,
+    HillOrderError,
     InternalConsistencyError,
     InvalidParameterError,
 )
@@ -210,9 +207,7 @@ def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
     ``z`` is a scalar or an array; the result has shape ``z.shape + (2, 2)``.
     The 2p step matrices of all energies are built at once and multiplied as
     stacks, one 2x2 product per energy and step, as for a single energy, so
-    an array of energies gives the bits of one call per energy.  When ``jac``
-    is a stack of channels, its coefficients of shape ``z.shape + (2p,)``
-    give each energy the steps of its own channel.
+    an array of energies gives the bits of one call per energy.
     """
     if jac.is_flat:
         raise FlatBandChannelError("monodromy undefined for a flat-band channel (vanishing bond)")
@@ -243,15 +238,36 @@ def discriminant(jac: ScalarPeriodicJacobi, z):
 
 
 def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
-    """Sorted band edges of an m-periodic scalar Jacobi operator, or of a stack of them.
+    """Sorted band edges of an m-periodic scalar Jacobi operator with positive bonds, or of a stack of them.
 
-    The 2m periodic/anti-periodic eigenvalues interlace so that consecutive
-    pairs of the sorted union bound the m bands.  (C, m) coefficients give
-    the (C, 2m) edges of C operators from one eigensolve.
+    The eigenvalues P of K(+1) and M of K(-1) interlace so that consecutive
+    pairs of their sorted union bound the m bands.  (..., m) coefficients give
+    (..., 2m) edges, solved in stacks of FIBER_STACK / 2 operators.  By the
+    discrete Hill theorem (van Moerbeke, Invent. Math. 37, 1976) the sequence
+    P0 M0 M1 P1 P2 M2 M3 P3 ... ascends, with P and M trading places for an
+    odd m; where it falls by more than 8 * 2m * u * max|level| (u = 2**-53,
+    the unit roundoff), ``HillOrderError`` names the first such operator.
     """
-    period, wrap = scalar_period_matrix(offdiag, diag)
-    levels = np.linalg.eigvalsh(fiber_matrices(period[..., None, :, :], wrap[..., None, :, :], [1.0, -1.0]))
-    return np.sort(levels.reshape(levels.shape[:-2] + (-1,)), axis=-1)
+    v = np.asarray(diag, dtype=float)
+    shape, m = v.shape[:-1], v.shape[-1]
+    a, v = np.broadcast_to(offdiag, v.shape).reshape(-1, m), v.reshape(-1, m)
+    size = FIBER_STACK // 2
+    periods = (scalar_period_matrix(a[i : i + size], v[i : i + size]) for i in range(0, len(v), size))
+    solved = [np.linalg.eigvalsh(fiber_matrices(K[:, None], W[:, None], [1.0, -1.0])) for K, W in periods]
+    levels = np.concatenate([np.empty((0, 2, m))] + solved).reshape(-1, 2 * m)  # the levels of K(+1), then of K(-1)
+    j = np.arange(m)
+    up = (j + m) % 2 == 0  # P_j is the lower end of band j: even j for an even m, odd j for an odd m
+    hill = levels[:, np.stack([np.where(up, j, m + j), np.where(up, m + j, j)], axis=-1).ravel()]
+    slack = 8 * 2 * m * 2.0**-53 * np.max(np.abs(levels), axis=1)
+    chans, at = np.nonzero(~(hill[:, 1:] - hill[:, :-1] >= -slack[:, None]))  # a NaN fails too
+    if chans.size:
+        c, i = int(chans[0]), int(at[0])
+        raise HillOrderError(
+            f"K(+1)/K(-1) levels out of Hill order: edge {i} = {hill[c, i]} lies above "
+            f"edge {i + 1} = {hill[c, i + 1]} by more than {slack[c]:.3g}",
+            c,
+        )
+    return np.sort(levels, axis=-1).reshape(shape + (2 * m,))
 
 
 def schroedinger_band_edges(q) -> list[tuple[float, float]]:
@@ -262,66 +278,20 @@ def schroedinger_band_edges(q) -> list[tuple[float, float]]:
 
 
 def band_edges_scalar(jac: ScalarPeriodicJacobi) -> list[tuple[float, float]]:
-    """Bands of one scalar channel: ``band_edges_scalar_stack`` of that channel alone."""
-    return band_edges_scalar_stack([jac])[0]
-
-
-def band_edges_scalar_stack(jacs) -> list[list[tuple[float, float]]]:
-    """Bands of each of many scalar channels of one period: ``scalar_stack_edges`` as lists of pairs."""
-    if not jacs:
-        return []
-    lo, hi = scalar_stack_edges(
-        ScalarPeriodicJacobi(p=jacs[0].p, a=np.stack([jac.a for jac in jacs]), v=np.stack([jac.v for jac in jacs]))
-    )
-    return [list(zip(row_lo, row_hi)) for row_lo, row_hi in zip(lo, hi)]
+    """Bands of one scalar channel: ``scalar_stack_edges`` of that channel alone."""
+    return list(zip(*scalar_stack_edges(jac)))
 
 
 def scalar_stack_edges(channels: ScalarPeriodicJacobi) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper edges of the 2p bands of each of a stack of C scalar channels, as two (C, 2p) arrays.
 
-    The channels go in stacks of FIBER_STACK / 2, two fiber matrices each.
-    One stack makes one eigensolve of its K(+/-1) fiber matrices, then
-    validates against the discriminant, evaluated once for all band
-    midpoints and once for all open-gap midpoints of the stack: |D| <= 1 on
-    band midpoints and |D| > 1 on midpoints of open gaps.  Each energy runs
-    its own channel's recurrence, so it gets the bits of a one-channel call.
-    The first failing channel is reported, with its first failing band, or
-    else its first failing gap.  A flat channel is refused before any work.
+    ``periodic_jacobi_band_edges`` of the channels' coefficients, Hill order
+    checked; one channel gives two (2p,) arrays.  A flat channel is refused.
     """
     if channels.is_flat:
         raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
-    size = FIBER_STACK // 2
-    lows, highs = [np.empty((0, 2 * channels.p))], [np.empty((0, 2 * channels.p))]
-    for i in range(0, len(channels.a), size):
-        stack = ScalarPeriodicJacobi(p=channels.p, a=channels.a[i : i + size], v=channels.v[i : i + size])
-        edges = periodic_jacobi_band_edges(stack.a, stack.v)
-        scale = np.maximum(1.0, np.max(np.abs(edges), axis=1, keepdims=True))
-        lo, hi = edges[:, 0::2], edges[:, 1::2]
-        band = np.nonzero(hi - lo > 1e-12 * scale)  # (channels, indices) of the wide bands
-        gap = np.nonzero(lo[:, 1:] - hi[:, :-1] > 1e-6 * scale)  # and of the open gaps
-        blo, bhi, glo, ghi = lo[band], hi[band], hi[:, :-1][gap], lo[:, 1:][gap]
-        d_band = _stacked_discriminant(stack, band[0], 0.5 * (blo + bhi))
-        d_gap = _stacked_discriminant(stack, gap[0], 0.5 * (glo + ghi))
-        # (channel, bands before gaps, message) of the first failure of each pass
-        failures = [
-            (band[0][j], 0, f"discriminant {d_band[j]} exceeds 1 inside band [{blo[j]}, {bhi[j]}]")
-            for j in np.flatnonzero(np.abs(d_band) > 1.0 + 1e-8)[:1]
-        ] + [
-            (gap[0][j], 1, f"discriminant {d_gap[j]} inside [-1,1] at open gap ({glo[j]}, {ghi[j]})")
-            for j in np.flatnonzero(np.abs(d_gap) <= 1.0)[:1]
-        ]
-        if failures:
-            raise InternalConsistencyError(min(failures)[2])
-        lows.append(lo)
-        highs.append(hi)
-    return np.concatenate(lows), np.concatenate(highs)
-
-
-def _stacked_discriminant(stack: ScalarPeriodicJacobi, rows, z) -> np.ndarray:
-    """Discriminant of channel ``rows[i]`` of a stack of channels at energy ``z[i]``."""
-    if not z.size:
-        return z
-    return discriminant(ScalarPeriodicJacobi(p=stack.p, a=stack.a[rows], v=stack.v[rows]), z)
+    edges = periodic_jacobi_band_edges(channels.a, channels.v)
+    return edges[..., 0::2], edges[..., 1::2]
 
 
 def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
@@ -737,20 +707,27 @@ def zigzag_channels(models) -> list[list[ChannelBands]]:
     Each model's channels are built as one stack (``zigzag_channel_stack``),
     and the dispersive channels of all models go to one
     ``scalar_stack_edges`` call, so the models must share their potential
-    period; a flat channel gets the levels of its dimers.  The gaps of all
-    channels are found at once (``_sorted_band_gaps``).
+    period; a flat channel gets the levels of its dimers.  A channel that
+    fails the Hill-order check is named by its field step (the index of its
+    model) and k, the first in that order.  The gaps of all channels are
+    found at once (``_sorted_band_gaps``).
     """
     if not models:
         return []
     stacks = [zigzag_channel_stack(model) for model in models]
     flat = [stack.flat for stack in stacks]
-    lo, hi = scalar_stack_edges(
-        ScalarPeriodicJacobi(
-            p=stacks[0].p,
-            a=np.concatenate([stack.a[~f] for stack, f in zip(stacks, flat)]),
-            v=np.concatenate([stack.v[~f] for stack, f in zip(stacks, flat)]),
+    try:
+        lo, hi = scalar_stack_edges(
+            ScalarPeriodicJacobi(
+                p=stacks[0].p,
+                a=np.concatenate([stack.a[~f] for stack, f in zip(stacks, flat)]),
+                v=np.concatenate([stack.v[~f] for stack, f in zip(stacks, flat)]),
+            )
         )
-    )
+    except HillOrderError as exc:  # name the channel by field step and k
+        step, k = [(step, k) for step, f in enumerate(flat, start=1) for k in np.flatnonzero(~f) + 1][exc.channel]
+        where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
+        raise InternalConsistencyError(f"{where}channel k = {k}: {exc}") from exc
     dispersive = iter(zip(lo, hi, _sorted_band_gaps(lo, hi)))
     out = []
     for stack, f in zip(stacks, flat):

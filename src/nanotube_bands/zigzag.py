@@ -28,8 +28,8 @@ class ScalarPeriodicJacobi:
     c_k : signed channel constant cos(b + pi*k/N), kept for reporting
 
     (C, 2p) arrays ``a`` and ``v`` hold a stack of C channels of one period,
-    which ``monodromy`` and ``discriminant`` evaluate row by row; the c_k of
-    a stack are a (C,) array.
+    which ``scalar_stack_edges`` solves together; the c_k of a stack are a
+    (C,) array.
     """
 
     p: int

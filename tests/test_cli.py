@@ -162,6 +162,20 @@ def test_asym_command(tmp_path, vfiles):
     assert set(reports[0]) == {"regime", "params", "predicted", "measured", "ratio", "tolerance", "pass"}
 
 
+@pytest.mark.parametrize(
+    "argv", ["bands --lattice zigzag --N 3 --b 0 --t 20", "sweep --lattice zigzag --N 3 --B-start 0 --t 20"]
+)
+def test_half_ck_model_exits_0(tmp_path, capsys, argv):
+    # channels 1 and 2 have |c_k| = 1/2, so all their bonds are 1 and half
+    # their gaps close; the discriminant validator of earlier versions lost
+    # enough digits over the 18-step product at t = 20 to exit 3 here
+    pot = tmp_path / "v9.json"
+    pot.write_text("[-0.75, 0.93, 0.32, -0.14, 0.05, 0.75, -0.31, 0.18, 0.37]")
+    code, text = run(tmp_path, *argv.split(), "--potential", str(pot))
+    assert code == 0 and capsys.readouterr().err == ""
+    assert text.count("\n") > 10
+
+
 def test_bad_potential_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")
@@ -483,6 +497,33 @@ def test_asym_refuses_options_the_regime_does_not_read(tmp_path, capsys, potenti
     assert captured.out == ""
     regime = argv.split()[2]
     assert captured.err == f"error: regime {regime} does not read {unread}\n"
+
+
+@pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
+@pytest.mark.parametrize("N, L", [(17, 61), (512, 64), (1_000_000_000, 1)])
+def test_verify_refuses_a_torus_above_the_dimension_cap_before_allocating(capsys, vfiles, lattice, N, L):
+    # verify used to allocate the dense (2NL)^2 complex matrix of any N: about
+    # 69 GB at N = 512, L = 64
+    import tracemalloc
+
+    field = ["--b", "0.3"] if lattice == "zigzag" else ["--B", "0.3"]
+    argv = ["verify", "--lattice", lattice, "--N", str(N), "--L", str(L), *field, "--potential", vfiles["v0"]]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1_000_000
+    assert capsys.readouterr().err == f"error: torus dimension 2NL = {2 * N * L} exceeds the dense-matrix cap 2048\n"
+
+
+def test_verify_dimension_cap_admits_2048_levels():
+    from nanotube_bands import PotentialProfile, ZigzagModel
+    from nanotube_bands.oracle import MAX_DIM, _check_truncation
+
+    assert MAX_DIM == 2048
+    _check_truncation(ZigzagModel(16, 0.3, PotentialProfile([0.0]), t=1.0), 64)  # 2NL = 2048: no refusal
 
 
 @pytest.mark.parametrize("lattice", ["zigzag", "armchair"])

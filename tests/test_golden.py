@@ -5,9 +5,11 @@ Each case runs ``cli.main`` in process and compares its stdout with
 bytes fails.  The zigzag cases pin the union as well as the channel bands:
 an exact flat-band phase ``b = pi/2 - pi k/N`` (flat levels inside bands and
 isolated ones of infinite multiplicity), a model whose near-flat channel has
-bands thinner than 1e-12, a large model (N = 64, odd q = 15), a sweep whose
-field range steps onto a flat amplitude and a sweep of 16 channels at 17
-fields, more channels than one stacked eigensolve takes.  Two armchair
+bands thinner than 1e-12, a model with c_k = 1/2 at odd q and t = 20 (half its
+gaps closed, where a discriminant validator used to exit 3), a large model
+(N = 64, odd q = 15), a sweep whose field range steps onto a flat amplitude
+and a sweep of 16 channels at 17 fields, more channels than one stacked
+eigensolve takes.  Two armchair
 sweeps pin the block channels of ``sweep``, one of them 54 channels at the
 default grid; the armchair ``bands`` cases cover both formats and B = 0,
 where channels k and N - k are complex conjugates.  The
@@ -32,6 +34,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from nanotube_bands.cli import main
@@ -49,6 +52,7 @@ V16 = [
     0.273923, -0.460427, -0.918053, -0.966945, 0.62654, 0.825511, 0.213272, 0.458993,
     0.08725, 0.870145, 0.631707, -0.994523, 0.714809, -0.932829, 0.459311, -0.648689,
 ]
+V9 = [-0.75, 0.93, 0.32, -0.14, 0.05, 0.75, -0.31, 0.18, 0.37]
 V12 = [-1.125, -0.542, 0.945, 0.238, 1.175, -0.123, 0.388, 0.576, 0.091, 0.795, -0.318, -0.688]
 
 # name -> (potential, argv without --potential, expected exit code[, precision])
@@ -93,6 +97,9 @@ CASES = {
     # zigzag oracle: scalar fibers with complex bonds at complex multipliers
     "zig_verify": ([0.4, -0.3, 0.7], "verify --lattice zigzag --N 5 --b 0.4 --t 2", 0),
     "zig_bands_json": (V5, "bands --lattice zigzag --N 5 --b 0.3 --t 2", 0),
+    # c_k = 1/2 in channels 1 and 2 at odd q = 9 and t = 20, where the discriminant
+    # validator of earlier versions exited 3 on valid input
+    "zig_half_ck_q9_N3_t20": (V9, "bands --lattice zigzag --N 3 --b 0 --t 20", 0),
     "zig_bands_csv": (V6, "bands --lattice zigzag --N 7 --B 1.1 --t 0.5 --format csv", 0),
     "zig_sweep": (V2, "sweep --lattice zigzag --N 4 --B-start 0.2 --B-stop 2.6 --B-steps 5 --t 1.5", 0),
     # b = pi/2 - 5 pi/8: channel 5 is flat; two of its levels sit in union gaps
@@ -139,6 +146,17 @@ def test_golden_stdout(name, tmp_path, monkeypatch):
     code, out = run_case(name, tmp_path)
     assert code == CASES[name][2]
     assert out == (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
+
+
+def test_half_ck_golden_holds_the_torus_levels():
+    # every level of the 18-cell torus (L = 2p) lies within 1e-8 of the printed union
+    from nanotube_bands import PotentialProfile, ZigzagModel
+    from nanotube_bands.oracle import build_full_hamiltonian
+
+    union = json.loads((GOLDEN / "zig_half_ck_q9_N3_t20.txt").read_text(encoding="utf-8"))["union"]["bands"]
+    lo, hi = (np.array([band[key] for band in union]) for key in ("lo", "hi"))
+    levels = build_full_hamiltonian(ZigzagModel(3, 0.0, PotentialProfile(V9), t=20.0), 18).eigenvalues()[:, None]
+    assert np.max(np.min(np.maximum(np.maximum(lo - levels, levels - hi), 0.0), axis=1)) < 1e-8
 
 
 if __name__ == "__main__":

@@ -690,9 +690,7 @@ def test_zigzag_channel_gaps_match_merged_bands():
             b = math.pi / 3 - math.pi * int(rng.integers(1, N + 1)) / N
         else:
             b = float(rng.normal())
-        # t stays below the range (5-25 at c_k = 1/2, odd q) where the discriminant
-        # validator refuses valid channels (ROADMAP item 2); small t closes gaps too
-        t = float(np.exp(rng.uniform(np.log(1e-3), np.log(3.0))))
+        t = float(np.exp(rng.uniform(np.log(1e-3), np.log(40.0))))
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
         for ch in zigzag_channels([model])[0]:
             merged = ChannelBands(k=ch.k, c_k=ch.c_k, bands=ch.bands, flat_bands=ch.flat_bands).gaps
@@ -749,13 +747,8 @@ def test_discriminant_of_an_array_matches_scalar_calls():
 # stacked scalar channels against the per-channel loop
 
 
-def _per_channel_edges(jac, mutate=None):
-    """The one-channel edge routine that the stacked path replaced, kept as its exact reference.
-
-    Two fiber matrices per eigensolve, built as the old period-matrix and
-    corner code did, and one 2x2-product loop per validated energy.
-    ``mutate(z, d)`` replaces the discriminant d at energy z.
-    """
+def _per_channel_levels(jac):
+    """The K(+1) and K(-1) levels of one channel, two fiber matrices built as the old period-matrix and corner code did."""
     a, v, m = np.asarray(jac.a, dtype=complex), jac.v, 2 * jac.p
     i = np.arange(m)
     K = np.zeros((m, m), dtype=complex)
@@ -767,28 +760,16 @@ def _per_channel_edges(jac, mutate=None):
     L = np.repeat(K[None], 2, axis=0)
     L[:, m - 1 :, :1] += taus * wrap
     L[:, :1, m - 1 :] += np.conj(taus) * wrap.conj().T
-    edges = np.sort(np.linalg.eigvalsh(L), axis=None)
-
-    def disc(z):
-        M = _matmul_monodromy(jac, z)
-        d = 0.5 * (M[0, 0] + M[1, 1])
-        return d if mutate is None else float(mutate(z, d))
-
-    scale = max(1.0, float(np.max(np.abs(edges))))
-    lo, hi = edges[0::2], edges[1::2]
-    for i in np.flatnonzero(hi - lo > 1e-12 * scale):
-        d = disc(0.5 * (lo[i] + hi[i]))
-        if abs(d) > 1.0 + 1e-8:
-            raise InternalConsistencyError(f"discriminant {d} exceeds 1 inside band [{lo[i]}, {hi[i]}]")
-    glo, ghi = hi[:-1], lo[1:]
-    for i in np.flatnonzero(ghi - glo > 1e-6 * scale):
-        d = disc(0.5 * (glo[i] + ghi[i]))
-        if abs(d) <= 1.0:
-            raise InternalConsistencyError(f"discriminant {d} inside [-1,1] at open gap ({glo[i]}, {ghi[i]})")
-    return list(zip(lo, hi))
+    return np.linalg.eigvalsh(L)
 
 
-def _channel_outcome(models, stacked, mutate=None):
+def _per_channel_edges(jac):
+    """The one-channel edge routine that the stacked path replaced, kept as its exact reference."""
+    edges = np.sort(_per_channel_levels(jac), axis=None)
+    return list(zip(edges[0::2], edges[1::2]))
+
+
+def _channel_outcome(models, stacked):
     """Bits of (bands, flat levels) per channel of each model, or the message of the first failure."""
     from nanotube_bands.spectral import _dimer_levels, zigzag_channels
 
@@ -800,7 +781,7 @@ def _channel_outcome(models, stacked, mutate=None):
                 [
                     ((), tuple(float(e) for e in _dimer_levels(jac.v.reshape(jac.p, 2))))
                     if jac.is_flat
-                    else (tuple(_per_channel_edges(jac, mutate)), ())
+                    else (tuple(_per_channel_edges(jac)), ())
                     for jac in decompose_zigzag(model)
                 ]
                 for model in models
@@ -848,11 +829,10 @@ def test_stacked_scalar_channels_match_per_channel_loop_at_N120():
 
 def test_stacked_scalar_channels_raise_like_per_channel_loop():
     # large t and odd q, with some channel at c_k = 1/2 (all bonds 1): the
-    # discriminant validator refuses many of these (exit 3); the stack must
-    # report the per-channel loop's first failure by field step, k, bands
-    # before gaps, including failures past the first stack
+    # discriminant validator of earlier versions refused most of these
+    # sweeps (exit 3 on valid input); the Hill-order check refuses none, and
+    # the stack matches the per-channel loop bit for bit, past the first stack
     rng = np.random.default_rng(59)
-    raised = 0
     for _ in range(8):
         N, q, t = int(rng.integers(3, 17)), int(rng.choice([9, 11, 13])), float(rng.uniform(7, 23))
         prof = PotentialProfile(rng.uniform(-1, 1, q))
@@ -860,44 +840,143 @@ def test_stacked_scalar_channels_raise_like_per_channel_loop():
         bs.append(math.pi / 3 - math.pi * int(rng.integers(1, N + 1)) / N)
         models = [ZigzagModel(N, b, prof, t=t) for b in bs]
         want = _channel_outcome(models, stacked=False)
-        raised += isinstance(want, str)
+        assert not isinstance(want, str)
         assert _channel_outcome(models, stacked=True) == want
-    assert raised >= 3
 
 
-def _flip_some(z, d):
-    """The discriminant with its verdict flipped at about one energy in 11, chosen by z alone."""
-    flip = np.floor(np.abs(z) * 1e6) % 11 == 0
-    return np.where(flip, np.where(np.abs(d) > 1.0, 0.0, 3.0), d)
+def _torus_distance_to_union(model, L, lo, hi):
+    """Largest distance from a level of the L-cell torus to the union bands [lo, hi]."""
+    from nanotube_bands.oracle import build_full_hamiltonian
+
+    levels = build_full_hamiltonian(model, L).eigenvalues()[:, None]
+    return float(np.max(np.min(np.maximum(np.maximum(lo - levels, levels - hi), 0.0), axis=1)))
+
+
+def test_half_ck_family_passes_the_hill_check_and_the_torus():
+    # the family on which the discriminant validator of earlier versions
+    # exited 3 for about 4 models in 10: N 3-16, odd q 9-15, t 5-25 and a
+    # field that puts some channel at c_k = 1/2, where half the gaps close.
+    # Every model is solved, and every level of the 2p-cell torus lies in
+    # the union within 1e-8
+    from nanotube_bands.spectral import zigzag_channels
+
+    rng = np.random.default_rng(67)
+    for _ in range(40):
+        N, q, t = int(rng.integers(3, 17)), int(rng.choice([9, 11, 13, 15])), float(rng.uniform(5, 25))
+        k = int(rng.integers(1, N + 1))
+        model = ZigzagModel(N, math.pi / 3 - math.pi * k / N, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+        assert model.channel_constant(k) == pytest.approx(0.5, abs=1e-12)
+        zigzag_channels([model])
+        bs = full_spectrum(model)
+        assert _torus_distance_to_union(model, 2 * model.potential.p, bs.lo, bs.hi) < 1e-8
+
+
+def _faulty_eigvalsh(fault, select):
+    """``np.linalg.eigvalsh`` with ``fault`` injected into the K(+1)/K(-1) levels of the channels ``select`` picks.
+
+    ``select(P0)`` reads the channel's lowest K(+1) level, so a channel is
+    picked by its own data, alone or in any stack.  "swap" exchanges the
+    K(+1) and K(-1) labels; "move" takes the upper end of one band of the
+    Hill sequence below its lower end, a level of the other kind.
+    """
+    real = np.linalg.eigvalsh
+
+    def eigvalsh(a, *args, **kwargs):
+        levels = real(a, *args, **kwargs)
+        if levels.ndim != 3 or levels.shape[1] != 2:
+            return levels
+        levels = levels.copy()
+        m = levels.shape[2]
+        for c in np.flatnonzero([select(x) for x in levels[:, 0, 0]]):
+            if fault == "swap":
+                levels[c] = levels[c, ::-1].copy()
+            else:
+                j = int(abs(levels[c, 0, 0]) * 1e7) % m  # band j is (P_j, M_j) for even j, (M_j, P_j) for odd j
+                lower, upper = (0, 1) if j % 2 == 0 else (1, 0)
+                levels[c, upper, j] = 2 * levels[c, lower, j] - levels[c, upper, j]
+        return levels
+
+    return eigvalsh
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_stacked_validator_reports_the_first_failure_in_loop_order(monkeypatch, seed):
-    # valid models never fail the gap pass, so a stand-in discriminant flips
-    # the verdict at some band and some gap midpoints; the stack must then
-    # report what the per-channel loop reports: the first failure by field
-    # step, k, bands before gaps
-    from nanotube_bands import spectral
+def test_stacked_validator_reports_the_first_failure_in_loop_order(monkeypatch, capsys, tmp_path, seed):
+    # faults injected into the eigensolver's output of some channels must
+    # exit 3 through the CLI, naming the first faulty channel by field step,
+    # then k: the one the per-channel loop meets first, also past the first
+    # stack of FIBER_STACK / 2 channels
+    from nanotube_bands.cli import main
 
-    real = spectral.discriminant
-    monkeypatch.setattr(spectral, "discriminant", lambda jac, z: _flip_some(z, real(jac, z)))
     rng = np.random.default_rng([61, seed])
-    messages = []
-    for _ in range(12):
-        N, q = int(rng.integers(2, 13)), int(rng.integers(1, 7))
-        models = _sweep_models(rng, N, q, float(np.exp(rng.uniform(-2, 1.5))), flat_step=False)
-        want = _channel_outcome(models, stacked=False, mutate=_flip_some)
-        assert _channel_outcome(models, stacked=True) == want
-        messages.append(want if isinstance(want, str) else "")
-    assert any("band" in m for m in messages) and any("gap" in m for m in messages)
+    late = 0
+    for case in range(8):
+        fault = ("swap", "move")[case % 2]
+        rare = case >= 4  # then few channels are picked, in sweeps of up to 8 x 16 channels
+        every = 61 if rare else 3
+        select = lambda x, every=every: int(abs(x) * 1e6) % every == 0
+        N, q = int(rng.integers(8 if rare else 2, 17)), int(rng.integers(1, 7))
+        t = float(np.exp(rng.uniform(-1.5, 1.5)))
+        pot = tmp_path / "v.json"
+        pot.write_text(json.dumps(rng.uniform(-1, 1, q).tolist()))
+        prof = PotentialProfile(json.loads(pot.read_text()))
+        steps = int(rng.integers(4 if rare else 1, 9))
+        Bs = list(np.linspace(-2.0, 2.5, steps)) if steps > 1 else [0.3]
+        models = [ZigzagModel(N, magnetic_phase(B, N), prof, t=t) for B in Bs]
+        # (field step, k) of the dispersive channels in loop order, and which the
+        # fault picks, from the one-channel reference
+        rows = [
+            (step, k, jac)
+            for step, model in enumerate(models, start=1)
+            for k, jac in enumerate(decompose_zigzag(model), start=1)
+            if not jac.is_flat
+        ]
+        picked = [i for i, (_, _, jac) in enumerate(rows) if select(_per_channel_levels(jac)[0, 0])]
+        if steps > 1:
+            argv = ["sweep", "--B-start", "-2.0", "--B-stop", "2.5", "--B-steps", str(steps)]
+        else:
+            argv = ["bands", "--B", "0.3"]
+        argv += ["--lattice", "zigzag", "--N", str(N), "--t", repr(t), "--potential", str(pot)]
+        argv += ["--output", str(tmp_path / "out")]
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "eigvalsh", _faulty_eigvalsh(fault, select))
+            code = main(argv)
+        err = capsys.readouterr().err
+        if not picked:
+            assert code == 0 and err == ""
+            continue
+        step, k, _ = rows[picked[0]]
+        where = f"field step {step} of {steps}, " if steps > 1 else ""
+        assert code == 3
+        assert err.startswith(f"internal consistency failure: {where}channel k = {k}: K(+1)/K(-1) levels out of Hill")
+        late += picked[0] >= 32
+    assert late > 0
 
 
-def test_band_edges_scalar_stack_refuses_flat_channel():
-    from nanotube_bands.spectral import band_edges_scalar_stack
+def test_hill_check_swaps_the_roles_for_an_odd_period(monkeypatch):
+    # a Schroedinger chain of odd period m starts from a K(-1) level; with the
+    # labels swapped, the first band wider than the rounding slack falls
+    from nanotube_bands.errors import HillOrderError
 
+    rng = np.random.default_rng(71)
+    chains = [rng.uniform(-1, 1, m) for m in range(1, 25)]
+    for q in chains:
+        for scale in (1e-3, 1.0, 1e3):
+            assert len(schroedinger_band_edges(scale * q)) == q.size
+    monkeypatch.setattr(np.linalg, "eigvalsh", _faulty_eigvalsh("swap", lambda x: True))
+    for q in chains:
+        with pytest.raises(HillOrderError) as info:
+            schroedinger_band_edges(q)
+        assert info.value.channel == 0
+
+
+def test_scalar_stack_edges_refuses_flat_channel():
+    from nanotube_bands.spectral import scalar_stack_edges
+
+    stack = ScalarPeriodicJacobi(p=1, a=[[1.0, 1.0], [1.0, 0.0]], v=[[0.0, 0.0], [0.0, 0.0]])
     with pytest.raises(FlatBandChannelError):
-        band_edges_scalar_stack([chain(1, 1.0, [0.0, 0.0]), chain(1, 0.0, [0.0, 0.0])])
-    assert band_edges_scalar_stack([]) == []
+        scalar_stack_edges(stack)
+    lo, hi = scalar_stack_edges(ScalarPeriodicJacobi(p=1, a=np.ones((0, 2)), v=np.ones((0, 2))))
+    assert lo.shape == hi.shape == (0, 2)
 
 
 def test_json_schema_shape():
