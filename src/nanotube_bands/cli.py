@@ -5,7 +5,7 @@ Exit codes: 0 success, 1 completed but a requested check failed, 2 bad input,
 significant digits (env NANOTUBE_BANDS_PRECISION, default 12) so identical
 configurations produce byte-identical files.  This module alone knows the
 output schemas: ``bands`` JSON and CSV and ``sweep`` CSV are written as tables
-of rows by ``_table``, the other commands through ``render_json``.
+of rows, one ``%`` call per table, the other commands through ``render_json``.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
 )
 from .oracle import compare_decomposition
-from .spectral import armchair_channels, full_spectrum, zigzag_channels
+from .spectral import armchair_channels, full_spectrum, zigzag_channel_edges, zigzag_channels
 
 
 def _precision() -> int:
@@ -190,12 +190,19 @@ def build_model(args, lattice: str):
 
 MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swept
 MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
+MAX_N = 512  # the zigzag union's coverage array grows as N**2 * p, an armchair run as N
+MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
 
 
 def _check_grid(grid: int) -> int:
     if not 16 <= grid <= MAX_GRID or grid & (grid - 1) != 0:
         raise InvalidInputError(f"--grid must be a power of two in [16, {MAX_GRID}], got {grid}")
     return grid
+
+
+def _check_N(N: int) -> None:
+    if N > MAX_N:
+        raise InvalidInputError(f"--N must be at most {MAX_N}, got {N}")
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +217,23 @@ def _pairs(rows, indent: int, sig: int) -> str:
     return "[\n" + _table(pad + "  [%g, %g]", rows, sig, ",\n") + "\n" + pad + "]"
 
 
+def _pair_slots(n: int, spec: str) -> str:
+    """``_pairs`` of n pairs at indent 3, with ``spec`` in the value slots."""
+    return "[\n" + ",\n".join([f"        [{spec}, {spec}]"] * n) + "\n      ]" if n else "[]"
+
+
+@lru_cache(maxsize=256)  # a few dozen (count, precision) keys per structure
+def _channel_entry(bands: int, flats: int, gaps: int, c_k: bool, spec: str) -> str:
+    """The ``bands`` JSON entry of one channel with these counts, ``spec`` in its float slots.
+
+    The slots are k (``%d``), c_k (``null`` when it is missing), the band
+    edges, the flat levels and the gap edges, in that order.
+    """
+    return '    {\n      "k": %%d,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }' % (
+        spec if c_k else "null", _pair_slots(bands, spec), ", ".join([spec] * flats), _pair_slots(gaps, spec)
+    )
+
+
 _UNION_BAND = '      {\n        "lo": %g,\n        "hi": %g,\n        "multiplicity": %s\n      }'
 
 
@@ -217,25 +241,29 @@ def _bands_json(structure) -> str:
     """``bands`` JSON: each channel's bands, flat levels and gaps, then the union.
 
     The bytes are those of ``render_json`` on the nested tree of the same
-    keys, written table by table instead of value by value; the union table
-    is read from the columns of the structure.
+    keys, written table by table instead of value by value.  Every channel
+    entry is written by one ``%`` call on the entry templates of all
+    channels, as ``_table`` writes a table: a non-finite value sends every
+    float through ``fmt_float``.  The union table is read from the columns
+    of the structure.
     """
     sig = _precision()
-    channels = [
-        '    {\n      "k": %d,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }'
-        % (
-            ch.k,
-            "null" if ch.c_k is None else fmt_float(ch.c_k, sig),
-            _pairs(ch.bands, 3, sig),
-            _table("%g", [(e,) for e in ch.flat_bands], sig, ", "),
-            _pairs(ch.gaps, 3, sig),
-        )
-        for ch in structure.channels
+    channels = structure.channels
+    rows = [
+        [ch.k, *([] if ch.c_k is None else [ch.c_k]), *chain(*ch.bands), *ch.flat_bands, *chain(*ch.gaps)]
+        for ch in channels
     ]
+    spec = f"%.{sig}g"
+    if not all(map(math.isfinite, chain.from_iterable(rows))):
+        spec = "%s"
+        rows = [[row[0]] + [fmt_float(x, sig) for x in row[1:]] for row in rows]
+    entries = ",\n".join(
+        _channel_entry(len(ch.bands), len(ch.flat_bands), len(ch.gaps), ch.c_k is not None, spec) for ch in channels
+    ) % tuple(chain.from_iterable(rows))
     mult = ['"inf"' if math.isinf(m) else int(m) for m in structure.multiplicity.tolist()]
     union = list(zip(structure.lo.tolist(), structure.hi.tolist(), mult))
     return '{\n  "channels": %s,\n  "union": {\n    "bands": %s,\n    "gaps": %s\n  }\n}' % (
-        "[\n" + ",\n".join(channels) + "\n  ]" if channels else "[]",
+        "[\n" + entries + "\n  ]" if channels else "[]",
         "[\n" + _table(_UNION_BAND, union, sig, ",\n") + "\n    ]" if union else "[]",
         _pairs(structure.union_gaps, 2, sig),
     )
@@ -250,6 +278,7 @@ def _bands_csv(channels) -> str:
 
 
 def cmd_bands(args) -> int:
+    _check_N(args.N)
     model = build_model(args, args.lattice)
     grid = _check_grid(args.grid)
     if args.format == "csv":  # the channels alone: CSV prints no union
@@ -260,9 +289,22 @@ def cmd_bands(args) -> int:
     return 0
 
 
+def _sweep_rows(B: float, b: float, rows, sig: int) -> str:
+    """One field step of ``sweep`` CSV: a row ``B,b,k,i,lo,hi`` for each ``(k, i, lo, hi)`` of ``rows``.
+
+    B and b are written once, into a prefix that the row separator of one
+    ``_table`` call repeats, so the step is one ``%`` call.
+    """
+    prefix = f"{fmt_float(B, sig)},{fmt_float(b, sig)},".replace("%", "%%")
+    return prefix + _table("%d,%d,%g,%g", rows, sig, "\n" + prefix) if rows else ""
+
+
 def cmd_sweep(args) -> int:
+    _check_N(args.N)
     if not 1 <= args.B_steps <= MAX_B_STEPS:
         raise InvalidInputError(f"--B-steps must be in [1, {MAX_B_STEPS}], got {args.B_steps}")
+    if args.N * args.B_steps > MAX_SWEEP_CHANNELS:
+        raise InvalidInputError(f"--N times --B-steps must be at most {MAX_SWEEP_CHANNELS}, got {args.N} x {args.B_steps}")
     profile = _load_profile(args)
     grid = _check_grid(args.grid)
     if args.B_steps == 1:
@@ -276,23 +318,22 @@ def cmd_sweep(args) -> int:
     if args.lattice == "zigzag":
         models = [ZigzagModel(N=args.N, b=magnetic_phase(B, args.N), potential=profile, t=args.t) for B in Bs]
         phases = [model.b for model in models]
-        per_step = zigzag_channels(models)  # every field step in one stacked solve
+        _, _, lo, hi = zigzag_channel_edges(models)  # every field step in one stacked solve
+        k, i = (index.ravel() for index in np.indices(lo.shape[1:]) + 1)
+        # the edges of a channel ascend, so its bands are its rows in order; %d writes k = 3.0 as 3
+        steps = (np.column_stack((k, i, step_lo.ravel(), step_hi.ravel())).tolist() for step_lo, step_hi in zip(lo, hi))
     else:
         models = [
             ArmchairModel(N=args.N, phases=tube_geometry(args.N, B)[1], potential=profile, t=args.t) for B in Bs
         ]
         phases = [model.phases[0] for model in models]
         per_step = armchair_channels(models, grid)  # every field step in one lockstep refinement
-    sig = _precision()
-    tables = (  # one table per field step, written as it is made
-        _table(
-            "%g,%g,%d,%d,%g,%g",
-            [(B, b, ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)],
-            sig,
-            "\n",
+        steps = (
+            [(ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)]
+            for channels in per_step
         )
-        for B, b, channels in zip(Bs, phases, per_step)
-    )
+    sig = _precision()
+    tables = (_sweep_rows(B, b, rows, sig) for B, b, rows in zip(Bs, phases, steps))  # written as they are made
     _write_chunks((text + "\n" for text in tables if text), args.output)
     return 0
 

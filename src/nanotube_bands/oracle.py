@@ -138,7 +138,7 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
     M = L // p
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
     if isinstance(model, ZigzagModel):
-        offdiag, _ = channel_bonds(model)
+        (offdiag,), _ = channel_bonds([model])
         diag = model.t * model.potential.period_values()
         period, wrap = scalar_period_matrix(offdiag, np.broadcast_to(diag, offdiag.shape))
     elif isinstance(model, ArmchairModel):

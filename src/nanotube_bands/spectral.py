@@ -12,6 +12,10 @@ one scalar edge routine); all channels of a model, or of every field step of
 a sweep, are solved as stacks of FIBER_STACK / 2 channels.  The levels are
 checked by the discrete Hill theorem, which orders them ``+ - - + + - - + ...``
 from the bottom for positive bonds; the check reads only the solved levels.
+The zigzag channels come back as arrays (``zigzag_channel_edges``): the flat
+mask, the c_k and the (step, N, 2p) band edges, from which ``sweep`` writes
+its rows; ``zigzag_channels`` builds the ``ChannelBands`` of ``bands`` from
+the same arrays.
 
 Block channels have no edge rule, so their bands are the ranges of the
 sorted eigenvalue branches over the unit circle: the fiber matrices of a
@@ -247,6 +251,10 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
     P0 M0 M1 P1 P2 M2 M3 P3 ... ascends, with P and M trading places for an
     odd m; where it falls by more than 8 * 2m * u * max|level| (u = 2**-53,
     the unit roundoff), ``HillOrderError`` names the first such operator.
+    A fault smaller than that allowance passes: with the K(+1)/K(-1) labels
+    swapped, an operator whose every band is narrower than the allowance
+    (as at large potentials, where the bands are exponentially thin) still
+    reads in order, and its edges rest on the eigensolver alone.
     """
     v = np.asarray(diag, dtype=float)
     shape, m = v.shape[:-1], v.shape[-1]
@@ -701,47 +709,53 @@ def _sorted_band_gaps(lo, hi) -> list[tuple[tuple[float, float], ...]]:
     return [tuple(pairs[start:stop]) for start, stop in zip([0] + ends, ends)]
 
 
+def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Band edges of every channel of each zigzag model, k = 1..N, as arrays.
+
+    Returns the (M, N) flat mask and channel constants c_k of the M models
+    and the (M, N, 2p) lower and upper edges of their channels' bands,
+    ascending; the row of a flat channel holds the 2p levels of its dimers
+    as (e, e).  The models must share N and the potential period.  The
+    channels of all models are built as one stack (``zigzag_channel_stack``),
+    and their dispersive channels go to one ``scalar_stack_edges`` call.  A
+    channel that fails the Hill-order check is named by its field step (the
+    index of its model) and k, the first in that order.
+    """
+    stack = zigzag_channel_stack(models)
+    flat, a, v = stack.flat, stack.a, stack.v
+    try:
+        lo, hi = scalar_stack_edges(ScalarPeriodicJacobi(p=stack.p, a=a[~flat], v=v[~flat]))
+    except HillOrderError as exc:  # name the channel by field step and k
+        step, k = (np.argwhere(~flat)[exc.channel] + 1).tolist()
+        where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
+        raise InternalConsistencyError(f"{where}channel k = {k}: {exc}") from exc
+    edges = np.empty((2,) + a.shape)
+    edges[:, ~flat] = lo, hi
+    for step in np.flatnonzero(flat.any(axis=1)).tolist():
+        edges[:, step, flat[step]] = _dimer_levels(v[step, 0].reshape(-1, 2))
+    return flat, stack.c_k, edges[0], edges[1]
+
+
 def zigzag_channels(models) -> list[list[ChannelBands]]:
     """Channel bands of each zigzag model, k = 1..N, without the union.
 
-    Each model's channels are built as one stack (``zigzag_channel_stack``),
-    and the dispersive channels of all models go to one
-    ``scalar_stack_edges`` call, so the models must share their potential
-    period; a flat channel gets the levels of its dimers.  A channel that
-    fails the Hill-order check is named by its field step (the index of its
-    model) and k, the first in that order.  The gaps of all channels are
-    found at once (``_sorted_band_gaps``).
+    ``ChannelBands`` of the rows of ``zigzag_channel_edges``: a flat
+    channel's row gives its flat levels.  The gaps of all dispersive
+    channels are found at once (``_sorted_band_gaps``).
     """
     if not models:
         return []
-    stacks = [zigzag_channel_stack(model) for model in models]
-    flat = [stack.flat for stack in stacks]
-    try:
-        lo, hi = scalar_stack_edges(
-            ScalarPeriodicJacobi(
-                p=stacks[0].p,
-                a=np.concatenate([stack.a[~f] for stack, f in zip(stacks, flat)]),
-                v=np.concatenate([stack.v[~f] for stack, f in zip(stacks, flat)]),
-            )
-        )
-    except HillOrderError as exc:  # name the channel by field step and k
-        step, k = [(step, k) for step, f in enumerate(flat, start=1) for k in np.flatnonzero(~f) + 1][exc.channel]
-        where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
-        raise InternalConsistencyError(f"{where}channel k = {k}: {exc}") from exc
-    dispersive = iter(zip(lo, hi, _sorted_band_gaps(lo, hi)))
-    out = []
-    for stack, f in zip(stacks, flat):
-        levels = tuple(_dimer_levels(stack.v[0].reshape(stack.p, 2)).tolist()) if f.any() else ()
-        channels = []
-        for k, (c_k, is_flat) in enumerate(zip(stack.c_k.tolist(), f.tolist()), start=1):
-            if is_flat:
-                channels.append(ChannelBands(k=k, c_k=c_k, bands=(), flat_bands=levels))
-            else:
-                row_lo, row_hi, gaps = next(dispersive)
-                bands = tuple(zip(row_lo.tolist(), row_hi.tolist()))
-                channels.append(ChannelBands(k=k, c_k=c_k, bands=bands, gaps=gaps))
-        out.append(channels)
-    return out
+    flat, c_k, lo, hi = zigzag_channel_edges(models)
+    gaps = iter(_sorted_band_gaps(lo[~flat], hi[~flat]))
+    return [
+        [
+            ChannelBands(k=k, c_k=c, bands=(), flat_bands=tuple(row_lo))
+            if is_flat
+            else ChannelBands(k=k, c_k=c, bands=tuple(zip(row_lo, row_hi)), gaps=next(gaps))
+            for k, (c, is_flat, row_lo, row_hi) in enumerate(zip(cs, fs, los, his), start=1)
+        ]
+        for cs, fs, los, his in zip(c_k.tolist(), flat.tolist(), lo.tolist(), hi.tolist())
+    ]
 
 
 def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:

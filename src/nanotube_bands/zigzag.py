@@ -27,9 +27,9 @@ class ScalarPeriodicJacobi:
     v : diagonal, length 2p, already scaled by the coupling t
     c_k : signed channel constant cos(b + pi*k/N), kept for reporting
 
-    (C, 2p) arrays ``a`` and ``v`` hold a stack of C channels of one period,
-    which ``scalar_stack_edges`` solves together; the c_k of a stack are a
-    (C,) array.
+    (..., 2p) arrays ``a`` and ``v`` hold a stack of channels of one period,
+    which ``scalar_stack_edges`` solves together; the c_k of a stack are an
+    array of its leading shape.
     """
 
     p: int
@@ -58,20 +58,22 @@ class ScalarPeriodicJacobi:
         return bool(np.any(self.flat))
 
 
-def channel_bonds(model: ZigzagModel) -> tuple[np.ndarray, np.ndarray]:
-    """Complex pre-gauge bond amplitudes of all N channels over one period 2p, and the N c_k.
+def channel_bonds(models) -> tuple[np.ndarray, np.ndarray]:
+    """Complex pre-gauge bond amplitudes of all N channels of each model over one period 2p, and their c_k.
 
-    Row k - 1 of the (N, 2p) bonds holds channel k: 1 on the even bonds and
-    ``2 exp(-i pi k/N) c_k`` on the odd ones.  The exponent is
-    0 + i*(-pi*k/N), rounded as the scalar ``-1j * np.pi * k / N`` rounds it,
-    so every row has the bits of a one-channel build.
+    The M models must share N and the potential period.  Row [s, k - 1] of
+    the (M, N, 2p) bonds holds channel k of ``models[s]``: 1 on the even
+    bonds and ``2 exp(-i pi k/N) c_k`` on the odd ones, with the (M, N) c_k
+    of ``channel_constant``.  The exponent is 0 + i*(-pi*k/N), rounded as the
+    scalar ``-1j * np.pi * k / N`` rounds it, so every row has the bits of a
+    one-channel build.
     """
-    N, p = model.N, model.potential.p
-    c = np.array([model.channel_constant(k) for k in range(1, N + 1)])
+    N, p = models[0].N, models[0].potential.p
+    c = np.array([[model.channel_constant(k) for k in range(1, N + 1)] for model in models])
     phase = np.zeros(N, dtype=complex)
     phase.imag = -np.pi * np.arange(1, N + 1) / N
-    bonds = np.ones((N, 2 * p), dtype=complex)
-    bonds[:, 1::2] = (2.0 * np.exp(phase) * c)[:, None]
+    bonds = np.ones(c.shape + (2 * p,), dtype=complex)
+    bonds[..., 1::2] = (2.0 * np.exp(phase) * c)[..., None]
     return bonds, c
 
 
@@ -88,25 +90,25 @@ def gauge_reduce(offdiag, diag, c_k: float | None = None) -> ScalarPeriodicJacob
     return ScalarPeriodicJacobi(p=a.size // 2, a=a, v=v, c_k=c_k)
 
 
-def zigzag_channel_stack(model: ZigzagModel) -> ScalarPeriodicJacobi:
-    """All N gauge-reduced channels, k = 1..N, as one stack.
+def zigzag_channel_stack(models) -> ScalarPeriodicJacobi:
+    """All N gauge-reduced channels, k = 1..N, of each of M models of one N and potential period, as one stack.
 
-    ``a`` holds the (N, 2p) moduli of ``channel_bonds``, ``v`` the diagonal
-    ``t * v`` broadcast to every channel, and ``c_k`` the (N,) channel
-    constants.
+    ``a`` holds the (M, N, 2p) moduli of ``channel_bonds``, ``v`` each
+    model's diagonal ``t * v`` broadcast to its channels, and ``c_k`` the
+    (M, N) channel constants.  The models of a field sweep are built at once.
     """
-    bonds, c = channel_bonds(model)
+    bonds, c = channel_bonds(models)
     a = np.abs(bonds)
-    diag = model.t * model.potential.period_values()
-    return ScalarPeriodicJacobi(p=model.potential.p, a=a, v=np.broadcast_to(diag, a.shape), c_k=c)
+    diag = np.array([model.t * model.potential.period_values() for model in models])
+    return ScalarPeriodicJacobi(p=models[0].potential.p, a=a, v=np.broadcast_to(diag[:, None], a.shape), c_k=c)
 
 
 def decompose_zigzag(model: ZigzagModel) -> list[ScalarPeriodicJacobi]:
     """All N gauge-reduced channels, k = 1..N: the rows of ``zigzag_channel_stack``."""
-    stack = zigzag_channel_stack(model)
+    stack = zigzag_channel_stack([model])
     return [
         ScalarPeriodicJacobi(p=stack.p, a=a, v=v, c_k=c_k)
-        for a, v, c_k in zip(stack.a, stack.v, stack.c_k.tolist())
+        for a, v, c_k in zip(stack.a[0], stack.v[0], stack.c_k[0].tolist())
     ]
 
 

@@ -537,11 +537,18 @@ def test_verify_dimension_cap_admits_2048_levels():
         ("sweep --N 2 --B-start 0 --B-stop 1 --B-steps 1025 --grid 16", "--B-steps"),
         ("sweep --N 2 --B-start 0 --B-stop 1 --B-steps 10000000000000 --grid 16", "--B-steps"),
         ("sweep --N 2 --B-start 0 --B-steps 1 --grid 131072", "--grid"),
+        ("bands --N 512 --B 0.3 --grid 16", None),
+        ("bands --N 513 --B 0.3 --grid 16", "--N"),
+        ("sweep --N 512 --B-start 0 --B-stop 1 --B-steps 2 --grid 16", None),
+        ("sweep --N 513 --B-start 0 --B-steps 1 --grid 16", "--N"),
+        ("sweep --N 65 --B-start 0 --B-stop 1 --B-steps 1024 --grid 16", "--N times --B-steps"),
+        ("sweep --N 512 --B-start 0 --B-stop 1 --B-steps 129 --grid 16", "--N times --B-steps"),
     ],
 )
 def test_resolution_bounds(tmp_path, capsys, vfiles, lattice, argv, refused):
-    # --grid at most 2**16 and --B-steps at most 1024; beyond them a run used
-    # to end in a numpy memory error and a traceback
+    # --grid at most 2**16, --B-steps at most 1024, --N at most 512 and
+    # --N x --B-steps at most 2**16; beyond them a run used to end in a numpy
+    # memory error and a traceback
     words = argv.split()
     out = tmp_path / "out.txt"
     code = main(words[:1] + ["--lattice", lattice] + words[1:] + ["--potential", vfiles["pm"], "--output", str(out)])
@@ -553,6 +560,45 @@ def test_resolution_bounds(tmp_path, capsys, vfiles, lattice, argv, refused):
         assert code == 2
         assert not out.exists() and captured.out == ""
         assert captured.err.startswith(f"error: {refused} must be ")
+
+
+def test_sweep_at_the_channel_bound(tmp_path, vfiles):
+    # N x --B-steps = 2**16 zigzag channels, solved at once
+    assert cli.MAX_SWEEP_CHANNELS == 64 * 1024 == 128 * 512
+    code, text = run(tmp_path, *"sweep --lattice zigzag --N 512 --B-start 0 --B-stop 1 --B-steps 128".split(),
+                     "--potential", vfiles["pm"])
+    assert code == 0 and text.count("\n") == 2 * 512 * 128
+
+
+@pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "bands --N 513 --B 0.3",
+        "bands --N 1000000000 --B 0.3",
+        "sweep --N 513 --B-start 0",
+        "sweep --N 1000000 --B-start 0 --B-stop 1 --B-steps 1024",
+        "sweep --N 65 --B-start 0 --B-stop 1 --B-steps 1024",
+    ],
+)
+def test_size_refusal_allocates_nothing(tmp_path, vfiles, lattice, argv):
+    # the bounds are checked before any array of the run is made: a refused
+    # run traces about 9 kB, a zigzag bands run at N = 512 about 7 MB
+    import tracemalloc
+
+    words = argv.split()
+    argv = words[:1] + ["--lattice", lattice] + words[1:] + ["--potential", vfiles["pm"], "--output", str(tmp_path / "o")]
+    cli._parser()  # built once per process, before the measurement
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 2 and err.getvalue().startswith("error: --N ")
+    assert peak < 64 * 1024
+    assert not (tmp_path / "o").exists()
 
 
 def run_in_process(argv):

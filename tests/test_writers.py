@@ -1,9 +1,11 @@
 """The table writers of ``bands`` JSON, ``bands`` CSV and ``sweep`` against exact references.
 
 The references are the writers they replaced: the nested tree of
-``BandStructure.to_json_dict`` rendered by ``render_json``, and the per-value
-``fmt_float`` row loops of ``_bands_csv`` and ``cmd_sweep``.  Every case
-compares bytes at 1, 6, 12 and 17 significant digits.
+``BandStructure.to_json_dict`` rendered by ``render_json``, the per-value
+``fmt_float`` row loops of ``_bands_csv`` and ``cmd_sweep``, and the
+per-channel ``sweep`` writer that read ``ChannelBands``.  The cases compare
+bytes at 1, 6, 12 and 17 significant digits, the seeded zigzag sweeps at 5,
+12 and 17.
 """
 
 from __future__ import annotations
@@ -81,6 +83,20 @@ def reference_sweep_csv(Bs, phases, per_step, sig: int) -> str:
             for idx, (lo, hi) in enumerate(sorted(entries), start=1):
                 lines.append(f"{field},{ch.k},{idx},{fmt(lo, sig)},{fmt(hi, sig)}")
     return "\n".join(lines) + "\n"
+
+
+def channel_sweep_csv(Bs, phases, per_step, sig: int) -> str:
+    """The per-channel ``cmd_sweep`` writer that the edge-array writer replaced: one ``_table`` per field step."""
+    tables = (  # one table per field step, written as it is made
+        cli._table(
+            "%g,%g,%d,%d,%g,%g",
+            [(B, b, ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)],
+            sig,
+            "\n",
+        )
+        for B, b, channels in zip(Bs, phases, per_step)
+    )
+    return "".join(text + "\n" for text in tables if text) or "\n"
 
 
 def assert_writers_match(structure, monkeypatch) -> None:
@@ -249,10 +265,31 @@ def test_armchair_sweep_matches_reference(tmp_path, monkeypatch):
 
 
 def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
-    # the solvers never return such edges: the channels are substituted
-    structure = hand_built_structures()["non_finite_and_float64"]
-    steps = [list(structure.channels), [], list(structure.channels[1:])]
-    monkeypatch.setattr(cli, "zigzag_channels", lambda models: steps)
+    # the solver never returns such edges: its arrays are substituted.  Three
+    # field steps of four channels with two bands each; a flat channel's row
+    # holds its levels as (e, e)
+    flat = np.array([[False, True, False, False], [False] * 4, [True, False, False, True]])
+    c_k = np.array([[0.5, 0.0, F64(0.3), -0.25], [0.1, 0.2, 0.3, 0.4], [0.0, 0.6, -0.6, 0.0]])
+    lo = np.array([
+        [[-INF, -0.0], [-1e300, 5e-324], [0.25, 2.0], [-2.0 / 3, 1e-5]],
+        [[-1.5, 0.5], [F64(-2.0) / 3, 1.0], [0.0, 3.0], [1.0 / 3, 2.5]],
+        [[-0.0, 0.125], [-1e-300, 7.0], [-INF, -INF], [-0.5, 0.5]],
+    ])
+    hi = np.array([
+        [[-1.5, 0.0], [-1e300, 5e-324], [1.0 / 3, NAN], [-1e-300, 1.2345678901234567e17]],
+        [[-0.75, 0.75], [-1e-300, 2.0], [0.0, INF], [1.0, 2.75]],
+        [[-0.0, 0.125], [1e-300, NAN], [-1.0, 1.0], [-0.5, 0.5]],
+    ])
+    steps = [
+        [
+            ChannelBands(k=k, c_k=c, bands=(), flat_bands=tuple(row_lo))
+            if is_flat
+            else ChannelBands(k=k, c_k=c, bands=tuple(zip(row_lo, row_hi)))
+            for k, (c, is_flat, row_lo, row_hi) in enumerate(zip(cs, fs, los, his), start=1)
+        ]
+        for cs, fs, los, his in zip(c_k.tolist(), flat.tolist(), lo.tolist(), hi.tolist())
+    ]
+    monkeypatch.setattr(cli, "zigzag_channel_edges", lambda models: (flat, c_k, lo, hi))
     Bs = sweep_fields(0.0, 1.0, 3)
     phases = [magnetic_phase(B, 4) for B in Bs]
     for sig in PRECISIONS:
@@ -260,6 +297,97 @@ def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
         out = run_sweep("sweep --lattice zigzag --N 4 --B-start 0 --B-stop 1 --B-steps 3", [0.1, -0.1], tmp_path)
         assert out == reference_sweep_csv(Bs, phases, steps, sig)
         assert '"nan"' in out and '"-inf"' in out
+
+
+# (N, q, t, B_start, B_stop, steps); B_stop None puts the last step on the
+# first flat amplitude of channel 1, where the channel is flat
+ZIGZAG_SWEEPS = [
+    (40, 3, 0.7, -1.0, 2.0, 3),  # 120 channels: stacks of 32 that cut across field steps
+    (5, 4, 0.8, 0.0, None, 5),
+    (7, 5, 25.0, -0.5, None, 4),
+    (33, 8, 1.3, -2.5, 2.5, 2),
+    (3, 1, 0.05, 0.3, 0.3, 1),
+    (64, 16, 0.9, -0.4, 3.1, 6),
+    (2, 2, 3.0, 4.0, -4.0, 9),
+]
+
+
+@pytest.mark.parametrize("case", range(len(ZIGZAG_SWEEPS)))
+def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
+    # the sweep writes its rows from the stacked edge arrays; the per-channel
+    # writer reads the ChannelBands that bands builds from the same arrays
+    from nanotube_bands.core import flat_field_amplitudes
+    from nanotube_bands.spectral import zigzag_channel_edges
+
+    N, q, t, B_start, B_stop, steps = ZIGZAG_SWEEPS[case]
+    if B_stop is None:
+        B_stop = flat_field_amplitudes(N, 1, [0])[0]
+    potential = np.random.default_rng([13, case]).uniform(-1.0, 1.0, q).tolist()
+    Bs = sweep_fields(B_start, B_stop, steps) if steps > 1 else [B_start]
+    models = [ZigzagModel(N, magnetic_phase(B, N), PotentialProfile(potential), t=t) for B in Bs]
+    assert zigzag_channel_edges(models)[0][-1].any() == (ZIGZAG_SWEEPS[case][4] is None)
+    per_step = zigzag_channels(models)
+    phases = [m.b for m in models]
+    argv = f"sweep --lattice zigzag --N {N} --t {t!r} --B-start {B_start!r} --B-stop {B_stop!r} --B-steps {steps}"
+    for sig in (5, 12, 17):
+        monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
+        out = run_sweep(argv, potential, tmp_path)
+        # compared as lines: a failing diff of the whole text takes pytest minutes
+        assert out.split("\n") == channel_sweep_csv(Bs, phases, per_step, sig).split("\n")
+        assert out == reference_sweep_csv(Bs, phases, per_step, sig)
+
+
+def test_zigzag_sweep_builds_no_channel_bands(tmp_path, monkeypatch):
+    from nanotube_bands import spectral
+
+    def refuse(*args):
+        raise AssertionError("the sweep built channel bands")
+
+    monkeypatch.setattr(spectral.ChannelBands, "__post_init__", refuse)
+    monkeypatch.setattr(spectral, "_sorted_band_gaps", refuse)
+    out = run_sweep("sweep --lattice zigzag --N 6 --B-start 0 --B-stop 2 --B-steps 4", [0.3, -0.2, 0.6], tmp_path)
+    assert out.count("\n") == 4 * 6 * 6
+
+
+@pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
+def test_sweep_output_file_matches_stdout(lattice, tmp_path):
+    argv = f"sweep --lattice {lattice} --N 5 --t 1.2 --B-start -0.5 --B-stop 2.2 --B-steps 4 --grid 64"
+    text = run_sweep(argv, [0.4, -0.7, 0.2], tmp_path)
+    path = tmp_path / "out.csv"
+    assert run_sweep(argv + f" --output {path}", [0.4, -0.7, 0.2], tmp_path) == ""
+    assert path.read_bytes() == text.encode() and text.endswith("\n")
+
+
+def _swapped_eigvalsh(real):
+    """``eigvalsh`` with the K(+1) and K(-1) labels of every scalar channel swapped."""
+
+    def eigvalsh(a, *args, **kwargs):
+        levels = real(a, *args, **kwargs)
+        return levels[:, ::-1] if levels.ndim == 3 and levels.shape[1] == 2 else levels
+
+    return eigvalsh
+
+
+@pytest.mark.parametrize("fault", ["hill", "precision", "N", "channels"])
+def test_sweep_errors_leave_no_output_file(fault, tmp_path, monkeypatch, capsys):
+    # every error is raised before the output file is opened
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.8, -0.45]")
+    N, steps = (65, 1024) if fault == "channels" else (513 if fault == "N" else 4, 3)
+    out = tmp_path / "out.csv"
+    argv = f"sweep --lattice zigzag --N {N} --t 1.5 --B-start 0.2 --B-stop 2.6 --B-steps {steps}".split()
+    if fault == "hill":
+        monkeypatch.setattr(np.linalg, "eigvalsh", _swapped_eigvalsh(np.linalg.eigvalsh))
+    if fault == "precision":
+        monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", "0")
+    code = cli.main(argv + ["--potential", str(pot), "--output", str(out)])
+    err = capsys.readouterr().err
+    assert not out.exists()
+    if fault == "hill":
+        assert code == 3
+        assert err.startswith("internal consistency failure: field step 1 of 3, channel k = 1: K(+1)/K(-1) levels")
+    else:
+        assert code == 2 and err.startswith("error: ")
 
 
 def test_table_escapes_literal_percent():

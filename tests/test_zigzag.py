@@ -30,6 +30,8 @@ def per_k_decompose(model):
 
 
 def test_channel_stack_matches_per_channel_build_bit_for_bit():
+    # one model at a time, and the models of a field sweep as one (M, N, 2p)
+    # stack: every row has the bits of the per-channel build of its model
     rng = np.random.default_rng(41)
     for i in range(300):
         N, q = int(rng.integers(2, 130)), int(rng.integers(1, 33))
@@ -38,14 +40,24 @@ def test_channel_stack_matches_per_channel_build_bit_for_bit():
         else:
             b = float(rng.uniform(-8.0, 8.0))
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1.0, 1.0, q)), t=float(rng.uniform(0.01, 50.0)))
+        # more models of this N and period, at other fields, couplings and potentials
+        sweep = [model] + [
+            ZigzagModel(N, float(rng.uniform(-8.0, 8.0)), PotentialProfile(rng.uniform(-1.0, 1.0, q)),
+                        t=float(rng.uniform(0.01, 50.0)))
+            for _ in range(int(rng.integers(0, 4)))
+        ]
+        rng.shuffle(sweep)
+        bonds, c = channel_bonds(sweep)
+        stack = zigzag_channel_stack(sweep)
+        assert bonds.shape == (len(sweep), N, 2 * model.potential.p) and stack.flat.shape == c.shape == bonds.shape[:2]
+        for s, member in enumerate(sweep):
+            want = per_k_decompose(member)
+            assert bonds[s].tobytes() == np.stack([channel_offdiagonals(member, k) for k in range(1, N + 1)]).tobytes()
+            assert stack.a[s].tobytes() == np.stack([jac.a for jac in want]).tobytes()
+            assert np.ascontiguousarray(stack.v[s]).tobytes() == np.stack([jac.v for jac in want]).tobytes()
+            assert c[s].tolist() == stack.c_k[s].tolist() == [jac.c_k for jac in want]
+            assert stack.flat[s].tolist() == [jac.is_flat for jac in want]
         want = per_k_decompose(model)
-        bonds, c = channel_bonds(model)
-        stack = zigzag_channel_stack(model)
-        assert bonds.tobytes() == np.stack([channel_offdiagonals(model, k) for k in range(1, N + 1)]).tobytes()
-        assert stack.a.tobytes() == np.stack([jac.a for jac in want]).tobytes()
-        assert np.ascontiguousarray(stack.v).tobytes() == np.stack([jac.v for jac in want]).tobytes()
-        assert c.tolist() == [jac.c_k for jac in want]
-        assert stack.flat.tolist() == [jac.is_flat for jac in want]
         for got, ref in zip(decompose_zigzag(model), want):
             assert (got.p, got.a.tobytes(), got.v.tobytes()) == (ref.p, ref.a.tobytes(), ref.v.tobytes())
             assert got.c_k == ref.c_k
