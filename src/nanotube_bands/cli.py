@@ -163,7 +163,9 @@ def _add_field_args(sp) -> None:
 def _load_profile(args) -> PotentialProfile:
     if args.potential is None:
         raise InvalidInputError("--potential is required for this command")
-    return load_potential(args.potential)
+    profile = load_potential(args.potential)
+    _check_period(profile.q, "the number of --potential values")
+    return profile
 
 
 def build_model(args, lattice: str):
@@ -192,6 +194,8 @@ MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swep
 MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
 MAX_N = 512  # the zigzag union's coverage array grows as N**2 * p, an armchair run as N
 MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
+MAX_P = 16  # potential period p: channel matrices are 2p x 2p; an armchair bands run at MAX_N takes ~1.2 GB at p = 16
+MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
 
 
 def _check_grid(grid: int) -> int:
@@ -203,6 +207,14 @@ def _check_grid(grid: int) -> int:
 def _check_N(N: int) -> None:
     if N > MAX_N:
         raise InvalidInputError(f"--N must be at most {MAX_N}, got {N}")
+
+
+def _check_period(q: int, what: str) -> None:
+    """Refuse a potential of q values whose period p (q/2 for even q, q for odd) exceeds MAX_P."""
+    if (q // 2 if q % 2 == 0 else q) > MAX_P:
+        raise InvalidInputError(
+            f"{what} must be at most {2 * MAX_P} if even and {MAX_P - 1} if odd (period p at most {MAX_P}), got {q}"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -400,8 +412,9 @@ def cmd_asym(args) -> int:
         reports = asy.measure_ck_shrink(profile, s=1 if args.s is None else args.s, t=args.t, **opts)
     elif regime == "small_t":
         if args.potential is not None:
-            profile = load_potential(args.potential)
+            profile = _load_profile(args)
         elif args.sample_period is not None:
+            _check_period(args.sample_period, "--sample-period")
             profile = asy.sample_open_gap_potential(args.sample_period, seed=0 if args.seed is None else args.seed)
         else:
             raise InvalidInputError("small_t needs --potential or --sample-period")
@@ -435,6 +448,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_geometry(args) -> int:
+    _check_N(args.N)
+    if not 1 <= args.cells <= MAX_GEOMETRY_CELLS:
+        raise InvalidInputError(f"--cells must be in [1, {MAX_GEOMETRY_CELLS}], got {args.cells}")
     geom, _ = tube_geometry(args.N, args.B)
     _write(render_json(geom.records(args.cells)), args.output)
     return 0

@@ -7,18 +7,21 @@ to machine precision.  The fiber matrices here keep the raw complex hoppings;
 gauge reduction would shift the sample points by the loop flux.
 
 The torus matrix is assembled from the hopping rules alone, with nothing taken
-from the channel formulas.  Its eigensolve uses only the rotation ``k -> k+1``
-that the torus commutes with: a unitary DFT over k splits the matrix into N
-blocks of size 2L, and the Frobenius norm of everything off those blocks is
-measured, not assumed.  That norm bounds the spectral norm, so by Weyl's
-theorem every torus level lies within it of a block level; a norm above the
-rounding level refuses the matrix.
+from the channel formulas, and is stored as its written entries (about four a
+row).  Its eigensolve uses only the rotation ``k -> k+1`` that the torus
+commutes with: a unitary DFT over k splits a rotation-invariant matrix into N
+blocks of size 2L, which are read off the entries, and the Frobenius norm of
+everything off those blocks is measured from the entries too, not assumed.
+That norm bounds the spectral norm, so by Weyl's theorem every torus level lies
+within it of a block level; a norm above the rounding level refuses the
+matrix.  No dense 2NL x 2NL matrix is formed unless ``matrix`` is read.
 """
 
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -34,35 +37,80 @@ ROTATION_TOL = 1e-12  # off-block residual allowed, relative to max(1, max|H|)
 
 @dataclass(frozen=True)
 class FiniteHamiltonian:
-    """Dense Hermitian matrix of the tube closed after L axial cells."""
+    """Hermitian matrix of the tube closed after L axial cells, as its written entries.
 
-    matrix: np.ndarray
+    ``rows``, ``cols`` and ``values`` hold each written position once, sorted
+    by the row-major index ``row * dimension + col``; every other entry is
+    zero.  Site (n, j, k) is row (2n + j)N + k.  A matrix that is not
+    Hermitian to the rounding level is refused on construction.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    values: np.ndarray
     N: int
     L: int
     lattice: str
 
+    def __post_init__(self) -> None:
+        # H - H^H is 0 - 0 off the written entries, so its residual is taken on them only
+        dim = self.dimension
+        index = self.rows * dim + self.cols
+        if np.any(np.diff(index) <= 0):
+            raise ValueError("entries must be sorted by row-major position, each position once")
+        transpose = self.cols * dim + self.rows
+        mirror = np.minimum(np.searchsorted(index, transpose), index.size - 1)
+        transposed = np.where(index[mirror] == transpose, self.values[mirror], 0.0)
+        herm = np.max(np.abs(self.values - transposed.conj()))
+        if herm > 1e-14 * max(1.0, np.max(np.abs(self.values))):
+            raise InternalConsistencyError(f"full Hamiltonian not Hermitian: residual {herm}")
+
     @property
     def dimension(self) -> int:
-        return self.matrix.shape[0]
+        return 2 * self.N * self.L
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, built on first read (dimension^2 complex entries)."""
+        H = np.zeros((self.dimension, self.dimension), dtype=complex)
+        H[self.rows, self.cols] = self.values
+        return H
+
+    def circumferential_blocks(self) -> tuple[np.ndarray, float]:
+        """The N diagonal blocks of the DFT over k, and the Frobenius norm off them.
+
+        With row a N + k, an entry belongs to the class (a, b, d) of its row
+        and column cells and its shift d = (k2 - k1) mod N.  The class sums
+        over N are the coefficients c[a, b, d] of the nearest rotation-invariant
+        matrix circ(c), block kappa is sum_d c[a, b, d] exp(2 pi i kappa d / N),
+        and the norm off the blocks is ||H - circ(c)||_F: the written entries'
+        distance to their class mean plus |c|^2 for each unwritten position of
+        a class, summed without cancellation.  Only the cell pairs (a, b) that
+        hold an entry are transformed.
+        """
+        N, m = self.N, 2 * self.L
+        a, k1 = np.divmod(self.rows, N)
+        b, k2 = np.divmod(self.cols, N)
+        pairs, pair = np.unique(a * m + b, return_inverse=True)
+        cls = pair * N + (k2 - k1) % N  # class (a, b, d) as (index of its cell pair, d)
+        size = pairs.size * N
+        c = (np.bincount(cls, self.values.real, size) + 1j * np.bincount(cls, self.values.imag, size)) / N
+        unwritten = N - np.bincount(cls, minlength=size)
+        off2 = np.sum(np.abs(self.values - c[cls]) ** 2) + np.dot(unwritten, np.abs(c) ** 2)
+        d = np.arange(N)
+        blocks = np.zeros((N, m * m), dtype=complex)
+        blocks[:, pairs] = np.exp(2j * np.pi / N * (np.outer(d, d) % N)) @ c.reshape(-1, N).T
+        return blocks.reshape(N, m, m), float(np.sqrt(off2))
 
     def eigenvalues(self) -> np.ndarray:
         """Sorted levels, solved as N circumferential blocks of size 2L.
 
-        Sites are ordered (n, j, k) with k fastest, so a unitary DFT over k on
-        both sides turns a rotation-invariant matrix into N diagonal blocks.
-        The Frobenius norm of what lies off them bounds the distance from any
-        full-matrix level to a block level; above the rounding level the
-        matrix is refused rather than solved.
+        The norm off the blocks bounds the distance from any full-matrix level
+        to a block level; above the rounding level the matrix is refused
+        rather than solved.
         """
-        N = self.N
-        m = self.dimension // N
-        k = np.arange(N)
-        F = np.exp(-2j * np.pi / N * (np.outer(k, k) % N)) / np.sqrt(N)  # unitary DFT
-        Ht = (F @ (self.matrix.reshape(-1, N) @ F.conj().T).reshape(m, N, m * N)).reshape(m, N, m, N)
-        blocks = Ht[:, k, :, k]  # (N, m, m), a copy
-        Ht[:, k, :, k] = 0.0
-        off = float(np.linalg.norm(Ht))
-        bound = ROTATION_TOL * max(1.0, float(np.max(np.abs(self.matrix))))
+        blocks, off = self.circumferential_blocks()
+        bound = ROTATION_TOL * max(1.0, float(np.max(np.abs(self.values))))
         if off > bound:
             raise InternalConsistencyError(
                 f"torus Hamiltonian is not rotation invariant: off-block norm {off} exceeds {bound}"
@@ -70,8 +118,10 @@ class FiniteHamiltonian:
         return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
-MAX_CELLS = 64  # bounds the dense 2NL x 2NL matrix the oracle assembles; keeps it at desk scale
-MAX_DIM = 2048  # and its dimension 2NL: a 2048-level torus peaks at ~220 MB RSS, and the peak grows as dim^2
+MAX_CELLS = 64  # bounds the torus the oracle assembles; keeps it at desk scale
+# and its dimension 2NL: a verify at 2048 peaks at 38 MB RSS (30 MB of it the interpreter and numpy),
+# but the dense view that tests and benchmark checks read is 67 MB there and grows as dim^2
+MAX_DIM = 2048
 
 
 def _check_truncation(model, L: int) -> None:
@@ -87,18 +137,18 @@ def _check_truncation(model, L: int) -> None:
 def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:
     """Assemble the cyclic tube Hamiltonian directly from the hopping rules.
 
-    Site (n, j, k) is row (2n + j)N + k.  The honeycomb is bipartite, so every
-    bond is listed once from its j = 0 end, in the order (n, k, bond) with
-    each amplitude followed by its conjugate; one unbuffered ``np.add.at``
-    sums them in that order into the multi-edges that appear for small L.
+    Site (n, j, k) is row (2n + j)N + k.  The on-site entries come first; the
+    honeycomb is bipartite, so every bond is listed once from its j = 0 end,
+    in the order (n, k, bond) with each amplitude followed by its conjugate.
+    One unbuffered ``np.add.at`` sums them in that order into the entries,
+    starting from zero, so the multi-edges that appear for small L are the
+    sums a dense accumulation would hold, bit for bit.
     """
     _check_truncation(model, L)
     N = model.N
     dim = 2 * N * L
-    H = np.zeros((dim, dim), dtype=complex)
     sites = np.arange(dim)
-    # added onto the zeros, not assigned: a -0.0 product is stored as 0.0
-    H[sites, sites] += model.t * np.repeat(model.potential.extended(2 * L), N)
+    onsite = model.t * np.repeat(model.potential.extended(2 * L), N)
 
     # bond amplitudes and the (n, k) offsets of their j = 1 ends
     if isinstance(model, ZigzagModel):
@@ -117,18 +167,14 @@ def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:
     rows = np.broadcast_to(2 * N * n + k, (L, N, 3))
     cols = 2 * N * ((n + np.array(dn)) % L) + N + (k + np.array(dk)) % N
     amps = np.array(amps, dtype=complex)
-    r = np.stack([rows, cols], axis=-1).ravel()
-    c = np.stack([cols, rows], axis=-1).ravel()
-    np.add.at(H, (r, c), np.broadcast_to(np.stack([amps, amps.conj()], axis=-1), (L, N, 3, 2)).ravel())
-
-    # H - H^H is 0 - 0 off the written entries, so its residual is taken on them only
-    r, c = np.concatenate([sites, r]), np.concatenate([sites, c])
-    written = H[r, c]
-    herm = np.max(np.abs(written - H[c, r].conj()))
-    if herm > 1e-14 * max(1.0, np.max(np.abs(written))):
-        raise InternalConsistencyError(f"full Hamiltonian not Hermitian: residual {herm}")
+    r = np.concatenate([sites, np.stack([rows, cols], axis=-1).ravel()])
+    c = np.concatenate([sites, np.stack([cols, rows], axis=-1).ravel()])
+    terms = np.concatenate([onsite, np.broadcast_to(np.stack([amps, amps.conj()], axis=-1), (L, N, 3, 2)).ravel()])
+    index, slot = np.unique(r * dim + c, return_inverse=True)
+    values = np.zeros(index.size, dtype=complex)
+    np.add.at(values, slot, terms)  # added onto zeros, not assigned: a -0.0 product is stored as 0.0
     lattice = "zigzag" if isinstance(model, ZigzagModel) else "armchair"
-    return FiniteHamiltonian(matrix=H, N=N, L=L, lattice=lattice)
+    return FiniteHamiltonian(*np.divmod(index, dim), values, N=N, L=L, lattice=lattice)
 
 
 def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:

@@ -601,6 +601,56 @@ def test_size_refusal_allocates_nothing(tmp_path, vfiles, lattice, argv):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize(
+    "argv, q, refused",
+    [
+        ("geometry --N 3 --B 0.5 --cells 64", None, None),
+        ("geometry --N 512 --B 0.5 --cells 1", None, None),
+        ("geometry --N 3 --B 0.5 --cells 65", None, "--cells"),
+        ("geometry --N 3 --B 0.5 --cells 0", None, "--cells"),
+        ("geometry --N 3 --B 0.5 --cells -2", None, "--cells"),
+        ("geometry --N 3 --B 0.5 --cells 1000000000000", None, "--cells"),
+        ("geometry --N 513 --B 0.5", None, "--N"),
+        ("bands --lattice zigzag --N 3 --b 0.3", 32, None),
+        ("bands --lattice armchair --N 3 --B 0.3 --grid 16", 15, None),
+        ("verify --lattice zigzag --N 3 --b 0.3", 32, None),
+        ("bands --lattice zigzag --N 3 --b 0.3", 34, "the number of --potential values"),
+        ("bands --lattice zigzag --N 3 --b 0.3", 17, "the number of --potential values"),
+        ("bands --lattice armchair --N 3 --B 0.3 --grid 16", 1001, "the number of --potential values"),
+        ("sweep --lattice zigzag --N 3 --B-start 0", 33, "the number of --potential values"),
+        ("verify --lattice armchair --N 3 --B 0.3", 17, "the number of --potential values"),
+        ("asym --regime small_t --N 4 --ck 0.5", 17, "the number of --potential values"),
+        ("asym --regime small_t --N 4 --ck 0.5 --sample-period 17", None, "--sample-period"),
+        ("asym --regime small_t --N 4 --ck 0.5 --sample-period 1000000000", None, "--sample-period"),
+    ],
+)
+def test_geometry_cells_and_potential_length_bounds(tmp_path, argv, q, refused):
+    # geometry wrote any number of cells, and any potential length was solved:
+    # a zigzag bands run on a million values ended in a numpy memory error.  The
+    # period p is q/2 for an even q and q for an odd one, so 32 values pass and 17 do not
+    import tracemalloc
+
+    words = argv.split()
+    if q is not None:
+        potential = tmp_path / "v.json"
+        potential.write_text(json.dumps(np.random.default_rng(q).uniform(-1.0, 1.0, q).tolist()))
+        words += ["--potential", str(potential)]
+    cli._parser()  # built once per process, before the measurement
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        tracemalloc.start()
+        try:
+            code = main(words + ["--output", str(tmp_path / "o")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    if refused is None:
+        assert code == 0 and (tmp_path / "o").exists()
+    else:
+        assert code == 2 and err.getvalue().startswith(f"error: {refused} must be ")
+        assert not (tmp_path / "o").exists()
+        assert peak < 64 * 1024 + (0 if q is None else 100 * q)  # the parsed potential file, nothing else
+
+
 def run_in_process(argv):
     """(exit code, stdout, stderr) of one ``main`` call, argparse exits included."""
     out, err = io.StringIO(), io.StringIO()

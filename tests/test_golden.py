@@ -12,7 +12,9 @@ and a sweep of 16 channels at 17 fields, more channels than one stacked
 eigensolve takes.  Two armchair
 sweeps pin the block channels of ``sweep``, one of them 54 channels at the
 default grid; the armchair ``bands`` cases cover both formats and B = 0,
-where channels k and N - k are complex conjugates.  The
+where channels k and N - k are complex conjugates.  The ``verify``
+cases pin the oracle's deviation on both lattices, one of them on an armchair
+torus of dimension 640, the largest the benchmark verifies.  The
 ``small_v_armchair`` cases pin the edges of the periodic Schroedinger
 operator for an odd and a one-site period; the other ``asym`` cases pin one
 run of every zigzag regime, with and without its optional reports.  A case
@@ -68,6 +70,8 @@ CASES = {
     "arm_q6_N6_B2.1_t0.05_g512": (V6, "bands --lattice armchair --N 6 --B 2.1 --t 0.05 --grid 512", 0),
     "arm_asym_large_t": (V12, "asym --regime large_t_armchair --N 4 --B 0 --t 40 --k 4", 0),
     "arm_verify": (V3, "verify --lattice armchair --N 4 --B 0.9 --t 2", 0),
+    # the largest torus the benchmark verifies: 2NL = 640
+    "arm_verify_N8_L40": (V5, "verify --lattice armchair --N 8 --B 1.3 --t 0.7 --L 40", 0),
     # rung-paired potentials: the only outputs that go through schroedinger_band_edges;
     # for p = 1 both fiber corners land on one matrix entry
     "arm_small_v_p1": ([0.2, 0.2], "asym --regime small_v_armchair --N 4", 0),

@@ -1,14 +1,17 @@
-"""The torus oracle against the loop builder and the dense eigensolve it replaced.
+"""The torus oracle against the loop builder and the dense reduction it replaced.
 
-``build_full_hamiltonian`` fills the torus matrix from index arrays; the
+``build_full_hamiltonian`` stores the torus as its summed entries; the
 reference below is the former double loop, kept verbatim.  Both add the same
-amplitudes in the same (n, k, bond, then conjugate) order, so the matrices must
-agree to the bit, including the multi-edges of small L that are sums.
-``FiniteHamiltonian.eigenvalues`` solves N circumferential blocks instead of
-the whole matrix; its levels are compared with a dense ``eigvalsh`` to a
-tolerance relative to the entries, and a matrix that breaks the rotation
-invariance must be refused.  The fiber side solves every channel in one
-stack; the former per-channel solve is the reference for its bits.
+amplitudes in the same (n, k, bond, then conjugate) order, so the dense view
+must agree with it to the bit, including the multi-edges of small L that are
+sums.  ``FiniteHamiltonian.circumferential_blocks`` reads the N
+circumferential blocks and the norm off them from the entries; the former
+reduction, a unitary DFT over k applied to the dense matrix by two matmuls, is
+the reference for both, and the levels are also compared with a dense
+``eigvalsh``, to a tolerance relative to the entries.  A matrix that breaks the
+rotation invariance or the Hermiticity must be refused.  The fiber side solves
+every channel in one stack; the former per-channel solve is the reference for
+its bits.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ import cmath
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +30,17 @@ from nanotube_bands import cli, oracle
 from nanotube_bands.armchair import decompose_armchair
 from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel
 from nanotube_bands.errors import InternalConsistencyError
-from nanotube_bands.oracle import FiniteHamiltonian, build_full_hamiltonian, channel_fiber_eigenvalues
+from nanotube_bands.oracle import (
+    FiniteHamiltonian,
+    build_full_hamiltonian,
+    channel_fiber_eigenvalues,
+    compare_decomposition,
+)
 from nanotube_bands.spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
 from nanotube_bands.zigzag import channel_bonds
 
 # ---------------------------------------------------------------------------
-# references: the loop builder and the per-channel fiber solve
+# references: the loop builder, the dense DFT reduction and the per-channel fiber solve
 
 
 def loop_hamiltonian(model, L: int) -> np.ndarray:
@@ -72,6 +81,17 @@ def loop_hamiltonian(model, L: int) -> np.ndarray:
                 H[row, col] += amp
                 H[col, row] += np.conj(amp)
     return H
+
+
+def dense_reduction(H: np.ndarray, N: int) -> tuple[np.ndarray, float]:
+    """The N circumferential blocks of a dense torus matrix and the Frobenius norm off them."""
+    m = H.shape[0] // N
+    k = np.arange(N)
+    F = np.exp(-2j * np.pi / N * (np.outer(k, k) % N)) / np.sqrt(N)  # unitary DFT
+    Ht = (F @ (H.reshape(-1, N) @ F.conj().T).reshape(m, N, m * N)).reshape(m, N, m, N)
+    blocks = Ht[:, k, :, k]  # (N, m, m), a copy
+    Ht[:, k, :, k] = 0.0
+    return blocks, float(np.linalg.norm(Ht))
 
 
 def per_channel_fiber_levels(model, L: int) -> np.ndarray:
@@ -130,40 +150,89 @@ def test_fiber_levels_match_per_channel_solves_bit_for_bit(model, L):
     assert channel_fiber_eigenvalues(model, L).tobytes() == per_channel_fiber_levels(model, L).tobytes()
 
 
+def assert_matches_dense_reduction(H: FiniteHamiltonian) -> None:
+    """Blocks, off-block norm and levels of the entries against the dense reduction and solve."""
+    blocks, off = H.circumferential_blocks()
+    dense_blocks, dense_off = dense_reduction(H.matrix, H.N)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(H.values))))
+    assert np.max(np.abs(blocks - dense_blocks)) <= tol
+    assert abs(off - dense_off) <= tol
+    levels = H.eigenvalues()
+    assert np.max(np.abs(levels - np.sort(np.linalg.eigvalsh(dense_blocks), axis=None))) <= tol
+    assert np.max(np.abs(levels - np.linalg.eigvalsh(H.matrix))) <= tol
+
+
 @pytest.mark.parametrize("model, L", MODELS)
 def test_block_levels_match_dense_solve(model, L):
-    H = build_full_hamiltonian(model, L)
-    dense = np.linalg.eigvalsh(H.matrix)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(H.matrix))))
-    assert np.max(np.abs(H.eigenvalues() - dense)) <= tol
+    assert_matches_dense_reduction(build_full_hamiltonian(model, L))
 
 
 # ---------------------------------------------------------------------------
-# the rotation guard refuses a matrix it cannot block-diagonalise
+# the rotation guard refuses a matrix it cannot block-diagonalise, the
+# Hermiticity guard one that is not Hermitian
 
 
-def perturb_one_bond(H: np.ndarray, N: int, delta: float) -> np.ndarray:
+def perturb(H: FiniteHamiltonian, delta: float, *positions: tuple[int, int]) -> FiniteHamiltonian:
+    """H with delta added to the written entries at ``positions``."""
+    values = H.values.copy()
+    for row, col in positions:
+        (at,) = np.flatnonzero((H.rows == row) & (H.cols == col))
+        values[at] += delta
+    return FiniteHamiltonian(H.rows, H.cols, values, N=H.N, L=H.L, lattice=H.lattice)
+
+
+def perturb_one_bond(H: FiniteHamiltonian, delta: float) -> FiniteHamiltonian:
     """Add delta to the (n, j, k) = (0, 0, 0) - (0, 1, 0) bond only, keeping H Hermitian."""
-    out = H.copy()
-    out[0, N] += delta
-    out[N, 0] += delta
-    return out
+    return perturb(H, delta, (0, H.N), (H.N, 0))
 
 
 @pytest.mark.parametrize("model, L", EDGE_CASES)
 def test_rotation_breaking_bond_is_refused(model, L):
-    H = build_full_hamiltonian(model, L)
-    broken = FiniteHamiltonian(perturb_one_bond(H.matrix, H.N, 1e-6), N=H.N, L=H.L, lattice=H.lattice)
+    broken = perturb_one_bond(build_full_hamiltonian(model, L), 1e-6)
+    _, off = broken.circumferential_blocks()
+    # each perturbed entry lies delta (N - 1) / N from its class mean, the other N - 1 of its class delta / N
+    N = broken.N
+    assert off == pytest.approx(1e-6 * math.sqrt(2 * (N - 1) / N), rel=1e-6)
+    assert abs(off - dense_reduction(broken.matrix, N)[1]) <= 1e-12 * max(1.0, float(np.max(np.abs(broken.values))))
     with pytest.raises(InternalConsistencyError, match="rotation invariant"):
         broken.eigenvalues()
+
+
+@pytest.mark.parametrize("model, L", [case for case in EDGE_CASES if case[0].N >= 3])
+def test_rotation_breaking_entry_off_the_bonds_is_refused(model, L):
+    # a hopping between sites k = 0 and 1 of cell 0 writes one of the N positions of
+    # each of its two classes; the N - 1 unwritten ones count |c|^2 = (delta / N)^2 each
+    H = build_full_hamiltonian(model, L)
+    dim, N, delta = H.dimension, H.N, 1e-6
+    index = np.concatenate([H.rows * dim + H.cols, [1, dim]])
+    order = np.argsort(index)
+    values = np.concatenate([H.values, [delta, delta]])[order]
+    broken = FiniteHamiltonian(*np.divmod(index[order], dim), values, N=N, L=H.L, lattice=H.lattice)
+    _, off = broken.circumferential_blocks()
+    assert off == pytest.approx(delta * math.sqrt(2 * (N - 1) / N), rel=1e-6)
+    assert abs(off - dense_reduction(broken.matrix, N)[1]) <= 1e-12 * max(1.0, float(np.max(np.abs(values))))
+    with pytest.raises(InternalConsistencyError, match="rotation invariant"):
+        broken.eigenvalues()
+
+
+@pytest.mark.parametrize("model, L", EDGE_CASES)
+def test_non_hermitian_entries_are_refused(model, L):
+    H = build_full_hamiltonian(model, L)
+    with pytest.raises(InternalConsistencyError, match="not Hermitian"):
+        perturb(H, 1e-6, (0, H.N))
+
+
+def test_entries_out_of_order_are_refused():
+    H = build_full_hamiltonian(*EDGE_CASES[1])
+    with pytest.raises(ValueError, match="sorted"):
+        FiniteHamiltonian(H.rows[::-1], H.cols[::-1], H.values[::-1], N=H.N, L=H.L, lattice=H.lattice)
 
 
 def test_verify_exits_3_on_a_rotation_breaking_builder(tmp_path, monkeypatch):
     build = oracle.build_full_hamiltonian
 
     def broken_builder(model, L):
-        H = build(model, L)
-        return FiniteHamiltonian(perturb_one_bond(H.matrix, H.N, 1e-3), N=H.N, L=H.L, lattice=H.lattice)
+        return perturb_one_bond(build(model, L), 1e-3)
 
     monkeypatch.setattr(oracle, "build_full_hamiltonian", broken_builder)
     potential = tmp_path / "v.json"
@@ -174,6 +243,24 @@ def test_verify_exits_3_on_a_rotation_breaking_builder(tmp_path, monkeypatch):
                          "--potential", str(potential)])
     assert code == 3
     assert "rotation invariant" in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# memory: no dense matrix at the dimension cap
+
+
+def test_compare_at_the_dimension_cap_allocates_no_dense_matrix():
+    # 2NL = 2048: the dense matrix alone would be 67 MB; the 16 blocks of 128 x 128
+    # are 4.2 MB, and the whole comparison peaked at 5.1 MB when this was written
+    model = ZigzagModel(16, 0.3, PotentialProfile([0.3, -0.2, 0.5, -0.7, 0.1, 0.9, -0.4, 0.6]), t=1.0)
+    tracemalloc.start()
+    try:
+        report = compare_decomposition(model, 64)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.dim == oracle.MAX_DIM and report.passed
+    assert peak < 16e6
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +286,4 @@ def wide_models(draw):
 @given(model=wide_models())
 @settings(max_examples=30, deadline=None)
 def test_block_levels_match_dense_solve_wide_range(model):
-    L = model.potential.p
-    H = build_full_hamiltonian(model, L)
-    dense = np.linalg.eigvalsh(H.matrix)
-    tol = 1e-12 * max(1.0, float(np.max(np.abs(H.matrix))))
-    assert np.max(np.abs(H.eigenvalues() - dense)) <= tol
+    assert_matches_dense_reduction(build_full_hamiltonian(model, model.potential.p))
