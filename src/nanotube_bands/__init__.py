@@ -19,12 +19,8 @@ from .spectral import (
     BandStructure,
     ChannelBands,
     armchair_unperturbed,
-    band_edges_scalar,
-    discriminant,
     flat_band_spectrum,
     full_spectrum,
-    monodromy,
-    spectrum_block,
 )
 from .oracle import build_full_hamiltonian, compare_decomposition
 from .asymptotics import shifted_schroedinger_inclusion
@@ -38,13 +34,11 @@ __all__ = [
     "ScalarPeriodicJacobi",
     "ZigzagModel",
     "armchair_unperturbed",
-    "band_edges_scalar",
     "build_full_hamiltonian",
     "channel_symmetry_map",
     "compare_decomposition",
     "decompose_armchair",
     "decompose_zigzag",
-    "discriminant",
     "flat_band_spectrum",
     "flat_field_amplitudes",
     "full_spectrum",
@@ -52,8 +46,6 @@ __all__ = [
     "load_potential",
     "magnetic_phase",
     "model_from_field",
-    "monodromy",
     "shifted_schroedinger_inclusion",
-    "spectrum_block",
     "tube_geometry",
 ]

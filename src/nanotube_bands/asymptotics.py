@@ -21,27 +21,18 @@ import numpy as np
 
 from .armchair import decompose_armchair
 from .core import FLAT_CHANNEL_TOL, ArmchairModel, PotentialProfile, ZigzagModel
-from .errors import InvalidInputError, NotApplicableError
+from .errors import FlatBandChannelError, InvalidInputError, NotApplicableError
 from .spectral import (
-    band_edges_scalar,
     flat_band_spectrum,
     full_spectrum,
     interval_gaps,
     intervals_contain,
     merge_intervals,
     max_edge_deviation,
+    periodic_jacobi_band_edges,
     schroedinger_band_edges,
-    spectrum_block,
-)
-from .zigzag import ScalarPeriodicJacobi, decompose_zigzag
-
-REGIMES = (
-    "ck_to_zero",
-    "small_t",
-    "large_t_zigzag",
-    "large_t_armchair",
-    "small_v_armchair",
-    "low_energy_window",
+    spectrum_block_stack,
+    zigzag_channel_edges,
 )
 
 
@@ -675,11 +666,21 @@ def unperturbed_edges(a: float, p: int) -> UnperturbedEdges:
 # measured-vs-predicted harnesses
 
 
-def _channel_jacobi(profile: PotentialProfile, c_k: float, t: float) -> ScalarPeriodicJacobi:
-    p = profile.p
-    bonds = np.ones(2 * p)
-    bonds[1::2] = 2.0 * abs(c_k)
-    return ScalarPeriodicJacobi(p=p, a=bonds, v=t * profile.period_values(), c_k=c_k)
+def _channel_edges(profile: PotentialProfile, c_k, t) -> np.ndarray:
+    """Sorted band edges of the gauge-reduced zigzag channel of constant c_k at coupling t.
+
+    ``c_k`` and ``t`` broadcast to a shape S, and the S + (4p,) edges of all
+    those channels come from one ``periodic_jacobi_band_edges`` call: the
+    bonds alternate 1 and 2|c_k|, the diagonal is t times the period values.
+    Band n (1-based) runs from edge 2n - 2 to edge 2n - 1.  A flat channel is
+    refused.
+    """
+    c, t = np.broadcast_arrays(np.asarray(c_k, dtype=float), np.asarray(t, dtype=float))
+    if np.any(2.0 * np.abs(c) <= FLAT_CHANNEL_TOL):
+        raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
+    bonds = np.ones(c.shape + (2 * profile.p,))
+    bonds[..., 1::2] = 2.0 * np.abs(c)[..., None]
+    return periodic_jacobi_band_edges(bonds, t[..., None] * profile.period_values())
 
 
 def measure_ck_shrink(
@@ -691,21 +692,17 @@ def measure_ck_shrink(
     tolerance: float = 0.05,
 ) -> list[AsymptoticReport]:
     """Band-s width against the collapse law for each channel constant."""
-    out = []
-    for c in c_values:
-        pred = predict_ck_shrink(profile, c, s, t)
-        bands = band_edges_scalar(_channel_jacobi(profile, c, t))
-        lo, hi = bands[s - 1]
-        out.append(
-            AsymptoticReport(
-                regime="ck_to_zero",
-                params={"c_k": float(c), "s": s, "t": t},
-                predicted=pred.width,
-                measured=float(hi - lo),
-                tolerance=tolerance,
-            )
+    preds = [predict_ck_shrink(profile, c, s, t) for c in c_values]
+    return [
+        AsymptoticReport(
+            regime="ck_to_zero",
+            params={"c_k": float(c), "s": s, "t": t},
+            predicted=pred.width,
+            measured=float(edges[2 * s - 1] - edges[2 * s - 2]),
+            tolerance=tolerance,
         )
-    return out
+        for c, pred, edges in zip(c_values, preds, _channel_edges(profile, c_values, t))
+    ]
 
 
 def measure_small_t_slopes(
@@ -717,16 +714,11 @@ def measure_small_t_slopes(
     zero_tolerance: float = 1e-6,
 ) -> list[AsymptoticReport]:
     """Central-difference gap-opening rates against the first-order law."""
-    p = profile.p
-
-    def gap_widths(t: float) -> list[float]:
-        bands = band_edges_scalar(_channel_jacobi(profile, c_k, t))
-        return [bands[n][0] - bands[n - 1][1] for n in range(1, 2 * p)]
-
-    w_plus = gap_widths(t0 + h)
-    w_minus = gap_widths(t0 - h)
+    plus, minus = _channel_edges(profile, c_k, [t0 + h, t0 - h])
+    # gap n runs from edge 2n - 1 (the top of band n) to edge 2n
+    w_plus, w_minus = plus[2::2] - plus[1:-1:2], minus[2::2] - minus[1:-1:2]
     out = []
-    for n in admissible_gap_indices(p, c_k):
+    for n in admissible_gap_indices(profile.p, c_k):
         pred = predict_small_t(profile, c_k, n)
         measured = (w_plus[n - 1] - w_minus[n - 1]) / (4.0 * h)
         out.append(
@@ -751,15 +743,14 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
     p = model.potential.p
     m = 2 * p
     reports = []
-    bands_by_channel: dict[int, list] = {}
+    bands_by_channel: dict[int, tuple[float, list]] = {}
     contained = True
-    jacs = decompose_zigzag(model)
-    for k in range(1, model.N + 1):
-        c = model.channel_constant(k)
+    _, c_k, edges_lo, edges_hi = zigzag_channel_edges([model])
+    for k, c, chan_lo, chan_hi in zip(range(1, model.N + 1), c_k[0].tolist(), edges_lo[0], edges_hi[0]):
         if abs(c) < FLAT_CHANNEL_TOL:
             continue
-        bands = band_edges_scalar(jacs[k - 1])
-        bands_by_channel[k] = bands
+        bands = list(zip(chan_lo, chan_hi))
+        bands_by_channel[k] = (abs(c), bands)
         for n in range(1, m + 1):
             pred = predict_large_t_zigzag(model.potential, c, n, model.t)
             lo, hi = bands[pred.band_rank - 1]
@@ -781,12 +772,10 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
         ks = sorted(bands_by_channel)
         for idx, k1 in enumerate(ks):
             for k2 in ks[idx + 1 :]:
-                c1, c2 = abs(model.channel_constant(k1)), abs(model.channel_constant(k2))
+                (c1, bands1), (c2, bands2) = bands_by_channel[k1], bands_by_channel[k2]
                 if abs(c1 - c2) < 1e-9:
                     continue
-                for r in range(m):
-                    lo1, hi1 = bands_by_channel[k1][r]
-                    lo2, hi2 = bands_by_channel[k2][r]
+                for (lo1, hi1), (lo2, hi2) in zip(bands1, bands2):
                     if min(hi1, hi2) - max(lo1, lo2) > 0:
                         disjoint = False
         checks.append(("same_rank_bands_disjoint", disjoint))
@@ -809,7 +798,7 @@ def _armchair_clusters(
     """(prediction, measured band) of every position of block channel k."""
     if not 1 <= k <= model.N:
         raise InvalidInputError(f"channel index k must lie in 1..{model.N}, got {k}")
-    bands = spectrum_block(decompose_armchair(model)[k - 1], grid_size=grid_size)
+    (bands,) = spectrum_block_stack(decompose_armchair(model)[k - 1 : k], grid_size)
     out = []
     for j in range(1, model.potential.q + 1):
         pred = predict_large_t_armchair(model.potential, k, j, model.t, model.N, model.phases)

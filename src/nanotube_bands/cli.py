@@ -21,7 +21,7 @@ from itertools import chain
 import numpy as np
 
 from . import asymptotics as asy
-from .armchair import tube_geometry
+from .armchair import model_from_field, tube_geometry
 from .core import ArmchairModel, PotentialProfile, ZigzagModel, load_potential, magnetic_phase
 from .errors import (
     FlatBandChannelError,
@@ -182,19 +182,17 @@ def build_model(args, lattice: str):
     if args.B is not None and triple:
         raise InvalidInputError("give either --B or the phase triple, not both")
     if args.B is not None:
-        _, phases = tube_geometry(args.N, args.B)
-    elif len(triple) == 3:
-        phases = (args.b1, args.b2, args.b3)
-    else:
+        return model_from_field(args.N, args.B, profile, args.t)
+    if len(triple) != 3:
         raise InvalidInputError("armchair model needs --B or all of --b1 --b2 --b3")
-    return ArmchairModel(N=args.N, phases=phases, potential=profile, t=args.t)
+    return ArmchairModel(N=args.N, phases=(args.b1, args.b2, args.b3), potential=profile, t=args.t)
 
 
 MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swept
 MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
 MAX_N = 512  # the zigzag union's coverage array grows as N**2 * p, an armchair run as N
 MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
-MAX_P = 16  # potential period p: channel matrices are 2p x 2p; an armchair bands run at MAX_N takes ~1.2 GB at p = 16
+MAX_P = 16  # potential period p: channel matrices are 2p x 2p; an armchair bands run at MAX_N takes ~50 s at p = 16
 MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
 
 
@@ -335,9 +333,7 @@ def cmd_sweep(args) -> int:
         # the edges of a channel ascend, so its bands are its rows in order; %d writes k = 3.0 as 3
         steps = (np.column_stack((k, i, step_lo.ravel(), step_hi.ravel())).tolist() for step_lo, step_hi in zip(lo, hi))
     else:
-        models = [
-            ArmchairModel(N=args.N, phases=tube_geometry(args.N, B)[1], potential=profile, t=args.t) for B in Bs
-        ]
+        models = [model_from_field(args.N, B, profile, args.t) for B in Bs]
         phases = [model.phases[0] for model in models]
         per_step = armchair_channels(models, grid)  # every field step in one lockstep refinement
         steps = (
@@ -369,20 +365,52 @@ def _zigzag_channel_constant(args) -> float:
     return math.cos(b + math.pi * args.k / args.N)
 
 
-# the options each asym regime reads besides --N, --tolerance and --output
-_ASYM_READS = {
-    "ck_to_zero": {"potential", "t", "s", "ck_values"},
-    "small_t": {"potential", "sample_period", "seed", "ck", "k", "b", "B"},
-    "large_t_zigzag": {"potential", "t", "b", "B"},
-    "large_t_armchair": {"potential", "t", "B", "b1", "b2", "b3", "k"},
-    "small_v_armchair": {"potential"},
-    "low_energy_window": {"potential", "t", "b", "B"},
+def _asym_ck_to_zero(args, opts) -> list:
+    profile = _load_profile(args)
+    if args.ck_values:
+        opts["c_values"] = [_finite_ck(x) for x in args.ck_values.split(",")]
+    return asy.measure_ck_shrink(profile, s=1 if args.s is None else args.s, t=args.t, **opts)
+
+
+def _asym_small_t(args, opts) -> list:
+    if args.potential is not None:
+        profile = _load_profile(args)
+    elif args.sample_period is not None:
+        _check_period(args.sample_period, "--sample-period")
+        profile = asy.sample_open_gap_potential(args.sample_period, seed=0 if args.seed is None else args.seed)
+    else:
+        raise InvalidInputError("small_t needs --potential or --sample-period")
+    return asy.measure_small_t_slopes(profile, _zigzag_channel_constant(args), **opts)
+
+
+def _asym_large_t_armchair(args, opts) -> list:
+    model = build_model(args, "armchair")
+    return asy.measure_large_t_armchair(model, k=model.N if args.k is None else args.k, **opts)
+
+
+# each asym regime: the options it reads besides --N, --tolerance and --output, and its run
+_ASYM_TABLE = {
+    "ck_to_zero": ({"potential", "t", "s", "ck_values"}, _asym_ck_to_zero),
+    "small_t": ({"potential", "sample_period", "seed", "ck", "k", "b", "B"}, _asym_small_t),
+    "large_t_zigzag": (
+        {"potential", "t", "b", "B"},
+        lambda args, opts: asy.measure_large_t_zigzag(build_model(args, "zigzag"), **opts),
+    ),
+    "large_t_armchair": ({"potential", "t", "B", "b1", "b2", "b3", "k"}, _asym_large_t_armchair),
+    "small_v_armchair": (
+        {"potential"},
+        lambda args, opts: asy.measure_small_v_armchair(_load_profile(args), N=args.N, **opts),
+    ),
+    "low_energy_window": (
+        {"potential", "t", "b", "B"},
+        lambda args, opts: asy.measure_low_energy_window(build_model(args, "zigzag"), **opts),
+    ),
 }
 _ASYM_OPTIONS = ("potential", "t", "b", "B", "b1", "b2", "b3", "k", "ck", "ck_values", "s", "sample_period", "seed")
 
 
 def _refuse_unread_asym_options(args) -> None:
-    reads = set(_ASYM_READS[args.regime])
+    reads = set(_ASYM_TABLE[args.regime][0])
     if args.regime == "small_t":
         if args.potential is not None:
             reads -= {"sample_period", "seed"}
@@ -396,7 +424,6 @@ def _refuse_unread_asym_options(args) -> None:
 
 
 def cmd_asym(args) -> int:
-    regime = args.regime
     _refuse_unread_asym_options(args)
     if args.t is None:  # unset until checked above; the default of every command
         args.t = 1.0
@@ -405,34 +432,9 @@ def cmd_asym(args) -> int:
         if not (math.isfinite(args.tolerance) and args.tolerance > 0):
             raise InvalidInputError(f"--tolerance must be finite and positive, got {args.tolerance}")
         opts["tolerance"] = args.tolerance
-    if regime == "ck_to_zero":
-        profile = _load_profile(args)
-        if args.ck_values:
-            opts["c_values"] = [_finite_ck(x) for x in args.ck_values.split(",")]
-        reports = asy.measure_ck_shrink(profile, s=1 if args.s is None else args.s, t=args.t, **opts)
-    elif regime == "small_t":
-        if args.potential is not None:
-            profile = _load_profile(args)
-        elif args.sample_period is not None:
-            _check_period(args.sample_period, "--sample-period")
-            profile = asy.sample_open_gap_potential(args.sample_period, seed=0 if args.seed is None else args.seed)
-        else:
-            raise InvalidInputError("small_t needs --potential or --sample-period")
-        reports = asy.measure_small_t_slopes(profile, _zigzag_channel_constant(args), **opts)
-    elif regime == "large_t_zigzag":
-        reports = asy.measure_large_t_zigzag(build_model(args, "zigzag"), **opts)
-    elif regime == "large_t_armchair":
-        model = build_model(args, "armchair")
-        k = args.k if args.k is not None else model.N
-        reports = asy.measure_large_t_armchair(model, k=k, **opts)
-    elif regime == "small_v_armchair":
-        reports = asy.measure_small_v_armchair(_load_profile(args), N=args.N, **opts)
-    elif regime == "low_energy_window":
-        reports = asy.measure_low_energy_window(build_model(args, "zigzag"), **opts)
-    else:
-        raise InvalidInputError(f"unknown regime {regime!r}")
+    reports = _ASYM_TABLE[args.regime][1](args, opts)
     if not reports:
-        raise NotApplicableError(f"regime {regime} has no report for this input")
+        raise NotApplicableError(f"regime {args.regime} has no report for this input")
     _write(render_json([r.to_json_dict() for r in reports]), args.output)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -483,7 +485,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
 
     sp = sub.add_parser("asym", help="measured-vs-predicted asymptotic reports")
-    sp.add_argument("--regime", choices=asy.REGIMES, required=True)
+    sp.add_argument("--regime", choices=tuple(_ASYM_TABLE), required=True)
     _add_model_args(sp)
     _add_field_args(sp)
     sp.set_defaults(t=None)  # a regime that does not read --t refuses it

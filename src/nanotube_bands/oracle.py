@@ -188,7 +188,7 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
         diag = model.t * model.potential.period_values()
         period, wrap = scalar_period_matrix(offdiag, np.broadcast_to(diag, offdiag.shape))
     elif isinstance(model, ArmchairModel):
-        period, wrap = map(np.stack, zip(*map(block_period_matrix, decompose_armchair(model))))
+        period, wrap = block_period_matrix(decompose_armchair(model))
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
     return np.sort(np.linalg.eigvalsh(fiber_matrices(period[:, None], wrap[:, None], taus)), axis=None)

@@ -1,34 +1,35 @@
-"""Spectral engine: transfer matrices, fiber matrices, band extraction, unions.
+"""Spectral engine: fiber matrices, one edge routine per channel kind, unions.
 
 Every fiber matrix L(tau) of a channel comes from one stacked builder,
-``fiber_matrices``: the multiplier-free period matrix of the channel is built
-once (``scalar_period_matrix`` takes a stack of channels,
-``block_period_matrix`` one channel) and tau enters only through its
-wrap-around corner blocks, the multipliers broadcast against the channels.
+``fiber_matrices``: the multiplier-free period matrices of a stack of channels
+are built once (``scalar_period_matrix`` from (C, m) coefficients,
+``block_period_matrix`` from a sequence of block channels of one period) and
+tau enters only through their wrap-around corner blocks, the multipliers
+broadcast against the channels.
 
-Band edges of an m-periodic scalar channel are the sorted eigenvalues of
-K(+1) and K(-1), paired consecutively (``periodic_jacobi_band_edges``, the
-one scalar edge routine); all channels of a model, or of every field step of
-a sweep, are solved as stacks of FIBER_STACK / 2 channels.  The levels are
-checked by the discrete Hill theorem, which orders them ``+ - - + + - - + ...``
-from the bottom for positive bonds; the check reads only the solved levels.
-The zigzag channels come back as arrays (``zigzag_channel_edges``): the flat
-mask, the c_k and the (step, N, 2p) band edges, from which ``sweep`` writes
-its rows; ``zigzag_channels`` builds the ``ChannelBands`` of ``bands`` from
-the same arrays.
+Scalar channels have one edge routine, ``periodic_jacobi_band_edges``: the
+band edges of an m-periodic channel are the sorted eigenvalues of K(+1) and
+K(-1), paired consecutively, and a stack of channels is solved in stacks of
+FIBER_STACK / 2.  The levels are checked by the discrete Hill theorem, which
+orders them ``+ - - + + - - + ...`` from the bottom for positive bonds; the
+check reads only the solved levels.  The zigzag channels of a model, or of
+every field step of a sweep, come back as arrays (``zigzag_channel_edges``):
+the flat mask, the c_k and the (step, N, 2p) band edges, from which ``sweep``
+writes its rows; ``zigzag_channels`` builds the ``ChannelBands`` of ``bands``
+from the same arrays.
 
-Block channels have no edge rule, so their bands are the ranges of the
-sorted eigenvalue branches over the unit circle: the fiber matrices of a
-grid of multipliers are diagonalised as stacks, channel by channel, and the
-grid extrema of all branches of all channels -- of a model, or of every
-field step of a sweep -- are refined by safeguarded Newton searches in theta
-that advance together (``spectrum_block_stack``).  theta enters a fiber
-matrix only through its wrap corners, so one ``eigh`` per probe gives the
-branch value, its slope (Hellmann-Feynman) and its curvature; a bracket
-around the grid point is bisected wherever Newton cannot be trusted, as at
-kinks where two branches cross.  Each probe pairs its own channel with its
-own multiplier, and one iteration solves the probes of every search still
-running in stacks of FIBER_STACK.
+Block channels have one edge routine, ``spectrum_block_stack``.  They have no
+edge rule, so their bands are the ranges of the sorted eigenvalue branches
+over the unit circle: the fiber matrices of a grid of multipliers are
+diagonalised as stacks, channel by channel, and the grid extrema of all
+branches of all channels -- of a model, or of every field step of a sweep --
+are refined by safeguarded Newton searches in theta that advance together.
+theta enters a fiber matrix only through its wrap corners, so one ``eigh``
+per probe gives the branch value, its slope (Hellmann-Feynman) and its
+curvature; a bracket around the grid point is bisected wherever Newton cannot
+be trusted, as at kinks where two branches cross.  Each probe pairs its own
+channel with its own multiplier, and one iteration solves and reduces the
+probes of every search still running one stack of FIBER_STACK at a time.
 
 The union over channels is built as numpy columns (``assemble_band_structure``):
 the channel edges cut the energy axis into segments, a cumulative sum of
@@ -48,15 +49,14 @@ from itertools import compress
 
 import numpy as np
 
-from .armchair import BlockPeriodicJacobi, decompose_armchair
+from .armchair import decompose_armchair
 from .core import ArmchairModel, PotentialProfile, ZigzagModel
 from .errors import (
-    FlatBandChannelError,
     HillOrderError,
     InternalConsistencyError,
     InvalidParameterError,
 )
-from .zigzag import ScalarPeriodicJacobi, zigzag_channel_stack
+from .zigzag import zigzag_channel_stack
 
 GAP_MERGE_TOL = 1e-9  # gaps thinner than this are reported as closed
 UNIMODULAR_TOL = 1e-12
@@ -189,52 +189,25 @@ def scalar_period_matrix(offdiag, diag) -> tuple[np.ndarray, np.ndarray]:
     return K, a[..., m - 1 :, None]
 
 
-def block_period_matrix(block: BlockPeriodicJacobi) -> tuple[np.ndarray, np.ndarray]:
-    """Period matrix and 2 x 2 wrap block a^H of a block channel."""
-    P, a = block.p, block.a_block
-    L = np.zeros((2 * P, 2 * P), dtype=complex)
+def block_period_matrix(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Period matrices and 2 x 2 wrap blocks a^H of a stack of C block channels of one period.
+
+    Returns the (C, 2p, 2p) and (C, 2, 2) stacks; channels of different
+    periods are refused.
+    """
+    P = blocks[0].p
+    if any(block.p != P for block in blocks):
+        raise ValueError("block channels of one stack must share their period")
+    a = np.stack([block.a_block for block in blocks])
+    d = np.stack([block.d_blocks for block in blocks])
+    wrap = np.conj(np.swapaxes(a, -1, -2))
+    L = np.zeros((len(blocks), 2 * P, 2 * P), dtype=complex)
     for j in range(P):
-        L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
+        L[:, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = d[:, j]
     for j in range(P - 1):
-        L[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
-        L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
-    return L, a.conj().T
-
-
-# ---------------------------------------------------------------------------
-# monodromy / discriminant
-
-
-def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
-    """One-period transfer matrix of the three-term recurrence at energy z.
-
-    ``z`` is a scalar or an array; the result has shape ``z.shape + (2, 2)``.
-    The 2p step matrices of all energies are built at once and multiplied as
-    stacks, one 2x2 product per energy and step, as for a single energy, so
-    an array of energies gives the bits of one call per energy.
-    """
-    if jac.is_flat:
-        raise FlatBandChannelError("monodromy undefined for a flat-band channel (vanishing bond)")
-    a = jac.a
-    z = np.asarray(z, dtype=float)
-    m = 2 * jac.p
-    steps = np.zeros((m,) + z.shape + (2, 2))
-    steps[..., 0, 1] = 1.0
-    steps[..., 1, 0] = np.moveaxis(np.broadcast_to(-a[..., np.arange(-1, m - 1)] / a, z.shape + (m,)), -1, 0)
-    steps[..., 1, 1] = np.moveaxis((z[..., None] - jac.v) / a, -1, 0)
-    M = np.eye(2)
-    for step in steps:
-        M = step @ M
-    return M
-
-
-def discriminant(jac: ScalarPeriodicJacobi, z):
-    """Half-trace of the monodromy matrix; the spectrum is its [-1, 1] preimage.
-
-    Elementwise over an array ``z``.
-    """
-    M = monodromy(jac, z)
-    return 0.5 * (M[..., 0, 0] + M[..., 1, 1])
+        L[:, 2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
+        L[:, 2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += wrap
+    return L, wrap
 
 
 # ---------------------------------------------------------------------------
@@ -283,23 +256,6 @@ def schroedinger_band_edges(q) -> list[tuple[float, float]]:
     q = np.asarray(q, dtype=float)
     edges = periodic_jacobi_band_edges(np.ones_like(q), q)
     return [(edges[2 * i], edges[2 * i + 1]) for i in range(q.size)]
-
-
-def band_edges_scalar(jac: ScalarPeriodicJacobi) -> list[tuple[float, float]]:
-    """Bands of one scalar channel: ``scalar_stack_edges`` of that channel alone."""
-    return list(zip(*scalar_stack_edges(jac)))
-
-
-def scalar_stack_edges(channels: ScalarPeriodicJacobi) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper edges of the 2p bands of each of a stack of C scalar channels, as two (C, 2p) arrays.
-
-    ``periodic_jacobi_band_edges`` of the channels' coefficients, Hill order
-    checked; one channel gives two (2p,) arrays.  A flat channel is refused.
-    """
-    if channels.is_flat:
-        raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
-    edges = periodic_jacobi_band_edges(channels.a, channels.v)
-    return edges[..., 0::2], edges[..., 1::2]
 
 
 def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
@@ -355,10 +311,24 @@ def _branch_derivatives(fibers, chans, thetas, rows) -> tuple[np.ndarray, np.nda
     """Eigenvalue ``rows[i]`` of channel ``chans[i]`` at ``thetas[i]`` and its first two theta derivatives.
 
     ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
-    channels.  Each probe pairs its own channel with its own multiplier, and
-    FIBER_STACK probes go to one ``eigh``, which solves every matrix of a
-    stack on its own; the derivatives are elementwise sums over the probe's
-    own vectors, so a probe's values do not depend on its stack.  theta
+    channels.  Each probe pairs its own channel with its own multiplier.  The
+    probes are solved and reduced one stack of FIBER_STACK at a time
+    (``_stack_derivatives``), so only one stack's eigenvectors are held at
+    once, and no temporary of the reduction reaches numpy's 256 KiB
+    threshold for computing an expression in place (64 KiB at 2p = 32), which
+    would round some products differently: a probe's values do not depend on
+    its stack.
+    """
+    taus = _multipliers(thetas)
+    parts = [_stack_derivatives(fibers, chans[s], taus[s], rows[s]) for s in _stacks(len(taus))]
+    return tuple(np.concatenate(values) for values in zip(*parts))
+
+
+def _stack_derivatives(fibers, chans, taus, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_branch_derivatives`` of one stack of probes, given their multipliers ``taus``.
+
+    One ``eigh`` solves every matrix of the stack on its own, and the
+    derivatives are elementwise sums over the probe's own vectors.  theta
     enters only through the corners: L' holds i*tau*W on the lower-left one
     and -i*conj(tau)*W^H on the upper-right, L'' holds -tau*W and
     -conj(tau)*W^H there.  Then E' = v^H L' v (Hellmann-Feynman) and
@@ -367,12 +337,7 @@ def _branch_derivatives(fibers, chans, thetas, rows) -> tuple[np.ndarray, np.nda
     in place of the other.  A degenerate level gives a non-finite E''.
     """
     periods, wraps = fibers
-    taus = _multipliers(thetas)
-    solved = [
-        np.linalg.eigh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s])) for s in _stacks(len(taus))
-    ]
-    levels = np.concatenate([w for w, _ in solved])
-    vectors = np.concatenate([v for _, v in solved])
+    levels, vectors = np.linalg.eigh(fiber_matrices(periods[chans], wraps[chans], taus))
     i = np.arange(len(rows))
     m, r = vectors.shape[-1], wraps.shape[-1]
     wrap, v = wraps[chans], vectors[i, :, rows]
@@ -446,13 +411,6 @@ def _newton_extrema(fibers, chans, centres, step, rows, signs) -> np.ndarray:
     return signs * best
 
 
-def spectrum_block(
-    block: BlockPeriodicJacobi, grid_size: int = 512
-) -> list[tuple[float, float]]:
-    """Bands of one block channel: ``spectrum_block_stack`` of that channel alone."""
-    return spectrum_block_stack([block], grid_size)[0]
-
-
 def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float, float]]]:
     """Bands of each of many block channels of one period: ranges of sorted eigenvalue branches.
 
@@ -479,7 +437,7 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
         raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     taus = _multipliers(thetas)
-    fibers = tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
+    fibers = block_period_matrix(blocks)
     shape = (len(blocks), 2 * blocks[0].p)  # (channel, branch)
     grid_lo, grid_hi, theta_lo, theta_hi = (np.empty(shape) for _ in range(4))
     moving = np.empty(shape, dtype=bool)
@@ -717,23 +675,23 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     ascending; the row of a flat channel holds the 2p levels of its dimers
     as (e, e).  The models must share N and the potential period.  The
     channels of all models are built as one stack (``zigzag_channel_stack``),
-    and their dispersive channels go to one ``scalar_stack_edges`` call.  A
-    channel that fails the Hill-order check is named by its field step (the
-    index of its model) and k, the first in that order.
+    and their dispersive channels go to one ``periodic_jacobi_band_edges``
+    call.  A channel that fails the Hill-order check is named by its field
+    step (the index of its model) and k, the first in that order.
     """
     stack = zigzag_channel_stack(models)
     flat, a, v = stack.flat, stack.a, stack.v
     try:
-        lo, hi = scalar_stack_edges(ScalarPeriodicJacobi(p=stack.p, a=a[~flat], v=v[~flat]))
+        edges = periodic_jacobi_band_edges(a[~flat], v[~flat])
     except HillOrderError as exc:  # name the channel by field step and k
         step, k = (np.argwhere(~flat)[exc.channel] + 1).tolist()
         where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
         raise InternalConsistencyError(f"{where}channel k = {k}: {exc}") from exc
-    edges = np.empty((2,) + a.shape)
-    edges[:, ~flat] = lo, hi
+    lo, hi = np.empty((2,) + a.shape)
+    lo[~flat], hi[~flat] = edges[:, 0::2], edges[:, 1::2]
     for step in np.flatnonzero(flat.any(axis=1)).tolist():
-        edges[:, step, flat[step]] = _dimer_levels(v[step, 0].reshape(-1, 2))
-    return flat, stack.c_k, edges[0], edges[1]
+        lo[step, flat[step]] = hi[step, flat[step]] = _dimer_levels(v[step, 0].reshape(-1, 2))
+    return flat, stack.c_k, lo, hi
 
 
 def zigzag_channels(models) -> list[list[ChannelBands]]:

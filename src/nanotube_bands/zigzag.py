@@ -28,7 +28,7 @@ class ScalarPeriodicJacobi:
     c_k : signed channel constant cos(b + pi*k/N), kept for reporting
 
     (..., 2p) arrays ``a`` and ``v`` hold a stack of channels of one period,
-    which ``scalar_stack_edges`` solves together; the c_k of a stack are an
+    which ``zigzag_channel_edges`` solves together; the c_k of a stack are an
     array of its leading shape.
     """
 

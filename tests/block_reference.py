@@ -36,7 +36,7 @@ def fiber_levels(fiber, thetas) -> np.ndarray:
 
 def dense_branch_ranges(block, grid_size):
     """(lo, hi, scale): each branch's range from nested zoom grids, and max(1, max|level|) on the grid."""
-    fiber = block_period_matrix(block)
+    fiber = block_period_matrix([block])
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     levels = fiber_levels(fiber, thetas)
     size = levels.shape[1]

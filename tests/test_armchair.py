@@ -9,12 +9,11 @@ from nanotube_bands import (
     PotentialProfile,
     decompose_armchair,
     shifted_schroedinger_inclusion,
-    spectrum_block,
     tube_geometry,
 )
 from nanotube_bands.armchair import model_from_field
 from nanotube_bands.errors import InvalidInputError
-from nanotube_bands.spectral import max_edge_deviation, merge_intervals, schroedinger_band_edges
+from nanotube_bands.spectral import max_edge_deviation, merge_intervals, schroedinger_band_edges, spectrum_block_stack
 
 
 def test_decompose_unit_blocks():
@@ -97,7 +96,7 @@ def test_top_channel_splits_into_shifted_chains():
         prof = PotentialProfile(np.repeat(ve, 2))
         N = int(rng.integers(2, 6))
         block = decompose_armchair(ArmchairModel(N, (0.0, 0.0, 0.0), prof, t=1.0))[N - 1]
-        got = spectrum_block(block, grid_size=128)
+        got = spectrum_block_stack([block], 128)[0]
         j_bands = schroedinger_band_edges(ve)
         want = merge_intervals(
             [(lo - 1, hi - 1) for lo, hi in j_bands] + [(lo + 1, hi + 1) for lo, hi in j_bands]

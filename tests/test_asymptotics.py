@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
-from nanotube_bands.spectral import band_edges_scalar, fiber_matrices, scalar_period_matrix
+from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix
+from scalar_reference import channel_bands
+
+
+def channel_bands_at(prof, c, t):
+    """The bands of the zigzag channel of constant c at coupling t."""
+    edges = asy._channel_edges(prof, c, t)
+    return list(zip(edges[0::2], edges[1::2]))
 
 
 def zero_mean_profile(rng, q):
@@ -244,9 +251,7 @@ def test_large_t_zigzag_width_scaling():
     ratios = []
     for t in (20.0, 40.0, 80.0):
         pred = asy.predict_large_t_zigzag(prof, c, n=1, t=t)
-        bands = band_edges_scalar(
-            asy._channel_jacobi(prof, c, t)
-        )
+        bands = channel_bands_at(prof, c, t)
         lo, hi = bands[pred.band_rank - 1]
         ratios.append((hi - lo) / pred.width)
     assert abs(ratios[-1] - 1) < abs(ratios[0] - 1)
@@ -382,7 +387,7 @@ def test_flat_levels_inside_every_channel_for_coprime_even_N():
     for k, jac in enumerate(decompose_zigzag(model), start=1):
         if jac.is_flat or k == model.N:  # the hull channel keeps its gap at +-1
             continue
-        bands = band_edges_scalar(jac)
+        bands = channel_bands(jac)
         ok, margin = intervals_contain(bands, [(e, e) for e in flats], tol=1e-8)
         assert ok, (k, margin)
 
@@ -413,7 +418,7 @@ def test_hull_edges_move_only_at_second_order():
     t0, h = 1e-4, 1e-5
 
     def hull(t):
-        bands = band_edges_scalar(asy._channel_jacobi(prof, c, t))
+        bands = channel_bands_at(prof, c, t)
         return bands[0][0], bands[-1][1]
 
     lo_p, hi_p = hull(t0 + h)

@@ -92,7 +92,7 @@ def ref_golden_extrema(fiber, lo, hi, rows, signs):
 
 def ref_branch_ranges(block, grid_size):
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    fiber = block_period_matrix(block)
+    fiber = block_period_matrix([block])
     levels = ref_fiber_levels(fiber, thetas)
     step = 2.0 * np.pi / grid_size
     size = 2 * block.p
@@ -137,10 +137,6 @@ def check_stack(blocks, grid_size):
         assert chan_lo.tobytes() == alone_lo[0].tobytes() and chan_hi.tobytes() == alone_hi[0].tobytes()
         reference, dense = ref_branch_ranges(block, grid_size), dense_branch_ranges(block, grid_size)
         assert_edges(chan_lo, chan_hi, *reference, *dense)
-
-
-def block_fibers(blocks):
-    return tuple(np.stack(parts) for parts in zip(*map(block_period_matrix, blocks)))
 
 
 def flat_block(p, v):
@@ -233,7 +229,7 @@ def lockstep_case():
     rng = np.random.default_rng(32)
     model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(rng.uniform(-1, 1, 3)), t=2.0)
     blocks = decompose_armchair(model)[:2]
-    fibers = block_fibers(blocks)
+    fibers = block_period_matrix(blocks)
     size = 2 * blocks[0].p
     rows = np.tile(np.arange(size), 4)
     signs = np.repeat([1.0, -1.0, 1.0, -1.0], size)
@@ -271,6 +267,21 @@ def test_lockstep_searches_that_finish_at_different_iterations(monkeypatch):
     assert len(set(lockstep)) >= 3 and lockstep[-1] < rows.size // 2  # searches stop at different iterations
 
 
+def test_a_probe_does_not_depend_on_how_many_probes_share_its_call():
+    # numpy computes an expression in place once a temporary of it reaches
+    # 256 KiB, which rounds some products differently: 20 000 probes reduced
+    # at once gave other last bits than each probe alone
+    rng = np.random.default_rng(34)
+    model = ArmchairModel(8, (0.1, 0.2, -0.3), PotentialProfile(rng.uniform(-1, 1, 2)), t=1.0)
+    fibers = block_period_matrix(decompose_armchair(model))
+    n = 20_000
+    chans, rows, thetas = rng.integers(0, 8, n), rng.integers(0, 2, n), rng.uniform(0.0, 2 * math.pi, n)
+    together = spectral._branch_derivatives(fibers, chans, thetas, rows)
+    for i in range(300):
+        alone = spectral._branch_derivatives(fibers, chans[i : i + 1], thetas[i : i + 1], rows[i : i + 1])
+        assert [x[i : i + 1].tobytes() for x in together] == [x.tobytes() for x in alone], i
+
+
 def test_stacks_of_different_periods_are_refused():
     # one eigensolve takes matrices of one size
     model_p1 = ArmchairModel(3, (0.1, 0.2, 0.3), PotentialProfile([0.4]), t=1.0)
@@ -306,8 +317,12 @@ def test_paired_multipliers_match_one_matrix_builds(kind):
         # p = 1 puts both corners on the diagonal block, p = 2 on the bonds
         for p in (1, 2, 5):
             model = ArmchairModel(6, tuple(rng.normal(size=3)), PotentialProfile(rng.normal(size=p)), t=1.3)
-            fibers = [block_period_matrix(block) for block in decompose_armchair(model)]
-            periods, wraps = (np.stack(x) for x in zip(*fibers))
+            blocks = decompose_armchair(model)
+            periods, wraps = block_period_matrix(blocks)
+            fibers = list(zip(periods, wraps))
+            for block, period, wrap in zip(blocks, periods, wraps):  # the stack holds each channel's own build
+                alone = block_period_matrix([block])
+                assert period.tobytes() == alone[0][0].tobytes() and wrap.tobytes() == alone[1][0].tobytes()
             chans = rng.integers(0, len(fibers), size=50)
             taus = np.array([cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=50)])
             got = fiber_matrices(periods[chans], wraps[chans], taus)
@@ -331,7 +346,7 @@ def test_paired_multipliers_match_one_matrix_builds(kind):
 def test_paired_multipliers_keep_both_checks():
     for p in (1, 2, 5):  # p = 1 puts both corners on the whole matrix, p = 2 on the bonds
         model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(np.linspace(0.5, -0.5, 2 * p)), t=1.0)
-        periods, wraps = (np.stack(x) for x in zip(*map(block_period_matrix, decompose_armchair(model))))
+        periods, wraps = block_period_matrix(decompose_armchair(model))
         m = 2 * p
         taus = np.exp(1j * np.arange(4.0))
         with pytest.raises(InvalidParameterError):
@@ -359,14 +374,14 @@ def test_branch_derivatives_match_finite_differences(p):
     rng = np.random.default_rng(40 + p)
     model = ArmchairModel(5, tuple(rng.normal(size=3)), PotentialProfile(rng.uniform(-1, 1, 2 * p)), t=1.3)
     blocks = decompose_armchair(model)
-    fibers = block_fibers(blocks)
+    fibers = block_period_matrix(blocks)
     chans = rng.integers(0, len(blocks), 60)
     rows = rng.integers(0, 2 * p, 60)
     thetas = rng.uniform(0.0, 2 * math.pi, 60)
     level, slope, curvature = spectral._branch_derivatives(fibers, chans, thetas, rows)
     h = 1e-4
     values = np.array([
-        ref_fiber_levels(block_period_matrix(blocks[c]), [th - h, th, th + h])
+        ref_fiber_levels(block_period_matrix(blocks[c : c + 1]), [th - h, th, th + h])
         for c, th in zip(chans, thetas)
     ])  # (probe, theta, level)
     down, mid, up = values[np.arange(60), :, rows].T
@@ -398,7 +413,7 @@ def test_kink_at_the_extremum_is_bisected_to_the_bracket():
 
 def test_constant_branch_stops_at_its_first_probe(monkeypatch):
     block = flat_block(2, [0.3, -0.6, 0.1, 0.9])
-    fibers = block_fibers([block])
+    fibers = block_period_matrix([block])
     calls = []
     derivatives = spectral._branch_derivatives
 
@@ -419,7 +434,7 @@ def test_converged_search_stops_when_its_step_rounds_to_zero(monkeypatch):
     # the lower branch of crossing_block(1.0) is 2 cos(theta) near pi, far from
     # the other one; Newton converges in a few probes, after which its step
     # rounds to zero on a bracket end, which used to set off ~25 bisections
-    fibers = block_fibers([crossing_block(1.0)])
+    fibers = block_period_matrix([crossing_block(1.0)])
     calls = []
     derivatives = spectral._branch_derivatives
 

@@ -338,7 +338,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
         # a bond of 2e-13, and one of exactly FLAT_CHANNEL_TOL: both are flat channels
         "asym --regime ck_to_zero --ck-values 1e-13",
         "asym --regime ck_to_zero --ck-values 5e-13",
-        # zigzag commands never reach spectrum_block; the CLI refuses the grid itself
+        # zigzag commands never reach spectrum_block_stack; the CLI refuses the grid itself
         "bands --lattice zigzag --b 0.1 --grid 100",
         "sweep --lattice zigzag --B-start 0 --grid 100",
         # asym tolerances must be finite and positive, as verify --tol

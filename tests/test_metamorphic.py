@@ -1,0 +1,84 @@
+"""Metamorphic properties of the zigzag channel edges, at scale.
+
+Three transformations of a zigzag model have known effects on the edges that
+``zigzag_channel_edges`` returns for its channels k = 1..N:
+
+* shifting the potential, v -> v + c, moves every edge by t*c;
+* advancing the field phase, b -> b + pi/N, turns channel k into channel
+  k + 1 of the unshifted field, and channel N into channel 1
+  (``channel_symmetry_map``, "shift");
+* reflecting the field phase, b -> -b, turns channel k into channel N - k,
+  and channel N into itself ("reflect").
+
+The models span N from 2 to 512, q from 1 to 32 (odd q up to 15, so p <= 16) and t from
+1e-4 to 1e3; a third of them sit on a flat-band phase b = pi/2 - pi k/N, where
+one channel is a chain of dimers.  The channel constants of the two sides
+differ by rounding only, so the edges agree to a few ulps of the model's
+largest level: the tolerance is 8 * 2p * u * max|level|, u = 2**-53, the
+allowance of the Hill-order check.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+
+from nanotube_bands import PotentialProfile, ZigzagModel, channel_symmetry_map
+from nanotube_bands.spectral import zigzag_channel_edges
+
+# (N, q, t) at the corners of the ranges, then seeded draws
+CORNERS = [(512, 32, 1e-4), (512, 15, 1e3), (2, 1, 1e3), (3, 32, 1e-4), (256, 13, 1.0)]
+QS = list(range(2, 33, 2)) + list(range(1, 16, 2))  # the periods p <= 16 that the CLI accepts
+
+
+def models():
+    rng = np.random.default_rng(2026)
+    cases = CORNERS + [
+        (int(np.exp(rng.uniform(math.log(2), math.log(512)))), int(rng.choice(QS)), float(10 ** rng.uniform(-4, 3)))
+        for _ in range(10)
+    ]
+    for i, (N, q, t) in enumerate(cases):
+        k = int(rng.integers(1, N + 1))
+        b = math.pi / 2 - math.pi * k / N if i % 3 == 0 else float(rng.uniform(-math.pi, math.pi))
+        yield ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+
+
+MODELS = list(models())
+
+
+def edges(model):
+    """(flat mask, lower edges, upper edges) of the channels k = 1..N of one model."""
+    flat, _, lo, hi = zigzag_channel_edges([model])
+    return flat[0], lo[0], hi[0]
+
+
+def tolerance(model, lo, hi) -> float:
+    return 8 * 2 * model.potential.p * 2.0**-53 * max(np.max(np.abs(lo)), np.max(np.abs(hi)))
+
+
+def assert_same_channels(got, want, tol):
+    (flat, lo, hi), (want_flat, want_lo, want_hi) = got, want
+    assert np.array_equal(flat, want_flat)
+    assert np.max(np.abs(lo - want_lo)) <= tol, np.max(np.abs(lo - want_lo)) / tol
+    assert np.max(np.abs(hi - want_hi)) <= tol, np.max(np.abs(hi - want_hi)) / tol
+
+
+def relabelled(model, channels, key):
+    """The channels of ``model``, row k - 1 holding the partner that ``channel_symmetry_map`` gives channel k."""
+    partner = [channel_symmetry_map(model.N, model.b, k)[key][0] - 1 for k in range(1, model.N + 1)]
+    return tuple(x[partner] for x in channels)
+
+
+@pytest.mark.parametrize("model", MODELS, ids=lambda m: f"N{m.N}-q{m.potential.q}-t{m.t:.3g}")
+def test_zigzag_edges_are_metamorphic(model):
+    base = edges(model)
+    tol = tolerance(model, *base[1:])
+    c = 0.37
+    flat, lo, hi = edges(ZigzagModel(model.N, model.b, PotentialProfile(np.add(model.potential.values, c)), t=model.t))
+    assert_same_channels((flat, lo - model.t * c, hi - model.t * c), base, tolerance(model, lo, hi))
+    advanced = edges(ZigzagModel(model.N, model.b + math.pi / model.N, model.potential, t=model.t))
+    assert_same_channels(advanced, relabelled(model, base, "shift"), tol)
+    reflected = edges(ZigzagModel(model.N, -model.b, model.potential, t=model.t))
+    assert_same_channels(reflected, relabelled(model, base, "reflect"), tol)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from block_reference import assert_band_edges
+from scalar_reference import channel_bands, discriminant, monodromy
 from nanotube_bands import (
     ArmchairModel,
     BlockPeriodicJacobi,
@@ -14,15 +15,11 @@ from nanotube_bands import (
     ScalarPeriodicJacobi,
     ZigzagModel,
     armchair_unperturbed,
-    band_edges_scalar,
     decompose_zigzag,
-    discriminant,
     flat_band_spectrum,
     flat_field_amplitudes,
     full_spectrum,
     magnetic_phase,
-    monodromy,
-    spectrum_block,
 )
 from nanotube_bands.cli import _bands_json
 from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError, InvalidParameterError
@@ -38,6 +35,7 @@ from nanotube_bands.spectral import (
     periodic_jacobi_band_edges,
     scalar_period_matrix,
     schroedinger_band_edges,
+    spectrum_block_stack,
 )
 
 
@@ -54,7 +52,7 @@ def scalar_fiber(jac, tau):
 
 def block_fiber_levels(block, taus):
     """Sorted fiber eigenvalues of a block channel, one row per multiplier."""
-    return np.linalg.eigvalsh(fiber_matrices(*block_period_matrix(block), taus))
+    return np.linalg.eigvalsh(fiber_matrices(*block_period_matrix([block]), taus))
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +122,7 @@ def test_band_edges_satisfy_discriminant():
     for _ in range(30):
         p = int(rng.integers(1, 4))
         jac = chain(p, rng.uniform(0.1, 2.0), rng.normal(size=2 * p))
-        for lo, hi in band_edges_scalar(jac):
+        for lo, hi in channel_bands(jac):
             assert abs(abs(discriminant(jac, lo)) - 1) < 1e-8
             assert abs(abs(discriminant(jac, hi)) - 1) < 1e-8
 
@@ -239,15 +237,15 @@ def test_alternating_potential_bands():
     # edges are +-sqrt(v^2 + (a +- 1)^2) for the (v, -v) potential
     jac = chain(1, 1.0, [1.0, -1.0])
     rt5 = math.sqrt(5)
-    np.testing.assert_allclose(band_edges_scalar(jac), [(-rt5, -1.0), (1.0, rt5)], atol=1e-12)
+    np.testing.assert_allclose(channel_bands(jac), [(-rt5, -1.0), (1.0, rt5)], atol=1e-12)
     jac2 = chain(1, 2.0, [1.0, -1.0])
     rt10, rt2 = math.sqrt(10), math.sqrt(2)
-    np.testing.assert_allclose(band_edges_scalar(jac2), [(-rt10, -rt2), (rt2, rt10)], atol=1e-12)
+    np.testing.assert_allclose(channel_bands(jac2), [(-rt10, -rt2), (rt2, rt10)], atol=1e-12)
 
 
 def test_free_touching_bands_p2():
     jac = chain(2, 1.0, np.zeros(4))
-    bands = band_edges_scalar(jac)
+    bands = channel_bands(jac)
     rt2 = math.sqrt(2)
     np.testing.assert_allclose(
         bands, [(-2, -rt2), (-rt2, 0), (0, rt2), (rt2, 2)], atol=1e-12
@@ -256,7 +254,7 @@ def test_free_touching_bands_p2():
 
 def test_edges_match_sweep_envelope():
     jac = chain(2, 0.8, [0.3, 0.7, -0.2, 1.1])
-    edges = band_edges_scalar(jac)
+    edges = channel_bands(jac)
     thetas = 2 * math.pi * np.arange(512) / 512
     levels = np.array(
         [np.linalg.eigvalsh(scalar_fiber(jac, cmath.exp(1j * th))) for th in thetas]
@@ -300,8 +298,8 @@ def test_block_sweep_reproduces_scalar_edges():
     for _ in range(5):
         p = int(rng.integers(1, 4))
         jac = chain(p, rng.uniform(0.2, 1.9), rng.normal(size=2 * p))
-        got = spectrum_block(_scalar_as_blocks(jac), grid_size=256)
-        want = band_edges_scalar(jac)
+        got = spectrum_block_stack([_scalar_as_blocks(jac)], 256)[0]
+        want = channel_bands(jac)
         assert max_edge_deviation(got, merge_intervals(want)) < 1e-8
 
 
@@ -315,8 +313,8 @@ def test_block_sweep_shift_equivariance():
     shifted = BlockPeriodicJacobi(
         p=block.p, a_block=block.a_block, d_blocks=block.d_blocks + mu * np.eye(2)
     )
-    b1 = spectrum_block(block, grid_size=64)
-    b2 = spectrum_block(shifted, grid_size=64)
+    b1 = spectrum_block_stack([block], 64)[0]
+    b2 = spectrum_block_stack([shifted], 64)[0]
     np.testing.assert_allclose(
         np.array(b2), np.array(b1) + mu, atol=1e-9
     )
@@ -373,9 +371,9 @@ def test_block_sweep_matches_per_fiber_reference(seed):
         PotentialProfile(rng.uniform(-1, 1, size=q)), t=float(np.exp(rng.uniform(-3, 3.7))),
     )
     for block in decompose_armchair(model):
-        assert_band_edges(spectrum_block(block, grid_size=32), _per_fiber_block_bands(block, 32), block, 32)
+        assert_band_edges(spectrum_block_stack([block], 32)[0], _per_fiber_block_bands(block, 32), block, 32)
     flat = _scalar_as_blocks(chain(2, 0.0, rng.normal(size=4)))  # every branch is constant: its grid values
-    assert spectrum_block(flat, grid_size=16) == _per_fiber_block_bands(flat, 16)
+    assert spectrum_block_stack([flat], 16)[0] == _per_fiber_block_bands(flat, 16)
 
 
 def test_block_fibers_reject_bad_multiplier():
@@ -387,7 +385,7 @@ def test_block_fibers_reject_bad_multiplier():
 def test_block_sweep_rejects_bad_grid():
     jac = chain(1, 1.0, [0.0, 0.0])
     with pytest.raises(InvalidParameterError):
-        spectrum_block(_scalar_as_blocks(jac), grid_size=100)
+        spectrum_block_stack([_scalar_as_blocks(jac)], 100)[0]
 
 
 def test_armchair_unperturbed_closed_form():
@@ -969,14 +967,8 @@ def test_hill_check_swaps_the_roles_for_an_odd_period(monkeypatch):
         assert info.value.channel == 0
 
 
-def test_scalar_stack_edges_refuses_flat_channel():
-    from nanotube_bands.spectral import scalar_stack_edges
-
-    stack = ScalarPeriodicJacobi(p=1, a=[[1.0, 1.0], [1.0, 0.0]], v=[[0.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(FlatBandChannelError):
-        scalar_stack_edges(stack)
-    lo, hi = scalar_stack_edges(ScalarPeriodicJacobi(p=1, a=np.ones((0, 2)), v=np.ones((0, 2))))
-    assert lo.shape == hi.shape == (0, 2)
+def test_periodic_jacobi_band_edges_of_an_empty_stack():
+    assert periodic_jacobi_band_edges(np.ones((0, 2)), np.ones((0, 2))).shape == (0, 4)
 
 
 def test_json_schema_shape():
@@ -1014,7 +1006,7 @@ def test_discriminant_sign_pattern_at_edges():
     for _ in range(20):
         p = int(rng.integers(1, 4))
         jac = chain(p, float(rng.uniform(0.2, 2.0)), rng.normal(size=2 * p))
-        edges = np.array(band_edges_scalar(jac)).ravel()  # e_1 <= ... <= e_4p
+        edges = np.array(channel_bands(jac)).ravel()  # e_1 <= ... <= e_4p
         # z_0^+ = e_1, then z_n^-, z_n^+ = e_2n, e_2n+1, finally z_2p^- = e_4p
         for n in range(0, 2 * p + 1):
             if n == 0:
@@ -1040,7 +1032,7 @@ def test_block_fiber_hermitian_random():
         )
         for block in decompose_armchair(model):
             tau = cmath.exp(2j * math.pi * rng.random())
-            L = fiber_matrices(*block_period_matrix(block), [tau])[0]
+            L = fiber_matrices(*block_period_matrix([block]), [tau])[0]
             assert np.max(np.abs(L - L.conj().T)) < 1e-14 * max(1.0, float(np.max(np.abs(L))))
 
 
@@ -1059,7 +1051,7 @@ def test_block_fiber_stack_matches_one_matrix_assembly():
         taus = [cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=16)]
         for block in decompose_armchair(model):
             P, a = block.p, block.a_block
-            stack = fiber_matrices(*block_period_matrix(block), taus)
+            stack = fiber_matrices(*block_period_matrix([block]), taus)
             for tau, got in zip(taus, stack):
                 L = np.zeros((2 * P, 2 * P), dtype=complex)
                 for j in range(P):
@@ -1113,7 +1105,7 @@ def test_block_sweep_complete_and_attained():
             PotentialProfile(rng.normal(size=q)), t=float(rng.normal()),
         )
         block = decompose_armchair(model)[0]
-        bands = spectrum_block(block, grid_size=128)
+        bands = spectrum_block_stack([block], 128)[0]
         probe = block_fiber_levels(block, [cmath.exp(2j * math.pi * x) for x in rng.random(40)]).ravel()
         ok, margin = intervals_contain(bands, [(e, e) for e in probe], tol=1e-9)
         assert ok, margin
@@ -1131,7 +1123,7 @@ def test_block_edges_not_at_real_multipliers():
 
     model = ArmchairModel(3, (0.8, -0.5, 1.1), PotentialProfile([0.7, -0.4]), t=1.0)
     block = decompose_armchair(model)[0]
-    swept = spectrum_block(block, grid_size=128)
+    swept = spectrum_block_stack([block], 128)[0]
     pm = np.sort(block_fiber_levels(block, [1.0, -1.0]), axis=None)
     naive = merge_intervals([(pm[2 * i], pm[2 * i + 1]) for i in range(len(pm) // 2)])
     assert max_edge_deviation(swept, naive) > 1e-3
