@@ -190,7 +190,7 @@ def build_model(args, lattice: str):
 
 MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swept
 MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
-MAX_N = 512  # the zigzag union's coverage array grows as N**2 * p, an armchair run as N
+MAX_N = 512  # a zigzag bands run peaks at ~58 MB at N = 512, p = 16, an armchair run grows as N
 MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
 MAX_P = 16  # potential period p: channel matrices are 2p x 2p; an armchair bands run at MAX_N takes ~50 s at p = 16
 MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
@@ -254,8 +254,8 @@ def _bands_json(structure) -> str:
     keys, written table by table instead of value by value.  Every channel
     entry is written by one ``%`` call on the entry templates of all
     channels, as ``_table`` writes a table: a non-finite value sends every
-    float through ``fmt_float``.  The union table is read from the columns
-    of the structure.
+    float through ``fmt_float``.  The union table is read from the lo, hi
+    and multiplicity columns of the structure.
     """
     sig = _precision()
     channels = structure.channels

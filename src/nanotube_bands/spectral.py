@@ -32,10 +32,11 @@ channel with its own multiplier, and one iteration solves and reduces the
 probes of every search still running one stack of FIBER_STACK at a time.
 
 The union over channels is built as numpy columns (``assemble_band_structure``):
-the channel edges cut the energy axis into segments, a cumulative sum of
-+1/-1 band events gives each channel's coverage of every segment, and the
-fused table is stored as lo, hi, multiplicity and coverage columns; the
-``UnionBand`` records are a view built on first access.
+the channel edges cut the energy axis into segments, each channel's bands
+fuse into runs of segments, a cumulative sum of +1/-1 run events gives the
+multiplicity of every segment, and where the runs start and end decides
+exactly which adjacent entries have the same covering channels.  The fused
+table is stored as lo, hi and multiplicity columns.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ import bisect
 import cmath
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from itertools import compress
 
 import numpy as np
 
@@ -88,7 +87,7 @@ def interval_gaps(intervals) -> list[tuple[float, float]]:
 def intervals_contain(container, inner, tol: float = 1e-8) -> tuple[bool, float]:
     """Whether every inner interval sits inside one container interval.
 
-    Returns (ok, margin): margin is the worst coverage slack, negative when
+    Returns (ok, margin): margin is the worst containment slack, negative when
     some inner interval pokes out by that amount.
     """
     outer = merge_intervals(container, gap_tol=tol)
@@ -492,47 +491,29 @@ class ChannelBands:
         return list(self.bands) + [(e, e) for e in self.flat_bands]
 
 
-@dataclass(frozen=True)
-class UnionBand:
-    lo: float
-    hi: float
-    multiplicity: float  # 2 per covering channel; math.inf marks a flat band
-    channels: tuple[int, ...]
-
-
-def _column(dtype=float, width: int | None = None):
+def _column():
     """An empty column of the union table, as a dataclass default."""
-    return field(default_factory=lambda: np.empty((0,) if width is None else (0, width), dtype=dtype))
+    return field(default_factory=lambda: np.empty(0))
 
 
 @dataclass(frozen=True, eq=False)
 class BandStructure:
     """Per-channel bands plus their union with multiplicity accounting.
 
-    The union is kept as columns, one row per union band: ``lo``, ``hi``,
-    ``multiplicity`` (2 per covering channel; inf marks a flat level) and the
-    boolean ``coverage``, whose column j tells whether channel
-    ``channel_ids[j]`` covers the band.  ``union_bands``, the same table as
-    ``UnionBand`` records, is built from them on first access.
+    The union is kept as columns, one row per union band: ``lo``, ``hi`` and
+    ``multiplicity`` (2 per covering channel; inf marks a flat level).
     """
 
     channels: tuple[ChannelBands, ...]
     lo: np.ndarray = _column()
     hi: np.ndarray = _column()
     multiplicity: np.ndarray = _column()
-    coverage: np.ndarray = _column(bool, 0)
-    channel_ids: np.ndarray = _column(int)
     union_gaps: tuple[tuple[float, float], ...] = ()
 
-    @cached_property
-    def union_bands(self) -> tuple[UnionBand, ...]:
-        ids = self.channel_ids.tolist()
-        return tuple(
-            UnionBand(lo, hi, mult, tuple(compress(ids, row)))
-            for lo, hi, mult, row in zip(
-                self.lo.tolist(), self.hi.tolist(), self.multiplicity.tolist(), self.coverage.tolist()
-            )
-        )
+    # kept only for ``bench/tracing.py``, whose ``_on_union`` reads its length; ROADMAP item 4's bench change deletes it
+    @property
+    def union_bands(self) -> list[tuple[float, float, float]]:
+        return list(zip(self.lo.tolist(), self.hi.tolist(), self.multiplicity.tolist()))
 
     @property
     def flat_bands(self) -> list[tuple[float, int]]:
@@ -540,9 +521,6 @@ class BandStructure:
 
     def union_intervals(self) -> list[tuple[float, float]]:
         return list(zip(self.lo.tolist(), self.hi.tolist()))
-
-    def hull(self) -> tuple[float, float]:
-        return (float(self.lo[0]), float(self.hi[-1])) if self.lo.size else (math.nan, math.nan)
 
 
 def _spaced_cuts(cuts: np.ndarray) -> np.ndarray:
@@ -566,38 +544,56 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     The union is cut at every channel edge (a cut within 1e-12 of the last
     kept one is dropped) so that each reported union band has a constant
     covering-channel set.  Band b covers the segments whose midpoints lie in
-    ``[lo_b - 1e-12, hi_b + 1e-12]``, a run of segments that two
-    ``searchsorted`` calls find; a +1/-1 event per band and a cumulative sum
-    over the segments give every channel's count of covering bands, and the
-    covering set of a segment is where that count is positive.  A band
+    ``[lo_b - 1e-12, hi_b + 1e-12]``, a range ``[start, stop)`` that two
+    ``searchsorted`` calls find.  Sorted by channel and start, each channel's
+    overlapping or touching ranges fuse into runs (one running maximum of the
+    stops, offset by channel), and a cumulative sum of the +1/-1 run events
+    gives every segment's number of covering channels; the multiplicity is
+    twice that.  Two consecutive covered segments have the same covering set
+    exactly when no run starts or ends between them, apart from a channel's
+    run ending and that channel's next run starting in the same gap.  A band
     thinner than the cut spacing that no segment holds becomes its own union
     band, and a flat level that nothing holds a degenerate one of infinite
     multiplicity; an entry is looked up by bisection in the segments and in
     the padded intervals of the entries added before it, which are kept
-    fused into a sorted disjoint list.  Each entry kept has its own ``lo``,
-    so one stable sort merges the segments and the extra entries.  Adjacent
-    entries with identical multiplicity and covering set that are at most
+    fused into a sorted disjoint list.  Such an entry has one channel, and
+    compares with a neighbour of its multiplicity by that channel alone; a
+    segment covered by one channel takes it from a cumulative sum of
+    +channel/-channel run events.  Each entry kept has its own ``lo``, so one
+    stable sort merges the segments and the extra entries.  Adjacent entries
+    with identical multiplicity and covering set that are at most
     GAP_MERGE_TOL apart are fused, and the gaps of at least GAP_MERGE_TOL
-    between the fused bands are the union gaps.  The table is built as
-    columns (see ``BandStructure``).  Cost: O(B log B + S C) for B channel
-    bands, S segments and C channels, plus the list insertions of the extra
-    entries.
+    between the fused bands are the union gaps.  Cost: O(B log B) for B
+    channel bands, plus the list insertions of the extra entries.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
     flats = sorted((e, ch.k) for ch in channels for e in ch.flat_bands)
     blo, bhi = (np.array([band[i] for band in ac], dtype=float) for i in (0, 1))
-    ids, col = np.unique(np.array([band[2] for band in ac] + [k for _, k in flats], dtype=int), return_inverse=True)
+    col = np.unique(np.array([band[2] for band in ac] + [k for _, k in flats], dtype=int), return_inverse=True)[1]
 
     cuts = _spaced_cuts(np.unique(np.concatenate([blo, bhi])))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    # (channel, segment) counts of covering bands, which never exceed the number of bands
-    counts = np.zeros((ids.size, mids.size + 1), dtype=np.int16 if len(ac) < 2**15 else np.int32)
-    np.add.at(counts, (col[: len(ac)], np.searchsorted(mids, blo - 1e-12, "left")), 1)
-    np.add.at(counts, (col[: len(ac)], np.searchsorted(mids, bhi + 1e-12, "right")), -1)
-    np.cumsum(counts, axis=1, out=counts)
-    cover = counts[:, :-1] > 0
-    covered = cover.any(axis=0)
-    seg_lo, seg_hi, cover = cuts[:-1][covered], cuts[1:][covered], cover[:, covered]
+    start, stop = np.searchsorted(mids, blo - 1e-12, "left"), np.searchsorted(mids, bhi + 1e-12, "right")
+    ranges = np.lexsort((start, col[: len(ac)]))
+    ranges = ranges[start[ranges] < stop[ranges]]  # the ranges that cover a segment, by channel and start
+    chan, start, stop = col[ranges], start[ranges], stop[ranges]
+    span = mids.size + 1  # event positions 0..S; offset by channel, one running maximum fuses every channel's ranges
+    reach = np.maximum.accumulate(stop + chan * span)
+    first = np.flatnonzero(np.append(ranges.size > 0, start[1:] + chan[1:] * span > reach[:-1]))
+    run_chan, run_start, run_stop = chan[first], start[first], np.maximum.reduceat(stop, first)
+
+    def events(weights=None) -> np.ndarray:
+        return np.cumsum(np.bincount(run_start, weights, span) - np.bincount(run_stop, weights, span))[:-1]
+
+    count, solo = events(), events(run_chan)
+    covered = count > 0
+    rank = np.append(0, np.cumsum(covered))  # the covered segments below each event position
+    # a run event at rank r changes the covering set from segment r - 1 to r unless its channel stops and restarts there
+    restart = np.zeros(run_chan.size, dtype=bool)  # run j follows run j - 1 of its channel across one gap
+    restart[1:] = (run_chan[1:] == run_chan[:-1]) & (rank[run_stop[:-1]] == rank[run_start[1:]])
+    changed = np.zeros(rank[-1] + 1, dtype=bool)
+    changed[rank[run_start[~restart]]] = changed[rank[run_stop[~np.roll(restart, -1)]]] = True
+    seg_lo, seg_hi = cuts[:-1][covered], cuts[1:][covered]
     pad_lo, pad_hi = seg_lo - 1e-12, np.append(seg_hi + 1e-12, math.nan)  # ascending; the nan is never read
 
     def held_by_segments(x: np.ndarray) -> np.ndarray:
@@ -606,16 +602,14 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
 
     ex_lo: list[float] = []  # the padded extra entries, overlaps fused: disjoint and ascending
     ex_hi: list[float] = []
-    extra: list[tuple[float, float, float]] = []  # (lo, hi, multiplicity) of each extra entry
-    extra_cols: list[int] = []  # and its channel's coverage column
+    extra: list[tuple[float, float, float, int]] = []  # (lo, hi, multiplicity, channel) of each extra entry
 
-    def add(lo: float, hi: float, mult: float, column: int, x: float) -> None:
+    def add(lo: float, hi: float, mult: float, chan: int, x: float) -> None:
         """Append an extra entry unless one appended before holds x within 1e-12."""
         i = bisect.bisect_right(ex_lo, x) - 1
         if i >= 0 and x <= ex_hi[i]:
             return
-        extra.append((lo, hi, mult))
-        extra_cols.append(column)
+        extra.append((lo, hi, mult, chan))
         lo, hi = lo - 1e-12, hi + 1e-12
         i, j = bisect.bisect_left(ex_hi, lo), bisect.bisect_right(ex_lo, hi)  # [i, j) overlap it
         if i < j:
@@ -631,22 +625,24 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     for i in np.flatnonzero(~held_by_segments(levels)).tolist():
         add(flats[i][0], flats[i][0], math.inf, int(col[len(ac) + i]), flats[i][0])
 
-    ex = np.array(extra, dtype=float).reshape(-1, 3)
-    ex_cover = np.zeros((ids.size, len(extra)), dtype=bool)
-    ex_cover[np.array(extra_cols, dtype=int), np.arange(len(extra))] = True
+    ex = np.array(extra, dtype=float).reshape(-1, 4)
     order = np.argsort(np.concatenate([seg_lo, ex[:, 0]]), kind="stable")
     lo = np.concatenate([seg_lo, ex[:, 0]])[order]
     hi = np.concatenate([seg_hi, ex[:, 1]])[order]
-    mult = np.concatenate([2.0 * cover.sum(axis=0), ex[:, 2]])[order]
-    cover = np.concatenate([cover, ex_cover], axis=1)[:, order]
+    mult = np.concatenate([2.0 * count[covered], ex[:, 2]])[order]
+    solo = np.concatenate([solo[covered], ex[:, 3]])[order]  # the channel of a one-channel entry
+    fresh = np.append(changed[: seg_lo.size], np.ones(len(extra), dtype=bool))[order]
+    seg = order < seg_lo.size
+    # equal multiplicities make both entries of a pair one-channel unless both are segments
+    same = np.where(seg[1:] & seg[:-1], ~fresh[1:], solo[1:] == solo[:-1])
 
     # hi ascends with lo, so the fused band that entry i - 1 ends reaches hi[i - 1]
-    joined = (lo[1:] - hi[:-1] <= GAP_MERGE_TOL) & (mult[1:] == mult[:-1]) & (cover[:, 1:] == cover[:, :-1]).all(axis=0)
+    joined = (lo[1:] - hi[:-1] <= GAP_MERGE_TOL) & (mult[1:] == mult[:-1]) & same
     first = np.flatnonzero(np.concatenate([[lo.size > 0], ~joined]))
-    lo, hi, mult, cover = lo[first], np.maximum.reduceat(hi, first), mult[first], cover[:, first].T
+    lo, hi, mult = lo[first], np.maximum.reduceat(hi, first), mult[first]
     gap = lo[1:] - hi[:-1] >= GAP_MERGE_TOL
     gaps = tuple(zip(hi[:-1][gap].tolist(), lo[1:][gap].tolist()))
-    return BandStructure(tuple(channels), lo, hi, mult, cover, ids, gaps)
+    return BandStructure(tuple(channels), lo, hi, mult, gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -421,9 +421,8 @@ def test_full_spectrum_alternating_no_flats():
     model = ZigzagModel(3, 0.0, PotentialProfile([v, -v]), t=1.0)
     bs = full_spectrum(model)
     assert bs.flat_bands == []
-    hull = bs.hull()
-    assert hull[0] == pytest.approx(-math.sqrt(v**2 + 9), abs=1e-12)
-    assert hull[1] == pytest.approx(math.sqrt(v**2 + 9), abs=1e-12)
+    assert bs.lo[0] == pytest.approx(-math.sqrt(v**2 + 9), abs=1e-12)
+    assert bs.hi[-1] == pytest.approx(math.sqrt(v**2 + 9), abs=1e-12)
 
 
 def test_full_spectrum_flat_bands_at_even_N():
@@ -445,8 +444,7 @@ def test_isolated_flat_level_becomes_degenerate_union_band():
         ChannelBands(k=2, c_k=-1.0, bands=((1.0, 2.0), (-2.0, -1.0))),
     ]
     bs = assemble_band_structure(channels)
-    degens = [b for b in bs.union_bands if math.isinf(b.multiplicity)]
-    assert [(b.lo, b.hi, b.channels) for b in degens] == [(0.3, 0.3, (1,))]
+    assert [b for b in _union_rows(bs) if math.isinf(b[2])] == [(0.3, 0.3, math.inf)]
     assert bs.union_gaps == ((-1.0, 0.3), (0.3, 1.0))
 
 
@@ -469,12 +467,7 @@ def test_union_multiplicity_segmentation():
         ChannelBands(k=2, c_k=-0.5, bands=((1.0, 3.0),)),
     ]
     bs = assemble_band_structure(channels)
-    mults = [(b.lo, b.hi, b.multiplicity, b.channels) for b in bs.union_bands]
-    assert mults == [
-        (0.0, 1.0, 2.0, (1,)),
-        (1.0, 2.0, 4.0, (1, 2)),
-        (2.0, 3.0, 2.0, (2,)),
-    ]
+    assert _union_rows(bs) == [(0.0, 1.0, 2.0), (1.0, 2.0, 4.0), (2.0, 3.0, 2.0)]
     assert bs.union_gaps == ()
 
 
@@ -494,9 +487,37 @@ def test_union_keeps_bands_thinner_than_the_cut_spacing():
     assert np.max(np.min(outside, axis=1)) <= 1e-8
 
 
+def test_union_memory_is_linear_in_the_channel_bands():
+    # a (channel, segment) count array, O(N**2 p), peaked at 82.6 MiB here
+    import tracemalloc
+
+    from nanotube_bands.spectral import zigzag_channels
+
+    potential = PotentialProfile(np.random.default_rng(53).uniform(-1, 1, 32))
+    (channels,) = zigzag_channels([ZigzagModel(512, 0.3, potential, t=1.0)])
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        bs = assemble_band_structure(channels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert bs.lo.size > 0
+    assert peak < 24 * 2**20
+
+
+def _union_rows(bs):
+    """The union table of a ``BandStructure`` as (lo, hi, multiplicity) rows."""
+    return list(zip(bs.lo.tolist(), bs.hi.tolist(), bs.multiplicity.tolist()))
+
+
 def _quadratic_union(channels):
-    """The all-pairs union that the sweep line replaced: (union bands, union gaps)."""
-    from nanotube_bands.spectral import GAP_MERGE_TOL, UnionBand
+    """The all-pairs union that the sweep line replaced: ((lo, hi, multiplicity) rows, union gaps).
+
+    It finds the covering channels of every segment and entry, and fuses
+    neighbours only where those sets are equal.
+    """
+    from nanotube_bands.spectral import GAP_MERGE_TOL
 
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
     flats = [(e, ch.k) for ch in channels for e in ch.flat_bands]
@@ -528,7 +549,7 @@ def _quadratic_union(channels):
         else:
             fused.append([lo, hi, mult, ks])
     gaps = [(h1, l2) for (_, h1, _, _), (l2, _, _, _) in zip(fused[:-1], fused[1:]) if l2 - h1 >= GAP_MERGE_TOL]
-    return tuple(UnionBand(*f) for f in fused), tuple(gaps)
+    return [(lo, hi, mult) for lo, hi, mult, _ in fused], tuple(gaps)
 
 
 def _random_channels(rng):
@@ -580,7 +601,7 @@ def test_union_matches_quadratic_reference(seed):
         channels = _random_channels(rng)
         bs = assemble_band_structure(channels)
         bands, gaps = _quadratic_union(channels)
-        assert bs.union_bands == bands
+        assert _union_rows(bs) == bands
         assert bs.union_gaps == gaps
 
 
@@ -609,7 +630,7 @@ def _thin_band_channels(rng):
 
 
 def _union_bits(bands):
-    return [(float(b.lo).hex(), float(b.hi).hex(), b.multiplicity, b.channels) for b in bands]
+    return [(float(lo).hex(), float(hi).hex(), mult) for lo, hi, mult in bands]
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -621,7 +642,7 @@ def test_union_of_thin_bands_and_flat_levels_matches_linear_scan(seed):
         channels = _thin_band_channels(rng)
         bs = assemble_band_structure(channels)
         bands, gaps = _quadratic_union(channels)
-        assert _union_bits(bs.union_bands) == _union_bits(bands)
+        assert _union_bits(_union_rows(bs)) == _union_bits(bands)
         assert bs.union_gaps == gaps
 
 
@@ -644,7 +665,7 @@ def test_union_keeps_the_rounding_of_its_tolerance_tests(below, above):
         ChannelBands(k=3, c_k=None, bands=((below - 2.0, above + 2.0),)),
     ]
     bs = assemble_band_structure(channels)
-    assert (bs.union_bands, bs.union_gaps) == _quadratic_union(channels)
+    assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
 
 
 def test_union_matches_quadratic_reference_on_models():
@@ -655,7 +676,7 @@ def test_union_matches_quadratic_reference_on_models():
         b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N if rng.random() < 0.3 else float(rng.normal())
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
         bs = full_spectrum(model)
-        assert (bs.union_bands, bs.union_gaps) == _quadratic_union(list(bs.channels))
+        assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(list(bs.channels))
     # large models, where the +k/-k channel pairs put many cuts within 1e-12
     # of each other, two of them on a flat phase
     for N, q, flat in ((120, 24, True), (96, 17, False), (64, 24, True)):
@@ -663,7 +684,17 @@ def test_union_matches_quadratic_reference_on_models():
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
         bs = full_spectrum(model)
         assert any(ch.flat_bands for ch in bs.channels) == flat
-        assert (bs.union_bands, bs.union_gaps) == _quadratic_union(list(bs.channels))
+        assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(list(bs.channels))
+    # armchair models, compared to the bit; at t = 3e4 some branch ranges
+    # are thinner than 1e-12 and become flat levels, one of them isolated
+    for i, (N, q, t) in enumerate(((3, 8, 3e4), (2, 5, 0.3), (4, 3, 1.7), (5, 6, 12.0), (3, 1, 0.9), (6, 4, 0.06))):
+        model = ArmchairModel(N, tuple(rng.uniform(-1, 1, 3)), PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+        bs = full_spectrum(model, grid_size=64)
+        assert any(ch.flat_bands for ch in bs.channels) == (i == 0)
+        assert (math.inf in bs.multiplicity.tolist()) == (i == 0)
+        bands, gaps = _quadratic_union(list(bs.channels))
+        assert _union_bits(_union_rows(bs)) == _union_bits(bands)
+        assert bs.union_gaps == gaps
     # and the structures without a segment: no channels, no bands, flat levels only
     for channels in (
         [],
@@ -672,7 +703,7 @@ def test_union_matches_quadratic_reference_on_models():
          ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(-0.0, 2.0))],
     ):
         bs = assemble_band_structure(channels)
-        assert (bs.union_bands, bs.union_gaps) == _quadratic_union(channels)
+        assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
 
 
 def test_zigzag_channel_gaps_match_merged_bands():
