@@ -8,7 +8,6 @@ from .core import (
     load_potential,
     magnetic_phase,
 )
-from .zigzag import ScalarPeriodicJacobi, channel_symmetry_map, decompose_zigzag, gauge_reduce
 from .armchair import (
     BlockPeriodicJacobi,
     decompose_armchair,
@@ -18,12 +17,10 @@ from .armchair import (
 from .spectral import (
     BandStructure,
     ChannelBands,
-    armchair_unperturbed,
     flat_band_spectrum,
     full_spectrum,
 )
 from .oracle import build_full_hamiltonian, compare_decomposition
-from .asymptotics import shifted_schroedinger_inclusion
 
 __all__ = [
     "ArmchairModel",
@@ -31,21 +28,15 @@ __all__ = [
     "BlockPeriodicJacobi",
     "ChannelBands",
     "PotentialProfile",
-    "ScalarPeriodicJacobi",
     "ZigzagModel",
-    "armchair_unperturbed",
     "build_full_hamiltonian",
-    "channel_symmetry_map",
     "compare_decomposition",
     "decompose_armchair",
-    "decompose_zigzag",
     "flat_band_spectrum",
     "flat_field_amplitudes",
     "full_spectrum",
-    "gauge_reduce",
     "load_potential",
     "magnetic_phase",
     "model_from_field",
-    "shifted_schroedinger_inclusion",
     "tube_geometry",
 ]

@@ -5,6 +5,10 @@ Every predictor here has an independent numerical counterpart in
 the two.  This is the only module that decides how a regime is checked: each
 ``measure_*`` returns the complete list of :class:`AsymptoticReport` records
 of its regime, and its signature holds the regime's default tolerances.
+The module holds what the ``asym`` regimes run.  The exact references that
+only check the engine (the half-period-one and zero-potential closed forms,
+the shifted-Schroedinger containment and the armchair cluster-centre errors)
+are kept with the tests, in ``tests/closed_forms.py``.
 
 Index conventions match the rest of the package: potentials are 0-based
 arrays with dimer pairs ``(v[2j], v[2j+1])``, bonds ``a[i]`` couple sites i
@@ -26,7 +30,6 @@ from .spectral import (
     flat_band_spectrum,
     full_spectrum,
     interval_gaps,
-    intervals_contain,
     merge_intervals,
     max_edge_deviation,
     periodic_jacobi_band_edges,
@@ -434,52 +437,6 @@ def _shifted_overlay(profile: PotentialProfile, N: int, grid_size: int) -> tuple
     return q, j_bands, shifted, full_spectrum(model, grid_size=grid_size).union_intervals()
 
 
-@dataclass(frozen=True)
-class InclusionReport:
-    """Spectral containment margins for the shifted-Schroedinger comparison."""
-
-    armchair_ok: bool
-    armchair_margin: float
-    zigzag_checked: bool
-    zigzag_ok: bool
-    zigzag_margin: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.armchair_ok and (self.zigzag_ok or not self.zigzag_checked)
-
-
-def shifted_schroedinger_inclusion(
-    profile: PotentialProfile, N: int, tol: float = 1e-8, grid_size: int = 512
-) -> InclusionReport:
-    """Check the shifted Schroedinger containments for a rung-paired potential.
-
-    (sigma(J) +/- 1) must lie inside the armchair spectrum (see
-    :func:`_shifted_overlay`).  For N divisible by 3 the zigzag tube with the
-    p-periodic potential v_even contains sigma(J) outright through its
-    unit-hopping channel.
-    """
-    v_even, j_bands, shifted, arm_bands = _shifted_overlay(profile, N, grid_size)
-    arm_ok, arm_margin = intervals_contain(arm_bands, shifted, tol=tol)
-
-    zig_checked = N % 3 == 0
-    zig_ok, zig_margin = True, math.inf
-    if zig_checked:
-        zig = ZigzagModel(N=N, b=0.0, potential=PotentialProfile(v_even), t=1.0)
-        zig_bands = full_spectrum(zig).union_intervals()
-        zig_ok, zig_margin = intervals_contain(zig_bands, j_bands, tol=tol)
-
-    return InclusionReport(
-        armchair_ok=arm_ok,
-        armchair_margin=arm_margin,
-        zigzag_checked=zig_checked,
-        zigzag_ok=zig_ok,
-        zigzag_margin=zig_margin,
-        tolerance=tol,
-    )
-
-
 def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
     """First-order gap data of the rung potential and the windows into which
     the shifted copies of those gaps land inside the armchair spectrum."""
@@ -571,95 +528,6 @@ def predict_large_t_armchair(
         width=float(width),
         phase_weight=weight,
     )
-
-
-# ---------------------------------------------------------------------------
-# exact references for the simplest period
-
-
-@dataclass(frozen=True)
-class AlternatingEdges:
-    """Band edges of the alternating two-site potential (v, -v) at half-period one."""
-
-    outer_lower: float
-    inner_lower: float
-    inner_upper: float
-    outer_upper: float
-
-    @property
-    def edges(self) -> tuple[float, float, float, float]:
-        return (self.outer_lower, self.inner_lower, self.inner_upper, self.outer_upper)
-
-    @property
-    def bands(self) -> list[tuple[float, float]]:
-        return [(self.outer_lower, self.inner_lower), (self.inner_upper, self.outer_upper)]
-
-    @property
-    def gap(self) -> tuple[float, float]:
-        return (self.inner_lower, self.inner_upper)
-
-
-def p1_closed_form(v: float, c_k: float) -> AlternatingEdges:
-    """Exact edges +/-sqrt(v^2 + (2|c_k| +/- 1)^2) for the (v, -v) potential."""
-    a = 2.0 * abs(c_k)
-    outer = math.sqrt(v**2 + (a + 1.0) ** 2)
-    inner = math.sqrt(v**2 + (a - 1.0) ** 2)
-    return AlternatingEdges(-outer, -inner, inner, outer)
-
-
-@dataclass(frozen=True)
-class UnperturbedEdges:
-    """Edges and quasi-periodic eigenvectors of the zero-potential channel."""
-
-    a: float
-    p: int
-
-    def edge(self, n: int, sign: int) -> float:
-        if n == 0:
-            return -(self.a + 1.0)
-        if n == 2 * self.p:
-            return self.a + 1.0
-        mag = abs(self.a + cmath.exp(1j * math.pi * n / self.p))
-        nu = (1.0 if sign > 0 else -1.0) if n == self.p else math.copysign(1.0, n - self.p)
-        return nu * mag
-
-    def all_edges(self) -> np.ndarray:
-        out = [self.edge(0, +1)]
-        for n in range(1, 2 * self.p):
-            out += [self.edge(n, -1), self.edge(n, +1)]
-        out.append(self.edge(2 * self.p, -1))
-        return np.sort(np.array(out))
-
-    def multiplier(self, n: int) -> float:
-        """Which fiber (periodic or anti-periodic) hosts the n-th edge pair."""
-        return 1.0 if n % 2 == 0 else -1.0
-
-    def eigenvector(self, n: int, sign: int) -> np.ndarray:
-        """Explicit eigenvector of the fiber matrix at edge (n, sign), unit norm."""
-        p = self.p
-        tau = cmath.exp(1j * math.pi * n / p)
-        eps = self.a + tau
-        f = np.zeros(2 * p, dtype=complex)
-        if abs(eps) < 1e-13:
-            pattern = (1, 1, -1, -1) if sign > 0 else (1, -1, -1, 1)
-            for m in range(1, 2 * p + 1):
-                f[m - 1] = pattern[(m - 1) % 4]
-        else:
-            nu = (1.0 if sign > 0 else -1.0) if n == p else math.copysign(1.0, n - p)
-            theta = cmath.phase(eps)
-            sgn = 1 if sign > 0 else -1
-            for m in range(1, 2 * p + 1):
-                if m % 2 == 1:
-                    f[m - 1] = tau ** (sgn * ((m - 1) // 2)) * cmath.exp(sgn * 1j * theta)
-                else:
-                    f[m - 1] = nu * tau ** (sgn * (m // 2))
-        return f / math.sqrt(2 * p)
-
-
-def unperturbed_edges(a: float, p: int) -> UnperturbedEdges:
-    if a < 0:
-        raise InvalidInputError(f"bond magnitude must be nonnegative, got {a}")
-    return UnperturbedEdges(a=float(a), p=int(p))
 
 
 # ---------------------------------------------------------------------------
@@ -820,17 +688,6 @@ def measure_large_t_armchair(
         )
         for pred, (lo, hi) in _armchair_clusters(model, k, grid_size)
     ]
-
-
-def armchair_cluster_center_errors(
-    model_factory, k: int, ts, grid_size: int = 64
-) -> dict[int, list[float]]:
-    """|measured center - predicted| per position across couplings ts."""
-    errors: dict[int, list[float]] = {}
-    for t in ts:
-        for pred, (lo, hi) in _armchair_clusters(model_factory(t), k, grid_size):
-            errors.setdefault(pred.j, []).append(abs(0.5 * (lo + hi) - pred.center))
-    return errors
 
 
 def _clip(intervals, lo, hi) -> list[tuple[float, float]]:

@@ -361,6 +361,8 @@ def _zigzag_channel_constant(args) -> float:
         return _finite_ck(args.ck)
     if args.k is None:
         raise InvalidInputError("--ck or --k (with a field spec) is required")
+    if args.N < 2 or not 1 <= args.k <= args.N:
+        raise InvalidInputError(f"--k must lie in 1..N with N >= 2, got k = {args.k}, N = {args.N}")
     b = args.b if args.b is not None else magnetic_phase(args.B or 0.0, args.N)
     return math.cos(b + math.pi * args.k / args.N)
 
@@ -424,6 +426,7 @@ def _refuse_unread_asym_options(args) -> None:
 
 
 def cmd_asym(args) -> int:
+    _check_N(args.N)
     _refuse_unread_asym_options(args)
     if args.t is None:  # unset until checked above; the default of every command
         args.t = 1.0

@@ -52,9 +52,6 @@ class PotentialProfile:
         q = self.q
         return q // 2 if q % 2 == 0 else q
 
-    def value(self, n: int) -> float:
-        return self.values[n % self.q]
-
     def extended(self, count: int, start: int = 0) -> np.ndarray:
         """Periodic extension ``(v[start], ..., v[start+count-1])``."""
         idx = (np.arange(start, start + count)) % self.q

@@ -49,13 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armchair import decompose_armchair
-from .core import ArmchairModel, PotentialProfile, ZigzagModel
+from .core import FLAT_CHANNEL_TOL, ArmchairModel, PotentialProfile, ZigzagModel
 from .errors import (
     HillOrderError,
     InternalConsistencyError,
     InvalidParameterError,
 )
-from .zigzag import zigzag_channel_stack
+from .zigzag import channel_bonds
 
 GAP_MERGE_TOL = 1e-9  # gaps thinner than this are reported as closed
 UNIMODULAR_TOL = 1e-12
@@ -82,23 +82,6 @@ def interval_gaps(intervals) -> list[tuple[float, float]]:
     """Open gaps between consecutive intervals of a merged list."""
     merged = merge_intervals(intervals)
     return [(merged[i][1], merged[i + 1][0]) for i in range(len(merged) - 1)]
-
-
-def intervals_contain(container, inner, tol: float = 1e-8) -> tuple[bool, float]:
-    """Whether every inner interval sits inside one container interval.
-
-    Returns (ok, margin): margin is the worst containment slack, negative when
-    some inner interval pokes out by that amount.
-    """
-    outer = merge_intervals(container, gap_tol=tol)
-    worst = math.inf
-    for lo, hi in merge_intervals(inner):
-        best = -math.inf
-        for clo, chi in outer:
-            best = max(best, min(lo - clo, chi - hi))
-        worst = min(worst, best)
-    ok = worst >= -tol
-    return ok, (0.0 if worst is math.inf else worst)
 
 
 def max_edge_deviation(bands_a, bands_b) -> float:
@@ -670,15 +653,20 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     and the (M, N, 2p) lower and upper edges of their channels' bands,
     ascending; the row of a flat channel holds the 2p levels of its dimers
     as (e, e).  The models must share N and the potential period.  The
-    channels of all models are built as one stack (``zigzag_channel_stack``),
-    and their dispersive channels go to one ``periodic_jacobi_band_edges``
-    call.  A channel that fails the Hill-order check is named by its field
-    step (the index of its model) and k, the first in that order.
+    channels of all models are built as one stack: the moduli of their
+    ``channel_bonds`` (the gauge that strips the phases keeps the spectrum)
+    and each model's diagonal ``t * v``.  A channel is flat when a bond is at
+    or below FLAT_CHANNEL_TOL, which splits its chain into dimers.  The
+    dispersive channels go to one ``periodic_jacobi_band_edges`` call.  A
+    channel that fails the Hill-order check is named by its field step (the
+    index of its model) and k, the first in that order.
     """
-    stack = zigzag_channel_stack(models)
-    flat, a, v = stack.flat, stack.a, stack.v
+    bonds, c_k = channel_bonds(models)
+    a = np.abs(bonds)
+    flat = np.min(a, axis=-1) <= FLAT_CHANNEL_TOL
+    diag = np.array([model.t * model.potential.period_values() for model in models])
     try:
-        edges = periodic_jacobi_band_edges(a[~flat], v[~flat])
+        edges = periodic_jacobi_band_edges(a[~flat], np.broadcast_to(diag[:, None], a.shape)[~flat])
     except HillOrderError as exc:  # name the channel by field step and k
         step, k = (np.argwhere(~flat)[exc.channel] + 1).tolist()
         where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
@@ -686,8 +674,8 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     lo, hi = np.empty((2,) + a.shape)
     lo[~flat], hi[~flat] = edges[:, 0::2], edges[:, 1::2]
     for step in np.flatnonzero(flat.any(axis=1)).tolist():
-        lo[step, flat[step]] = hi[step, flat[step]] = _dimer_levels(v[step, 0].reshape(-1, 2))
-    return flat, stack.c_k, lo, hi
+        lo[step, flat[step]] = hi[step, flat[step]] = _dimer_levels(diag[step].reshape(-1, 2))
+    return flat, c_k, lo, hi
 
 
 def zigzag_channels(models) -> list[list[ChannelBands]]:
@@ -733,24 +721,6 @@ def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
         ]
         for model in models
     ]
-
-
-def armchair_unperturbed(N: int, vt: float) -> BandStructure:
-    """Closed-form armchair spectrum for the alternating two-site potential.
-
-    Channel k covers +/-[sqrt(vt^2 + sin(pi k/N)^2), sqrt(5 + vt^2 + 4|cos(pi k/N)|)];
-    the union is the hull +/-sqrt(9 + vt^2) minus the central gap (-|vt|, |vt|).
-    """
-    channels = []
-    for k in range(1, N + 1):
-        ck = math.cos(math.pi * k / N)
-        sk = math.sin(math.pi * k / N)
-        lo = math.sqrt(vt**2 + sk**2)
-        hi = math.sqrt(5.0 + vt**2 + 4.0 * abs(ck))
-        hi_in = math.sqrt(5.0 + vt**2 - 4.0 * abs(ck))
-        bands = merge_intervals([(lo, hi), (lo, hi_in), (-hi, -lo), (-hi_in, -lo)])
-        channels.append(ChannelBands(k=k, c_k=ck, bands=tuple(bands)))
-    return assemble_band_structure(channels)
 
 
 def full_spectrum(model, grid_size: int = 512) -> BandStructure:

@@ -13,14 +13,11 @@ from nanotube_bands import (
     ArmchairModel,
     PotentialProfile,
     ZigzagModel,
-    armchair_unperturbed,
     compare_decomposition,
-    decompose_zigzag,
     flat_band_spectrum,
     flat_field_amplitudes,
     full_spectrum,
     magnetic_phase,
-    shifted_schroedinger_inclusion,
 )
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.spectral import (
@@ -30,8 +27,14 @@ from nanotube_bands.spectral import (
     periodic_jacobi_band_edges,
     scalar_period_matrix,
 )
-from nanotube_bands.zigzag import ScalarPeriodicJacobi
-from scalar_reference import channel_bands
+from closed_forms import (
+    armchair_cluster_center_errors,
+    armchair_unperturbed,
+    p1_closed_form,
+    shifted_schroedinger_inclusion,
+    unperturbed_edges,
+)
+from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag
 
 
 def verdict(cid: str, ok: bool, detail: str) -> None:
@@ -75,7 +78,7 @@ def test_criterion_02_p1_closed_forms():
             for b in (0.0, 0.1):
                 model = ZigzagModel(N, b, prof, t=1.0)
                 for k, jac in enumerate(decompose_zigzag(model), start=1):
-                    ref = asy.p1_closed_form(v, model.channel_constant(k))
+                    ref = p1_closed_form(v, model.channel_constant(k))
                     if jac.is_flat:
                         flats = flat_band_spectrum(prof, 1.0)
                         dev = float(np.max(np.abs(flats - np.array([-ref.outer_upper, ref.outer_upper]))))
@@ -93,7 +96,7 @@ def test_criterion_03_unperturbed_edges_and_eigenvectors():
     worst_resid = 0.0
     for a in (0.3, 1.0, 1.7):
         for p in (2, 3, 5):
-            ref = asy.unperturbed_edges(a, p)
+            ref = unperturbed_edges(a, p)
             bonds = np.ones(2 * p)
             bonds[1::2] = a
             computed = periodic_jacobi_band_edges(bonds, np.zeros(2 * p))
@@ -234,7 +237,7 @@ def test_criterion_10_large_t_armchair(armchair_cluster_12):
         reports = asy.measure_large_t_armchair(model, k=k, grid_size=64, tolerance=0.1)
         worst = max(worst, max(abs(r.ratio - 1.0) for r in reports))
         ok = ok and all(r.passed for r in reports)
-    errors = asy.armchair_cluster_center_errors(
+    errors = armchair_cluster_center_errors(
         lambda t: ArmchairModel(4, (0.0, 0.0, 0.0), prof, t=t), k=4, ts=(20.0, 40.0, 80.0), grid_size=64
     )
     slopes = []

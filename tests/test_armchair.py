@@ -8,9 +8,9 @@ from nanotube_bands import (
     ArmchairModel,
     PotentialProfile,
     decompose_armchair,
-    shifted_schroedinger_inclusion,
     tube_geometry,
 )
+from closed_forms import shifted_schroedinger_inclusion
 from nanotube_bands.armchair import model_from_field
 from nanotube_bands.errors import InvalidInputError
 from nanotube_bands.spectral import max_edge_deviation, merge_intervals, schroedinger_band_edges, spectrum_block_stack

@@ -9,7 +9,8 @@ from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
 from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix
-from scalar_reference import channel_bands
+from closed_forms import intervals_contain, p1_closed_form, unperturbed_edges
+from scalar_reference import channel_bands, decompose_zigzag
 
 
 def channel_bands_at(prof, c, t):
@@ -311,18 +312,18 @@ def test_small_v_armchair_rejects_unpaired():
 
 
 def test_p1_closed_form_values():
-    free = asy.p1_closed_form(0.0, 0.5)  # unit chain: [-2, 2], gap closed
+    free = p1_closed_form(0.0, 0.5)  # unit chain: [-2, 2], gap closed
     assert free.edges == pytest.approx((-2.0, 0.0, 0.0, 2.0))
-    top = asy.p1_closed_form(0.0, 1.0)  # widest channel: [-3, -1] u [1, 3]
+    top = p1_closed_form(0.0, 1.0)  # widest channel: [-3, -1] u [1, 3]
     assert top.edges == pytest.approx((-3.0, -1.0, 1.0, 3.0))
-    pm = asy.p1_closed_form(1.0, 0.5)
+    pm = p1_closed_form(1.0, 0.5)
     rt5 = math.sqrt(5)
     assert pm.edges == pytest.approx((-rt5, -1.0, 1.0, rt5))
 
 
 def test_p1_gap_open_iff_offset_from_unit_chain():
     for c in (0.2, 0.35, 0.8, 1.0):
-        gap = asy.p1_closed_form(0.0, c).gap
+        gap = p1_closed_form(0.0, c).gap
         if abs(2 * c - 1) < 1e-12:
             assert gap[1] - gap[0] == pytest.approx(0.0, abs=1e-12)
         else:
@@ -330,13 +331,13 @@ def test_p1_gap_open_iff_offset_from_unit_chain():
 
 
 def test_unperturbed_edges_a1_p2():
-    edges = asy.unperturbed_edges(1.0, 2).all_edges()
+    edges = unperturbed_edges(1.0, 2).all_edges()
     rt2 = math.sqrt(2)
     np.testing.assert_allclose(edges, [-2, -rt2, -rt2, 0, 0, rt2, rt2, 2], atol=1e-14)
 
 
 def test_unperturbed_edges_degenerate_bond():
-    edges = asy.unperturbed_edges(0.0, 3)
+    edges = unperturbed_edges(0.0, 3)
     assert edges.edge(0, +1) == pytest.approx(-1.0)
     assert edges.edge(6, -1) == pytest.approx(1.0)
     for n in range(1, 6):
@@ -347,7 +348,7 @@ def test_unperturbed_eigenvector_residuals():
     rng = np.random.default_rng(5)
     for a in (0.3, 1.0, 1.7):
         for p in (2, 3, 5):
-            ref = asy.unperturbed_edges(a, p)
+            ref = unperturbed_edges(a, p)
             bonds = np.ones(2 * p)
             bonds[1::2] = a
             period, wrap = scalar_period_matrix(bonds, np.zeros(2 * p))
@@ -380,9 +381,6 @@ def test_flat_levels_inside_every_channel_for_coprime_even_N():
     prof = asy.sample_open_gap_potential(3, seed=1)  # p = 3, coprime with N = 4
     t = 0.05
     model = ZigzagModel(4, 0.0, prof, t=t)
-    from nanotube_bands import decompose_zigzag, flat_band_spectrum
-    from nanotube_bands.spectral import intervals_contain
-
     flats = flat_band_spectrum(prof, t)
     for k, jac in enumerate(decompose_zigzag(model), start=1):
         if jac.is_flat or k == model.N:  # the hull channel keeps its gap at +-1

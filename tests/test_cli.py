@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from nanotube_bands import cli, flat_field_amplitudes
+from nanotube_bands import ArmchairModel, ZigzagModel, cli, flat_field_amplitudes
 from nanotube_bands.cli import main
 
 
@@ -281,6 +281,54 @@ def test_asym_large_t_armchair_refuses_channel_out_of_range(tmp_path, capsys, ar
     assert code == 2
     assert captured.out == ""
     assert captured.err == f"error: channel index k must lie in 1..4, got {k}\n"
+
+
+@pytest.mark.parametrize("k, code", [(0, 2), (9, 2), (-3, 2), (100, 2), (1, 0), (4, 0)])
+def test_asym_small_t_refuses_channel_out_of_range(tmp_path, capsys, k, code):
+    # k = 0 used to report c_k = cos(b) = 0.995, which no channel k = 1..4 has
+    argv = "asym --regime small_t --N 4 --b 0.1 --sample-period 4 --seed 15".split() + ["--k", str(k)]
+    assert main(argv + ["--output", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert not (tmp_path / "out").exists() and captured.out == ""
+        assert captured.err == f"error: --k must lie in 1..N with N >= 2, got k = {k}, N = 4\n"
+    else:
+        reports = json.loads((tmp_path / "out").read_text(encoding="utf-8"))
+        assert {r["params"]["c_k"] for r in reports} == {float(f"{math.cos(0.1 + math.pi * k / 4):.12g}")}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "--regime ck_to_zero --ck-values 0.02",
+        "--regime small_t --k 1 --b 0.1",
+        "--regime large_t_zigzag --b 0.1 --t 40",
+        "--regime large_t_armchair --B 0 --t 40 --k 1",
+        "--regime small_v_armchair",
+        "--regime low_energy_window --b 0.1",
+    ],
+)
+def test_asym_refuses_N_above_the_bound_before_building_a_model(tmp_path, monkeypatch, vfiles, argv):
+    # small_v_armchair at N = 2048 used to build 2048 block channels and exit 0
+    import tracemalloc
+
+    def built(model):
+        raise AssertionError(f"built a {type(model).__name__}")
+
+    monkeypatch.setattr(ZigzagModel, "__post_init__", built)
+    monkeypatch.setattr(ArmchairModel, "__post_init__", built)
+    argv = ["asym", "--N", str(cli.MAX_N + 1), *argv.split(), "--potential", vfiles["pm"], "--output", str(tmp_path / "o")]
+    cli._parser()  # built once per process, before the measurement
+    with contextlib.redirect_stderr(io.StringIO()) as err:
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert code == 2 and err.getvalue() == f"error: --N must be at most {cli.MAX_N}, got {cli.MAX_N + 1}\n"
+    assert peak < 64 * 1024
+    assert not (tmp_path / "o").exists()
 
 
 def test_asym_small_v_armchair_command(tmp_path):

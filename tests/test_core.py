@@ -79,7 +79,7 @@ def test_effective_period(q, p):
 @given(values=st.lists(st.floats(-5, 5), min_size=1, max_size=9), n=st.integers(-10**6, 10**6))
 def test_periodic_extension(values, n):
     prof = PotentialProfile(values)
-    assert prof.value(n) == prof.values[n % prof.q]
+    assert prof.extended(1, start=n)[0] == prof.values[n % prof.q]
 
 
 def test_pairs_cover_two_periods_for_odd_q():

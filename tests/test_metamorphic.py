@@ -1,4 +1,4 @@
-"""Metamorphic properties of the zigzag channel edges, at scale.
+"""Metamorphic properties of the zigzag and armchair channel edges.
 
 Three transformations of a zigzag model have known effects on the edges that
 ``zigzag_channel_edges`` returns for its channels k = 1..N:
@@ -6,7 +6,7 @@ Three transformations of a zigzag model have known effects on the edges that
 * shifting the potential, v -> v + c, moves every edge by t*c;
 * advancing the field phase, b -> b + pi/N, turns channel k into channel
   k + 1 of the unshifted field, and channel N into channel 1
-  (``channel_symmetry_map``, "shift");
+  (``closed_forms.channel_symmetry_map``, "shift");
 * reflecting the field phase, b -> -b, turns channel k into channel N - k,
   and channel N into itself ("reflect").
 
@@ -16,17 +16,30 @@ one channel is a chain of dimers.  The channel constants of the two sides
 differ by rounding only, so the edges agree to a few ulps of the model's
 largest level: the tolerance is 8 * 2p * u * max|level|, u = 2**-53, the
 allowance of the Hill-order check.
+
+The armchair block channels, solved by ``spectrum_block_stack``, obey the same
+three laws: v -> v + c moves every edge by t*c; b1 -> b1 + 2 pi/N multiplies
+the hopping block of channel k by exp(2 pi i/N), which makes it the block of
+channel k + 1 ("shift"); and negating all three phases gives the complex
+conjugate of channel N - k, whose levels are the same ("reflect").  The
+models span N from 2 to 8, q from 1 to 12, t from 1e-2 to 1e2 and random
+phases, at grid 64 and 512.  The two sides are separate solves of 2p x 2p
+fiber matrices whose entries differ by rounding, and no Hill-order check
+bounds the levels of either: each side carries the eigensolver's error, taken
+as the same 8 * 2p * u * max|level|, so the tolerance is twice that.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from nanotube_bands import PotentialProfile, ZigzagModel, channel_symmetry_map
-from nanotube_bands.spectral import zigzag_channel_edges
+from closed_forms import channel_symmetry_map
+from nanotube_bands import ArmchairModel, PotentialProfile, ZigzagModel, decompose_armchair
+from nanotube_bands.spectral import spectrum_block_stack, zigzag_channel_edges
 
 # (N, q, t) at the corners of the ranges, then seeded draws
 CORNERS = [(512, 32, 1e-4), (512, 15, 1e3), (2, 1, 1e3), (3, 32, 1e-4), (256, 13, 1.0)]
@@ -65,9 +78,14 @@ def assert_same_channels(got, want, tol):
     assert np.max(np.abs(hi - want_hi)) <= tol, np.max(np.abs(hi - want_hi)) / tol
 
 
+def partners(N, b, key):
+    """Row k - 1: the 0-based index of the partner that ``channel_symmetry_map`` gives channel k."""
+    return [channel_symmetry_map(N, b, k)[key][0] - 1 for k in range(1, N + 1)]
+
+
 def relabelled(model, channels, key):
-    """The channels of ``model``, row k - 1 holding the partner that ``channel_symmetry_map`` gives channel k."""
-    partner = [channel_symmetry_map(model.N, model.b, k)[key][0] - 1 for k in range(1, model.N + 1)]
+    """The channels of ``model``, row k - 1 holding the partner of channel k."""
+    partner = partners(model.N, model.b, key)
     return tuple(x[partner] for x in channels)
 
 
@@ -82,3 +100,37 @@ def test_zigzag_edges_are_metamorphic(model):
     assert_same_channels(advanced, relabelled(model, base, "shift"), tol)
     reflected = edges(ZigzagModel(model.N, -model.b, model.potential, t=model.t))
     assert_same_channels(reflected, relabelled(model, base, "reflect"), tol)
+
+
+def armchair_models():
+    rng = np.random.default_rng(2027)
+    for i in range(24):
+        N, q, t = int(rng.integers(2, 9)), int(rng.integers(1, 13)), float(10 ** rng.uniform(-2, 2))
+        phases = tuple(rng.uniform(-math.pi, math.pi, 3).tolist())
+        grid = (64, 512)[i % 2]
+        model = ArmchairModel(N, phases, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+        yield pytest.param(model, grid, id=f"N{N}-q{q}-t{t:.3g}-g{grid}")
+
+
+def block_edges(model, grid):
+    """The (bands, 2) edges of each block channel k = 1..N of one model."""
+    return [np.array(bands) for bands in spectrum_block_stack(decompose_armchair(model), grid)]
+
+
+@pytest.mark.parametrize("model, grid", list(armchair_models()))
+def test_armchair_edges_are_metamorphic(model, grid):
+    base = block_edges(model, grid)
+    c = 0.37
+    shifted = block_edges(replace(model, potential=PotentialProfile(np.add(model.potential.values, c))), grid)
+    b1, b2, b3 = model.phases
+    advanced = block_edges(replace(model, phases=(b1 + 2 * math.pi / model.N, b2, b3)), grid)
+    reflected = block_edges(replace(model, phases=(-b1, -b2, -b3)), grid)
+    for got, want in [
+        ([bands - model.t * c for bands in shifted], base),
+        (advanced, [base[j] for j in partners(model.N, b1, "shift")]),
+        (reflected, [base[j] for j in partners(model.N, b1, "reflect")]),
+    ]:
+        assert [bands.shape for bands in got] == [bands.shape for bands in want]
+        got, want = np.concatenate(got), np.concatenate(want)
+        tol = 2 * tolerance(model, got, want)
+        assert np.max(np.abs(got - want)) <= tol, np.max(np.abs(got - want)) / tol

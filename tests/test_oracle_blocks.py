@@ -55,7 +55,7 @@ def loop_hamiltonian(model, L: int) -> np.ndarray:
     for n in range(L):
         for j in (0, 1):
             for k in range(N):
-                H[idx(n, j, k), idx(n, j, k)] += model.t * values.value(2 * n + j)
+                H[idx(n, j, k), idx(n, j, k)] += model.t * values.values[(2 * n + j) % values.q]
 
     if isinstance(model, ZigzagModel):
         e_plus = cmath.exp(1j * model.b)

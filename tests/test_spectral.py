@@ -7,15 +7,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from block_reference import assert_band_edges
-from scalar_reference import channel_bands, discriminant, monodromy
+from closed_forms import armchair_unperturbed, intervals_contain
+from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag, discriminant, monodromy
 from nanotube_bands import (
     ArmchairModel,
     BlockPeriodicJacobi,
     PotentialProfile,
-    ScalarPeriodicJacobi,
     ZigzagModel,
-    armchair_unperturbed,
-    decompose_zigzag,
     flat_band_spectrum,
     flat_field_amplitudes,
     full_spectrum,
@@ -29,7 +27,6 @@ from nanotube_bands.spectral import (
     ChannelBands,
     fiber_matrices,
     interval_gaps,
-    intervals_contain,
     max_edge_deviation,
     merge_intervals,
     periodic_jacobi_band_edges,

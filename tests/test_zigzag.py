@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nanotube_bands import PotentialProfile, ZigzagModel, decompose_zigzag, gauge_reduce
-from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix
-from nanotube_bands.zigzag import channel_bonds, channel_symmetry_map, zigzag_channel_stack
+from closed_forms import channel_symmetry_map
+from nanotube_bands import PotentialProfile, ZigzagModel, spectral
+from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix, zigzag_channel_edges
+from nanotube_bands.zigzag import channel_bonds
+from scalar_reference import decompose_zigzag, gauge_reduce
 
 
 def channel_offdiagonals(model, k):
@@ -21,7 +23,7 @@ def channel_offdiagonals(model, k):
 
 
 def per_k_decompose(model):
-    """The per-channel loop that ``zigzag_channel_stack`` replaced."""
+    """The channels of one model built one at a time: the reference for the stack of ``zigzag_channel_edges``."""
     diag = model.t * model.potential.period_values()
     return [
         gauge_reduce(channel_offdiagonals(model, k), diag, c_k=model.channel_constant(k))
@@ -29,7 +31,25 @@ def per_k_decompose(model):
     ]
 
 
-def test_channel_stack_matches_per_channel_build_bit_for_bit():
+def solver_inputs(models, monkeypatch):
+    """The flat mask and c_k of ``zigzag_channel_edges``, and the bonds and diagonals it hands the edge solver.
+
+    The solve itself is stubbed out: these are the channels of the stack, not
+    their edges.
+    """
+    seen = {}
+
+    def record(a, v):
+        seen["a"], seen["v"] = a, v
+        return np.zeros(a.shape[:-1] + (2 * a.shape[-1],))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(spectral, "periodic_jacobi_band_edges", record)
+        flat, c, _, _ = zigzag_channel_edges(models)
+    return flat, c, seen["a"], seen["v"]
+
+
+def test_channel_stack_matches_per_channel_build_bit_for_bit(monkeypatch):
     # one model at a time, and the models of a field sweep as one (M, N, 2p)
     # stack: every row has the bits of the per-channel build of its model
     rng = np.random.default_rng(41)
@@ -48,22 +68,25 @@ def test_channel_stack_matches_per_channel_build_bit_for_bit():
         ]
         rng.shuffle(sweep)
         bonds, c = channel_bonds(sweep)
-        stack = zigzag_channel_stack(sweep)
-        assert bonds.shape == (len(sweep), N, 2 * model.potential.p) and stack.flat.shape == c.shape == bonds.shape[:2]
+        flat, c_k, a, v = solver_inputs(sweep, monkeypatch)
+        assert bonds.shape == (len(sweep), N, 2 * model.potential.p) and flat.shape == c.shape == bonds.shape[:2]
+        dispersive = []
         for s, member in enumerate(sweep):
             want = per_k_decompose(member)
             assert bonds[s].tobytes() == np.stack([channel_offdiagonals(member, k) for k in range(1, N + 1)]).tobytes()
-            assert stack.a[s].tobytes() == np.stack([jac.a for jac in want]).tobytes()
-            assert np.ascontiguousarray(stack.v[s]).tobytes() == np.stack([jac.v for jac in want]).tobytes()
-            assert c[s].tolist() == stack.c_k[s].tolist() == [jac.c_k for jac in want]
-            assert stack.flat[s].tolist() == [jac.is_flat for jac in want]
+            assert c[s].tolist() == c_k[s].tolist() == [jac.c_k for jac in want]
+            assert flat[s].tolist() == [jac.is_flat for jac in want]
+            dispersive += [jac for jac in want if not jac.is_flat]
+        # the solver gets the dispersive channels in (field step, k) order
+        assert a.tobytes() == np.stack([jac.a for jac in dispersive]).tobytes()
+        assert np.ascontiguousarray(v).tobytes() == np.stack([jac.v for jac in dispersive]).tobytes()
         want = per_k_decompose(model)
         for got, ref in zip(decompose_zigzag(model), want):
             assert (got.p, got.a.tobytes(), got.v.tobytes()) == (ref.p, ref.a.tobytes(), ref.v.tobytes())
             assert got.c_k == ref.c_k
             assert type(got.c_k) is float and got.is_flat == ref.is_flat
         if i % 3 == 0:
-            assert stack.flat.any()
+            assert flat.any()
 
 
 def test_free_schroedinger_channel():
