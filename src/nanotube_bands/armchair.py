@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArmchairModel, PotentialProfile
+from .core import HERMITIAN_TOL, ArmchairModel, PotentialProfile, energy_scale
 from .errors import InvalidModelError
 
 
@@ -34,7 +34,7 @@ class BlockPeriodicJacobi:
         d = np.asarray(self.d_blocks, dtype=complex)
         if a.shape != (2, 2) or d.shape != (self.p, 2, 2):
             raise ValueError(f"need one 2x2 hopping block and {self.p} diagonal blocks")
-        if np.max(np.abs(d - np.conj(np.transpose(d, (0, 2, 1))))) > 1e-12:
+        if np.max(np.abs(d - np.conj(np.transpose(d, (0, 2, 1))))) > HERMITIAN_TOL * energy_scale(d):
             raise ValueError("diagonal blocks must be Hermitian")
         a.setflags(write=False)
         d.setflags(write=False)

@@ -24,17 +24,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .armchair import decompose_armchair
-from .core import FLAT_CHANNEL_TOL, ArmchairModel, PotentialProfile, ZigzagModel
-from .errors import FlatBandChannelError, InvalidInputError, NotApplicableError
+from .core import (
+    DEGENERATE_LEVEL_TOL, DISTINCT_TOL, FOURIER_ZERO_TOL, RUNG_PAIR_TOL, SAME_BOND_TOL, UNIT_BOND_TOL,
+    ArmchairModel, PotentialProfile, ZigzagModel, energy_scale, is_flat_channel,
+)
+from .errors import InvalidInputError, NotApplicableError
 from .spectral import (
     flat_band_spectrum,
     full_spectrum,
     interval_gaps,
     merge_intervals,
     max_edge_deviation,
-    periodic_jacobi_band_edges,
     schroedinger_band_edges,
     spectrum_block_stack,
+    zigzag_chain_edges,
     zigzag_channel_edges,
 )
 
@@ -127,7 +130,7 @@ def predict_ck_shrink(
         raise NotApplicableError(f"band index s must lie in 1..{2 * p}, got {s}")
     lam = levels[s - 1]
     others = np.delete(levels, s - 1)
-    if others.size and np.min(np.abs(others - lam)) < 1e-9:
+    if others.size and np.min(np.abs(others - lam)) < DEGENERATE_LEVEL_TOL:
         raise NotApplicableError(f"level {lam} is degenerate; shrinkage rate undefined")
     spacing = float(np.prod(np.abs(others - lam))) if others.size else 1.0
     half = 2.0 * abs(2.0 * c_k) ** p / spacing
@@ -149,7 +152,7 @@ def admissible_gap_indices(p: int, c_k: float) -> list[int]:
     """Gap indices with a first-order opening law: all of 1..2p-1, minus the
     central one unless the channel is the unit-hopping chain."""
     ns = list(range(1, 2 * p))
-    if abs(2.0 * abs(c_k) - 1.0) > 1e-12:
+    if abs(2.0 * abs(c_k) - 1.0) > UNIT_BOND_TOL:
         ns.remove(p)
     return ns
 
@@ -161,7 +164,6 @@ class SmallTPrediction:
     edge_at_zero_upper: float
     slope: float            # gap edges move as edge(t) = edge(0) -/+ t*slope
     exactly_closed: bool    # gap degenerate to all orders (odd-period unit chain)
-    rate_factor: float | None = None  # slope / |hat0_n| for odd declared periods
 
 
 def predict_small_t(profile: PotentialProfile, c_k: float, n: int) -> SmallTPrediction:
@@ -171,7 +173,7 @@ def predict_small_t(profile: PotentialProfile, c_k: float, n: int) -> SmallTPred
     |hat0_n + tau_n^2 exp(-2i arg(a + tau_n)) hat1_n| with a = 2|c_k|; at the
     central gap of the unit-hopping chain the rate is |hat0_p - hat1_p|.
     """
-    if abs(c_k) < FLAT_CHANNEL_TOL:
+    if is_flat_channel(c_k):
         raise NotApplicableError("flat-band channel has no dispersive gap edges")
     if not profile.is_zero_mean():
         raise InvalidInputError("weak-coupling slopes need a zero-mean potential")
@@ -189,38 +191,34 @@ def predict_small_t(profile: PotentialProfile, c_k: float, n: int) -> SmallTPred
         z0_lo = z0_hi = z0
         theta = cmath.phase(a + tau)
         psi = abs(_hat(hat0, n) + tau**2 * cmath.exp(-2j * theta) * _hat(hat1, n))
-    closed = profile.q % 2 == 1 and abs(a - 1.0) < 1e-12 and n % 2 == 1
+    closed = profile.q % 2 == 1 and abs(a - 1.0) <= UNIT_BOND_TOL and n % 2 == 1
     if closed:
         psi = 0.0
-    rate_factor = None
-    if profile.q % 2 == 1 and abs(_hat(hat0, n)) > 1e-14:
-        rate_factor = float(psi / abs(_hat(hat0, n)))
     return SmallTPrediction(
         n=n,
         edge_at_zero_lower=float(z0_lo),
         edge_at_zero_upper=float(z0_hi),
         slope=float(psi),
         exactly_closed=closed,
-        rate_factor=rate_factor,
     )
 
 
-def is_open_gap_potential(profile: PotentialProfile, tol: float = 1e-9) -> bool:
+def is_open_gap_potential(profile: PotentialProfile) -> bool:
     """Membership test for the class whose first-order gap openings are all nonzero."""
     p = profile.p
     ext = profile.extended(2 * p)
-    scale = max(1.0, float(np.max(np.abs(ext))))
-    if abs(float(np.sum(ext))) > tol * scale:
+    zero = FOURIER_ZERO_TOL * energy_scale(ext)
+    if abs(float(np.sum(ext))) > zero:
         return False
     hat0, hat1 = fourier_hats(profile)
     if profile.q % 2 == 0:
         for n in range(1, p):
-            if abs(hat0[n - 1] + hat1[n - 1]) <= tol * scale:
+            if abs(hat0[n - 1] + hat1[n - 1]) <= zero:
                 return False
-            if min(abs(hat0[n - 1]), abs(hat1[n - 1])) > tol * scale:
+            if min(abs(hat0[n - 1]), abs(hat1[n - 1])) > zero:
                 return False
-        return abs(hat0[p - 1]) > tol * scale
-    return all(abs(hat0[n - 1]) > tol * scale for n in range(1, p))
+        return abs(hat0[p - 1]) > zero
+    return all(abs(hat0[n - 1]) > zero for n in range(1, p))
 
 
 def sample_open_gap_potential(p_star: int, seed) -> PotentialProfile:
@@ -327,7 +325,7 @@ def _bond(i: int, a: float, period: int) -> float:
 
 
 def _check_distinct(vals: np.ndarray) -> None:
-    if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(vals.size)) < 1e-12:
+    if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(vals.size)) < DISTINCT_TOL:
         raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
 
 
@@ -341,7 +339,7 @@ def predict_large_t_zigzag(
     value separations.  The window half-size delta/t is derived from the same
     dressing bound plus the width, so it contains the band for every channel.
     """
-    if abs(c_k) < FLAT_CHANNEL_TOL:
+    if is_flat_channel(c_k):
         raise NotApplicableError("flat-band channel: clusters are single points")
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
@@ -401,15 +399,15 @@ def rung_fourier(q: np.ndarray) -> np.ndarray:
     return (np.exp(-2j * np.pi * np.outer(n, j) / p) @ q) / p
 
 
-def in_gap_opening_set(q, tol: float = 1e-9) -> bool:
+def in_gap_opening_set(q) -> bool:
     """Real symmetric combinations of paired Fourier modes, all modes present."""
     q = np.asarray(q, dtype=float)
     hats = rung_fourier(q)
-    scale = max(1.0, float(np.max(np.abs(q))))
-    if abs(hats[0]) > tol * scale:
+    zero = FOURIER_ZERO_TOL * energy_scale(q)
+    if abs(hats[0]) > zero:
         return False
     for n in range(1, q.size):
-        if abs(hats[n]) <= tol * scale or abs(hats[n].imag) > tol * scale:
+        if abs(hats[n]) <= zero or abs(hats[n].imag) > zero:
             return False
     return True
 
@@ -417,7 +415,7 @@ def in_gap_opening_set(q, tol: float = 1e-9) -> bool:
 def _rung_values(profile: PotentialProfile) -> np.ndarray:
     """The p rung values of a rung-paired potential (v[2j] == v[2j+1])."""
     pairs = profile.pairs()
-    if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > 1e-12:
+    if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > RUNG_PAIR_TOL:
         raise InvalidInputError("rung-paired potential required: v[2j] must equal v[2j+1]")
     return pairs[:, 0]
 
@@ -534,23 +532,6 @@ def predict_large_t_armchair(
 # measured-vs-predicted harnesses
 
 
-def _channel_edges(profile: PotentialProfile, c_k, t) -> np.ndarray:
-    """Sorted band edges of the gauge-reduced zigzag channel of constant c_k at coupling t.
-
-    ``c_k`` and ``t`` broadcast to a shape S, and the S + (4p,) edges of all
-    those channels come from one ``periodic_jacobi_band_edges`` call: the
-    bonds alternate 1 and 2|c_k|, the diagonal is t times the period values.
-    Band n (1-based) runs from edge 2n - 2 to edge 2n - 1.  A flat channel is
-    refused.
-    """
-    c, t = np.broadcast_arrays(np.asarray(c_k, dtype=float), np.asarray(t, dtype=float))
-    if np.any(2.0 * np.abs(c) <= FLAT_CHANNEL_TOL):
-        raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
-    bonds = np.ones(c.shape + (2 * profile.p,))
-    bonds[..., 1::2] = 2.0 * np.abs(c)[..., None]
-    return periodic_jacobi_band_edges(bonds, t[..., None] * profile.period_values())
-
-
 def measure_ck_shrink(
     profile: PotentialProfile,
     c_values=(0.02, 0.01, 0.005),
@@ -569,7 +550,7 @@ def measure_ck_shrink(
             measured=float(edges[2 * s - 1] - edges[2 * s - 2]),
             tolerance=tolerance,
         )
-        for c, pred, edges in zip(c_values, preds, _channel_edges(profile, c_values, t))
+        for c, pred, edges in zip(c_values, preds, zigzag_chain_edges(c_values, t * profile.period_values()))
     ]
 
 
@@ -582,7 +563,7 @@ def measure_small_t_slopes(
     zero_tolerance: float = 1e-6,
 ) -> list[AsymptoticReport]:
     """Central-difference gap-opening rates against the first-order law."""
-    plus, minus = _channel_edges(profile, c_k, [t0 + h, t0 - h])
+    plus, minus = zigzag_chain_edges(c_k, np.multiply.outer([t0 + h, t0 - h], profile.period_values()))
     # gap n runs from edge 2n - 1 (the top of band n) to edge 2n
     w_plus, w_minus = plus[2::2] - plus[1:-1:2], minus[2::2] - minus[1:-1:2]
     out = []
@@ -613,9 +594,9 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
     reports = []
     bands_by_channel: dict[int, tuple[float, list]] = {}
     contained = True
-    _, c_k, edges_lo, edges_hi = zigzag_channel_edges([model])
-    for k, c, chan_lo, chan_hi in zip(range(1, model.N + 1), c_k[0].tolist(), edges_lo[0], edges_hi[0]):
-        if abs(c) < FLAT_CHANNEL_TOL:
+    (flat,), (c_k,), (edges_lo,), (edges_hi,) = zigzag_channel_edges([model])
+    for k, is_flat, c, chan_lo, chan_hi in zip(range(1, model.N + 1), flat, c_k.tolist(), edges_lo, edges_hi):
+        if is_flat:  # the channels that bands prints as flat levels
             continue
         bands = list(zip(chan_lo, chan_hi))
         bands_by_channel[k] = (abs(c), bands)
@@ -641,7 +622,7 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
         for idx, k1 in enumerate(ks):
             for k2 in ks[idx + 1 :]:
                 (c1, bands1), (c2, bands2) = bands_by_channel[k1], bands_by_channel[k2]
-                if abs(c1 - c2) < 1e-9:
+                if abs(c1 - c2) < SAME_BOND_TOL:
                     continue
                 for (lo1, hi1), (lo2, hi2) in zip(bands1, bands2):
                     if min(hi1, hi2) - max(lo1, lo2) > 0:

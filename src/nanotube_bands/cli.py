@@ -146,8 +146,8 @@ def _write_chunks(chunks, path: str | None) -> None:
 # model assembly
 
 
-def _add_model_args(sp) -> None:
-    sp.add_argument("--N", type=int, required=True)
+def _add_model_args(sp, N_required: bool = True) -> None:
+    sp.add_argument("--N", type=int, required=N_required)
     sp.add_argument("--potential", type=str, default=None, help="JSON array of on-site values")
     sp.add_argument("--t", type=float, default=1.0, help="potential coupling")
 
@@ -202,8 +202,8 @@ def _check_grid(grid: int) -> int:
     return grid
 
 
-def _check_N(N: int) -> None:
-    if N > MAX_N:
+def _check_N(N: int | None) -> None:
+    if N is not None and N > MAX_N:
         raise InvalidInputError(f"--N must be at most {MAX_N}, got {N}")
 
 
@@ -390,44 +390,47 @@ def _asym_large_t_armchair(args, opts) -> list:
     return asy.measure_large_t_armchair(model, k=model.N if args.k is None else args.k, **opts)
 
 
-# each asym regime: the options it reads besides --N, --tolerance and --output, and its run
+# each asym regime: the options it reads besides --tolerance and --output, and its run
 _ASYM_TABLE = {
     "ck_to_zero": ({"potential", "t", "s", "ck_values"}, _asym_ck_to_zero),
-    "small_t": ({"potential", "sample_period", "seed", "ck", "k", "b", "B"}, _asym_small_t),
+    "small_t": ({"N", "potential", "sample_period", "seed", "ck", "k", "b", "B"}, _asym_small_t),
     "large_t_zigzag": (
-        {"potential", "t", "b", "B"},
+        {"N", "potential", "t", "b", "B"},
         lambda args, opts: asy.measure_large_t_zigzag(build_model(args, "zigzag"), **opts),
     ),
-    "large_t_armchair": ({"potential", "t", "B", "b1", "b2", "b3", "k"}, _asym_large_t_armchair),
+    "large_t_armchair": ({"N", "potential", "t", "B", "b1", "b2", "b3", "k"}, _asym_large_t_armchair),
     "small_v_armchair": (
-        {"potential"},
+        {"N", "potential"},
         lambda args, opts: asy.measure_small_v_armchair(_load_profile(args), N=args.N, **opts),
     ),
     "low_energy_window": (
-        {"potential", "t", "b", "B"},
+        {"N", "potential", "t", "b", "B"},
         lambda args, opts: asy.measure_low_energy_window(build_model(args, "zigzag"), **opts),
     ),
 }
-_ASYM_OPTIONS = ("potential", "t", "b", "B", "b1", "b2", "b3", "k", "ck", "ck_values", "s", "sample_period", "seed")
+_ASYM_OPTIONS = ("N", "potential", "t", "b", "B", "b1", "b2", "b3", "k", "ck", "ck_values", "s", "sample_period", "seed")
 
 
-def _refuse_unread_asym_options(args) -> None:
+def _asym_reads(args) -> set[str]:
+    """The options that this ``asym`` run reads; refuses any other that is given."""
     reads = set(_ASYM_TABLE[args.regime][0])
     if args.regime == "small_t":
         if args.potential is not None:
             reads -= {"sample_period", "seed"}
         if args.ck is not None:
-            reads -= {"k", "b", "B"}
+            reads -= {"N", "k", "b", "B"}
         elif args.b is not None:
             reads.discard("B")
     unread = ["--" + d.replace("_", "-") for d in _ASYM_OPTIONS if d not in reads and getattr(args, d) is not None]
     if unread:
         raise InvalidInputError(f"regime {args.regime} does not read {', '.join(unread)}")
+    return reads
 
 
 def cmd_asym(args) -> int:
     _check_N(args.N)
-    _refuse_unread_asym_options(args)
+    if "N" in _asym_reads(args) and args.N is None:
+        raise InvalidInputError(f"regime {args.regime} needs --N")
     if args.t is None:  # unset until checked above; the default of every command
         args.t = 1.0
     opts = {}
@@ -489,7 +492,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("asym", help="measured-vs-predicted asymptotic reports")
     sp.add_argument("--regime", choices=tuple(_ASYM_TABLE), required=True)
-    _add_model_args(sp)
+    _add_model_args(sp, N_required=False)  # a regime that does not read --N refuses it
     _add_field_args(sp)
     sp.set_defaults(t=None)  # a regime that does not read --t refuses it
     sp.add_argument("--k", type=int, default=None, help="channel index")

@@ -24,7 +24,46 @@ import numpy as np
 
 from .errors import InvalidInputError, InvalidModelError
 
-FLAT_CHANNEL_TOL = 1e-12  # |c_k| below this is treated as an exact flat-band channel
+# ---------------------------------------------------------------------------
+# Tolerances: every rounding-level threshold of the package, named once.  Dimensionless entries judge
+# quantities of order one (bonds in hopping units, multipliers, theta, potential values); energy entries
+# are absolute, or relative to ``energy_scale(x)`` = max(1, max|x|) of the energies x they judge.
+
+UNIT_ROUNDOFF = 2.0**-53  # u of IEEE double precision; the Hill allowance and the verify floor read it
+
+# dimensionless
+FLAT_CHANNEL_TOL = 1e-12  # a zigzag channel whose odd bond 2|c_k| is at most this is flat (``is_flat_channel``)
+UNIT_BOND_TOL = 1e-12  # an odd bond 2|c_k| within this of 1 makes the unit-hopping chain (small_t)
+SAME_BOND_TOL = 1e-9  # channels whose |c_k| differ by less than this share their bands (large_t_zigzag)
+UNIMODULAR_TOL = 1e-12  # a quasi-momentum multiplier tau must have ||tau| - 1| at most this
+NEWTON_TOL = 1e-10  # theta, radians: a Newton search stops once its next step or its bracket is this small
+DISTINCT_TOL = 1e-12  # potential values closer than this are not distinct (cluster asymptotics)
+RUNG_PAIR_TOL = 1e-12  # |v[2j] - v[2j+1]| above this is not rung-paired (small_v_armchair)
+ZERO_MEAN_TOL = 1e-12  # |sum v| at most this times energy_scale(v) over one period is a zero mean
+FOURIER_ZERO_TOL = 1e-9  # a Fourier coefficient at most this times energy_scale(v) is zero (gap-opening classes)
+
+# energies
+GAP_MERGE_TOL = 1e-9  # absolute: bands at most this apart fuse, and a gap is kept only above it
+UNION_CUT_TOL = 1e-12  # absolute: the union's cut spacing, band padding and thin-band test
+FLAT_BRANCH_TOL = 1e-12  # absolute: a block-channel branch range narrower than this is a flat level
+DEGENERATE_LEVEL_TOL = 1e-9  # absolute: dimer levels closer than this are degenerate (ck_to_zero)
+HERMITIAN_TOL = 1e-12  # relative: largest |H - H^H| entry allowed of a fiber, block or torus matrix
+CONSTANT_BRANCH_TOL = 1e-13  # relative: a block branch whose grid range is below this is not refined
+ROTATION_TOL = 1e-12  # relative: Frobenius norm allowed off the torus's circumferential blocks
+# relative, in units of u: verify passes a deviation below max(--tol, VERIFY_FLOOR * u * scale), scale the
+# torus's energy_scale.  Over 2 100 random tori of both lattices (2NL <= 2048, t from 0.01 to 1e12) the
+# largest dev / (u * scale) was 120, so 512 leaves a factor of 4; it exceeds --tol 1e-8 only above scale 1.8e5
+VERIFY_FLOOR = 512
+
+
+def energy_scale(x, axis=None):
+    """max(1, max|x|), over ``axis``: the unit of the relative energy tolerances."""
+    return np.maximum(1.0, np.max(np.abs(x), axis=axis))
+
+
+def is_flat_channel(c_k):
+    """Whether the zigzag channel of constant c_k is flat: its odd bond 2|c_k| splits the chain into dimers."""
+    return 2.0 * np.abs(c_k) <= FLAT_CHANNEL_TOL
 
 
 @dataclass(frozen=True)
@@ -65,10 +104,9 @@ class PotentialProfile:
         """The p dimer pairs ``(v[2j], v[2j+1])`` as a (p, 2) array."""
         return self.period_values().reshape(self.p, 2)
 
-    def is_zero_mean(self, tol: float = 1e-12) -> bool:
+    def is_zero_mean(self) -> bool:
         vals = self.period_values()
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        return abs(float(np.sum(vals))) <= tol * scale
+        return bool(abs(float(np.sum(vals))) <= ZERO_MEAN_TOL * energy_scale(vals))
 
 
 def load_potential(path) -> PotentialProfile:

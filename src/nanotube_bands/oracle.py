@@ -13,8 +13,8 @@ commutes with: a unitary DFT over k splits a rotation-invariant matrix into N
 blocks of size 2L, which are read off the entries, and the Frobenius norm of
 everything off those blocks is measured from the entries too, not assumed.
 That norm bounds the spectral norm, so by Weyl's theorem every torus level lies
-within it of a block level; a norm above the rounding level refuses the
-matrix.  No dense 2NL x 2NL matrix is formed unless ``matrix`` is read.
+within it of a block level; a norm above ROTATION_TOL of the energy scale
+refuses the matrix.  No dense 2NL x 2NL matrix is formed unless ``matrix`` is read.
 """
 
 from __future__ import annotations
@@ -26,13 +26,10 @@ from functools import cached_property
 import numpy as np
 
 from .armchair import decompose_armchair
-from .core import ArmchairModel, ZigzagModel
+from .core import HERMITIAN_TOL, ROTATION_TOL, UNIT_ROUNDOFF, VERIFY_FLOOR, ArmchairModel, ZigzagModel, energy_scale
 from .errors import InternalConsistencyError, InvalidTruncationError
 from .spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
 from .zigzag import channel_bonds
-
-
-ROTATION_TOL = 1e-12  # off-block residual allowed, relative to max(1, max|H|)
 
 
 @dataclass(frozen=True)
@@ -62,7 +59,7 @@ class FiniteHamiltonian:
         mirror = np.minimum(np.searchsorted(index, transpose), index.size - 1)
         transposed = np.where(index[mirror] == transpose, self.values[mirror], 0.0)
         herm = np.max(np.abs(self.values - transposed.conj()))
-        if herm > 1e-14 * max(1.0, np.max(np.abs(self.values))):
+        if not herm <= HERMITIAN_TOL * energy_scale(self.values):  # a NaN fails too
             raise InternalConsistencyError(f"full Hamiltonian not Hermitian: residual {herm}")
 
     @property
@@ -85,8 +82,8 @@ class FiniteHamiltonian:
         matrix circ(c), block kappa is sum_d c[a, b, d] exp(2 pi i kappa d / N),
         and the norm off the blocks is ||H - circ(c)||_F: the written entries'
         distance to their class mean plus |c|^2 for each unwritten position of
-        a class, summed without cancellation.  Only the cell pairs (a, b) that
-        hold an entry are transformed.
+        a class, summed without cancellation and over ``energy_scale`` so that
+        no square overflows.  Only the cell pairs (a, b) with an entry are transformed.
         """
         N, m = self.N, 2 * self.L
         a, k1 = np.divmod(self.rows, N)
@@ -96,22 +93,23 @@ class FiniteHamiltonian:
         size = pairs.size * N
         c = (np.bincount(cls, self.values.real, size) + 1j * np.bincount(cls, self.values.imag, size)) / N
         unwritten = N - np.bincount(cls, minlength=size)
-        off2 = np.sum(np.abs(self.values - c[cls]) ** 2) + np.dot(unwritten, np.abs(c) ** 2)
+        scale = energy_scale(self.values)
+        off2 = np.sum(np.abs((self.values - c[cls]) / scale) ** 2) + np.dot(unwritten, np.abs(c / scale) ** 2)
         d = np.arange(N)
         blocks = np.zeros((N, m * m), dtype=complex)
         blocks[:, pairs] = np.exp(2j * np.pi / N * (np.outer(d, d) % N)) @ c.reshape(-1, N).T
-        return blocks.reshape(N, m, m), float(np.sqrt(off2))
+        return blocks.reshape(N, m, m), float(scale * np.sqrt(off2))
 
     def eigenvalues(self) -> np.ndarray:
         """Sorted levels, solved as N circumferential blocks of size 2L.
 
         The norm off the blocks bounds the distance from any full-matrix level
-        to a block level; above the rounding level the matrix is refused
-        rather than solved.
+        to a block level; above ROTATION_TOL of the energy scale (or NaN) the
+        matrix is refused rather than solved.
         """
         blocks, off = self.circumferential_blocks()
-        bound = ROTATION_TOL * max(1.0, float(np.max(np.abs(self.values))))
-        if off > bound:
+        bound = ROTATION_TOL * energy_scale(self.values)
+        if not off <= bound:
             raise InternalConsistencyError(
                 f"torus Hamiltonian is not rotation invariant: off-block norm {off} exceeds {bound}"
             )
@@ -184,7 +182,7 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
     M = L // p
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
     if isinstance(model, ZigzagModel):
-        (offdiag,), _ = channel_bonds([model])
+        (offdiag,) = channel_bonds([model])
         diag = model.t * model.potential.period_values()
         period, wrap = scalar_period_matrix(offdiag, np.broadcast_to(diag, offdiag.shape))
     elif isinstance(model, ArmchairModel):
@@ -209,12 +207,17 @@ class DecompositionReport:
 
 
 def compare_decomposition(model, L: int, tol: float = 1e-8) -> DecompositionReport:
-    """Eigenvalue multiset of the full torus vs the union of channel fibers."""
-    full = build_full_hamiltonian(model, L).eigenvalues()
+    """Eigenvalue multiset of the full torus vs the union of channel fibers.
+
+    A deviation passes below ``tol`` or the rounding floor VERIFY_FLOOR * u * the torus's ``energy_scale``.
+    """
+    torus = build_full_hamiltonian(model, L)
+    full = torus.eigenvalues()
     fibers = channel_fiber_eigenvalues(model, L)
     if full.size != fibers.size:
         raise InternalConsistencyError(
             f"dimension mismatch: full {full.size} vs fiber union {fibers.size}"
         )
     dev = float(np.max(np.abs(full - fibers)))
-    return DecompositionReport(dim=full.size, max_abs_dev=dev, tolerance=tol)
+    floor = float(VERIFY_FLOOR * UNIT_ROUNDOFF * energy_scale(torus.values))
+    return DecompositionReport(dim=full.size, max_abs_dev=dev, tolerance=max(tol, floor))

@@ -49,16 +49,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .armchair import decompose_armchair
-from .core import FLAT_CHANNEL_TOL, ArmchairModel, PotentialProfile, ZigzagModel
-from .errors import (
-    HillOrderError,
-    InternalConsistencyError,
-    InvalidParameterError,
+from .core import (
+    CONSTANT_BRANCH_TOL, FLAT_BRANCH_TOL, GAP_MERGE_TOL, HERMITIAN_TOL, NEWTON_TOL, UNIMODULAR_TOL, UNION_CUT_TOL,
+    UNIT_ROUNDOFF, ArmchairModel, PotentialProfile, ZigzagModel, energy_scale, is_flat_channel,
 )
-from .zigzag import channel_bonds
+from .errors import FlatBandChannelError, HillOrderError, InternalConsistencyError, InvalidParameterError
+from .zigzag import channel_constants
 
-GAP_MERGE_TOL = 1e-9  # gaps thinner than this are reported as closed
-UNIMODULAR_TOL = 1e-12
 FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one stack
 
 
@@ -67,11 +64,11 @@ FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one s
 
 
 def merge_intervals(intervals, gap_tol: float = GAP_MERGE_TOL) -> list[tuple[float, float]]:
-    """Union of closed intervals, fusing overlaps and sub-tolerance gaps."""
+    """Union of closed intervals, fusing those at most ``gap_tol`` apart: a gap is kept only above it."""
     ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
     out: list[list[float]] = []
     for lo, hi in ivs:
-        if out and lo <= out[-1][1] + gap_tol:
+        if out and lo - out[-1][1] <= gap_tol:
             out[-1][1] = max(out[-1][1], hi)
         else:
             out.append([lo, hi])
@@ -127,11 +124,11 @@ def fiber_matrices(period, wrap, taus) -> np.ndarray:
     the rounding of the sum depends on the order, and adding a zero elsewhere
     could flip the sign of a zero entry.
 
-    Every matrix is checked to be Hermitian to 1e-12 of max(1, its largest
-    entry).  Off the corners it holds the period matrix's entries, and the
-    corners mirror each other, so the residuals of the period matrices and
-    of the corners cover every entry; only when one exceeds 1e-12 is each
-    matrix weighed against its own scale.
+    Every matrix is checked to be Hermitian to HERMITIAN_TOL of its
+    ``energy_scale``.  Off the corners it holds the period matrix's entries,
+    and the corners mirror each other, so the residuals of the period
+    matrices and of the corners cover every entry; only when one exceeds
+    HERMITIAN_TOL is each matrix weighed against its own scale.
     """
     taus = _check_unimodular(taus)[..., None, None]
     m, r = period.shape[-1], wrap.shape[-1]
@@ -141,9 +138,9 @@ def fiber_matrices(period, wrap, taus) -> np.ndarray:
     lower, upper = L[..., m - r :, :r], L[..., :r, m - r :]
     lower += corner
     upper += np.swapaxes(corner.conj(), -1, -2)  # conj(tau) W^H, to the bit
-    if max(_adjoint_mismatch(period, period), _adjoint_mismatch(lower, upper)) > 1e-12:
+    if max(_adjoint_mismatch(period, period), _adjoint_mismatch(lower, upper)) > HERMITIAN_TOL:
         residual = np.max(np.abs(L - np.conj(np.swapaxes(L, -1, -2))), axis=(-2, -1))
-        if np.any(residual > 1e-12 * np.maximum(1.0, np.max(np.abs(L), axis=(-2, -1)))):
+        if np.any(residual > HERMITIAN_TOL * energy_scale(L, axis=(-2, -1))):
             raise InternalConsistencyError("fiber matrix is not Hermitian")
     return L
 
@@ -204,8 +201,8 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
     (..., 2m) edges, solved in stacks of FIBER_STACK / 2 operators.  By the
     discrete Hill theorem (van Moerbeke, Invent. Math. 37, 1976) the sequence
     P0 M0 M1 P1 P2 M2 M3 P3 ... ascends, with P and M trading places for an
-    odd m; where it falls by more than 8 * 2m * u * max|level| (u = 2**-53,
-    the unit roundoff), ``HillOrderError`` names the first such operator.
+    odd m; where it falls by more than 8 * 2m * u * max|level| (u the
+    UNIT_ROUNDOFF), ``HillOrderError`` names the first such operator.
     A fault smaller than that allowance passes: with the K(+1)/K(-1) labels
     swapped, an operator whose every band is narrower than the allowance
     (as at large potentials, where the bands are exponentially thin) still
@@ -221,7 +218,7 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
     j = np.arange(m)
     up = (j + m) % 2 == 0  # P_j is the lower end of band j: even j for an even m, odd j for an odd m
     hill = levels[:, np.stack([np.where(up, j, m + j), np.where(up, m + j, j)], axis=-1).ravel()]
-    slack = 8 * 2 * m * 2.0**-53 * np.max(np.abs(levels), axis=1)
+    slack = 8 * 2 * m * UNIT_ROUNDOFF * np.max(np.abs(levels), axis=1)
     chans, at = np.nonzero(~(hill[:, 1:] - hill[:, :-1] >= -slack[:, None]))  # a NaN fails too
     if chans.size:
         c, i = int(chans[0]), int(at[0])
@@ -247,11 +244,7 @@ def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
     t*(v+) +/- sqrt((t*(v-))^2 + 1) with v+- the half-sum/half-difference of
     (v[2j], v[2j+1]).  Sorted, each value has infinite multiplicity.
     """
-    return _dimer_levels(t * profile.pairs())
-
-
-def _dimer_levels(pairs) -> np.ndarray:
-    """Sorted levels v+ -/+ sqrt(v-^2 + 1) of unit-bond dimers with on-site (p, 2) ``pairs``."""
+    pairs = t * profile.pairs()
     vplus = 0.5 * (pairs[:, 0] + pairs[:, 1])
     vminus = 0.5 * (pairs[:, 0] - pairs[:, 1])
     root = np.sqrt(vminus**2 + 1.0)
@@ -262,7 +255,6 @@ def _dimer_levels(pairs) -> np.ndarray:
 # block-channel sweep
 
 
-NEWTON_TOL = 1e-10  # a Newton search stops once its next step or its bracket is this small
 NEWTON_MAX_ITER = 100  # probes per search; bisection alone needs at most 33 on a grid-16 bracket
 
 
@@ -431,8 +423,7 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
         i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
         grid_lo[chan], grid_hi[chan] = levels[i_min, np.arange(shape[1])], levels[i_max, np.arange(shape[1])]
         theta_lo[chan], theta_hi[chan] = thetas[i_min], thetas[i_max]
-        scale = np.maximum(1.0, np.max(np.abs(levels), axis=0))
-        moving[chan] = ~(grid_hi[chan] - grid_lo[chan] < 1e-13 * scale)
+        moving[chan] = ~(grid_hi[chan] - grid_lo[chan] < CONSTANT_BRANCH_TOL * energy_scale(levels, axis=0))
     chans, rows = np.nonzero(moving)
     n = chans.size
     centres = np.concatenate([theta_lo[moving], theta_hi[moving]])
@@ -453,10 +444,10 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
 class ChannelBands:
     """Bands, flat energies and gaps of one channel, with provenance.
 
-    ``gaps`` are the gaps of at least GAP_MERGE_TOL between the merged bands.
-    They are computed once, when the channel is built: from the bands, unless
-    the builder passes them (``zigzag_channels`` finds them for a whole stack
-    of channels at once).
+    ``gaps`` are the gaps between the merged bands, each wider than
+    GAP_MERGE_TOL.  They are computed once, when the channel is built: from
+    the bands, unless the builder passes them (``zigzag_channels`` finds them
+    for a whole stack of channels at once).
     """
 
     k: int
@@ -467,8 +458,7 @@ class ChannelBands:
 
     def __post_init__(self) -> None:
         if self.gaps is None:
-            gaps = tuple(g for g in interval_gaps(self.bands) if g[1] - g[0] >= GAP_MERGE_TOL)
-            object.__setattr__(self, "gaps", gaps)
+            object.__setattr__(self, "gaps", tuple(interval_gaps(self.bands)))
 
     def intervals(self) -> list[tuple[float, float]]:
         return list(self.bands) + [(e, e) for e in self.flat_bands]
@@ -507,30 +497,32 @@ class BandStructure:
 
 
 def _spaced_cuts(cuts: np.ndarray) -> np.ndarray:
-    """The sorted distinct ``cuts`` less each cut within 1e-12 of the last one kept.
+    """The sorted distinct ``cuts`` less each cut within UNION_CUT_TOL of the last one kept.
 
-    The rule is sequential, but a cut more than 1e-12 above its predecessor
-    is always kept (it is further still from any kept cut below), so the
-    loop visits only the cuts that lie within 1e-12 of their predecessor.
+    The rule is sequential, but a cut more than UNION_CUT_TOL above its
+    predecessor is always kept (it is further still from any kept cut below),
+    so the loop visits only the cuts that lie within UNION_CUT_TOL of their
+    predecessor.
     """
     keep = np.ones(cuts.size, dtype=bool)
-    for i in (np.flatnonzero(np.diff(cuts) <= 1e-12) + 1).tolist():
+    for i in (np.flatnonzero(np.diff(cuts) <= UNION_CUT_TOL) + 1).tolist():
         if keep[i - 1]:
             last = cuts[i - 1]
-        keep[i] = cuts[i] - last > 1e-12
+        keep[i] = cuts[i] - last > UNION_CUT_TOL
     return cuts[keep]
 
 
 def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     """Merge per-channel bands into union bands with per-segment multiplicity.
 
-    The union is cut at every channel edge (a cut within 1e-12 of the last
-    kept one is dropped) so that each reported union band has a constant
-    covering-channel set.  Band b covers the segments whose midpoints lie in
-    ``[lo_b - 1e-12, hi_b + 1e-12]``, a range ``[start, stop)`` that two
-    ``searchsorted`` calls find.  Sorted by channel and start, each channel's
-    overlapping or touching ranges fuse into runs (one running maximum of the
-    stops, offset by channel), and a cumulative sum of the +1/-1 run events
+    The union is cut at every channel edge (a cut within UNION_CUT_TOL of
+    the last kept one is dropped) so that each reported union band has a
+    constant covering-channel set.  Band b covers the segments whose
+    midpoints lie in ``[lo_b - UNION_CUT_TOL, hi_b + UNION_CUT_TOL]``, a range
+    ``[start, stop)`` that two ``searchsorted`` calls find.  Sorted by
+    channel and start, each channel's overlapping or touching ranges fuse
+    into runs (one running maximum of the stops, offset by channel), and a
+    cumulative sum of the +1/-1 run events
     gives every segment's number of covering channels; the multiplicity is
     twice that.  Two consecutive covered segments have the same covering set
     exactly when no run starts or ends between them, apart from a channel's
@@ -545,9 +537,10 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     +channel/-channel run events.  Each entry kept has its own ``lo``, so one
     stable sort merges the segments and the extra entries.  Adjacent entries
     with identical multiplicity and covering set that are at most
-    GAP_MERGE_TOL apart are fused, and the gaps of at least GAP_MERGE_TOL
-    between the fused bands are the union gaps.  Cost: O(B log B) for B
-    channel bands, plus the list insertions of the extra entries.
+    GAP_MERGE_TOL apart are fused, and the gaps wider than GAP_MERGE_TOL
+    between the fused bands are the union gaps (the rule of
+    ``merge_intervals``).  Cost: O(B log B) for B channel bands, plus the
+    list insertions of the extra entries.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
     flats = sorted((e, ch.k) for ch in channels for e in ch.flat_bands)
@@ -556,7 +549,8 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
 
     cuts = _spaced_cuts(np.unique(np.concatenate([blo, bhi])))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
-    start, stop = np.searchsorted(mids, blo - 1e-12, "left"), np.searchsorted(mids, bhi + 1e-12, "right")
+    start = np.searchsorted(mids, blo - UNION_CUT_TOL, "left")
+    stop = np.searchsorted(mids, bhi + UNION_CUT_TOL, "right")
     ranges = np.lexsort((start, col[: len(ac)]))
     ranges = ranges[start[ranges] < stop[ranges]]  # the ranges that cover a segment, by channel and start
     chan, start, stop = col[ranges], start[ranges], stop[ranges]
@@ -577,7 +571,7 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     changed = np.zeros(rank[-1] + 1, dtype=bool)
     changed[rank[run_start[~restart]]] = changed[rank[run_stop[~np.roll(restart, -1)]]] = True
     seg_lo, seg_hi = cuts[:-1][covered], cuts[1:][covered]
-    pad_lo, pad_hi = seg_lo - 1e-12, np.append(seg_hi + 1e-12, math.nan)  # ascending; the nan is never read
+    pad_lo, pad_hi = seg_lo - UNION_CUT_TOL, np.append(seg_hi + UNION_CUT_TOL, math.nan)  # ascending; nan never read
 
     def held_by_segments(x: np.ndarray) -> np.ndarray:
         i = np.searchsorted(pad_lo, x, "right")  # the segments [0, i) start at or below x
@@ -588,12 +582,12 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     extra: list[tuple[float, float, float, int]] = []  # (lo, hi, multiplicity, channel) of each extra entry
 
     def add(lo: float, hi: float, mult: float, chan: int, x: float) -> None:
-        """Append an extra entry unless one appended before holds x within 1e-12."""
+        """Append an extra entry unless one appended before holds x within UNION_CUT_TOL."""
         i = bisect.bisect_right(ex_lo, x) - 1
         if i >= 0 and x <= ex_hi[i]:
             return
         extra.append((lo, hi, mult, chan))
-        lo, hi = lo - 1e-12, hi + 1e-12
+        lo, hi = lo - UNION_CUT_TOL, hi + UNION_CUT_TOL
         i, j = bisect.bisect_left(ex_hi, lo), bisect.bisect_right(ex_lo, hi)  # [i, j) overlap it
         if i < j:
             lo, hi = min(lo, ex_lo[i]), max(hi, ex_hi[j - 1])
@@ -601,7 +595,7 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
 
     # a band thinner than the cut spacing may own no segment: keep it as its own
     mid = 0.5 * (blo + bhi)
-    for i in np.flatnonzero((bhi - blo <= 1e-12) & ~held_by_segments(mid)).tolist():
+    for i in np.flatnonzero((bhi - blo <= UNION_CUT_TOL) & ~held_by_segments(mid)).tolist():
         add(float(blo[i]), float(bhi[i]), 2.0, int(col[i]), float(mid[i]))
     # isolated flat energies become degenerate union bands of infinite multiplicity
     levels = np.array([e for e, _ in flats], dtype=float)
@@ -623,7 +617,7 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     joined = (lo[1:] - hi[:-1] <= GAP_MERGE_TOL) & (mult[1:] == mult[:-1]) & same
     first = np.flatnonzero(np.concatenate([[lo.size > 0], ~joined]))
     lo, hi, mult = lo[first], np.maximum.reduceat(hi, first), mult[first]
-    gap = lo[1:] - hi[:-1] >= GAP_MERGE_TOL
+    gap = lo[1:] - hi[:-1] > GAP_MERGE_TOL
     gaps = tuple(zip(hi[:-1][gap].tolist(), lo[1:][gap].tolist()))
     return BandStructure(tuple(channels), lo, hi, mult, gaps)
 
@@ -636,14 +630,29 @@ def _sorted_band_gaps(lo, hi) -> list[tuple[tuple[float, float], ...]]:
     """The gaps of each row of ascending bands ``(lo, hi)``: ``ChannelBands.gaps`` of that row, to the bit.
 
     Sorted edges give ascending bands whose upper edges ascend too, so band
-    i + 1 starts a new merged band exactly where ``merge_intervals`` does not
-    fuse it, ``lo[i + 1] > hi[i] + GAP_MERGE_TOL``, and the gap between them
-    is kept when ``lo[i + 1] - hi[i] >= GAP_MERGE_TOL``.
+    i + 1 starts a new merged band, and the gap below it is kept, exactly
+    where ``merge_intervals`` does not fuse it: ``lo[i + 1] - hi[i] > GAP_MERGE_TOL``.
     """
-    apart = (lo[:, 1:] > hi[:, :-1] + GAP_MERGE_TOL) & (lo[:, 1:] - hi[:, :-1] >= GAP_MERGE_TOL)
+    apart = lo[:, 1:] - hi[:, :-1] > GAP_MERGE_TOL
     pairs = list(zip(hi[:, :-1][apart].tolist(), lo[:, 1:][apart].tolist()))
     ends = np.cumsum(apart.sum(axis=1)).tolist()
     return [tuple(pairs[start:stop]) for start, stop in zip([0] + ends, ends)]
+
+
+def zigzag_chain_edges(c_k, diag) -> np.ndarray:
+    """Sorted band edges of gauge-reduced zigzag channels: bonds 1 and 2|c_k|, diagonal ``diag``.
+
+    ``c_k`` of shape S and ``diag`` of shape S + (2p,) broadcast; the S + (4p,)
+    edges come from one ``periodic_jacobi_band_edges`` call, band n (1-based)
+    from edge 2n - 2 to edge 2n - 1.  A flat channel is refused.
+    """
+    c = np.asarray(c_k, dtype=float)
+    if np.any(is_flat_channel(c)):
+        raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
+    diag = np.asarray(diag, dtype=float)
+    bonds = np.ones(np.broadcast_shapes(c.shape + (1,), diag.shape))
+    bonds[..., 1::2] = 2.0 * np.abs(c)[..., None]
+    return periodic_jacobi_band_edges(bonds, np.broadcast_to(diag, bonds.shape))
 
 
 def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -651,30 +660,26 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
     Returns the (M, N) flat mask and channel constants c_k of the M models
     and the (M, N, 2p) lower and upper edges of their channels' bands,
-    ascending; the row of a flat channel holds the 2p levels of its dimers
-    as (e, e).  The models must share N and the potential period.  The
-    channels of all models are built as one stack: the moduli of their
-    ``channel_bonds`` (the gauge that strips the phases keeps the spectrum)
-    and each model's diagonal ``t * v``.  A channel is flat when a bond is at
-    or below FLAT_CHANNEL_TOL, which splits its chain into dimers.  The
-    dispersive channels go to one ``periodic_jacobi_band_edges`` call.  A
+    ascending; the row of a flat channel (``is_flat_channel``) holds the 2p
+    levels of its dimers as (e, e).  The models must share N and the
+    potential period.  The dispersive channels of all models go to one
+    ``zigzag_chain_edges`` call with each model's diagonal ``t * v``.  A
     channel that fails the Hill-order check is named by its field step (the
     index of its model) and k, the first in that order.
     """
-    bonds, c_k = channel_bonds(models)
-    a = np.abs(bonds)
-    flat = np.min(a, axis=-1) <= FLAT_CHANNEL_TOL
+    c_k = channel_constants(models)
+    flat = is_flat_channel(c_k)
     diag = np.array([model.t * model.potential.period_values() for model in models])
     try:
-        edges = periodic_jacobi_band_edges(a[~flat], np.broadcast_to(diag[:, None], a.shape)[~flat])
+        edges = zigzag_chain_edges(c_k[~flat], diag[np.nonzero(~flat)[0]])
     except HillOrderError as exc:  # name the channel by field step and k
         step, k = (np.argwhere(~flat)[exc.channel] + 1).tolist()
         where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
         raise InternalConsistencyError(f"{where}channel k = {k}: {exc}") from exc
-    lo, hi = np.empty((2,) + a.shape)
+    lo, hi = np.empty((2,) + flat.shape + diag.shape[-1:])
     lo[~flat], hi[~flat] = edges[:, 0::2], edges[:, 1::2]
     for step in np.flatnonzero(flat.any(axis=1)).tolist():
-        lo[step, flat[step]] = hi[step, flat[step]] = _dimer_levels(diag[step].reshape(-1, 2))
+        lo[step, flat[step]] = hi[step, flat[step]] = flat_band_spectrum(models[step].potential, models[step].t)
     return flat, c_k, lo, hi
 
 
@@ -705,7 +710,7 @@ def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
 
     The block channels of all models go to one ``spectrum_block_stack``
     call, so the models must share their potential period.  A branch range
-    thinner than 1e-12 is reported as a flat level.
+    thinner than FLAT_BRANCH_TOL is reported as a flat level.
     """
     blocks = [block for model in models for block in decompose_armchair(model)]
     bands = iter(spectrum_block_stack(blocks, grid_size))
@@ -714,8 +719,8 @@ def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
             ChannelBands(
                 k=k,
                 c_k=math.cos(math.pi * k / model.N),
-                bands=tuple((lo, hi) for lo, hi in chan if hi - lo >= 1e-12),
-                flat_bands=tuple(lo for lo, hi in chan if hi - lo < 1e-12),
+                bands=tuple((lo, hi) for lo, hi in chan if hi - lo >= FLAT_BRANCH_TOL),
+                flat_bands=tuple(lo for lo, hi in chan if hi - lo < FLAT_BRANCH_TOL),
             )
             for k, chan in zip(range(1, model.N + 1), bands)
         ]

@@ -1,9 +1,11 @@
 """One-channel references for scalar channels: the per-channel zigzag decomposition, the transfer matrix, its discriminant, and the bands.
 
 ``decompose_zigzag`` is the paper's channel decomposition one channel at a
-time: ``gauge_reduce`` turns the complex bonds of each channel into their
-moduli, and each channel is a ``ScalarPeriodicJacobi``.  The package builds
-the same channels only as one stack inside ``zigzag_channel_edges``.
+time, after the gauge: each channel is a ``ScalarPeriodicJacobi`` with bonds
+1 and 2|c_k|.  ``gauge_reduce`` is that gauge itself, which turns the complex
+bonds of ``channel_bonds`` into their moduli; those equal 2|c_k| to the last
+bit or two.  The package builds the same channels only as one stack inside
+``zigzag_channel_edges``.
 
 ``monodromy`` and ``discriminant`` are the transfer-matrix view of a scalar
 channel, which no command uses: the package solves scalar channels only as
@@ -20,7 +22,6 @@ import numpy as np
 from nanotube_bands.core import FLAT_CHANNEL_TOL, ZigzagModel
 from nanotube_bands.errors import FlatBandChannelError
 from nanotube_bands.spectral import periodic_jacobi_band_edges
-from nanotube_bands.zigzag import channel_bonds
 
 
 @dataclass(frozen=True)
@@ -49,7 +50,7 @@ class ScalarPeriodicJacobi:
 
     @property
     def is_flat(self) -> bool:
-        """A bond at or below FLAT_CHANNEL_TOL splits the chain into dimers."""
+        """A bond at or below FLAT_CHANNEL_TOL splits the chain into dimers (for the odd bond, ``is_flat_channel``)."""
         return bool(np.min(self.a) <= FLAT_CHANNEL_TOL)
 
 
@@ -67,10 +68,16 @@ def gauge_reduce(offdiag, diag, c_k: float | None = None) -> ScalarPeriodicJacob
 
 
 def decompose_zigzag(model: ZigzagModel) -> list[ScalarPeriodicJacobi]:
-    """All N gauge-reduced channels, k = 1..N, one ``gauge_reduce`` of the rows of ``channel_bonds`` each."""
-    (bonds,), (c,) = channel_bonds([model])
+    """All N gauge-reduced channels, k = 1..N, one at a time: bonds 1 and 2|c_k|, diagonal t * v."""
+    p = model.potential.p
     diag = model.t * model.potential.period_values()
-    return [gauge_reduce(row, diag, c_k=c_k) for row, c_k in zip(bonds, c.tolist())]
+    out = []
+    for k in range(1, model.N + 1):
+        c_k = model.channel_constant(k)
+        a = np.ones(2 * p)
+        a[1::2] = 2.0 * abs(c_k)
+        out.append(ScalarPeriodicJacobi(p=p, a=a, v=diag, c_k=c_k))
+    return out
 
 
 def channel_bands(jac: ScalarPeriodicJacobi) -> list[tuple[float, float]]:

@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
-from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix
+from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix, zigzag_chain_edges
 from closed_forms import intervals_contain, p1_closed_form, unperturbed_edges
 from scalar_reference import channel_bands, decompose_zigzag
 
 
 def channel_bands_at(prof, c, t):
     """The bands of the zigzag channel of constant c at coupling t."""
-    edges = asy._channel_edges(prof, c, t)
+    edges = zigzag_chain_edges(c, t * prof.period_values())
     return list(zip(edges[0::2], edges[1::2]))
 
 
@@ -392,10 +392,11 @@ def test_flat_levels_inside_every_channel_for_coprime_even_N():
 
 def test_intermediate_prediction_fields():
     prof = asy.sample_open_gap_potential(3, seed=4)
+    hat0, _ = asy.fourier_hats(prof)
     pred = asy.predict_small_t(prof, 0.5, n=1)
-    assert pred.exactly_closed and pred.rate_factor == 0.0
+    assert pred.exactly_closed and pred.slope == 0.0
     pred_even = asy.predict_small_t(prof, 0.5, n=2)
-    assert pred_even.rate_factor == pytest.approx(2.0)  # unit chain, even gap
+    assert pred_even.slope / abs(hat0[1]) == pytest.approx(2.0)  # unit chain, even gap: twice |hat0_n|
 
     vals = PotentialProfile([1.0, -1.0])
     lt = asy.predict_large_t_zigzag(vals, 0.45, n=1, t=50.0)

@@ -153,7 +153,7 @@ def test_asym_command(tmp_path, vfiles):
     pot = tmp_path / "shrink.json"
     pot.write_text("[3.0, 0.0, -3.0, 1.0]")
     code, text = run(
-        tmp_path, "asym", "--regime", "ck_to_zero", "--N", "4", "--potential", str(pot),
+        tmp_path, "asym", "--regime", "ck_to_zero", "--potential", str(pot),
         "--s", "1",
     )
     assert code == 0
@@ -349,22 +349,22 @@ def test_asym_small_v_armchair_command(tmp_path):
 @pytest.mark.parametrize(
     "potential, argv",
     [
-        ("[NaN, 1.0]", "bands --lattice zigzag --b 0.1"),
-        ("[NaN, 1.0]", "bands --lattice armchair --B 0.3"),
-        ("[Infinity, 1.0]", "bands --lattice zigzag --b 0.1"),
-        ("[Infinity, 1.0]", "bands --lattice armchair --B 0.3"),
-        ("[0.5, -0.5]", "bands --lattice zigzag --b nan"),
-        ("[0.5, -0.5]", "bands --lattice armchair --b1 nan --b2 0 --b3 0"),
-        ("[0.5, -0.5]", "bands --lattice zigzag --B nan"),
-        ("[0.5, -0.5]", "bands --lattice armchair --B nan"),
-        ("[0.5, -0.5]", "bands --lattice zigzag --b 0.1 --t inf"),
-        ("[0.5, -0.5]", "bands --lattice armchair --B 0.3 --t inf"),
-        ("[0.5, -0.5]", "sweep --lattice zigzag --B-start 0 --B-stop nan --B-steps 3"),
-        ("[0.5, -0.5]", "sweep --lattice armchair --B-start 0 --B-stop nan --B-steps 3"),
-        ("[0.5, -0.5]", "verify --lattice zigzag --b 0.1 --tol nan"),
-        ("[0.5, -0.5]", "verify --lattice zigzag --b 0.1 --tol inf"),
-        ("[0.5, -0.5]", "verify --lattice armchair --B 0.3 --tol 0"),
-        ("[0.5, -0.5]", "verify --lattice zigzag --b 0.1 --tol -1e-8"),
+        ("[NaN, 1.0]", "bands --lattice zigzag --N 4 --b 0.1"),
+        ("[NaN, 1.0]", "bands --lattice armchair --N 4 --B 0.3"),
+        ("[Infinity, 1.0]", "bands --lattice zigzag --N 4 --b 0.1"),
+        ("[Infinity, 1.0]", "bands --lattice armchair --N 4 --B 0.3"),
+        ("[0.5, -0.5]", "bands --lattice zigzag --N 4 --b nan"),
+        ("[0.5, -0.5]", "bands --lattice armchair --N 4 --b1 nan --b2 0 --b3 0"),
+        ("[0.5, -0.5]", "bands --lattice zigzag --N 4 --B nan"),
+        ("[0.5, -0.5]", "bands --lattice armchair --N 4 --B nan"),
+        ("[0.5, -0.5]", "bands --lattice zigzag --N 4 --b 0.1 --t inf"),
+        ("[0.5, -0.5]", "bands --lattice armchair --N 4 --B 0.3 --t inf"),
+        ("[0.5, -0.5]", "sweep --lattice zigzag --N 4 --B-start 0 --B-stop nan --B-steps 3"),
+        ("[0.5, -0.5]", "sweep --lattice armchair --N 4 --B-start 0 --B-stop nan --B-steps 3"),
+        ("[0.5, -0.5]", "verify --lattice zigzag --N 4 --b 0.1 --tol nan"),
+        ("[0.5, -0.5]", "verify --lattice zigzag --N 4 --b 0.1 --tol inf"),
+        ("[0.5, -0.5]", "verify --lattice armchair --N 4 --B 0.3 --tol 0"),
+        ("[0.5, -0.5]", "verify --lattice zigzag --N 4 --b 0.1 --tol -1e-8"),
         ("[0.5, -0.5]", "asym --regime small_t --ck nan"),
         ("[0.5, -0.5]", "asym --regime small_t --ck -inf"),
         ("[0.5, -0.5]", "asym --regime ck_to_zero --ck-values 0.01,inf"),
@@ -375,9 +375,10 @@ def test_asym_small_v_armchair_command(tmp_path):
 def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
     pot = tmp_path / "v.json"
     pot.write_text(potential)
-    code = main(argv.split() + ["--N", "4", "--potential", str(pot)])
+    code = main(argv.split() + ["--potential", str(pot)])
     assert code == 2
-    assert capsys.readouterr().out == ""
+    captured = capsys.readouterr()
+    assert captured.out == "" and "does not read" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -387,14 +388,14 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
         "asym --regime ck_to_zero --ck-values 1e-13",
         "asym --regime ck_to_zero --ck-values 5e-13",
         # zigzag commands never reach spectrum_block_stack; the CLI refuses the grid itself
-        "bands --lattice zigzag --b 0.1 --grid 100",
-        "sweep --lattice zigzag --B-start 0 --grid 100",
+        "bands --lattice zigzag --N 4 --b 0.1 --grid 100",
+        "sweep --lattice zigzag --N 4 --B-start 0 --grid 100",
         # asym tolerances must be finite and positive, as verify --tol
         "asym --regime ck_to_zero --tolerance 0",
         "asym --regime ck_to_zero --tolerance nan",
         "asym --regime ck_to_zero --tolerance -1",
         "asym --regime ck_to_zero --tolerance inf",
-        "asym --regime small_v_armchair --tolerance 0",
+        "asym --regime small_v_armchair --N 4 --tolerance 0",
         # p = 1 off the unit-hopping chain: small_t has no admissible gap, so no report
         "asym --regime small_t --ck 0.3",
     ],
@@ -402,27 +403,27 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
 def test_refused_input_exits_2_with_error_line(tmp_path, capsys, argv):
     pot = tmp_path / "v.json"
     pot.write_text("[0.5, -0.5]")
-    code = main(argv.split() + ["--N", "4", "--potential", str(pot)])
+    code = main(argv.split() + ["--potential", str(pot)])
     captured = capsys.readouterr()
     assert code == 2
     assert captured.out == ""
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and "does not read" not in captured.err
     assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        "bands --lattice zigzag --b -2.220446049250313e-16",
-        "bands --lattice zigzag --B -1e-3 --t -1.5e0",
-        "bands --lattice armchair --b1 -1e-3 --b2 -2E-3 --b3 -3e-3 --grid 16",
-        "bands --lattice armchair --B -5e-1 --t -2e0 --grid 16",
-        "sweep --lattice zigzag --B-start -1e-1 --B-stop -2e-1 --B-steps 2",
-        "sweep --lattice armchair --B-start -1e-1 --B-steps 1 --grid 16",
+        "bands --lattice zigzag --N 4 --b -2.220446049250313e-16",
+        "bands --lattice zigzag --N 4 --B -1e-3 --t -1.5e0",
+        "bands --lattice armchair --N 4 --b1 -1e-3 --b2 -2E-3 --b3 -3e-3 --grid 16",
+        "bands --lattice armchair --N 4 --B -5e-1 --t -2e0 --grid 16",
+        "sweep --lattice zigzag --N 4 --B-start -1e-1 --B-stop -2e-1 --B-steps 2",
+        "sweep --lattice armchair --N 4 --B-start -1e-1 --B-steps 1 --grid 16",
         "asym --regime small_t --ck -1e-1",
         "asym --regime ck_to_zero --ck-values -2e-2,-1e-2",
-        "verify --lattice zigzag --b -1e-1 --t -2e0",
-        "verify --lattice armchair --B 0.3 --tol -1e-8",
+        "verify --lattice zigzag --N 4 --b -1e-1 --t -2e0",
+        "verify --lattice armchair --N 4 --B 0.3 --tol -1e-8",
     ],
 )
 def test_negative_exponent_option_values(tmp_path, capsys, argv):
@@ -431,7 +432,7 @@ def test_negative_exponent_option_values(tmp_path, capsys, argv):
     # zero-mean with p = 3, so that small_t has gaps to report at c_k = -0.1
     pot = tmp_path / "v.json"
     pot.write_text("[0.5, -0.2, -0.3]")
-    tail = ["--N", "4", "--potential", str(pot)]
+    tail = ["--potential", str(pot)]
     code = main(argv.split() + tail)
     spaced = capsys.readouterr()
     joined = re.sub(r"(--[\w-]+) (-[\d.])", r"\1=\2", argv).split()
@@ -446,7 +447,7 @@ def test_asym_small_t_at_half_period_one(tmp_path, capsys, potential, ck, code):
     # only the unit-hopping chain (2|c_k| = 1) has a first-order central gap at p = 1
     pot = tmp_path / "v.json"
     pot.write_text(potential)
-    assert main(["asym", "--regime", "small_t", "--N", "4", "--ck", ck, "--potential", str(pot)]) == code
+    assert main(["asym", "--regime", "small_t", "--ck", ck, "--potential", str(pot)]) == code
     captured = capsys.readouterr()
     if code == 2:
         assert captured.out == "" and captured.err.startswith("error: ")
@@ -526,11 +527,15 @@ def test_large_precision_is_accepted(tmp_path, monkeypatch, vfiles, argv):
     [
         ("[0.2, 0.2]", "asym --regime small_v_armchair --N 4 --t 5 --B 3 --k 2 --s 3 --seed 4",
          "--t, --B, --k, --s, --seed"),
-        ("[0.4, -0.4]", "asym --regime small_t --N 4 --ck 0.65 --t 30 --seed 9 --sample-period 3",
+        ("[0.4, -0.4]", "asym --regime small_t --ck 0.65 --t 30 --seed 9 --sample-period 3",
          "--t, --sample-period, --seed"),
-        ("[0.4, -0.4]", "asym --regime small_t --N 4 --ck 0.5 --k 1 --b 0.2", "--b, --k"),
+        ("[0.4, -0.4]", "asym --regime small_t --ck 0.5 --k 1 --b 0.2", "--b, --k"),
         ("[0.4, -0.4]", "asym --regime small_t --N 4 --k 1 --b 0.2 --B 0.1", "--B"),
-        ("[3.0, 0.0, -3.0, 1.0]", "asym --regime ck_to_zero --N 4 --b 0.3 --k 2", "--b, --k"),
+        ("[3.0, 0.0, -3.0, 1.0]", "asym --regime ck_to_zero --b 0.3 --k 2", "--b, --k"),
+        # --N is read only where a channel index or a tube is built
+        ("[3.0, 0.0, -3.0, 1.0]", "asym --regime ck_to_zero --N 4 --s 1", "--N"),
+        ("[0.4, -0.4]", "asym --regime small_t --N 4 --ck 0.5", "--N"),
+        ("[0.4, -0.4]", "asym --regime small_t --N 4 --ck 0.5 --k 1", "--N, --k"),
         ("[0.9, -0.3, 0.4, -1.1]", "asym --regime large_t_zigzag --N 5 --b 0.2 --t 40 --k 2", "--k"),
         ("[0.9, -0.3, 0.4, -1.1]", "asym --regime large_t_armchair --N 4 --B 0 --t 40 --k 4 --ck 0.3", "--ck"),
         ("[0.9, -0.3, 0.4, -1.1]", "asym --regime low_energy_window --N 4 --b 0.02 --t 0.05 --s 2", "--s"),
@@ -667,9 +672,9 @@ def test_size_refusal_allocates_nothing(tmp_path, vfiles, lattice, argv):
         ("bands --lattice armchair --N 3 --B 0.3 --grid 16", 1001, "the number of --potential values"),
         ("sweep --lattice zigzag --N 3 --B-start 0", 33, "the number of --potential values"),
         ("verify --lattice armchair --N 3 --B 0.3", 17, "the number of --potential values"),
-        ("asym --regime small_t --N 4 --ck 0.5", 17, "the number of --potential values"),
-        ("asym --regime small_t --N 4 --ck 0.5 --sample-period 17", None, "--sample-period"),
-        ("asym --regime small_t --N 4 --ck 0.5 --sample-period 1000000000", None, "--sample-period"),
+        ("asym --regime small_t --ck 0.5", 17, "the number of --potential values"),
+        ("asym --regime small_t --ck 0.5 --sample-period 17", None, "--sample-period"),
+        ("asym --regime small_t --ck 0.5 --sample-period 1000000000", None, "--sample-period"),
     ],
 )
 def test_geometry_cells_and_potential_length_bounds(tmp_path, argv, q, refused):
@@ -718,7 +723,7 @@ def test_parser_built_once_gives_fresh_parser_results(monkeypatch, vfiles):
         "verify --lattice armchair --N 3 --B 0.4 --potential {pm}",
         "geometry --N 3 --B 0.5",
         "bands --lattice hexagonal --N 3 --potential {pm}",  # argparse usage error
-        "asym --regime small_t --N 3 --ck 0.5 --t 2 --potential {pm}",  # refused option
+        "asym --regime small_t --ck 0.5 --t 2 --potential {pm}",  # refused option
         "sweep --help",
         "--help",
         "bands --lattice zigzag --N 3 --b 0.1 --format csv --potential {pm}",
@@ -742,3 +747,52 @@ def test_parser_built_once_gives_fresh_parser_results(monkeypatch, vfiles):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0, 0, 0, 2, 2, 0]
     assert "usage: nanotube-bands sweep" in shared[7][1] and "invalid choice" in shared[5][2]
+
+
+@pytest.mark.parametrize(
+    "potential, argv",
+    [
+        ("[0.4, -0.4]", "asym --regime small_t --k 1 --b 0.2"),
+        ("[0.9, -0.3, 0.4, -1.1]", "asym --regime large_t_zigzag --b 0.2 --t 40"),
+        ("[0.9, -0.3, 0.4, -1.1]", "asym --regime large_t_armchair --B 0 --t 40 --k 1"),
+        ("[0.2, 0.2]", "asym --regime small_v_armchair"),
+        ("[0.9, -0.3, 0.4, -1.1]", "asym --regime low_energy_window --b 0.02 --t 0.05"),
+    ],
+)
+def test_asym_regimes_that_read_N_exit_2_without_it(tmp_path, capsys, potential, argv):
+    pot = tmp_path / "v.json"
+    pot.write_text(potential)
+    assert main(argv.split() + ["--potential", str(pot)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: regime {argv.split()[2]} needs --N\n"
+
+
+@pytest.mark.parametrize(
+    "potential, argv",
+    [
+        ("[3.0, 0.0, -3.0, 1.0]", "asym --regime ck_to_zero --s 1"),
+        ("[3.0, 0.0, -3.0, 1.0]", "asym --regime ck_to_zero --ck-values 0.02,0.01 --t 2"),
+        ("[0.4, -0.4]", "asym --regime small_t --ck 0.5"),
+        ("[0.15, -0.05, -0.1]", "asym --regime small_t --ck 0.3"),
+    ],
+)
+def test_asym_regimes_that_do_not_read_N_run_without_it(tmp_path, capsys, potential, argv):
+    # --N used to be required by every regime, and any value was accepted and ignored
+    pot = tmp_path / "v.json"
+    pot.write_text(potential)
+    assert main(argv.split() + ["--potential", str(pot)]) == 0
+    assert json.loads(capsys.readouterr().out)
+
+
+def test_bands_and_large_t_asym_agree_on_a_near_flat_channel(tmp_path, capsys):
+    # c_1 = 7e-13: its odd bond 2|c_1| = 1.4e-12 lies above FLAT_CHANNEL_TOL, so
+    # bands solves channel 1 as dispersive; asym used to skip it as flat (|c_k| < 1e-12)
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.9, -0.3, 0.4, -1.1]")
+    model = ["--N", "2", "--b", "-7e-13", "--t", "40", "--potential", str(pot)]
+    assert main(["bands", "--lattice", "zigzag", *model]) == 0
+    channel = json.loads(capsys.readouterr().out)["channels"][0]
+    assert channel["k"] == 1 and channel["bands"] and not channel["flat_bands"]
+    main(["asym", "--regime", "large_t_zigzag", *model])
+    reports = json.loads(capsys.readouterr().out)
+    assert {r["params"].get("k") for r in reports} >= {1}

@@ -78,14 +78,14 @@ CASES = {
     "arm_small_v_p3": (
         [0.15, 0.15, -0.1, -0.1, -0.05, -0.05], "asym --regime small_v_armchair --N 4", 0,
     ),
-    "zig_asym_ck_to_zero": ([3.0, 0.0, -3.0, 1.0], "asym --regime ck_to_zero --N 4 --s 1", 0),
+    "zig_asym_ck_to_zero": ([3.0, 0.0, -3.0, 1.0], "asym --regime ck_to_zero --s 1", 0),
     # the values of sample_open_gap_potential(4, seed=15)
     "zig_asym_small_t_p2": (
         [-0.08708415254307389, -0.21110168944821417, 0.5092875314395022, -0.21110168944821417],
-        "asym --regime small_t --N 4 --ck 0.65", 0,
+        "asym --regime small_t --ck 0.65", 0,
     ),
     # p = 1 at the unit-hopping chain: the central gap is the only report
-    "zig_asym_small_t_p1": ([0.4, -0.4], "asym --regime small_t --N 4 --ck 0.5", 0),
+    "zig_asym_small_t_p1": ([0.4, -0.4], "asym --regime small_t --ck 0.5", 0),
     # width reports, then the window and disjointness checks
     "zig_asym_large_t": ([0.9, -0.3, 0.4, -1.1], "asym --regime large_t_zigzag --N 5 --b 0.2 --t 40", 0),
     # p = 1: no disjointness report

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,10 @@ from nanotube_bands import (
     build_full_hamiltonian,
     compare_decomposition,
 )
-from nanotube_bands.errors import InvalidTruncationError
+from nanotube_bands.cli import main
+from nanotube_bands.core import UNIT_ROUNDOFF, VERIFY_FLOOR
+from nanotube_bands.errors import InternalConsistencyError, InvalidTruncationError
+from nanotube_bands.oracle import FiniteHamiltonian
 
 
 def test_free_zigzag_row_sums():
@@ -108,3 +112,52 @@ def test_truncation_cap():
     model = ZigzagModel(2, 0.0, PotentialProfile([0.0]), t=0.0)
     with pytest.raises(InvalidTruncationError):
         build_full_hamiltonian(model, 65)
+
+
+@pytest.mark.parametrize("t", [1e8, 1e10])
+@pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
+def test_verify_passes_rounding_level_deviations_at_large_t(tmp_path, capsys, lattice, t):
+    # the deviation of two eigensolves grows as u * t: 7.5e-8 (zigzag) and 3.7e-8
+    # (armchair) at t = 1e8 used to fail the absolute --tol 1e-8 and exit 3
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.3, -0.2, 0.5, -0.7]")
+    field = ["--b", "0.3"] if lattice == "zigzag" else ["--B", "0.3"]
+    code = main(["verify", "--lattice", lattice, "--N", "5", *field, "--t", repr(t), "--potential", str(pot)])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0 and report["pass"] is True
+    assert report["max_abs_dev"] > 1e-8  # the floor, not --tol, passed it
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_at_a_huge_coupling_warns_nothing(tmp_path, capsys):
+    # the off-block norm squared the raw entries: it overflowed to NaN at t = 1e300,
+    # NaN > bound was False, and the unchecked blocks were solved (exit 3)
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.3, -0.2, 0.5, -0.7]")
+    code = main("verify --lattice zigzag --N 4 --b 0.3 --t 1e300 --potential".split() + [str(pot)])
+    assert code == 0 and json.loads(capsys.readouterr().out)["pass"] is True
+
+
+def test_rotation_check_refuses_a_nan_norm(monkeypatch):
+    H = build_full_hamiltonian(ZigzagModel(3, 0.2, PotentialProfile([0.4, -0.1]), t=1.0), 2)
+    blocks, _ = H.circumferential_blocks()
+    monkeypatch.setattr(FiniteHamiltonian, "circumferential_blocks", lambda self: (blocks, math.nan))
+    with pytest.raises(InternalConsistencyError, match="rotation invariant"):
+        H.eigenvalues()
+
+
+def test_hermiticity_check_refuses_nan_entries():
+    H = build_full_hamiltonian(ZigzagModel(3, 0.2, PotentialProfile([0.4, -0.1]), t=1.0), 2)
+    values = H.values.copy()
+    values[0] = math.nan
+    with pytest.raises(InternalConsistencyError, match="not Hermitian"):
+        FiniteHamiltonian(H.rows, H.cols, values, N=H.N, L=H.L, lattice=H.lattice)
+
+
+def test_verify_floor_scales_with_the_torus():
+    # the floor VERIFY_FLOOR * u * energy_scale replaces --tol only where it is larger
+    model = ZigzagModel(3, 0.2, PotentialProfile([0.4, -0.1]), t=1e9)
+    report = compare_decomposition(model, 2)
+    scale = float(np.max(np.abs(build_full_hamiltonian(model, 2).values)))
+    assert report.tolerance == VERIFY_FLOOR * UNIT_ROUNDOFF * scale
+    assert compare_decomposition(ZigzagModel(3, 0.2, PotentialProfile([0.4, -0.1]), t=2.0), 2).tolerance == 1e-8

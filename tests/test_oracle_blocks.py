@@ -99,7 +99,7 @@ def per_channel_fiber_levels(model, L: int) -> np.ndarray:
     taus = [cmath.exp(2j * cmath.pi * m / M) for m in range(M)]
     if isinstance(model, ZigzagModel):
         diag = model.t * model.potential.period_values()
-        fibers = [scalar_period_matrix(bonds, diag) for bonds in channel_bonds([model])[0][0]]
+        fibers = [scalar_period_matrix(bonds, diag) for bonds in channel_bonds([model])[0]]
     else:
         fibers = zip(*block_period_matrix(decompose_armchair(model)))
     eigs = [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus)) for period, wrap in fibers]

@@ -797,7 +797,7 @@ def _per_channel_edges(jac):
 
 def _channel_outcome(models, stacked):
     """Bits of (bands, flat levels) per channel of each model, or the message of the first failure."""
-    from nanotube_bands.spectral import _dimer_levels, zigzag_channels
+    from nanotube_bands.spectral import zigzag_channels
 
     try:
         if stacked:
@@ -805,7 +805,7 @@ def _channel_outcome(models, stacked):
         else:
             per_model = [
                 [
-                    ((), tuple(float(e) for e in _dimer_levels(jac.v.reshape(jac.p, 2))))
+                    ((), tuple(float(e) for e in flat_band_spectrum(model.potential, model.t)))
                     if jac.is_flat
                     else (tuple(_per_channel_edges(jac)), ())
                     for jac in decompose_zigzag(model)
