@@ -9,7 +9,6 @@ from .core import (
     magnetic_phase,
 )
 from .armchair import (
-    BlockPeriodicJacobi,
     decompose_armchair,
     model_from_field,
     tube_geometry,
@@ -25,7 +24,6 @@ from .oracle import build_full_hamiltonian, compare_decomposition
 __all__ = [
     "ArmchairModel",
     "BandStructure",
-    "BlockPeriodicJacobi",
     "ChannelBands",
     "PotentialProfile",
     "ZigzagModel",

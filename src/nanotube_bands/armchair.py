@@ -12,54 +12,35 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import HERMITIAN_TOL, ArmchairModel, PotentialProfile, energy_scale
+from .core import ArmchairModel, PotentialProfile
 from .errors import InvalidModelError
 
 
-@dataclass(frozen=True)
-class BlockPeriodicJacobi:
-    """p-block-periodic 2x2-block Jacobi data for one armchair channel.
+def decompose_armchair(models) -> tuple[np.ndarray, np.ndarray]:
+    """Hopping blocks a and diagonal blocks d of all N channels of each of M models, k = 1..N.
 
-    a_block : constant sub-diagonal block (its adjoint sits above the diagonal)
-    d_blocks : (p, 2, 2) Hermitian diagonal blocks, potential already scaled by t
+    The models must share N and the potential period p.  Row m*N + k - 1 of
+    the (M*N, 2, 2) hopping blocks and of the (M*N, p, 2, 2) diagonal blocks
+    holds channel k of ``models[m]``: a = [[0, exp(i b1) s^k], [exp(-i b2), 0]]
+    with s = exp(2 pi i/N), and d_j = [[t v[2j], exp(i b3)], [exp(-i b3), t v[2j+1]]].
+    The product exp(i b1) s^k is written out in real parts, as numpy's
+    scalar complex product rounds it (its vector loop may fuse a multiply
+    and an add), so every row has the bits of a one-channel build.
     """
-
-    p: int
-    a_block: np.ndarray
-    d_blocks: np.ndarray
-    k: int | None = None
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a_block, dtype=complex)
-        d = np.asarray(self.d_blocks, dtype=complex)
-        if a.shape != (2, 2) or d.shape != (self.p, 2, 2):
-            raise ValueError(f"need one 2x2 hopping block and {self.p} diagonal blocks")
-        if np.max(np.abs(d - np.conj(np.transpose(d, (0, 2, 1))))) > HERMITIAN_TOL * energy_scale(d):
-            raise ValueError("diagonal blocks must be Hermitian")
-        a.setflags(write=False)
-        d.setflags(write=False)
-        object.__setattr__(self, "a_block", a)
-        object.__setattr__(self, "d_blocks", d)
-
-
-def hopping_block(N: int, k: int, b1: float, b2: float) -> np.ndarray:
-    s = np.exp(2j * np.pi / N)
-    return np.array([[0.0, np.exp(1j * b1) * s**k], [np.exp(-1j * b2), 0.0]], dtype=complex)
-
-
-def decompose_armchair(model: ArmchairModel) -> list[BlockPeriodicJacobi]:
-    """All N block channels, k = 1..N."""
-    b1, b2, b3 = model.phases
-    p = model.potential.p
-    diag = model.t * model.potential.extended(2 * p)
-    rung = np.exp(1j * b3)
-    d = np.zeros((p, 2, 2), dtype=complex)
-    for j in range(p):
-        d[j] = [[diag[2 * j], rung], [np.conj(rung), diag[2 * j + 1]]]
-    return [
-        BlockPeriodicJacobi(p=p, a_block=hopping_block(model.N, k, b1, b2), d_blocks=d, k=k)
-        for k in range(1, model.N + 1)
-    ]
+    N, p = models[0].N, models[0].potential.p
+    if any(model.N != N or model.potential.p != p for model in models):
+        raise ValueError("the models of one stack must share N and the potential period")
+    b1, b2, b3 = np.array([model.phases for model in models]).T
+    diag = np.array([model.t * model.potential.extended(2 * p) for model in models])
+    e, s = np.exp(1j * b1)[:, None], np.exp(2j * np.pi / N) ** np.arange(1, N + 1)
+    a = np.zeros((len(models), N, 2, 2), dtype=complex)
+    a[..., 0, 1].real = e.real * s.real - e.imag * s.imag
+    a[..., 0, 1].imag = e.real * s.imag + e.imag * s.real
+    a[..., 1, 0] = np.exp(-1j * b2)[:, None]
+    rung = np.exp(1j * b3)[:, None]
+    d = np.empty((len(models), p, 2, 2), dtype=complex)
+    d[..., 0, 0], d[..., 0, 1], d[..., 1, 0], d[..., 1, 1] = diag[:, 0::2], rung, np.conj(rung), diag[:, 1::2]
+    return a.reshape(-1, 2, 2), np.repeat(d, N, axis=0)
 
 
 @dataclass(frozen=True)

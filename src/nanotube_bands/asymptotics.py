@@ -647,7 +647,8 @@ def _armchair_clusters(
     """(prediction, measured band) of every position of block channel k."""
     if not 1 <= k <= model.N:
         raise InvalidInputError(f"channel index k must lie in 1..{model.N}, got {k}")
-    (bands,) = spectrum_block_stack(decompose_armchair(model)[k - 1 : k], grid_size)
+    a, d = decompose_armchair([model])
+    (bands,) = spectrum_block_stack(a[k - 1 : k], d[k - 1 : k], grid_size)
     out = []
     for j in range(1, model.potential.q + 1):
         pred = predict_large_t_armchair(model.potential, k, j, model.t, model.N, model.phases)

@@ -83,7 +83,9 @@ class FiniteHamiltonian:
         and the norm off the blocks is ||H - circ(c)||_F: the written entries'
         distance to their class mean plus |c|^2 for each unwritten position of
         a class, summed without cancellation and over ``energy_scale`` so that
-        no square overflows.  Only the cell pairs (a, b) with an entry are transformed.
+        no square overflows.  The class sums are taken over a power of two at
+        or above that scale, which keeps their bits and keeps them finite.
+        Only the cell pairs (a, b) with an entry are transformed.
         """
         N, m = self.N, 2 * self.L
         a, k1 = np.divmod(self.rows, N)
@@ -91,9 +93,13 @@ class FiniteHamiltonian:
         pairs, pair = np.unique(a * m + b, return_inverse=True)
         cls = pair * N + (k2 - k1) % N  # class (a, b, d) as (index of its cell pair, d)
         size = pairs.size * N
-        c = (np.bincount(cls, self.values.real, size) + 1j * np.bincount(cls, self.values.imag, size)) / N
-        unwritten = N - np.bincount(cls, minlength=size)
         scale = energy_scale(self.values)
+        e = np.frexp(scale)[1]  # 2**e > scale: the class sums are taken over 2**e, exactly, so none overflows
+        re, im = (np.bincount(cls, np.ldexp(part, -e), size) for part in (self.values.real, self.values.imag))
+        c = (re + 1j * im) / N
+        for part in (c.real, c.imag):
+            np.ldexp(part, e, out=part)
+        unwritten = N - np.bincount(cls, minlength=size)
         off2 = np.sum(np.abs((self.values - c[cls]) / scale) ** 2) + np.dot(unwritten, np.abs(c / scale) ** 2)
         d = np.arange(N)
         blocks = np.zeros((N, m * m), dtype=complex)
@@ -186,7 +192,7 @@ def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:
         diag = model.t * model.potential.period_values()
         period, wrap = scalar_period_matrix(offdiag, np.broadcast_to(diag, offdiag.shape))
     elif isinstance(model, ArmchairModel):
-        period, wrap = block_period_matrix(decompose_armchair(model))
+        period, wrap = block_period_matrix(*decompose_armchair([model]))
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
     return np.sort(np.linalg.eigvalsh(fiber_matrices(period[:, None], wrap[:, None], taus)), axis=None)

@@ -3,7 +3,7 @@
 Every fiber matrix L(tau) of a channel comes from one stacked builder,
 ``fiber_matrices``: the multiplier-free period matrices of a stack of channels
 are built once (``scalar_period_matrix`` from (C, m) coefficients,
-``block_period_matrix`` from a sequence of block channels of one period) and
+``block_period_matrix`` from (C, 2, 2) hopping and (C, p, 2, 2) diagonal blocks) and
 tau enters only through their wrap-around corner blocks, the multipliers
 broadcast against the channels.
 
@@ -168,19 +168,17 @@ def scalar_period_matrix(offdiag, diag) -> tuple[np.ndarray, np.ndarray]:
     return K, a[..., m - 1 :, None]
 
 
-def block_period_matrix(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Period matrices and 2 x 2 wrap blocks a^H of a stack of C block channels of one period.
+def block_period_matrix(a, d) -> tuple[np.ndarray, np.ndarray]:
+    """Period matrices and 2 x 2 wrap blocks a^H of C block channels of one period p.
 
-    Returns the (C, 2p, 2p) and (C, 2, 2) stacks; channels of different
-    periods are refused.
+    ``a`` holds the (C, 2, 2) hopping blocks (below the diagonal; their
+    adjoints sit above it) and ``d`` the (C, p, 2, 2) diagonal blocks, as
+    ``decompose_armchair`` returns them; the result is the (C, 2p, 2p) and
+    (C, 2, 2) stacks.
     """
-    P = blocks[0].p
-    if any(block.p != P for block in blocks):
-        raise ValueError("block channels of one stack must share their period")
-    a = np.stack([block.a_block for block in blocks])
-    d = np.stack([block.d_blocks for block in blocks])
+    P = d.shape[1]
     wrap = np.conj(np.swapaxes(a, -1, -2))
-    L = np.zeros((len(blocks), 2 * P, 2 * P), dtype=complex)
+    L = np.zeros((len(a), 2 * P, 2 * P), dtype=complex)
     for j in range(P):
         L[:, 2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = d[:, j]
     for j in range(P - 1):
@@ -385,18 +383,20 @@ def _newton_extrema(fibers, chans, centres, step, rows, signs) -> np.ndarray:
     return signs * best
 
 
-def spectrum_block_stack(blocks, grid_size: int = 512) -> list[list[tuple[float, float]]]:
-    """Bands of each of many block channels of one period: ranges of sorted eigenvalue branches.
+def spectrum_block_stack(a, d, grid_size: int = 512) -> list[list[tuple[float, float]]]:
+    """Bands of each of C block channels of one period: ranges of sorted eigenvalue branches.
 
-    Each sorted branch is continuous in the multiplier, so its range is an
-    interval; ``_block_branch_ranges`` finds the ranges of every branch of
-    every channel, and each channel's ranges are merged into its bands.
+    The channels are given by their hopping blocks ``a`` and diagonal blocks
+    ``d`` (``block_period_matrix``).  Each sorted branch is continuous in the
+    multiplier, so its range is an interval; ``_block_branch_ranges`` finds
+    the ranges of every branch of every channel, and each channel's ranges
+    are merged into its bands.
     """
-    lo, hi = _block_branch_ranges(blocks, grid_size)
+    lo, hi = _block_branch_ranges(a, d, grid_size)
     return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
 
 
-def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_branch_ranges(a, d, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Minimum and maximum of every sorted eigenvalue branch, as two (channel, branch) arrays.
 
     Channel by channel, the grid of fiber matrices is solved in stacks and
@@ -411,11 +411,11 @@ def _block_branch_ranges(blocks, grid_size: int) -> tuple[np.ndarray, np.ndarray
         raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     taus = _multipliers(thetas)
-    fibers = block_period_matrix(blocks)
-    shape = (len(blocks), 2 * blocks[0].p)  # (channel, branch)
+    fibers = block_period_matrix(a, d)
+    shape = fibers[0].shape[:2]  # (channel, branch)
     grid_lo, grid_hi, theta_lo, theta_hi = (np.empty(shape) for _ in range(4))
     moving = np.empty(shape, dtype=bool)
-    for chan in range(len(blocks)):
+    for chan in range(shape[0]):
         period, wrap = fibers[0][chan], fibers[1][chan]
         levels = np.concatenate(
             [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus[s])) for s in _stacks(grid_size)]
@@ -709,11 +709,10 @@ def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
     """Channel bands of each armchair model, k = 1..N, without the union.
 
     The block channels of all models go to one ``spectrum_block_stack``
-    call, so the models must share their potential period.  A branch range
+    call, so the models must share N and their potential period.  A branch range
     thinner than FLAT_BRANCH_TOL is reported as a flat level.
     """
-    blocks = [block for model in models for block in decompose_armchair(model)]
-    bands = iter(spectrum_block_stack(blocks, grid_size))
+    bands = iter(spectrum_block_stack(*decompose_armchair(models), grid_size))
     return [
         [
             ChannelBands(

@@ -1,4 +1,8 @@
-"""Independent edges of block channels, and the rule the refined edges are held to.
+"""Independent edges and matrices of block channels, and the rule the refined edges are held to.
+
+A block channel, or a stack of them, is the pair (a, d) of its (C, 2, 2)
+hopping blocks and (C, p, 2, 2) diagonal blocks that ``decompose_armchair``
+returns; ``channel``, ``channels`` and ``stack`` slice and join such pairs.
 
 ``dense_branch_ranges`` finds the minimum and maximum of every sorted
 eigenvalue branch of one channel without derivatives: from the channel's grid
@@ -8,6 +12,11 @@ it until the bracket is below 1e-8.  The best sample of a smooth extremum is
 then within 1.3e-9 of it in theta, which moves the value by ~1e-18 times the
 curvature.  ``assert_edges`` holds refined edges to that reference and to the
 golden-section edges they replaced.
+
+``per_channel_fibers`` is the build the stacked ``decompose_armchair`` replaced,
+kept verbatim in its arithmetic: one hopping block per channel from scalar
+complex products, one diagonal-block array per model, and one period matrix
+per channel.
 """
 
 from __future__ import annotations
@@ -34,9 +43,53 @@ def fiber_levels(fiber, thetas) -> np.ndarray:
     )
 
 
+def channel(blocks, c):
+    """Channel c of the (a, d) blocks of a stack, as a stack of one."""
+    return tuple(part[c : c + 1] for part in blocks)
+
+
+def channels(blocks):
+    """Every channel of a stack, each as a stack of one."""
+    return [channel(blocks, c) for c in range(len(blocks[0]))]
+
+
+def stack(parts):
+    """The (a, d) stack of several stacks of one period, in order."""
+    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def per_channel_fibers(models):
+    """Period matrices and wrap blocks of every channel of every model, built one channel at a time."""
+    periods, wraps = [], []
+    for model in models:
+        b1, b2, b3 = model.phases
+        p = model.potential.p
+        diag = model.t * model.potential.extended(2 * p)
+        rung = np.exp(1j * b3)
+        d = np.zeros((p, 2, 2), dtype=complex)
+        for j in range(p):
+            d[j] = [[diag[2 * j], rung], [np.conj(rung), diag[2 * j + 1]]]
+        s = np.exp(2j * np.pi / model.N)
+        for k in range(1, model.N + 1):
+            a = np.array([[0.0, np.exp(1j * b1) * s**k], [np.exp(-1j * b2), 0.0]], dtype=complex)
+            wrap = np.conj(a.T)
+            L = np.zeros((2 * p, 2 * p), dtype=complex)
+            for j in range(p):
+                L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = d[j]
+            for j in range(p - 1):
+                L[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
+                L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += wrap
+            periods.append(L)
+            wraps.append(wrap)
+    return np.array(periods), np.array(wraps)
+
+
 def dense_branch_ranges(block, grid_size):
-    """(lo, hi, scale): each branch's range from nested zoom grids, and max(1, max|level|) on the grid."""
-    fiber = block_period_matrix([block])
+    """(lo, hi, scale): each branch's range from nested zoom grids, and max(1, max|level|) on the grid.
+
+    ``block`` is the (a, d) pair of one channel.
+    """
+    fiber = block_period_matrix(*block)
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
     levels = fiber_levels(fiber, thetas)
     size = levels.shape[1]

@@ -33,9 +33,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from block_reference import assert_edges, dense_branch_ranges
+from block_reference import assert_edges, channel, channels, dense_branch_ranges, stack
 from nanotube_bands import cli, spectral
-from nanotube_bands.armchair import BlockPeriodicJacobi, decompose_armchair, tube_geometry
+from nanotube_bands.armchair import decompose_armchair, tube_geometry
 from nanotube_bands.core import ArmchairModel, PotentialProfile
 from nanotube_bands.errors import InternalConsistencyError, InvalidParameterError
 from nanotube_bands.oracle import build_full_hamiltonian
@@ -92,10 +92,10 @@ def ref_golden_extrema(fiber, lo, hi, rows, signs):
 
 def ref_branch_ranges(block, grid_size):
     thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    fiber = block_period_matrix([block])
+    fiber = block_period_matrix(*block)
     levels = ref_fiber_levels(fiber, thetas)
     step = 2.0 * np.pi / grid_size
-    size = 2 * block.p
+    size = levels.shape[1]
     i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
     grid_lo, grid_hi = levels[i_min, np.arange(size)], levels[i_max, np.arange(size)]
     constant = grid_hi - grid_lo < 1e-13 * np.maximum(1.0, np.max(np.abs(levels), axis=0))
@@ -131,9 +131,9 @@ def assert_same_channels(got, want):
 
 def check_stack(blocks, grid_size):
     """Branch ranges of a stack of channels: the bits of each channel alone, and accurate."""
-    lo, hi = spectral._block_branch_ranges(blocks, grid_size)
-    for block, chan_lo, chan_hi in zip(blocks, lo, hi):
-        alone_lo, alone_hi = spectral._block_branch_ranges([block], grid_size)
+    lo, hi = spectral._block_branch_ranges(*blocks, grid_size)
+    for block, chan_lo, chan_hi in zip(channels(blocks), lo, hi):
+        alone_lo, alone_hi = spectral._block_branch_ranges(*block, grid_size)
         assert chan_lo.tobytes() == alone_lo[0].tobytes() and chan_hi.tobytes() == alone_hi[0].tobytes()
         reference, dense = ref_branch_ranges(block, grid_size), dense_branch_ranges(block, grid_size)
         assert_edges(chan_lo, chan_hi, *reference, *dense)
@@ -142,7 +142,7 @@ def check_stack(blocks, grid_size):
 def flat_block(p, v):
     """A block channel whose wrap block couples nothing: every branch is constant in theta."""
     d = np.array([[[v[2 * j], 0.8], [0.8, v[2 * j + 1]]] for j in range(p)], dtype=complex)
-    return BlockPeriodicJacobi(p=p, a_block=np.zeros((2, 2)), d_blocks=d)
+    return np.zeros((1, 2, 2), dtype=complex), d[None]
 
 
 def seeded_model(seed):
@@ -167,7 +167,7 @@ def seeded_model(seed):
 @pytest.mark.parametrize("seed", range(15))
 def test_model_channels_match_per_channel_reference(seed):
     model, grid = seeded_model(seed)
-    check_stack(decompose_armchair(model), grid)
+    check_stack(decompose_armchair([model]), grid)
 
 
 @pytest.mark.parametrize(
@@ -176,7 +176,7 @@ def test_model_channels_match_per_channel_reference(seed):
 def test_range_ends_match_per_channel_reference(N, q, t, B, grid):
     rng = np.random.default_rng(100 * N + q)
     model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(rng.uniform(-1, 1, q)), t=t)
-    check_stack(decompose_armchair(model), grid)
+    check_stack(decompose_armchair([model]), grid)
 
 
 @pytest.mark.parametrize("steps, N, potential, grid", [(7, 4, [0.8, -0.45, 0.1], 64), (3, 9, [0.5], 16)])
@@ -187,7 +187,7 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
     per_step = [armchair_channels([model], grid)[0] for model in models]
     for got, want in zip(armchair_channels(models, grid), per_step):
         assert_same_channels(got, want)
-    check_stack([block for model in models for block in decompose_armchair(model)], grid)
+    check_stack(decompose_armchair(models), grid)
     # the CLI writes those channels: one row per interval of each step and channel
     pot = tmp_path / "v.json"
     pot.write_text(str(potential))
@@ -208,29 +208,30 @@ def test_mixed_stack_with_constant_channels_matches_reference():
     # armchair channels of two models of period 2 and two channels whose
     # branches are all constant, refined in one loop
     rng = np.random.default_rng(31)
-    blocks = []
+    parts = []
     for N, B, t in ((3, 0.0, 0.4), (5, 1.3, 12.0)):
         model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(rng.uniform(-1, 1, 4)), t=t)
-        blocks += decompose_armchair(model)
-    blocks.insert(2, flat_block(2, rng.uniform(-1, 1, 4)))
-    blocks.append(flat_block(2, rng.uniform(-1, 1, 4)))
+        parts += channels(decompose_armchair([model]))
+    parts.insert(2, flat_block(2, rng.uniform(-1, 1, 4)))
+    parts.append(flat_block(2, rng.uniform(-1, 1, 4)))
+    blocks = stack(parts)
     for grid in (16, 64):
         check_stack(blocks, grid)
-        got = spectrum_block_stack(blocks, grid)
-        for block, bands in zip(blocks, got):
-            assert bits(bands) == bits(spectrum_block_stack([block], grid)[0])
+        got = spectrum_block_stack(*blocks, grid)
+        for block, bands in zip(parts, got):
+            assert bits(bands) == bits(spectrum_block_stack(*block, grid)[0])
     # a constant branch keeps its grid value, the golden-section reference's too
-    assert spectrum_block_stack(blocks[2:3], 16) == [ref_spectrum_block(blocks[2], 16)]
-    assert all(hi - lo < 1e-12 for lo, hi in spectrum_block_stack([blocks[2]], 16)[0])
+    assert spectrum_block_stack(*parts[2], 16) == [ref_spectrum_block(parts[2], 16)]
+    assert all(hi - lo < 1e-12 for lo, hi in spectrum_block_stack(*parts[2], 16)[0])
 
 
 def lockstep_case():
     """Searches on two channels with brackets of the widths of grids 16 and 4096, at random thetas."""
     rng = np.random.default_rng(32)
     model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(rng.uniform(-1, 1, 3)), t=2.0)
-    blocks = decompose_armchair(model)[:2]
-    fibers = block_period_matrix(blocks)
-    size = 2 * blocks[0].p
+    a, d = decompose_armchair([model])
+    fibers = block_period_matrix(a[:2], d[:2])
+    size = fibers[0].shape[-1]
     rows = np.tile(np.arange(size), 4)
     signs = np.repeat([1.0, -1.0, 1.0, -1.0], size)
     chans = np.repeat([0, 0, 1, 1], size)
@@ -273,7 +274,7 @@ def test_a_probe_does_not_depend_on_how_many_probes_share_its_call():
     # at once gave other last bits than each probe alone
     rng = np.random.default_rng(34)
     model = ArmchairModel(8, (0.1, 0.2, -0.3), PotentialProfile(rng.uniform(-1, 1, 2)), t=1.0)
-    fibers = block_period_matrix(decompose_armchair(model))
+    fibers = block_period_matrix(*decompose_armchair([model]))
     n = 20_000
     chans, rows, thetas = rng.integers(0, 8, n), rng.integers(0, 2, n), rng.uniform(0.0, 2 * math.pi, n)
     together = spectral._branch_derivatives(fibers, chans, thetas, rows)
@@ -294,7 +295,7 @@ def test_stack_refuses_bad_grid():
     model = ArmchairModel(3, (0.1, 0.2, 0.3), PotentialProfile([0.4]), t=1.0)
     for grid in (8, 100):
         with pytest.raises(InvalidParameterError):
-            spectrum_block_stack(decompose_armchair(model), grid)
+            spectrum_block_stack(*decompose_armchair([model]), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +318,12 @@ def test_paired_multipliers_match_one_matrix_builds(kind):
         # p = 1 puts both corners on the diagonal block, p = 2 on the bonds
         for p in (1, 2, 5):
             model = ArmchairModel(6, tuple(rng.normal(size=3)), PotentialProfile(rng.normal(size=p)), t=1.3)
-            blocks = decompose_armchair(model)
-            periods, wraps = block_period_matrix(blocks)
+            blocks = decompose_armchair([model])
+            periods, wraps = block_period_matrix(*blocks)
             fibers = list(zip(periods, wraps))
-            for block, period, wrap in zip(blocks, periods, wraps):  # the stack holds each channel's own build
-                alone = block_period_matrix([block])
+            # the stack holds each channel's own build
+            for block, period, wrap in zip(channels(blocks), periods, wraps):
+                alone = block_period_matrix(*block)
                 assert period.tobytes() == alone[0][0].tobytes() and wrap.tobytes() == alone[1][0].tobytes()
             chans = rng.integers(0, len(fibers), size=50)
             taus = np.array([cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=50)])
@@ -346,7 +348,7 @@ def test_paired_multipliers_match_one_matrix_builds(kind):
 def test_paired_multipliers_keep_both_checks():
     for p in (1, 2, 5):  # p = 1 puts both corners on the whole matrix, p = 2 on the bonds
         model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(np.linspace(0.5, -0.5, 2 * p)), t=1.0)
-        periods, wraps = block_period_matrix(decompose_armchair(model))
+        periods, wraps = block_period_matrix(*decompose_armchair([model]))
         m = 2 * p
         taus = np.exp(1j * np.arange(4.0))
         with pytest.raises(InvalidParameterError):
@@ -373,15 +375,15 @@ def test_branch_derivatives_match_finite_differences(p):
     # a corner term assigned over the other one instead of added to it is off by O(1)
     rng = np.random.default_rng(40 + p)
     model = ArmchairModel(5, tuple(rng.normal(size=3)), PotentialProfile(rng.uniform(-1, 1, 2 * p)), t=1.3)
-    blocks = decompose_armchair(model)
-    fibers = block_period_matrix(blocks)
-    chans = rng.integers(0, len(blocks), 60)
+    blocks = decompose_armchair([model])
+    fibers = block_period_matrix(*blocks)
+    chans = rng.integers(0, len(fibers[0]), 60)
     rows = rng.integers(0, 2 * p, 60)
     thetas = rng.uniform(0.0, 2 * math.pi, 60)
     level, slope, curvature = spectral._branch_derivatives(fibers, chans, thetas, rows)
     h = 1e-4
     values = np.array([
-        ref_fiber_levels(block_period_matrix(blocks[c : c + 1]), [th - h, th, th + h])
+        ref_fiber_levels(block_period_matrix(*channel(blocks, c)), [th - h, th, th + h])
         for c, th in zip(chans, thetas)
     ])  # (probe, theta, level)
     down, mid, up = values[np.arange(60), :, rows].T
@@ -396,14 +398,14 @@ def test_branch_derivatives_match_finite_differences(p):
 
 def crossing_block(phi):
     """p = 1 channel with fiber matrices diag(2 cos(theta), 2 cos(theta + phi)): two branches that cross."""
-    return BlockPeriodicJacobi(p=1, a_block=np.diag([1.0, np.exp(-1j * phi)]), d_blocks=np.zeros((1, 2, 2)))
+    return np.diag([1.0, np.exp(-1j * phi)])[None], np.zeros((1, 1, 2, 2), dtype=complex)
 
 
 def test_kink_at_the_extremum_is_bisected_to_the_bracket():
     # the upper branch max(2 cos(theta), 2 cos(theta + 1)) has its minimum at the
     # crossing theta = pi - 1/2, where both pieces are convex and their Newton
     # steps point past the kink: only bisection gets there
-    lo, hi = spectral._block_branch_ranges([crossing_block(1.0)], 64)
+    lo, hi = spectral._block_branch_ranges(*crossing_block(1.0), 64)
     slope = 2.0 * math.sin(0.5)
     exact = -2.0 * math.cos(0.5)
     assert exact - 4 * np.finfo(float).eps <= lo[0, 1] <= exact + slope * spectral.NEWTON_TOL
@@ -412,8 +414,7 @@ def test_kink_at_the_extremum_is_bisected_to_the_bracket():
 
 
 def test_constant_branch_stops_at_its_first_probe(monkeypatch):
-    block = flat_block(2, [0.3, -0.6, 0.1, 0.9])
-    fibers = block_period_matrix([block])
+    fibers = block_period_matrix(*flat_block(2, [0.3, -0.6, 0.1, 0.9]))
     calls = []
     derivatives = spectral._branch_derivatives
 
@@ -434,7 +435,7 @@ def test_converged_search_stops_when_its_step_rounds_to_zero(monkeypatch):
     # the lower branch of crossing_block(1.0) is 2 cos(theta) near pi, far from
     # the other one; Newton converges in a few probes, after which its step
     # rounds to zero on a bracket end, which used to set off ~25 bisections
-    fibers = block_period_matrix([crossing_block(1.0)])
+    fibers = block_period_matrix(*crossing_block(1.0))
     calls = []
     derivatives = spectral._branch_derivatives
 

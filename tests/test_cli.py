@@ -571,6 +571,17 @@ def test_verify_refuses_a_torus_above_the_dimension_cap_before_allocating(capsys
     assert capsys.readouterr().err == f"error: torus dimension 2NL = {2 * N * L} exceeds the dense-matrix cap 2048\n"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("field", ["--lattice zigzag --b 0.3", "--lattice armchair --B 0.3"])
+def test_verify_passes_near_the_float_maximum(tmp_path, field):
+    # the torus's class sums of N on-site entries of t * v overflowed: exit 3
+    # with "off-block norm nan" after three RuntimeWarnings
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.3, -0.2, 0.5, -0.7]")
+    code, text = run(tmp_path, "verify", *field.split(), "--N", "4", "--t", "1e308", "--potential", str(pot))
+    assert code == 0 and json.loads(text)["pass"] is True
+
+
 def test_verify_dimension_cap_admits_2048_levels():
     from nanotube_bands import PotentialProfile, ZigzagModel
     from nanotube_bands.oracle import MAX_DIM, _check_truncation

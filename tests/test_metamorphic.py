@@ -121,7 +121,7 @@ def armchair_models():
 
 def block_edges(model, grid):
     """The (bands, 2) edges of each block channel k = 1..N of one model."""
-    return [np.array(bands) for bands in spectrum_block_stack(decompose_armchair(model), grid)]
+    return [np.array(bands) for bands in spectrum_block_stack(*decompose_armchair([model]), grid)]
 
 
 @pytest.mark.parametrize("model, grid", list(armchair_models()))

@@ -101,7 +101,7 @@ def per_channel_fiber_levels(model, L: int) -> np.ndarray:
         diag = model.t * model.potential.period_values()
         fibers = [scalar_period_matrix(bonds, diag) for bonds in channel_bonds([model])[0]]
     else:
-        fibers = zip(*block_period_matrix(decompose_armchair(model)))
+        fibers = zip(*block_period_matrix(*decompose_armchair([model])))
     eigs = [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus)) for period, wrap in fibers]
     return np.sort(np.concatenate(eigs, axis=None))
 

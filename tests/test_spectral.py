@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from block_reference import assert_band_edges
+from block_reference import assert_band_edges, channel, channels
 from closed_forms import armchair_unperturbed, intervals_contain
 from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag, discriminant, monodromy
 from nanotube_bands import (
     ArmchairModel,
-    BlockPeriodicJacobi,
     PotentialProfile,
     ZigzagModel,
     flat_band_spectrum,
@@ -49,7 +48,7 @@ def scalar_fiber(jac, tau):
 
 def block_fiber_levels(block, taus):
     """Sorted fiber eigenvalues of a block channel, one row per multiplier."""
-    return np.linalg.eigvalsh(fiber_matrices(*block_period_matrix([block]), taus))
+    return np.linalg.eigvalsh(fiber_matrices(*block_period_matrix(*block), taus))
 
 
 # ---------------------------------------------------------------------------
@@ -283,11 +282,11 @@ def _scalar_as_blocks(jac):
     p = jac.p
     # the inter-dimer bond couples the last site of one block (column 1)
     # to the first site of the next (row 0)
-    a_block = np.array([[0.0, jac.a[1]], [0.0, 0.0]], dtype=complex)
-    d = np.zeros((p, 2, 2), dtype=complex)
+    a = np.array([[[0.0, jac.a[1]], [0.0, 0.0]]], dtype=complex)
+    d = np.zeros((1, p, 2, 2), dtype=complex)
     for j in range(p):
-        d[j] = [[jac.v[2 * j], jac.a[2 * j]], [jac.a[2 * j], jac.v[2 * j + 1]]]
-    return BlockPeriodicJacobi(p=p, a_block=a_block, d_blocks=d)
+        d[0, j] = [[jac.v[2 * j], jac.a[2 * j]], [jac.a[2 * j], jac.v[2 * j + 1]]]
+    return a, d
 
 
 def test_block_sweep_reproduces_scalar_edges():
@@ -295,7 +294,7 @@ def test_block_sweep_reproduces_scalar_edges():
     for _ in range(5):
         p = int(rng.integers(1, 4))
         jac = chain(p, rng.uniform(0.2, 1.9), rng.normal(size=2 * p))
-        got = spectrum_block_stack([_scalar_as_blocks(jac)], 256)[0]
+        got = spectrum_block_stack(*_scalar_as_blocks(jac), 256)[0]
         want = channel_bands(jac)
         assert max_edge_deviation(got, merge_intervals(want)) < 1e-8
 
@@ -305,13 +304,10 @@ def test_block_sweep_shift_equivariance():
     model = ArmchairModel(3, (0.1, -0.2, 0.3), PotentialProfile(rng.normal(size=4)), t=1.0)
     from nanotube_bands import decompose_armchair
 
-    block = decompose_armchair(model)[1]
+    a, d = channel(decompose_armchair([model]), 1)
     mu = 0.7
-    shifted = BlockPeriodicJacobi(
-        p=block.p, a_block=block.a_block, d_blocks=block.d_blocks + mu * np.eye(2)
-    )
-    b1 = spectrum_block_stack([block], 64)[0]
-    b2 = spectrum_block_stack([shifted], 64)[0]
+    b1 = spectrum_block_stack(a, d, 64)[0]
+    b2 = spectrum_block_stack(a, d + mu * np.eye(2), 64)[0]
     np.testing.assert_allclose(
         np.array(b2), np.array(b1) + mu, atol=1e-9
     )
@@ -343,7 +339,7 @@ def _per_fiber_block_bands(block, grid_size):
         return sign * min(fc, fd)
 
     bands = []
-    for j in range(2 * block.p):
+    for j in range(levels.shape[1]):
         branch = levels[:, j]
         i_min, i_max = int(np.argmin(branch)), int(np.argmax(branch))
         lo, hi = float(branch[i_min]), float(branch[i_max])
@@ -367,10 +363,10 @@ def test_block_sweep_matches_per_fiber_reference(seed):
         int(rng.integers(2, 6)), tuple(rng.normal(size=3)),
         PotentialProfile(rng.uniform(-1, 1, size=q)), t=float(np.exp(rng.uniform(-3, 3.7))),
     )
-    for block in decompose_armchair(model):
-        assert_band_edges(spectrum_block_stack([block], 32)[0], _per_fiber_block_bands(block, 32), block, 32)
+    for block in channels(decompose_armchair([model])):
+        assert_band_edges(spectrum_block_stack(*block, 32)[0], _per_fiber_block_bands(block, 32), block, 32)
     flat = _scalar_as_blocks(chain(2, 0.0, rng.normal(size=4)))  # every branch is constant: its grid values
-    assert spectrum_block_stack([flat], 16)[0] == _per_fiber_block_bands(flat, 16)
+    assert spectrum_block_stack(*flat, 16)[0] == _per_fiber_block_bands(flat, 16)
 
 
 def test_block_fibers_reject_bad_multiplier():
@@ -382,7 +378,7 @@ def test_block_fibers_reject_bad_multiplier():
 def test_block_sweep_rejects_bad_grid():
     jac = chain(1, 1.0, [0.0, 0.0])
     with pytest.raises(InvalidParameterError):
-        spectrum_block_stack([_scalar_as_blocks(jac)], 100)[0]
+        spectrum_block_stack(*_scalar_as_blocks(jac), 100)
 
 
 def test_armchair_unperturbed_closed_form():
@@ -1058,9 +1054,9 @@ def test_block_fiber_hermitian_random():
             int(rng.integers(2, 7)), tuple(rng.normal(size=3)), PotentialProfile(rng.normal(size=q)),
             t=float(rng.normal()),
         )
-        for block in decompose_armchair(model):
+        for period, wrap in zip(*block_period_matrix(*decompose_armchair([model]))):
             tau = cmath.exp(2j * math.pi * rng.random())
-            L = fiber_matrices(*block_period_matrix([block]), [tau])[0]
+            L = fiber_matrices(period, wrap, [tau])[0]
             assert np.max(np.abs(L - L.conj().T)) < 1e-14 * max(1.0, float(np.max(np.abs(L))))
 
 
@@ -1077,13 +1073,13 @@ def test_block_fiber_stack_matches_one_matrix_assembly():
             t=float(rng.normal()),
         )
         taus = [cmath.exp(1j * th) for th in rng.uniform(-7, 7, size=16)]
-        for block in decompose_armchair(model):
-            P, a = block.p, block.a_block
-            stack = fiber_matrices(*block_period_matrix([block]), taus)
+        for a, d in zip(*decompose_armchair([model])):
+            P = len(d)
+            stack = fiber_matrices(*block_period_matrix(a[None], d[None]), taus)
             for tau, got in zip(taus, stack):
                 L = np.zeros((2 * P, 2 * P), dtype=complex)
                 for j in range(P):
-                    L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = block.d_blocks[j]
+                    L[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] = d[j]
                 for j in range(P - 1):
                     L[2 * j + 2 : 2 * j + 4, 2 * j : 2 * j + 2] += a
                     L[2 * j : 2 * j + 2, 2 * j + 2 : 2 * j + 4] += a.conj().T
@@ -1132,8 +1128,8 @@ def test_block_sweep_complete_and_attained():
             int(rng.integers(2, 6)), tuple(rng.normal(size=3)),
             PotentialProfile(rng.normal(size=q)), t=float(rng.normal()),
         )
-        block = decompose_armchair(model)[0]
-        bands = spectrum_block_stack([block], 128)[0]
+        block = channel(decompose_armchair([model]), 0)
+        bands = spectrum_block_stack(*block, 128)[0]
         probe = block_fiber_levels(block, [cmath.exp(2j * math.pi * x) for x in rng.random(40)]).ravel()
         ok, margin = intervals_contain(bands, [(e, e) for e in probe], tol=1e-9)
         assert ok, margin
@@ -1150,8 +1146,8 @@ def test_block_edges_not_at_real_multipliers():
     from nanotube_bands.core import ArmchairModel, PotentialProfile
 
     model = ArmchairModel(3, (0.8, -0.5, 1.1), PotentialProfile([0.7, -0.4]), t=1.0)
-    block = decompose_armchair(model)[0]
-    swept = spectrum_block_stack([block], 128)[0]
+    block = channel(decompose_armchair([model]), 0)
+    swept = spectrum_block_stack(*block, 128)[0]
     pm = np.sort(block_fiber_levels(block, [1.0, -1.0]), axis=None)
     naive = merge_intervals([(pm[2 * i], pm[2 * i + 1]) for i in range(len(pm) // 2)])
     assert max_edge_deviation(swept, naive) > 1e-3
