@@ -355,7 +355,11 @@ def predict_large_t_zigzag(
     right = _bond(i, a, m) ** 2 / (vals[(i + 1) % m] - vals[i])
     dressing = left + right
     sep = float(np.prod(np.abs(np.delete(vals, i) - vals[i])))
-    width = 4.0 * a**p / (sep * t ** (m - 1))
+    try:
+        power = t ** (m - 1)
+    except OverflowError:  # the width is below the float range: 0
+        power = math.inf
+    width = 4.0 * a**p / (sep * power)
 
     deltas = []
     for jj in range(m):
@@ -420,7 +424,7 @@ def _rung_values(profile: PotentialProfile) -> np.ndarray:
     return pairs[:, 0]
 
 
-def _shifted_overlay(profile: PotentialProfile, N: int, grid_size: int) -> tuple:
+def _shifted_overlay(profile: PotentialProfile, N: int) -> tuple:
     """Rung values, Schroedinger bands, their copies shifted by -1 and +1, and
     the union of the zero-field armchair tube with this potential.
 
@@ -432,7 +436,7 @@ def _shifted_overlay(profile: PotentialProfile, N: int, grid_size: int) -> tuple
     j_bands = schroedinger_band_edges(q)
     shifted = [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
     model = ArmchairModel(N=N, phases=(0.0, 0.0, 0.0), potential=profile, t=1.0)
-    return q, j_bands, shifted, full_spectrum(model, grid_size=grid_size).union_intervals()
+    return q, j_bands, shifted, full_spectrum(model).union_intervals()
 
 
 def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
@@ -641,14 +645,12 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
     return reports
 
 
-def _armchair_clusters(
-    model: ArmchairModel, k: int, grid_size: int
-) -> list[tuple[LargeTArmchairPrediction, tuple[float, float]]]:
+def _armchair_clusters(model: ArmchairModel, k: int) -> list[tuple[LargeTArmchairPrediction, tuple[float, float]]]:
     """(prediction, measured band) of every position of block channel k."""
     if not 1 <= k <= model.N:
         raise InvalidInputError(f"channel index k must lie in 1..{model.N}, got {k}")
     a, d = decompose_armchair([model])
-    (bands,) = spectrum_block_stack(a[k - 1 : k], d[k - 1 : k], grid_size)
+    (bands,) = spectrum_block_stack(a[k - 1 : k], d[k - 1 : k])
     out = []
     for j in range(1, model.potential.q + 1):
         pred = predict_large_t_armchair(model.potential, k, j, model.t, model.N, model.phases)
@@ -656,9 +658,7 @@ def _armchair_clusters(
     return out
 
 
-def measure_large_t_armchair(
-    model: ArmchairModel, k: int, grid_size: int = 64, tolerance: float = 0.1
-) -> list[AsymptoticReport]:
+def measure_large_t_armchair(model: ArmchairModel, k: int, tolerance: float = 0.1) -> list[AsymptoticReport]:
     """Cluster width ratios for one block channel of a strongly coupled tube."""
     return [
         AsymptoticReport(
@@ -668,7 +668,7 @@ def measure_large_t_armchair(
             measured=float(hi - lo),
             tolerance=tolerance,
         )
-        for pred, (lo, hi) in _armchair_clusters(model, k, grid_size)
+        for pred, (lo, hi) in _armchair_clusters(model, k)
     ]
 
 
@@ -722,7 +722,6 @@ def measure_low_energy_window(
 def measure_small_v_armchair(
     profile: PotentialProfile,
     N: int,
-    grid_size: int = 512,
     tolerance: float = 0.1,
     set_tolerance: float = 1e-6,
 ) -> list[AsymptoticReport]:
@@ -734,7 +733,7 @@ def measure_small_v_armchair(
     the comparison is set equality against the independently computed bands.
     """
     pred = predict_small_v_armchair(profile, N)
-    _, _, shifted, union = _shifted_overlay(profile, N, grid_size)
+    _, _, shifted, union = _shifted_overlay(profile, N)
     gaps = interval_gaps(union)
     out = []
     cases = [(n, -1.0, (-pred.rtilde_plus, -pred.rtilde_minus)) for n in pred.negative_window]

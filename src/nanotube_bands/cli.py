@@ -188,18 +188,17 @@ def build_model(args, lattice: str):
     return ArmchairModel(N=args.N, phases=(args.b1, args.b2, args.b3), potential=profile, t=args.t)
 
 
-MAX_GRID = 2**16  # a block channel holds its (grid, 2p) levels while it is swept
+MAX_GRID = 2**16  # --grid is validated so that existing command lines run; no computation reads it
 MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
 MAX_N = 512  # a zigzag bands run peaks at ~58 MB at N = 512, p = 16, an armchair run grows as N
 MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
-MAX_P = 16  # potential period p: channel matrices are 2p x 2p; an armchair bands run at MAX_N takes ~50 s at p = 16
+MAX_P = 16  # potential period p: channel matrices are 2p x 2p; armchair bands at MAX_N, p = 16: ~30 s, 62 MB
 MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
 
 
-def _check_grid(grid: int) -> int:
+def _check_grid(grid: int) -> None:
     if not 16 <= grid <= MAX_GRID or grid & (grid - 1) != 0:
         raise InvalidInputError(f"--grid must be a power of two in [16, {MAX_GRID}], got {grid}")
-    return grid
 
 
 def _check_N(N: int | None) -> None:
@@ -290,12 +289,12 @@ def _bands_csv(channels) -> str:
 def cmd_bands(args) -> int:
     _check_N(args.N)
     model = build_model(args, args.lattice)
-    grid = _check_grid(args.grid)
+    _check_grid(args.grid)
     if args.format == "csv":  # the channels alone: CSV prints no union
-        (channels,) = zigzag_channels([model]) if args.lattice == "zigzag" else armchair_channels([model], grid)
+        (channels,) = zigzag_channels([model]) if args.lattice == "zigzag" else armchair_channels([model])
         _write(_bands_csv(channels), args.output)
     else:
-        _write(_bands_json(full_spectrum(model, grid_size=grid)), args.output)
+        _write(_bands_json(full_spectrum(model)), args.output)
     return 0
 
 
@@ -316,7 +315,7 @@ def cmd_sweep(args) -> int:
     if args.N * args.B_steps > MAX_SWEEP_CHANNELS:
         raise InvalidInputError(f"--N times --B-steps must be at most {MAX_SWEEP_CHANNELS}, got {args.N} x {args.B_steps}")
     profile = _load_profile(args)
-    grid = _check_grid(args.grid)
+    _check_grid(args.grid)
     if args.B_steps == 1:
         Bs = [args.B_start]
     else:
@@ -324,7 +323,7 @@ def cmd_sweep(args) -> int:
             raise InvalidInputError("--B-stop is required when --B-steps > 1")
         if not (math.isfinite(args.B_start) and math.isfinite(args.B_stop)):
             raise InvalidInputError(f"field range must be finite, got {args.B_start} .. {args.B_stop}")
-        Bs = list(np.linspace(args.B_start, args.B_stop, args.B_steps))
+        Bs = np.linspace(args.B_start, args.B_stop, args.B_steps).tolist()  # Python floats: no numpy overflow warning
     if args.lattice == "zigzag":
         models = [ZigzagModel(N=args.N, b=magnetic_phase(B, args.N), potential=profile, t=args.t) for B in Bs]
         phases = [model.b for model in models]
@@ -335,7 +334,7 @@ def cmd_sweep(args) -> int:
     else:
         models = [model_from_field(args.N, B, profile, args.t) for B in Bs]
         phases = [model.phases[0] for model in models]
-        per_step = armchair_channels(models, grid)  # every field step in one lockstep refinement
+        per_step = armchair_channels(models)  # every field step in one lockstep refinement
         steps = (
             [(ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)]
             for channels in per_step

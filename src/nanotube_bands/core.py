@@ -36,7 +36,8 @@ FLAT_CHANNEL_TOL = 1e-12  # a zigzag channel whose odd bond 2|c_k| is at most th
 UNIT_BOND_TOL = 1e-12  # an odd bond 2|c_k| within this of 1 makes the unit-hopping chain (small_t)
 SAME_BOND_TOL = 1e-9  # channels whose |c_k| differ by less than this share their bands (large_t_zigzag)
 UNIMODULAR_TOL = 1e-12  # a quasi-momentum multiplier tau must have ||tau| - 1| at most this
-NEWTON_TOL = 1e-10  # theta, radians: a Newton search stops once its next step or its bracket is this small
+LEVEL_ROOT_TOL = 1e-3  # a root tau of a level-set quartic with ||tau| - 1| at most this is a level crossing
+LEVEL_ARC_TOL = 1e-12  # theta, radians: an arc between level crossings no wider than this is a tangency, not probed
 DISTINCT_TOL = 1e-12  # potential values closer than this are not distinct (cluster asymptotics)
 RUNG_PAIR_TOL = 1e-12  # |v[2j] - v[2j+1]| above this is not rung-paired (small_v_armchair)
 ZERO_MEAN_TOL = 1e-12  # |sum v| at most this times energy_scale(v) over one period is a zero mean
@@ -48,12 +49,14 @@ UNION_CUT_TOL = 1e-12  # absolute: the union's cut spacing, band padding and thi
 FLAT_BRANCH_TOL = 1e-12  # absolute: a block-channel branch range narrower than this is a flat level
 DEGENERATE_LEVEL_TOL = 1e-9  # absolute: dimer levels closer than this are degenerate (ck_to_zero)
 HERMITIAN_TOL = 1e-12  # relative: largest |H - H^H| entry allowed of a fiber, block or torus matrix
-CONSTANT_BRANCH_TOL = 1e-13  # relative: a block branch whose grid range is below this is not refined
 ROTATION_TOL = 1e-12  # relative: Frobenius norm allowed off the torus's circumferential blocks
 # relative, in units of u: verify passes a deviation below max(--tol, VERIFY_FLOOR * u * scale), scale the
 # torus's energy_scale.  Over 2 100 random tori of both lattices (2NL <= 2048, t from 0.01 to 1e12) the
 # largest dev / (u * scale) was 120, so 512 leaves a factor of 4; it exceeds --tol 1e-8 only above scale 1.8e5
 VERIFY_FLOOR = 512
+# relative, in units of u: a level-set search stops once no probe beats its level by more than
+# LEVEL_SET_STOP * u * scale, scale the energy_scale of the channel's sampled levels
+LEVEL_SET_STOP = 4
 
 
 def energy_scale(x, axis=None):

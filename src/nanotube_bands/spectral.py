@@ -20,16 +20,17 @@ from the same arrays.
 
 Block channels have one edge routine, ``spectrum_block_stack``.  They have no
 edge rule, so their bands are the ranges of the sorted eigenvalue branches
-over the unit circle: the fiber matrices of a grid of multipliers are
-diagonalised as stacks, channel by channel, and the grid extrema of all
-branches of all channels -- of a model, or of every field step of a sweep --
-are refined by safeguarded Newton searches in theta that advance together.
-theta enters a fiber matrix only through its wrap corners, so one ``eigh``
-per probe gives the branch value, its slope (Hellmann-Feynman) and its
-curvature; a bracket around the grid point is bisected wherever Newton cannot
-be trusted, as at kinks where two branches cross.  Each probe pairs its own
-channel with its own multiplier, and one iteration solves and reduces the
-probes of every search still running one stack of FIBER_STACK at a time.
+over the unit circle, found by one level-set iteration (Boyd & Balakrishnan)
+over every branch minimum and maximum of every channel -- of a model, or of
+every field step of a sweep -- in lockstep.  The wrap block of a channel has
+two rows, so det(L(theta) - E) is a trigonometric polynomial of degree 2 in
+theta: the levels at 8 fixed multipliers give, for any level E, every theta
+where some branch equals E.  A search probes the branch at the midpoint of
+every arc between those crossings and moves E to the most extreme probe; the
+round on which no probe beats E by more than rounding certifies it.  Each
+probe pairs its own channel with its own multiplier, and one round solves
+the probes of every search still running, one stack of FIBER_STACK at a
+time.  There is no grid: the CLI's ``--grid`` is validated and not read.
 
 The union over channels is built as numpy columns (``assemble_band_structure``):
 the channel edges cut the energy axis into segments, each channel's bands
@@ -50,8 +51,8 @@ import numpy as np
 
 from .armchair import decompose_armchair
 from .core import (
-    CONSTANT_BRANCH_TOL, FLAT_BRANCH_TOL, GAP_MERGE_TOL, HERMITIAN_TOL, NEWTON_TOL, UNIMODULAR_TOL, UNION_CUT_TOL,
-    UNIT_ROUNDOFF, ArmchairModel, PotentialProfile, ZigzagModel, energy_scale, is_flat_channel,
+    FLAT_BRANCH_TOL, GAP_MERGE_TOL, HERMITIAN_TOL, LEVEL_ARC_TOL, LEVEL_ROOT_TOL, LEVEL_SET_STOP, UNIMODULAR_TOL,
+    UNION_CUT_TOL, UNIT_ROUNDOFF, ArmchairModel, PotentialProfile, ZigzagModel, energy_scale, is_flat_channel,
 )
 from .errors import FlatBandChannelError, HillOrderError, InternalConsistencyError, InvalidParameterError
 from .zigzag import channel_constants
@@ -250,24 +251,17 @@ def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# block-channel sweep
+# block-channel branch ranges
 
 
-NEWTON_MAX_ITER = 100  # probes per search; bisection alone needs at most 33 on a grid-16 bracket
+LEVEL_SET_SAMPLES = 8  # multipliers exp(2 pi i j / 8) per channel: det(L - E) has 5 Fourier coefficients
+LEVEL_SET_MAX_ROUNDS = 64  # rounds per search; a kink at least halves a search's distance to its extremum per round
+SEARCH_CHUNK = 1024  # searches whose (8, 2p) samples are gathered at once; bounds the level-set temporaries
 
 
-def _first_min(x, y) -> np.ndarray:
-    """Elementwise ``min(x, y)`` with Python's tie rule: x unless y is smaller.
-
-    ``np.minimum`` may return either of 0.0 and -0.0 on a tie, and the two
-    print differently.
-    """
-    return np.where(y < x, y, x)
-
-
-def _stacks(n: int) -> list[slice]:
-    """Consecutive slices of at most FIBER_STACK of n probes, one eigensolve each."""
-    return [slice(i, i + FIBER_STACK) for i in range(0, n, FIBER_STACK)]
+def _stacks(n: int, size: int = FIBER_STACK) -> list[slice]:
+    """Consecutive slices of at most ``size`` of n items: FIBER_STACK probes make one eigensolve."""
+    return [slice(i, i + size) for i in range(0, n, size)]
 
 
 def _multipliers(thetas) -> np.ndarray:
@@ -279,111 +273,73 @@ def _multipliers(thetas) -> np.ndarray:
     return np.array([cmath.exp(1j * th) for th in thetas])
 
 
-def _branch_derivatives(fibers, chans, thetas, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Eigenvalue ``rows[i]`` of channel ``chans[i]`` at ``thetas[i]`` and its first two theta derivatives.
+def _fiber_levels(fibers, chans, thetas):
+    """(slice, levels) of each stack of FIBER_STACK probes: the sorted levels of channel ``chans[i]`` at ``thetas[i]``.
 
     ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
-    channels.  Each probe pairs its own channel with its own multiplier.  The
-    probes are solved and reduced one stack of FIBER_STACK at a time
-    (``_stack_derivatives``), so only one stack's eigenvectors are held at
-    once, and no temporary of the reduction reaches numpy's 256 KiB
-    threshold for computing an expression in place (64 KiB at 2p = 32), which
-    would round some products differently: a probe's values do not depend on
-    its stack.
-    """
-    taus = _multipliers(thetas)
-    parts = [_stack_derivatives(fibers, chans[s], taus[s], rows[s]) for s in _stacks(len(taus))]
-    return tuple(np.concatenate(values) for values in zip(*parts))
-
-
-def _stack_derivatives(fibers, chans, taus, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_branch_derivatives`` of one stack of probes, given their multipliers ``taus``.
-
-    One ``eigh`` solves every matrix of the stack on its own, and the
-    derivatives are elementwise sums over the probe's own vectors.  theta
-    enters only through the corners: L' holds i*tau*W on the lower-left one
-    and -i*conj(tau)*W^H on the upper-right, L'' holds -tau*W and
-    -conj(tau)*W^H there.  Then E' = v^H L' v (Hellmann-Feynman) and
-    E'' = v^H L'' v + 2 sum_{j != r} |v_j^H L' v|^2 / (E_r - E_j); at p = 1
-    both corners are the whole matrix, so their terms are added, never one
-    in place of the other.  A degenerate level gives a non-finite E''.
+    channels.  Each probe pairs its own channel with its own multiplier, and
+    ``eigvalsh`` solves every matrix on its own, so a probe's levels do not
+    depend on the probes that share its stack.
     """
     periods, wraps = fibers
-    levels, vectors = np.linalg.eigh(fiber_matrices(periods[chans], wraps[chans], taus))
-    i = np.arange(len(rows))
-    m, r = vectors.shape[-1], wraps.shape[-1]
-    wrap, v = wraps[chans], vectors[i, :, rows]
-    top, bot = v[:, :r], v[:, m - r :]
-    w_top = (wrap * top[:, None, :]).sum(-1)  # W v_top
-    wh_bot = (wrap.conj() * bot[:, :, None]).sum(-2)  # W^H v_bot
-    g = taus * (bot.conj() * w_top).sum(-1)  # tau v_bot^H W v_top: E' = -2 Im g, v^H L'' v = -2 Re g
-    # every V_j^H L' v, the lower-left corner's term plus the upper-right one's
-    coupling = (vectors[:, m - r :, :].conj() * (1j * taus[:, None] * w_top)[:, :, None]).sum(1) + (
-        vectors[:, :r, :].conj() * (-1j * taus.conj()[:, None] * wh_bot)[:, :, None]
-    ).sum(1)
-    level = levels[i, rows]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = (coupling.real**2 + coupling.imag**2) / (level[:, None] - levels)
-    terms[i, rows] = 0.0
-    return level, -2.0 * g.imag, -2.0 * g.real + 2.0 * terms.sum(-1)
+    taus = _multipliers(thetas)
+    for s in _stacks(len(taus)):
+        yield s, np.linalg.eigvalsh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s]))
 
 
-def _newton_extrema(fibers, chans, centres, step, rows, signs) -> np.ndarray:
-    """Extreme values of eigenvalue branches by safeguarded Newton searches in theta, in lockstep.
+def _arc_midpoints(samples, level, at) -> np.ndarray:
+    """Midpoints of the arcs into which the level crossings of each search cut the circle, NaN-padded to (search, 4).
 
-    Search i minimises f = ``signs[i] * E_rows[i](theta)`` of channel
-    ``chans[i]`` from ``centres[i]`` inside the bracket
-    ``[centres[i] - step, centres[i] + step]`` and returns the most extreme
-    branch value it probed.  Each probe gives f, f' and f''; the sign of f'
-    moves one end of the bracket to the probe (at a maximum, f' = 0 > f'',
-    the upper end).  The next probe is the Newton step when f'' > 0, the
-    step lands strictly inside the bracket and it is at most half the step
-    before last, else the midpoint of the bracket.  A Newton step of at most
-    NEWTON_TOL is taken even where it fails those tests, and the search
-    stops on it: once a search has converged its step rounds to zero, and
-    the probe stays on the bracket end that the last probe moved to it.
-    Bisection converges on kinks where two branches cross and on
-    near-degenerate branches; the
-    step rule (that of Numerical Recipes' ``rtsafe``) keeps Newton from
-    cycling across a kink between two convex pieces.  A search stops once
-    its next step or its bracket is at most NEWTON_TOL; one still running
-    after NEWTON_MAX_ITER probes is an internal error.  Each search keeps its
-    own bracket and stop rule; one iteration solves the probes of all
-    searches still running, of every channel, as stacks.
+    ``samples`` holds the (search, 8, 2p) levels of each search's channel at
+    theta_j = 2 pi j / 8, ``level`` the level E of each search and ``at`` a
+    theta where its branch equals E.  The wrap block has two rows, so
+    det(L(theta) - E) = prod_i (E_i(theta) - E) is a real trigonometric
+    polynomial of degree 2: one FFT of its samples gives c_0..c_2 exactly,
+    and the roots tau = exp(i theta) of tau^2 det on the unit circle are the
+    at most 4 crossings, where some branch meets E.  Each factor is divided
+    by its largest magnitude over the samples, which moves no root and keeps
+    the product from underflow.  The known root exp(i at) is divided out, so
+    its neighbour, which closes the arc the search is closing in on, is found
+    to rounding even where that arc is far narrower than the samples
+    resolve.  The other roots are the eigenvalues of the cubic's companion
+    matrix (none when it is not finite); one off the circle by more than
+    LEVEL_ROOT_TOL crosses nothing.  Between consecutive crossings every
+    branch stays on one side of E; an arc no wider than LEVEL_ARC_TOL is a
+    tangency and has no midpoint.
     """
-    theta = np.array(centres, dtype=float)
-    lo, hi = theta - step, theta + step
-    best = np.full(theta.shape, np.inf)
-    last = hi - lo  # the last step of each search
-    before = last.copy()  # and the one before it
-    active = np.arange(theta.size)
-    for _ in range(NEWTON_MAX_ITER):
-        if not active.size:
-            break
-        sign, th = signs[active], theta[active]
-        f, df, ddf = (sign * x for x in _branch_derivatives(fibers, chans[active], th, rows[active]))
-        best[active] = _first_min(best[active], f)
-        descends_left = (df > 0) | ((df == 0) & (ddf < 0))
-        hi[active[descends_left]] = th[descends_left]
-        lo[active[df < 0]] = th[df < 0]
-        a, b = lo[active], hi[active]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = th - df / ddf
-        step_ok = (a < newton) & (newton < b) & (np.abs(newton - th) <= 0.5 * before[active])
-        usable = (ddf > 0) & (step_ok | (np.abs(newton - th) <= NEWTON_TOL))  # a converged step may round to 0
-        theta[active] = np.where(usable, newton, 0.5 * (a + b))
-        moved = np.abs(theta[active] - th)
-        before[active], last[active] = last[active], moved
-        active = active[(moved > NEWTON_TOL) & (b - a > NEWTON_TOL)]
-    if active.size:
-        raise InternalConsistencyError(
-            f"block-channel edge search did not converge in {NEWTON_MAX_ITER} probes "
-            f"(bracket {hi[active[0]] - lo[active[0]]:.3g} around theta {theta[active[0]]!r})"
-        )
-    return signs * best
+    factors = samples - level[:, None, None]
+    norm = np.max(np.abs(factors), axis=1, keepdims=True)
+    factors /= np.where(norm > 0.0, norm, 1.0)
+    det = factors[..., 0].copy()
+    for i in range(1, factors.shape[-1]):  # one product per sample, in the same order for every search
+        det *= factors[..., i]
+    c2, c1, c0 = np.fft.rfft(det)[:, 2::-1].T  # c_2, c_1, c_0 times 8; c_-k = conj(c_k), as det is real
+    tau = _multipliers(at)
+    quotient = [c2]  # of tau^2 det by (x - tau), highest power first, its remainder dropped
+    for c in (c1, c0, np.conj(c1)):
+        quotient.append(c + tau * quotient[-1])
+    # a real det that vanishes at tau has quotient coefficients b_k = -conj(tau) conj(b_{3-k}): keep that
+    # part of the rounded ones, so the quotient's simple roots on the circle stay on it
+    quotient = np.stack(quotient, axis=1)
+    quotient = 0.5 * (quotient - np.conj(tau)[:, None] * np.conj(quotient[:, ::-1]))
+    companion = np.zeros((len(det), 3, 3), dtype=complex)
+    companion[:, [1, 2], [0, 1]] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        companion[:, 0] = -quotient[:, 1:] / quotient[:, :1]
+    finite = np.isfinite(companion).all(axis=(1, 2))
+    roots = np.full((len(det), 4), np.nan, dtype=complex)
+    roots[finite, 0] = tau[finite]
+    roots[finite, 1:] = np.linalg.eigvals(companion[finite])
+    on_circle = np.abs(np.abs(roots) - 1.0) <= LEVEL_ROOT_TOL
+    start = np.sort(np.where(on_circle, np.angle(roots), np.nan), axis=1)  # NaN last
+    count = on_circle.sum(axis=1)
+    stop = np.append(start[:, 1:], np.full((len(det), 1), np.nan), axis=1)
+    wraps = np.flatnonzero(count)
+    stop[wraps, count[wraps] - 1] = start[wraps, 0] + 2.0 * np.pi  # the last arc ends at the first crossing
+    return np.where(stop - start > LEVEL_ARC_TOL, 0.5 * (start + stop), np.nan)
 
 
-def spectrum_block_stack(a, d, grid_size: int = 512) -> list[list[tuple[float, float]]]:
+def spectrum_block_stack(a, d) -> list[list[tuple[float, float]]]:
     """Bands of each of C block channels of one period: ranges of sorted eigenvalue branches.
 
     The channels are given by their hopping blocks ``a`` and diagonal blocks
@@ -392,48 +348,64 @@ def spectrum_block_stack(a, d, grid_size: int = 512) -> list[list[tuple[float, f
     the ranges of every branch of every channel, and each channel's ranges
     are merged into its bands.
     """
-    lo, hi = _block_branch_ranges(a, d, grid_size)
+    lo, hi = _block_branch_ranges(a, d)
     return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
 
 
-def _block_branch_ranges(a, d, grid_size: int) -> tuple[np.ndarray, np.ndarray]:
+def _block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
     """Minimum and maximum of every sorted eigenvalue branch, as two (channel, branch) arrays.
 
-    Channel by channel, the grid of fiber matrices is solved in stacks and
-    only the grid minimum and maximum of each branch and their thetas are
-    kept.  Then the grid minimum and maximum of every non-constant branch of
-    every channel are refined by safeguarded Newton searches that all run in
-    one lockstep loop (``_newton_extrema``), each seeded at its grid point
-    within one grid step either side; a refined value replaces the grid one
-    only when it is more extreme.
+    One level-set iteration (Boyd & Balakrishnan, Syst. Control Lett. 15:1,
+    1990) runs every (channel, branch, min/max) search in lockstep.  A search
+    holds a level E, the most extreme value of its branch seen so far,
+    starting from the first most extreme of the channel's 8 samples.  Each
+    round probes the branch at every midpoint of ``_arc_midpoints`` and moves
+    E to the most extreme probe.  An arc where the branch lies beyond E holds
+    its midpoint beyond E, by nearly the whole depth near a smooth extremum
+    and by at least half of it at a kink where two branches cross, so the
+    round whose probes beat E by at most LEVEL_SET_STOP * u * scale (scale
+    the ``energy_scale`` of the channel's samples) certifies E and stops the
+    search.  One still running after LEVEL_SET_MAX_ROUNDS is an internal
+    error.  Every step is elementwise per search or per probe, so a channel's
+    ranges are the same bits whatever stack it is in.
     """
-    if grid_size < 16 or grid_size & (grid_size - 1) != 0:
-        raise InvalidParameterError(f"grid size must be a power of two >= 16, got {grid_size}")
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
-    taus = _multipliers(thetas)
     fibers = block_period_matrix(a, d)
-    shape = fibers[0].shape[:2]  # (channel, branch)
-    grid_lo, grid_hi, theta_lo, theta_hi = (np.empty(shape) for _ in range(4))
-    moving = np.empty(shape, dtype=bool)
-    for chan in range(shape[0]):
-        period, wrap = fibers[0][chan], fibers[1][chan]
-        levels = np.concatenate(
-            [np.linalg.eigvalsh(fiber_matrices(period, wrap, taus[s])) for s in _stacks(grid_size)]
+    C, m = fibers[0].shape[:2]
+    thetas = 2.0 * np.pi * np.arange(LEVEL_SET_SAMPLES) / LEVEL_SET_SAMPLES
+    solved = _fiber_levels(fibers, np.repeat(np.arange(C), LEVEL_SET_SAMPLES), np.tile(thetas, C))
+    samples = np.concatenate([np.empty((0, m))] + [levels for _, levels in solved]).reshape(C, LEVEL_SET_SAMPLES, m)
+    tol = LEVEL_SET_STOP * UNIT_ROUNDOFF * energy_scale(samples, axis=(1, 2))
+    chans, rows = np.tile(np.repeat(np.arange(C), m), 2), np.tile(np.arange(m), 2 * C)
+    signs = np.repeat([1.0, -1.0], C * m)  # a search minimises signs * branch
+    seen = signs[:, None] * samples[chans, :, rows]
+    first = np.argmin(seen, axis=1)  # the first most extreme sample: np.min may return either of 0.0 and -0.0
+    best, at = seen[np.arange(chans.size), first], thetas[first]
+    active = np.arange(chans.size)
+    for _ in range(LEVEL_SET_MAX_ROUNDS):
+        if not active.size:
+            break
+        parts = (active[s] for s in _stacks(active.size, SEARCH_CHUNK))
+        mids = np.concatenate(
+            [np.empty((0, 4))]
+            + [_arc_midpoints(samples[chans[part]], signs[part] * best[part], at[part]) for part in parts]
         )
-        i_min, i_max = np.argmin(levels, axis=0), np.argmax(levels, axis=0)
-        grid_lo[chan], grid_hi[chan] = levels[i_min, np.arange(shape[1])], levels[i_max, np.arange(shape[1])]
-        theta_lo[chan], theta_hi[chan] = thetas[i_min], thetas[i_max]
-        moving[chan] = ~(grid_hi[chan] - grid_lo[chan] < CONSTANT_BRANCH_TOL * energy_scale(levels, axis=0))
-    chans, rows = np.nonzero(moving)
-    n = chans.size
-    centres = np.concatenate([theta_lo[moving], theta_hi[moving]])
-    signs = np.repeat([1.0, -1.0], n)
-    step = 2.0 * np.pi / grid_size
-    extrema = _newton_extrema(fibers, np.tile(chans, 2), centres, step, np.tile(rows, 2), signs)
-    lo, hi = grid_lo.copy(), grid_hi.copy()  # a constant branch keeps its grid value
-    lo[moving] = _first_min(extrema[:n], grid_lo[moving])
-    hi[moving] = -_first_min(-extrema[n:], -grid_hi[moving])  # max(x, y), same tie rule
-    return lo, hi
+        search, arc = np.nonzero(~np.isnan(mids))
+        probe = active[search]
+        values = np.full(mids.shape, np.inf)
+        for s, levels in _fiber_levels(fibers, chans[probe], mids[search, arc]):
+            values[search[s], arc[s]] = signs[probe[s]] * levels[np.arange(len(levels)), rows[probe[s]]]
+        pick = np.argmin(values, axis=1)
+        found = values[np.arange(active.size), pick]
+        beats = found < best[active] - tol[chans[active]]
+        better = found < best[active]
+        best[active[better]], at[active[better]] = found[better], mids[better, pick[better]]
+        active = active[beats]
+    if active.size:
+        raise InternalConsistencyError(
+            f"block-channel level-set search did not converge in {LEVEL_SET_MAX_ROUNDS} rounds "
+            f"(channel {chans[active[0]]}, branch {rows[active[0]]})"
+        )
+    return best[: C * m].reshape(C, m), -best[C * m :].reshape(C, m)
 
 
 # ---------------------------------------------------------------------------
@@ -705,14 +677,14 @@ def zigzag_channels(models) -> list[list[ChannelBands]]:
     ]
 
 
-def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
+def armchair_channels(models) -> list[list[ChannelBands]]:
     """Channel bands of each armchair model, k = 1..N, without the union.
 
     The block channels of all models go to one ``spectrum_block_stack``
     call, so the models must share N and their potential period.  A branch range
     thinner than FLAT_BRANCH_TOL is reported as a flat level.
     """
-    bands = iter(spectrum_block_stack(*decompose_armchair(models), grid_size))
+    bands = iter(spectrum_block_stack(*decompose_armchair(models)))
     return [
         [
             ChannelBands(
@@ -727,12 +699,12 @@ def armchair_channels(models, grid_size: int = 512) -> list[list[ChannelBands]]:
     ]
 
 
-def full_spectrum(model, grid_size: int = 512) -> BandStructure:
+def full_spectrum(model) -> BandStructure:
     """Union band structure of a zigzag or armchair model over all channels."""
     if isinstance(model, ZigzagModel):
         (channels,) = zigzag_channels([model])
     elif isinstance(model, ArmchairModel):
-        (channels,) = armchair_channels([model], grid_size)
+        (channels,) = armchair_channels([model])
     else:
         raise TypeError(f"unsupported model type {type(model)!r}")
     return assemble_band_structure(channels)

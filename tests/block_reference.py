@@ -5,13 +5,10 @@ hopping blocks and (C, p, 2, 2) diagonal blocks that ``decompose_armchair``
 returns; ``channel``, ``channels`` and ``stack`` slice and join such pairs.
 
 ``dense_branch_ranges`` finds the minimum and maximum of every sorted
-eigenvalue branch of one channel without derivatives: from the channel's grid
-extremum, it samples 9 evenly spaced thetas across the bracket of one grid
-step either side, keeps the best, and repeats on a bracket 1/4 as wide around
-it until the bracket is below 1e-8.  The best sample of a smooth extremum is
-then within 1.3e-9 of it in theta, which moves the value by ~1e-18 times the
-curvature.  ``assert_edges`` holds refined edges to that reference and to the
-golden-section edges they replaced.
+eigenvalue branch of one channel without derivatives and without a start of
+its own: it scans 2**14 thetas and zooms into every local extremum of the
+scan that may neighbour the global one.  ``assert_edges`` holds refined edges
+to that reference and to the golden-section edges of a reference grid.
 
 ``per_channel_fibers`` is the build the stacked ``decompose_armchair`` replaced,
 kept verbatim in its arithmetic: one hopping block per channel from scalar
@@ -30,13 +27,16 @@ from nanotube_bands.spectral import FIBER_STACK, block_period_matrix, fiber_matr
 EPS = np.finfo(float).eps
 NOT_LESS_EXTREME = 16.0  # eigensolver rounding, in units of EPS * max(1, max|level|) of the channel
 DENSE_AGREEMENT = 1e-13  # relative to max(1, max|level|) of the channel
+SCAN_SIZE = 2**14  # thetas of the dense reference's scan
+MAX_ZOOMS = 8  # local scan extrema zoomed into per branch and direction
 
 
 def fiber_levels(fiber, thetas) -> np.ndarray:
     """Sorted levels of L(exp(i theta)) of one channel, one row per theta."""
     taus = [cmath.exp(1j * th) for th in np.ravel(thetas)]
     return np.concatenate(
-        [
+        [np.empty((0, fiber[0].shape[-1]))]
+        + [
             np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK]))
             for i in range(0, len(taus), FIBER_STACK)
         ]
@@ -84,28 +84,45 @@ def per_channel_fibers(models):
     return np.array(periods), np.array(wraps)
 
 
-def dense_branch_ranges(block, grid_size):
-    """(lo, hi, scale): each branch's range from nested zoom grids, and max(1, max|level|) on the grid.
+def dense_branch_ranges(block, scan_size=SCAN_SIZE):
+    """(lo, hi, scale): each branch's range from nested zoom grids, and max(1, max|level|) on the scan.
 
-    ``block`` is the (a, d) pair of one channel.
+    ``block`` is the (a, d) pair of one channel.  A branch's slope is at most
+    2 ||W|| (W the wrap block), so between two scan points it dips at most
+    ||W|| h below the lower one, h the scan step: only a scan point within
+    that of the scan extremum can neighbour the true one.  Every local
+    extremum of the scan that close, the MAX_ZOOMS most extreme of them, is
+    zoomed into: 9 evenly spaced thetas across one scan step either side,
+    keep the best, and repeat on a bracket 1/4 as wide around it until the
+    bracket is below 1e-8.  The best sample of a smooth extremum is then
+    within 1.3e-9 of it in theta, which moves the value by ~1e-18 times the
+    curvature.
     """
     fiber = block_period_matrix(*block)
-    thetas = 2.0 * np.pi * np.arange(grid_size) / grid_size
+    thetas = 2.0 * np.pi * np.arange(scan_size) / scan_size
     levels = fiber_levels(fiber, thetas)
     size = levels.shape[1]
-    rows = np.tile(np.arange(size), 2)
-    signs = np.repeat([1.0, -1.0], size)
-    centre = np.concatenate([thetas[np.argmin(levels, axis=0)], thetas[np.argmax(levels, axis=0)]])
-    best = signs * np.concatenate([levels.min(axis=0), levels.max(axis=0)])
-    width = 2.0 * np.pi / grid_size
-    searches = np.arange(2 * size)
+    width = 2.0 * np.pi / scan_size
+    signed = np.concatenate([levels, -levels], axis=1)  # a search minimises its column
+    reach = np.linalg.norm(fiber[1][0], 2) * width
+    local = (signed < np.roll(signed, 1, axis=0)) & (signed <= np.roll(signed, -1, axis=0))
+    near = local & (signed <= signed.min(axis=0) + reach)
+    order = np.argsort(np.where(near, signed, np.inf), axis=0, kind="stable")[:MAX_ZOOMS]
+    searches, picks = np.nonzero(np.take_along_axis(near, order, axis=0).T)
+    centre = thetas[order[picks, searches]]
+    best = signed[order[picks, searches], searches]
+    rows = searches % size
+    signs = np.where(searches < size, 1.0, -1.0)
+    zooms = np.arange(searches.size)
     while width > 1e-8:
         probes = centre[:, None] + width * np.linspace(-1.0, 1.0, 9)
-        values = signs[:, None] * fiber_levels(fiber, probes).reshape(2 * size, 9, size)[searches, :, rows]
+        values = signs[:, None] * fiber_levels(fiber, probes).reshape(searches.size, 9, size)[zooms, :, rows]
         pick = np.argmin(values, axis=1)
-        best = np.minimum(best, values[searches, pick])
-        centre, width = probes[searches, pick], width / 4.0
-    return best[:size], -best[size:], max(1.0, float(np.max(np.abs(levels))))
+        best = np.minimum(best, values[zooms, pick])
+        centre, width = probes[zooms, pick], width / 4.0
+    extreme = signed.min(axis=0)  # a branch with no strict local extremum is constant on the scan
+    np.minimum.at(extreme, searches, best)
+    return extreme[:size], -extreme[size:], max(1.0, float(np.max(np.abs(levels))))
 
 
 def assert_edges(lo, hi, ref_lo, ref_hi, dense_lo, dense_hi, scale):
@@ -116,9 +133,9 @@ def assert_edges(lo, hi, ref_lo, ref_hi, dense_lo, dense_hi, scale):
     assert np.all(np.abs(hi - dense_hi) <= DENSE_AGREEMENT * scale), np.abs(hi - dense_hi) / scale
 
 
-def assert_band_edges(got, ref, block, grid_size):
+def assert_band_edges(got, ref, block):
     """``assert_edges`` on the merged bands of one channel, which must have as many bands as ``ref``."""
-    dense_lo, dense_hi, scale = dense_branch_ranges(block, grid_size)
+    dense_lo, dense_hi, scale = dense_branch_ranges(block)
     dense = merge_intervals(zip(dense_lo, dense_hi))
     assert len(got) == len(ref) == len(dense)
     assert_edges(*np.array(got).T, *np.array(ref).T, *np.array(dense).T, scale)

@@ -196,7 +196,7 @@ class InclusionReport:
 
 
 def shifted_schroedinger_inclusion(
-    profile: PotentialProfile, N: int, tol: float = 1e-8, grid_size: int = 512
+    profile: PotentialProfile, N: int, tol: float = 1e-8
 ) -> InclusionReport:
     """Check the shifted Schroedinger containments for a rung-paired potential.
 
@@ -205,7 +205,7 @@ def shifted_schroedinger_inclusion(
     with the p-periodic potential v_even contains sigma(J) outright through
     its unit-hopping channel.
     """
-    v_even, j_bands, shifted, arm_bands = asy._shifted_overlay(profile, N, grid_size)
+    v_even, j_bands, shifted, arm_bands = asy._shifted_overlay(profile, N)
     arm_ok, arm_margin = intervals_contain(arm_bands, shifted, tol=tol)
 
     zig_checked = N % 3 == 0
@@ -226,11 +226,11 @@ def shifted_schroedinger_inclusion(
 
 
 def armchair_cluster_center_errors(
-    model_factory, k: int, ts, grid_size: int = 64
+    model_factory, k: int, ts
 ) -> dict[int, list[float]]:
     """|measured center - predicted| per position across couplings ts."""
     errors: dict[int, list[float]] = {}
     for t in ts:
-        for pred, (lo, hi) in asy._armchair_clusters(model_factory(t), k, grid_size):
+        for pred, (lo, hi) in asy._armchair_clusters(model_factory(t), k):
             errors.setdefault(pred.j, []).append(abs(0.5 * (lo + hi) - pred.center))
     return errors

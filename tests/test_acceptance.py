@@ -201,7 +201,7 @@ def test_criterion_08_armchair_unperturbed():
     for N in (3, 4, 5):
         for vt in (0.0, 1.0):
             model = ArmchairModel(N, (0.0, 0.0, 0.0), PotentialProfile([-vt, vt]), t=1.0)
-            swept = full_spectrum(model, grid_size=512)
+            swept = full_spectrum(model)
             closed = armchair_unperturbed(N, vt)
             worst = max(worst, max_edge_deviation(swept.union_intervals(), closed.union_intervals()))
     zero = max_edge_deviation(
@@ -220,7 +220,7 @@ def test_criterion_09_shifted_schroedinger_inclusions():
         ve = rng.normal(size=p)
         prof = PotentialProfile(np.repeat(ve, 2))
         N = int(rng.choice([3, 4, 5, 6]))
-        report = shifted_schroedinger_inclusion(prof, N=N, tol=1e-8, grid_size=256)
+        report = shifted_schroedinger_inclusion(prof, N=N, tol=1e-8)
         ok = ok and report.passed
         worst = min(worst, report.armchair_margin)
         if report.zigzag_checked:
@@ -234,11 +234,11 @@ def test_criterion_10_large_t_armchair(armchair_cluster_12):
     worst = 0.0
     for k in (1, 4):
         model = ArmchairModel(4, (0.0, 0.0, 0.0), prof, t=40.0)
-        reports = asy.measure_large_t_armchair(model, k=k, grid_size=64, tolerance=0.1)
+        reports = asy.measure_large_t_armchair(model, k=k, tolerance=0.1)
         worst = max(worst, max(abs(r.ratio - 1.0) for r in reports))
         ok = ok and all(r.passed for r in reports)
     errors = armchair_cluster_center_errors(
-        lambda t: ArmchairModel(4, (0.0, 0.0, 0.0), prof, t=t), k=4, ts=(20.0, 40.0, 80.0), grid_size=64
+        lambda t: ArmchairModel(4, (0.0, 0.0, 0.0), prof, t=t), k=4, ts=(20.0, 40.0, 80.0)
     )
     slopes = []
     for es in errors.values():

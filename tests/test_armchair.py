@@ -154,7 +154,7 @@ def test_top_channel_splits_into_shifted_chains():
         prof = PotentialProfile(np.repeat(ve, 2))
         N = int(rng.integers(2, 6))
         a, d = decompose_armchair([ArmchairModel(N, (0.0, 0.0, 0.0), prof, t=1.0)])
-        got = spectrum_block_stack(a[N - 1 :], d[N - 1 :], 128)[0]
+        got = spectrum_block_stack(a[N - 1 :], d[N - 1 :])[0]
         j_bands = schroedinger_band_edges(ve)
         want = merge_intervals(
             [(lo - 1, hi - 1) for lo, hi in j_bands] + [(lo + 1, hi + 1) for lo, hi in j_bands]

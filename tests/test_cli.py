@@ -807,3 +807,37 @@ def test_bands_and_large_t_asym_agree_on_a_near_flat_channel(tmp_path, capsys):
     main(["asym", "--regime", "large_t_zigzag", *model])
     reports = json.loads(capsys.readouterr().out)
     assert {r["params"].get("k") for r in reports} >= {1}
+
+
+def run_child(tmp_path, argv):
+    """(exit code, stdout, stderr) of ``python -W error::RuntimeWarning -m nanotube_bands`` on a 4-value potential."""
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import nanotube_bands
+
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.3, -0.2, 0.5, -0.7]")
+    src = str(Path(nanotube_bands.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "nanotube_bands", *argv.split(), "--potential", str(pot)],
+        capture_output=True, text=True, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_asym_large_t_zigzag_past_the_float_range_has_no_traceback(tmp_path):
+    # t ** (2p - 1) in the width prediction overflowed: exit 1 with an OverflowError traceback
+    code, out, err = run_child(tmp_path, "asym --regime large_t_zigzag --N 4 --b 0.3 --t 1e103")
+    assert code in (0, 1) and err == ""
+    widths = [report for report in json.loads(out) if "check" not in report["params"]]
+    assert widths and all(report["predicted"] == 0 for report in widths)
+
+
+def test_armchair_sweep_past_the_float_range_exits_2_without_a_warning(tmp_path):
+    # the field steps were numpy scalars, whose phases overflowed with a RuntimeWarning before the refusal
+    code, out, err = run_child(
+        tmp_path, "sweep --lattice armchair --N 3 --B-start 0 --B-stop 1e308 --B-steps 3 --t 1e300"
+    )
+    assert (code, out) == (2, "") and err == "error: b3 must be finite, got -inf\n"

@@ -294,7 +294,7 @@ def test_block_sweep_reproduces_scalar_edges():
     for _ in range(5):
         p = int(rng.integers(1, 4))
         jac = chain(p, rng.uniform(0.2, 1.9), rng.normal(size=2 * p))
-        got = spectrum_block_stack(*_scalar_as_blocks(jac), 256)[0]
+        got = spectrum_block_stack(*_scalar_as_blocks(jac))[0]
         want = channel_bands(jac)
         assert max_edge_deviation(got, merge_intervals(want)) < 1e-8
 
@@ -306,8 +306,8 @@ def test_block_sweep_shift_equivariance():
 
     a, d = channel(decompose_armchair([model]), 1)
     mu = 0.7
-    b1 = spectrum_block_stack(a, d, 64)[0]
-    b2 = spectrum_block_stack(a, d + mu * np.eye(2), 64)[0]
+    b1 = spectrum_block_stack(a, d)[0]
+    b2 = spectrum_block_stack(a, d + mu * np.eye(2))[0]
     np.testing.assert_allclose(
         np.array(b2), np.array(b1) + mu, atol=1e-9
     )
@@ -352,8 +352,8 @@ def _per_fiber_block_bands(block, grid_size):
 
 @pytest.mark.parametrize("seed", range(4))
 def test_block_sweep_matches_per_fiber_reference(seed):
-    # the Newton refinement against the one-fiber-at-a-time golden-section loop
-    # it replaced: every edge at least as extreme, up to 16 ulps of the
+    # the level-set iteration against the one-fiber-at-a-time golden-section
+    # loop of a grid: every edge at least as extreme, up to 16 ulps of the
     # channel's largest level, and within 1e-13 of it of a dense zoom grid
     from nanotube_bands import decompose_armchair
 
@@ -364,21 +364,15 @@ def test_block_sweep_matches_per_fiber_reference(seed):
         PotentialProfile(rng.uniform(-1, 1, size=q)), t=float(np.exp(rng.uniform(-3, 3.7))),
     )
     for block in channels(decompose_armchair([model])):
-        assert_band_edges(spectrum_block_stack(*block, 32)[0], _per_fiber_block_bands(block, 32), block, 32)
-    flat = _scalar_as_blocks(chain(2, 0.0, rng.normal(size=4)))  # every branch is constant: its grid values
-    assert spectrum_block_stack(*flat, 16)[0] == _per_fiber_block_bands(flat, 16)
+        assert_band_edges(spectrum_block_stack(*block)[0], _per_fiber_block_bands(block, 32), block)
+    flat = _scalar_as_blocks(chain(2, 0.0, rng.normal(size=4)))  # every branch is constant: its sampled values
+    assert spectrum_block_stack(*flat)[0] == _per_fiber_block_bands(flat, 16)
 
 
 def test_block_fibers_reject_bad_multiplier():
     jac = chain(1, 1.0, [0.0, 0.0])
     with pytest.raises(InvalidParameterError):
         block_fiber_levels(_scalar_as_blocks(jac), [1.1])
-
-
-def test_block_sweep_rejects_bad_grid():
-    jac = chain(1, 1.0, [0.0, 0.0])
-    with pytest.raises(InvalidParameterError):
-        spectrum_block_stack(*_scalar_as_blocks(jac), 100)
 
 
 def test_armchair_unperturbed_closed_form():
@@ -400,7 +394,7 @@ def test_armchair_sweep_matches_closed_form():
     for N in (3, 4):
         for vt in (0.0, 1.0):
             model = ArmchairModel(N, (0.0, 0.0, 0.0), PotentialProfile([-vt, vt]), t=1.0)
-            swept = full_spectrum(model, grid_size=128)
+            swept = full_spectrum(model)
             closed = armchair_unperturbed(N, vt)
             assert max_edge_deviation(swept.union_intervals(), closed.union_intervals()) < 1e-6
 
@@ -682,7 +676,7 @@ def test_union_matches_quadratic_reference_on_models():
     # are thinner than 1e-12 and become flat levels, one of them isolated
     for i, (N, q, t) in enumerate(((3, 8, 3e4), (2, 5, 0.3), (4, 3, 1.7), (5, 6, 12.0), (3, 1, 0.9), (6, 4, 0.06))):
         model = ArmchairModel(N, tuple(rng.uniform(-1, 1, 3)), PotentialProfile(rng.uniform(-1, 1, q)), t=t)
-        bs = full_spectrum(model, grid_size=64)
+        bs = full_spectrum(model)
         assert any(ch.flat_bands for ch in bs.channels) == (i == 0)
         assert (math.inf in bs.multiplicity.tolist()) == (i == 0)
         bands, gaps = _quadratic_union(list(bs.channels))
@@ -1129,7 +1123,7 @@ def test_block_sweep_complete_and_attained():
             PotentialProfile(rng.normal(size=q)), t=float(rng.normal()),
         )
         block = channel(decompose_armchair([model]), 0)
-        bands = spectrum_block_stack(*block, 128)[0]
+        bands = spectrum_block_stack(*block)[0]
         probe = block_fiber_levels(block, [cmath.exp(2j * math.pi * x) for x in rng.random(40)]).ravel()
         ok, margin = intervals_contain(bands, [(e, e) for e in probe], tol=1e-9)
         assert ok, margin
@@ -1147,7 +1141,7 @@ def test_block_edges_not_at_real_multipliers():
 
     model = ArmchairModel(3, (0.8, -0.5, 1.1), PotentialProfile([0.7, -0.4]), t=1.0)
     block = channel(decompose_armchair([model]), 0)
-    swept = spectrum_block_stack(*block, 128)[0]
+    swept = spectrum_block_stack(*block)[0]
     pm = np.sort(block_fiber_levels(block, [1.0, -1.0]), axis=None)
     naive = merge_intervals([(pm[2 * i], pm[2 * i + 1]) for i in range(len(pm) // 2)])
     assert max_edge_deviation(swept, naive) > 1e-3

@@ -146,7 +146,7 @@ def test_armchair_writers_match_reference(seed, monkeypatch):
         N=N, phases=tuple(rng.uniform(-1.0, 1.0, 3)), potential=PotentialProfile(list(rng.uniform(-1.0, 1.0, q))),
         t=float(np.exp(rng.uniform(np.log(0.05), np.log(30.0)))),
     )
-    assert_writers_match(full_spectrum(model, grid_size=64), monkeypatch)
+    assert_writers_match(full_spectrum(model), monkeypatch)
 
 
 INF, NAN = math.inf, math.nan
@@ -254,7 +254,7 @@ def test_armchair_sweep_matches_reference(tmp_path, monkeypatch):
         ArmchairModel(N=3, phases=cli.tube_geometry(3, B)[1], potential=PotentialProfile(potential), t=0.7)
         for B in Bs
     ]
-    per_step = armchair_channels(models, 64)
+    per_step = armchair_channels(models)
     phases = [model.phases[0] for model in models]
     argv = "sweep --lattice armchair --N 3 --t 0.7 --B-start -0.4 --B-stop 1.2 --B-steps 3 --grid 64"
     for sig in PRECISIONS:
