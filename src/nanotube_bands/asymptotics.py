@@ -7,8 +7,11 @@ the two.  This is the only module that decides how a regime is checked: each
 of its regime, and its signature holds the regime's default tolerances.
 The module holds what the ``asym`` regimes run.  The exact references that
 only check the engine (the half-period-one and zero-potential closed forms,
-the shifted-Schroedinger containment and the armchair cluster-centre errors)
-are kept with the tests, in ``tests/closed_forms.py``.
+the shifted-Schroedinger containment, the armchair cluster-centre errors and
+the strong-coupling predictors taken one position at a time) are kept with
+the tests, in ``tests/closed_forms.py``.  The strong-coupling predictors
+return a channel's clusters as arrays over its positions, so each
+channel-wide quantity is computed once per channel.
 
 Index conventions match the rest of the package: potentials are 0-based
 arrays with dimer pairs ``(v[2j], v[2j+1])``, bonds ``a[i]`` couple sites i
@@ -30,13 +33,13 @@ from .core import (
 )
 from .errors import InvalidInputError, NotApplicableError
 from .spectral import (
+    block_branch_ranges,
     flat_band_spectrum,
     full_spectrum,
     interval_gaps,
     merge_intervals,
     max_edge_deviation,
     schroedinger_band_edges,
-    spectrum_block_stack,
     zigzag_chain_edges,
     zigzag_channel_edges,
 )
@@ -132,7 +135,8 @@ def predict_ck_shrink(
     others = np.delete(levels, s - 1)
     if others.size and np.min(np.abs(others - lam)) < DEGENERATE_LEVEL_TOL:
         raise NotApplicableError(f"level {lam} is degenerate; shrinkage rate undefined")
-    spacing = float(np.prod(np.abs(others - lam))) if others.size else 1.0
+    with np.errstate(over="ignore"):  # a spacing past the float range gives width 0
+        spacing = float(np.prod(np.abs(others - lam))) if others.size else 1.0
     half = 2.0 * abs(2.0 * c_k) ** p / spacing
     return ShrinkPrediction(
         s=s,
@@ -312,16 +316,13 @@ def low_energy_windows(N: int, p: int) -> LowEnergyWindows:
 
 @dataclass(frozen=True)
 class LargeTZigzagPrediction:
-    n: int                 # 1-based position in the 2p-periodic sequence
-    band_rank: int         # 1-based band index the cluster occupies
-    center: float
-    width: float
-    window: tuple[float, float]
-    dressing: float        # second-order center shift coefficient
+    """The clusters of one channel; each array holds position n at index n - 1 of the 2p-periodic sequence."""
 
-
-def _bond(i: int, a: float, period: int) -> float:
-    return 1.0 if i % period % 2 == 0 else a
+    band_rank: np.ndarray  # 1-based band index each cluster occupies
+    center: np.ndarray
+    width: np.ndarray
+    dressing: np.ndarray   # second-order center shift coefficient
+    window: float          # half-size delta/t of the window about t*v_n that holds every cluster
 
 
 def _check_distinct(vals: np.ndarray) -> None:
@@ -329,54 +330,45 @@ def _check_distinct(vals: np.ndarray) -> None:
         raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
 
 
-def predict_large_t_zigzag(
-    profile: PotentialProfile, c_k: float, n: int, t: float
-) -> LargeTZigzagPrediction:
-    """Strong-coupling cluster attached to the n-th potential value.
+def _separation_products(vals: np.ndarray) -> np.ndarray:
+    """prod_{j != i} |v_j - v_i| for each i, multiplied along j in position order."""
+    m = vals.size
+    seps = np.abs(vals[None, :] - vals[:, None])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+    return np.prod(seps, axis=1)
+
+
+def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> LargeTZigzagPrediction:
+    """Strong-coupling clusters of one channel, one per potential value.
 
     The band center sits at t*v_n minus a second-order dressing by the two
     adjacent bonds; the width decays as t^(1-2p) with the inverse product of
     value separations.  The window half-size delta/t is derived from the same
     dressing bound plus the width, so it contains the band for every channel.
+    A quantity that leaves the float range is inf, so a width whose power of t
+    or separation product overflows is 0, and one that underflows is inf.
     """
     if is_flat_channel(c_k):
         raise NotApplicableError("flat-band channel: clusters are single points")
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
     p = profile.p
-    m = 2 * p
     vals = profile.period_values()
-    if not 1 <= n <= m:
-        raise InvalidInputError(f"position n must lie in 1..{m}, got {n}")
     _check_distinct(vals)
     a = 2.0 * abs(c_k)
-    i = n - 1
-    left = _bond(i - 1, a, m) ** 2 / (vals[(i - 1) % m] - vals[i])
-    right = _bond(i, a, m) ** 2 / (vals[(i + 1) % m] - vals[i])
+    bond_sq = np.where(np.arange(2 * p) % 2 == 0, 1.0, a**2)  # bond i couples positions i and i + 1
+    left = np.roll(bond_sq, 1) / (np.roll(vals, 1) - vals)
+    right = bond_sq / (np.roll(vals, -1) - vals)
     dressing = left + right
-    sep = float(np.prod(np.abs(np.delete(vals, i) - vals[i])))
-    try:
-        power = t ** (m - 1)
-    except OverflowError:  # the width is below the float range: 0
-        power = math.inf
-    width = 4.0 * a**p / (sep * power)
-
-    deltas = []
-    for jj in range(m):
-        dl = abs(_bond(jj - 1, a, m)) ** 2 / abs(vals[(jj - 1) % m] - vals[jj])
-        dr = abs(_bond(jj, a, m)) ** 2 / abs(vals[(jj + 1) % m] - vals[jj])
-        halfwidth_t = 2.0 * a**p / float(np.prod(np.abs(np.delete(vals, jj) - vals[jj])))
-        deltas.append(dl + dr + halfwidth_t)
-    delta = max(deltas) + 0.5
-    rank = int(np.sum(vals < vals[i])) + 1
-    return LargeTZigzagPrediction(
-        n=n,
-        band_rank=rank,
-        center=float(t * vals[i] - dressing / t),
-        width=float(width),
-        window=(float(t * vals[i] - delta / t), float(t * vals[i] + delta / t)),
-        dressing=float(dressing),
-    )
+    with np.errstate(divide="ignore", over="ignore"):
+        sep = _separation_products(vals)
+        delta = np.max(np.abs(left) + np.abs(right) + 2.0 * a**p / sep) + 0.5
+        return LargeTZigzagPrediction(
+            band_rank=np.sum(vals < vals[:, None], axis=1) + 1,
+            center=t * vals - dressing / t,
+            width=4.0 * a**p / (sep * np.float64(t) ** (2 * p - 1)),
+            dressing=dressing,
+            window=float(delta / t),
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -471,35 +463,31 @@ def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchai
 
 @dataclass(frozen=True)
 class LargeTArmchairPrediction:
-    j: int                  # 1-based position in the potential array
-    band_rank: int
-    center: float
-    width: float
+    """The clusters of one block channel; each array holds position j at index j - 1 of the potential."""
+
+    band_rank: np.ndarray
+    center: np.ndarray
+    width: np.ndarray
     phase_weight: float     # 2 Re(s^k exp(i(b1+b2-2b3)))
-
-
-def cluster_product_set(q: int, i: int) -> list[int]:
-    """0-based positions sharing the winding product with position i (period q)."""
-    cls = {1, 2} if i % 4 in (1, 2) else {3, 0}
-    return [j for j in range(q) if j % 4 in cls]
 
 
 def predict_large_t_armchair(
     profile: PotentialProfile,
     k: int,
-    j: int,
     t: float,
     N: int,
     phases: tuple[float, float, float] = (0.0, 0.0, 0.0),
 ) -> LargeTArmchairPrediction:
-    """Strong-coupling cluster attached to the j-th value of a 4m-periodic potential.
+    """Strong-coupling clusters of block channel k, one per value of a 4m-periodic potential.
 
     Every position couples to three neighbours (offsets -1/+1/+3 from even
     0-based positions, -3/-1/+1 from odd ones), which fixes the 1/t dressing.
     No three-step loop exists on this graph, so the 1/t^2 coefficient of the
     centre vanishes and the residual is O(1/t^3).  The width comes from the
     shortest winding paths and decays as t^(1-q/2) with the inverse product of
-    separations over the positions sharing the winding class.
+    separations over the positions sharing the winding class: positions 1 and
+    2 mod 4 share one, 3 and 0 mod 4 the other.  A quantity that leaves the
+    float range is inf, as in ``predict_large_t_zigzag``.
     """
     q = profile.q
     if q % 4 != 0 or q < 12:
@@ -508,28 +496,22 @@ def predict_large_t_armchair(
         raise InvalidInputError("strong-coupling regime needs t > 0")
     vals = np.asarray(profile.values, dtype=float)
     _check_distinct(vals)
-    if not 1 <= j <= q:
-        raise InvalidInputError(f"position j must lie in 1..{q}, got {j}")
-    i = j - 1
-
-    def V(ell: int) -> float:
-        return 1.0 / (vals[(i + ell) % q] - vals[i])
-
-    offsets = (-1, 1, 3) if i % 2 == 0 else (-3, -1, 1)
-    dressing = sum(V(ell) for ell in offsets)
+    pos = np.arange(q)
+    offsets = np.where(pos % 2 == 0, np.array([[-1], [1], [3]]), np.array([[-3], [-1], [1]]))
+    V = 1.0 / (vals[(pos + offsets) % q] - vals)
     b1, b2, b3 = phases
     s_k = cmath.exp(2j * math.pi * k / N)
-    weight = 2.0 * (s_k * cmath.exp(1j * (b1 + b2 - 2 * b3))).real
-    prod = np.prod([vals[i] - vals[nn] for nn in cluster_product_set(q, i) if nn != i])
-    width = 4.0 / (t ** (q // 2 - 1) * abs(float(prod)))
-    rank = int(np.sum(vals < vals[i])) + 1
-    return LargeTArmchairPrediction(
-        j=j,
-        band_rank=rank,
-        center=float(t * vals[i] - dressing / t),
-        width=float(width),
-        phase_weight=weight,
-    )
+    sep = np.empty(q)
+    winding = (pos % 4 == 1) | (pos % 4 == 2)
+    with np.errstate(divide="ignore", over="ignore"):
+        for members in (winding, ~winding):
+            sep[members] = _separation_products(vals[members])
+        return LargeTArmchairPrediction(
+            band_rank=np.sum(vals < vals[:, None], axis=1) + 1,
+            center=t * vals - (V[0] + V[1] + V[2]) / t,
+            width=4.0 / (np.float64(t) ** (q // 2 - 1) * sep),
+            phase_weight=2.0 * (s_k * cmath.exp(1j * (b1 + b2 - 2 * b3))).real,
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -594,43 +576,36 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
     for all t (exact closed form), so there is no disjointness report.
     """
     p = model.potential.p
-    m = 2 * p
+    t = model.t
+    middle = t * model.potential.period_values()  # the cluster windows sit about t*v_n
     reports = []
-    bands_by_channel: dict[int, tuple[float, list]] = {}
     contained = True
     (flat,), (c_k,), (edges_lo,), (edges_hi,) = zigzag_channel_edges([model])
     for k, is_flat, c, chan_lo, chan_hi in zip(range(1, model.N + 1), flat, c_k.tolist(), edges_lo, edges_hi):
         if is_flat:  # the channels that bands prints as flat levels
             continue
-        bands = list(zip(chan_lo, chan_hi))
-        bands_by_channel[k] = (abs(c), bands)
-        for n in range(1, m + 1):
-            pred = predict_large_t_zigzag(model.potential, c, n, model.t)
-            lo, hi = bands[pred.band_rank - 1]
-            if lo < pred.window[0] or hi > pred.window[1]:
-                contained = False
-            reports.append(
-                AsymptoticReport(
-                    regime="large_t_zigzag",
-                    params={"k": k, "n": n, "t": model.t},
-                    predicted=pred.width,
-                    measured=float(hi - lo),
-                    tolerance=tolerance,
-                )
+        pred = predict_large_t_zigzag(model.potential, c, t)
+        lo, hi = chan_lo[pred.band_rank - 1], chan_hi[pred.band_rank - 1]
+        contained = contained and not np.any((lo < middle - pred.window) | (hi > middle + pred.window))
+        reports += [
+            AsymptoticReport(
+                regime="large_t_zigzag",
+                params={"k": k, "n": n, "t": t},
+                predicted=width,
+                measured=measured,
+                tolerance=tolerance,
             )
+            for n, width, measured in zip(range(1, 2 * p + 1), pred.width.tolist(), (hi - lo).tolist())
+        ]
     checks = [("windows_contain_bands", contained)]
     if p >= 2:
         # same-rank bands of channels with distinct |c_k| must not overlap
-        disjoint = True
-        ks = sorted(bands_by_channel)
-        for idx, k1 in enumerate(ks):
-            for k2 in ks[idx + 1 :]:
-                (c1, bands1), (c2, bands2) = bands_by_channel[k1], bands_by_channel[k2]
-                if abs(c1 - c2) < SAME_BOND_TOL:
-                    continue
-                for (lo1, hi1), (lo2, hi2) in zip(bands1, bands2):
-                    if min(hi1, hi2) - max(lo1, lo2) > 0:
-                        disjoint = False
+        c, lo, hi = np.abs(c_k[~flat]), edges_lo[~flat], edges_hi[~flat]
+        apart = np.abs(c[:, None] - c[None, :]) >= SAME_BOND_TOL
+        disjoint = not any(
+            np.any(apart & (np.minimum(rank_hi[:, None], rank_hi) > np.maximum(rank_lo[:, None], rank_lo)))
+            for rank_lo, rank_hi in zip(lo.T, hi.T)
+        )
         checks.append(("same_rank_bands_disjoint", disjoint))
     for name, ok in checks:
         reports.append(
@@ -645,30 +620,27 @@ def measure_large_t_zigzag(model: ZigzagModel, tolerance: float = 0.1) -> list[A
     return reports
 
 
-def _armchair_clusters(model: ArmchairModel, k: int) -> list[tuple[LargeTArmchairPrediction, tuple[float, float]]]:
-    """(prediction, measured band) of every position of block channel k."""
+def measure_large_t_armchair(model: ArmchairModel, k: int, tolerance: float = 0.1) -> list[AsymptoticReport]:
+    """Cluster width ratios for one block channel of a strongly coupled tube.
+
+    Each cluster is measured on the sorted eigenvalue branch of its rank, so
+    clusters that have not yet separated into bands still get a report.
+    """
     if not 1 <= k <= model.N:
         raise InvalidInputError(f"channel index k must lie in 1..{model.N}, got {k}")
+    pred = predict_large_t_armchair(model.potential, k, model.t, model.N, model.phases)
     a, d = decompose_armchair([model])
-    (bands,) = spectrum_block_stack(a[k - 1 : k], d[k - 1 : k])
-    out = []
-    for j in range(1, model.potential.q + 1):
-        pred = predict_large_t_armchair(model.potential, k, j, model.t, model.N, model.phases)
-        out.append((pred, bands[pred.band_rank - 1]))
-    return out
-
-
-def measure_large_t_armchair(model: ArmchairModel, k: int, tolerance: float = 0.1) -> list[AsymptoticReport]:
-    """Cluster width ratios for one block channel of a strongly coupled tube."""
+    (lo,), (hi,) = block_branch_ranges(a[k - 1 : k], d[k - 1 : k])
+    measured = hi[pred.band_rank - 1] - lo[pred.band_rank - 1]
     return [
         AsymptoticReport(
             regime="large_t_armchair",
-            params={"k": k, "j": pred.j, "t": model.t},
-            predicted=pred.width,
-            measured=float(hi - lo),
+            params={"k": k, "j": j, "t": model.t},
+            predicted=width,
+            measured=width_measured,
             tolerance=tolerance,
         )
-        for pred, (lo, hi) in _armchair_clusters(model, k)
+        for j, width, width_measured in zip(range(1, model.potential.q + 1), pred.width.tolist(), measured.tolist())
     ]
 
 

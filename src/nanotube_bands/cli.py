@@ -22,7 +22,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .armchair import model_from_field, tube_geometry
-from .core import ArmchairModel, PotentialProfile, ZigzagModel, load_potential, magnetic_phase
+from .core import ArmchairModel, PotentialProfile, ZigzagModel, check_coupling, load_potential, magnetic_phase
 from .errors import (
     FlatBandChannelError,
     InternalConsistencyError,
@@ -368,6 +368,7 @@ def _zigzag_channel_constant(args) -> float:
 
 def _asym_ck_to_zero(args, opts) -> list:
     profile = _load_profile(args)
+    check_coupling(args.t, profile)  # the one regime that forms t*v without a model
     if args.ck_values:
         opts["c_values"] = [_finite_ck(x) for x in args.ck_values.split(",")]
     return asy.measure_ck_shrink(profile, s=1 if args.s is None else args.s, t=args.t, **opts)

@@ -160,6 +160,14 @@ def _check_finite(**values: float) -> None:
             raise InvalidModelError(f"{name} must be finite, got {x}")
 
 
+def check_coupling(t: float, potential: PotentialProfile) -> None:
+    """Refuse a coupling t unless 2 t max|v| is finite, so that every on-site energy t*v, and every sum
+    and difference of two of them, lies in the float range."""
+    vmax = max(map(abs, potential.values))
+    if not math.isfinite(2.0 * (t * vmax)):
+        raise InvalidModelError(f"t * max|v| must be at most half the largest float, got {t} * {vmax}")
+
+
 @dataclass(frozen=True)
 class ZigzagModel:
     """Zigzag tube: N hexagons around, phase b, potential scaled by coupling t."""
@@ -173,6 +181,7 @@ class ZigzagModel:
         if not isinstance(self.N, (int, np.integer)) or self.N < 2:
             raise InvalidModelError(f"need integer N >= 2, got {self.N!r}")
         _check_finite(b=self.b, t=self.t)
+        check_coupling(self.t, self.potential)
 
     def channel_constant(self, k: int) -> float:
         """c_k = cos(b + pi*k/N) for k in 1..N."""
@@ -195,3 +204,4 @@ class ArmchairModel:
             raise InvalidModelError("armchair model needs exactly three phases (b1, b2, b3)")
         object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
         _check_finite(b1=self.phases[0], b2=self.phases[1], b3=self.phases[2], t=self.t)
+        check_coupling(self.t, self.potential)

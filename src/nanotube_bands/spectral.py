@@ -241,12 +241,14 @@ def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
 
     The chain splits into unit-bond dimers; pair j contributes
     t*(v+) +/- sqrt((t*(v-))^2 + 1) with v+- the half-sum/half-difference of
-    (v[2j], v[2j+1]).  Sorted, each value has infinite multiplicity.
+    (v[2j], v[2j+1]).  Sorted, each value has infinite multiplicity.  Beyond
+    |t*(v-)| = 2**27 the root rounds to |t*(v-)|, which is taken as it is, so
+    that the square cannot overflow.
     """
     pairs = t * profile.pairs()
     vplus = 0.5 * (pairs[:, 0] + pairs[:, 1])
-    vminus = 0.5 * (pairs[:, 0] - pairs[:, 1])
-    root = np.sqrt(vminus**2 + 1.0)
+    vminus = np.abs(0.5 * (pairs[:, 0] - pairs[:, 1]))
+    root = np.where(vminus > 2.0**27, vminus, np.sqrt(np.minimum(vminus, 2.0**27) ** 2 + 1.0))
     return np.sort(np.concatenate([vplus - root, vplus + root]))
 
 
@@ -344,15 +346,15 @@ def spectrum_block_stack(a, d) -> list[list[tuple[float, float]]]:
 
     The channels are given by their hopping blocks ``a`` and diagonal blocks
     ``d`` (``block_period_matrix``).  Each sorted branch is continuous in the
-    multiplier, so its range is an interval; ``_block_branch_ranges`` finds
+    multiplier, so its range is an interval; ``block_branch_ranges`` finds
     the ranges of every branch of every channel, and each channel's ranges
     are merged into its bands.
     """
-    lo, hi = _block_branch_ranges(a, d)
+    lo, hi = block_branch_ranges(a, d)
     return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
 
 
-def _block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
+def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
     """Minimum and maximum of every sorted eigenvalue branch, as two (channel, branch) arrays.
 
     One level-set iteration (Boyd & Balakrishnan, Syst. Control Lett. 15:1,

@@ -12,6 +12,9 @@
   the latter;
 * ``armchair_cluster_center_errors``: how far the strong-coupling armchair
   cluster centres sit from their predicted values across couplings;
+* ``predict_large_t_zigzag`` and ``predict_large_t_armchair``: the
+  strong-coupling cluster predictors one position at a time, the bit-for-bit
+  reference of the package's predictors, which take a whole channel at once;
 * ``armchair_unperturbed``: the exact armchair spectrum of the alternating
   two-site potential.
 """
@@ -25,9 +28,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from nanotube_bands import asymptotics as asy
-from nanotube_bands.core import PotentialProfile, ZigzagModel
-from nanotube_bands.errors import InvalidInputError
-from nanotube_bands.spectral import BandStructure, ChannelBands, assemble_band_structure, full_spectrum, merge_intervals
+from nanotube_bands.armchair import decompose_armchair
+from nanotube_bands.core import PotentialProfile, ZigzagModel, is_flat_channel
+from nanotube_bands.errors import InvalidInputError, NotApplicableError
+from nanotube_bands.spectral import (
+    BandStructure, ChannelBands, assemble_band_structure, block_branch_ranges, full_spectrum, merge_intervals,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +237,143 @@ def armchair_cluster_center_errors(
     """|measured center - predicted| per position across couplings ts."""
     errors: dict[int, list[float]] = {}
     for t in ts:
-        for pred, (lo, hi) in asy._armchair_clusters(model_factory(t), k):
-            errors.setdefault(pred.j, []).append(abs(0.5 * (lo + hi) - pred.center))
+        model = model_factory(t)
+        pred = asy.predict_large_t_armchair(model.potential, k, t, model.N, model.phases)
+        a, d = decompose_armchair([model])
+        (lo,), (hi,) = block_branch_ranges(a[k - 1 : k], d[k - 1 : k])
+        centers = 0.5 * (lo + hi)[pred.band_rank - 1]
+        for j, error in enumerate(np.abs(centers - pred.center).tolist(), start=1):
+            errors.setdefault(j, []).append(error)
     return errors
+
+
+# ---------------------------------------------------------------------------
+# strong-coupling clusters, one position at a time: the reference of the
+# array predictors in ``asymptotics``, which must match it bit for bit
+
+
+@dataclass(frozen=True)
+class LargeTZigzagPrediction:
+    n: int                 # 1-based position in the 2p-periodic sequence
+    band_rank: int         # 1-based band index the cluster occupies
+    center: float
+    width: float
+    window: tuple[float, float]
+    dressing: float        # second-order center shift coefficient
+
+
+def _bond(i: int, a: float, period: int) -> float:
+    return 1.0 if i % period % 2 == 0 else a
+
+
+def predict_large_t_zigzag(
+    profile: PotentialProfile, c_k: float, n: int, t: float
+) -> LargeTZigzagPrediction:
+    """Strong-coupling cluster attached to the n-th potential value.
+
+    The band center sits at t*v_n minus a second-order dressing by the two
+    adjacent bonds; the width decays as t^(1-2p) with the inverse product of
+    value separations.  The window half-size delta/t is derived from the same
+    dressing bound plus the width, so it contains the band for every channel.
+    """
+    if is_flat_channel(c_k):
+        raise NotApplicableError("flat-band channel: clusters are single points")
+    if t <= 0:
+        raise InvalidInputError("strong-coupling regime needs t > 0")
+    p = profile.p
+    m = 2 * p
+    vals = profile.period_values()
+    if not 1 <= n <= m:
+        raise InvalidInputError(f"position n must lie in 1..{m}, got {n}")
+    asy._check_distinct(vals)
+    a = 2.0 * abs(c_k)
+    i = n - 1
+    left = _bond(i - 1, a, m) ** 2 / (vals[(i - 1) % m] - vals[i])
+    right = _bond(i, a, m) ** 2 / (vals[(i + 1) % m] - vals[i])
+    dressing = left + right
+    sep = float(np.prod(np.abs(np.delete(vals, i) - vals[i])))
+    try:
+        power = t ** (m - 1)
+    except OverflowError:  # the width is below the float range: 0
+        power = math.inf
+    width = 4.0 * a**p / (sep * power)
+
+    deltas = []
+    for jj in range(m):
+        dl = abs(_bond(jj - 1, a, m)) ** 2 / abs(vals[(jj - 1) % m] - vals[jj])
+        dr = abs(_bond(jj, a, m)) ** 2 / abs(vals[(jj + 1) % m] - vals[jj])
+        halfwidth_t = 2.0 * a**p / float(np.prod(np.abs(np.delete(vals, jj) - vals[jj])))
+        deltas.append(dl + dr + halfwidth_t)
+    delta = max(deltas) + 0.5
+    rank = int(np.sum(vals < vals[i])) + 1
+    return LargeTZigzagPrediction(
+        n=n,
+        band_rank=rank,
+        center=float(t * vals[i] - dressing / t),
+        width=float(width),
+        window=(float(t * vals[i] - delta / t), float(t * vals[i] + delta / t)),
+        dressing=float(dressing),
+    )
+
+
+@dataclass(frozen=True)
+class LargeTArmchairPrediction:
+    j: int                  # 1-based position in the potential array
+    band_rank: int
+    center: float
+    width: float
+    phase_weight: float     # 2 Re(s^k exp(i(b1+b2-2b3)))
+
+
+def cluster_product_set(q: int, i: int) -> list[int]:
+    """0-based positions sharing the winding product with position i (period q)."""
+    cls = {1, 2} if i % 4 in (1, 2) else {3, 0}
+    return [j for j in range(q) if j % 4 in cls]
+
+
+def predict_large_t_armchair(
+    profile: PotentialProfile,
+    k: int,
+    j: int,
+    t: float,
+    N: int,
+    phases: tuple[float, float, float] = (0.0, 0.0, 0.0),
+) -> LargeTArmchairPrediction:
+    """Strong-coupling cluster attached to the j-th value of a 4m-periodic potential.
+
+    Every position couples to three neighbours (offsets -1/+1/+3 from even
+    0-based positions, -3/-1/+1 from odd ones), which fixes the 1/t dressing.
+    No three-step loop exists on this graph, so the 1/t^2 coefficient of the
+    centre vanishes and the residual is O(1/t^3).  The width comes from the
+    shortest winding paths and decays as t^(1-q/2) with the inverse product of
+    separations over the positions sharing the winding class.
+    """
+    q = profile.q
+    if q % 4 != 0 or q < 12:
+        raise NotApplicableError("cluster law needs a 4m-periodic potential with m > 2")
+    if t <= 0:
+        raise InvalidInputError("strong-coupling regime needs t > 0")
+    vals = np.asarray(profile.values, dtype=float)
+    asy._check_distinct(vals)
+    if not 1 <= j <= q:
+        raise InvalidInputError(f"position j must lie in 1..{q}, got {j}")
+    i = j - 1
+
+    def V(ell: int) -> float:
+        return 1.0 / (vals[(i + ell) % q] - vals[i])
+
+    offsets = (-1, 1, 3) if i % 2 == 0 else (-3, -1, 1)
+    dressing = sum(V(ell) for ell in offsets)
+    b1, b2, b3 = phases
+    s_k = cmath.exp(2j * math.pi * k / N)
+    weight = 2.0 * (s_k * cmath.exp(1j * (b1 + b2 - 2 * b3))).real
+    prod = np.prod([vals[i] - vals[nn] for nn in cluster_product_set(q, i) if nn != i])
+    width = 4.0 / (t ** (q // 2 - 1) * abs(float(prod)))
+    rank = int(np.sum(vals < vals[i])) + 1
+    return LargeTArmchairPrediction(
+        j=j,
+        band_rank=rank,
+        center=float(t * vals[i] - dressing / t),
+        width=float(width),
+        phase_weight=weight,
+    )

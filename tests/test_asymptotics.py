@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
 from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix, zigzag_chain_edges
+import closed_forms
 from closed_forms import intervals_contain, p1_closed_form, unperturbed_edges
 from scalar_reference import channel_bands, decompose_zigzag
 
@@ -218,17 +220,17 @@ def test_large_t_zigzag_alternating():
     prof = PotentialProfile([1.0, -1.0])
     c = 0.45
     t = 50.0
-    pred = asy.predict_large_t_zigzag(prof, c, n=1, t=t)
+    pred = asy.predict_large_t_zigzag(prof, c, t=t)
     # exact edges: +-sqrt((tv)^2 + (2|c| +- 1)^2) around t*v
     a = 2 * c
     exact_width = math.sqrt(t**2 + (a + 1) ** 2) - math.sqrt(t**2 + (a - 1) ** 2)
-    assert pred.width == pytest.approx(exact_width, rel=2e-3)
-    assert pred.window[0] < t * 1.0 - exact_width and pred.window[1] > t * 1.0
+    assert pred.width[0] == pytest.approx(exact_width, rel=2e-3)
+    assert t * 1.0 - pred.window < t * 1.0 - exact_width and t * 1.0 + pred.window > t * 1.0
 
 
 def test_large_t_zigzag_rejects_repeated_values():
     with pytest.raises(InvalidInputError):
-        asy.predict_large_t_zigzag(PotentialProfile([1.0, 1.0]), 0.4, n=1, t=10.0)
+        asy.predict_large_t_zigzag(PotentialProfile([1.0, 1.0]), 0.4, t=10.0)
 
 
 def test_large_t_zigzag_harness():
@@ -251,12 +253,71 @@ def test_large_t_zigzag_width_scaling():
     c = 0.45
     ratios = []
     for t in (20.0, 40.0, 80.0):
-        pred = asy.predict_large_t_zigzag(prof, c, n=1, t=t)
+        pred = asy.predict_large_t_zigzag(prof, c, t=t)
         bands = channel_bands_at(prof, c, t)
-        lo, hi = bands[pred.band_rank - 1]
-        ratios.append((hi - lo) / pred.width)
+        lo, hi = bands[pred.band_rank[0] - 1]
+        ratios.append((hi - lo) / pred.width[0])
     assert abs(ratios[-1] - 1) < abs(ratios[0] - 1)
     assert abs(ratios[-1] - 1) < 0.01
+
+
+@st.composite
+def cluster_channels(draw, periods):
+    """(profile, N, k, t, b): a potential of a period in ``periods`` (at times with a repeated value), a
+    channel k of a tube of N, t log-uniform in 1e-2..1e6, and a zigzag phase b on the flat phase of
+    channel k half of the time."""
+    N = draw(st.integers(2, 64))
+    k = draw(st.integers(1, N))
+    q = draw(st.sampled_from(periods))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, q)
+    if q > 1 and draw(st.integers(0, 9)) == 0:
+        values[-1] = values[0]  # repeated values: both predictors refuse them
+    prof = PotentialProfile(values)
+    t = 10.0 ** draw(st.floats(-2.0, 6.0))
+    flat = math.pi / 2 - math.pi * k / N  # c_k = cos(b + pi k/N) = 0
+    b = flat if draw(st.booleans()) else flat + draw(st.floats(-math.pi, math.pi))
+    return prof, N, k, t, b
+
+
+def same_outcome(predict, reference):
+    """Both predictors' results, or the same refusal from both."""
+    try:
+        expected = reference()
+    except (InvalidInputError, NotApplicableError) as exc:
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            predict()
+        return None, None
+    return predict(), expected
+
+
+@given(channel=cluster_channels(range(1, 33)))
+@settings(max_examples=60, deadline=None)
+def test_zigzag_cluster_arrays_have_the_bits_of_the_per_position_reference(channel):
+    prof, N, k, t, b = channel
+    c = math.cos(b + math.pi * k / N)
+    pred, refs = same_outcome(
+        lambda: asy.predict_large_t_zigzag(prof, c, t),
+        lambda: [closed_forms.predict_large_t_zigzag(prof, c, n, t) for n in range(1, 2 * prof.p + 1)],
+    )
+    for i, (ref, v) in enumerate(zip(refs or [], prof.period_values())):
+        assert (int(pred.band_rank[i]), float(pred.center[i]), float(pred.width[i]), float(pred.dressing[i])) == (
+            ref.band_rank, ref.center, ref.width, ref.dressing
+        )
+        assert (float(t * v - pred.window), float(t * v + pred.window)) == ref.window
+
+
+@given(channel=cluster_channels(range(12, 33, 4)), phases=st.tuples(*[st.floats(-math.pi, math.pi)] * 3))
+@settings(max_examples=60, deadline=None)
+def test_armchair_cluster_arrays_have_the_bits_of_the_per_position_reference(channel, phases):
+    prof, N, k, t, _ = channel
+    pred, refs = same_outcome(
+        lambda: asy.predict_large_t_armchair(prof, k, t, N, phases),
+        lambda: [closed_forms.predict_large_t_armchair(prof, k, j, t, N, phases) for j in range(1, prof.q + 1)],
+    )
+    for i, ref in enumerate(refs or []):
+        assert (int(pred.band_rank[i]), float(pred.center[i]), float(pred.width[i]), pred.phase_weight) == (
+            ref.band_rank, ref.center, ref.width, ref.phase_weight
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +326,13 @@ def test_large_t_zigzag_width_scaling():
 
 def test_phase_weight_zero_field_top_channel():
     prof = PotentialProfile(np.linspace(-1.0, 1.0, 12))
-    pred = asy.predict_large_t_armchair(prof, k=4, j=1, t=30.0, N=4)
+    pred = asy.predict_large_t_armchair(prof, k=4, t=30.0, N=4)
     assert pred.phase_weight == pytest.approx(2.0)
 
 
 def test_large_t_armchair_rejects_short_period():
     with pytest.raises(NotApplicableError):
-        asy.predict_large_t_armchair(PotentialProfile(np.linspace(-1, 1, 8)), 1, 1, 30.0, 4)
+        asy.predict_large_t_armchair(PotentialProfile(np.linspace(-1, 1, 8)), 1, 30.0, 4)
 
 
 def test_small_v_armchair_zero_potential():
@@ -399,9 +460,9 @@ def test_intermediate_prediction_fields():
     assert pred_even.slope / abs(hat0[1]) == pytest.approx(2.0)  # unit chain, even gap: twice |hat0_n|
 
     vals = PotentialProfile([1.0, -1.0])
-    lt = asy.predict_large_t_zigzag(vals, 0.45, n=1, t=50.0)
+    lt = asy.predict_large_t_zigzag(vals, 0.45, t=50.0)
     a = 0.9
-    assert lt.dressing == pytest.approx((a**2 + 1.0) / (-2.0))
+    assert lt.dressing[0] == pytest.approx((a**2 + 1.0) / (-2.0))
 
 
 def test_open_gap_odd_period_all_rates_positive_off_unit_chain():

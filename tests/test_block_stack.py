@@ -142,9 +142,9 @@ def check_stack(blocks, grid_size):
 
     ``grid_size`` is the golden-section reference's grid.
     """
-    lo, hi = spectral._block_branch_ranges(*blocks)
+    lo, hi = spectral.block_branch_ranges(*blocks)
     for block, chan_lo, chan_hi in zip(channels(blocks), lo, hi):
-        alone_lo, alone_hi = spectral._block_branch_ranges(*block)
+        alone_lo, alone_hi = spectral.block_branch_ranges(*block)
         assert chan_lo.tobytes() == alone_lo[0].tobytes() and chan_hi.tobytes() == alone_hi[0].tobytes()
         reference, dense = ref_branch_ranges(block, grid_size), dense_branch_ranges(block)
         assert_edges(chan_lo, chan_hi, *reference, *dense)
@@ -253,7 +253,7 @@ def test_lockstep_searches_that_finish_at_different_rounds(monkeypatch):
     model = ArmchairModel(4, (0.3, -0.2, 0.7), PotentialProfile(rng.uniform(-1, 1, 3)), t=0.2)
     blocks = decompose_armchair([model])
     calls = counting_probes(monkeypatch)
-    spectral._block_branch_ranges(*blocks)
+    spectral.block_branch_ranges(*blocks)
     samples, rounds = calls[0], calls[1:]
     assert samples == 4 * spectral.LEVEL_SET_SAMPLES
     assert len(rounds) >= 3 and rounds[-1] < rounds[0] // 4  # searches stop at different rounds
@@ -420,7 +420,7 @@ def test_level_sets_blurred_by_rounding_are_resolved(N, B, t, potential, c, sear
     # (narrow dips) or 440 (near-flat branch) ulps of the scale without its remedy
     model = ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(potential), t=t)
     block = channel(decompose_armchair([model]), c)
-    lo, hi = spectral._block_branch_ranges(*block)
+    lo, hi = spectral.block_branch_ranges(*block)
     dense_lo, dense_hi, scale = dense_branch_ranges(block)
     assert np.all(np.abs(lo[0] - dense_lo) <= DENSE_AGREEMENT * scale)
     assert np.all(np.abs(hi[0] - dense_hi) <= DENSE_AGREEMENT * scale)
@@ -440,7 +440,7 @@ def test_kink_at_the_extremum_is_met_to_rounding(phi):
     # the upper branch max(2 cos(theta), 2 cos(theta + phi)) has its minimum at
     # the crossing theta = pi - phi/2, a kink with no slope or curvature to
     # follow; the arcs about it shrink to it
-    lo, hi = spectral._block_branch_ranges(*crossing_block(phi))
+    lo, hi = spectral.block_branch_ranges(*crossing_block(phi))
     exact = -2.0 * math.cos(phi / 2)
     eps = np.finfo(float).eps
     assert abs(lo[0, 1] - exact) <= 8 * eps and abs(hi[0, 0] + exact) <= 8 * eps
@@ -450,7 +450,7 @@ def test_kink_at_the_extremum_is_met_to_rounding(phi):
 def test_constant_branch_stops_on_its_first_round(monkeypatch):
     block = flat_block(2, [0.3, -0.6, 0.1, 0.9])
     calls = counting_probes(monkeypatch)
-    lo, hi = spectral._block_branch_ranges(*block)
+    lo, hi = spectral.block_branch_ranges(*block)
     assert len(calls) <= 2  # the samples, and at most one round
     samples = fiber_levels(block_period_matrix(*block), [0.0])
     assert lo.tobytes() == samples.tobytes() and hi.tobytes() == samples.tobytes()
@@ -463,7 +463,7 @@ def test_searches_converge_in_a_few_rounds(monkeypatch):
     for seed in range(6):
         model, _ = seeded_model(seed)
         calls.clear()
-        spectral._block_branch_ranges(*decompose_armchair([model]))
+        spectral.block_branch_ranges(*decompose_armchair([model]))
         assert len(calls) - 1 <= 12, seed
 
 

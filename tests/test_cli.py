@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nanotube_bands import ArmchairModel, ZigzagModel, cli, flat_field_amplitudes
 from nanotube_bands.cli import main
@@ -809,8 +810,8 @@ def test_bands_and_large_t_asym_agree_on_a_near_flat_channel(tmp_path, capsys):
     assert {r["params"].get("k") for r in reports} >= {1}
 
 
-def run_child(tmp_path, argv):
-    """(exit code, stdout, stderr) of ``python -W error::RuntimeWarning -m nanotube_bands`` on a 4-value potential."""
+def run_child(tmp_path, argv, potential=(0.3, -0.2, 0.5, -0.7)):
+    """(exit code, stdout, stderr) of ``python -W error::RuntimeWarning -m nanotube_bands`` on ``potential``."""
     import subprocess
     import sys
     from pathlib import Path
@@ -818,7 +819,7 @@ def run_child(tmp_path, argv):
     import nanotube_bands
 
     pot = tmp_path / "v.json"
-    pot.write_text("[0.3, -0.2, 0.5, -0.7]")
+    pot.write_text(json.dumps(list(potential)))
     src = str(Path(nanotube_bands.__file__).resolve().parents[1])
     done = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "nanotube_bands", *argv.split(), "--potential", str(pot)],
@@ -841,3 +842,124 @@ def test_armchair_sweep_past_the_float_range_exits_2_without_a_warning(tmp_path)
         tmp_path, "sweep --lattice armchair --N 3 --B-start 0 --B-stop 1e308 --B-steps 3 --t 1e300"
     )
     assert (code, out) == (2, "") and err == "error: b3 must be finite, got -inf\n"
+
+
+CI_POTENTIAL = tuple(np.random.default_rng(5).uniform(-1.0, 1.0, 32).tolist())  # p = MAX_P, as in the CI steps
+
+
+@pytest.mark.parametrize(
+    "argv, potential, widths",
+    [
+        # 4 a^p / (sep * t**(2p - 1)) divided by a zero power: ZeroDivisionError traceback
+        ("asym --regime large_t_zigzag --N 5 --b 0.2 --t 1e-300", (0.9, -0.3, 0.4, -1.1), "inf"),
+        # t**(q/2 - 1) raised OverflowError, and a zero power ZeroDivisionError
+        ("asym --regime large_t_armchair --N 4 --B 0 --k 4 --t 1e200", CI_POTENTIAL, 0),
+        ("asym --regime large_t_armchair --N 4 --B 0 --k 4 --t 1e-300", CI_POTENTIAL, "inf"),
+    ],
+)
+def test_cluster_widths_past_the_float_range_fail_without_a_traceback(tmp_path, argv, potential, widths):
+    code, out, err = run_child(tmp_path, argv, potential)
+    assert (code, err) == (1, "")
+    reports = [report for report in json.loads(out) if "check" not in report["params"]]
+    assert reports and all(report["predicted"] == widths for report in reports)
+
+
+def test_armchair_clusters_that_share_a_band_are_measured_on_their_branches(tmp_path):
+    # at t = 0.3 the channel has fewer bands than clusters: IndexError traceback
+    code, out, err = run_child(tmp_path, "asym --regime large_t_armchair --N 4 --B 0 --k 4 --t 0.3", CI_POTENTIAL)
+    assert (code, err) == (1, "")
+    assert [report["params"]["j"] for report in json.loads(out)] == list(range(1, 33))
+
+
+def test_flat_channel_levels_stay_finite_past_the_square_root_overflow(tmp_path):
+    # sqrt((t v-)^2 + 1) overflowed above |t v-| ~ 1.3e154: channel 2 printed [-inf, -inf, inf, inf] at exit 0
+    levels = {}
+    for t in ("1e150", "1e160"):
+        code, out, err = run_child(tmp_path, f"bands --lattice zigzag --N 4 --b 0 --t {t}")
+        assert (code, err) == (0, "")
+        (flat,) = [channel["flat_bands"] for channel in json.loads(out)["channels"] if channel["flat_bands"]]
+        levels[t] = flat
+    assert levels["1e150"] == [-7e149, -2e149, 3e149, 5e149]  # below the overflow the levels keep their bits
+    assert levels["1e160"] == [-7e159, -2e159, 3e159, 5e159]
+    code, out, err = run_child(tmp_path, "sweep --lattice zigzag --N 4 --B-start 0 --t 1e160")
+    assert (code, err) == (0, "") and "inf" not in out
+    code, out, err = run_child(tmp_path, "asym --regime ck_to_zero --t 1e200")  # predicted "nan"
+    assert code in (0, 1) and err == "" and "nan" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, potential",
+    [
+        ("bands --lattice zigzag --N 4 --b 0.3 --t 1e10", (1e300, -2e300, 3e300, -1e300)),
+        ("bands --lattice armchair --N 4 --B 0.3 --t 1e10", (1e300, -2e300, 3e300, -1e300)),
+        ("sweep --lattice zigzag --N 4 --B-start 0.3 --t 1e10", (1e300, -2e300, 3e300, -1e300)),
+        ("verify --lattice zigzag --N 4 --b 0.3 --L 2 --t 1e10", (1e300, -2e300, 3e300, -1e300)),
+        # finite energies whose differences overflow
+        ("bands --lattice zigzag --N 4 --b 0.3", (1.5e308, -1.5e308)),
+        ("asym --regime ck_to_zero", (1.5e308, -1.5e308)),
+        ("asym --regime large_t_armchair --N 4 --B 0.3 --t 1e308", np.linspace(-0.99, 0.99, 12)),
+    ],
+)
+def test_coupling_past_the_float_range_exits_2(tmp_path, argv, potential):
+    # LinAlgError tracebacks at exit 1, verify's "residual nan" at exit 3, overflow RuntimeWarnings
+    code, out, err = run_child(tmp_path, argv, potential)
+    assert (code, out) == (2, "") and err.startswith("error: t * max|v| must be at most half the largest float")
+    assert err.count("\n") == 1
+
+
+# ---------------------------------------------------------------------------
+# the strong-coupling regimes over the input box the CLI accepts
+
+
+@st.composite
+def large_t_argv(draw):
+    """An ``asym large_t_*`` command line anywhere in the accepted box, N * p capped at 1024."""
+    regime = draw(st.sampled_from(["large_t_zigzag", "large_t_armchair"]))
+    q = draw(st.integers(1, 32).filter(lambda q: q % 2 == 0 or q < 16))
+    if draw(st.integers(0, 3)):  # mostly a period the cluster law takes: the zigzag one repeats an odd period
+        q = draw(st.sampled_from([12, 16, 20, 24, 28, 32] if regime == "large_t_armchair" else range(2, 33, 2)))
+    p = q // 2 if q % 2 == 0 else q
+    N = draw(st.integers(2, min(512, 1024 // p)))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, q)
+    if q > 1 and draw(st.integers(0, 9)) == 0:
+        values[-1] = values[0]  # repeated values: the cluster laws refuse them
+    sign = draw(st.sampled_from([1.0] * 8 + [-1.0, 0.0]))  # t <= 0 is refused
+    t = sign * 10.0 ** draw(st.floats(-300.0, 308.0))
+    field = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 308.0))
+    field |= st.floats(-10.0, 10.0)
+    argv = ["asym", "--regime", regime, "--N", str(N), "--t", repr(t)]
+    if regime == "large_t_zigzag":
+        k = draw(st.integers(1, N))
+        flat = math.pi / 2 - math.pi * k / N  # channel k is flat there
+        if draw(st.booleans()):
+            argv += ["--b", repr(draw(st.just(flat) | field))]
+        else:
+            argv += ["--B", repr(draw(field))]
+    else:
+        if draw(st.booleans()):
+            argv += ["--B", repr(draw(field))]
+        else:
+            argv += [f"--b{i}={draw(field)!r}" for i in (1, 2, 3)]
+        if draw(st.booleans()):
+            argv += ["--k", str(draw(st.integers(1, N)))]
+    return argv, values.tolist()
+
+
+@given(case=large_t_argv())
+@settings(max_examples=60, deadline=None)
+def test_large_t_regimes_answer_fail_or_refuse_over_the_accepted_box(case):
+    # exit 0 or 1 with reports and an empty stderr, or exit 2 with one error line; an exception
+    # escaping main (a traceback) or a RuntimeWarning (an error under the test settings) fails it
+    import tempfile
+
+    argv, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        pot = f"{tmp}/v.json"
+        with open(pot, "w") as fh:
+            json.dump(values, fh)
+        code, out, err = run_in_process(argv + ["--potential", pot])
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == "" and json.loads(out)
+
