@@ -137,7 +137,11 @@ def predict_ck_shrink(
         raise NotApplicableError(f"level {lam} is degenerate; shrinkage rate undefined")
     with np.errstate(over="ignore"):  # a spacing past the float range gives width 0
         spacing = float(np.prod(np.abs(others - lam))) if others.size else 1.0
-    half = 2.0 * abs(2.0 * c_k) ** p / spacing
+    try:
+        power = abs(2.0 * c_k) ** p
+    except OverflowError:  # a Python float power raises rather than return inf
+        power = math.inf
+    half = 2.0 * power / spacing
     return ShrinkPrediction(
         s=s,
         level=float(lam),
@@ -326,7 +330,9 @@ class LargeTZigzagPrediction:
 
 
 def _check_distinct(vals: np.ndarray) -> None:
-    if np.min(np.abs(vals[:, None] - vals[None, :]) + np.eye(vals.size)) < DISTINCT_TOL:
+    with np.errstate(over="ignore"):  # a difference past the float range is inf: distinct
+        spread = np.abs(vals[:, None] - vals[None, :])
+    if np.min(spread + np.eye(vals.size)) < DISTINCT_TOL:
         raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
 
 
@@ -356,10 +362,10 @@ def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> L
     _check_distinct(vals)
     a = 2.0 * abs(c_k)
     bond_sq = np.where(np.arange(2 * p) % 2 == 0, 1.0, a**2)  # bond i couples positions i and i + 1
-    left = np.roll(bond_sq, 1) / (np.roll(vals, 1) - vals)
-    right = bond_sq / (np.roll(vals, -1) - vals)
-    dressing = left + right
     with np.errstate(divide="ignore", over="ignore"):
+        left = np.roll(bond_sq, 1) / (np.roll(vals, 1) - vals)
+        right = bond_sq / (np.roll(vals, -1) - vals)
+        dressing = left + right
         sep = _separation_products(vals)
         delta = np.max(np.abs(left) + np.abs(right) + 2.0 * a**p / sep) + 0.5
         return LargeTZigzagPrediction(
@@ -411,7 +417,9 @@ def in_gap_opening_set(q) -> bool:
 def _rung_values(profile: PotentialProfile) -> np.ndarray:
     """The p rung values of a rung-paired potential (v[2j] == v[2j+1])."""
     pairs = profile.pairs()
-    if np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > RUNG_PAIR_TOL:
+    with np.errstate(over="ignore"):  # a difference past the float range is inf: not paired
+        unpaired = np.max(np.abs(pairs[:, 0] - pairs[:, 1])) > RUNG_PAIR_TOL
+    if unpaired:
         raise InvalidInputError("rung-paired potential required: v[2j] must equal v[2j+1]")
     return pairs[:, 0]
 
@@ -433,9 +441,16 @@ def _shifted_overlay(profile: PotentialProfile, N: int) -> tuple:
 
 def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
     """First-order gap data of the rung potential and the windows into which
-    the shifted copies of those gaps land inside the armchair spectrum."""
+    the shifted copies of those gaps land inside the armchair spectrum.
+
+    The law sums the p rung values and adds gap edges in pairs, so a
+    potential whose 4 p max|v| is past the float range is refused.
+    """
     q = _rung_values(profile)
     p = q.size
+    vmax = float(np.max(np.abs(q)))
+    if not math.isfinite(4.0 * p * vmax):
+        raise InvalidInputError(f"small_v_armchair needs 4 p max|v| in the float range, got p = {p}, max|v| = {vmax}")
     hats = rung_fourier(q)
     edges = []
     for n in range(1, p):
@@ -498,12 +513,12 @@ def predict_large_t_armchair(
     _check_distinct(vals)
     pos = np.arange(q)
     offsets = np.where(pos % 2 == 0, np.array([[-1], [1], [3]]), np.array([[-3], [-1], [1]]))
-    V = 1.0 / (vals[(pos + offsets) % q] - vals)
     b1, b2, b3 = phases
     s_k = cmath.exp(2j * math.pi * k / N)
     sep = np.empty(q)
     winding = (pos % 4 == 1) | (pos % 4 == 2)
     with np.errstate(divide="ignore", over="ignore"):
+        V = 1.0 / (vals[(pos + offsets) % q] - vals)
         for members in (winding, ~winding):
             sep[members] = _separation_products(vals[members])
         return LargeTArmchairPrediction(

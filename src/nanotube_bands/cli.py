@@ -192,7 +192,7 @@ MAX_GRID = 2**16  # --grid is validated so that existing command lines run; no c
 MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
 MAX_N = 512  # a zigzag bands run peaks at ~58 MB at N = 512, p = 16, an armchair run grows as N
 MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
-MAX_P = 16  # potential period p: channel matrices are 2p x 2p; armchair bands at MAX_N, p = 16: ~30 s, 62 MB
+MAX_P = 16  # potential period p: channel matrices are 2p x 2p; armchair bands at MAX_N, p = 16: ~11 s, 64 MB
 MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
 
 
@@ -352,6 +352,8 @@ def _finite_ck(text) -> float:
         raise InvalidInputError(f"channel constant must be a number, got {text!r}") from None
     if not math.isfinite(ck):
         raise InvalidInputError(f"channel constant must be finite, got {ck}")
+    if abs(ck) > 1.0:
+        raise InvalidInputError(f"channel constant is a cosine and must lie in [-1, 1], got {ck}")
     return ck
 
 

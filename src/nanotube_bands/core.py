@@ -38,6 +38,7 @@ SAME_BOND_TOL = 1e-9  # channels whose |c_k| differ by less than this share thei
 UNIMODULAR_TOL = 1e-12  # a quasi-momentum multiplier tau must have ||tau| - 1| at most this
 LEVEL_ROOT_TOL = 1e-3  # a root tau of a level-set quartic with ||tau| - 1| at most this is a level crossing
 LEVEL_ARC_TOL = 1e-12  # theta, radians: an arc between level crossings no wider than this is a tangency, not probed
+LEVEL_SKIP_MARGIN = 1e-3  # theta, radians: a sample this far inside an arc from both of its crossings can vouch for it
 DISTINCT_TOL = 1e-12  # potential values closer than this are not distinct (cluster asymptotics)
 RUNG_PAIR_TOL = 1e-12  # |v[2j] - v[2j+1]| above this is not rung-paired (small_v_armchair)
 ZERO_MEAN_TOL = 1e-12  # |sum v| at most this times energy_scale(v) over one period is a zero mean
@@ -57,6 +58,10 @@ VERIFY_FLOOR = 512
 # relative, in units of u: a level-set search stops once no probe beats its level by more than
 # LEVEL_SET_STOP * u * scale, scale the energy_scale of the channel's sampled levels
 LEVEL_SET_STOP = 4
+# relative, in units of u: an arc holding a sample that lies beyond a search's level by more than
+# LEVEL_SKIP_SLACK * u * scale lies wholly beyond it and is not probed; 16 stops of rounding keep a probe on
+# such an arc from rounding past the level (at 0, 40 of 300 random models at t above 50 moved a range)
+LEVEL_SKIP_SLACK = 16 * LEVEL_SET_STOP
 
 
 def energy_scale(x, axis=None):

@@ -27,7 +27,11 @@ two rows, so det(L(theta) - E) is a trigonometric polynomial of degree 2 in
 theta: the levels at 8 fixed multipliers give, for any level E, every theta
 where some branch equals E.  A search probes the branch at the midpoint of
 every arc between those crossings and moves E to the most extreme probe; the
-round on which no probe beats E by more than rounding certifies it.  Each
+round on which no probe beats E by more than rounding certifies it.  An arc
+that holds a sample more than LEVEL_SKIP_MARGIN from both of its crossings,
+where the branch lies beyond E by more than LEVEL_SKIP_SLACK units of
+rounding, lies wholly beyond E, and is not probed: that halves the
+eigensolves, and on 800 random models moved no bit of any range.  Each
 probe pairs its own channel with its own multiplier, and one round solves
 the probes of every search still running, one stack of FIBER_STACK at a
 time.  There is no grid: the CLI's ``--grid`` is validated and not read.
@@ -51,8 +55,9 @@ import numpy as np
 
 from .armchair import decompose_armchair
 from .core import (
-    FLAT_BRANCH_TOL, GAP_MERGE_TOL, HERMITIAN_TOL, LEVEL_ARC_TOL, LEVEL_ROOT_TOL, LEVEL_SET_STOP, UNIMODULAR_TOL,
-    UNION_CUT_TOL, UNIT_ROUNDOFF, ArmchairModel, PotentialProfile, ZigzagModel, energy_scale, is_flat_channel,
+    FLAT_BRANCH_TOL, GAP_MERGE_TOL, HERMITIAN_TOL, LEVEL_ARC_TOL, LEVEL_ROOT_TOL, LEVEL_SET_STOP, LEVEL_SKIP_MARGIN,
+    LEVEL_SKIP_SLACK, UNIMODULAR_TOL, UNION_CUT_TOL, UNIT_ROUNDOFF, ArmchairModel, PotentialProfile, ZigzagModel,
+    energy_scale, is_flat_channel,
 )
 from .errors import FlatBandChannelError, HillOrderError, InternalConsistencyError, InvalidParameterError
 from .zigzag import channel_constants
@@ -126,10 +131,21 @@ def fiber_matrices(period, wrap, taus) -> np.ndarray:
     could flip the sign of a zero entry.
 
     Every matrix is checked to be Hermitian to HERMITIAN_TOL of its
-    ``energy_scale``.  Off the corners it holds the period matrix's entries,
-    and the corners mirror each other, so the residuals of the period
-    matrices and of the corners cover every entry; only when one exceeds
-    HERMITIAN_TOL is each matrix weighed against its own scale.
+    ``energy_scale`` (``_fiber_stack``).
+    """
+    return _fiber_stack(period, wrap, taus, _adjoint_mismatch(period, period))
+
+
+def _fiber_stack(period, wrap, taus, residual: float) -> np.ndarray:
+    """``fiber_matrices``, given ``residual``, the largest entry of |P - P^H| over the period matrices P.
+
+    Off the corners L holds the period matrix's entries, and the corners
+    mirror each other, so the residuals of the period matrices and of the
+    corners cover every entry; only when one exceeds HERMITIAN_TOL is each
+    matrix weighed against its own scale.  The period residual is a property
+    of the periods alone: ``block_branch_ranges`` takes it once for all its
+    channels rather than once per stack of probes.  Where it is 0, the
+    corners mirror to the bit, and their residual is 0 too.
     """
     taus = _check_unimodular(taus)[..., None, None]
     m, r = period.shape[-1], wrap.shape[-1]
@@ -139,7 +155,7 @@ def fiber_matrices(period, wrap, taus) -> np.ndarray:
     lower, upper = L[..., m - r :, :r], L[..., :r, m - r :]
     lower += corner
     upper += np.swapaxes(corner.conj(), -1, -2)  # conj(tau) W^H, to the bit
-    if max(_adjoint_mismatch(period, period), _adjoint_mismatch(lower, upper)) > HERMITIAN_TOL:
+    if max(residual, _adjoint_mismatch(lower, upper)) > HERMITIAN_TOL:
         residual = np.max(np.abs(L - np.conj(np.swapaxes(L, -1, -2))), axis=(-2, -1))
         if np.any(residual > HERMITIAN_TOL * energy_scale(L, axis=(-2, -1))):
             raise InternalConsistencyError("fiber matrix is not Hermitian")
@@ -259,6 +275,8 @@ def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:
 LEVEL_SET_SAMPLES = 8  # multipliers exp(2 pi i j / 8) per channel: det(L - E) has 5 Fourier coefficients
 LEVEL_SET_MAX_ROUNDS = 64  # rounds per search; a kink at least halves a search's distance to its extremum per round
 SEARCH_CHUNK = 1024  # searches whose (8, 2p) samples are gathered at once; bounds the level-set temporaries
+SAMPLE_THETAS = 2.0 * np.pi * np.arange(LEVEL_SET_SAMPLES) / LEVEL_SET_SAMPLES
+SAMPLE_ANGLES = np.where(SAMPLE_THETAS < np.pi, SAMPLE_THETAS, SAMPLE_THETAS - 2.0 * np.pi)  # in [-pi, pi), as np.angle
 
 
 def _stacks(n: int, size: int = FIBER_STACK) -> list[slice]:
@@ -272,42 +290,52 @@ def _multipliers(thetas) -> np.ndarray:
     The multipliers come from ``cmath.exp`` because ``np.exp`` may differ from
     it in the last bit, which would change the printed edges.
     """
-    return np.array([cmath.exp(1j * th) for th in thetas])
+    return np.array([cmath.exp(1j * th) for th in np.asarray(thetas, dtype=float).tolist()], dtype=complex)
 
 
-def _fiber_levels(fibers, chans, thetas):
-    """(slice, levels) of each stack of FIBER_STACK probes: the sorted levels of channel ``chans[i]`` at ``thetas[i]``.
+def _block_fibers(a, d):
+    """``block_period_matrix`` of block channels, and the residual of its period matrices for ``_fiber_stack``."""
+    periods, wraps = block_period_matrix(a, d)
+    return periods, wraps, _adjoint_mismatch(periods, periods)
 
-    ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
-    channels.  Each probe pairs its own channel with its own multiplier, and
-    ``eigvalsh`` solves every matrix on its own, so a probe's levels do not
-    depend on the probes that share its stack.
+
+def _fiber_levels(fibers, chans, taus):
+    """(slice, levels) of each stack of FIBER_STACK probes: the sorted levels of channel ``chans[i]`` at ``taus[i]``.
+
+    ``fibers`` is the ``_block_fibers`` triple of a stack of channels and
+    ``taus`` the probes' multipliers (``_multipliers``).  Each probe pairs its
+    own channel with its own multiplier, and ``eigvalsh`` solves every matrix
+    on its own, so a probe's levels do not depend on the probes that share
+    its stack.
     """
-    periods, wraps = fibers
-    taus = _multipliers(thetas)
+    periods, wraps, residual = fibers
     for s in _stacks(len(taus)):
-        yield s, np.linalg.eigvalsh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s]))
+        yield s, np.linalg.eigvalsh(_fiber_stack(periods[chans[s]], wraps[chans[s]], taus[s], residual))
 
 
-def _arc_midpoints(samples, level, at) -> np.ndarray:
+def _arc_midpoints(samples, level, tau, clear) -> np.ndarray:
     """Midpoints of the arcs into which the level crossings of each search cut the circle, NaN-padded to (search, 4).
 
     ``samples`` holds the (search, 8, 2p) levels of each search's channel at
-    theta_j = 2 pi j / 8, ``level`` the level E of each search and ``at`` a
-    theta where its branch equals E.  The wrap block has two rows, so
-    det(L(theta) - E) = prod_i (E_i(theta) - E) is a real trigonometric
+    theta_j = 2 pi j / 8, ``level`` the level E of each search and ``tau`` a
+    multiplier exp(i theta) where its branch equals E.  The wrap block has
+    two rows, so det(L(theta) - E) = prod_i (E_i(theta) - E) is a real trigonometric
     polynomial of degree 2: one FFT of its samples gives c_0..c_2 exactly,
     and the roots tau = exp(i theta) of tau^2 det on the unit circle are the
     at most 4 crossings, where some branch meets E.  Each factor is divided
     by its largest magnitude over the samples, which moves no root and keeps
-    the product from underflow.  The known root exp(i at) is divided out, so
+    the product from underflow.  The known root ``tau`` is divided out, so
     its neighbour, which closes the arc the search is closing in on, is found
     to rounding even where that arc is far narrower than the samples
     resolve.  The other roots are the eigenvalues of the cubic's companion
     matrix (none when it is not finite); one off the circle by more than
     LEVEL_ROOT_TOL crosses nothing.  Between consecutive crossings every
     branch stays on one side of E; an arc no wider than LEVEL_ARC_TOL is a
-    tangency and has no midpoint.
+    tangency and has no midpoint.  Nor has an arc that holds a sample theta_j
+    more than LEVEL_SKIP_MARGIN from both of its crossings at which the
+    (search, 8) mask ``clear`` is set, the search's branch lying beyond E by
+    more than LEVEL_SKIP_SLACK units of rounding there: the branch lies
+    beyond E on the whole arc, so its probe could not move the search.
     """
     factors = samples - level[:, None, None]
     norm = np.max(np.abs(factors), axis=1, keepdims=True)
@@ -316,29 +344,33 @@ def _arc_midpoints(samples, level, at) -> np.ndarray:
     for i in range(1, factors.shape[-1]):  # one product per sample, in the same order for every search
         det *= factors[..., i]
     c2, c1, c0 = np.fft.rfft(det)[:, 2::-1].T  # c_2, c_1, c_0 times 8; c_-k = conj(c_k), as det is real
-    tau = _multipliers(at)
-    quotient = [c2]  # of tau^2 det by (x - tau), highest power first, its remainder dropped
-    for c in (c1, c0, np.conj(c1)):
-        quotient.append(c + tau * quotient[-1])
+    S = len(det)
+    quotient = np.empty((S, 4), dtype=complex)  # of tau^2 det by (x - tau), highest power first, remainder dropped
+    quotient[:, 0] = c2
+    for k, c in enumerate((c1, c0, np.conj(c1))):
+        quotient[:, k + 1] = c + tau * quotient[:, k]
     # a real det that vanishes at tau has quotient coefficients b_k = -conj(tau) conj(b_{3-k}): keep that
     # part of the rounded ones, so the quotient's simple roots on the circle stay on it
-    quotient = np.stack(quotient, axis=1)
     quotient = 0.5 * (quotient - np.conj(tau)[:, None] * np.conj(quotient[:, ::-1]))
-    companion = np.zeros((len(det), 3, 3), dtype=complex)
-    companion[:, [1, 2], [0, 1]] = 1.0
+    companion = np.zeros((S, 3, 3), dtype=complex)
+    companion[:, 1, 0] = companion[:, 2, 1] = 1.0
     with np.errstate(divide="ignore", invalid="ignore"):
         companion[:, 0] = -quotient[:, 1:] / quotient[:, :1]
-    finite = np.isfinite(companion).all(axis=(1, 2))
-    roots = np.full((len(det), 4), np.nan, dtype=complex)
+    finite = np.isfinite(companion[:, 0]).all(axis=1)
+    roots = np.full((S, 4), np.nan, dtype=complex)
     roots[finite, 0] = tau[finite]
     roots[finite, 1:] = np.linalg.eigvals(companion[finite])
     on_circle = np.abs(np.abs(roots) - 1.0) <= LEVEL_ROOT_TOL
     start = np.sort(np.where(on_circle, np.angle(roots), np.nan), axis=1)  # NaN last
-    count = on_circle.sum(axis=1)
-    stop = np.append(start[:, 1:], np.full((len(det), 1), np.nan), axis=1)
-    wraps = np.flatnonzero(count)
-    stop[wraps, count[wraps] - 1] = start[wraps, 0] + 2.0 * np.pi  # the last arc ends at the first crossing
-    return np.where(stop - start > LEVEL_ARC_TOL, 0.5 * (start + stop), np.nan)
+    stop = np.full((S, 4), np.nan)
+    stop[:, :-1] = start[:, 1:]
+    # the last arc ends at the first crossing (a search with none writes NaN over the NaN of its last column)
+    stop[np.arange(S), on_circle.sum(axis=1) - 1] = start[:, 0] + 2.0 * np.pi
+    width = stop - start
+    into = SAMPLE_ANGLES - start[..., None]  # (search, arc, sample), in [-2 pi, 2 pi); NaN past the arcs
+    into = np.where(into < 0.0, into + 2.0 * np.pi, into)
+    vouched = clear[:, None] & (into > LEVEL_SKIP_MARGIN) & (into < width[..., None] - LEVEL_SKIP_MARGIN)
+    return np.where((width > LEVEL_ARC_TOL) & ~vouched.any(axis=2), 0.5 * (start + stop), np.nan)
 
 
 def spectrum_block_stack(a, d) -> list[list[tuple[float, float]]]:
@@ -360,28 +392,41 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
     One level-set iteration (Boyd & Balakrishnan, Syst. Control Lett. 15:1,
     1990) runs every (channel, branch, min/max) search in lockstep.  A search
     holds a level E, the most extreme value of its branch seen so far,
-    starting from the first most extreme of the channel's 8 samples.  Each
-    round probes the branch at every midpoint of ``_arc_midpoints`` and moves
-    E to the most extreme probe.  An arc where the branch lies beyond E holds
-    its midpoint beyond E, by nearly the whole depth near a smooth extremum
-    and by at least half of it at a kink where two branches cross, so the
-    round whose probes beat E by at most LEVEL_SET_STOP * u * scale (scale
-    the ``energy_scale`` of the channel's samples) certifies E and stops the
-    search.  One still running after LEVEL_SET_MAX_ROUNDS is an internal
+    starting from the first most extreme of the channel's 8 samples, and the
+    multiplier where its branch equals E.  Each round probes the branch at
+    every midpoint of ``_arc_midpoints`` and moves E to the most extreme
+    probe.  E only moves towards the extremum, so every sample lies on the
+    far side of E; one that lies there by more than LEVEL_SKIP_SLACK * u *
+    scale and more than LEVEL_SKIP_MARGIN inside an arc vouches for the
+    whole arc, as the branch keeps one side of E between two crossings, and
+    the arc is not probed: its probe could beat E only by rounding.  The
+    slack keeps an arc whose probe could round past E from being skipped (at
+    slack 0, 120 of 300 random models, mostly at large t, moved a range by a
+    few u * scale).  Skipping halves the probes, and on 800 random models
+    (N 2-8, q 1-16, t 1e-3 to 1e8) left every range the same bits as probing
+    every arc (``tests/block_reference.py``).  An arc where the branch lies
+    beyond E holds its midpoint beyond E, by nearly the whole depth near a
+    smooth extremum and by at least half of it at a kink where two branches
+    cross, so the round whose probes beat E by at most LEVEL_SET_STOP * u *
+    scale (scale the ``energy_scale`` of the channel's samples) certifies E
+    and stops the search.  One still running after LEVEL_SET_MAX_ROUNDS is an internal
     error.  Every step is elementwise per search or per probe, so a channel's
-    ranges are the same bits whatever stack it is in.
+    ranges are the same bits whatever stack it is in.  The period matrices'
+    Hermiticity residual is taken once (``_block_fibers``), and each probe's
+    multiplier once, where the probe is made.
     """
-    fibers = block_period_matrix(a, d)
+    fibers = _block_fibers(a, d)
     C, m = fibers[0].shape[:2]
-    thetas = 2.0 * np.pi * np.arange(LEVEL_SET_SAMPLES) / LEVEL_SET_SAMPLES
-    solved = _fiber_levels(fibers, np.repeat(np.arange(C), LEVEL_SET_SAMPLES), np.tile(thetas, C))
+    grid = _multipliers(SAMPLE_THETAS)
+    solved = _fiber_levels(fibers, np.repeat(np.arange(C), LEVEL_SET_SAMPLES), np.tile(grid, C))
     samples = np.concatenate([np.empty((0, m))] + [levels for _, levels in solved]).reshape(C, LEVEL_SET_SAMPLES, m)
-    tol = LEVEL_SET_STOP * UNIT_ROUNDOFF * energy_scale(samples, axis=(1, 2))
+    scale = UNIT_ROUNDOFF * energy_scale(samples, axis=(1, 2))
+    tol, slack = LEVEL_SET_STOP * scale, LEVEL_SKIP_SLACK * scale
     chans, rows = np.tile(np.repeat(np.arange(C), m), 2), np.tile(np.arange(m), 2 * C)
     signs = np.repeat([1.0, -1.0], C * m)  # a search minimises signs * branch
     seen = signs[:, None] * samples[chans, :, rows]
     first = np.argmin(seen, axis=1)  # the first most extreme sample: np.min may return either of 0.0 and -0.0
-    best, at = seen[np.arange(chans.size), first], thetas[first]
+    best, at = seen[np.arange(chans.size), first], grid[first]  # at: the multiplier where the branch equals best
     active = np.arange(chans.size)
     for _ in range(LEVEL_SET_MAX_ROUNDS):
         if not active.size:
@@ -389,18 +434,26 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
         parts = (active[s] for s in _stacks(active.size, SEARCH_CHUNK))
         mids = np.concatenate(
             [np.empty((0, 4))]
-            + [_arc_midpoints(samples[chans[part]], signs[part] * best[part], at[part]) for part in parts]
+            + [
+                _arc_midpoints(
+                    samples[chans[part]], signs[part] * best[part], at[part],
+                    seen[part] > (best[part] + slack[chans[part]])[:, None],
+                )
+                for part in parts
+            ]
         )
         search, arc = np.nonzero(~np.isnan(mids))
         probe = active[search]
+        taus = np.empty(mids.shape, dtype=complex)
+        taus[search, arc] = probe_taus = _multipliers(mids[search, arc])
         values = np.full(mids.shape, np.inf)
-        for s, levels in _fiber_levels(fibers, chans[probe], mids[search, arc]):
+        for s, levels in _fiber_levels(fibers, chans[probe], probe_taus):
             values[search[s], arc[s]] = signs[probe[s]] * levels[np.arange(len(levels)), rows[probe[s]]]
         pick = np.argmin(values, axis=1)
         found = values[np.arange(active.size), pick]
         beats = found < best[active] - tol[chans[active]]
         better = found < best[active]
-        best[active[better]], at[active[better]] = found[better], mids[better, pick[better]]
+        best[active[better]], at[active[better]] = found[better], taus[better, pick[better]]
         active = active[beats]
     if active.size:
         raise InternalConsistencyError(

@@ -14,6 +14,11 @@ to that reference and to the golden-section edges of a reference grid.
 kept verbatim in its arithmetic: one hopping block per channel from scalar
 complex products, one diagonal-block array per model, and one period matrix
 per channel.
+
+``every_arc_branch_ranges`` is the level-set iteration of
+``block_branch_ranges`` before it skipped arcs that a sample vouches for,
+kept verbatim with its ``fiber_levels_at`` and ``every_arc_midpoints``: every
+round probes the midpoint of every arc between level crossings.
 """
 
 from __future__ import annotations
@@ -22,7 +27,12 @@ import cmath
 
 import numpy as np
 
-from nanotube_bands.spectral import FIBER_STACK, block_period_matrix, fiber_matrices, merge_intervals
+from nanotube_bands.core import LEVEL_ARC_TOL, LEVEL_ROOT_TOL, LEVEL_SET_STOP, UNIT_ROUNDOFF, energy_scale
+from nanotube_bands.errors import InternalConsistencyError
+from nanotube_bands.spectral import (
+    FIBER_STACK, LEVEL_SET_MAX_ROUNDS, LEVEL_SET_SAMPLES, SEARCH_CHUNK, _multipliers, _stacks, block_period_matrix,
+    fiber_matrices, merge_intervals,
+)
 
 EPS = np.finfo(float).eps
 NOT_LESS_EXTREME = 16.0  # eigensolver rounding, in units of EPS * max(1, max|level|) of the channel
@@ -139,3 +149,125 @@ def assert_band_edges(got, ref, block):
     dense = merge_intervals(zip(dense_lo, dense_hi))
     assert len(got) == len(ref) == len(dense)
     assert_edges(*np.array(got).T, *np.array(ref).T, *np.array(dense).T, scale)
+
+
+def fiber_levels_at(fibers, chans, thetas):
+    """(slice, levels) of each stack of FIBER_STACK probes: the sorted levels of channel ``chans[i]`` at ``thetas[i]``.
+
+    ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
+    channels.  Each probe pairs its own channel with its own multiplier, and
+    ``eigvalsh`` solves every matrix on its own, so a probe's levels do not
+    depend on the probes that share its stack.
+    """
+    periods, wraps = fibers
+    taus = _multipliers(thetas)
+    for s in _stacks(len(taus)):
+        yield s, np.linalg.eigvalsh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s]))
+
+
+def every_arc_midpoints(samples, level, at) -> np.ndarray:
+    """Midpoints of the arcs into which the level crossings of each search cut the circle, NaN-padded to (search, 4).
+
+    ``samples`` holds the (search, 8, 2p) levels of each search's channel at
+    theta_j = 2 pi j / 8, ``level`` the level E of each search and ``at`` a
+    theta where its branch equals E.  The wrap block has two rows, so
+    det(L(theta) - E) = prod_i (E_i(theta) - E) is a real trigonometric
+    polynomial of degree 2: one FFT of its samples gives c_0..c_2 exactly,
+    and the roots tau = exp(i theta) of tau^2 det on the unit circle are the
+    at most 4 crossings, where some branch meets E.  Each factor is divided
+    by its largest magnitude over the samples, which moves no root and keeps
+    the product from underflow.  The known root exp(i at) is divided out, so
+    its neighbour, which closes the arc the search is closing in on, is found
+    to rounding even where that arc is far narrower than the samples
+    resolve.  The other roots are the eigenvalues of the cubic's companion
+    matrix (none when it is not finite); one off the circle by more than
+    LEVEL_ROOT_TOL crosses nothing.  Between consecutive crossings every
+    branch stays on one side of E; an arc no wider than LEVEL_ARC_TOL is a
+    tangency and has no midpoint.
+    """
+    factors = samples - level[:, None, None]
+    norm = np.max(np.abs(factors), axis=1, keepdims=True)
+    factors /= np.where(norm > 0.0, norm, 1.0)
+    det = factors[..., 0].copy()
+    for i in range(1, factors.shape[-1]):  # one product per sample, in the same order for every search
+        det *= factors[..., i]
+    c2, c1, c0 = np.fft.rfft(det)[:, 2::-1].T  # c_2, c_1, c_0 times 8; c_-k = conj(c_k), as det is real
+    tau = _multipliers(at)
+    quotient = [c2]  # of tau^2 det by (x - tau), highest power first, its remainder dropped
+    for c in (c1, c0, np.conj(c1)):
+        quotient.append(c + tau * quotient[-1])
+    # a real det that vanishes at tau has quotient coefficients b_k = -conj(tau) conj(b_{3-k}): keep that
+    # part of the rounded ones, so the quotient's simple roots on the circle stay on it
+    quotient = np.stack(quotient, axis=1)
+    quotient = 0.5 * (quotient - np.conj(tau)[:, None] * np.conj(quotient[:, ::-1]))
+    companion = np.zeros((len(det), 3, 3), dtype=complex)
+    companion[:, [1, 2], [0, 1]] = 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        companion[:, 0] = -quotient[:, 1:] / quotient[:, :1]
+    finite = np.isfinite(companion).all(axis=(1, 2))
+    roots = np.full((len(det), 4), np.nan, dtype=complex)
+    roots[finite, 0] = tau[finite]
+    roots[finite, 1:] = np.linalg.eigvals(companion[finite])
+    on_circle = np.abs(np.abs(roots) - 1.0) <= LEVEL_ROOT_TOL
+    start = np.sort(np.where(on_circle, np.angle(roots), np.nan), axis=1)  # NaN last
+    count = on_circle.sum(axis=1)
+    stop = np.append(start[:, 1:], np.full((len(det), 1), np.nan), axis=1)
+    wraps = np.flatnonzero(count)
+    stop[wraps, count[wraps] - 1] = start[wraps, 0] + 2.0 * np.pi  # the last arc ends at the first crossing
+    return np.where(stop - start > LEVEL_ARC_TOL, 0.5 * (start + stop), np.nan)
+
+
+def every_arc_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
+    """Minimum and maximum of every sorted eigenvalue branch, as two (channel, branch) arrays.
+
+    One level-set iteration (Boyd & Balakrishnan, Syst. Control Lett. 15:1,
+    1990) runs every (channel, branch, min/max) search in lockstep.  A search
+    holds a level E, the most extreme value of its branch seen so far,
+    starting from the first most extreme of the channel's 8 samples.  Each
+    round probes the branch at every midpoint of ``_arc_midpoints`` and moves
+    E to the most extreme probe.  An arc where the branch lies beyond E holds
+    its midpoint beyond E, by nearly the whole depth near a smooth extremum
+    and by at least half of it at a kink where two branches cross, so the
+    round whose probes beat E by at most LEVEL_SET_STOP * u * scale (scale
+    the ``energy_scale`` of the channel's samples) certifies E and stops the
+    search.  One still running after LEVEL_SET_MAX_ROUNDS is an internal
+    error.  Every step is elementwise per search or per probe, so a channel's
+    ranges are the same bits whatever stack it is in.
+    """
+    fibers = block_period_matrix(a, d)
+    C, m = fibers[0].shape[:2]
+    thetas = 2.0 * np.pi * np.arange(LEVEL_SET_SAMPLES) / LEVEL_SET_SAMPLES
+    solved = fiber_levels_at(fibers, np.repeat(np.arange(C), LEVEL_SET_SAMPLES), np.tile(thetas, C))
+    samples = np.concatenate([np.empty((0, m))] + [levels for _, levels in solved]).reshape(C, LEVEL_SET_SAMPLES, m)
+    tol = LEVEL_SET_STOP * UNIT_ROUNDOFF * energy_scale(samples, axis=(1, 2))
+    chans, rows = np.tile(np.repeat(np.arange(C), m), 2), np.tile(np.arange(m), 2 * C)
+    signs = np.repeat([1.0, -1.0], C * m)  # a search minimises signs * branch
+    seen = signs[:, None] * samples[chans, :, rows]
+    first = np.argmin(seen, axis=1)  # the first most extreme sample: np.min may return either of 0.0 and -0.0
+    best, at = seen[np.arange(chans.size), first], thetas[first]
+    active = np.arange(chans.size)
+    for _ in range(LEVEL_SET_MAX_ROUNDS):
+        if not active.size:
+            break
+        parts = (active[s] for s in _stacks(active.size, SEARCH_CHUNK))
+        mids = np.concatenate(
+            [np.empty((0, 4))]
+            + [every_arc_midpoints(samples[chans[part]], signs[part] * best[part], at[part]) for part in parts]
+        )
+        search, arc = np.nonzero(~np.isnan(mids))
+        probe = active[search]
+        values = np.full(mids.shape, np.inf)
+        for s, levels in fiber_levels_at(fibers, chans[probe], mids[search, arc]):
+            values[search[s], arc[s]] = signs[probe[s]] * levels[np.arange(len(levels)), rows[probe[s]]]
+        pick = np.argmin(values, axis=1)
+        found = values[np.arange(active.size), pick]
+        beats = found < best[active] - tol[chans[active]]
+        better = found < best[active]
+        best[active[better]], at[active[better]] = found[better], mids[better, pick[better]]
+        active = active[beats]
+    if active.size:
+        raise InternalConsistencyError(
+            f"block-channel level-set search did not converge in {LEVEL_SET_MAX_ROUNDS} rounds "
+            f"(channel {chans[active[0]]}, branch {rows[active[0]]})"
+        )
+    return best[: C * m].reshape(C, m), -best[C * m :].reshape(C, m)

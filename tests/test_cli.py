@@ -963,3 +963,79 @@ def test_large_t_regimes_answer_fail_or_refuse_over_the_accepted_box(case):
     else:
         assert code in (0, 1) and err == "" and json.loads(out)
 
+
+@pytest.mark.parametrize(
+    "argv, codes",
+    [
+        # abs(2 c) ** p overflowed: exit 1 with an OverflowError traceback
+        ("asym --regime ck_to_zero --ck-values 1e300", (2,)),
+        # accepted, and a prediction "failed", for a channel constant no cosine takes
+        ("asym --regime ck_to_zero --ck-values 1.5", (2,)),
+        ("asym --regime ck_to_zero --ck-values 0.01,-1.0000001", (2,)),
+        ("asym --regime small_t --ck 1.5", (2,)),
+        ("asym --regime ck_to_zero --ck-values 1.0", (0, 1)),
+        ("asym --regime ck_to_zero --ck-values -1.0", (0, 1)),
+    ],
+)
+def test_channel_constants_outside_the_cosine_range_exit_2(tmp_path, argv, codes):
+    code, out, err = run_child(tmp_path, argv)
+    assert code in codes
+    if code == 2:
+        assert out == "" and err.startswith("error: channel constant is a cosine") and err.count("\n") == 1
+    else:
+        assert err == "" and json.loads(out)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "asym --regime large_t_zigzag --N 4 --b 0.3 --t 1e-10",  # overflow in _check_distinct
+        "asym --regime large_t_armchair --N 4 --B 0.3 --t 1e-10 --k 4",
+        "asym --regime small_v_armchair --N 4",  # overflow in _rung_values
+    ],
+)
+def test_raw_potential_values_at_the_float_limit_answer_or_refuse(tmp_path, argv):
+    # each exited 1 with a RuntimeWarning traceback from the difference of two potential values
+    for potential in ([1.7e308, -1.7e308, 1e308, -1e308], [1.7e308, 1.7e308, -1.7e308, -1.7e308]):
+        code, out, err = run_child(tmp_path, argv, potential)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert code in (0, 1) and err == "" and json.loads(out)
+
+
+@st.composite
+def raw_potential_argv(draw):
+    """An ``asym`` command line of a cluster or weak-potential regime on raw potential values up to 1e308."""
+    regime = draw(st.sampled_from(["large_t_zigzag", "large_t_armchair", "small_v_armchair"]))
+    q = draw(st.sampled_from([2, 4, 6, 12, 16, 24, 32]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    top = draw(st.floats(-300.0, 308.0))
+    values = rng.choice([-1.0, 1.0], q) * 10.0 ** rng.uniform(min(top, 0.0) - 10.0, top, q)
+    if draw(st.booleans()):
+        values[1::2] = values[0::2]  # rung-paired, as small_v_armchair requires
+    N = draw(st.integers(2, 16))
+    argv = ["asym", "--regime", regime, "--N", str(N)]
+    if regime != "small_v_armchair":
+        argv += ["--t", repr(10.0 ** draw(st.floats(-300.0, 308.0)))]
+        argv += ["--b", repr(draw(st.floats(-3.0, 3.0)))] if regime == "large_t_zigzag" else ["--B", "0.3"]
+    return argv, values.tolist()
+
+
+@given(case=raw_potential_argv())
+@settings(max_examples=60, deadline=None)
+def test_asym_regimes_answer_fail_or_refuse_on_raw_potentials_up_to_the_float_limit(case):
+    # the accepted-box property above draws potential values in [-1, 1]; this one draws their magnitudes up
+    # to 1e308, where the difference of two values overflows
+    import tempfile
+
+    argv, values = case
+    with tempfile.TemporaryDirectory() as tmp:
+        pot = f"{tmp}/v.json"
+        with open(pot, "w") as fh:
+            json.dump(values, fh)
+        code, out, err = run_in_process(argv + ["--potential", pot])
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    else:
+        assert code in (0, 1) and err == "" and json.loads(out)
