@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ArmchairModel, PotentialProfile
+from .core import ArmchairModel, PotentialProfile, check_tube_size
 from .errors import InvalidModelError
 
 
@@ -84,8 +84,7 @@ def tube_geometry(N: int, B: float) -> tuple[TubeGeometry, tuple[float, float, f
     All nearest-neighbour bonds of the embedding have unit length; the phases
     are b1 = b2 = B(R2 - R1)/4 and b3 = -B*R2/4.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidModelError(f"need integer N >= 2, got {N!r}")
+    check_tube_size(N)
     R = math.sqrt(math.cos(math.pi / N) + 1.25) / math.sin(math.pi / N)
     r1sq = R**2 - 1.0
     r2sq = (2.0 * R) ** 2 - 1.0

@@ -36,7 +36,6 @@ from .spectral import (
     block_branch_ranges,
     flat_band_spectrum,
     full_spectrum,
-    interval_gaps,
     merge_intervals,
     max_edge_deviation,
     schroedinger_band_edges,
@@ -426,7 +425,7 @@ def _rung_values(profile: PotentialProfile) -> np.ndarray:
 
 def _shifted_overlay(profile: PotentialProfile, N: int) -> tuple:
     """Rung values, Schroedinger bands, their copies shifted by -1 and +1, and
-    the union of the zero-field armchair tube with this potential.
+    the band structure of the zero-field armchair tube with this potential.
 
     With v[2j] == v[2j+1] and zero field, the k = N armchair channel splits
     into two copies of the p-periodic Schroedinger operator J(v_even) shifted
@@ -436,7 +435,7 @@ def _shifted_overlay(profile: PotentialProfile, N: int) -> tuple:
     j_bands = schroedinger_band_edges(q)
     shifted = [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
     model = ArmchairModel(N=N, phases=(0.0, 0.0, 0.0), potential=profile, t=1.0)
-    return q, j_bands, shifted, full_spectrum(model).union_intervals()
+    return q, j_bands, shifted, full_spectrum(model)
 
 
 def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
@@ -720,8 +719,8 @@ def measure_small_v_armchair(
     the comparison is set equality against the independently computed bands.
     """
     pred = predict_small_v_armchair(profile, N)
-    _, _, shifted, union = _shifted_overlay(profile, N)
-    gaps = interval_gaps(union)
+    _, _, shifted, structure = _shifted_overlay(profile, N)
+    union, gaps = structure.union_intervals(), structure.union_gaps
     out = []
     cases = [(n, -1.0, (-pred.rtilde_plus, -pred.rtilde_minus)) for n in pred.negative_window]
     cases += [(n, +1.0, (pred.rtilde_minus, pred.rtilde_plus)) for n in pred.positive_window]

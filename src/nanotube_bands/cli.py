@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
 )
 from .oracle import compare_decomposition
-from .spectral import armchair_channels, full_spectrum, zigzag_channel_edges, zigzag_channels
+from .spectral import channel_bands, channel_rows, full_spectrum
 
 
 def _precision() -> int:
@@ -291,7 +291,7 @@ def cmd_bands(args) -> int:
     model = build_model(args, args.lattice)
     _check_grid(args.grid)
     if args.format == "csv":  # the channels alone: CSV prints no union
-        (channels,) = zigzag_channels([model]) if args.lattice == "zigzag" else armchair_channels([model])
+        (channels,) = channel_bands([model])
         _write(_bands_csv(channels), args.output)
     else:
         _write(_bands_json(full_spectrum(model)), args.output)
@@ -321,24 +321,21 @@ def cmd_sweep(args) -> int:
     else:
         if args.B_stop is None:
             raise InvalidInputError("--B-stop is required when --B-steps > 1")
-        if not (math.isfinite(args.B_start) and math.isfinite(args.B_stop)):
-            raise InvalidInputError(f"field range must be finite, got {args.B_start} .. {args.B_stop}")
+        if not math.isfinite(args.B_stop - args.B_start):  # also refuses an infinite end
+            raise InvalidInputError(f"field range must have a finite span, got {args.B_start} .. {args.B_stop}")
         Bs = np.linspace(args.B_start, args.B_stop, args.B_steps).tolist()  # Python floats: no numpy overflow warning
     if args.lattice == "zigzag":
         models = [ZigzagModel(N=args.N, b=magnetic_phase(B, args.N), potential=profile, t=args.t) for B in Bs]
         phases = [model.b for model in models]
-        _, _, lo, hi = zigzag_channel_edges(models)  # every field step in one stacked solve
-        k, i = (index.ravel() for index in np.indices(lo.shape[1:]) + 1)
-        # the edges of a channel ascend, so its bands are its rows in order; %d writes k = 3.0 as 3
-        steps = (np.column_stack((k, i, step_lo.ravel(), step_hi.ravel())).tolist() for step_lo, step_hi in zip(lo, hi))
     else:
         models = [model_from_field(args.N, B, profile, args.t) for B in Bs]
         phases = [model.phases[0] for model in models]
-        per_step = armchair_channels(models)  # every field step in one lockstep refinement
-        steps = (
-            [(ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)]
-            for channels in per_step
-        )
+    _, chan, lo, hi, _ = channel_rows(models)  # every field step in one stacked solve
+    first = np.searchsorted(chan, np.arange(args.N * len(models) + 1))  # the first row of each channel, then the end
+    k, i = chan % args.N + 1, np.arange(chan.size) - first[chan] + 1
+    bounds = first[:: args.N].tolist()  # the rows of field step s are bounds[s]:bounds[s + 1]
+    # %d writes k = 3.0 as 3
+    steps = (np.column_stack((k[a:b], i[a:b], lo[a:b], hi[a:b])).tolist() for a, b in zip(bounds, bounds[1:]))
     sig = _precision()
     tables = (_sweep_rows(B, b, rows, sig) for B, b, rows in zip(Bs, phases, steps))  # written as they are made
     _write_chunks((text + "\n" for text in tables if text), args.output)

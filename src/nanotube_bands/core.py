@@ -131,13 +131,18 @@ def load_potential(path) -> PotentialProfile:
     return PotentialProfile(data)
 
 
+def check_tube_size(N) -> None:
+    """Refuse a tube size N that is not an integer of at least 2."""
+    if not isinstance(N, (int, np.integer)) or N < 2:
+        raise InvalidModelError(f"need integer N >= 2, got {N!r}")
+
+
 def magnetic_phase(B: float, N: int) -> float:
     """Hopping phase of a zigzag tube with N hexagons in a uniform axial field B.
 
     Odd in B, with magnitude (3|B|/16)*cot(pi/(2N)).
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidModelError(f"need integer N >= 2, got {N!r}")
+    check_tube_size(N)
     return (3.0 * B / 16.0) / math.tan(math.pi / (2 * N))
 
 
@@ -146,8 +151,7 @@ def flat_field_amplitudes(N: int, k: int, s_range) -> list[float]:
 
     These are the |B| solving cos(b(|B|) + pi*k/N) = 0, one per integer s.
     """
-    if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidModelError(f"need integer N >= 2, got {N!r}")
+    check_tube_size(N)
     if not 1 <= k <= N:
         raise InvalidModelError(f"channel index k must lie in 1..{N}, got {k}")
     tan_half = math.tan(math.pi / (2 * N))
@@ -183,8 +187,7 @@ class ZigzagModel:
     t: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise InvalidModelError(f"need integer N >= 2, got {self.N!r}")
+        check_tube_size(self.N)
         _check_finite(b=self.b, t=self.t)
         check_coupling(self.t, self.potential)
 
@@ -203,8 +206,7 @@ class ArmchairModel:
     t: float = 1.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.N, (int, np.integer)) or self.N < 2:
-            raise InvalidModelError(f"need integer N >= 2, got {self.N!r}")
+        check_tube_size(self.N)
         if len(self.phases) != 3:
             raise InvalidModelError("armchair model needs exactly three phases (b1, b2, b3)")
         object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))

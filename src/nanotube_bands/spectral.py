@@ -14,11 +14,9 @@ FIBER_STACK / 2.  The levels are checked by the discrete Hill theorem, which
 orders them ``+ - - + + - - + ...`` from the bottom for positive bonds; the
 check reads only the solved levels.  The zigzag channels of a model, or of
 every field step of a sweep, come back as arrays (``zigzag_channel_edges``):
-the flat mask, the c_k and the (step, N, 2p) band edges, from which ``sweep``
-writes its rows; ``zigzag_channels`` builds the ``ChannelBands`` of ``bands``
-from the same arrays.
+the flat mask, the c_k and the (step, N, 2p) band edges.
 
-Block channels have one edge routine, ``spectrum_block_stack``.  They have no
+Block channels have one edge routine, ``block_branch_ranges``.  They have no
 edge rule, so their bands are the ranges of the sorted eigenvalue branches
 over the unit circle, found by one level-set iteration (Boyd & Balakrishnan)
 over every branch minimum and maximum of every channel -- of a model, or of
@@ -35,6 +33,16 @@ eigensolves, and on 800 random models moved no bit of any range.  Each
 probe pairs its own channel with its own multiplier, and one round solves
 the probes of every search still running, one stack of FIBER_STACK at a
 time.  There is no grid: the CLI's ``--grid`` is validated and not read.
+
+After its solve each lattice reports the same rows (``channel_rows``): for
+every (field step, channel), its bands and flat levels as (lo, hi, flat),
+ascending.  Zigzag rows are the 2p chain bands, or a flat channel's dimer
+levels as (e, e); armchair rows are each channel's branch ranges fused by
+one rule over all channels at once (``fuse_rows``), a band narrower than
+FLAT_BRANCH_TOL read as a flat level (lo, lo).  ``sweep`` writes the rows;
+``channel_bands`` builds the ``ChannelBands`` of ``bands`` from them, with
+the gaps of every channel found at once by the one gap rule (``gap_after``),
+which ``fuse_rows`` and the union use too.
 
 The union over channels is built as numpy columns (``assemble_band_structure``):
 the channel edges cut the energy axis into segments, each channel's bands
@@ -69,22 +77,44 @@ FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one s
 # interval utilities
 
 
-def merge_intervals(intervals, gap_tol: float = GAP_MERGE_TOL) -> list[tuple[float, float]]:
-    """Union of closed intervals, fusing those at most ``gap_tol`` apart: a gap is kept only above it."""
-    ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
-    out: list[list[float]] = []
-    for lo, hi in ivs:
-        if out and lo - out[-1][1] <= gap_tol:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(lo, hi) for lo, hi in out]
+def gap_after(lo, hi) -> np.ndarray:
+    """Whether a gap wider than GAP_MERGE_TOL opens above each band but the last, along the last axis.
+
+    The one gap rule of the package: a band more than GAP_MERGE_TOL above
+    the reach ``hi`` of the bands below it is apart from them.
+    ``fuse_rows`` starts a band where it holds against the running maximum
+    of the upper edges, and the gaps of a channel and of the union lie where
+    it holds between consecutive bands.
+    """
+    return lo[..., 1:] - hi[..., :-1] > GAP_MERGE_TOL
 
 
-def interval_gaps(intervals) -> list[tuple[float, float]]:
-    """Open gaps between consecutive intervals of a merged list."""
-    merged = merge_intervals(intervals)
-    return [(merged[i][1], merged[i + 1][0]) for i in range(len(merged) - 1)]
+def fuse_rows(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed intervals of each row of (C, n) arrays fused into bands, as (row, lo, hi) of every band.
+
+    Each row is sorted by (lo, hi); a band starts where ``gap_after`` holds
+    between an interval and the running maximum of the upper edges below it,
+    and ends at the first of its largest upper edges (numpy's running
+    maximum takes the last of equal values, which would flip the sign of a
+    zero edge).  The bands come row by row, ascending.  Every interval must
+    have hi >= lo.
+    """
+    order = np.lexsort((hi, lo))
+    lo, hi = np.take_along_axis(lo, order, -1), np.take_along_axis(hi, order, -1)
+    reach = np.maximum.accumulate(hi, axis=-1)
+    rise = np.ones(lo.shape, dtype=bool)
+    rise[:, 1:] = reach[:, 1:] > reach[:, :-1]
+    reach = np.take_along_axis(hi, np.maximum.accumulate(np.where(rise, np.arange(lo.shape[-1]), 0), axis=-1), -1)
+    start = np.ones(lo.shape, dtype=bool)
+    start[:, 1:] = gap_after(lo, reach)
+    return np.nonzero(start)[0], lo[start], reach[np.roll(start, -1, axis=-1)]
+
+
+def merge_intervals(intervals) -> list[tuple[float, float]]:
+    """Union of closed intervals: ``fuse_rows`` of one row, less the empty intervals (hi < lo)."""
+    ivs = np.array([(lo, hi) for lo, hi in intervals if hi >= lo], dtype=float).reshape(-1, 2)
+    _, lo, hi = fuse_rows(ivs[None, :, 0], ivs[None, :, 1])
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def max_edge_deviation(bands_a, bands_b) -> float:
@@ -373,19 +403,6 @@ def _arc_midpoints(samples, level, tau, clear) -> np.ndarray:
     return np.where((width > LEVEL_ARC_TOL) & ~vouched.any(axis=2), 0.5 * (start + stop), np.nan)
 
 
-def spectrum_block_stack(a, d) -> list[list[tuple[float, float]]]:
-    """Bands of each of C block channels of one period: ranges of sorted eigenvalue branches.
-
-    The channels are given by their hopping blocks ``a`` and diagonal blocks
-    ``d`` (``block_period_matrix``).  Each sorted branch is continuous in the
-    multiplier, so its range is an interval; ``block_branch_ranges`` finds
-    the ranges of every branch of every channel, and each channel's ranges
-    are merged into its bands.
-    """
-    lo, hi = block_branch_ranges(a, d)
-    return [merge_intervals(zip(chan_lo, chan_hi)) for chan_lo, chan_hi in zip(lo, hi)]
-
-
 def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
     """Minimum and maximum of every sorted eigenvalue branch, as two (channel, branch) arrays.
 
@@ -471,21 +488,15 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
 class ChannelBands:
     """Bands, flat energies and gaps of one channel, with provenance.
 
-    ``gaps`` are the gaps between the merged bands, each wider than
-    GAP_MERGE_TOL.  They are computed once, when the channel is built: from
-    the bands, unless the builder passes them (``zigzag_channels`` finds them
-    for a whole stack of channels at once).
+    ``gaps`` are the gaps between consecutive bands, each wider than
+    GAP_MERGE_TOL, as ``channel_bands`` finds them for every channel at once.
     """
 
     k: int
     c_k: float | None
     bands: tuple[tuple[float, float], ...]
     flat_bands: tuple[float, ...] = ()
-    gaps: tuple[tuple[float, float], ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.gaps is None:
-            object.__setattr__(self, "gaps", tuple(interval_gaps(self.bands)))
+    gaps: tuple[tuple[float, float], ...] = ()
 
     def intervals(self) -> list[tuple[float, float]]:
         return list(self.bands) + [(e, e) for e in self.flat_bands]
@@ -565,8 +576,7 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     stable sort merges the segments and the extra entries.  Adjacent entries
     with identical multiplicity and covering set that are at most
     GAP_MERGE_TOL apart are fused, and the gaps wider than GAP_MERGE_TOL
-    between the fused bands are the union gaps (the rule of
-    ``merge_intervals``).  Cost: O(B log B) for B channel bands, plus the
+    between the fused bands are the union gaps (``gap_after``).  Cost: O(B log B) for B channel bands, plus the
     list insertions of the extra entries.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
@@ -641,29 +651,16 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     same = np.where(seg[1:] & seg[:-1], ~fresh[1:], solo[1:] == solo[:-1])
 
     # hi ascends with lo, so the fused band that entry i - 1 ends reaches hi[i - 1]
-    joined = (lo[1:] - hi[:-1] <= GAP_MERGE_TOL) & (mult[1:] == mult[:-1]) & same
+    joined = ~gap_after(lo, hi) & (mult[1:] == mult[:-1]) & same
     first = np.flatnonzero(np.concatenate([[lo.size > 0], ~joined]))
     lo, hi, mult = lo[first], np.maximum.reduceat(hi, first), mult[first]
-    gap = lo[1:] - hi[:-1] > GAP_MERGE_TOL
+    gap = gap_after(lo, hi)
     gaps = tuple(zip(hi[:-1][gap].tolist(), lo[1:][gap].tolist()))
     return BandStructure(tuple(channels), lo, hi, mult, gaps)
 
 
 # ---------------------------------------------------------------------------
 # whole-model spectra
-
-
-def _sorted_band_gaps(lo, hi) -> list[tuple[tuple[float, float], ...]]:
-    """The gaps of each row of ascending bands ``(lo, hi)``: ``ChannelBands.gaps`` of that row, to the bit.
-
-    Sorted edges give ascending bands whose upper edges ascend too, so band
-    i + 1 starts a new merged band, and the gap below it is kept, exactly
-    where ``merge_intervals`` does not fuse it: ``lo[i + 1] - hi[i] > GAP_MERGE_TOL``.
-    """
-    apart = lo[:, 1:] - hi[:, :-1] > GAP_MERGE_TOL
-    pairs = list(zip(hi[:, :-1][apart].tolist(), lo[:, 1:][apart].tolist()))
-    ends = np.cumsum(apart.sum(axis=1)).tolist()
-    return [tuple(pairs[start:stop]) for start, stop in zip([0] + ends, ends)]
 
 
 def zigzag_chain_edges(c_k, diag) -> np.ndarray:
@@ -710,56 +707,65 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return flat, c_k, lo, hi
 
 
-def zigzag_channels(models) -> list[list[ChannelBands]]:
-    """Channel bands of each zigzag model, k = 1..N, without the union.
+def channel_rows(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The channel constants of M models and the band rows of their channels, k = 1..N.
 
-    ``ChannelBands`` of the rows of ``zigzag_channel_edges``: a flat
-    channel's row gives its flat levels.  The gaps of all dispersive
-    channels are found at once (``_sorted_band_gaps``).
+    The models must be of one lattice and share N and the potential period.
+    Returns their (M, N) c_k and, for each row, its channel (s * N + k - 1
+    for channel k of ``models[s]``), its lower and upper edge and whether it
+    is a flat level.  The rows of a channel are consecutive and ascend.
+
+    * Zigzag: the 2p chain bands of ``zigzag_channel_edges``; a flat
+      channel's rows are its dimer levels, as (e, e).
+    * Armchair: the ``block_branch_ranges`` of each block channel, fused by
+      ``fuse_rows``; a band narrower than FLAT_BRANCH_TOL is a flat level,
+      as (lo, lo), and c_k = cos(pi k / N).
     """
-    if not models:
-        return []
-    flat, c_k, lo, hi = zigzag_channel_edges(models)
-    gaps = iter(_sorted_band_gaps(lo[~flat], hi[~flat]))
+    if isinstance(models[0], ZigzagModel):
+        flat, c_k, lo, hi = zigzag_channel_edges(models)
+        m = lo.shape[-1]
+        return c_k, np.repeat(np.arange(flat.size), m), lo.ravel(), hi.ravel(), np.repeat(flat.ravel(), m)
+    if isinstance(models[0], ArmchairModel):
+        chan, lo, hi = fuse_rows(*block_branch_ranges(*decompose_armchair(models)))
+        flat = hi - lo < FLAT_BRANCH_TOL
+        N = models[0].N
+        c_k = np.tile([math.cos(math.pi * k / N) for k in range(1, N + 1)], (len(models), 1))
+        return c_k, chan, lo, np.where(flat, lo, hi), flat
+    raise TypeError(f"unsupported model type {type(models[0])!r}")
+
+
+def channel_bands(models) -> list[list[ChannelBands]]:
+    """``ChannelBands`` of every channel of each model, k = 1..N, without the union.
+
+    A channel's rows of ``channel_rows`` give its flat levels and its bands,
+    and its gaps lie between consecutive bands where ``gap_after`` holds,
+    found for every channel at once.  Fused armchair bands are more than
+    GAP_MERGE_TOL apart, so each pair of them bounds a gap, even across a
+    flat level.
+    """
+    c_k, chan, lo, hi, flat = channel_rows(models)
+    keep = ~flat
+    chan_b, lo_b, hi_b = chan[keep], lo[keep], hi[keep]  # the bands, without the flat levels
+    apart = gap_after(lo_b, hi_b) & (chan_b[1:] == chan_b[:-1])
+    bands, flats, gaps = ([[] for _ in range(c_k.size)] for _ in range(3))
+    for c, e_lo, e_hi, is_flat in zip(chan.tolist(), lo.tolist(), hi.tolist(), flat.tolist()):
+        if is_flat:
+            flats[c].append(e_lo)
+        else:
+            bands[c].append((e_lo, e_hi))
+    for c, gap in zip(chan_b[1:][apart].tolist(), zip(hi_b[:-1][apart].tolist(), lo_b[1:][apart].tolist())):
+        gaps[c].append(gap)
+    N = c_k.shape[-1]
     return [
         [
-            ChannelBands(k=k, c_k=c, bands=(), flat_bands=tuple(row_lo))
-            if is_flat
-            else ChannelBands(k=k, c_k=c, bands=tuple(zip(row_lo, row_hi)), gaps=next(gaps))
-            for k, (c, is_flat, row_lo, row_hi) in enumerate(zip(cs, fs, los, his), start=1)
+            ChannelBands(k=c % N + 1, c_k=ck, bands=tuple(bands[c]), flat_bands=tuple(flats[c]), gaps=tuple(gaps[c]))
+            for c, ck in enumerate(row, start=step * N)
         ]
-        for cs, fs, los, his in zip(c_k.tolist(), flat.tolist(), lo.tolist(), hi.tolist())
-    ]
-
-
-def armchair_channels(models) -> list[list[ChannelBands]]:
-    """Channel bands of each armchair model, k = 1..N, without the union.
-
-    The block channels of all models go to one ``spectrum_block_stack``
-    call, so the models must share N and their potential period.  A branch range
-    thinner than FLAT_BRANCH_TOL is reported as a flat level.
-    """
-    bands = iter(spectrum_block_stack(*decompose_armchair(models)))
-    return [
-        [
-            ChannelBands(
-                k=k,
-                c_k=math.cos(math.pi * k / model.N),
-                bands=tuple((lo, hi) for lo, hi in chan if hi - lo >= FLAT_BRANCH_TOL),
-                flat_bands=tuple(lo for lo, hi in chan if hi - lo < FLAT_BRANCH_TOL),
-            )
-            for k, chan in zip(range(1, model.N + 1), bands)
-        ]
-        for model in models
+        for step, row in enumerate(c_k.tolist())
     ]
 
 
 def full_spectrum(model) -> BandStructure:
     """Union band structure of a zigzag or armchair model over all channels."""
-    if isinstance(model, ZigzagModel):
-        (channels,) = zigzag_channels([model])
-    elif isinstance(model, ArmchairModel):
-        (channels,) = armchair_channels([model])
-    else:
-        raise TypeError(f"unsupported model type {type(model)!r}")
+    (channels,) = channel_bands([model])
     return assemble_band_structure(channels)

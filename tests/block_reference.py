@@ -2,7 +2,8 @@
 
 A block channel, or a stack of them, is the pair (a, d) of its (C, 2, 2)
 hopping blocks and (C, p, 2, 2) diagonal blocks that ``decompose_armchair``
-returns; ``channel``, ``channels`` and ``stack`` slice and join such pairs.
+returns; ``channel``, ``channels`` and ``stack`` slice and join such pairs,
+and ``block_bands`` gives the fused bands of each channel of a stack.
 
 ``dense_branch_ranges`` finds the minimum and maximum of every sorted
 eigenvalue branch of one channel without derivatives and without a start of
@@ -27,11 +28,12 @@ import cmath
 
 import numpy as np
 
+from closed_forms import reference_merge
 from nanotube_bands.core import LEVEL_ARC_TOL, LEVEL_ROOT_TOL, LEVEL_SET_STOP, UNIT_ROUNDOFF, energy_scale
 from nanotube_bands.errors import InternalConsistencyError
 from nanotube_bands.spectral import (
-    FIBER_STACK, LEVEL_SET_MAX_ROUNDS, LEVEL_SET_SAMPLES, SEARCH_CHUNK, _multipliers, _stacks, block_period_matrix,
-    fiber_matrices, merge_intervals,
+    FIBER_STACK, LEVEL_SET_MAX_ROUNDS, LEVEL_SET_SAMPLES, SEARCH_CHUNK, _multipliers, _stacks, block_branch_ranges,
+    block_period_matrix, fiber_matrices, fuse_rows,
 )
 
 EPS = np.finfo(float).eps
@@ -51,6 +53,15 @@ def fiber_levels(fiber, thetas) -> np.ndarray:
             for i in range(0, len(taus), FIBER_STACK)
         ]
     )
+
+
+def block_bands(a, d) -> list[list[tuple[float, float]]]:
+    """The bands of each block channel, its flat levels as (lo, hi) among them: what ``channel_rows`` reads.
+
+    The ``block_branch_ranges`` of every channel, fused by ``fuse_rows``.
+    """
+    chan, lo, hi = fuse_rows(*block_branch_ranges(a, d))
+    return [list(zip(lo[chan == c].tolist(), hi[chan == c].tolist())) for c in range(len(a))]
 
 
 def channel(blocks, c):
@@ -146,7 +157,7 @@ def assert_edges(lo, hi, ref_lo, ref_hi, dense_lo, dense_hi, scale):
 def assert_band_edges(got, ref, block):
     """``assert_edges`` on the merged bands of one channel, which must have as many bands as ``ref``."""
     dense_lo, dense_hi, scale = dense_branch_ranges(block)
-    dense = merge_intervals(zip(dense_lo, dense_hi))
+    dense = reference_merge(zip(dense_lo, dense_hi))
     assert len(got) == len(ref) == len(dense)
     assert_edges(*np.array(got).T, *np.array(ref).T, *np.array(dense).T, scale)
 

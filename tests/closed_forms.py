@@ -32,12 +32,35 @@ from nanotube_bands.armchair import decompose_armchair
 from nanotube_bands.core import PotentialProfile, ZigzagModel, is_flat_channel
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
 from nanotube_bands.spectral import (
-    BandStructure, ChannelBands, assemble_band_structure, block_branch_ranges, full_spectrum, merge_intervals,
+    GAP_MERGE_TOL, BandStructure, ChannelBands, assemble_band_structure, block_branch_ranges, full_spectrum,
 )
 
 
 # ---------------------------------------------------------------------------
 # intervals and channel relabelling
+
+
+def reference_merge(intervals, gap_tol: float = GAP_MERGE_TOL) -> list[tuple[float, float]]:
+    """The one-interval-at-a-time merge that ``spectral.fuse_rows`` replaced, kept as its exact reference.
+
+    The intervals (those with hi >= lo) are sorted, and each fuses into the
+    band before it unless it starts more than ``gap_tol`` above that band's
+    upper edge, which is the first of the largest upper edges fused into it.
+    """
+    ivs = sorted((float(lo), float(hi)) for lo, hi in intervals if hi >= lo)
+    out: list[list[float]] = []
+    for lo, hi in ivs:
+        if out and lo - out[-1][1] <= gap_tol:
+            out[-1][1] = max(out[-1][1], hi)
+        else:
+            out.append([lo, hi])
+    return [(lo, hi) for lo, hi in out]
+
+
+def reference_gaps(intervals) -> list[tuple[float, float]]:
+    """The gaps between consecutive bands of ``reference_merge``: the former ``ChannelBands`` gaps."""
+    merged = reference_merge(intervals)
+    return [(merged[i][1], merged[i + 1][0]) for i in range(len(merged) - 1)]
 
 
 def intervals_contain(container, inner, tol: float = 1e-8) -> tuple[bool, float]:
@@ -46,9 +69,9 @@ def intervals_contain(container, inner, tol: float = 1e-8) -> tuple[bool, float]
     Returns (ok, margin): margin is the worst containment slack, negative when
     some inner interval pokes out by that amount.
     """
-    outer = merge_intervals(container, gap_tol=tol)
+    outer = reference_merge(container, gap_tol=tol)
     worst = math.inf
-    for lo, hi in merge_intervals(inner):
+    for lo, hi in reference_merge(inner):
         best = -math.inf
         for clo, chi in outer:
             best = max(best, min(lo - clo, chi - hi))
@@ -180,8 +203,8 @@ def armchair_unperturbed(N: int, vt: float) -> BandStructure:
         lo = math.sqrt(vt**2 + sk**2)
         hi = math.sqrt(5.0 + vt**2 + 4.0 * abs(ck))
         hi_in = math.sqrt(5.0 + vt**2 - 4.0 * abs(ck))
-        bands = merge_intervals([(lo, hi), (lo, hi_in), (-hi, -lo), (-hi_in, -lo)])
-        channels.append(ChannelBands(k=k, c_k=ck, bands=tuple(bands)))
+        bands = reference_merge([(lo, hi), (lo, hi_in), (-hi, -lo), (-hi_in, -lo)])
+        channels.append(ChannelBands(k=k, c_k=ck, bands=tuple(bands), gaps=tuple(reference_gaps(bands))))
     return assemble_band_structure(channels)
 
 
@@ -211,8 +234,8 @@ def shifted_schroedinger_inclusion(
     with the p-periodic potential v_even contains sigma(J) outright through
     its unit-hopping channel.
     """
-    v_even, j_bands, shifted, arm_bands = asy._shifted_overlay(profile, N)
-    arm_ok, arm_margin = intervals_contain(arm_bands, shifted, tol=tol)
+    v_even, j_bands, shifted, armchair = asy._shifted_overlay(profile, N)
+    arm_ok, arm_margin = intervals_contain(armchair.union_intervals(), shifted, tol=tol)
 
     zig_checked = N % 3 == 0
     zig_ok, zig_margin = True, math.inf

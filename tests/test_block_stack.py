@@ -1,6 +1,6 @@
 """The block-channel edges: the level-set iteration against the golden-section routine it replaced.
 
-``spectrum_block_stack`` finds the branch extrema of every channel it is
+``block_branch_ranges`` finds the branch extrema of every channel it is
 given -- all channels of a model, or of every field step of a sweep -- by
 level-set searches in one lockstep loop, each probe pairing its own channel
 with its own multiplier.  Three properties are checked:
@@ -44,9 +44,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from block_reference import (
-    DENSE_AGREEMENT, NOT_LESS_EXTREME, assert_edges, channel, channels, dense_branch_ranges, every_arc_branch_ranges,
-    fiber_levels, stack,
+    DENSE_AGREEMENT, NOT_LESS_EXTREME, assert_edges, block_bands, channel, channels, dense_branch_ranges,
+    every_arc_branch_ranges, fiber_levels, stack,
 )
+from closed_forms import reference_merge
 from nanotube_bands import cli, spectral
 from nanotube_bands.armchair import decompose_armchair, tube_geometry
 from nanotube_bands.core import ArmchairModel, PotentialProfile
@@ -54,11 +55,10 @@ from nanotube_bands.errors import InternalConsistencyError, InvalidParameterErro
 from nanotube_bands.oracle import build_full_hamiltonian
 from nanotube_bands.spectral import (
     FIBER_STACK,
-    armchair_channels,
     block_period_matrix,
+    channel_bands,
     fiber_matrices,
     scalar_period_matrix,
-    spectrum_block_stack,
 )
 
 INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -124,7 +124,7 @@ def ref_branch_ranges(block, grid_size):
 
 
 def ref_spectrum_block(block, grid_size):
-    return spectral.merge_intervals(zip(*ref_branch_ranges(block, grid_size)))
+    return reference_merge(zip(*ref_branch_ranges(block, grid_size)))
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +200,8 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
     monkeypatch.delenv("NANOTUBE_BANDS_PRECISION", raising=False)
     Bs = list(np.linspace(-2.0, 3.0, steps))
     models = [ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(potential), t=1.7) for B in Bs]
-    per_step = [armchair_channels([model])[0] for model in models]
-    for got, want in zip(armchair_channels(models), per_step):
+    per_step = [channel_bands([model])[0] for model in models]
+    for got, want in zip(channel_bands(models), per_step):
         assert_same_channels(got, want)
     check_stack(decompose_armchair(models), grid)
     # the CLI writes those channels, whatever its --grid: one row per interval of each step and channel
@@ -232,12 +232,12 @@ def test_mixed_stack_with_constant_channels_matches_reference():
     parts.append(flat_block(2, rng.uniform(-1, 1, 4)))
     blocks = stack(parts)
     check_stack(blocks, 16)
-    got = spectrum_block_stack(*blocks)
+    got = block_bands(*blocks)
     for block, bands in zip(parts, got):
-        assert bits(bands) == bits(spectrum_block_stack(*block)[0])
+        assert bits(bands) == bits(block_bands(*block)[0])
     # a constant branch keeps its sampled value, the golden-section reference its grid value
-    assert spectrum_block_stack(*parts[2]) == [ref_spectrum_block(parts[2], 16)]
-    assert all(hi - lo < 1e-12 for lo, hi in spectrum_block_stack(*parts[2])[0])
+    assert block_bands(*parts[2]) == [ref_spectrum_block(parts[2], 16)]
+    assert all(hi - lo < 1e-12 for lo, hi in block_bands(*parts[2])[0])
 
 
 def counting_probes(monkeypatch):
@@ -297,7 +297,7 @@ def test_stacks_of_different_periods_are_refused():
     model_p1 = ArmchairModel(3, (0.1, 0.2, 0.3), PotentialProfile([0.4]), t=1.0)
     model_p3 = ArmchairModel(3, (0.1, 0.2, 0.3), PotentialProfile([0.4, -0.1, 0.2]), t=1.0)
     with pytest.raises(ValueError):
-        armchair_channels([model_p1, model_p3])
+        channel_bands([model_p1, model_p3])
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +479,7 @@ def test_search_that_does_not_converge_is_an_internal_error(monkeypatch, tmp_pat
     model = ArmchairModel(3, tube_geometry(3, 0.4)[1], PotentialProfile([0.5, -0.2, 0.1]), t=1.0)
     monkeypatch.setattr(spectral, "LEVEL_SET_MAX_ROUNDS", 1)
     with pytest.raises(InternalConsistencyError, match="did not converge in 1 rounds"):
-        armchair_channels([model])
+        channel_bands([model])
     pot = tmp_path / "v.json"
     pot.write_text("[0.5, -0.2, 0.1]")
     err = io.StringIO()

@@ -388,7 +388,7 @@ def test_non_finite_input_exits_2(tmp_path, capsys, potential, argv):
         # a bond of 2e-13, and one of exactly FLAT_CHANNEL_TOL: both are flat channels
         "asym --regime ck_to_zero --ck-values 1e-13",
         "asym --regime ck_to_zero --ck-values 5e-13",
-        # zigzag commands never reach spectrum_block_stack; the CLI refuses the grid itself
+        # zigzag commands never reach block_branch_ranges; the CLI refuses the grid itself
         "bands --lattice zigzag --N 4 --b 0.1 --grid 100",
         "sweep --lattice zigzag --N 4 --B-start 0 --grid 100",
         # asym tolerances must be finite and positive, as verify --tol
@@ -844,6 +844,13 @@ def test_armchair_sweep_past_the_float_range_exits_2_without_a_warning(tmp_path)
     assert (code, out) == (2, "") and err == "error: b3 must be finite, got -inf\n"
 
 
+@pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
+def test_sweep_span_past_the_float_range_exits_2_without_a_warning(tmp_path, lattice):
+    # both ends are finite, their difference is not: np.linspace printed two overflow RuntimeWarnings
+    code, out, err = run_child(tmp_path, f"sweep --lattice {lattice} --N 3 --B-start -1e308 --B-stop 1e308 --B-steps 3")
+    assert (code, out) == (2, "") and err == "error: field range must have a finite span, got -1e+308 .. 1e+308\n"
+
+
 CI_POTENTIAL = tuple(np.random.default_rng(5).uniform(-1.0, 1.0, 32).tolist())  # p = MAX_P, as in the CI steps
 
 
@@ -1039,3 +1046,4 @@ def test_asym_regimes_answer_fail_or_refuse_on_raw_potentials_up_to_the_float_li
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
     else:
         assert code in (0, 1) and err == "" and json.loads(out)
+

@@ -17,7 +17,7 @@ differ by rounding only, so the edges agree to a few ulps of the model's
 largest level: the tolerance is 8 * 2p * u * max|level|, u = 2**-53, the
 allowance of the Hill-order check.
 
-The armchair block channels, solved by ``spectrum_block_stack``, obey the same
+The armchair block channels, solved by ``block_branch_ranges``, obey the same
 three laws: v -> v + c moves every edge by t*c; b1 -> b1 + 2 pi/N multiplies
 the hopping block of channel k by exp(2 pi i/N), which makes it the block of
 channel k + 1 ("shift"); and negating all three phases gives the complex
@@ -44,9 +44,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from block_reference import block_bands
 from closed_forms import channel_symmetry_map
 from nanotube_bands import ArmchairModel, PotentialProfile, ZigzagModel, decompose_armchair
-from nanotube_bands.spectral import full_spectrum, spectrum_block_stack, zigzag_channel_edges
+from nanotube_bands.spectral import full_spectrum, zigzag_channel_edges
 
 # (N, q, t) at the corners of the ranges, then seeded draws
 CORNERS = [(512, 32, 1e-4), (512, 15, 1e3), (2, 1, 1e3), (3, 32, 1e-4), (256, 13, 1.0)]
@@ -120,7 +121,7 @@ def armchair_models():
 
 def block_edges(model):
     """The (bands, 2) edges of each block channel k = 1..N of one model."""
-    return [np.array(bands) for bands in spectrum_block_stack(*decompose_armchair([model]))]
+    return [np.array(bands) for bands in block_bands(*decompose_armchair([model]))]
 
 
 @pytest.mark.parametrize("model", list(armchair_models()))

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from block_reference import assert_band_edges, channel, channels
-from closed_forms import armchair_unperturbed, intervals_contain
+from block_reference import assert_band_edges, block_bands, channel, channels
+from closed_forms import armchair_unperturbed, intervals_contain, reference_gaps, reference_merge
 from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag, discriminant, monodromy
 from nanotube_bands import (
     ArmchairModel,
@@ -25,13 +25,13 @@ from nanotube_bands.spectral import (
     block_period_matrix,
     ChannelBands,
     fiber_matrices,
-    interval_gaps,
+    fuse_rows,
+    gap_after,
     max_edge_deviation,
     merge_intervals,
     periodic_jacobi_band_edges,
     scalar_period_matrix,
     schroedinger_band_edges,
-    spectrum_block_stack,
 )
 
 
@@ -57,7 +57,7 @@ def block_fiber_levels(block, taus):
 
 def test_merge_and_gaps():
     assert merge_intervals([(0, 1), (1 + 5e-10, 2), (3, 4)]) == [(0, 2), (3, 4)]
-    assert interval_gaps([(0, 1), (3, 4)]) == [(1, 3)]
+    assert gap_after(np.array([0.0, 3.0]), np.array([1.0, 4.0])).tolist() == [True]
     ok, margin = intervals_contain([(0, 10)], [(1, 2), (9, 10)])
     assert ok and margin == 0.0
     ok, margin = intervals_contain([(0, 10)], [(9, 11)])
@@ -294,9 +294,9 @@ def test_block_sweep_reproduces_scalar_edges():
     for _ in range(5):
         p = int(rng.integers(1, 4))
         jac = chain(p, rng.uniform(0.2, 1.9), rng.normal(size=2 * p))
-        got = spectrum_block_stack(*_scalar_as_blocks(jac))[0]
+        got = block_bands(*_scalar_as_blocks(jac))[0]
         want = channel_bands(jac)
-        assert max_edge_deviation(got, merge_intervals(want)) < 1e-8
+        assert max_edge_deviation(got, reference_merge(want)) < 1e-8
 
 
 def test_block_sweep_shift_equivariance():
@@ -306,8 +306,8 @@ def test_block_sweep_shift_equivariance():
 
     a, d = channel(decompose_armchair([model]), 1)
     mu = 0.7
-    b1 = spectrum_block_stack(a, d)[0]
-    b2 = spectrum_block_stack(a, d + mu * np.eye(2))[0]
+    b1 = block_bands(a, d)[0]
+    b2 = block_bands(a, d + mu * np.eye(2))[0]
     np.testing.assert_allclose(
         np.array(b2), np.array(b1) + mu, atol=1e-9
     )
@@ -347,7 +347,7 @@ def _per_fiber_block_bands(block, grid_size):
             lo = min(extremum(j, thetas[i_min], 1.0), lo)
             hi = max(extremum(j, thetas[i_max], -1.0), hi)
         bands.append((lo, hi))
-    return merge_intervals(bands)
+    return reference_merge(bands)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -364,9 +364,9 @@ def test_block_sweep_matches_per_fiber_reference(seed):
         PotentialProfile(rng.uniform(-1, 1, size=q)), t=float(np.exp(rng.uniform(-3, 3.7))),
     )
     for block in channels(decompose_armchair([model])):
-        assert_band_edges(spectrum_block_stack(*block)[0], _per_fiber_block_bands(block, 32), block)
+        assert_band_edges(block_bands(*block)[0], _per_fiber_block_bands(block, 32), block)
     flat = _scalar_as_blocks(chain(2, 0.0, rng.normal(size=4)))  # every branch is constant: its sampled values
-    assert spectrum_block_stack(*flat)[0] == _per_fiber_block_bands(flat, 16)
+    assert block_bands(*flat)[0] == _per_fiber_block_bands(flat, 16)
 
 
 def test_block_fibers_reject_bad_multiplier():
@@ -478,10 +478,10 @@ def test_union_memory_is_linear_in_the_channel_bands():
     # a (channel, segment) count array, O(N**2 p), peaked at 82.6 MiB here
     import tracemalloc
 
-    from nanotube_bands.spectral import zigzag_channels
+    from nanotube_bands.spectral import channel_bands
 
     potential = PotentialProfile(np.random.default_rng(53).uniform(-1, 1, 32))
-    (channels,) = zigzag_channels([ZigzagModel(512, 0.3, potential, t=1.0)])
+    (channels,) = channel_bands([ZigzagModel(512, 0.3, potential, t=1.0)])
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
@@ -693,10 +693,14 @@ def test_union_matches_quadratic_reference_on_models():
         assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
 
 
+def _bits(pairs):
+    return [(float(lo).hex(), float(hi).hex()) for lo, hi in pairs]
+
+
 def test_zigzag_channel_gaps_match_merged_bands():
-    # zigzag_channels finds the gaps of a whole stack of channels at once;
-    # ChannelBands finds them from the bands by merge_intervals, to the bit
-    from nanotube_bands.spectral import zigzag_channels
+    # channel_bands finds the gaps of a whole stack of channels at once (gap_after);
+    # the reference merges each channel's bands one at a time, to the bit
+    from nanotube_bands.spectral import channel_bands
 
     rng = np.random.default_rng(43)
     closed = 0
@@ -708,17 +712,44 @@ def test_zigzag_channel_gaps_match_merged_bands():
             b = float(rng.normal())
         t = float(np.exp(rng.uniform(np.log(1e-3), np.log(40.0))))
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
-        for ch in zigzag_channels([model])[0]:
-            merged = ChannelBands(k=ch.k, c_k=ch.c_k, bands=ch.bands, flat_bands=ch.flat_bands).gaps
-            assert [(lo.hex(), hi.hex()) for lo, hi in ch.gaps] == [(lo.hex(), hi.hex()) for lo, hi in merged]
+        for ch in channel_bands([model])[0]:
+            assert _bits(ch.gaps) == _bits(reference_gaps(ch.bands))
             closed += len(ch.bands) - 1 - len(ch.gaps)
     assert closed > 0  # some neighbours fused
 
 
-def test_sorted_band_gaps_keep_the_rounding_of_merge_intervals():
+def test_armchair_channels_match_merged_branch_ranges():
+    # each channel's rows are its branch ranges merged one at a time, a band
+    # narrower than FLAT_BRANCH_TOL read as a flat level; its gaps are the
+    # reference's, one between every two bands, also across a flat level
+    from nanotube_bands import decompose_armchair
+    from nanotube_bands.spectral import FLAT_BRANCH_TOL, block_branch_ranges, channel_bands
+
+    rng = np.random.default_rng(44)
+    flats = across = 0
+    for i in range(30):
+        N, q = int(rng.integers(2, 7)), int(rng.integers(1, 9))
+        t = float(np.exp(rng.uniform(np.log(1e-3), np.log(1e5))))
+        if i % 3 == 0:  # branch ranges thinner than FLAT_BRANCH_TOL: odd q, t above about 1e3
+            q, t = 7, float(np.exp(rng.uniform(np.log(1e3), np.log(1e5))))
+        model = ArmchairModel(N, tuple(rng.uniform(-1, 1, 3)), PotentialProfile(rng.uniform(-1, 1, q)), t=t)
+        lo, hi = block_branch_ranges(*decompose_armchair([model]))
+        for ch, row_lo, row_hi in zip(channel_bands([model])[0], lo, hi):
+            merged = reference_merge(zip(row_lo.tolist(), row_hi.tolist()))
+            assert _bits(ch.bands) == _bits([(a, b) for a, b in merged if b - a >= FLAT_BRANCH_TOL])
+            assert _bits((e, e) for e in ch.flat_bands) == _bits((a, a) for a, b in merged if b - a < FLAT_BRANCH_TOL)
+            assert _bits(ch.gaps) == _bits(reference_gaps(ch.bands))
+            assert len(ch.gaps) == max(len(ch.bands) - 1, 0)
+            assert ch.c_k == math.cos(math.pi * ch.k / N)
+            flats += len(ch.flat_bands)
+            across += any(ch.bands and ch.bands[0][1] < e < ch.bands[-1][0] for e in ch.flat_bands)
+    assert flats > 0 and across > 0
+
+
+def test_gap_and_fuse_rules_keep_the_rounding_of_the_reference_merge():
     # neighbours GAP_MERGE_TOL apart give or take a few ulps, where
-    # "lo <= hi + tol" and "lo - hi >= tol" round differently
-    from nanotube_bands.spectral import GAP_MERGE_TOL, _sorted_band_gaps
+    # "lo <= hi + tol" and "lo - hi > tol" round differently
+    from nanotube_bands.spectral import GAP_MERGE_TOL
 
     rng = np.random.default_rng(47)
     edges = np.sort(rng.uniform(-3.0, 3.0, size=(200, 16)), axis=1)
@@ -729,9 +760,31 @@ def test_sorted_band_gaps_keep_the_rounding_of_merge_intervals():
                 row[i + 1] += int(rng.integers(-3, 4)) * np.spacing(row[i + 1])
                 row[i + 1 :] = np.maximum(row[i + 1 :], row[i + 1])
     lo, hi = edges[:, 0::2], edges[:, 1::2]
-    for gaps, row_lo, row_hi in zip(_sorted_band_gaps(lo, hi), lo, hi):
-        want = ChannelBands(k=1, c_k=None, bands=tuple(zip(row_lo.tolist(), row_hi.tolist()))).gaps
-        assert gaps == want
+    chan, fused_lo, fused_hi = fuse_rows(lo, hi)
+    for c, (apart, row_lo, row_hi) in enumerate(zip(gap_after(lo, hi), lo, hi)):
+        bands = list(zip(row_lo.tolist(), row_hi.tolist()))
+        assert list(zip(row_hi[:-1][apart].tolist(), row_lo[1:][apart].tolist())) == reference_gaps(bands)
+        assert list(zip(fused_lo[chan == c].tolist(), fused_hi[chan == c].tolist())) == reference_merge(bands)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_fuse_rows_matches_the_reference_merge_to_the_bit(seed):
+    # unsorted, nested and repeated intervals, gaps on the tolerance, and
+    # upper edges of +0.0 and -0.0 that tie, where a band keeps the first
+    from nanotube_bands.spectral import GAP_MERGE_TOL
+
+    rng = np.random.default_rng([48, seed])
+    points = np.array([-0.0, 0.0, 1.0, GAP_MERGE_TOL, -GAP_MERGE_TOL, 2 * GAP_MERGE_TOL, 0.5, -1.0])
+    lo = rng.choice(points, (300, 8)) + rng.choice([0.0, 0.0, 1e-12, -5e-10], (300, 8))
+    hi = np.maximum(lo, np.where(rng.random((300, 8)) < 0.5, lo, rng.choice(points, (300, 8))))
+    hi = np.where((hi == 0.0) & (rng.random((300, 8)) < 0.5), -hi, hi)  # a zero upper edge of either sign
+    chan, got_lo, got_hi = fuse_rows(lo, hi)
+    for c, (row_lo, row_hi) in enumerate(zip(lo, hi)):
+        got = zip(got_lo[chan == c].tolist(), got_hi[chan == c].tolist())
+        assert _bits(got) == _bits(reference_merge(zip(row_lo.tolist(), row_hi.tolist())))
+    assert [x.size for x in fuse_rows(np.empty((3, 0)), np.empty((3, 0)))] == [0, 0, 0]
+    # numpy's running maximum keeps the last of equal values, which would end this band at -0.0
+    assert repr(merge_intervals([(-1.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])) == "[(-1.0, 0.0)]"
 
 
 def _matmul_monodromy(jac, z):
@@ -787,11 +840,11 @@ def _per_channel_edges(jac):
 
 def _channel_outcome(models, stacked):
     """Bits of (bands, flat levels) per channel of each model, or the message of the first failure."""
-    from nanotube_bands.spectral import zigzag_channels
+    from nanotube_bands.spectral import channel_bands
 
     try:
         if stacked:
-            per_model = [[(ch.bands, ch.flat_bands) for ch in chans] for chans in zigzag_channels(models)]
+            per_model = [[(ch.bands, ch.flat_bands) for ch in chans] for chans in channel_bands(models)]
         else:
             per_model = [
                 [
@@ -874,7 +927,7 @@ def test_half_ck_family_passes_the_hill_check_and_the_torus():
     # field that puts some channel at c_k = 1/2, where half the gaps close.
     # Every model is solved, and every level of the 2p-cell torus lies in
     # the union within 1e-8
-    from nanotube_bands.spectral import zigzag_channels
+    from nanotube_bands.spectral import channel_bands
 
     rng = np.random.default_rng(67)
     for _ in range(40):
@@ -882,7 +935,7 @@ def test_half_ck_family_passes_the_hill_check_and_the_torus():
         k = int(rng.integers(1, N + 1))
         model = ZigzagModel(N, math.pi / 3 - math.pi * k / N, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
         assert model.channel_constant(k) == pytest.approx(0.5, abs=1e-12)
-        zigzag_channels([model])
+        channel_bands([model])
         bs = full_spectrum(model)
         assert _torus_distance_to_union(model, 2 * model.potential.p, bs.lo, bs.hi) < 1e-8
 
@@ -1123,7 +1176,7 @@ def test_block_sweep_complete_and_attained():
             PotentialProfile(rng.normal(size=q)), t=float(rng.normal()),
         )
         block = channel(decompose_armchair([model]), 0)
-        bands = spectrum_block_stack(*block)[0]
+        bands = block_bands(*block)[0]
         probe = block_fiber_levels(block, [cmath.exp(2j * math.pi * x) for x in rng.random(40)]).ravel()
         ok, margin = intervals_contain(bands, [(e, e) for e in probe], tol=1e-9)
         assert ok, margin
@@ -1141,7 +1194,7 @@ def test_block_edges_not_at_real_multipliers():
 
     model = ArmchairModel(3, (0.8, -0.5, 1.1), PotentialProfile([0.7, -0.4]), t=1.0)
     block = channel(decompose_armchair([model]), 0)
-    swept = spectrum_block_stack(*block)[0]
+    swept = block_bands(*block)[0]
     pm = np.sort(block_fiber_levels(block, [1.0, -1.0]), axis=None)
-    naive = merge_intervals([(pm[2 * i], pm[2 * i + 1]) for i in range(len(pm) // 2)])
+    naive = reference_merge([(pm[2 * i], pm[2 * i + 1]) for i in range(len(pm) // 2)])
     assert max_edge_deviation(swept, naive) > 1e-3

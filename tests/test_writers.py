@@ -18,15 +18,14 @@ import math
 import numpy as np
 import pytest
 
-from nanotube_bands import cli
+from nanotube_bands import cli, spectral
 from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel, magnetic_phase
 from nanotube_bands.spectral import (
     BandStructure,
     ChannelBands,
-    armchair_channels,
     assemble_band_structure,
+    channel_bands,
     full_spectrum,
-    zigzag_channels,
 )
 
 PRECISIONS = (1, 6, 12, 17)
@@ -239,7 +238,7 @@ def sweep_fields(B_start, B_stop, steps):
 def test_zigzag_sweep_matches_reference(potential, N, t, B_stop, steps, tmp_path, monkeypatch):
     Bs = sweep_fields(-0.4, B_stop, steps)
     models = [ZigzagModel(N, magnetic_phase(B, N), PotentialProfile(potential), t=t) for B in Bs]
-    per_step = zigzag_channels(models)
+    per_step = channel_bands(models)
     argv = f"sweep --lattice zigzag --N {N} --t {t!r} --B-start -0.4 --B-stop {B_stop!r} --B-steps {steps}"
     for sig in PRECISIONS:
         monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
@@ -254,7 +253,7 @@ def test_armchair_sweep_matches_reference(tmp_path, monkeypatch):
         ArmchairModel(N=3, phases=cli.tube_geometry(3, B)[1], potential=PotentialProfile(potential), t=0.7)
         for B in Bs
     ]
-    per_step = armchair_channels(models)
+    per_step = channel_bands(models)
     phases = [model.phases[0] for model in models]
     argv = "sweep --lattice armchair --N 3 --t 0.7 --B-start -0.4 --B-stop 1.2 --B-steps 3 --grid 64"
     for sig in PRECISIONS:
@@ -287,7 +286,7 @@ def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
         ]
         for cs, fs, los, his in zip(c_k.tolist(), flat.tolist(), lo.tolist(), hi.tolist())
     ]
-    monkeypatch.setattr(cli, "zigzag_channel_edges", lambda models: (flat, c_k, lo, hi))
+    monkeypatch.setattr(spectral, "zigzag_channel_edges", lambda models: (flat, c_k, lo, hi))
     Bs = sweep_fields(0.0, 1.0, 3)
     phases = [magnetic_phase(B, 4) for B in Bs]
     for sig in PRECISIONS:
@@ -312,8 +311,8 @@ ZIGZAG_SWEEPS = [
 
 @pytest.mark.parametrize("case", range(len(ZIGZAG_SWEEPS)))
 def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
-    # the sweep writes its rows from the stacked edge arrays; the per-channel
-    # writer reads the ChannelBands that bands builds from the same arrays
+    # the sweep writes the rows of channel_rows; the per-channel writer reads
+    # the ChannelBands that bands builds from the same rows
     from nanotube_bands.core import flat_field_amplitudes
     from nanotube_bands.spectral import zigzag_channel_edges
 
@@ -324,7 +323,7 @@ def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
     Bs = sweep_fields(B_start, B_stop, steps) if steps > 1 else [B_start]
     models = [ZigzagModel(N, magnetic_phase(B, N), PotentialProfile(potential), t=t) for B in Bs]
     assert zigzag_channel_edges(models)[0][-1].any() == (ZIGZAG_SWEEPS[case][4] is None)
-    per_step = zigzag_channels(models)
+    per_step = channel_bands(models)
     phases = [m.b for m in models]
     argv = f"sweep --lattice zigzag --N {N} --t {t!r} --B-start {B_start!r} --B-stop {B_stop!r} --B-steps {steps}"
     for sig in (5, 12, 17):
@@ -336,15 +335,14 @@ def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
 
 
 def test_zigzag_sweep_builds_no_channel_bands(tmp_path, monkeypatch):
-    from nanotube_bands import spectral
-
-    def refuse(*args):
+    # both lattices write the sweep from the rows of channel_rows
+    def refuse(*args, **kwargs):
         raise AssertionError("the sweep built channel bands")
 
-    monkeypatch.setattr(spectral.ChannelBands, "__post_init__", refuse)
-    monkeypatch.setattr(spectral, "_sorted_band_gaps", refuse)
-    out = run_sweep("sweep --lattice zigzag --N 6 --B-start 0 --B-stop 2 --B-steps 4", [0.3, -0.2, 0.6], tmp_path)
-    assert out.count("\n") == 4 * 6 * 6
+    monkeypatch.setattr(spectral.ChannelBands, "__init__", refuse)
+    argv = "sweep --N 6 --B-start 0 --B-stop 2 --B-steps 4 --lattice"
+    assert run_sweep(f"{argv} zigzag", [0.3, -0.2, 0.6], tmp_path).count("\n") == 4 * 6 * 6
+    assert run_sweep(f"{argv} armchair", [0.3, -0.2, 0.6], tmp_path).count("\n") >= 4 * 6  # a band or more per channel
 
 
 @pytest.mark.parametrize("lattice", ["zigzag", "armchair"])
