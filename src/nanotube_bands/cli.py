@@ -362,7 +362,7 @@ def _zigzag_channel_constant(args) -> float:
     if args.N < 2 or not 1 <= args.k <= args.N:
         raise InvalidInputError(f"--k must lie in 1..N with N >= 2, got k = {args.k}, N = {args.N}")
     b = args.b if args.b is not None else magnetic_phase(args.B or 0.0, args.N)
-    return math.cos(b + math.pi * args.k / args.N)
+    return ZigzagModel(N=args.N, b=b, potential=PotentialProfile([0.0])).channel_constant(args.k)  # c_k has no potential
 
 
 def _asym_ck_to_zero(args, opts) -> list:

@@ -1047,3 +1047,115 @@ def test_asym_regimes_answer_fail_or_refuse_on_raw_potentials_up_to_the_float_li
     else:
         assert code in (0, 1) and err == "" and json.loads(out)
 
+
+# ---------------------------------------------------------------------------
+# bands and sweep over the input box the CLI accepts
+
+
+@st.composite
+def bands_sweep_argv(draw):
+    """A ``bands`` (JSON or CSV) or ``sweep`` command line of either lattice anywhere in the accepted box.
+
+    t is log-uniform from 1e-300 to 1e308 with either sign, the fields reach
+    1e308 and the zigzag ones hit flat phases; N * p is capped at 256 for
+    zigzag and at 32 for armchair, and a sweep takes 1 to 3 steps.
+    """
+    lattice = draw(st.sampled_from(["zigzag", "armchair"]))
+    command = draw(st.sampled_from(["json", "csv", "sweep"]))
+    q = draw(st.integers(1, 32).filter(lambda q: q % 2 == 0 or q < 16))
+    p = q // 2 if q % 2 == 0 else q
+    N = draw(st.integers(2, max(2, (256 if lattice == "zigzag" else 32) // p)))
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, q)
+    t = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-300.0, 308.0))
+    field = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 308.0))
+    field |= st.floats(-10.0, 10.0)
+    if lattice == "zigzag":  # B at channel k's first flat amplitude, or b on its flat phase
+        k = draw(st.integers(1, N))
+        field |= st.sampled_from(flat_field_amplitudes(N, k, [0, 1]))
+    argv = ["--lattice", lattice, "--N", str(N), "--t", repr(t)]
+    if command == "sweep":
+        steps = draw(st.integers(1, 3))
+        argv = ["sweep", *argv, "--B-start", repr(draw(field)), "--B-stop", repr(draw(field)), "--B-steps", str(steps)]
+    else:
+        argv = ["bands", *argv, "--format", command]
+        if lattice == "zigzag" and draw(st.booleans()):
+            argv += ["--b", repr(draw(st.just(math.pi / 2 - math.pi * k / N) | field))]
+        elif lattice == "zigzag" or draw(st.booleans()):
+            argv += ["--B", repr(draw(field))]
+        else:
+            argv += [f"--b{i}={draw(field)!r}" for i in (1, 2, 3)]
+    return argv, values.tolist()
+
+
+def printed_intervals(command: str, out: str) -> dict:
+    """The intervals that a run printed, keyed by field (``None`` for ``bands``): the union bands of the
+    JSON, the channel bands and flat levels of the CSV, the rows of each field step of a sweep."""
+    if command == "bands" and out.startswith("{"):
+        return {None: [(float(b["lo"]), float(b["hi"])) for b in json.loads(out)["union"]["bands"]]}
+    found = {}
+    for line in out.splitlines():
+        fields = line.split(",")
+        if command == "sweep":
+            found.setdefault(float(fields[0]), []).append((float(fields[4]), float(fields[5])))
+        else:
+            lo, hi = (float(fields[2]),) * 2 if fields[0] == "flat" else (float(fields[2]), float(fields[3]))
+            found.setdefault(None, []).append((lo, hi))
+    return found
+
+
+def modelled_runs(argv) -> list:
+    """(field key, model) of each model that a ``bands`` or ``sweep`` command line solves, built as the CLI builds it."""
+    from nanotube_bands.armchair import model_from_field
+    from nanotube_bands.core import load_potential, magnetic_phase
+
+    args = cli.make_parser().parse_args(cli._attach_negative_values(argv))
+    if args.command == "bands":
+        return [(None, cli.build_model(args, args.lattice))]
+    fields = [args.B_start] if args.B_steps == 1 else np.linspace(args.B_start, args.B_stop, args.B_steps).tolist()
+    profile = load_potential(args.potential)
+    if args.lattice == "zigzag":
+        return [(B, ZigzagModel(args.N, magnetic_phase(B, args.N), profile, t=args.t)) for B in fields]
+    return [(B, model_from_field(args.N, B, profile, args.t)) for B in fields]
+
+
+@given(case=bands_sweep_argv())
+@settings(max_examples=80, deadline=None)
+def test_bands_and_sweep_answer_or_refuse_over_the_accepted_box(case):
+    # exit 0, or exit 2 with one error line; an exception escaping main (a traceback) or a
+    # RuntimeWarning (an error under the test settings) fails it.  Exit 3 is allowed with its one
+    # line, and noted as a finding.  Where the torus of L = p cells has 2NL <= 2048, each of its
+    # levels lies within max(1e-8, VERIFY_FLOOR u scale) of an interval printed at 17 digits
+    import tempfile
+    from unittest import mock
+
+    from hypothesis import event
+
+    from nanotube_bands.core import UNIT_ROUNDOFF, VERIFY_FLOOR, energy_scale
+    from nanotube_bands.oracle import build_full_hamiltonian
+
+    argv, values = case
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict("os.environ", {"NANOTUBE_BANDS_PRECISION": "17"}):
+        pot = f"{tmp}/v.json"
+        with open(pot, "w") as fh:
+            json.dump(values, fh)
+        code, out, err = run_in_process(argv + ["--potential", pot])
+        runs = modelled_runs(argv + ["--potential", pot]) if code == 0 else []
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    if code == 3:
+        assert out == "" and err.startswith("internal consistency failure: ") and err.count("\n") == 1
+        event(f"exit 3: {err.strip()}")
+        return
+    assert code == 0 and err == "" and out.endswith("\n")
+    printed = printed_intervals(argv[0], out)
+    for key, model in runs:
+        p = model.potential.p
+        if 2 * model.N * p > 2048:
+            continue
+        torus = build_full_hamiltonian(model, p)
+        intervals = np.array(printed[key])
+        levels = torus.eigenvalues()[:, None]
+        distance = np.min(np.maximum(np.maximum(intervals[:, 0] - levels, levels - intervals[:, 1]), 0.0), axis=1)
+        tol = max(1e-8, VERIFY_FLOOR * UNIT_ROUNDOFF * float(energy_scale(torus.values)))
+        assert np.max(distance) <= tol, (float(np.max(distance)), tol)
