@@ -384,7 +384,7 @@ def _arc_midpoints(samples, level, tau, clear) -> np.ndarray:
     quotient = 0.5 * (quotient - np.conj(tau)[:, None] * np.conj(quotient[:, ::-1]))
     companion = np.zeros((S, 3, 3), dtype=complex)
     companion[:, 1, 0] = companion[:, 2, 1] = 1.0
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # a quotient past the float range is not finite
         companion[:, 0] = -quotient[:, 1:] / quotient[:, :1]
     finite = np.isfinite(companion[:, 0]).all(axis=1)
     roots = np.full((S, 4), np.nan, dtype=complex)
