@@ -334,7 +334,7 @@ def cmd_sweep(args) -> int:
     first = np.searchsorted(chan, np.arange(args.N * len(models) + 1))  # the first row of each channel, then the end
     k, i = chan % args.N + 1, np.arange(chan.size) - first[chan] + 1
     bounds = first[:: args.N].tolist()  # the rows of field step s are bounds[s]:bounds[s + 1]
-    # %d writes k = 3.0 as 3
+    # column_stack makes k and i floats, which %d writes as integers
     steps = (np.column_stack((k[a:b], i[a:b], lo[a:b], hi[a:b])).tolist() for a, b in zip(bounds, bounds[1:]))
     sig = _precision()
     tables = (_sweep_rows(B, b, rows, sig) for B, b, rows in zip(Bs, phases, steps))  # written as they are made

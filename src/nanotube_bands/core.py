@@ -192,12 +192,9 @@ class ZigzagModel:
         check_coupling(self.t, self.potential)
 
     def channel_constant(self, k: int) -> float:
-        """c_k = cos(b + pi*k/N) for k in 1..N.
+        """c_k = cos(b + pi*k/N) for k in 1..N, a b outside [-pi, pi] first reduced to atan2(sin b, cos b).
 
-        A phase outside [-pi, pi] is reduced first, to atan2(sin b, cos b):
-        b + pi*k/N rounds pi*k/N away once the spacing of floats near b
-        approaches it (it is 2 at |b| = 1e16), where sin and cos reduce b
-        exactly.
+        Unreduced, b + pi*k/N loses pi*k/N once the float spacing near b nears it (2 at |b| = 1e16).
         """
         b = self.b if abs(self.b) <= math.pi else math.atan2(math.sin(self.b), math.cos(self.b))
         return math.cos(b + math.pi * k / self.N)

@@ -36,13 +36,10 @@ time.  There is no grid: the CLI's ``--grid`` is validated and not read.
 
 After its solve each lattice reports the same rows (``channel_rows``): for
 every (field step, channel), its bands and flat levels as (lo, hi, flat),
-ascending.  Zigzag rows are the 2p chain bands, or a flat channel's dimer
-levels as (e, e); armchair rows are each channel's branch ranges fused by
-one rule over all channels at once (``fuse_rows``), a band narrower than
-FLAT_BRANCH_TOL read as a flat level (lo, lo).  ``sweep`` writes the rows;
-``channel_bands`` builds the ``ChannelBands`` of ``bands`` from them, with
-the gaps of every channel found at once by the one gap rule (``gap_after``),
-which ``fuse_rows`` and the union use too.
+ascending, armchair branch ranges fused by one rule over all channels at once
+(``fuse_rows``).  ``sweep`` writes the rows; ``channel_bands`` builds the
+``ChannelBands`` of ``bands`` from them, finding every channel's gaps at once
+by the one gap rule (``gap_after``) that the union uses too.
 
 The union over channels is built as numpy columns (``assemble_band_structure``):
 the channel edges cut the energy axis into segments, each channel's bands
@@ -78,13 +75,11 @@ FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one s
 
 
 def gap_after(lo, hi) -> np.ndarray:
-    """Whether a gap wider than GAP_MERGE_TOL opens above each band but the last, along the last axis.
+    """Whether each band but the first lies more than GAP_MERGE_TOL above ``hi`` of the one before, along the last axis.
 
-    The one gap rule of the package: a band more than GAP_MERGE_TOL above
-    the reach ``hi`` of the bands below it is apart from them.
-    ``fuse_rows`` starts a band where it holds against the running maximum
-    of the upper edges, and the gaps of a channel and of the union lie where
-    it holds between consecutive bands.
+    The one gap rule: ``fuse_rows`` starts a band where it holds against the
+    running maximum of the upper edges, and the gaps of a channel and of the
+    union lie where it holds between consecutive bands.
     """
     return lo[..., 1:] - hi[..., :-1] > GAP_MERGE_TOL
 
@@ -102,8 +97,7 @@ def fuse_rows(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.lexsort((hi, lo))
     lo, hi = np.take_along_axis(lo, order, -1), np.take_along_axis(hi, order, -1)
     reach = np.maximum.accumulate(hi, axis=-1)
-    rise = np.ones(lo.shape, dtype=bool)
-    rise[:, 1:] = reach[:, 1:] > reach[:, :-1]
+    rise = np.diff(reach, axis=-1, prepend=-np.inf) > 0  # where the running maximum grows
     reach = np.take_along_axis(hi, np.maximum.accumulate(np.where(rise, np.arange(lo.shape[-1]), 0), axis=-1), -1)
     start = np.ones(lo.shape, dtype=bool)
     start[:, 1:] = gap_after(lo, reach)
@@ -498,9 +492,6 @@ class ChannelBands:
     flat_bands: tuple[float, ...] = ()
     gaps: tuple[tuple[float, float], ...] = ()
 
-    def intervals(self) -> list[tuple[float, float]]:
-        return list(self.bands) + [(e, e) for e in self.flat_bands]
-
 
 def _column():
     """An empty column of the union table, as a dataclass default."""
@@ -576,8 +567,9 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     stable sort merges the segments and the extra entries.  Adjacent entries
     with identical multiplicity and covering set that are at most
     GAP_MERGE_TOL apart are fused, and the gaps wider than GAP_MERGE_TOL
-    between the fused bands are the union gaps (``gap_after``).  Cost: O(B log B) for B channel bands, plus the
-    list insertions of the extra entries.
+    between the fused bands are the union gaps (``gap_after``).  Cost:
+    O(B log B) for B channel bands, plus the list insertions of the extra
+    entries.
     """
     ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
     flats = sorted((e, ch.k) for ch in channels for e in ch.flat_bands)
@@ -708,18 +700,14 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
 
 
 def channel_rows(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The channel constants of M models and the band rows of their channels, k = 1..N.
+    """The (M, N) channel constants of M models of one lattice, N and potential period, and their channels' rows.
 
-    The models must be of one lattice and share N and the potential period.
-    Returns their (M, N) c_k and, for each row, its channel (s * N + k - 1
-    for channel k of ``models[s]``), its lower and upper edge and whether it
-    is a flat level.  The rows of a channel are consecutive and ascend.
-
-    * Zigzag: the 2p chain bands of ``zigzag_channel_edges``; a flat
-      channel's rows are its dimer levels, as (e, e).
-    * Armchair: the ``block_branch_ranges`` of each block channel, fused by
-      ``fuse_rows``; a band narrower than FLAT_BRANCH_TOL is a flat level,
-      as (lo, lo), and c_k = cos(pi k / N).
+    Each row has its channel (s * N + k - 1 for channel k of ``models[s]``),
+    its lo and hi and whether it is a flat level; a channel's rows are
+    consecutive and ascend.  Zigzag rows are the 2p chain bands of
+    ``zigzag_channel_edges``, a flat channel's dimer levels as (e, e).
+    Armchair rows are the ``block_branch_ranges`` of each channel fused by
+    ``fuse_rows``, a band narrower than FLAT_BRANCH_TOL a flat level (lo, lo).
     """
     if isinstance(models[0], ZigzagModel):
         flat, c_k, lo, hi = zigzag_channel_edges(models)
@@ -735,13 +723,10 @@ def channel_rows(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
 
 
 def channel_bands(models) -> list[list[ChannelBands]]:
-    """``ChannelBands`` of every channel of each model, k = 1..N, without the union.
+    """``ChannelBands`` of every channel of each model from its ``channel_rows``, without the union.
 
-    A channel's rows of ``channel_rows`` give its flat levels and its bands,
-    and its gaps lie between consecutive bands where ``gap_after`` holds,
-    found for every channel at once.  Fused armchair bands are more than
-    GAP_MERGE_TOL apart, so each pair of them bounds a gap, even across a
-    flat level.
+    A channel's gaps lie between consecutive bands where ``gap_after`` holds,
+    found for every channel at once (every two fused armchair bands bound one).
     """
     c_k, chan, lo, hi, flat = channel_rows(models)
     keep = ~flat

@@ -215,7 +215,7 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
         (B, model.phases[0], ch.k, idx, lo, hi)
         for B, model, channels in zip(Bs, models, per_step)
         for ch in channels
-        for idx, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)
+        for idx, (lo, hi) in enumerate(sorted([*ch.bands, *((e, e) for e in ch.flat_bands)]), start=1)
     ]
     assert out.getvalue() == cli._table("%g,%g,%d,%d,%g,%g", rows, 12, "\n") + "\n"
 

@@ -94,7 +94,11 @@ def channel_sweep_csv(Bs, phases, per_step, sig: int) -> str:
     tables = (  # one table per field step, written as it is made
         cli._table(
             "%g,%g,%d,%d,%g,%g",
-            [(B, b, ch.k, i, lo, hi) for ch in channels for i, (lo, hi) in enumerate(sorted(ch.intervals()), start=1)],
+            [
+                (B, b, ch.k, i, lo, hi)
+                for ch in channels
+                for i, (lo, hi) in enumerate(sorted([*ch.bands, *((e, e) for e in ch.flat_bands)]), start=1)
+            ],
             sig,
             "\n",
         )
