@@ -190,14 +190,13 @@ class ZigzagModel:
         check_tube_size(self.N)
         _check_finite(b=self.b, t=self.t)
         check_coupling(self.t, self.potential)
+        # b reduced once: b + pi*k/N loses pi*k/N once the float spacing near b nears it (2 at |b| = 1e16)
+        phase = self.b if abs(self.b) <= math.pi else math.atan2(math.sin(self.b), math.cos(self.b))
+        object.__setattr__(self, "_phase", phase)
 
     def channel_constant(self, k: int) -> float:
-        """c_k = cos(b + pi*k/N) for k in 1..N, a b outside [-pi, pi] first reduced to atan2(sin b, cos b).
-
-        Unreduced, b + pi*k/N loses pi*k/N once the float spacing near b nears it (2 at |b| = 1e16).
-        """
-        b = self.b if abs(self.b) <= math.pi else math.atan2(math.sin(self.b), math.cos(self.b))
-        return math.cos(b + math.pi * k / self.N)
+        """c_k = cos(b + pi*k/N) for k in 1..N, with b reduced to [-pi, pi] when the model is built."""
+        return math.cos(self._phase + math.pi * k / self.N)
 
 
 @dataclass(frozen=True)
