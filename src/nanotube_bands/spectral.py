@@ -75,13 +75,16 @@ FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one s
 
 
 def gap_after(lo, hi) -> np.ndarray:
-    """Whether each band but the first lies more than GAP_MERGE_TOL above ``hi`` of the one before, along the last axis.
+    """Whether each band but the first lies apart: not within GAP_MERGE_TOL above ``hi`` of the one before.
 
-    The one gap rule: ``fuse_rows`` starts a band where it holds against the
+    The one gap rule, along the last axis: ``fuse_rows`` starts a band where it holds against the
     running maximum of the upper edges, and the gaps of a channel and of the
-    union lie where it holds between consecutive bands.
+    union lie where it holds between consecutive bands.  Two edges at the
+    same infinity (a nan difference, which numpy flags as invalid) count as
+    apart, as in the reference merge; the coupling check keeps every
+    command's edges finite.
     """
-    return lo[..., 1:] - hi[..., :-1] > GAP_MERGE_TOL
+    return ~(lo[..., 1:] - hi[..., :-1] <= GAP_MERGE_TOL)
 
 
 def fuse_rows(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

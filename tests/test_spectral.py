@@ -782,6 +782,17 @@ def test_fuse_rows_matches_the_reference_merge_to_the_bit(seed):
     for c, (row_lo, row_hi) in enumerate(zip(lo, hi)):
         got = zip(got_lo[chan == c].tolist(), got_hi[chan == c].tolist())
         assert _bits(got) == _bits(reference_merge(zip(row_lo.tolist(), row_hi.tolist())))
+    # edges at the same infinity differ by nan, which keeps two bands apart
+    # (numpy flags inf - inf as invalid; the nan it gives is what is tested)
+    points = np.array([-np.inf, -1.0, 0.0, 1.0, np.inf])
+    lo = rng.choice(points, (300, 6))
+    hi = np.maximum(lo, rng.choice(points, (300, 6)))
+    with np.errstate(invalid="ignore"):
+        chan, got_lo, got_hi = fuse_rows(lo, hi)
+        assert repr(merge_intervals([(0.0, math.inf), (math.inf, math.inf)])) == "[(0.0, inf), (inf, inf)]"
+    for c, (row_lo, row_hi) in enumerate(zip(lo, hi)):
+        got = zip(got_lo[chan == c].tolist(), got_hi[chan == c].tolist())
+        assert _bits(got) == _bits(reference_merge(zip(row_lo.tolist(), row_hi.tolist())))
     assert [x.size for x in fuse_rows(np.empty((3, 0)), np.empty((3, 0)))] == [0, 0, 0]
     # numpy's running maximum keeps the last of equal values, which would end this band at -0.0
     assert repr(merge_intervals([(-1.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])) == "[(-1.0, 0.0)]"

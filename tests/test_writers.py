@@ -166,11 +166,13 @@ def hand_built_structures():
         k=1, c_k=None,
         bands=((-INF, -1.5), (-0.0, 0.0), (F64(0.25), F64(1.0) / 3), (2.0, NAN), (3.0, INF)),
         flat_bands=(F64(-0.0), 5e-324, -1e300, NAN),
+        gaps=((-1.5, -0.0), (0.0, 0.25), (F64(1.0) / 3, 3.0)),
     )
     finite = ChannelBands(
         k=2, c_k=F64(0.3),
         bands=((F64(-2.0) / 3, -1e-300), (1e-5, 1.2345678901234567e17)),
         flat_bands=(0.5, F64(-0.125)),
+        gaps=((-1e-300, 1e-5),),
     )
     empty = ChannelBands(k=3, c_k=0.0, bands=())
     union = [(-INF, -1.5, 2.0), (F64(-0.0), 0.0, F64(4.0)), (0.5, 0.5, INF), (1e-5, NAN, 2.0)]
