@@ -335,11 +335,24 @@ def _check_distinct(vals: np.ndarray) -> None:
         raise InvalidInputError("cluster asymptotics need pairwise distinct potential values")
 
 
-def _separation_products(vals: np.ndarray) -> np.ndarray:
-    """prod_{j != i} |v_j - v_i| for each i, multiplied along j in position order."""
+def _separations(vals: np.ndarray) -> np.ndarray:
+    """|v_j - v_i| for each i (a row) and j != i, in position order."""
     m = vals.size
-    seps = np.abs(vals[None, :] - vals[:, None])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
-    return np.prod(seps, axis=1)
+    return np.abs(vals[None, :] - vals[:, None])[~np.eye(m, dtype=bool)].reshape(m, m - 1)
+
+
+def _cluster_widths(scale: float, log_scale: float, seps: np.ndarray, t: float, power: int) -> np.ndarray:
+    """scale / (prod_j seps[i, j] * t**power) for each row i; ``log_scale`` is log(scale).
+
+    Where the product and the power of t leave the float range on opposite
+    sides, the denominator is 0 * inf; those widths are taken in logarithms,
+    so only a width that itself leaves the float range is 0 or inf.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        width = scale / (np.prod(seps, axis=1) * np.float64(t) ** power)
+        lost = np.isnan(width)
+        width[lost] = np.exp(log_scale - np.log(seps[lost]).sum(axis=1) - power * math.log(t))
+    return width
 
 
 def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> LargeTZigzagPrediction:
@@ -350,7 +363,9 @@ def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> L
     value separations.  The window half-size delta/t is derived from the same
     dressing bound plus the width, so it contains the band for every channel.
     A quantity that leaves the float range is inf, so a width whose power of t
-    or separation product overflows is 0, and one that underflows is inf.
+    or separation product overflows is 0, and one that underflows is inf;
+    where one overflows and the other underflows, ``_cluster_widths`` takes
+    the width in logarithms.
     """
     if is_flat_channel(c_k):
         raise NotApplicableError("flat-band channel: clusters are single points")
@@ -365,12 +380,12 @@ def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> L
         left = np.roll(bond_sq, 1) / (np.roll(vals, 1) - vals)
         right = bond_sq / (np.roll(vals, -1) - vals)
         dressing = left + right
-        sep = _separation_products(vals)
-        delta = np.max(np.abs(left) + np.abs(right) + 2.0 * a**p / sep) + 0.5
+        seps = _separations(vals)
+        delta = np.max(np.abs(left) + np.abs(right) + 2.0 * a**p / np.prod(seps, axis=1)) + 0.5
         return LargeTZigzagPrediction(
             band_rank=np.sum(vals < vals[:, None], axis=1) + 1,
             center=t * vals - dressing / t,
-            width=4.0 * a**p / (sep * np.float64(t) ** (2 * p - 1)),
+            width=_cluster_widths(4.0 * a**p, math.log(4.0) + p * math.log(a), seps, t, 2 * p - 1),
             dressing=dressing,
             window=float(delta / t),
         )
@@ -514,16 +529,16 @@ def predict_large_t_armchair(
     offsets = np.where(pos % 2 == 0, np.array([[-1], [1], [3]]), np.array([[-3], [-1], [1]]))
     b1, b2, b3 = phases
     s_k = cmath.exp(2j * math.pi * k / N)
-    sep = np.empty(q)
+    seps = np.empty((q, q // 2 - 1))
     winding = (pos % 4 == 1) | (pos % 4 == 2)
     with np.errstate(divide="ignore", over="ignore"):
         V = 1.0 / (vals[(pos + offsets) % q] - vals)
         for members in (winding, ~winding):
-            sep[members] = _separation_products(vals[members])
+            seps[members] = _separations(vals[members])
         return LargeTArmchairPrediction(
             band_rank=np.sum(vals < vals[:, None], axis=1) + 1,
             center=t * vals - (V[0] + V[1] + V[2]) / t,
-            width=4.0 / (np.float64(t) ** (q // 2 - 1) * sep),
+            width=_cluster_widths(4.0, math.log(4.0), seps, t, q // 2 - 1),
             phase_weight=2.0 * (s_k * cmath.exp(1j * (b1 + b2 - 2 * b3))).real,
         )
 

@@ -233,6 +233,28 @@ def test_large_t_zigzag_rejects_repeated_values():
         asy.predict_large_t_zigzag(PotentialProfile([1.0, 1.0]), 0.4, t=10.0)
 
 
+def _log_width(log_scale, vals, classes, t, power):
+    """The cluster widths scale / (prod |v_j - v_i| * t**power) over j != i of the class of i, in logarithms."""
+    return [
+        math.exp(log_scale - sum(math.log(abs(v - vi)) for j, v in enumerate(vals) if j != i and classes[j] == ci)
+                 - power * math.log(t))
+        for i, (vi, ci) in enumerate(zip(vals, classes))
+    ]
+
+
+def test_cluster_widths_whose_factors_leave_the_float_range_on_opposite_sides_are_finite():
+    # the separation products overflow while the power of t underflows: their product was 0 * inf, a nan
+    # width and a RuntimeWarning (asym --regime large_t_zigzag --N 2 --b 0.3 --t 1e-200 exited 1 on it)
+    vals = [1e150, -1e150, 3e149, -2e149]
+    c, t = math.cos(0.3 + math.pi / 2), 1e-200
+    got = asy.predict_large_t_zigzag(PotentialProfile(vals), c, t).width
+    assert got.tolist() == pytest.approx(_log_width(math.log(4 * (2 * abs(c)) ** 2), vals, [0] * 4, t, 3), rel=1e-12)
+    vals = [(-1) ** i * (i + 1) * 1e25 for i in range(32)]
+    got = asy.predict_large_t_armchair(PotentialProfile(vals), 1, 1e-30, 2).width
+    classes = [i % 4 in (1, 2) for i in range(32)]
+    assert got.tolist() == pytest.approx(_log_width(math.log(4.0), vals, classes, 1e-30, 15), rel=1e-12)
+
+
 def test_large_t_zigzag_harness():
     model = ZigzagModel(5, 0.2, PotentialProfile([0.9, -0.3, 0.4, -1.1]), t=40.0)
     reports = asy.measure_large_t_zigzag(model)
