@@ -342,12 +342,7 @@ def _separations(vals: np.ndarray) -> np.ndarray:
 
 
 def _cluster_widths(scale: float, log_scale: float, seps: np.ndarray, t: float, power: int) -> np.ndarray:
-    """scale / (prod_j seps[i, j] * t**power) for each row i; ``log_scale`` is log(scale).
-
-    Where the product and the power of t leave the float range on opposite
-    sides, the denominator is 0 * inf; those widths are taken in logarithms,
-    so only a width that itself leaves the float range is 0 or inf.
-    """
+    """scale / (prod_j seps[i, j] * t**power) for each row i; in logarithms where the denominator is 0 * inf."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         width = scale / (np.prod(seps, axis=1) * np.float64(t) ** power)
         lost = np.isnan(width)
@@ -363,9 +358,7 @@ def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> L
     value separations.  The window half-size delta/t is derived from the same
     dressing bound plus the width, so it contains the band for every channel.
     A quantity that leaves the float range is inf, so a width whose power of t
-    or separation product overflows is 0, and one that underflows is inf;
-    where one overflows and the other underflows, ``_cluster_widths`` takes
-    the width in logarithms.
+    or separation product alone overflows is 0, and one that underflows is inf.
     """
     if is_flat_channel(c_k):
         raise NotApplicableError("flat-band channel: clusters are single points")

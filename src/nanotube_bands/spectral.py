@@ -77,12 +77,11 @@ FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one s
 def gap_after(lo, hi) -> np.ndarray:
     """Whether each band but the first lies apart: not within GAP_MERGE_TOL above ``hi`` of the one before.
 
-    The one gap rule, along the last axis: ``fuse_rows`` starts a band where it holds against the
-    running maximum of the upper edges, and the gaps of a channel and of the
-    union lie where it holds between consecutive bands.  Two edges at the
-    same infinity (a nan difference, which numpy flags as invalid) count as
-    apart, as in the reference merge; the coupling check keeps every
-    command's edges finite.
+    The one gap rule, along the last axis: ``fuse_rows`` starts a band where
+    it holds against the running maximum of the upper edges, and the gaps of
+    a channel and of the union lie where it holds between consecutive bands.
+    A nan difference (two edges at one infinity; numpy flags it) holds, as in
+    the reference merge; the coupling check keeps every command's edges finite.
     """
     return ~(lo[..., 1:] - hi[..., :-1] <= GAP_MERGE_TOL)
 
