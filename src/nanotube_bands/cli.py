@@ -33,7 +33,7 @@ from .errors import (
     NotApplicableError,
 )
 from .oracle import compare_decomposition
-from .spectral import channel_bands, channel_rows, full_spectrum
+from .spectral import SWEEP_CHANNELS, channel_bands, channel_rows, full_spectrum
 
 
 def _precision() -> int:
@@ -128,18 +128,42 @@ def _write(text: str, path: str | None) -> None:
 
 
 def _write_chunks(chunks, path: str | None) -> None:
-    """The concatenated ``chunks`` to ``path`` (stdout when None), ending in a newline."""
-    out = sys.stdout if path is None else open(path, "w", encoding="utf-8", newline="\n")
+    """The concatenated ``chunks`` to ``path`` (stdout when None), ending in a newline.
+
+    A file is written whole or not at all: the chunks go to a temporary file
+    beside ``path``, which replaces it after the last chunk and is removed if
+    making a chunk fails (as a sweep may, after writing its first field
+    steps), leaving ``path`` as it was.  Stdout, and a path that exists and
+    is not a regular file (a device or a pipe), take the chunks as they come.
+    """
+    if path is None:
+        _emit(chunks, sys.stdout)
+    elif os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="\n") as out:
+            _emit(chunks, out)
+    else:
+        partial = f"{path}.{os.getpid()}.tmp"
+        try:
+            out = open(partial, "x", encoding="utf-8", newline="\n")
+        except FileNotFoundError as exc:  # name the path given, not the temporary file
+            raise FileNotFoundError(exc.errno, exc.strerror, path) from None
+        try:
+            with out:
+                _emit(chunks, out)
+            os.replace(partial, path)
+        finally:
+            if os.path.exists(partial):
+                os.remove(partial)
+
+
+def _emit(chunks, out) -> None:
+    """Write ``chunks`` to the open text stream ``out``, and a newline unless the last non-empty one ends in one."""
     last = ""
-    try:
-        for chunk in chunks:
-            out.write(chunk)
-            last = chunk or last
-        if not last.endswith("\n"):
-            out.write("\n")
-    finally:
-        if path is not None:
-            out.close()
+    for chunk in chunks:
+        out.write(chunk)
+        last = chunk or last
+    if not last.endswith("\n"):
+        out.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,9 +213,9 @@ def build_model(args, lattice: str):
 
 
 MAX_GRID = 2**16  # --grid is validated so that existing command lines run; no computation reads it
-MAX_B_STEPS = 1024  # a sweep holds the channels of every step until it writes them
+MAX_B_STEPS = 1024  # field steps of a sweep
 MAX_N = 512  # a zigzag bands run peaks at ~58 MB at N = 512, p = 16, an armchair run grows as N
-MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep solves and holds the channels of every step at once
+MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep's time grows with its channels (its memory does not)
 MAX_P = 16  # potential period p: channel matrices are 2p x 2p; armchair bands at MAX_N, p = 16: ~11 s, 64 MB
 MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
 
@@ -298,14 +322,41 @@ def cmd_bands(args) -> int:
     return 0
 
 
-def _sweep_rows(B: float, b: float, rows, sig: int) -> str:
-    """One field step of ``sweep`` CSV: a row ``B,b,k,i,lo,hi`` for each ``(k, i, lo, hi)`` of ``rows``.
+@lru_cache(maxsize=16)  # one layout per sweep of zigzag, the few of consecutive armchair steps
+def _sweep_layout(counts: tuple[int, ...], spec: str) -> tuple[str, ...]:
+    """The rows ``k,i,lo,hi`` of a field step whose channel k has ``counts[k - 1]`` rows, ``spec`` in lo and hi."""
+    return tuple(f"{k},{i},{spec},{spec}" for k, n in enumerate(counts, start=1) for i in range(1, n + 1))
 
-    B and b are written once, into a prefix that the row separator of one
-    ``_table`` call repeats, so the step is one ``%`` call.
+
+def _sweep_steps(models, Bs, phases, N: int):
+    """The ``sweep`` CSV, one field step at a time: a row ``B,b,k,i,lo,hi`` for each row of the step's channels.
+
+    The steps are solved in chunks of SWEEP_CHANNELS channels, and a chunk's
+    steps are written before the next chunk is solved, so the rows held at
+    once stay bounded; a chunk that fails (exit 3) leaves the steps before it
+    written.  Each step fills the row template of its layout, with k and i
+    written in, from one prefix ``B,b,`` and one ``%`` call on its lo and hi;
+    a step that holds a non-finite value writes its floats through
+    ``fmt_float``, as ``_table`` does, so that ``"inf"`` and ``"nan"`` keep
+    their quotes.
     """
-    prefix = f"{fmt_float(B, sig)},{fmt_float(b, sig)},".replace("%", "%%")
-    return prefix + _table("%d,%d,%g,%g", rows, sig, "\n" + prefix) if rows else ""
+    sig = _precision()
+    spec = f"%.{sig}g"
+    size = max(1, SWEEP_CHANNELS // N)
+    for start in range(0, len(models), size):
+        chunk = slice(start, start + size)
+        _, chan, lo, hi, _ = channel_rows(models[chunk], start, len(models))
+        counts = np.bincount(chan, minlength=N * len(models[chunk])).reshape(-1, N)
+        bounds = np.append(0, np.cumsum(2 * counts.sum(axis=1))).tolist()  # where each step's lo, hi values start
+        values = np.column_stack((lo, hi)).ravel()
+        finite = np.isfinite(values).tolist()
+        values = values.tolist()
+        for B, b, row, a, z in zip(Bs[chunk], phases[chunk], counts.tolist(), bounds, bounds[1:]):
+            prefix = f"{fmt_float(B, sig)},{fmt_float(b, sig)},".replace("%", "%%")
+            step, slot = values[a:z], spec
+            if not all(finite[a:z]):
+                step, slot = [fmt_float(x, sig) for x in step], "%s"
+            yield prefix + ("\n" + prefix).join(_sweep_layout(tuple(row), slot)) % tuple(step) + "\n"
 
 
 def cmd_sweep(args) -> int:
@@ -330,15 +381,7 @@ def cmd_sweep(args) -> int:
     else:
         models = [model_from_field(args.N, B, profile, args.t) for B in Bs]
         phases = [model.phases[0] for model in models]
-    _, chan, lo, hi, _ = channel_rows(models)  # every field step in one stacked solve
-    first = np.searchsorted(chan, np.arange(args.N * len(models) + 1))  # the first row of each channel, then the end
-    k, i = chan % args.N + 1, np.arange(chan.size) - first[chan] + 1
-    bounds = first[:: args.N].tolist()  # the rows of field step s are bounds[s]:bounds[s + 1]
-    # column_stack makes k and i floats, which %d writes as integers
-    steps = (np.column_stack((k[a:b], i[a:b], lo[a:b], hi[a:b])).tolist() for a, b in zip(bounds, bounds[1:]))
-    sig = _precision()
-    tables = (_sweep_rows(B, b, rows, sig) for B, b, rows in zip(Bs, phases, steps))  # written as they are made
-    _write_chunks((text + "\n" for text in tables if text), args.output)
+    _write_chunks(_sweep_steps(models, Bs, phases, args.N), args.output)
     return 0
 
 

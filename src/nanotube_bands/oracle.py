@@ -133,9 +133,9 @@ def _check_truncation(model, L: int) -> None:
     if not isinstance(L, (int, np.integer)) or L < 1 or L % p != 0:
         raise InvalidTruncationError(f"axial length L = {L!r} must be a positive multiple of p = {p}")
     if L > MAX_CELLS:
-        raise InvalidTruncationError(f"axial length L = {L} exceeds the dense-matrix cap {MAX_CELLS}")
+        raise InvalidTruncationError(f"axial length L = {L} exceeds the oracle's torus cap {MAX_CELLS}")
     if 2 * model.N * L > MAX_DIM:
-        raise InvalidTruncationError(f"torus dimension 2NL = {2 * model.N * L} exceeds the dense-matrix cap {MAX_DIM}")
+        raise InvalidTruncationError(f"torus dimension 2NL = {2 * model.N * L} exceeds the oracle's torus cap {MAX_DIM}")
 
 
 def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:

@@ -5,12 +5,16 @@ Every fiber matrix L(tau) of a channel comes from one stacked builder,
 are built once (``scalar_period_matrix`` from (C, m) coefficients,
 ``block_period_matrix`` from (C, 2, 2) hopping and (C, p, 2, 2) diagonal blocks) and
 tau enters only through their wrap-around corner blocks, the multipliers
-broadcast against the channels.
+broadcast against the channels.  The matrices are real where the coefficients
+and the multipliers are, and complex otherwise.  Every stacked eigensolve
+takes at most STACK_BYTES of matrices (``stack_size``).
 
 Scalar channels have one edge routine, ``periodic_jacobi_band_edges``: the
 band edges of an m-periodic channel are the sorted eigenvalues of K(+1) and
-K(-1), paired consecutively, and a stack of channels is solved in stacks of
-FIBER_STACK / 2.  The levels are checked by the discrete Hill theorem, which
+K(-1), paired consecutively.  The gauge-reduced zigzag chains have real bonds
+1 and 2|c_k|, so their K(+1) and K(-1) are real symmetric and are solved in
+real arithmetic; only the torus oracle keeps the complex bonds from before
+the gauge.  The levels are checked by the discrete Hill theorem, which
 orders them ``+ - - + + - - + ...`` from the bottom for positive bonds; the
 check reads only the solved levels.  The zigzag channels of a model, or of
 every field step of a sweep, come back as arrays (``zigzag_channel_edges``):
@@ -31,13 +35,14 @@ where the branch lies beyond E by more than LEVEL_SKIP_SLACK units of
 rounding, lies wholly beyond E, and is not probed: that halves the
 eigensolves, and on 800 random models moved no bit of any range.  Each
 probe pairs its own channel with its own multiplier, and one round solves
-the probes of every search still running, one stack of FIBER_STACK at a
+the probes of every search still running, one stack of STACK_BYTES at a
 time.  There is no grid: the CLI's ``--grid`` is validated and not read.
 
 After its solve each lattice reports the same rows (``channel_rows``): for
 every (field step, channel), its bands and flat levels as (lo, hi, flat),
 ascending, armchair branch ranges fused by one rule over all channels at once
-(``fuse_rows``).  ``sweep`` writes the rows; ``channel_bands`` builds the
+(``fuse_rows``).  ``sweep`` writes the rows, solved in chunks of
+SWEEP_CHANNELS channels; ``channel_bands`` builds the
 ``ChannelBands`` of ``bands`` from them, finding every channel's gaps at once
 by the one gap rule (``gap_after``) that the union uses too.
 
@@ -67,7 +72,15 @@ from .core import (
 from .errors import FlatBandChannelError, HillOrderError, InternalConsistencyError, InvalidParameterError
 from .zigzag import channel_constants
 
-FIBER_STACK = 64  # fiber matrices per eigvalsh call; bounds the memory of one stack
+STACK_BYTES = 2**20  # bytes of fiber matrices per eigvalsh call: 64 complex 32 x 32, 1024 real 8 x 8
+
+
+def stack_size(m: int, dtype) -> int:
+    """m x m matrices of ``dtype`` per eigvalsh call: STACK_BYTES of them, and at least one."""
+    return max(1, STACK_BYTES // (m * m * np.dtype(dtype).itemsize))
+
+
+SWEEP_CHANNELS = 2048  # channels per channel_rows call of a sweep, whose rows are written before the next call
 
 
 # ---------------------------------------------------------------------------
@@ -131,8 +144,9 @@ def max_edge_deviation(bands_a, bands_b) -> float:
 
 
 def _check_unimodular(taus) -> np.ndarray:
-    """The multipliers as a complex array; refuses any that is off the unit circle."""
-    taus = np.asarray(taus, dtype=complex)
+    """The multipliers as a real array if they are real, else complex; refuses any that is off the unit circle."""
+    taus = np.asarray(taus)
+    taus = taus.astype(np.result_type(taus, float), copy=False)
     off = np.abs(np.abs(taus) - 1.0) > UNIMODULAR_TOL
     if off.any():
         raise InvalidParameterError(
@@ -156,8 +170,10 @@ def fiber_matrices(period, wrap, taus) -> np.ndarray:
     the rounding of the sum depends on the order, and adding a zero elsewhere
     could flip the sign of a zero entry.
 
-    Every matrix is checked to be Hermitian to HERMITIAN_TOL of its
-    ``energy_scale`` (``_fiber_stack``).
+    The matrices are real when the period, the wrap block and the
+    multipliers are all real (tau = +1 or -1 on real coefficients), and
+    complex otherwise.  Every matrix is checked to be Hermitian to
+    HERMITIAN_TOL of its ``energy_scale`` (``_fiber_stack``).
     """
     return _fiber_stack(period, wrap, taus, _adjoint_mismatch(period, period))
 
@@ -176,7 +192,7 @@ def _fiber_stack(period, wrap, taus, residual: float) -> np.ndarray:
     taus = _check_unimodular(taus)[..., None, None]
     m, r = period.shape[-1], wrap.shape[-1]
     corner = taus * wrap
-    L = np.empty(np.broadcast(period[..., 0, 0], corner[..., 0, 0]).shape + (m, m), dtype=complex)
+    L = np.empty(np.broadcast(period[..., 0, 0], corner[..., 0, 0]).shape + (m, m), np.result_type(period, corner))
     L[...] = period
     lower, upper = L[..., m - r :, :r], L[..., :r, m - r :]
     lower += corner
@@ -197,13 +213,15 @@ def scalar_period_matrix(offdiag, diag) -> tuple[np.ndarray, np.ndarray]:
     """Period matrix and 1 x 1 wrap block of an m-periodic scalar Jacobi operator.
 
     offdiag[i] couples sites i and i+1; offdiag[m-1] is the wrap-around bond.
-    Complex bonds are allowed (used before gauge reduction).  (C, m) arrays
-    give the (C, m, m) and (C, 1, 1) stacks of C operators.
+    Complex bonds are allowed (used before gauge reduction) and give complex
+    matrices; real bonds give real ones.  (C, m) arrays give the (C, m, m)
+    and (C, 1, 1) stacks of C operators.
     """
-    a = np.asarray(offdiag, dtype=complex)
+    a = np.asarray(offdiag)
+    a = a.astype(np.result_type(a, float), copy=False)
     v = np.asarray(diag, dtype=float)
     m = v.shape[-1]
-    K = np.zeros(v.shape + (m,), dtype=complex)
+    K = np.zeros(v.shape + (m,), dtype=a.dtype)
     i = np.arange(m)
     K[..., i, i] = v
     K[..., i[:-1], i[1:]] += a[..., : m - 1]
@@ -239,7 +257,8 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
 
     The eigenvalues P of K(+1) and M of K(-1) interlace so that consecutive
     pairs of their sorted union bound the m bands.  (..., m) coefficients give
-    (..., 2m) edges, solved in stacks of FIBER_STACK / 2 operators.  By the
+    (..., 2m) edges.  Real bonds give real symmetric K(+1) and K(-1), solved
+    in real arithmetic, in stacks of STACK_BYTES (``stack_size``).  By the
     discrete Hill theorem (van Moerbeke, Invent. Math. 37, 1976) the sequence
     P0 M0 M1 P1 P2 M2 M3 P3 ... ascends, with P and M trading places for an
     odd m; where it falls by more than 8 * 2m * u * max|level| (u the
@@ -252,7 +271,7 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
     v = np.asarray(diag, dtype=float)
     shape, m = v.shape[:-1], v.shape[-1]
     a, v = np.broadcast_to(offdiag, v.shape).reshape(-1, m), v.reshape(-1, m)
-    size = FIBER_STACK // 2
+    size = max(1, stack_size(m, np.result_type(a, float)) // 2)  # two matrices per operator, K(+1) and K(-1)
     periods = (scalar_period_matrix(a[i : i + size], v[i : i + size]) for i in range(0, len(v), size))
     solved = [np.linalg.eigvalsh(fiber_matrices(K[:, None], W[:, None], [1.0, -1.0])) for K, W in periods]
     levels = np.concatenate([np.empty((0, 2, m))] + solved).reshape(-1, 2 * m)  # the levels of K(+1), then of K(-1)
@@ -305,8 +324,8 @@ SAMPLE_THETAS = 2.0 * np.pi * np.arange(LEVEL_SET_SAMPLES) / LEVEL_SET_SAMPLES
 SAMPLE_ANGLES = np.where(SAMPLE_THETAS < np.pi, SAMPLE_THETAS, SAMPLE_THETAS - 2.0 * np.pi)  # in [-pi, pi), as np.angle
 
 
-def _stacks(n: int, size: int = FIBER_STACK) -> list[slice]:
-    """Consecutive slices of at most ``size`` of n items: FIBER_STACK probes make one eigensolve."""
+def _stacks(n: int, size: int) -> list[slice]:
+    """Consecutive slices of at most ``size`` of n items: ``stack_size`` probes make one eigensolve."""
     return [slice(i, i + size) for i in range(0, n, size)]
 
 
@@ -326,7 +345,7 @@ def _block_fibers(a, d):
 
 
 def _fiber_levels(fibers, chans, taus):
-    """(slice, levels) of each stack of FIBER_STACK probes: the sorted levels of channel ``chans[i]`` at ``taus[i]``.
+    """(slice, levels) of each stack of probes: the sorted levels of channel ``chans[i]`` at ``taus[i]``.
 
     ``fibers`` is the ``_block_fibers`` triple of a stack of channels and
     ``taus`` the probes' multipliers (``_multipliers``).  Each probe pairs its
@@ -335,23 +354,25 @@ def _fiber_levels(fibers, chans, taus):
     its stack.
     """
     periods, wraps, residual = fibers
-    for s in _stacks(len(taus)):
+    for s in _stacks(len(taus), stack_size(periods.shape[-1], periods.dtype)):
         yield s, np.linalg.eigvalsh(_fiber_stack(periods[chans[s]], wraps[chans[s]], taus[s], residual))
 
 
-def _arc_midpoints(samples, level, tau, clear) -> np.ndarray:
+def _arc_midpoints(samples, high, low, level, tau, clear) -> np.ndarray:
     """Midpoints of the arcs into which the level crossings of each search cut the circle, NaN-padded to (search, 4).
 
     ``samples`` holds the (search, 8, 2p) levels of each search's channel at
-    theta_j = 2 pi j / 8, ``level`` the level E of each search and ``tau`` a
+    theta_j = 2 pi j / 8, ``high`` and ``low`` their (search, 2p) maxima and
+    minima over j, ``level`` the level E of each search and ``tau`` a
     multiplier exp(i theta) where its branch equals E.  The wrap block has
     two rows, so det(L(theta) - E) = prod_i (E_i(theta) - E) is a real trigonometric
     polynomial of degree 2: one FFT of its samples gives c_0..c_2 exactly,
     and the roots tau = exp(i theta) of tau^2 det on the unit circle are the
     at most 4 crossings, where some branch meets E.  Each factor is divided
     by its largest magnitude over the samples, which moves no root and keeps
-    the product from underflow.  The known root ``tau`` is divided out, so
-    its neighbour, which closes the arc the search is closing in on, is found
+    the product from underflow; rounding is monotone, so that magnitude,
+    max_j |fl(s_j - E)|, is max(fl(high - E), fl(E - low)) to the bit.  The
+    known root ``tau`` is divided out, so its neighbour, which closes the arc the search is closing in on, is found
     to rounding even where that arc is far narrower than the samples
     resolve.  The other roots are the eigenvalues of the cubic's companion
     matrix (none when it is not finite); one off the circle by more than
@@ -364,7 +385,7 @@ def _arc_midpoints(samples, level, tau, clear) -> np.ndarray:
     beyond E on the whole arc, so its probe could not move the search.
     """
     factors = samples - level[:, None, None]
-    norm = np.max(np.abs(factors), axis=1, keepdims=True)
+    norm = np.maximum(high - level[:, None], level[:, None] - low)[:, None]
     factors /= np.where(norm > 0.0, norm, 1.0)
     det = factors[..., 0].copy()
     for i in range(1, factors.shape[-1]):  # one product per sample, in the same order for every search
@@ -433,6 +454,7 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
     grid = _multipliers(SAMPLE_THETAS)
     solved = _fiber_levels(fibers, np.repeat(np.arange(C), LEVEL_SET_SAMPLES), np.tile(grid, C))
     samples = np.concatenate([np.empty((0, m))] + [levels for _, levels in solved]).reshape(C, LEVEL_SET_SAMPLES, m)
+    high, low = samples.max(axis=1), samples.min(axis=1)  # each branch's extremes over the samples
     scale = UNIT_ROUNDOFF * energy_scale(samples, axis=(1, 2))
     tol, slack = LEVEL_SET_STOP * scale, LEVEL_SKIP_SLACK * scale
     chans, rows = np.tile(np.repeat(np.arange(C), m), 2), np.tile(np.arange(m), 2 * C)
@@ -449,7 +471,7 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
             [np.empty((0, 4))]
             + [
                 _arc_midpoints(
-                    samples[chans[part]], signs[part] * best[part], at[part],
+                    samples[chans[part]], high[chans[part]], low[chans[part]], signs[part] * best[part], at[part],
                     seen[part] > (best[part] + slack[chans[part]])[:, None],
                 )
                 for part in parts
@@ -673,7 +695,7 @@ def zigzag_chain_edges(c_k, diag) -> np.ndarray:
     return periodic_jacobi_band_edges(bonds, np.broadcast_to(diag, bonds.shape))
 
 
-def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def zigzag_channel_edges(models, first: int = 0, total: int | None = None) -> tuple[np.ndarray, ...]:
     """Band edges of every channel of each zigzag model, k = 1..N, as arrays.
 
     Returns the (M, N) flat mask and channel constants c_k of the M models
@@ -682,8 +704,9 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     levels of its dimers as (e, e).  The models must share N and the
     potential period.  The dispersive channels of all models go to one
     ``zigzag_chain_edges`` call with each model's diagonal ``t * v``.  A
-    channel that fails the Hill-order check is named by its field step (the
-    index of its model) and k, the first in that order.
+    channel that fails the Hill-order check is named by its field step and k,
+    the first in that order; ``models`` are the field steps ``first + 1`` on
+    of a sweep of ``total`` steps (by default, all of them).
     """
     c_k = channel_constants(models)
     flat = is_flat_channel(c_k)
@@ -692,7 +715,8 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
         edges = zigzag_chain_edges(c_k[~flat], diag[np.nonzero(~flat)[0]])
     except HillOrderError as exc:  # name the channel by field step and k
         step, k = (np.argwhere(~flat)[exc.channel] + 1).tolist()
-        where = f"field step {step} of {len(models)}, " if len(models) > 1 else ""
+        total = len(models) if total is None else total
+        where = f"field step {first + step} of {total}, " if total > 1 else ""
         raise InternalConsistencyError(f"{where}channel k = {k}: {exc}") from exc
     lo, hi = np.empty((2,) + flat.shape + diag.shape[-1:])
     lo[~flat], hi[~flat] = edges[:, 0::2], edges[:, 1::2]
@@ -701,7 +725,7 @@ def zigzag_channel_edges(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     return flat, c_k, lo, hi
 
 
-def channel_rows(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def channel_rows(models, first: int = 0, total: int | None = None) -> tuple[np.ndarray, ...]:
     """The (M, N) channel constants of M models of one lattice, N and potential period, and their channels' rows.
 
     Each row has its channel (s * N + k - 1 for channel k of ``models[s]``),
@@ -710,9 +734,11 @@ def channel_rows(models) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     ``zigzag_channel_edges``, a flat channel's dimer levels as (e, e).
     Armchair rows are the ``block_branch_ranges`` of each channel fused by
     ``fuse_rows``, a band narrower than FLAT_BRANCH_TOL a flat level (lo, lo).
+    ``first`` and ``total`` place the models in a sweep solved in chunks of
+    field steps, for the messages of ``zigzag_channel_edges``.
     """
     if isinstance(models[0], ZigzagModel):
-        flat, c_k, lo, hi = zigzag_channel_edges(models)
+        flat, c_k, lo, hi = zigzag_channel_edges(models, first, total)
         m = lo.shape[-1]
         return c_k, np.repeat(np.arange(flat.size), m), lo.ravel(), hi.ravel(), np.repeat(flat.ravel(), m)
     if isinstance(models[0], ArmchairModel):

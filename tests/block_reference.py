@@ -32,9 +32,11 @@ from closed_forms import reference_merge
 from nanotube_bands.core import LEVEL_ARC_TOL, LEVEL_ROOT_TOL, LEVEL_SET_STOP, UNIT_ROUNDOFF, energy_scale
 from nanotube_bands.errors import InternalConsistencyError
 from nanotube_bands.spectral import (
-    FIBER_STACK, LEVEL_SET_MAX_ROUNDS, LEVEL_SET_SAMPLES, SEARCH_CHUNK, _multipliers, _stacks, block_branch_ranges,
+    LEVEL_SET_MAX_ROUNDS, LEVEL_SET_SAMPLES, SEARCH_CHUNK, _multipliers, _stacks, block_branch_ranges,
     block_period_matrix, fiber_matrices, fuse_rows,
 )
+
+REFERENCE_STACK = 64  # fiber matrices per eigvalsh call of a reference; eigvalsh solves each on its own
 
 EPS = np.finfo(float).eps
 NOT_LESS_EXTREME = 16.0  # eigensolver rounding, in units of EPS * max(1, max|level|) of the channel
@@ -49,8 +51,8 @@ def fiber_levels(fiber, thetas) -> np.ndarray:
     return np.concatenate(
         [np.empty((0, fiber[0].shape[-1]))]
         + [
-            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK]))
-            for i in range(0, len(taus), FIBER_STACK)
+            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + REFERENCE_STACK]))
+            for i in range(0, len(taus), REFERENCE_STACK)
         ]
     )
 
@@ -163,7 +165,7 @@ def assert_band_edges(got, ref, block):
 
 
 def fiber_levels_at(fibers, chans, thetas):
-    """(slice, levels) of each stack of FIBER_STACK probes: the sorted levels of channel ``chans[i]`` at ``thetas[i]``.
+    """(slice, levels) of each stack of probes: the sorted levels of channel ``chans[i]`` at ``thetas[i]``.
 
     ``fibers`` is the (period matrices, wrap blocks) pair of a stack of
     channels.  Each probe pairs its own channel with its own multiplier, and
@@ -172,7 +174,7 @@ def fiber_levels_at(fibers, chans, thetas):
     """
     periods, wraps = fibers
     taus = _multipliers(thetas)
-    for s in _stacks(len(taus)):
+    for s in _stacks(len(taus), REFERENCE_STACK):
         yield s, np.linalg.eigvalsh(fiber_matrices(periods[chans[s]], wraps[chans[s]], taus[s]))
 
 

@@ -44,8 +44,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from block_reference import (
-    DENSE_AGREEMENT, NOT_LESS_EXTREME, assert_edges, block_bands, channel, channels, dense_branch_ranges,
-    every_arc_branch_ranges, fiber_levels, stack,
+    DENSE_AGREEMENT, NOT_LESS_EXTREME, REFERENCE_STACK, assert_edges, block_bands, channel, channels,
+    dense_branch_ranges, every_arc_branch_ranges, fiber_levels, stack,
 )
 from closed_forms import reference_merge
 from nanotube_bands import cli, spectral
@@ -54,7 +54,6 @@ from nanotube_bands.core import ArmchairModel, PotentialProfile
 from nanotube_bands.errors import InternalConsistencyError, InvalidParameterError
 from nanotube_bands.oracle import build_full_hamiltonian
 from nanotube_bands.spectral import (
-    FIBER_STACK,
     block_period_matrix,
     channel_bands,
     fiber_matrices,
@@ -72,8 +71,8 @@ def ref_fiber_levels(fiber, thetas):
     taus = [cmath.exp(1j * th) for th in thetas]
     return np.concatenate(
         [
-            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + FIBER_STACK]))
-            for i in range(0, len(taus), FIBER_STACK)
+            np.linalg.eigvalsh(fiber_matrices(*fiber, taus[i : i + REFERENCE_STACK]))
+            for i in range(0, len(taus), REFERENCE_STACK)
         ]
     )
 
@@ -282,13 +281,15 @@ def test_a_probe_does_not_depend_on_how_many_probes_share_its_call():
     samples = np.concatenate(
         [levels for _, levels in spectral._fiber_levels(fibers, np.repeat(np.arange(8), 8), np.tile(grid, 8))]
     ).reshape(8, 8, -1)
+    high, low = samples.max(axis=1), samples.min(axis=1)
     n = 5_000
     chans, rows = rng.integers(0, 8, n), rng.integers(0, 2, n)
     level = together[np.arange(n), rows]  # each search's branch meets its level at its own multiplier
     clear = rng.random((n, spectral.LEVEL_SET_SAMPLES)) < 0.5  # samples that vouch for their arcs
-    mids = spectral._arc_midpoints(samples[chans], level, taus[:n], clear)
+    mids = spectral._arc_midpoints(samples[chans], high[chans], low[chans], level, taus[:n], clear)
     for i in range(300):
-        alone = spectral._arc_midpoints(samples[chans[i : i + 1]], level[i : i + 1], taus[i : i + 1], clear[i : i + 1])
+        one, s = chans[i : i + 1], slice(i, i + 1)
+        alone = spectral._arc_midpoints(samples[one], high[one], low[one], level[s], taus[s], clear[s])
         assert mids[i].tobytes() == alone[0].tobytes(), i
 
 
@@ -393,7 +394,8 @@ def test_arc_midpoints_fall_one_in_each_arc_between_level_crossings(p):
         for theta in rng.uniform(0.0, 2 * math.pi, 6):
             level = fiber_levels(block_period_matrix(*block), [theta])[0, rng.integers(0, 2 * p)]
             nothing = np.zeros((1, spectral.LEVEL_SET_SAMPLES), dtype=bool)  # no sample vouches for an arc
-            mids = spectral._arc_midpoints(samples, np.array([level]), spectral._multipliers([theta]), nothing)[0]
+            high, low, at = samples.max(axis=1), samples.min(axis=1), spectral._multipliers([theta])
+            mids = spectral._arc_midpoints(samples, high, low, np.array([level]), at, nothing)[0]
             mids = np.sort(np.mod(mids[~np.isnan(mids)], 2 * math.pi))
             starts = sign_segments(block, level)
             if starts.size < 2 or np.min(np.diff(np.append(starts, starts[0] + 2 * math.pi))) < 1e-2:

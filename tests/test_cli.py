@@ -569,7 +569,7 @@ def test_verify_refuses_a_torus_above_the_dimension_cap_before_allocating(capsys
     finally:
         tracemalloc.stop()
     assert code == 2 and peak < 1_000_000
-    assert capsys.readouterr().err == f"error: torus dimension 2NL = {2 * N * L} exceeds the dense-matrix cap 2048\n"
+    assert capsys.readouterr().err == f"error: torus dimension 2NL = {2 * N * L} exceeds the oracle's torus cap 2048\n"
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -8,8 +8,8 @@ isolated ones of infinite multiplicity), a model whose near-flat channel has
 bands thinner than 1e-12, a model with c_k = 1/2 at odd q and t = 20 (half its
 gaps closed, where a discriminant validator used to exit 3), a large model
 (N = 64, odd q = 15), a sweep whose field range steps onto a flat amplitude
-and a sweep of 16 channels at 17 fields, more channels than one stacked
-eigensolve takes.  Two armchair
+and a sweep of 16 channels at 17 fields, the largest a benchmark op runs.
+Two armchair
 sweeps pin the block channels of ``sweep``, one of them 54 channels at the
 default grid; the armchair ``bands`` cases cover both formats and B = 0,
 where channels k and N - k are complex conjugates.  The ``verify``
@@ -113,7 +113,7 @@ CASES = {
     "zig_N64_q15_csv": (V15, "bands --lattice zigzag --N 64 --B -1.7 --t 3.2 --format csv", 0),
     # the step B = 4 * 2.1776327054761078 / 4 is flat_field_amplitudes(5, 2, [0])[0]
     "zig_sweep_flat": (V4, "sweep --lattice zigzag --N 5 --B-start 0 --B-stop 2.1776327054761078 --B-steps 5 --t 0.8", 0),
-    # 16 channels at 17 steps: more channels than one stacked eigensolve takes
+    # 16 channels at 17 steps: the largest benchmark sweep, solved in one stacked eigensolve
     "zig_sweep_N16_17steps": (V3, "sweep --lattice zigzag --N 16 --B-start -1.5 --B-stop 2.5 --B-steps 17 --t 1.3", 0),
     "arm_sweep": (V2, "sweep --lattice armchair --N 3 --B-start -0.4 --B-stop 1.2 --B-steps 3 --t 0.7 --grid 64", 0),
     # 6 channels at 9 fields, odd p = 5 and the default grid: one lockstep refinement

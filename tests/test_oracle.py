@@ -161,3 +161,26 @@ def test_verify_floor_scales_with_the_torus():
     scale = float(np.max(np.abs(build_full_hamiltonian(model, 2).values)))
     assert report.tolerance == VERIFY_FLOOR * UNIT_ROUNDOFF * scale
     assert compare_decomposition(ZigzagModel(3, 0.2, PotentialProfile([0.4, -0.1]), t=2.0), 2).tolerance == 1e-8
+
+
+def test_channel_fiber_eigenvalues_solve_complex_matrices(monkeypatch):
+    # the edge solver takes the gauge-reduced zigzag chains in real arithmetic;
+    # the oracle's side keeps the complex bonds from before the gauge, and the
+    # armchair blocks stay complex too
+    from nanotube_bands.oracle import channel_fiber_eigenvalues
+    from nanotube_bands.zigzag import channel_bonds
+
+    solved = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def spy(a, *args, **kwargs):
+        solved.append(a.dtype)
+        return eigvalsh(a, *args, **kwargs)
+
+    prof = PotentialProfile([0.3, -0.2, 0.5, -0.7])
+    zigzag = ZigzagModel(5, 0.4, prof, t=1.3)
+    assert np.any(channel_bonds([zigzag]).imag != 0.0)
+    monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    for model in (zigzag, ArmchairModel(5, (0.1, -0.2, 0.3), prof, t=1.3)):
+        assert channel_fiber_eigenvalues(model, 4).size == 2 * 5 * 4
+    assert solved == [np.dtype(complex)] * 2

@@ -17,8 +17,10 @@ from nanotube_bands import (
     flat_field_amplitudes,
     full_spectrum,
     magnetic_phase,
+    spectral,
 )
 from nanotube_bands.cli import _bands_json
+from nanotube_bands.core import UNIT_ROUNDOFF
 from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError, InvalidParameterError
 from nanotube_bands.spectral import (
     assemble_band_structure,
@@ -828,19 +830,45 @@ def test_discriminant_of_an_array_matches_scalar_calls():
 
 
 def _per_channel_levels(jac):
-    """The K(+1) and K(-1) levels of one channel, two fiber matrices built as the old period-matrix and corner code did."""
-    a, v, m = np.asarray(jac.a, dtype=complex), jac.v, 2 * jac.p
+    """The K(+1) and K(-1) levels of one channel: two real symmetric fiber matrices, built entry by entry."""
+    a, v, m = jac.a, jac.v, 2 * jac.p
     i = np.arange(m)
-    K = np.zeros((m, m), dtype=complex)
+    K = np.zeros((m, m))
     K[i, i] = v
     K[i[:-1], i[1:]] += a[: m - 1]
-    K[i[1:], i[:-1]] += np.conj(a[: m - 1])
-    wrap = a[m - 1 :].reshape(1, 1)
-    taus = np.array([1.0, -1.0], dtype=complex).reshape(-1, 1, 1)
+    K[i[1:], i[:-1]] += a[: m - 1]
+    corner = np.array([1.0, -1.0]).reshape(-1, 1, 1) * a[m - 1]
     L = np.repeat(K[None], 2, axis=0)
-    L[:, m - 1 :, :1] += taus * wrap
-    L[:, :1, m - 1 :] += np.conj(taus) * wrap.conj().T
+    L[:, m - 1 :, :1] += corner  # the lower corner first, as ``fiber_matrices`` adds them
+    L[:, :1, m - 1 :] += corner
     return np.linalg.eigvalsh(L)
+
+
+def test_real_chain_levels_lie_within_the_hill_allowance_of_the_complex_solve():
+    # the gauge-reduced chains are solved in real arithmetic; the complex solve
+    # of the same matrices differs from it by rounding, within the allowance
+    # 8 * 2m * u * max|level| of the Hill check (the worst of 3 000 chains was
+    # 43 u * scale, 0.20 of it)
+    rng = np.random.default_rng(83)
+    worst = 0.0
+    for _ in range(250):
+        p, t = int(rng.integers(1, 17)), float(10 ** rng.uniform(-2, 4))
+        bonds = np.ones((12, 2 * p))
+        bonds[:, 1::2] = 2.0 * np.abs(rng.uniform(-1, 1, (12, 1)))
+        diag = t * rng.uniform(-1, 1, (12, 2 * p))
+        real, cplx = (
+            fiber_matrices(K[:, None], W[:, None], taus)
+            for (K, W), taus in (
+                (scalar_period_matrix(bonds, diag), [1.0, -1.0]),
+                (scalar_period_matrix(bonds.astype(complex), diag), [1.0 + 0j, -1.0 + 0j]),
+            )
+        )
+        assert real.dtype == float and cplx.dtype == complex
+        got, ref = np.linalg.eigvalsh(real), np.linalg.eigvalsh(cplx)
+        assert np.sort(got.reshape(12, -1), axis=-1).tobytes() == periodic_jacobi_band_edges(bonds, diag).tobytes()
+        allowance = 8 * 2 * (2 * p) * UNIT_ROUNDOFF * np.max(np.abs(ref), axis=(1, 2))
+        worst = max(worst, float(np.max(np.max(np.abs(got - ref), axis=(1, 2)) / allowance)))
+    assert 0.0 < worst <= 1.0
 
 
 def _per_channel_edges(jac):
@@ -885,9 +913,12 @@ def _sweep_models(rng, N, q, t, flat_step):
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_stacked_scalar_channels_match_per_channel_loop(seed):
+def test_stacked_scalar_channels_match_per_channel_loop(seed, monkeypatch):
     # p = 1 (q = 1, 2), exact flat phases, sweeps onto flat amplitudes, and
-    # up to 5 x 16 channels: stacks of more than FIBER_STACK / 2 channels
+    # up to 5 x 16 channels: one stack, or (odd seeds) stacks of 4 KiB, which
+    # cut across channels of every period and across field steps
+    if seed % 2:
+        monkeypatch.setattr(spectral, "STACK_BYTES", 2**12)
     rng = np.random.default_rng([47, seed])
     for _ in range(10):
         N, q = int(rng.integers(2, 17)), int(rng.integers(1, 7))
@@ -984,8 +1015,10 @@ def test_stacked_validator_reports_the_first_failure_in_loop_order(monkeypatch, 
     # faults injected into the eigensolver's output of some channels must
     # exit 3 through the CLI, naming the first faulty channel by field step,
     # then k: the one the per-channel loop meets first, also past the first
-    # stack of FIBER_STACK / 2 channels
+    # stack (of 4 KiB here, a few channels)
     from nanotube_bands.cli import main
+
+    monkeypatch.setattr(spectral, "STACK_BYTES", 2**12)
 
     rng = np.random.default_rng([61, seed])
     late = 0

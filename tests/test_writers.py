@@ -20,6 +20,7 @@ import pytest
 
 from nanotube_bands import cli, spectral
 from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel, magnetic_phase
+from nanotube_bands.errors import HillOrderError
 from nanotube_bands.spectral import (
     BandStructure,
     ChannelBands,
@@ -292,7 +293,7 @@ def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
         ]
         for cs, fs, los, his in zip(c_k.tolist(), flat.tolist(), lo.tolist(), hi.tolist())
     ]
-    monkeypatch.setattr(spectral, "zigzag_channel_edges", lambda models: (flat, c_k, lo, hi))
+    monkeypatch.setattr(spectral, "zigzag_channel_edges", lambda models, *place: (flat, c_k, lo, hi))
     Bs = sweep_fields(0.0, 1.0, 3)
     phases = [magnetic_phase(B, 4) for B in Bs]
     for sig in PRECISIONS:
@@ -305,7 +306,7 @@ def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
 # (N, q, t, B_start, B_stop, steps); B_stop None puts the last step on the
 # first flat amplitude of channel 1, where the channel is flat
 ZIGZAG_SWEEPS = [
-    (40, 3, 0.7, -1.0, 2.0, 3),  # 120 channels: stacks of 32 that cut across field steps
+    (40, 3, 0.7, -1.0, 2.0, 3),  # 120 channels of 3 field steps
     (5, 4, 0.8, 0.0, None, 5),
     (7, 5, 25.0, -0.5, None, 4),
     (33, 8, 1.3, -2.5, 2.5, 2),
@@ -390,6 +391,65 @@ def test_sweep_errors_leave_no_output_file(fault, tmp_path, monkeypatch, capsys)
         assert err.startswith("internal consistency failure: field step 1 of 3, channel k = 1: K(+1)/K(-1) levels")
     else:
         assert code == 2 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("lattice, N, steps", [("zigzag", 6, 9), ("armchair", 4, 5)])
+def test_sweep_in_chunks_of_one_field_step_writes_the_same_bytes(lattice, N, steps, tmp_path, monkeypatch):
+    # a sweep solves its field steps in chunks of SWEEP_CHANNELS channels and
+    # writes each chunk before it solves the next; every channel's rows are
+    # the same bits in any chunk.  The benchmark's sweeps (up to 16 channels
+    # at 17 fields) are one chunk
+    argv = f"sweep --lattice {lattice} --N {N} --t 1.1 --B-start -0.7 --B-stop 2.9 --B-steps {steps}"
+    potential = [0.4, -0.7, 0.2, 0.1]
+    chunks = []
+    rows = cli.channel_rows
+    monkeypatch.setattr(cli, "channel_rows", lambda models, *place: chunks.append(len(models)) or rows(models, *place))
+    whole = run_sweep(argv, potential, tmp_path)
+    monkeypatch.setattr(cli, "SWEEP_CHANNELS", N)
+    assert run_sweep(argv, potential, tmp_path) == whole
+    assert chunks == [steps] + [1] * steps
+    assert spectral.SWEEP_CHANNELS // 16 >= 17
+
+
+@pytest.mark.parametrize("to_file", [False, True])
+def test_a_sweep_that_fails_in_a_late_chunk(to_file, tmp_path, monkeypatch, capsys):
+    # one field step per chunk, and a Hill-order fault in the second: exit 3,
+    # naming the step within the whole sweep.  Stdout keeps the first step,
+    # written before the second was solved; an --output file is written
+    # whole or not at all, so it is left as it was
+    argv = "sweep --lattice zigzag --N 4 --t 1.5 --B-start 0.2 --B-stop 2.6 --B-steps 3".split()
+    whole = run_sweep(" ".join(argv), [0.8, -0.45], tmp_path)
+    solve, solved = spectral.zigzag_chain_edges, []
+
+    def fail_second(c_k, diag):
+        solved.append(len(c_k))
+        if len(solved) == 2:
+            raise HillOrderError("K(+1)/K(-1) levels out of Hill order", 1)
+        return solve(c_k, diag)
+
+    monkeypatch.setattr(spectral, "zigzag_chain_edges", fail_second)
+    monkeypatch.setattr(cli, "SWEEP_CHANNELS", 4)
+    out = tmp_path / "out.csv"
+    out.write_text("an earlier run\n")
+    argv += ["--potential", str(tmp_path / "v.json")] + (["--output", str(out)] if to_file else [])
+    assert cli.main(argv) == 3
+    printed = capsys.readouterr()
+    assert printed.err.startswith("internal consistency failure: field step 2 of 3, channel k = ")
+    assert solved[0] == 4 and len(solved) == 2
+    if to_file:
+        assert printed.out == "" and out.read_text() == "an earlier run\n"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out.csv", "v.json"]
+    else:
+        assert printed.out == "".join(whole.splitlines(keepends=True)[: 4 * 2])  # 4 channels of 2 bands
+
+
+def test_an_output_file_in_a_missing_directory_is_refused_by_its_own_name(tmp_path, capsys):
+    # the text goes to a temporary file beside the output, which the message does not name
+    pot, out = tmp_path / "v.json", tmp_path / "missing" / "out.csv"
+    pot.write_text("[0.8, -0.45]")
+    argv = ["bands", "--lattice", "zigzag", "--N", "3", "--b", "0.3", "--potential", str(pot), "--output", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_table_escapes_literal_percent():
