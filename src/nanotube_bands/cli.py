@@ -4,8 +4,10 @@ Exit codes: 0 success, 1 completed but a requested check failed, 2 bad input,
 3 internal consistency failure.  Floats are rendered with a fixed number of
 significant digits (env NANOTUBE_BANDS_PRECISION, default 12) so identical
 configurations produce byte-identical files.  This module alone knows the
-output schemas: ``bands`` JSON and CSV and ``sweep`` CSV are written as tables
-of rows, one ``%`` call per table, the other commands through ``render_json``.
+output schemas: ``bands`` CSV and ``sweep`` CSV are written as tables of
+rows, one ``%`` call per table; ``bands`` JSON from the columns of a
+``BandStructure``, each distinct float formatted once; the other commands
+through ``render_json``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .errors import (
     NotApplicableError,
 )
 from .oracle import compare_decomposition
-from .spectral import SWEEP_CHANNELS, channel_bands, channel_rows, full_spectrum
+from .spectral import SWEEP_CHANNELS, channel_rows, full_spectrum
 
 
 def _precision() -> int:
@@ -214,7 +216,7 @@ def build_model(args, lattice: str):
 
 MAX_GRID = 2**16  # --grid is validated so that existing command lines run; no computation reads it
 MAX_B_STEPS = 1024  # field steps of a sweep
-MAX_N = 512  # a zigzag bands run peaks at ~58 MB at N = 512, p = 16, an armchair run grows as N
+MAX_N = 512  # a zigzag bands run peaks at ~56 MB at N = 512, p = 16, an armchair run grows as N
 MAX_SWEEP_CHANNELS = 2**16  # N * --B-steps: a sweep's time grows with its channels (its memory does not)
 MAX_P = 16  # potential period p: channel matrices are 2p x 2p; armchair bands at MAX_N, p = 16: ~11 s, 64 MB
 MAX_GEOMETRY_CELLS = 64  # geometry writes 2 N cells records, about 1 KB of peak memory each
@@ -242,71 +244,104 @@ def _check_period(q: int, what: str) -> None:
 # commands
 
 
-def _pairs(rows, indent: int, sig: int) -> str:
-    """A JSON list of ``[lo, hi]`` pairs at ``indent``, as ``render_json`` lays it out."""
-    if not rows:
-        return "[]"
+def _pair_slots(n: int, indent: int) -> str:
+    """A JSON list of n ``[lo, hi]`` pairs at ``indent``, as ``render_json`` lays it out, with ``%s`` value slots."""
     pad = "  " * indent
-    return "[\n" + _table(pad + "  [%g, %g]", rows, sig, ",\n") + "\n" + pad + "]"
+    return "[\n" + ",\n".join([f"{pad}  [%s, %s]"] * n) + f"\n{pad}]" if n else "[]"
 
 
-def _pair_slots(n: int, spec: str) -> str:
-    """``_pairs`` of n pairs at indent 3, with ``spec`` in the value slots."""
-    return "[\n" + ",\n".join([f"        [{spec}, {spec}]"] * n) + "\n      ]" if n else "[]"
+@lru_cache(maxsize=256)  # a few dozen count keys per structure
+def _channel_entry(bands: int, flats: int, gaps: int, c_k: bool) -> str:
+    """The ``bands`` JSON entry of one channel with these counts, with ``%s`` slots.
 
-
-@lru_cache(maxsize=256)  # a few dozen (count, precision) keys per structure
-def _channel_entry(bands: int, flats: int, gaps: int, c_k: bool, spec: str) -> str:
-    """The ``bands`` JSON entry of one channel with these counts, ``spec`` in its float slots.
-
-    The slots are k (``%d``), c_k (``null`` when it is missing), the band
-    edges, the flat levels and the gap edges, in that order.
+    The slots are k, c_k (``null`` when it is missing), the band edges, the
+    flat levels and the gap edges, in that order.
     """
-    return '    {\n      "k": %%d,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }' % (
-        spec if c_k else "null", _pair_slots(bands, spec), ", ".join([spec] * flats), _pair_slots(gaps, spec)
+    return '    {\n      "k": %%s,\n      "c_k": %s,\n      "bands": %s,\n      "flat_bands": [%s],\n      "gaps": %s\n    }' % (
+        "%s" if c_k else "null", _pair_slots(bands, 3), ", ".join(["%s"] * flats), _pair_slots(gaps, 3)
     )
 
 
-_UNION_BAND = '      {\n        "lo": %g,\n        "hi": %g,\n        "multiplicity": %s\n      }'
+_UNION_BAND = '      {\n        "lo": %s,\n        "hi": %s,\n        "multiplicity": %s\n      }'
+
+
+def _distinct_texts(values: np.ndarray, sig: int) -> np.ndarray:
+    """``fmt_float`` of every float of ``values``, as an object array, formatting each distinct bit pattern once.
+
+    Values that compare equal but differ in their bits (0.0 and -0.0, nans)
+    are formatted apart; a non-finite value is quoted by ``fmt_float``.
+    """
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    distinct = bits.view(float)
+    spec = f"%.{sig}g"  # fmt_float on a finite float
+    if np.isfinite(distinct).all():
+        texts = [spec % x for x in distinct.tolist()]
+    else:
+        texts = [fmt_float(x, sig) for x in distinct.tolist()]
+    return np.array(texts, dtype=object)[inverse]
+
+
+def _interleave(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """lo[0], hi[0], lo[1], hi[1], ...: the slot order of a list of pairs."""
+    return np.stack([lo, hi], axis=-1).ravel()
 
 
 def _bands_json(structure) -> str:
-    """``bands`` JSON: each channel's bands, flat levels and gaps, then the union.
+    """``bands`` JSON from the columns of a ``BandStructure``: every channel's bands, flat levels and gaps, and the union.
 
     The bytes are those of ``render_json`` on the nested tree of the same
-    keys, written table by table instead of value by value.  Every channel
-    entry is written by one ``%`` call on the entry templates of all
-    channels, as ``_table`` writes a table: a non-finite value sends every
-    float through ``fmt_float``.  The union table is read from the lo, hi
-    and multiplicity columns of the structure.
+    keys.  Gap edges repeat band edges and every union edge is a channel
+    edge, so every float is formatted once per distinct bit pattern
+    (``_distinct_texts``), and the texts fill the slots: the channel
+    entries, each from a template cached by its counts, in one ``%`` call,
+    the union bands in another.  A channel's slots are found by one stable
+    sort of every channel value by (channel, section).
     """
     sig = _precision()
-    channels = structure.channels
-    rows = [
-        [ch.k, *([] if ch.c_k is None else [ch.c_k]), *chain(*ch.bands), *ch.flat_bands, *chain(*ch.gaps)]
-        for ch in channels
+    s = structure
+    c_k = s.c_k.tolist()
+    known = [c is not None for c in c_k]
+    C, band = len(c_k), ~s.flat
+    band_chan, flat_chan, union_gaps = s.chan[band], s.chan[s.flat], np.array(s.union_gaps, dtype=float)
+    sections = [  # (channel of each value, its values): k, c_k, band edges, flat levels, gap edges
+        (np.flatnonzero(known), np.array([c for c in c_k if c is not None], dtype=float)),
+        (np.repeat(band_chan, 2), _interleave(s.row_lo[band], s.row_hi[band])),
+        (flat_chan, s.row_lo[s.flat]),
+        (np.repeat(s.gap_chan, 2), _interleave(s.gap_lo, s.gap_hi)),
     ]
-    spec = f"%.{sig}g"
-    if not all(map(math.isfinite, chain.from_iterable(rows))):
-        spec = "%s"
-        rows = [[row[0]] + [fmt_float(x, sig) for x in row[1:]] for row in rows]
-    entries = ",\n".join(
-        _channel_entry(len(ch.bands), len(ch.flat_bands), len(ch.gaps), ch.c_k is not None, spec) for ch in channels
-    ) % tuple(chain.from_iterable(rows))
-    mult = ['"inf"' if math.isinf(m) else int(m) for m in structure.multiplicity.tolist()]
-    union = list(zip(structure.lo.tolist(), structure.hi.tolist(), mult))
+    union = _interleave(s.lo, s.hi)
+    texts = _distinct_texts(np.concatenate([v for _, v in sections] + [union, union_gaps.ravel()]), sig)
+    n = sum(v.size for _, v in sections)
+    slots = np.concatenate([np.arange(C) * 5] + [chans * 5 + i for i, (chans, _) in enumerate(sections, start=1)])
+    values = np.concatenate([np.arange(1, C + 1, dtype=object), texts[:n]])[np.argsort(slots, kind="stable")]
+    counts = (np.bincount(chans, minlength=C).tolist() for chans in (band_chan, flat_chan, s.gap_chan))
+    entries = ",\n".join(map(_channel_entry, *counts, known)) % tuple(values.tolist())
+    U = len(s.lo)
+    table = np.empty((U, 3), dtype=object)
+    table[:, :2] = texts[n : n + 2 * U].reshape(U, 2)
+    mult, which = np.unique(s.multiplicity, return_inverse=True)  # a handful of distinct multiplicities
+    table[:, 2] = np.array(['"inf"' if math.isinf(m) else int(m) for m in mult.tolist()], dtype=object)[which]
     return '{\n  "channels": %s,\n  "union": {\n    "bands": %s,\n    "gaps": %s\n  }\n}' % (
-        "[\n" + entries + "\n  ]" if channels else "[]",
-        "[\n" + _table(_UNION_BAND, union, sig, ",\n") + "\n    ]" if union else "[]",
-        _pairs(structure.union_gaps, 2, sig),
+        "[\n" + entries + "\n  ]" if C else "[]",
+        "[\n" + ",\n".join([_UNION_BAND] * U) % tuple(table.ravel().tolist()) + "\n    ]" if U else "[]",
+        _pair_slots(len(union_gaps), 2) % tuple(texts[n + 2 * U :].tolist()),
     )
 
 
-def _bands_csv(channels) -> str:
+def _bands_csv(chan, lo, hi, flat) -> str:
+    """``bands`` CSV from one model's rows (``channel_rows``): ``k,i,lo,hi`` for band i of channel k, then ``flat,k,e``.
+
+    The bands come channel by channel, then the flat levels, each channel's
+    in row order, ascending.
+    """
     sig = _precision()
-    bands = [(ch.k, idx, lo, hi) for ch in channels for idx, (lo, hi) in enumerate(ch.bands, start=1)]
-    flat = [(ch.k, e) for ch in channels for e in sorted(ch.flat_bands)]
-    tables = [_table("%d,%d,%g,%g", bands, sig, "\n"), _table("flat,%d,%g", flat, sig, "\n")]
+    k = chan + 1
+    band_k = k[~flat]
+    first = np.flatnonzero(np.append(True, band_k[1:] != band_k[:-1]))  # the first band of each channel
+    i = np.arange(band_k.size) + 1 - np.repeat(first, np.diff(np.append(first, band_k.size)))
+    bands = list(zip(band_k.tolist(), i.tolist(), lo[~flat].tolist(), hi[~flat].tolist()))
+    flats = list(zip(k[flat].tolist(), lo[flat].tolist()))
+    tables = [_table("%d,%d,%g,%g", bands, sig, "\n"), _table("flat,%d,%g", flats, sig, "\n")]
     return "\n".join(text for text in tables if text) + "\n"
 
 
@@ -314,9 +349,9 @@ def cmd_bands(args) -> int:
     _check_N(args.N)
     model = build_model(args, args.lattice)
     _check_grid(args.grid)
-    if args.format == "csv":  # the channels alone: CSV prints no union
-        (channels,) = channel_bands([model])
-        _write(_bands_csv(channels), args.output)
+    if args.format == "csv":  # the channels' rows alone: CSV prints no union
+        _, chan, lo, hi, flat = channel_rows([model])
+        _write(_bands_csv(chan, lo, hi, flat), args.output)
     else:
         _write(_bands_json(full_spectrum(model)), args.output)
     return 0

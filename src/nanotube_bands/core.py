@@ -50,7 +50,7 @@ UNION_CUT_TOL = 1e-12  # absolute: the union's cut spacing, band padding and thi
 FLAT_BRANCH_TOL = 1e-12  # absolute: a block-channel branch range narrower than this is a flat level
 DEGENERATE_LEVEL_TOL = 1e-9  # absolute: dimer levels closer than this are degenerate (ck_to_zero)
 HERMITIAN_TOL = 1e-12  # relative: largest |H - H^H| entry allowed of a fiber, block or torus matrix
-ROTATION_TOL = 1e-12  # relative: Frobenius norm allowed off the torus's circumferential blocks
+ROTATION_TOL = 1e-12  # relative: Frobenius norm allowed off the torus's circumferential blocks, or their sums' rounding
 # relative, in units of u: verify passes a deviation below max(--tol, VERIFY_FLOOR * u * scale), scale the
 # torus's energy_scale.  Over 2 100 random tori of both lattices (2NL <= 2048, t from 0.01 to 1e12) the
 # largest dev / (u * scale) was 120, so 512 leaves a factor of 4; it exceeds --tol 1e-8 only above scale 1.8e5

@@ -41,17 +41,17 @@ time.  There is no grid: the CLI's ``--grid`` is validated and not read.
 After its solve each lattice reports the same rows (``channel_rows``): for
 every (field step, channel), its bands and flat levels as (lo, hi, flat),
 ascending, armchair branch ranges fused by one rule over all channels at once
-(``fuse_rows``).  ``sweep`` writes the rows, solved in chunks of
-SWEEP_CHANNELS channels; ``channel_bands`` builds the
-``ChannelBands`` of ``bands`` from them, finding every channel's gaps at once
-by the one gap rule (``gap_after``) that the union uses too.
-
-The union over channels is built as numpy columns (``assemble_band_structure``):
-the channel edges cut the energy axis into segments, each channel's bands
-fuse into runs of segments, a cumulative sum of +1/-1 run events gives the
-multiplicity of every segment, and where the runs start and end decides
-exactly which adjacent entries have the same covering channels.  The fused
-table is stored as lo, hi and multiplicity columns.
+(``fuse_rows``).  ``sweep`` and ``bands --format csv`` write the rows, a
+sweep's solved in chunks of SWEEP_CHANNELS channels.  ``full_spectrum`` keeps
+one model's rows as the columns of a ``BandStructure`` (``band_structure``),
+with every channel's gaps, found at once by the one gap rule (``gap_after``),
+and the union over channels, built from the same columns: the band edges
+cut the energy axis into segments, each channel's bands fuse into runs of
+segments, a cumulative sum of +1/-1 run events gives the multiplicity of
+every segment, and where the runs start and end decides exactly which
+adjacent entries have the same covering channels.  The fused table is stored
+as lo, hi and multiplicity columns.  ``ChannelBands`` is a per-channel view
+built from the columns on demand; ``bands`` builds none.
 """
 
 from __future__ import annotations
@@ -59,7 +59,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -504,11 +504,7 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class ChannelBands:
-    """Bands, flat energies and gaps of one channel, with provenance.
-
-    ``gaps`` are the gaps between consecutive bands, each wider than
-    GAP_MERGE_TOL, as ``channel_bands`` finds them for every channel at once.
-    """
+    """Bands, flat energies and gaps of one channel: the view ``BandStructure.channels`` builds on demand."""
 
     k: int
     c_k: float | None
@@ -517,33 +513,52 @@ class ChannelBands:
     gaps: tuple[tuple[float, float], ...] = ()
 
 
-def _column():
-    """An empty column of the union table, as a dataclass default."""
-    return field(default_factory=lambda: np.empty(0))
-
-
 @dataclass(frozen=True, eq=False)
 class BandStructure:
-    """Per-channel bands plus their union with multiplicity accounting.
+    """The rows of every channel of a model, their gaps and their union, as columns (``band_structure``).
 
-    The union is kept as columns, one row per union band: ``lo``, ``hi`` and
-    ``multiplicity`` (2 per covering channel; inf marks a flat level).
+    ``c_k`` holds the constants of the C channels, channel k at k - 1 (a
+    hand-built structure may hold None for a channel without one).  The rows
+    of ``channel_rows`` follow: ``chan`` (k - 1), ``row_lo``, ``row_hi`` and
+    ``flat``, a channel's rows consecutive and ascending; then every
+    channel's gaps, ``gap_chan``, ``gap_lo`` and ``gap_hi``; then the union,
+    one row per union band: ``lo``, ``hi`` and ``multiplicity`` (2 per
+    covering channel; inf marks a flat level), and its ``union_gaps``.
     """
 
-    channels: tuple[ChannelBands, ...]
-    lo: np.ndarray = _column()
-    hi: np.ndarray = _column()
-    multiplicity: np.ndarray = _column()
-    union_gaps: tuple[tuple[float, float], ...] = ()
+    c_k: np.ndarray
+    chan: np.ndarray
+    row_lo: np.ndarray
+    row_hi: np.ndarray
+    flat: np.ndarray
+    gap_chan: np.ndarray
+    gap_lo: np.ndarray
+    gap_hi: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    multiplicity: np.ndarray
+    union_gaps: tuple[tuple[float, float], ...]
 
-    # kept only for ``bench/tracing.py``, whose ``_on_union`` reads its length; ROADMAP item 4's bench change deletes it
     @property
-    def union_bands(self) -> list[tuple[float, float, float]]:
-        return list(zip(self.lo.tolist(), self.hi.tolist(), self.multiplicity.tolist()))
+    def channels(self) -> tuple[ChannelBands, ...]:
+        """A ``ChannelBands`` of every channel, built from the columns for readers of single channels."""
+        bands, flats, gaps = ([[] for _ in range(len(self.c_k))] for _ in range(3))
+        rows = zip(self.chan.tolist(), self.row_lo.tolist(), self.row_hi.tolist(), self.flat.tolist())
+        for c, lo, hi, is_flat in rows:
+            if is_flat:
+                flats[c].append(lo)
+            else:
+                bands[c].append((lo, hi))
+        for c, lo, hi in zip(self.gap_chan.tolist(), self.gap_lo.tolist(), self.gap_hi.tolist()):
+            gaps[c].append((lo, hi))
+        return tuple(
+            ChannelBands(k=c + 1, c_k=ck, bands=tuple(bands[c]), flat_bands=tuple(flats[c]), gaps=tuple(gaps[c]))
+            for c, ck in enumerate(self.c_k.tolist())
+        )
 
     @property
     def flat_bands(self) -> list[tuple[float, int]]:
-        return [(e, ch.k) for ch in self.channels for e in ch.flat_bands]
+        return list(zip(self.row_lo[self.flat].tolist(), (self.chan[self.flat] + 1).tolist()))
 
     def union_intervals(self) -> list[tuple[float, float]]:
         return list(zip(self.lo.tolist(), self.hi.tolist()))
@@ -565,52 +580,59 @@ def _spaced_cuts(cuts: np.ndarray) -> np.ndarray:
     return cuts[keep]
 
 
-def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
-    """Merge per-channel bands into union bands with per-segment multiplicity.
+def band_structure(c_k, chan, lo, hi, flat) -> BandStructure:
+    """The ``BandStructure`` of one model's rows: ``c_k`` and the (chan, lo, hi, flat) columns of ``channel_rows``.
 
-    The union is cut at every channel edge (a cut within UNION_CUT_TOL of
-    the last kept one is dropped) so that each reported union band has a
-    constant covering-channel set.  Band b covers the segments whose
-    midpoints lie in ``[lo_b - UNION_CUT_TOL, hi_b + UNION_CUT_TOL]``, a range
-    ``[start, stop)`` that two ``searchsorted`` calls find.  Sorted by
-    channel and start, each channel's overlapping or touching ranges fuse
-    into runs (one running maximum of the stops, offset by channel), and a
-    cumulative sum of the +1/-1 run events
-    gives every segment's number of covering channels; the multiplicity is
-    twice that.  Two consecutive covered segments have the same covering set
-    exactly when no run starts or ends between them, apart from a channel's
-    run ending and that channel's next run starting in the same gap.  A band
-    thinner than the cut spacing that no segment holds becomes its own union
-    band, and a flat level that nothing holds a degenerate one of infinite
-    multiplicity; an entry is looked up by bisection in the segments and in
-    the padded intervals of the entries added before it, which are kept
-    fused into a sorted disjoint list.  Such an entry has one channel, and
-    compares with a neighbour of its multiplicity by that channel alone; a
-    segment covered by one channel takes it from a cumulative sum of
-    +channel/-channel run events.  Each entry kept has its own ``lo``, so one
-    stable sort merges the segments and the extra entries.  Adjacent entries
-    with identical multiplicity and covering set that are at most
-    GAP_MERGE_TOL apart are fused, and the gaps wider than GAP_MERGE_TOL
-    between the fused bands are the union gaps (``gap_after``).  Cost:
-    O(B log B) for B channel bands, plus the list insertions of the extra
-    entries.
+    A channel's gaps lie between consecutive bands where ``gap_after``
+    holds, found for every channel at once (every two fused armchair bands
+    bound one).  The union is cut at every edge of a band with hi >= lo (a
+    cut within UNION_CUT_TOL of the last kept one is dropped) so that each
+    reported union band has a constant covering-channel set.  Band b covers
+    the segments whose midpoints lie in ``[lo_b - UNION_CUT_TOL, hi_b +
+    UNION_CUT_TOL]``, a range ``[start, stop)`` that two ``searchsorted``
+    calls find.  Sorted by channel and start, each channel's overlapping or
+    touching ranges fuse into runs (one running maximum of the stops, offset
+    by channel), and a cumulative sum of the +1/-1 run events gives every
+    segment's number of covering channels; the multiplicity is twice that.
+    Two consecutive covered segments have the same covering set exactly when
+    no run starts or ends between them, apart from a channel's run ending
+    and that channel's next run starting in the same gap.  A band thinner
+    than the cut spacing that no segment holds becomes its own union band,
+    in row order, and a flat level that nothing holds a degenerate one of
+    infinite multiplicity, in order of (level, channel); an entry is looked
+    up by bisection in the segments and in the padded intervals of the
+    entries added before it, which are kept fused into a sorted disjoint
+    list.  Such an entry has one channel, and compares with a neighbour of
+    its multiplicity by that channel alone; a segment covered by one channel
+    takes it from a cumulative sum of +channel/-channel run events.  Each
+    entry kept has its own ``lo``, so one stable sort merges the segments
+    and the extra entries.  Adjacent entries with identical multiplicity and
+    covering set that are at most GAP_MERGE_TOL apart are fused, and the
+    gaps wider than GAP_MERGE_TOL between the fused bands are the union gaps
+    (``gap_after``).  Cost: O(B log B) for B channel bands, plus the list
+    insertions of the extra entries.
     """
-    ac = [(lo, hi, ch.k) for ch in channels for lo, hi in ch.bands if hi >= lo]
-    flats = sorted((e, ch.k) for ch in channels for e in ch.flat_bands)
-    blo, bhi = (np.array([band[i] for band in ac], dtype=float) for i in (0, 1))
-    col = np.unique(np.array([band[2] for band in ac] + [k for _, k in flats], dtype=int), return_inverse=True)[1]
+    chan_b, lo_b, hi_b = chan[~flat], lo[~flat], hi[~flat]  # the bands, without the flat levels
+    apart = gap_after(lo_b, hi_b) & (chan_b[1:] == chan_b[:-1])
+    gap_chan, gap_lo, gap_hi = chan_b[1:][apart], hi_b[:-1][apart], lo_b[1:][apart]
+
+    held = hi_b >= lo_b
+    col, blo, bhi = chan_b[held], lo_b[held], hi_b[held]
+    flat_chan, levels = chan[flat], lo[flat]
+    order = np.lexsort((flat_chan, levels))
+    flat_chan, levels = flat_chan[order], levels[order]
 
     cuts = _spaced_cuts(np.unique(np.concatenate([blo, bhi])))
     mids = 0.5 * (cuts[:-1] + cuts[1:])
     start = np.searchsorted(mids, blo - UNION_CUT_TOL, "left")
     stop = np.searchsorted(mids, bhi + UNION_CUT_TOL, "right")
-    ranges = np.lexsort((start, col[: len(ac)]))
+    ranges = np.lexsort((start, col))
     ranges = ranges[start[ranges] < stop[ranges]]  # the ranges that cover a segment, by channel and start
-    chan, start, stop = col[ranges], start[ranges], stop[ranges]
+    run_col, start, stop = col[ranges], start[ranges], stop[ranges]
     span = mids.size + 1  # event positions 0..S; offset by channel, one running maximum fuses every channel's ranges
-    reach = np.maximum.accumulate(stop + chan * span)
-    first = np.flatnonzero(np.append(ranges.size > 0, start[1:] + chan[1:] * span > reach[:-1]))
-    run_chan, run_start, run_stop = chan[first], start[first], np.maximum.reduceat(stop, first)
+    reach = np.maximum.accumulate(stop + run_col * span)
+    first = np.flatnonzero(np.append(ranges.size > 0, start[1:] + run_col[1:] * span > reach[:-1]))
+    run_chan, run_start, run_stop = run_col[first], start[first], np.maximum.reduceat(stop, first)
 
     def events(weights=None) -> np.ndarray:
         return np.cumsum(np.bincount(run_start, weights, span) - np.bincount(run_stop, weights, span))[:-1]
@@ -651,14 +673,14 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     for i in np.flatnonzero((bhi - blo <= UNION_CUT_TOL) & ~held_by_segments(mid)).tolist():
         add(float(blo[i]), float(bhi[i]), 2.0, int(col[i]), float(mid[i]))
     # isolated flat energies become degenerate union bands of infinite multiplicity
-    levels = np.array([e for e, _ in flats], dtype=float)
     for i in np.flatnonzero(~held_by_segments(levels)).tolist():
-        add(flats[i][0], flats[i][0], math.inf, int(col[len(ac) + i]), flats[i][0])
+        e = float(levels[i])
+        add(e, e, math.inf, int(flat_chan[i]), e)
 
     ex = np.array(extra, dtype=float).reshape(-1, 4)
     order = np.argsort(np.concatenate([seg_lo, ex[:, 0]]), kind="stable")
-    lo = np.concatenate([seg_lo, ex[:, 0]])[order]
-    hi = np.concatenate([seg_hi, ex[:, 1]])[order]
+    u_lo = np.concatenate([seg_lo, ex[:, 0]])[order]
+    u_hi = np.concatenate([seg_hi, ex[:, 1]])[order]
     mult = np.concatenate([2.0 * count[covered], ex[:, 2]])[order]
     solo = np.concatenate([solo[covered], ex[:, 3]])[order]  # the channel of a one-channel entry
     fresh = np.append(changed[: seg_lo.size], np.ones(len(extra), dtype=bool))[order]
@@ -667,12 +689,14 @@ def assemble_band_structure(channels: list[ChannelBands]) -> BandStructure:
     same = np.where(seg[1:] & seg[:-1], ~fresh[1:], solo[1:] == solo[:-1])
 
     # hi ascends with lo, so the fused band that entry i - 1 ends reaches hi[i - 1]
-    joined = ~gap_after(lo, hi) & (mult[1:] == mult[:-1]) & same
-    first = np.flatnonzero(np.concatenate([[lo.size > 0], ~joined]))
-    lo, hi, mult = lo[first], np.maximum.reduceat(hi, first), mult[first]
-    gap = gap_after(lo, hi)
-    gaps = tuple(zip(hi[:-1][gap].tolist(), lo[1:][gap].tolist()))
-    return BandStructure(tuple(channels), lo, hi, mult, gaps)
+    joined = ~gap_after(u_lo, u_hi) & (mult[1:] == mult[:-1]) & same
+    first = np.flatnonzero(np.concatenate([[u_lo.size > 0], ~joined]))
+    u_lo, u_hi, mult = u_lo[first], np.maximum.reduceat(u_hi, first), mult[first]
+    gap = gap_after(u_lo, u_hi)
+    gaps = tuple(zip(u_hi[:-1][gap].tolist(), u_lo[1:][gap].tolist()))
+    return BandStructure(c_k, chan, lo, hi, flat, gap_chan, gap_lo, gap_hi, u_lo, u_hi, mult, gaps)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -750,35 +774,7 @@ def channel_rows(models, first: int = 0, total: int | None = None) -> tuple[np.n
     raise TypeError(f"unsupported model type {type(models[0])!r}")
 
 
-def channel_bands(models) -> list[list[ChannelBands]]:
-    """``ChannelBands`` of every channel of each model from its ``channel_rows``, without the union.
-
-    A channel's gaps lie between consecutive bands where ``gap_after`` holds,
-    found for every channel at once (every two fused armchair bands bound one).
-    """
-    c_k, chan, lo, hi, flat = channel_rows(models)
-    keep = ~flat
-    chan_b, lo_b, hi_b = chan[keep], lo[keep], hi[keep]  # the bands, without the flat levels
-    apart = gap_after(lo_b, hi_b) & (chan_b[1:] == chan_b[:-1])
-    bands, flats, gaps = ([[] for _ in range(c_k.size)] for _ in range(3))
-    for c, e_lo, e_hi, is_flat in zip(chan.tolist(), lo.tolist(), hi.tolist(), flat.tolist()):
-        if is_flat:
-            flats[c].append(e_lo)
-        else:
-            bands[c].append((e_lo, e_hi))
-    for c, gap in zip(chan_b[1:][apart].tolist(), zip(hi_b[:-1][apart].tolist(), lo_b[1:][apart].tolist())):
-        gaps[c].append(gap)
-    N = c_k.shape[-1]
-    return [
-        [
-            ChannelBands(k=c % N + 1, c_k=ck, bands=tuple(bands[c]), flat_bands=tuple(flats[c]), gaps=tuple(gaps[c]))
-            for c, ck in enumerate(row, start=step * N)
-        ]
-        for step, row in enumerate(c_k.tolist())
-    ]
-
-
 def full_spectrum(model) -> BandStructure:
-    """Union band structure of a zigzag or armchair model over all channels."""
-    (channels,) = channel_bands([model])
-    return assemble_band_structure(channels)
+    """The ``band_structure`` of a zigzag or armchair model: its channels' rows, their gaps and their union."""
+    c_k, chan, lo, hi, flat = channel_rows([model])
+    return band_structure(c_k[0], chan, lo, hi, flat)

@@ -32,7 +32,7 @@ from nanotube_bands.armchair import decompose_armchair
 from nanotube_bands.core import PotentialProfile, ZigzagModel, is_flat_channel
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
 from nanotube_bands.spectral import (
-    GAP_MERGE_TOL, BandStructure, ChannelBands, assemble_band_structure, block_branch_ranges, full_spectrum,
+    GAP_MERGE_TOL, BandStructure, ChannelBands, band_structure, block_branch_ranges, channel_rows, full_spectrum,
 )
 
 
@@ -61,6 +61,33 @@ def reference_gaps(intervals) -> list[tuple[float, float]]:
     """The gaps between consecutive bands of ``reference_merge``: the former ``ChannelBands`` gaps."""
     merged = reference_merge(intervals)
     return [(merged[i][1], merged[i + 1][0]) for i in range(len(merged) - 1)]
+
+
+def structure_of(channels) -> BandStructure:
+    """The ``band_structure`` of hand-built ``ChannelBands``: channel k at k - 1, a missing one empty.
+
+    The rows are every channel's bands in the order given, then its flat
+    levels as (e, e), so the union reads the bands in the order the former
+    ``assemble_band_structure`` read them; the channel gaps are found from
+    the rows, not read from ``ChannelBands.gaps``.
+    """
+    c_k = np.full(max([ch.k for ch in channels], default=0), None, dtype=object)
+    for ch in channels:
+        c_k[ch.k - 1] = ch.c_k
+    rows = [(ch.k - 1, lo, hi, False) for ch in channels for lo, hi in ch.bands]
+    rows += [(ch.k - 1, e, e, True) for ch in channels for e in ch.flat_bands]
+    chan, lo, hi, flat = (np.array([row[i] for row in rows], dtype=dtype) for i, dtype in enumerate((int, float, float, bool)))
+    return band_structure(c_k, chan, lo, hi, flat)
+
+
+def step_channels(models) -> list[tuple[ChannelBands, ...]]:
+    """The ``ChannelBands`` of every channel of each model, viewed from one ``channel_rows`` call over all of them."""
+    c_k, chan, lo, hi, flat = channel_rows(models)
+    step = chan // c_k.shape[-1]
+    return [
+        band_structure(c_k[s], chan[step == s] - s * c_k.shape[-1], lo[step == s], hi[step == s], flat[step == s]).channels
+        for s in range(len(models))
+    ]
 
 
 def intervals_contain(container, inner, tol: float = 1e-8) -> tuple[bool, float]:
@@ -204,8 +231,8 @@ def armchair_unperturbed(N: int, vt: float) -> BandStructure:
         hi = math.sqrt(5.0 + vt**2 + 4.0 * abs(ck))
         hi_in = math.sqrt(5.0 + vt**2 - 4.0 * abs(ck))
         bands = reference_merge([(lo, hi), (lo, hi_in), (-hi, -lo), (-hi_in, -lo)])
-        channels.append(ChannelBands(k=k, c_k=ck, bands=tuple(bands), gaps=tuple(reference_gaps(bands))))
-    return assemble_band_structure(channels)
+        channels.append(ChannelBands(k=k, c_k=ck, bands=tuple(bands)))
+    return structure_of(channels)
 
 
 @dataclass(frozen=True)

@@ -47,7 +47,7 @@ from block_reference import (
     DENSE_AGREEMENT, NOT_LESS_EXTREME, REFERENCE_STACK, assert_edges, block_bands, channel, channels,
     dense_branch_ranges, every_arc_branch_ranges, fiber_levels, stack,
 )
-from closed_forms import reference_merge
+from closed_forms import reference_merge, step_channels
 from nanotube_bands import cli, spectral
 from nanotube_bands.armchair import decompose_armchair, tube_geometry
 from nanotube_bands.core import ArmchairModel, PotentialProfile
@@ -55,7 +55,7 @@ from nanotube_bands.errors import InternalConsistencyError, InvalidParameterErro
 from nanotube_bands.oracle import build_full_hamiltonian
 from nanotube_bands.spectral import (
     block_period_matrix,
-    channel_bands,
+    channel_rows,
     fiber_matrices,
     scalar_period_matrix,
 )
@@ -199,8 +199,8 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
     monkeypatch.delenv("NANOTUBE_BANDS_PRECISION", raising=False)
     Bs = list(np.linspace(-2.0, 3.0, steps))
     models = [ArmchairModel(N, tube_geometry(N, B)[1], PotentialProfile(potential), t=1.7) for B in Bs]
-    per_step = [channel_bands([model])[0] for model in models]
-    for got, want in zip(channel_bands(models), per_step):
+    per_step = [step_channels([model])[0] for model in models]
+    for got, want in zip(step_channels(models), per_step):
         assert_same_channels(got, want)
     check_stack(decompose_armchair(models), grid)
     # the CLI writes those channels, whatever its --grid: one row per interval of each step and channel
@@ -298,7 +298,7 @@ def test_stacks_of_different_periods_are_refused():
     model_p1 = ArmchairModel(3, (0.1, 0.2, 0.3), PotentialProfile([0.4]), t=1.0)
     model_p3 = ArmchairModel(3, (0.1, 0.2, 0.3), PotentialProfile([0.4, -0.1, 0.2]), t=1.0)
     with pytest.raises(ValueError):
-        channel_bands([model_p1, model_p3])
+        channel_rows([model_p1, model_p3])
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +481,7 @@ def test_search_that_does_not_converge_is_an_internal_error(monkeypatch, tmp_pat
     model = ArmchairModel(3, tube_geometry(3, 0.4)[1], PotentialProfile([0.5, -0.2, 0.1]), t=1.0)
     monkeypatch.setattr(spectral, "LEVEL_SET_MAX_ROUNDS", 1)
     with pytest.raises(InternalConsistencyError, match="did not converge in 1 rounds"):
-        channel_bands([model])
+        channel_rows([model])
     pot = tmp_path / "v.json"
     pot.write_text("[0.5, -0.2, 0.1]")
     err = io.StringIO()

@@ -1159,3 +1159,105 @@ def test_bands_and_sweep_answer_or_refuse_over_the_accepted_box(case):
         distance = np.min(np.maximum(np.maximum(intervals[:, 0] - levels, levels - intervals[:, 1]), 0.0), axis=1)
         tol = max(1e-8, VERIFY_FLOOR * UNIT_ROUNDOFF * float(energy_scale(torus.values)))
         assert np.max(distance) <= tol, (float(np.max(distance)), tol)
+
+
+# ---------------------------------------------------------------------------
+# verify over the input box the CLI accepts
+
+VERIFY_COST = 1024  # N * L of a drawn torus: the oracle's own cap 2NL <= 2048, at about 10 ms a draw
+
+
+def _log_int(draw, lo: int, hi: int) -> int:
+    """An integer in [lo, hi], log-uniform."""
+    return min(hi, int(math.exp(draw(st.floats(math.log(lo), math.log(hi + 1), exclude_max=True)))))
+
+
+@st.composite
+def verify_argv(draw):
+    """A ``verify`` command line of either lattice anywhere in the accepted box, at N * L <= VERIFY_COST.
+
+    N, the number of potential values q (an odd q above 15, whose period is
+    refused, is taken one lower), t, the field and the cells L, a multiple of
+    p with 2NL <= MAX_DIM and L <= MAX_CELLS (or no --L, for the default 3p,
+    where it fits), are log-uniform; t and the fields reach 1e308 with
+    either sign, and the zigzag fields hit flat phases.  Returns the argv,
+    the potential values and L.
+    """
+    from nanotube_bands.oracle import MAX_CELLS, MAX_DIM
+
+    lattice = draw(st.sampled_from(["zigzag", "armchair"]))
+    q = _log_int(draw, 1, 32)
+    if q % 2 and q > 15:
+        q -= 1
+    p = q // 2 if q % 2 == 0 else q
+    N = _log_int(draw, 2, max(2, VERIFY_COST // p))
+    multiples = min(MAX_CELLS, MAX_DIM // (2 * N), VERIFY_COST // N) // p
+    values = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, q)
+    t = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-300.0, 308.0))
+    field = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 308.0))
+    field |= st.floats(-10.0, 10.0)
+    argv = ["verify", "--lattice", lattice, "--N", str(N), "--t", repr(t)]
+    if multiples >= 3 and draw(st.booleans()):
+        L = 3 * p
+    else:
+        L = p * _log_int(draw, 1, max(1, multiples))
+        argv += ["--L", str(L)]
+    if lattice == "zigzag":
+        k = draw(st.integers(1, N))
+        choice = draw(st.sampled_from(["b", "flat", "B"]))
+        if choice == "b":
+            argv.append(f"--b={draw(field)!r}")
+        elif choice == "flat":
+            argv.append(f"--b={math.pi / 2 - math.pi * k / N!r}")
+        else:
+            argv.append(f"--B={draw(field | st.sampled_from(flat_field_amplitudes(N, k, [0, 1])))!r}")
+    elif draw(st.booleans()):
+        argv.append(f"--B={draw(field)!r}")
+    else:
+        argv += [f"--b{i}={draw(field)!r}" for i in (1, 2, 3)]
+    return argv, values.tolist(), L
+
+
+@given(case=verify_argv())
+@settings(max_examples=300, deadline=None)
+def test_verify_answers_or_refuses_over_the_accepted_box(case):
+    # exit 0 with a passing report of the drawn torus, or exit 2 with one error line; an exception
+    # escaping main (a traceback) or a RuntimeWarning (an error under the test settings) fails it.
+    # Exit 3 is allowed only with its one error line, and noted as a finding
+    import tempfile
+
+    from hypothesis import event
+
+    argv, values, L = case
+    with tempfile.TemporaryDirectory() as tmp:
+        pot = f"{tmp}/v.json"
+        with open(pot, "w") as fh:
+            json.dump(values, fh)
+        code, out, err = run_in_process(argv + ["--potential", pot])
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        return
+    if code == 3:
+        assert out == "" and err.startswith("internal consistency failure: ") and err.count("\n") == 1
+        event(f"exit 3: {err.strip()}")
+        return
+    assert code == 0 and err == "", (code, out, err)
+    report = json.loads(out)
+    assert report["pass"] is True and report["dim"] == 2 * int(argv[4]) * L
+
+
+@pytest.mark.parametrize(
+    "argv, potential",
+    [
+        # exit 3, "not rotation invariant", at an off-block norm of 1.3e-12 to 2.2e-12 of the scale: the
+        # rounding of the class sums of N ~ 1000 entries, against a fixed ROTATION_TOL of 1e-12
+        ("verify --lattice zigzag --N 964 --t 1.0 --L 1 --B=0.038743682013675756", [-0.162273824339356]),
+        ("verify --lattice armchair --N 1020 --t -1.0 --L 1 --B=6.92822727495584", [-0.059076429442959544]),
+        ("verify --lattice armchair --N 900 --t -1.0 --L 1 --B=-6.184639703974711e+204", [0.9604973703772244]),
+    ],
+)
+def test_verify_of_a_wide_torus_passes(tmp_path, argv, potential):
+    pot = tmp_path / "v.json"
+    pot.write_text(json.dumps(potential))
+    code, out, err = run_in_process(argv.split() + ["--potential", str(pot)])
+    assert (code, err) == (0, "") and json.loads(out)["pass"] is True

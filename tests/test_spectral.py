@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from block_reference import assert_band_edges, block_bands, channel, channels
-from closed_forms import armchair_unperturbed, intervals_contain, reference_gaps, reference_merge
+from closed_forms import (
+    armchair_unperturbed, intervals_contain, reference_gaps, reference_merge, step_channels, structure_of,
+)
 from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag, discriminant, monodromy
 from nanotube_bands import (
     ArmchairModel,
@@ -23,7 +25,7 @@ from nanotube_bands.cli import _bands_json
 from nanotube_bands.core import UNIT_ROUNDOFF
 from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError, InvalidParameterError
 from nanotube_bands.spectral import (
-    assemble_band_structure,
+    band_structure,
     block_period_matrix,
     ChannelBands,
     fiber_matrices,
@@ -432,7 +434,7 @@ def test_isolated_flat_level_becomes_degenerate_union_band():
         ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.3,)),
         ChannelBands(k=2, c_k=-1.0, bands=((1.0, 2.0), (-2.0, -1.0))),
     ]
-    bs = assemble_band_structure(channels)
+    bs = structure_of(channels)
     assert [b for b in _union_rows(bs) if math.isinf(b[2])] == [(0.3, 0.3, math.inf)]
     assert bs.union_gaps == ((-1.0, 0.3), (0.3, 1.0))
 
@@ -455,7 +457,7 @@ def test_union_multiplicity_segmentation():
         ChannelBands(k=1, c_k=0.5, bands=((0.0, 2.0),)),
         ChannelBands(k=2, c_k=-0.5, bands=((1.0, 3.0),)),
     ]
-    bs = assemble_band_structure(channels)
+    bs = structure_of(channels)
     assert _union_rows(bs) == [(0.0, 1.0, 2.0), (1.0, 2.0, 4.0), (2.0, 3.0, 2.0)]
     assert bs.union_gaps == ()
 
@@ -480,14 +482,14 @@ def test_union_memory_is_linear_in_the_channel_bands():
     # a (channel, segment) count array, O(N**2 p), peaked at 82.6 MiB here
     import tracemalloc
 
-    from nanotube_bands.spectral import channel_bands
+    from nanotube_bands.spectral import channel_rows
 
     potential = PotentialProfile(np.random.default_rng(53).uniform(-1, 1, 32))
-    (channels,) = channel_bands([ZigzagModel(512, 0.3, potential, t=1.0)])
+    c_k, chan, lo, hi, flat = channel_rows([ZigzagModel(512, 0.3, potential, t=1.0)])
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        bs = assemble_band_structure(channels)
+        bs = band_structure(c_k[0], chan, lo, hi, flat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -588,7 +590,7 @@ def test_union_matches_quadratic_reference(seed):
     rng = np.random.default_rng([23, seed])
     for _ in range(150):
         channels = _random_channels(rng)
-        bs = assemble_band_structure(channels)
+        bs = structure_of(channels)
         bands, gaps = _quadratic_union(channels)
         assert _union_rows(bs) == bands
         assert bs.union_gaps == gaps
@@ -629,7 +631,7 @@ def test_union_of_thin_bands_and_flat_levels_matches_linear_scan(seed):
     rng = np.random.default_rng([67, seed])
     for _ in range(100):
         channels = _thin_band_channels(rng)
-        bs = assemble_band_structure(channels)
+        bs = structure_of(channels)
         bands, gaps = _quadratic_union(channels)
         assert _union_bits(_union_rows(bs)) == _union_bits(bands)
         assert bs.union_gaps == gaps
@@ -653,7 +655,7 @@ def test_union_keeps_the_rounding_of_its_tolerance_tests(below, above):
         ChannelBands(k=2, c_k=None, bands=((above, above + 1.0),)),
         ChannelBands(k=3, c_k=None, bands=((below - 2.0, above + 2.0),)),
     ]
-    bs = assemble_band_structure(channels)
+    bs = structure_of(channels)
     assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
 
 
@@ -691,7 +693,7 @@ def test_union_matches_quadratic_reference_on_models():
         [ChannelBands(k=3, c_k=0.0, bands=(), flat_bands=(0.5, -0.0, 0.5 + 5e-13)),
          ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(-0.0, 2.0))],
     ):
-        bs = assemble_band_structure(channels)
+        bs = structure_of(channels)
         assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
 
 
@@ -700,10 +702,8 @@ def _bits(pairs):
 
 
 def test_zigzag_channel_gaps_match_merged_bands():
-    # channel_bands finds the gaps of a whole stack of channels at once (gap_after);
+    # band_structure finds the gaps of every channel at once (gap_after);
     # the reference merges each channel's bands one at a time, to the bit
-    from nanotube_bands.spectral import channel_bands
-
     rng = np.random.default_rng(43)
     closed = 0
     for i in range(60):
@@ -714,7 +714,7 @@ def test_zigzag_channel_gaps_match_merged_bands():
             b = float(rng.normal())
         t = float(np.exp(rng.uniform(np.log(1e-3), np.log(40.0))))
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
-        for ch in channel_bands([model])[0]:
+        for ch in full_spectrum(model).channels:
             assert _bits(ch.gaps) == _bits(reference_gaps(ch.bands))
             closed += len(ch.bands) - 1 - len(ch.gaps)
     assert closed > 0  # some neighbours fused
@@ -725,7 +725,7 @@ def test_armchair_channels_match_merged_branch_ranges():
     # narrower than FLAT_BRANCH_TOL read as a flat level; its gaps are the
     # reference's, one between every two bands, also across a flat level
     from nanotube_bands import decompose_armchair
-    from nanotube_bands.spectral import FLAT_BRANCH_TOL, block_branch_ranges, channel_bands
+    from nanotube_bands.spectral import FLAT_BRANCH_TOL, block_branch_ranges
 
     rng = np.random.default_rng(44)
     flats = across = 0
@@ -736,7 +736,7 @@ def test_armchair_channels_match_merged_branch_ranges():
             q, t = 7, float(np.exp(rng.uniform(np.log(1e3), np.log(1e5))))
         model = ArmchairModel(N, tuple(rng.uniform(-1, 1, 3)), PotentialProfile(rng.uniform(-1, 1, q)), t=t)
         lo, hi = block_branch_ranges(*decompose_armchair([model]))
-        for ch, row_lo, row_hi in zip(channel_bands([model])[0], lo, hi):
+        for ch, row_lo, row_hi in zip(full_spectrum(model).channels, lo, hi):
             merged = reference_merge(zip(row_lo.tolist(), row_hi.tolist()))
             assert _bits(ch.bands) == _bits([(a, b) for a, b in merged if b - a >= FLAT_BRANCH_TOL])
             assert _bits((e, e) for e in ch.flat_bands) == _bits((a, a) for a, b in merged if b - a < FLAT_BRANCH_TOL)
@@ -879,11 +879,9 @@ def _per_channel_edges(jac):
 
 def _channel_outcome(models, stacked):
     """Bits of (bands, flat levels) per channel of each model, or the message of the first failure."""
-    from nanotube_bands.spectral import channel_bands
-
     try:
         if stacked:
-            per_model = [[(ch.bands, ch.flat_bands) for ch in chans] for chans in channel_bands(models)]
+            per_model = [[(ch.bands, ch.flat_bands) for ch in chans] for chans in step_channels(models)]
         else:
             per_model = [
                 [
@@ -969,15 +967,12 @@ def test_half_ck_family_passes_the_hill_check_and_the_torus():
     # field that puts some channel at c_k = 1/2, where half the gaps close.
     # Every model is solved, and every level of the 2p-cell torus lies in
     # the union within 1e-8
-    from nanotube_bands.spectral import channel_bands
-
     rng = np.random.default_rng(67)
     for _ in range(40):
         N, q, t = int(rng.integers(3, 17)), int(rng.choice([9, 11, 13, 15])), float(rng.uniform(5, 25))
         k = int(rng.integers(1, N + 1))
         model = ZigzagModel(N, math.pi / 3 - math.pi * k / N, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
         assert model.channel_constant(k) == pytest.approx(0.5, abs=1e-12)
-        channel_bands([model])
         bs = full_spectrum(model)
         assert _torus_distance_to_union(model, 2 * model.potential.p, bs.lo, bs.hi) < 1e-8
 
@@ -1092,9 +1087,7 @@ def test_json_schema_shape():
     assert set(d) == {"channels", "union"}
     assert set(d["channels"][0]) == {"k", "c_k", "bands", "flat_bands", "gaps"}
     assert set(d["union"]) == {"bands", "gaps"}
-    iso = json.loads(_bands_json(assemble_band_structure(
-        [ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.5,))]
-    )))
+    iso = json.loads(_bands_json(structure_of([ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.5,))])))
     assert iso["union"]["bands"][0]["multiplicity"] == "inf"
 
 

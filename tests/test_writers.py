@@ -1,7 +1,8 @@
 """The table writers of ``bands`` JSON, ``bands`` CSV and ``sweep`` against exact references.
 
-The references are the writers they replaced: the nested tree of
-``BandStructure.to_json_dict`` rendered by ``render_json``, the per-value
+The references are the writers they replaced: the nested tree of the
+``bands`` JSON built one value at a time from the columns of a
+``BandStructure`` and rendered by ``render_json``, the per-value
 ``fmt_float`` row loops of ``_bands_csv`` and ``cmd_sweep``, and the
 per-channel ``sweep`` writer that read ``ChannelBands``.  The cases compare
 bytes at 1, 6, 12 and 17 significant digits, the seeded zigzag sweeps at 5,
@@ -18,43 +19,36 @@ import math
 import numpy as np
 import pytest
 
+from closed_forms import step_channels, structure_of
 from nanotube_bands import cli, spectral
 from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel, magnetic_phase
 from nanotube_bands.errors import HillOrderError
-from nanotube_bands.spectral import (
-    BandStructure,
-    ChannelBands,
-    assemble_band_structure,
-    channel_bands,
-    full_spectrum,
-)
+from nanotube_bands.spectral import BandStructure, ChannelBands, full_spectrum
 
 PRECISIONS = (1, 6, 12, 17)
 
 
-def reference_json_dict(structure) -> dict:
-    """The body of the former ``BandStructure.to_json_dict``."""
+def reference_tree(structure) -> dict:
+    """The nested tree of the ``bands`` JSON, built from the columns one value at a time."""
+    s = structure
+    channels = [
+        {"k": c + 1, "c_k": ck, "bands": [], "flat_bands": [], "gaps": []} for c, ck in enumerate(s.c_k.tolist())
+    ]
+    for c, lo, hi, flat in zip(s.chan.tolist(), s.row_lo.tolist(), s.row_hi.tolist(), s.flat.tolist()):
+        if flat:
+            channels[c]["flat_bands"].append(lo)
+        else:
+            channels[c]["bands"].append([lo, hi])
+    for c, lo, hi in zip(s.gap_chan.tolist(), s.gap_lo.tolist(), s.gap_hi.tolist()):
+        channels[c]["gaps"].append([lo, hi])
     return {
-        "channels": [
-            {
-                "k": ch.k,
-                "c_k": ch.c_k,
-                "bands": [[lo, hi] for lo, hi in ch.bands],
-                "flat_bands": list(ch.flat_bands),
-                "gaps": [[lo, hi] for lo, hi in ch.gaps],
-            }
-            for ch in structure.channels
-        ],
+        "channels": channels,
         "union": {
             "bands": [
-                {
-                    "lo": lo,
-                    "hi": hi,
-                    "multiplicity": "inf" if math.isinf(mult) else int(mult),
-                }
-                for lo, hi, mult in union_rows(structure)
+                {"lo": lo, "hi": hi, "multiplicity": "inf" if math.isinf(mult) else int(mult)}
+                for lo, hi, mult in union_rows(s)
             ],
-            "gaps": [[lo, hi] for lo, hi in structure.union_gaps],
+            "gaps": [[lo, hi] for lo, hi in s.union_gaps],
         },
     }
 
@@ -65,15 +59,16 @@ def union_rows(structure) -> list[tuple]:
 
 
 def reference_bands_csv(structure, sig: int) -> str:
-    """The former ``_bands_csv`` row loop."""
-    fmt = cli.fmt_float
-    lines = []
-    for ch in structure.channels:
-        for idx, (lo, hi) in enumerate(ch.bands, start=1):
-            lines.append(f"{ch.k},{idx},{fmt(lo, sig)},{fmt(hi, sig)}")
-    for ch in structure.channels:
-        for e in sorted(ch.flat_bands):
-            lines.append(f"flat,{ch.k},{fmt(e, sig)}")
+    """The rows of a ``BandStructure`` written one by one: every band as ``k,i,lo,hi``, then every flat level."""
+    fmt, s = cli.fmt_float, structure
+    lines, count = [], {}
+    for c, lo, hi, flat in zip(s.chan.tolist(), s.row_lo.tolist(), s.row_hi.tolist(), s.flat.tolist()):
+        if not flat:
+            count[c] = count.get(c, 0) + 1
+            lines.append(f"{c + 1},{count[c]},{fmt(lo, sig)},{fmt(hi, sig)}")
+    for c, lo, flat in zip(s.chan.tolist(), s.row_lo.tolist(), s.flat.tolist()):
+        if flat:
+            lines.append(f"flat,{c + 1},{fmt(lo, sig)}")
     return "\n".join(lines) + "\n"
 
 
@@ -108,11 +103,12 @@ def channel_sweep_csv(Bs, phases, per_step, sig: int) -> str:
     return "".join(text + "\n" for text in tables if text) or "\n"
 
 
-def assert_writers_match(structure, monkeypatch) -> None:
-    for sig in PRECISIONS:
+def assert_writers_match(structure, monkeypatch, precisions=PRECISIONS) -> None:
+    s = structure
+    for sig in precisions:
         monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
-        assert cli._bands_json(structure) == cli.render_json(reference_json_dict(structure))
-        assert cli._bands_csv(structure.channels) == reference_bands_csv(structure, sig)
+        assert cli._bands_json(s) == cli.render_json(reference_tree(s))
+        assert cli._bands_csv(s.chan, s.row_lo, s.row_hi, s.flat) == reference_bands_csv(s, sig)
 
 
 def zigzag_models():
@@ -153,69 +149,161 @@ def test_armchair_writers_match_reference(seed, monkeypatch):
     assert_writers_match(full_spectrum(model), monkeypatch)
 
 
+def seeded_models(count: int = 300):
+    """Zigzag and armchair models over N 2-64, q 1-32 and t 1e-2 to 1e3, log-uniform; some zigzag on a flat phase.
+
+    An armchair model has N * p at most 128, which bounds its solve to a
+    fraction of a second; at odd q and large t its thin branch ranges read
+    as flat levels.
+    """
+    rng = np.random.default_rng(2027)
+    for i in range(count):
+        N, q = (int(np.exp(rng.uniform(np.log(lo), np.log(hi + 1)))) for lo, hi in ((2, 64), (1, 32)))
+        potential = PotentialProfile(list(rng.uniform(-1.0, 1.0, q)))
+        t = float(np.exp(rng.uniform(np.log(1e-2), np.log(1e3))))
+        if i % 3 == 2:
+            p = q // 2 if q % 2 == 0 else q
+            N = max(2, min(N, 128 // p))
+            yield ArmchairModel(N, tuple(rng.uniform(-math.pi, math.pi, 3)), potential, t=t)
+        elif i % 5 == 0:
+            yield ZigzagModel(N, math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N, potential, t=t)
+        else:
+            yield ZigzagModel(N, float(rng.uniform(-math.pi, math.pi)), potential, t=t)
+
+
+def test_writers_match_reference_on_seeded_models(monkeypatch):
+    # the distinct-value JSON writer and the row CSV writer against the value-by-value references
+    flat = armchair_flat = 0
+    for i, model in enumerate(seeded_models()):
+        structure = full_spectrum(model)
+        assert_writers_match(structure, monkeypatch, precisions=(PRECISIONS[1 + i % 3],))
+        flat += bool(structure.flat.any())
+        armchair_flat += isinstance(model, ArmchairModel) and bool(structure.flat.any())
+    assert flat > 20 and armchair_flat > 0
+
+
 INF, NAN = math.inf, math.nan
 F64 = np.float64
 
 
-def union_columns(bands) -> dict:
-    """``BandStructure`` union columns of (lo, hi, multiplicity) rows."""
-    return {name: np.array([b[i] for b in bands], dtype=float) for i, name in enumerate(("lo", "hi", "multiplicity"))}
+def hand_built(c_k, rows=(), gaps=(), union=(), union_gaps=()) -> BandStructure:
+    """A ``BandStructure`` of the given columns: (chan, lo, hi, flat) rows, (chan, lo, hi) gaps, (lo, hi, mult) union."""
+
+    def columns(table, width, types):
+        table = list(table)
+        return [np.array([row[i] for row in table], dtype=types[i]) for i in range(width)]
+
+    rows = columns(rows, 4, (int, float, float, bool))
+    gaps = columns(gaps, 3, (int, float, float))
+    union = columns(union, 3, (float, float, float))
+    return BandStructure(np.array(c_k, dtype=object), *rows, *gaps, *union, tuple(union_gaps))
 
 
 def hand_built_structures():
-    odd = ChannelBands(
-        k=1, c_k=None,
-        bands=((-INF, -1.5), (-0.0, 0.0), (F64(0.25), F64(1.0) / 3), (2.0, NAN), (3.0, INF)),
-        flat_bands=(F64(-0.0), 5e-324, -1e300, NAN),
-        gaps=((-1.5, -0.0), (0.0, 0.25), (F64(1.0) / 3, 3.0)),
-    )
-    finite = ChannelBands(
-        k=2, c_k=F64(0.3),
-        bands=((F64(-2.0) / 3, -1e-300), (1e-5, 1.2345678901234567e17)),
-        flat_bands=(0.5, F64(-0.125)),
-        gaps=((-1e-300, 1e-5),),
-    )
-    empty = ChannelBands(k=3, c_k=0.0, bands=())
-    union = [(-INF, -1.5, 2.0), (F64(-0.0), 0.0, F64(4.0)), (0.5, 0.5, INF), (1e-5, NAN, 2.0)]
+    nan = -np.float64(NAN)  # a nan of the other sign bit
     return {
-        "non_finite_and_float64": BandStructure(
-            (odd, finite, empty), **union_columns(union), union_gaps=((-1.5, -0.0), (NAN, INF))
+        # 0.0 and -0.0 side by side in c_k, band edges, flat levels, gaps and union edges
+        "signed_zeros": hand_built(
+            [0.0, -0.0, F64(-0.0)],
+            rows=[(0, -0.0, 0.0, False), (0, 0.0, 1.0, False), (1, -0.0, -0.0, True), (1, 0.0, 0.0, True),
+                  (2, -1.0, -0.0, False), (2, 0.0, 0.0, True), (2, 0.0, 2.0, False)],
+            gaps=[(2, -0.0, 0.0), (0, 0.0, -0.0)],
+            union=[(-1.0, -0.0, 2.0), (-0.0, 0.0, 4.0), (0.0, -0.0, INF), (0.0, 2.0, 2.0)],
+            union_gaps=[(-0.0, 0.0), (0.0, -0.0)],
         ),
-        "finite_float64_union": BandStructure((finite,), **union_columns(union[1:3]), union_gaps=((F64(0.0), 0.5),)),
-        "empty_channels_empty_union": BandStructure((empty, ChannelBands(k=4, c_k=None, bands=()))),
-        "no_channels": BandStructure(()),
-        "flat_only": assemble_band_structure([ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(0.5, -0.0))]),
+        # nan, inf and -inf in every column, next to finite float64 values
+        "non_finite_and_float64": hand_built(
+            [NAN, F64(0.3), None],
+            rows=[(0, -INF, -1.5, False), (0, F64(0.25), F64(1.0) / 3, False), (0, 2.0, NAN, False),
+                  (0, 3.0, INF, False), (0, nan, nan, True), (1, F64(-2.0) / 3, -1e-300, False),
+                  (1, 1e-5, 1.2345678901234567e17, False), (1, 5e-324, 5e-324, True), (1, -1e300, -1e300, True)],
+            gaps=[(0, -1.5, F64(0.25)), (0, NAN, 3.0), (1, -1e-300, 1e-5)],
+            union=[(-INF, -1.5, 2.0), (F64(-0.0), 0.0, F64(4.0)), (0.5, 0.5, INF), (1e-5, NAN, 2.0)],
+            union_gaps=[(-1.5, -0.0), (NAN, INF), (nan, 1.0)],
+        ),
+        # channels without rows, first, between and last, and no union
+        "empty_channels_empty_union": hand_built(
+            [0.0, 0.5, None, -0.5, 0.25], rows=[(1, -1.0, 1.0, False), (1, 2.0, 2.0, True), (3, 0.5, 0.75, False)]
+        ),
+        # no channel constants at all
+        "c_k_none": hand_built(
+            [None, None],
+            rows=[(0, -1.0, -0.5, False), (0, 0.5, 1.0, False), (1, 0.25, 0.25, True)],
+            gaps=[(0, -0.5, 0.5)],
+            union=[(-1.0, -0.5, 2.0), (0.25, 0.25, INF), (0.5, 1.0, 2.0)],
+            union_gaps=[(-0.5, 0.25), (0.25, 0.5)],
+        ),
+        "no_channels": hand_built([]),
+        # the union of flat levels alone, through band_structure
+        "flat_only": structure_of([ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(-0.0, 0.5))]),
     }
 
 
 def test_hand_built_union_columns_read_back():
-    # the columns of the hand-built union give back its rows, -0.0, nan and inf included
-    structure = hand_built_structures()["non_finite_and_float64"]
-    assert [(repr(lo), repr(hi), m) for lo, hi, m in union_rows(structure)] == [
-        ("-inf", "-1.5", 2.0),
-        ("-0.0", "0.0", 4.0),
-        ("0.5", "0.5", INF),
-        ("1e-05", "nan", 2.0),
+    # the columns of the hand-built structures keep -0.0, nan, inf and None
+    structures = hand_built_structures()
+    zeros, odd = structures["signed_zeros"], structures["non_finite_and_float64"]
+    assert [(repr(lo), repr(hi), m) for lo, hi, m in union_rows(zeros)] == [
+        ("-1.0", "-0.0", 2.0), ("-0.0", "0.0", 4.0), ("0.0", "-0.0", INF), ("0.0", "2.0", 2.0),
     ]
-    hull = (structure.lo.tolist()[0], structure.hi.tolist()[-1])
-    assert repr(structure.union_intervals()[1]) == "(-0.0, 0.0)" and repr(hull) == "(-inf, nan)"
-
-
-def test_bands_json_builds_no_union_records(monkeypatch):
-    structure = full_spectrum(ZigzagModel(6, 0.3, PotentialProfile([0.4, -0.2, 0.7]), t=1.1))
-    want = cli.render_json(reference_json_dict(structure))
-
-    def refuse(self):
-        raise AssertionError("the writer read a union view")
-
-    for name in ("union_bands", "union_intervals", "flat_bands"):
-        monkeypatch.setattr(BandStructure, name, property(refuse))
-    assert cli._bands_json(structure) == want
+    assert repr(odd.union_intervals()[-1]) == "(1e-05, nan)" and odd.c_k.tolist()[2] is None
+    assert [math.copysign(1.0, x) for x in zeros.c_k.tolist()] == [1.0, -1.0, -1.0]
+    assert repr(structures["flat_only"].union_intervals()) == "[(-0.0, -0.0), (0.5, 0.5)]"
 
 
 @pytest.mark.parametrize("name", sorted(hand_built_structures()))
 def test_hand_built_writers_match_reference(name, monkeypatch):
     assert_writers_match(hand_built_structures()[name], monkeypatch)
+
+
+def test_distinct_values_keep_their_sign_and_quotes(monkeypatch):
+    # equal values with other bits are formatted apart: -0 beside 0, and every nan and inf quoted
+    monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", "12")
+    text = cli._bands_json(hand_built_structures()["signed_zeros"])
+    assert '"c_k": 0,' in text and text.count('"c_k": -0,') == 2
+    assert "[-0, 0]" in text and '"flat_bands": [-0, 0]' in text and '"flat_bands": [0]' in text
+    assert '"lo": 0,\n        "hi": -0,\n        "multiplicity": "inf"' in text
+    odd = cli._bands_json(hand_built_structures()["non_finite_and_float64"])
+    assert '"c_k": "nan"' in odd and '"flat_bands": ["nan"]' in odd and '["nan", 1]' in odd
+    assert '"c_k": null' in odd and '"-inf"' in odd and '"hi": "nan"' in odd
+
+
+def test_bands_json_builds_no_union_records(monkeypatch):
+    structure = full_spectrum(ZigzagModel(6, 0.3, PotentialProfile([0.4, -0.2, 0.7]), t=1.1))
+    want = cli.render_json(reference_tree(structure))
+
+    def refuse(self):
+        raise AssertionError("the writer read an object view")
+
+    for name in ("channels", "union_intervals", "flat_bands"):
+        monkeypatch.setattr(BandStructure, name, property(refuse))
+    assert cli._bands_json(structure) == want
+
+
+def test_bands_builds_no_channel_bands(tmp_path, monkeypatch):
+    # bands writes JSON and CSV from the columns of channel_rows, on both lattices
+    def refuse(*args, **kwargs):
+        raise AssertionError("bands built channel bands")
+
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.3, -0.2, 0.6]")
+    printed = {}
+    for lattice in ("zigzag", "armchair"):
+        for fmt in ("json", "csv"):
+            argv = f"bands --lattice {lattice} --N 6 --B 0.7 --format {fmt} --potential {pot}".split()
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv) == 0
+            printed[lattice, fmt] = out.getvalue()
+    monkeypatch.setattr(spectral.ChannelBands, "__init__", refuse)
+    for (lattice, fmt), want in printed.items():
+        argv = f"bands --lattice {lattice} --N 6 --B 0.7 --format {fmt} --potential {pot}".split()
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 0
+        assert out.getvalue() == want
+    assert json.loads(printed["zigzag", "json"])["channels"][5]["k"] == 6
+    assert printed["armchair", "csv"].count("\n") >= 6
 
 
 def run_sweep(argv, potential, tmp_path):
@@ -245,7 +333,7 @@ def sweep_fields(B_start, B_stop, steps):
 def test_zigzag_sweep_matches_reference(potential, N, t, B_stop, steps, tmp_path, monkeypatch):
     Bs = sweep_fields(-0.4, B_stop, steps)
     models = [ZigzagModel(N, magnetic_phase(B, N), PotentialProfile(potential), t=t) for B in Bs]
-    per_step = channel_bands(models)
+    per_step = step_channels(models)
     argv = f"sweep --lattice zigzag --N {N} --t {t!r} --B-start -0.4 --B-stop {B_stop!r} --B-steps {steps}"
     for sig in PRECISIONS:
         monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", str(sig))
@@ -260,7 +348,7 @@ def test_armchair_sweep_matches_reference(tmp_path, monkeypatch):
         ArmchairModel(N=3, phases=cli.tube_geometry(3, B)[1], potential=PotentialProfile(potential), t=0.7)
         for B in Bs
     ]
-    per_step = channel_bands(models)
+    per_step = step_channels(models)
     phases = [model.phases[0] for model in models]
     argv = "sweep --lattice armchair --N 3 --t 0.7 --B-start -0.4 --B-stop 1.2 --B-steps 3 --grid 64"
     for sig in PRECISIONS:
@@ -319,7 +407,7 @@ ZIGZAG_SWEEPS = [
 @pytest.mark.parametrize("case", range(len(ZIGZAG_SWEEPS)))
 def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
     # the sweep writes the rows of channel_rows; the per-channel writer reads
-    # the ChannelBands that bands builds from the same rows
+    # the ChannelBands viewed from the same rows
     from nanotube_bands.core import flat_field_amplitudes
     from nanotube_bands.spectral import zigzag_channel_edges
 
@@ -330,7 +418,7 @@ def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
     Bs = sweep_fields(B_start, B_stop, steps) if steps > 1 else [B_start]
     models = [ZigzagModel(N, magnetic_phase(B, N), PotentialProfile(potential), t=t) for B in Bs]
     assert zigzag_channel_edges(models)[0][-1].any() == (ZIGZAG_SWEEPS[case][4] is None)
-    per_step = channel_bands(models)
+    per_step = step_channels(models)
     phases = [m.b for m in models]
     argv = f"sweep --lattice zigzag --N {N} --t {t!r} --B-start {B_start!r} --B-stop {B_stop!r} --B-steps {steps}"
     for sig in (5, 12, 17):
