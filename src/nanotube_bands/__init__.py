@@ -15,7 +15,6 @@ from .armchair import (
 )
 from .spectral import (
     BandStructure,
-    ChannelBands,
     flat_band_spectrum,
     full_spectrum,
 )
@@ -24,7 +23,6 @@ from .oracle import build_full_hamiltonian, compare_decomposition
 __all__ = [
     "ArmchairModel",
     "BandStructure",
-    "ChannelBands",
     "PotentialProfile",
     "ZigzagModel",
     "build_full_hamiltonian",

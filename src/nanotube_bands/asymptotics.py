@@ -681,9 +681,9 @@ def measure_low_energy_window(
     measure is the band length plus the flat levels inside it.
     """
     windows = low_energy_windows(model.N, model.potential.p)
-    structure = full_spectrum(model)
-    union = structure.union_intervals()
-    chans = {ch.k: list(ch.bands) for ch in structure.channels}
+    s = full_spectrum(model)
+    union = list(zip(s.lo.tolist(), s.hi.tolist()))
+    levels = s.row_lo[s.flat]
     cases = []
     if windows.r_high is not None:
         cases += [((windows.r_high, windows.rho_high), model.N), ((-windows.rho_high, -windows.r_high), model.N)]
@@ -697,10 +697,11 @@ def measure_low_energy_window(
     for (lo, hi), k in cases:
         clipped = _clip(union, lo, hi)
         if k is None:
-            flats = [e for e, _ in structure.flat_bands if lo <= e <= hi]
-            measured = sum(b - a for a, b in clipped) + len(flats)
+            measured = sum(b - a for a, b in clipped) + int(np.count_nonzero((lo <= levels) & (levels <= hi)))
         else:
-            measured = max_edge_deviation(clipped, _clip(chans[k], lo, hi))
+            bands = ~s.flat & (s.chan == k - 1)  # channel k's bands
+            channel = zip(s.row_lo[bands].tolist(), s.row_hi[bands].tolist())
+            measured = max_edge_deviation(clipped, _clip(channel, lo, hi))
         out.append(
             AsymptoticReport(
                 regime="low_energy_window",
@@ -727,8 +728,8 @@ def measure_small_v_armchair(
     the comparison is set equality against the independently computed bands.
     """
     pred = predict_small_v_armchair(profile, N)
-    _, _, shifted, structure = _shifted_overlay(profile, N)
-    union, gaps = structure.union_intervals(), structure.union_gaps
+    _, _, shifted, s = _shifted_overlay(profile, N)
+    union, gaps = list(zip(s.lo.tolist(), s.hi.tolist())), list(zip(s.union_gap_lo.tolist(), s.union_gap_hi.tolist()))
     out = []
     cases = [(n, -1.0, (-pred.rtilde_plus, -pred.rtilde_minus)) for n in pred.negative_window]
     cases += [(n, +1.0, (pred.rtilde_minus, pred.rtilde_plus)) for n in pred.positive_window]

@@ -1,13 +1,14 @@
 """Command-line front end: model assembly, dispatch, deterministic output.
 
 Exit codes: 0 success, 1 completed but a requested check failed, 2 bad input,
-3 internal consistency failure.  Floats are rendered with a fixed number of
-significant digits (env NANOTUBE_BANDS_PRECISION, default 12) so identical
-configurations produce byte-identical files.  This module alone knows the
-output schemas: ``bands`` CSV and ``sweep`` CSV are written as tables of
-rows, one ``%`` call per table; ``bands`` JSON from the columns of a
-``BandStructure``, each distinct float formatted once; the other commands
-through ``render_json``.
+3 internal consistency failure.  Every float is written by one rule
+(``_float_slots``), with a fixed number of significant digits (env
+NANOTUBE_BANDS_PRECISION, default 12), so identical configurations produce
+byte-identical files.  This module alone knows the output schemas: the band
+rows of ``bands`` CSV and of each ``sweep`` field step fill one cached row
+layout (``_row_layout``) in one ``%`` call; ``bands`` JSON is written from
+the columns of a ``BandStructure``, each distinct float formatted once; the
+other commands go through ``render_json``.
 """
 
 from __future__ import annotations
@@ -15,10 +16,8 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from functools import lru_cache
-from itertools import chain
 
 import numpy as np
 
@@ -49,11 +48,28 @@ def _precision() -> int:
     return sig
 
 
+def _float_slots(values: list[float], sig: int) -> tuple[str, list]:
+    """The ``%`` slot and the values that write the floats ``values``, ``sig`` significant digits each.
+
+    This is the one float rule of every writer.  A finite float is written
+    ``%.{sig}g``, so for a list of finite floats the slot is that spec and
+    the values are ``values``.  JSON has no literal for an infinite or nan
+    float, so a list that holds one is written as texts through ``%s``
+    slots: each finite float by the spec, each other one as "inf", "-inf" or
+    "nan" in double quotes.
+    """
+    spec = f"%.{sig}g"
+    if all(map(math.isfinite, values)):
+        return spec, values
+    return "%s", [
+        spec % x if math.isfinite(x) else '"inf"' if x > 0 else '"-inf"' if x < 0 else '"nan"' for x in values
+    ]
+
+
 def fmt_float(x: float, sig: int | None = None) -> str:
-    sig = _precision() if sig is None else sig
-    if isinstance(x, float) and not math.isfinite(x):
-        return '"inf"' if x > 0 else ('"-inf"' if x < 0 else '"nan"')
-    return f"{float(x):.{sig}g}"
+    """The text of ``x`` by ``_float_slots``, at ``sig`` significant digits (by default the precision)."""
+    slot, (value,) = _float_slots([float(x)], _precision() if sig is None else sig)
+    return slot % value
 
 
 def render_json(obj, indent: int = 0, sig: int | None = None) -> str:
@@ -91,38 +107,6 @@ def render_json(obj, indent: int = 0, sig: int | None = None) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     raise TypeError(f"cannot render {type(obj)!r}")
-
-
-_SLOT = re.compile(r"%[%dgs]")
-
-
-@lru_cache(maxsize=64)  # a few row templates per precision
-def _row_template(row: str, spec: str) -> tuple[int, tuple[int, ...], str]:
-    """Fields per row, the float columns, and ``row`` with ``spec`` in its float slots."""
-    slots = [slot for slot in _SLOT.findall(row) if slot != "%%"]
-    template = _SLOT.sub(lambda m: spec if m.group() == "%g" else m.group(), row)
-    return len(slots), tuple(i for i, slot in enumerate(slots) if slot == "%g"), template
-
-
-def _table(row: str, rows, sig: int, sep: str) -> str:
-    """``rows`` written through the row template ``row``, joined by ``sep``.
-
-    ``row`` is ``%`` text with a ``%g`` slot per float field, ``%d`` or ``%s``
-    for any other field and ``%%`` for a literal percent sign, so text pasted
-    into a row is escaped first.  The whole table is one ``%`` call.  Floats
-    are written ``%.{sig}g``, which is ``fmt_float`` on every finite float; a
-    table that holds a non-finite float writes its floats through
-    ``fmt_float`` one by one, so that ``"inf"`` and ``"nan"`` keep their quotes.
-    """
-    if not rows:
-        return ""
-    values = list(chain.from_iterable(rows))
-    width, columns, template = _row_template(row, f"%.{sig}g")
-    if not all(all(map(math.isfinite, values[i::width])) for i in columns):
-        width, columns, template = _row_template(row, "%s")
-        for i in columns:
-            values[i::width] = [fmt_float(x, sig) for x in values[i::width]]
-    return sep.join([template] * len(rows)) % tuple(values)
 
 
 def _write(text: str, path: str | None) -> None:
@@ -266,19 +250,14 @@ _UNION_BAND = '      {\n        "lo": %s,\n        "hi": %s,\n        "multiplic
 
 
 def _distinct_texts(values: np.ndarray, sig: int) -> np.ndarray:
-    """``fmt_float`` of every float of ``values``, as an object array, formatting each distinct bit pattern once.
+    """The texts of the floats ``values`` by ``_float_slots``, as an object array, formatting each bit pattern once.
 
     Values that compare equal but differ in their bits (0.0 and -0.0, nans)
-    are formatted apart; a non-finite value is quoted by ``fmt_float``.
+    are formatted apart.
     """
     bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(float)
-    spec = f"%.{sig}g"  # fmt_float on a finite float
-    if np.isfinite(distinct).all():
-        texts = [spec % x for x in distinct.tolist()]
-    else:
-        texts = [fmt_float(x, sig) for x in distinct.tolist()]
-    return np.array(texts, dtype=object)[inverse]
+    slot, distinct = _float_slots(bits.view(float).tolist(), sig)
+    return np.array([slot % x for x in distinct], dtype=object)[inverse]
 
 
 def _interleave(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -302,15 +281,15 @@ def _bands_json(structure) -> str:
     c_k = s.c_k.tolist()
     known = [c is not None for c in c_k]
     C, band = len(c_k), ~s.flat
-    band_chan, flat_chan, union_gaps = s.chan[band], s.chan[s.flat], np.array(s.union_gaps, dtype=float)
+    band_chan, flat_chan = s.chan[band], s.chan[s.flat]
     sections = [  # (channel of each value, its values): k, c_k, band edges, flat levels, gap edges
         (np.flatnonzero(known), np.array([c for c in c_k if c is not None], dtype=float)),
         (np.repeat(band_chan, 2), _interleave(s.row_lo[band], s.row_hi[band])),
         (flat_chan, s.row_lo[s.flat]),
         (np.repeat(s.gap_chan, 2), _interleave(s.gap_lo, s.gap_hi)),
     ]
-    union = _interleave(s.lo, s.hi)
-    texts = _distinct_texts(np.concatenate([v for _, v in sections] + [union, union_gaps.ravel()]), sig)
+    union = [_interleave(s.lo, s.hi), _interleave(s.union_gap_lo, s.union_gap_hi)]
+    texts = _distinct_texts(np.concatenate([v for _, v in sections] + union), sig)
     n = sum(v.size for _, v in sections)
     slots = np.concatenate([np.arange(C) * 5] + [chans * 5 + i for i, (chans, _) in enumerate(sections, start=1)])
     values = np.concatenate([np.arange(1, C + 1, dtype=object), texts[:n]])[np.argsort(slots, kind="stable")]
@@ -320,29 +299,33 @@ def _bands_json(structure) -> str:
     table = np.empty((U, 3), dtype=object)
     table[:, :2] = texts[n : n + 2 * U].reshape(U, 2)
     mult, which = np.unique(s.multiplicity, return_inverse=True)  # a handful of distinct multiplicities
-    table[:, 2] = np.array(['"inf"' if math.isinf(m) else int(m) for m in mult.tolist()], dtype=object)[which]
+    mult = [fmt_float(m, sig) if math.isinf(m) else int(m) for m in mult.tolist()]
+    table[:, 2] = np.array(mult, dtype=object)[which]
     return '{\n  "channels": %s,\n  "union": {\n    "bands": %s,\n    "gaps": %s\n  }\n}' % (
         "[\n" + entries + "\n  ]" if C else "[]",
         "[\n" + ",\n".join([_UNION_BAND] * U) % tuple(table.ravel().tolist()) + "\n    ]" if U else "[]",
-        _pair_slots(len(union_gaps), 2) % tuple(texts[n + 2 * U :].tolist()),
+        _pair_slots(len(s.union_gap_lo), 2) % tuple(texts[n + 2 * U :].tolist()),
     )
+
+
+@lru_cache(maxsize=16)  # a bands CSV's, one per zigzag sweep, the few of consecutive armchair steps
+def _row_layout(counts: tuple[int, ...], slot: str) -> tuple[str, ...]:
+    """The rows ``k,i,lo,hi`` of channels where channel k has ``counts[k - 1]`` rows, i from 1, ``slot`` in lo and hi."""
+    return tuple(f"{k},{i},{slot},{slot}" for k, n in enumerate(counts, start=1) for i in range(1, n + 1))
 
 
 def _bands_csv(chan, lo, hi, flat) -> str:
     """``bands`` CSV from one model's rows (``channel_rows``): ``k,i,lo,hi`` for band i of channel k, then ``flat,k,e``.
 
-    The bands come channel by channel, then the flat levels, each channel's
-    in row order, ascending.
+    The bands fill the ``_row_layout`` of their counts per channel, then
+    come the flat levels, each channel's in row order, ascending; as in
+    ``channel_rows``, a channel's rows are consecutive and the channels
+    ascend.
     """
-    sig = _precision()
-    k = chan + 1
-    band_k = k[~flat]
-    first = np.flatnonzero(np.append(True, band_k[1:] != band_k[:-1]))  # the first band of each channel
-    i = np.arange(band_k.size) + 1 - np.repeat(first, np.diff(np.append(first, band_k.size)))
-    bands = list(zip(band_k.tolist(), i.tolist(), lo[~flat].tolist(), hi[~flat].tolist()))
-    flats = list(zip(k[flat].tolist(), lo[flat].tolist()))
-    tables = [_table("%d,%d,%g,%g", bands, sig, "\n"), _table("flat,%d,%g", flats, sig, "\n")]
-    return "\n".join(text for text in tables if text) + "\n"
+    band = ~flat
+    slot, values = _float_slots(np.append(_interleave(lo[band], hi[band]), lo[flat]).tolist(), _precision())
+    flats = tuple(f"flat,{k},{slot}" for k in (chan[flat] + 1).tolist())
+    return "\n".join(_row_layout(tuple(np.bincount(chan[band]).tolist()), slot) + flats) % tuple(values) + "\n"
 
 
 def cmd_bands(args) -> int:
@@ -357,41 +340,27 @@ def cmd_bands(args) -> int:
     return 0
 
 
-@lru_cache(maxsize=16)  # one layout per sweep of zigzag, the few of consecutive armchair steps
-def _sweep_layout(counts: tuple[int, ...], spec: str) -> tuple[str, ...]:
-    """The rows ``k,i,lo,hi`` of a field step whose channel k has ``counts[k - 1]`` rows, ``spec`` in lo and hi."""
-    return tuple(f"{k},{i},{spec},{spec}" for k, n in enumerate(counts, start=1) for i in range(1, n + 1))
-
-
 def _sweep_steps(models, Bs, phases, N: int):
     """The ``sweep`` CSV, one field step at a time: a row ``B,b,k,i,lo,hi`` for each row of the step's channels.
 
     The steps are solved in chunks of SWEEP_CHANNELS channels, and a chunk's
     steps are written before the next chunk is solved, so the rows held at
     once stay bounded; a chunk that fails (exit 3) leaves the steps before it
-    written.  Each step fills the row template of its layout, with k and i
-    written in, from one prefix ``B,b,`` and one ``%`` call on its lo and hi;
-    a step that holds a non-finite value writes its floats through
-    ``fmt_float``, as ``_table`` does, so that ``"inf"`` and ``"nan"`` keep
-    their quotes.
+    written.  Each step fills the ``_row_layout`` of its counts, with k and i
+    written in, from one prefix ``B,b,`` and one ``%`` call on its lo and hi,
+    whose slot ``_float_slots`` picks for the chunk.
     """
     sig = _precision()
-    spec = f"%.{sig}g"
     size = max(1, SWEEP_CHANNELS // N)
     for start in range(0, len(models), size):
         chunk = slice(start, start + size)
         _, chan, lo, hi, _ = channel_rows(models[chunk], start, len(models))
         counts = np.bincount(chan, minlength=N * len(models[chunk])).reshape(-1, N)
         bounds = np.append(0, np.cumsum(2 * counts.sum(axis=1))).tolist()  # where each step's lo, hi values start
-        values = np.column_stack((lo, hi)).ravel()
-        finite = np.isfinite(values).tolist()
-        values = values.tolist()
+        slot, values = _float_slots(_interleave(lo, hi).tolist(), sig)
         for B, b, row, a, z in zip(Bs[chunk], phases[chunk], counts.tolist(), bounds, bounds[1:]):
-            prefix = f"{fmt_float(B, sig)},{fmt_float(b, sig)},".replace("%", "%%")
-            step, slot = values[a:z], spec
-            if not all(finite[a:z]):
-                step, slot = [fmt_float(x, sig) for x in step], "%s"
-            yield prefix + ("\n" + prefix).join(_sweep_layout(tuple(row), slot)) % tuple(step) + "\n"
+            prefix = f"{fmt_float(B, sig)},{fmt_float(b, sig)},"
+            yield prefix + ("\n" + prefix).join(_row_layout(tuple(row), slot)) % tuple(values[a:z]) + "\n"
 
 
 def cmd_sweep(args) -> int:

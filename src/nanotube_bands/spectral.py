@@ -50,8 +50,9 @@ cut the energy axis into segments, each channel's bands fuse into runs of
 segments, a cumulative sum of +1/-1 run events gives the multiplicity of
 every segment, and where the runs start and end decides exactly which
 adjacent entries have the same covering channels.  The fused table is stored
-as lo, hi and multiplicity columns.  ``ChannelBands`` is a per-channel view
-built from the columns on demand; ``bands`` builds none.
+as lo, hi and multiplicity columns, and the gaps between its bands as two
+more.  A ``BandStructure`` holds columns only; its readers select rows of
+``chan`` and ``flat``.
 """
 
 from __future__ import annotations
@@ -502,17 +503,6 @@ def block_branch_ranges(a, d) -> tuple[np.ndarray, np.ndarray]:
 # band-structure assembly
 
 
-@dataclass(frozen=True)
-class ChannelBands:
-    """Bands, flat energies and gaps of one channel: the view ``BandStructure.channels`` builds on demand."""
-
-    k: int
-    c_k: float | None
-    bands: tuple[tuple[float, float], ...]
-    flat_bands: tuple[float, ...] = ()
-    gaps: tuple[tuple[float, float], ...] = ()
-
-
 @dataclass(frozen=True, eq=False)
 class BandStructure:
     """The rows of every channel of a model, their gaps and their union, as columns (``band_structure``).
@@ -523,7 +513,8 @@ class BandStructure:
     ``flat``, a channel's rows consecutive and ascending; then every
     channel's gaps, ``gap_chan``, ``gap_lo`` and ``gap_hi``; then the union,
     one row per union band: ``lo``, ``hi`` and ``multiplicity`` (2 per
-    covering channel; inf marks a flat level), and its ``union_gaps``.
+    covering channel; inf marks a flat level), and its gaps,
+    ``union_gap_lo`` and ``union_gap_hi``.
     """
 
     c_k: np.ndarray
@@ -537,31 +528,8 @@ class BandStructure:
     lo: np.ndarray
     hi: np.ndarray
     multiplicity: np.ndarray
-    union_gaps: tuple[tuple[float, float], ...]
-
-    @property
-    def channels(self) -> tuple[ChannelBands, ...]:
-        """A ``ChannelBands`` of every channel, built from the columns for readers of single channels."""
-        bands, flats, gaps = ([[] for _ in range(len(self.c_k))] for _ in range(3))
-        rows = zip(self.chan.tolist(), self.row_lo.tolist(), self.row_hi.tolist(), self.flat.tolist())
-        for c, lo, hi, is_flat in rows:
-            if is_flat:
-                flats[c].append(lo)
-            else:
-                bands[c].append((lo, hi))
-        for c, lo, hi in zip(self.gap_chan.tolist(), self.gap_lo.tolist(), self.gap_hi.tolist()):
-            gaps[c].append((lo, hi))
-        return tuple(
-            ChannelBands(k=c + 1, c_k=ck, bands=tuple(bands[c]), flat_bands=tuple(flats[c]), gaps=tuple(gaps[c]))
-            for c, ck in enumerate(self.c_k.tolist())
-        )
-
-    @property
-    def flat_bands(self) -> list[tuple[float, int]]:
-        return list(zip(self.row_lo[self.flat].tolist(), (self.chan[self.flat] + 1).tolist()))
-
-    def union_intervals(self) -> list[tuple[float, float]]:
-        return list(zip(self.lo.tolist(), self.hi.tolist()))
+    union_gap_lo: np.ndarray
+    union_gap_hi: np.ndarray
 
 
 def _spaced_cuts(cuts: np.ndarray) -> np.ndarray:
@@ -693,10 +661,8 @@ def band_structure(c_k, chan, lo, hi, flat) -> BandStructure:
     first = np.flatnonzero(np.concatenate([[u_lo.size > 0], ~joined]))
     u_lo, u_hi, mult = u_lo[first], np.maximum.reduceat(u_hi, first), mult[first]
     gap = gap_after(u_lo, u_hi)
-    gaps = tuple(zip(u_hi[:-1][gap].tolist(), u_lo[1:][gap].tolist()))
-    return BandStructure(c_k, chan, lo, hi, flat, gap_chan, gap_lo, gap_hi, u_lo, u_hi, mult, gaps)
-
-
+    union_gaps = u_hi[:-1][gap], u_lo[1:][gap]
+    return BandStructure(c_k, chan, lo, hi, flat, gap_chan, gap_lo, gap_hi, u_lo, u_hi, mult, *union_gaps)
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,12 @@
   strong-coupling cluster predictors one position at a time, the bit-for-bit
   reference of the package's predictors, which take a whole channel at once;
 * ``armchair_unperturbed``: the exact armchair spectrum of the alternating
-  two-site potential.
+  two-site potential;
+* ``ChannelBands`` and ``channels_of``: the per-channel view of the columns
+  of a ``BandStructure`` that the tests read, with ``structure_of`` its
+  inverse, and ``union_intervals`` and ``union_gaps`` as lists of pairs;
+* ``csv_lines``: rows written as CSV lines by the CLI's float rule, spelled
+  here apart from the CLI (``float_text``), the reference of its row writers.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from nanotube_bands.armchair import decompose_armchair
 from nanotube_bands.core import PotentialProfile, ZigzagModel, is_flat_channel
 from nanotube_bands.errors import InvalidInputError, NotApplicableError
 from nanotube_bands.spectral import (
-    GAP_MERGE_TOL, BandStructure, ChannelBands, band_structure, block_branch_ranges, channel_rows, full_spectrum,
+    GAP_MERGE_TOL, BandStructure, band_structure, block_branch_ranges, channel_rows, full_spectrum,
 )
 
 
@@ -58,9 +63,51 @@ def reference_merge(intervals, gap_tol: float = GAP_MERGE_TOL) -> list[tuple[flo
 
 
 def reference_gaps(intervals) -> list[tuple[float, float]]:
-    """The gaps between consecutive bands of ``reference_merge``: the former ``ChannelBands`` gaps."""
+    """The gaps between consecutive bands of ``reference_merge``: the gaps of a ``ChannelBands`` built by merging."""
     merged = reference_merge(intervals)
     return [(merged[i][1], merged[i + 1][0]) for i in range(len(merged) - 1)]
+
+
+# ---------------------------------------------------------------------------
+# per-channel views of a BandStructure, and the CSV rows of the CLI
+
+
+@dataclass(frozen=True)
+class ChannelBands:
+    """Bands, flat levels and gaps of one channel, as pairs and levels."""
+
+    k: int
+    c_k: float | None
+    bands: tuple[tuple[float, float], ...]
+    flat_bands: tuple[float, ...] = ()
+    gaps: tuple[tuple[float, float], ...] = ()
+
+
+def channels_of(structure: BandStructure) -> tuple[ChannelBands, ...]:
+    """A ``ChannelBands`` of every channel of ``structure``, read from its columns."""
+    s = structure
+    bands, flats, gaps = ([[] for _ in range(len(s.c_k))] for _ in range(3))
+    for c, lo, hi, is_flat in zip(s.chan.tolist(), s.row_lo.tolist(), s.row_hi.tolist(), s.flat.tolist()):
+        if is_flat:
+            flats[c].append(lo)
+        else:
+            bands[c].append((lo, hi))
+    for c, lo, hi in zip(s.gap_chan.tolist(), s.gap_lo.tolist(), s.gap_hi.tolist()):
+        gaps[c].append((lo, hi))
+    return tuple(
+        ChannelBands(k=c + 1, c_k=ck, bands=tuple(bands[c]), flat_bands=tuple(flats[c]), gaps=tuple(gaps[c]))
+        for c, ck in enumerate(s.c_k.tolist())
+    )
+
+
+def union_intervals(structure: BandStructure) -> list[tuple[float, float]]:
+    """The union bands of ``structure`` as (lo, hi) pairs."""
+    return list(zip(structure.lo.tolist(), structure.hi.tolist()))
+
+
+def union_gaps(structure: BandStructure) -> tuple[tuple[float, float], ...]:
+    """The union gaps of ``structure`` as (lo, hi) pairs."""
+    return tuple(zip(structure.union_gap_lo.tolist(), structure.union_gap_hi.tolist()))
 
 
 def structure_of(channels) -> BandStructure:
@@ -83,11 +130,21 @@ def structure_of(channels) -> BandStructure:
 def step_channels(models) -> list[tuple[ChannelBands, ...]]:
     """The ``ChannelBands`` of every channel of each model, viewed from one ``channel_rows`` call over all of them."""
     c_k, chan, lo, hi, flat = channel_rows(models)
-    step = chan // c_k.shape[-1]
+    N = c_k.shape[-1]
+    steps = [chan // N == s for s in range(len(models))]
     return [
-        band_structure(c_k[s], chan[step == s] - s * c_k.shape[-1], lo[step == s], hi[step == s], flat[step == s]).channels
-        for s in range(len(models))
+        channels_of(band_structure(c_k[s], chan[at] - s * N, lo[at], hi[at], flat[at])) for s, at in enumerate(steps)
     ]
+
+
+def float_text(x: float, sig: int) -> str:
+    """``x`` as the CLI writes a float: ``sig`` significant digits, or "inf", "-inf" or "nan" in double quotes."""
+    return f"{x:.{sig}g}" if math.isfinite(x) else f'"{float(x)}"'
+
+
+def csv_lines(rows, sig: int) -> list[str]:
+    """Each row as a line of comma-separated fields: a float by ``float_text``, any other field as ``str`` writes it."""
+    return [",".join(float_text(x, sig) if isinstance(x, float) else str(x) for x in row) for row in rows]
 
 
 def intervals_contain(container, inner, tol: float = 1e-8) -> tuple[bool, float]:
@@ -262,13 +319,13 @@ def shifted_schroedinger_inclusion(
     its unit-hopping channel.
     """
     v_even, j_bands, shifted, armchair = asy._shifted_overlay(profile, N)
-    arm_ok, arm_margin = intervals_contain(armchair.union_intervals(), shifted, tol=tol)
+    arm_ok, arm_margin = intervals_contain(union_intervals(armchair), shifted, tol=tol)
 
     zig_checked = N % 3 == 0
     zig_ok, zig_margin = True, math.inf
     if zig_checked:
         zig = ZigzagModel(N=N, b=0.0, potential=PotentialProfile(v_even), t=1.0)
-        zig_bands = full_spectrum(zig).union_intervals()
+        zig_bands = union_intervals(full_spectrum(zig))
         zig_ok, zig_margin = intervals_contain(zig_bands, j_bands, tol=tol)
 
     return InclusionReport(

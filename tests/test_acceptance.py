@@ -32,6 +32,7 @@ from closed_forms import (
     armchair_unperturbed,
     p1_closed_form,
     shifted_schroedinger_inclusion,
+    union_intervals,
     unperturbed_edges,
 )
 from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag
@@ -203,9 +204,9 @@ def test_criterion_08_armchair_unperturbed():
             model = ArmchairModel(N, (0.0, 0.0, 0.0), PotentialProfile([-vt, vt]), t=1.0)
             swept = full_spectrum(model)
             closed = armchair_unperturbed(N, vt)
-            worst = max(worst, max_edge_deviation(swept.union_intervals(), closed.union_intervals()))
+            worst = max(worst, max_edge_deviation(union_intervals(swept), union_intervals(closed)))
     zero = max_edge_deviation(
-        merge_intervals(armchair_unperturbed(4, 0.0).union_intervals()), [(-3.0, 3.0)]
+        merge_intervals(union_intervals(armchair_unperturbed(4, 0.0))), [(-3.0, 3.0)]
     )
     ok = worst < 1e-6 and zero < 1e-12
     verdict("8", ok, f"sweep vs closed form, worst edge dev {worst:.2e}")
@@ -262,9 +263,9 @@ def test_criterion_11_field_symmetries():
         N = int(rng.integers(2, 7))
         b = float(rng.normal() * 0.7)
         t = float(rng.normal())
-        base = full_spectrum(ZigzagModel(N, b, prof, t=t)).union_intervals()
-        shifted = full_spectrum(ZigzagModel(N, b + math.pi / N, prof, t=t)).union_intervals()
-        mirrored = full_spectrum(ZigzagModel(N, -b, prof, t=t)).union_intervals()
+        base = union_intervals(full_spectrum(ZigzagModel(N, b, prof, t=t)))
+        shifted = union_intervals(full_spectrum(ZigzagModel(N, b + math.pi / N, prof, t=t)))
+        mirrored = union_intervals(full_spectrum(ZigzagModel(N, -b, prof, t=t)))
         worst = max(worst, max_edge_deviation(base, shifted), max_edge_deviation(base, mirrored))
     ok = worst < 1e-10
     verdict("11", ok, f"50 random models, field shift/reflection edge dev {worst:.2e}")

@@ -47,7 +47,7 @@ from block_reference import (
     DENSE_AGREEMENT, NOT_LESS_EXTREME, REFERENCE_STACK, assert_edges, block_bands, channel, channels,
     dense_branch_ranges, every_arc_branch_ranges, fiber_levels, stack,
 )
-from closed_forms import reference_merge, step_channels
+from closed_forms import csv_lines, reference_merge, step_channels
 from nanotube_bands import cli, spectral
 from nanotube_bands.armchair import decompose_armchair, tube_geometry
 from nanotube_bands.core import ArmchairModel, PotentialProfile
@@ -216,7 +216,7 @@ def test_sweep_channels_match_per_step_loop(steps, N, potential, grid, tmp_path,
         for ch in channels
         for idx, (lo, hi) in enumerate(sorted([*ch.bands, *((e, e) for e in ch.flat_bands)]), start=1)
     ]
-    assert out.getvalue() == cli._table("%g,%g,%d,%d,%g,%g", rows, 12, "\n") + "\n"
+    assert out.getvalue() == "\n".join(csv_lines(rows, 12)) + "\n"
 
 
 def test_mixed_stack_with_constant_channels_matches_reference():

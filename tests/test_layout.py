@@ -17,11 +17,17 @@ A second guard keeps the tolerance policy in one place: a number literal of
 magnitude at most 1e-9, or arithmetic on number literals alone that comes to
 one (``2.0**-53``), may appear only in the tolerance table, the module-level
 assignments of ``core.py``.
+
+A third keeps the float rule of the writers in one place: the float spec of
+the output precision (``%.{sig}g``) and the quoted non-finite values
+(``"inf"``, ``"-inf"``, ``"nan"``) are spelled once in src/, in
+``cli._float_slots``.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -124,3 +130,65 @@ def test_rounding_guard_flags_literals_and_literal_arithmetic():
         (1, "1e-12"), (2, "1e-09"), (3, "-1e-13 * 4"), (3, "1e-12"), (3, "2.0 ** (-53)"),
     ]
     assert [line for line, _ in rounding_literals(source, table=True)] == [2, 3, 3, 3]
+
+
+FLOAT_SPEC = re.compile(r"\.\{[^{}]+\}g")  # a float spec whose precision is a variable: "%.{sig}g", "{x:.{sig}g}"
+NON_FINITE = re.compile(r'"-?(?:inf|nan)"')  # a non-finite float quoted for JSON
+
+
+def float_rule_spellings(source: str) -> list[tuple[str, str]]:
+    """(top-level definition, text) of each spelling of the float spec or of a quoted non-finite float in ``source``.
+
+    String constants are read, docstrings aside, and an f-string is read
+    whole as its source text, so that a spec inside a replacement field
+    counts once.
+    """
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    found = []
+    for top in tree.body:
+        todo = [top]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, ast.JoinedStr):
+                text = ast.unparse(node)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                text = node.value
+            else:
+                todo += ast.iter_child_nodes(node)
+                continue
+            name = getattr(top, "name", "<module>")
+            found += [(name, m.group()) for pattern in (FLOAT_SPEC, NON_FINITE) for m in pattern.finditer(text)]
+    return sorted(found)
+
+
+def test_the_float_rule_is_spelled_once_in_src():
+    found = [
+        f"{path.stem}.{name}: {text}"
+        for path in sorted(SRC.glob("*.py"))
+        for name, text in float_rule_spellings(path.read_text(encoding="utf-8"))
+    ]
+    rule = ".{sig}g", '"inf"', '"-inf"', '"nan"'
+    assert sorted(found) == sorted(f"cli._float_slots: {text}" for text in rule)
+
+
+def test_float_rule_guard_flags_specs_and_quotes_outside_docstrings():
+    source = (
+        "def fmt(x, sig):\n"
+        '    """Written ``%.{sig}g``, or ``"inf"`` in quotes."""\n'
+        "    if x != x:\n"
+        "        return '\"nan\"'\n"
+        '    return f"{float(x):.{sig}g}"\n'
+        "SPEC = f'%.{n}g'\n"
+        "MESSAGE = f'{x:.3g} \"-inf\"'\n"
+    )
+    assert float_rule_spellings(source) == [
+        ("<module>", '"-inf"'), ("<module>", ".{n}g"), ("fmt", '"nan"'), ("fmt", ".{sig}g"),
+    ]

@@ -146,7 +146,7 @@ def test_armchair_edges_are_metamorphic(model):
 def union_shape(model):
     """Number of union bands, number of union gaps and the multiplicity column of a model."""
     union = full_spectrum(model)
-    return union.lo.size, len(union.union_gaps), union.multiplicity.tolist()
+    return union.lo.size, union.union_gap_lo.size, union.multiplicity.tolist()
 
 
 @pytest.mark.parametrize("seed", [7, 2028])

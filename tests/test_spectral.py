@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from block_reference import assert_band_edges, block_bands, channel, channels
 from closed_forms import (
-    armchair_unperturbed, intervals_contain, reference_gaps, reference_merge, step_channels, structure_of,
+    ChannelBands, armchair_unperturbed, channels_of, intervals_contain, reference_gaps, reference_merge, step_channels,
+    structure_of, union_gaps, union_intervals,
 )
 from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag, discriminant, monodromy
 from nanotube_bands import (
@@ -27,7 +28,6 @@ from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError
 from nanotube_bands.spectral import (
     band_structure,
     block_period_matrix,
-    ChannelBands,
     fiber_matrices,
     fuse_rows,
     gap_after,
@@ -381,13 +381,13 @@ def test_block_fibers_reject_bad_multiplier():
 
 def test_armchair_unperturbed_closed_form():
     bs = armchair_unperturbed(3, 0.0)
-    np.testing.assert_allclose(merge_intervals(bs.union_intervals()), [(-3, 3)], atol=1e-12)
+    np.testing.assert_allclose(merge_intervals(union_intervals(bs)), [(-3, 3)], atol=1e-12)
     bs = armchair_unperturbed(4, 1.0)
-    merged = merge_intervals(bs.union_intervals())
+    merged = merge_intervals(union_intervals(bs))
     rt10 = math.sqrt(10)
     np.testing.assert_allclose(merged, [(-rt10, -1.0), (1.0, rt10)], atol=1e-12)
     # channel k = N starts at |v| and its short branch ends at sqrt(1 + v^2)
-    ch = bs.channels[-1]
+    ch = channels_of(bs)[-1]
     assert ch.k == 4
     assert ch.bands[-1][0] == pytest.approx(1.0)
     short_hi = math.sqrt(5 + 1 - 4)
@@ -400,7 +400,7 @@ def test_armchair_sweep_matches_closed_form():
             model = ArmchairModel(N, (0.0, 0.0, 0.0), PotentialProfile([-vt, vt]), t=1.0)
             swept = full_spectrum(model)
             closed = armchair_unperturbed(N, vt)
-            assert max_edge_deviation(swept.union_intervals(), closed.union_intervals()) < 1e-6
+            assert max_edge_deviation(union_intervals(swept), union_intervals(closed)) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +411,7 @@ def test_full_spectrum_alternating_no_flats():
     v = 0.8
     model = ZigzagModel(3, 0.0, PotentialProfile([v, -v]), t=1.0)
     bs = full_spectrum(model)
-    assert bs.flat_bands == []
+    assert not bs.flat.any()
     assert bs.lo[0] == pytest.approx(-math.sqrt(v**2 + 9), abs=1e-12)
     assert bs.hi[-1] == pytest.approx(math.sqrt(v**2 + 9), abs=1e-12)
 
@@ -420,11 +420,11 @@ def test_full_spectrum_flat_bands_at_even_N():
     v = 0.8
     model = ZigzagModel(2, 0.0, PotentialProfile([v, -v]), t=1.0)
     bs = full_spectrum(model)
-    energies = sorted(e for e, _ in bs.flat_bands)
+    energies = sorted(bs.row_lo[bs.flat].tolist())
     w = math.sqrt(1 + v**2)
     np.testing.assert_allclose(energies, [-w, w], atol=1e-12)
     # here the flat levels coincide with the inner edges of the widest channel
-    union = bs.union_intervals()
+    union = union_intervals(bs)
     assert union[0][1] == pytest.approx(-w, abs=1e-12)
     assert union[-1][0] == pytest.approx(w, abs=1e-12)
 
@@ -436,7 +436,7 @@ def test_isolated_flat_level_becomes_degenerate_union_band():
     ]
     bs = structure_of(channels)
     assert [b for b in _union_rows(bs) if math.isinf(b[2])] == [(0.3, 0.3, math.inf)]
-    assert bs.union_gaps == ((-1.0, 0.3), (0.3, 1.0))
+    assert union_gaps(bs) == ((-1.0, 0.3), (0.3, 1.0))
 
 
 def test_full_spectrum_field_shift_invariance():
@@ -449,7 +449,7 @@ def test_full_spectrum_field_shift_invariance():
         t = float(rng.normal())
         bs1 = full_spectrum(ZigzagModel(N, b, prof, t=t))
         bs2 = full_spectrum(ZigzagModel(N, b + math.pi / N, prof, t=t))
-        assert max_edge_deviation(bs1.union_intervals(), bs2.union_intervals()) < 1e-10
+        assert max_edge_deviation(union_intervals(bs1), union_intervals(bs2)) < 1e-10
 
 
 def test_union_multiplicity_segmentation():
@@ -459,7 +459,7 @@ def test_union_multiplicity_segmentation():
     ]
     bs = structure_of(channels)
     assert _union_rows(bs) == [(0.0, 1.0, 2.0), (1.0, 2.0, 4.0), (2.0, 3.0, 2.0)]
-    assert bs.union_gaps == ()
+    assert union_gaps(bs) == ()
 
 
 def test_union_keeps_bands_thinner_than_the_cut_spacing():
@@ -472,7 +472,7 @@ def test_union_keeps_bands_thinner_than_the_cut_spacing():
         0.08725, 0.870145, 0.631707, -0.994523, 0.714809, -0.932829, 0.459311, -0.648689,
     ]
     model = ZigzagModel(4, -3.106873458412769, PotentialProfile(potential), t=4.500851068224242)
-    union = np.array(full_spectrum(model).union_intervals())
+    union = np.array(union_intervals(full_spectrum(model)))
     levels = build_full_hamiltonian(model, 2 * model.potential.p).eigenvalues()
     outside = np.maximum(union[None, :, 0] - levels[:, None], levels[:, None] - union[None, :, 1])
     assert np.max(np.min(outside, axis=1)) <= 1e-8
@@ -593,7 +593,7 @@ def test_union_matches_quadratic_reference(seed):
         bs = structure_of(channels)
         bands, gaps = _quadratic_union(channels)
         assert _union_rows(bs) == bands
-        assert bs.union_gaps == gaps
+        assert union_gaps(bs) == gaps
 
 
 def _thin_band_channels(rng):
@@ -634,7 +634,7 @@ def test_union_of_thin_bands_and_flat_levels_matches_linear_scan(seed):
         bs = structure_of(channels)
         bands, gaps = _quadratic_union(channels)
         assert _union_bits(_union_rows(bs)) == _union_bits(bands)
-        assert bs.union_gaps == gaps
+        assert union_gaps(bs) == gaps
 
 
 @pytest.mark.parametrize(
@@ -656,7 +656,7 @@ def test_union_keeps_the_rounding_of_its_tolerance_tests(below, above):
         ChannelBands(k=3, c_k=None, bands=((below - 2.0, above + 2.0),)),
     ]
     bs = structure_of(channels)
-    assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
+    assert (_union_rows(bs), union_gaps(bs)) == _quadratic_union(channels)
 
 
 def test_union_matches_quadratic_reference_on_models():
@@ -667,25 +667,25 @@ def test_union_matches_quadratic_reference_on_models():
         b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N if rng.random() < 0.3 else float(rng.normal())
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
         bs = full_spectrum(model)
-        assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(list(bs.channels))
+        assert (_union_rows(bs), union_gaps(bs)) == _quadratic_union(channels_of(bs))
     # large models, where the +k/-k channel pairs put many cuts within 1e-12
     # of each other, two of them on a flat phase
     for N, q, flat in ((120, 24, True), (96, 17, False), (64, 24, True)):
         b = math.pi / 2 - math.pi * int(rng.integers(1, N + 1)) / N if flat else float(rng.normal())
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=float(rng.uniform(0.05, 10)))
         bs = full_spectrum(model)
-        assert any(ch.flat_bands for ch in bs.channels) == flat
-        assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(list(bs.channels))
+        assert any(ch.flat_bands for ch in channels_of(bs)) == flat
+        assert (_union_rows(bs), union_gaps(bs)) == _quadratic_union(channels_of(bs))
     # armchair models, compared to the bit; at t = 3e4 some branch ranges
     # are thinner than 1e-12 and become flat levels, one of them isolated
     for i, (N, q, t) in enumerate(((3, 8, 3e4), (2, 5, 0.3), (4, 3, 1.7), (5, 6, 12.0), (3, 1, 0.9), (6, 4, 0.06))):
         model = ArmchairModel(N, tuple(rng.uniform(-1, 1, 3)), PotentialProfile(rng.uniform(-1, 1, q)), t=t)
         bs = full_spectrum(model)
-        assert any(ch.flat_bands for ch in bs.channels) == (i == 0)
+        assert any(ch.flat_bands for ch in channels_of(bs)) == (i == 0)
         assert (math.inf in bs.multiplicity.tolist()) == (i == 0)
-        bands, gaps = _quadratic_union(list(bs.channels))
+        bands, gaps = _quadratic_union(channels_of(bs))
         assert _union_bits(_union_rows(bs)) == _union_bits(bands)
-        assert bs.union_gaps == gaps
+        assert union_gaps(bs) == gaps
     # and the structures without a segment: no channels, no bands, flat levels only
     for channels in (
         [],
@@ -694,7 +694,7 @@ def test_union_matches_quadratic_reference_on_models():
          ChannelBands(k=1, c_k=0.0, bands=(), flat_bands=(-0.0, 2.0))],
     ):
         bs = structure_of(channels)
-        assert (_union_rows(bs), bs.union_gaps) == _quadratic_union(channels)
+        assert (_union_rows(bs), union_gaps(bs)) == _quadratic_union(channels)
 
 
 def _bits(pairs):
@@ -714,7 +714,7 @@ def test_zigzag_channel_gaps_match_merged_bands():
             b = float(rng.normal())
         t = float(np.exp(rng.uniform(np.log(1e-3), np.log(40.0))))
         model = ZigzagModel(N, b, PotentialProfile(rng.uniform(-1, 1, q)), t=t)
-        for ch in full_spectrum(model).channels:
+        for ch in channels_of(full_spectrum(model)):
             assert _bits(ch.gaps) == _bits(reference_gaps(ch.bands))
             closed += len(ch.bands) - 1 - len(ch.gaps)
     assert closed > 0  # some neighbours fused
@@ -736,7 +736,7 @@ def test_armchair_channels_match_merged_branch_ranges():
             q, t = 7, float(np.exp(rng.uniform(np.log(1e3), np.log(1e5))))
         model = ArmchairModel(N, tuple(rng.uniform(-1, 1, 3)), PotentialProfile(rng.uniform(-1, 1, q)), t=t)
         lo, hi = block_branch_ranges(*decompose_armchair([model]))
-        for ch, row_lo, row_hi in zip(full_spectrum(model).channels, lo, hi):
+        for ch, row_lo, row_hi in zip(channels_of(full_spectrum(model)), lo, hi):
             merged = reference_merge(zip(row_lo.tolist(), row_hi.tolist()))
             assert _bits(ch.bands) == _bits([(a, b) for a, b in merged if b - a >= FLAT_BRANCH_TOL])
             assert _bits((e, e) for e in ch.flat_bands) == _bits((a, a) for a, b in merged if b - a < FLAT_BRANCH_TOL)

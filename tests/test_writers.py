@@ -2,16 +2,18 @@
 
 The references are the writers they replaced: the nested tree of the
 ``bands`` JSON built one value at a time from the columns of a
-``BandStructure`` and rendered by ``render_json``, the per-value
-``fmt_float`` row loops of ``_bands_csv`` and ``cmd_sweep``, and the
-per-channel ``sweep`` writer that read ``ChannelBands``.  The cases compare
-bytes at 1, 6, 12 and 17 significant digits, the seeded zigzag sweeps at 5,
-12 and 17.
+``BandStructure`` and rendered by ``render_json``, the per-value row loops
+of ``_bands_csv`` and ``cmd_sweep``, and the per-channel ``sweep`` writer
+that read ``ChannelBands`` (``closed_forms``).  The CSV references write
+their floats by ``closed_forms.float_text``, the CLI's float rule spelled
+apart from the CLI.  The cases compare bytes at 1, 6, 12 and 17 significant
+digits, the seeded zigzag sweeps at 5, 12 and 17.
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -19,11 +21,14 @@ import math
 import numpy as np
 import pytest
 
-from closed_forms import step_channels, structure_of
+import nanotube_bands
+from closed_forms import (
+    ChannelBands, csv_lines, float_text, step_channels, structure_of, union_gaps, union_intervals,
+)
 from nanotube_bands import cli, spectral
 from nanotube_bands.core import ArmchairModel, PotentialProfile, ZigzagModel, magnetic_phase
 from nanotube_bands.errors import HillOrderError
-from nanotube_bands.spectral import BandStructure, ChannelBands, full_spectrum
+from nanotube_bands.spectral import BandStructure, full_spectrum
 
 PRECISIONS = (1, 6, 12, 17)
 
@@ -48,7 +53,7 @@ def reference_tree(structure) -> dict:
                 {"lo": lo, "hi": hi, "multiplicity": "inf" if math.isinf(mult) else int(mult)}
                 for lo, hi, mult in union_rows(s)
             ],
-            "gaps": [[lo, hi] for lo, hi in s.union_gaps],
+            "gaps": [[lo, hi] for lo, hi in union_gaps(s)],
         },
     }
 
@@ -60,7 +65,7 @@ def union_rows(structure) -> list[tuple]:
 
 def reference_bands_csv(structure, sig: int) -> str:
     """The rows of a ``BandStructure`` written one by one: every band as ``k,i,lo,hi``, then every flat level."""
-    fmt, s = cli.fmt_float, structure
+    fmt, s = float_text, structure
     lines, count = [], {}
     for c, lo, hi, flat in zip(s.chan.tolist(), s.row_lo.tolist(), s.row_hi.tolist(), s.flat.tolist()):
         if not flat:
@@ -74,7 +79,7 @@ def reference_bands_csv(structure, sig: int) -> str:
 
 def reference_sweep_csv(Bs, phases, per_step, sig: int) -> str:
     """The former ``cmd_sweep`` row loop."""
-    fmt = cli.fmt_float
+    fmt = float_text
     lines = []
     for B, b, channels in zip(Bs, phases, per_step):
         field = f"{fmt(B, sig)},{fmt(b, sig)}"
@@ -86,21 +91,14 @@ def reference_sweep_csv(Bs, phases, per_step, sig: int) -> str:
 
 
 def channel_sweep_csv(Bs, phases, per_step, sig: int) -> str:
-    """The per-channel ``cmd_sweep`` writer that the edge-array writer replaced: one ``_table`` per field step."""
-    tables = (  # one table per field step, written as it is made
-        cli._table(
-            "%g,%g,%d,%d,%g,%g",
-            [
-                (B, b, ch.k, i, lo, hi)
-                for ch in channels
-                for i, (lo, hi) in enumerate(sorted([*ch.bands, *((e, e) for e in ch.flat_bands)]), start=1)
-            ],
-            sig,
-            "\n",
-        )
+    """The per-channel ``cmd_sweep`` writer that the edge-array writer replaced, its rows written by ``csv_lines``."""
+    rows = [
+        (B, b, ch.k, i, lo, hi)
         for B, b, channels in zip(Bs, phases, per_step)
-    )
-    return "".join(text + "\n" for text in tables if text) or "\n"
+        for ch in channels
+        for i, (lo, hi) in enumerate(sorted([*ch.bands, *((e, e) for e in ch.flat_bands)]), start=1)
+    ]
+    return "\n".join(csv_lines(rows, sig)) + "\n"
 
 
 def assert_writers_match(structure, monkeypatch, precisions=PRECISIONS) -> None:
@@ -186,8 +184,11 @@ INF, NAN = math.inf, math.nan
 F64 = np.float64
 
 
-def hand_built(c_k, rows=(), gaps=(), union=(), union_gaps=()) -> BandStructure:
-    """A ``BandStructure`` of the given columns: (chan, lo, hi, flat) rows, (chan, lo, hi) gaps, (lo, hi, mult) union."""
+def hand_built(c_k, rows=(), gaps=(), union=(), gaps_of_union=()) -> BandStructure:
+    """A ``BandStructure`` of the given columns: (chan, lo, hi, flat) rows, (chan, lo, hi) gaps, (lo, hi, mult) union.
+
+    The union's gaps are (lo, hi) pairs.
+    """
 
     def columns(table, width, types):
         table = list(table)
@@ -195,8 +196,8 @@ def hand_built(c_k, rows=(), gaps=(), union=(), union_gaps=()) -> BandStructure:
 
     rows = columns(rows, 4, (int, float, float, bool))
     gaps = columns(gaps, 3, (int, float, float))
-    union = columns(union, 3, (float, float, float))
-    return BandStructure(np.array(c_k, dtype=object), *rows, *gaps, *union, tuple(union_gaps))
+    union = columns(union, 3, (float, float, float)) + columns(gaps_of_union, 2, (float, float))
+    return BandStructure(np.array(c_k, dtype=object), *rows, *gaps, *union)
 
 
 def hand_built_structures():
@@ -209,7 +210,7 @@ def hand_built_structures():
                   (2, -1.0, -0.0, False), (2, 0.0, 0.0, True), (2, 0.0, 2.0, False)],
             gaps=[(2, -0.0, 0.0), (0, 0.0, -0.0)],
             union=[(-1.0, -0.0, 2.0), (-0.0, 0.0, 4.0), (0.0, -0.0, INF), (0.0, 2.0, 2.0)],
-            union_gaps=[(-0.0, 0.0), (0.0, -0.0)],
+            gaps_of_union=[(-0.0, 0.0), (0.0, -0.0)],
         ),
         # nan, inf and -inf in every column, next to finite float64 values
         "non_finite_and_float64": hand_built(
@@ -219,7 +220,7 @@ def hand_built_structures():
                   (1, 1e-5, 1.2345678901234567e17, False), (1, 5e-324, 5e-324, True), (1, -1e300, -1e300, True)],
             gaps=[(0, -1.5, F64(0.25)), (0, NAN, 3.0), (1, -1e-300, 1e-5)],
             union=[(-INF, -1.5, 2.0), (F64(-0.0), 0.0, F64(4.0)), (0.5, 0.5, INF), (1e-5, NAN, 2.0)],
-            union_gaps=[(-1.5, -0.0), (NAN, INF), (nan, 1.0)],
+            gaps_of_union=[(-1.5, -0.0), (NAN, INF), (nan, 1.0)],
         ),
         # channels without rows, first, between and last, and no union
         "empty_channels_empty_union": hand_built(
@@ -231,7 +232,7 @@ def hand_built_structures():
             rows=[(0, -1.0, -0.5, False), (0, 0.5, 1.0, False), (1, 0.25, 0.25, True)],
             gaps=[(0, -0.5, 0.5)],
             union=[(-1.0, -0.5, 2.0), (0.25, 0.25, INF), (0.5, 1.0, 2.0)],
-            union_gaps=[(-0.5, 0.25), (0.25, 0.5)],
+            gaps_of_union=[(-0.5, 0.25), (0.25, 0.5)],
         ),
         "no_channels": hand_built([]),
         # the union of flat levels alone, through band_structure
@@ -246,9 +247,10 @@ def test_hand_built_union_columns_read_back():
     assert [(repr(lo), repr(hi), m) for lo, hi, m in union_rows(zeros)] == [
         ("-1.0", "-0.0", 2.0), ("-0.0", "0.0", 4.0), ("0.0", "-0.0", INF), ("0.0", "2.0", 2.0),
     ]
-    assert repr(odd.union_intervals()[-1]) == "(1e-05, nan)" and odd.c_k.tolist()[2] is None
+    assert repr(union_intervals(odd)[-1]) == "(1e-05, nan)" and odd.c_k.tolist()[2] is None
+    assert repr(union_gaps(odd)) == "((-1.5, -0.0), (nan, inf), (nan, 1.0))"
     assert [math.copysign(1.0, x) for x in zeros.c_k.tolist()] == [1.0, -1.0, -1.0]
-    assert repr(structures["flat_only"].union_intervals()) == "[(-0.0, -0.0), (0.5, 0.5)]"
+    assert repr(union_intervals(structures["flat_only"])) == "[(-0.0, -0.0), (0.5, 0.5)]"
 
 
 @pytest.mark.parametrize("name", sorted(hand_built_structures()))
@@ -268,23 +270,20 @@ def test_distinct_values_keep_their_sign_and_quotes(monkeypatch):
     assert '"c_k": null' in odd and '"-inf"' in odd and '"hi": "nan"' in odd
 
 
-def test_bands_json_builds_no_union_records(monkeypatch):
+def test_bands_json_builds_no_union_records():
+    # a BandStructure holds its columns and nothing else: no per-channel
+    # view, no list of union bands or gaps for a writer to read
     structure = full_spectrum(ZigzagModel(6, 0.3, PotentialProfile([0.4, -0.2, 0.7]), t=1.1))
-    want = cli.render_json(reference_tree(structure))
-
-    def refuse(self):
-        raise AssertionError("the writer read an object view")
-
-    for name in ("channels", "union_intervals", "flat_bands"):
-        monkeypatch.setattr(BandStructure, name, property(refuse))
-    assert cli._bands_json(structure) == want
+    assert [name for name in dir(BandStructure) if not name.startswith("_")] == []
+    assert all(isinstance(getattr(structure, f.name), np.ndarray) for f in dataclasses.fields(BandStructure))
+    assert structure.union_gap_lo.size == structure.union_gap_hi.size > 0
+    assert cli._bands_json(structure) == cli.render_json(reference_tree(structure))
 
 
-def test_bands_builds_no_channel_bands(tmp_path, monkeypatch):
-    # bands writes JSON and CSV from the columns of channel_rows, on both lattices
-    def refuse(*args, **kwargs):
-        raise AssertionError("bands built channel bands")
-
+def test_bands_builds_no_channel_bands(tmp_path):
+    # bands writes JSON and CSV from the columns of channel_rows, on both
+    # lattices; the package has no per-channel view to build
+    assert not hasattr(spectral, "ChannelBands") and "ChannelBands" not in nanotube_bands.__all__
     pot = tmp_path / "v.json"
     pot.write_text("[0.3, -0.2, 0.6]")
     printed = {}
@@ -295,14 +294,8 @@ def test_bands_builds_no_channel_bands(tmp_path, monkeypatch):
             with contextlib.redirect_stdout(out):
                 assert cli.main(argv) == 0
             printed[lattice, fmt] = out.getvalue()
-    monkeypatch.setattr(spectral.ChannelBands, "__init__", refuse)
-    for (lattice, fmt), want in printed.items():
-        argv = f"bands --lattice {lattice} --N 6 --B 0.7 --format {fmt} --potential {pot}".split()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            assert cli.main(argv) == 0
-        assert out.getvalue() == want
     assert json.loads(printed["zigzag", "json"])["channels"][5]["k"] == 6
+    assert printed["zigzag", "csv"].count("\n") == 6 * 6
     assert printed["armchair", "csv"].count("\n") >= 6
 
 
@@ -391,6 +384,37 @@ def test_sweep_with_non_finite_edges_matches_reference(tmp_path, monkeypatch):
         assert '"nan"' in out and '"-inf"' in out
 
 
+def test_non_finite_floats_are_quoted_by_the_one_float_rule(tmp_path, monkeypatch):
+    # hand-built bands CSV rows and a hand-built sweep step hold inf, -inf and
+    # nan: each table takes its slot from _float_slots, which quotes them
+    slots = []
+    rule = cli._float_slots
+
+    def recorded(values, sig):
+        slot, texts = rule(values, sig)
+        slots.append(slot)
+        return slot, texts
+
+    monkeypatch.setattr(cli, "_float_slots", recorded)
+    monkeypatch.setenv("NANOTUBE_BANDS_PRECISION", "6")
+    s = hand_built_structures()["non_finite_and_float64"]
+    assert cli._bands_csv(s.chan, s.row_lo, s.row_hi, s.flat).splitlines() == [
+        '1,1,"-inf",-1.5', "1,2,0.25,0.333333", '1,3,2,"nan"', '1,4,3,"inf"', "2,1,-0.666667,-1e-300",
+        "2,2,1e-05,1.23457e+17", 'flat,1,"nan"', "flat,2,4.94066e-324", "flat,2,-1e+300",
+    ]
+    assert slots == ["%s"]
+    # one field step of two channels of two bands, their edges substituted for the solver's
+    lo, hi = np.array([[[[-INF, 0.0], [0.25, 1.0]]], [[[-1.0, NAN], [0.5, INF]]]])
+    flat, c_k = np.zeros((1, 2), dtype=bool), np.array([[0.5, -0.5]])
+    monkeypatch.setattr(spectral, "zigzag_channel_edges", lambda models, *place: (flat, c_k, lo, hi))
+    slots.clear()
+    out = run_sweep("sweep --lattice zigzag --N 2 --B-start 0.5", [0.1, -0.1], tmp_path)
+    assert out.splitlines() == [
+        '0.5,0.09375,1,1,"-inf",-1', '0.5,0.09375,1,2,0,"nan"', "0.5,0.09375,2,1,0.25,0.5", '0.5,0.09375,2,2,1,"inf"',
+    ]
+    assert slots == ["%s", "%.6g", "%.6g"]  # the step's edges, then B and b by fmt_float
+
+
 # (N, q, t, B_start, B_stop, steps); B_stop None puts the last step on the
 # first flat amplitude of channel 1, where the channel is flat
 ZIGZAG_SWEEPS = [
@@ -429,12 +453,9 @@ def test_zigzag_sweep_matches_channel_writer(case, tmp_path, monkeypatch):
         assert out == reference_sweep_csv(Bs, phases, per_step, sig)
 
 
-def test_zigzag_sweep_builds_no_channel_bands(tmp_path, monkeypatch):
-    # both lattices write the sweep from the rows of channel_rows
-    def refuse(*args, **kwargs):
-        raise AssertionError("the sweep built channel bands")
-
-    monkeypatch.setattr(spectral.ChannelBands, "__init__", refuse)
+def test_zigzag_sweep_builds_no_channel_bands(tmp_path):
+    # both lattices write the sweep from the rows of channel_rows; the package has no per-channel view
+    assert not hasattr(spectral, "ChannelBands")
     argv = "sweep --N 6 --B-start 0 --B-stop 2 --B-steps 4 --lattice"
     assert run_sweep(f"{argv} zigzag", [0.3, -0.2, 0.6], tmp_path).count("\n") == 4 * 6 * 6
     assert run_sweep(f"{argv} armchair", [0.3, -0.2, 0.6], tmp_path).count("\n") >= 4 * 6  # a band or more per channel
@@ -538,9 +559,3 @@ def test_an_output_file_in_a_missing_directory_is_refused_by_its_own_name(tmp_pa
     argv = ["bands", "--lattice", "zigzag", "--N", "3", "--b", "0.3", "--potential", str(pot), "--output", str(out)]
     assert cli.main(argv) == 2
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
-
-
-def test_table_escapes_literal_percent():
-    assert cli._table("%%%d,%g%%", [(3, 0.5), (4, -0.25)], 12, ";") == "%3,0.5%;%4,-0.25%"
-    assert cli._table("%%g=%g", [(math.inf,)], 12, "") == '%g="inf"'
-    assert cli._table("%g", [], 12, ",") == ""
