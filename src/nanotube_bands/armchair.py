@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ArmchairModel, PotentialProfile, check_tube_size
-from .errors import InvalidModelError
+from .errors import InvalidInputError
 
 
 def decompose_armchair(models) -> tuple[np.ndarray, np.ndarray]:
@@ -89,11 +89,11 @@ def tube_geometry(N: int, B: float) -> tuple[TubeGeometry, tuple[float, float, f
     r1sq = R**2 - 1.0
     r2sq = (2.0 * R) ** 2 - 1.0
     if r1sq < 0.0 or r2sq < 0.0:
-        raise InvalidModelError("degenerate tube geometry: radius too small")
+        raise InvalidInputError("degenerate tube geometry: radius too small")
     R1, R2 = math.sqrt(r1sq), math.sqrt(r2sq)
     hsq = 2.0 + R1 * R2 - 2.0 * R**2
     if hsq < 0.0:
-        raise InvalidModelError("degenerate tube geometry: negative axial step")
+        raise InvalidInputError("degenerate tube geometry: negative axial step")
     geom = TubeGeometry(
         N=N,
         R=R,

@@ -31,7 +31,7 @@ from .core import (
     DEGENERATE_LEVEL_TOL, DISTINCT_TOL, FOURIER_ZERO_TOL, RUNG_PAIR_TOL, SAME_BOND_TOL, UNIT_BOND_TOL,
     ArmchairModel, PotentialProfile, ZigzagModel, energy_scale, is_flat_channel,
 )
-from .errors import InvalidInputError, NotApplicableError
+from .errors import InvalidInputError
 from .spectral import (
     block_branch_ranges,
     flat_band_spectrum,
@@ -129,11 +129,11 @@ def predict_ck_shrink(
     p = profile.p
     levels = flat_band_spectrum(profile, t)
     if not 1 <= s <= 2 * p:
-        raise NotApplicableError(f"band index s must lie in 1..{2 * p}, got {s}")
+        raise InvalidInputError(f"band index s must lie in 1..{2 * p}, got {s}")
     lam = levels[s - 1]
     others = np.delete(levels, s - 1)
     if others.size and np.min(np.abs(others - lam)) < DEGENERATE_LEVEL_TOL:
-        raise NotApplicableError(f"level {lam} is degenerate; shrinkage rate undefined")
+        raise InvalidInputError(f"level {lam} is degenerate; shrinkage rate undefined")
     with np.errstate(over="ignore"):  # a spacing past the float range gives width 0
         spacing = float(np.prod(np.abs(others - lam))) if others.size else 1.0
     try:
@@ -181,12 +181,12 @@ def predict_small_t(profile: PotentialProfile, c_k: float, n: int) -> SmallTPred
     central gap of the unit-hopping chain the rate is |hat0_p - hat1_p|.
     """
     if is_flat_channel(c_k):
-        raise NotApplicableError("flat-band channel has no dispersive gap edges")
+        raise InvalidInputError("flat-band channel has no dispersive gap edges")
     if not profile.is_zero_mean():
         raise InvalidInputError("weak-coupling slopes need a zero-mean potential")
     p = profile.p
     if n not in admissible_gap_indices(p, c_k):
-        raise NotApplicableError(f"gap {n} has no first-order law for this channel")
+        raise InvalidInputError(f"gap {n} has no first-order law for this channel")
     a = 2.0 * abs(c_k)
     hat0, hat1 = fourier_hats(profile)
     tau = cmath.exp(1j * math.pi * n / p)
@@ -307,7 +307,7 @@ def low_energy_windows(N: int, p: int) -> LowEnergyWindows:
         if N % 3 == 0:
             r_low = abs(1.0 - cmath.exp(1j * math.pi / N))
     if r_high is None and N % 3 == 0:
-        raise NotApplicableError(f"no window statement applies for N={N}, p={p}")
+        raise InvalidInputError(f"no window statement applies for N={N}, p={p}")
     return LowEnergyWindows(
         r_high=r_high, rho_high=rho_high, r_low=r_low, central_gap_expected=N % 3 != 0
     )
@@ -361,7 +361,7 @@ def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> L
     or separation product alone overflows is 0, and one that underflows is inf.
     """
     if is_flat_channel(c_k):
-        raise NotApplicableError("flat-band channel: clusters are single points")
+        raise InvalidInputError("flat-band channel: clusters are single points")
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
     p = profile.p
@@ -513,7 +513,7 @@ def predict_large_t_armchair(
     """
     q = profile.q
     if q % 4 != 0 or q < 12:
-        raise NotApplicableError("cluster law needs a 4m-periodic potential with m > 2")
+        raise InvalidInputError("cluster law needs a 4m-periodic potential with m > 2")
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
     vals = np.asarray(profile.values, dtype=float)

@@ -1,7 +1,8 @@
 """Command-line front end: model assembly, dispatch, deterministic output.
 
-Exit codes: 0 success, 1 completed but a requested check failed, 2 bad input,
-3 internal consistency failure.  Every float is written by one rule
+Exit codes: 0 success, 1 completed but a requested check failed, 2 bad input
+(``InvalidInputError``, or a missing potential file), 3 internal consistency
+failure (``InternalConsistencyError``).  Every float is written by one rule
 (``_float_slots``), with a fixed number of significant digits (env
 NANOTUBE_BANDS_PRECISION, default 12), so identical configurations produce
 byte-identical files.  This module alone knows the output schemas: the band
@@ -24,15 +25,7 @@ import numpy as np
 from . import asymptotics as asy
 from .armchair import model_from_field, tube_geometry
 from .core import ArmchairModel, PotentialProfile, ZigzagModel, check_coupling, load_potential, magnetic_phase
-from .errors import (
-    FlatBandChannelError,
-    InternalConsistencyError,
-    InvalidInputError,
-    InvalidModelError,
-    InvalidParameterError,
-    InvalidTruncationError,
-    NotApplicableError,
-)
+from .errors import InternalConsistencyError, InvalidInputError
 from .oracle import compare_decomposition
 from .spectral import SWEEP_CHANNELS, channel_rows, full_spectrum
 
@@ -486,7 +479,7 @@ def cmd_asym(args) -> int:
         opts["tolerance"] = args.tolerance
     reports = _ASYM_TABLE[args.regime][1](args, opts)
     if not reports:
-        raise NotApplicableError(f"regime {args.regime} has no report for this input")
+        raise InvalidInputError(f"regime {args.regime} has no report for this input")
     _write(render_json([r.to_json_dict() for r in reports]), args.output)
     return 0 if all(r.passed for r in reports) else 1
 
@@ -610,15 +603,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(_attach_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
-    except (
-        FlatBandChannelError,
-        InvalidInputError,
-        InvalidModelError,
-        InvalidParameterError,
-        InvalidTruncationError,
-        NotApplicableError,
-        FileNotFoundError,
-    ) as exc:
+    except (InvalidInputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalConsistencyError as exc:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError, InvalidModelError
+from .errors import InvalidInputError
 
 # ---------------------------------------------------------------------------
 # Tolerances: every rounding-level threshold of the package, named once.  Dimensionless entries judge
@@ -134,7 +134,7 @@ def load_potential(path) -> PotentialProfile:
 def check_tube_size(N) -> None:
     """Refuse a tube size N that is not an integer of at least 2."""
     if not isinstance(N, (int, np.integer)) or N < 2:
-        raise InvalidModelError(f"need integer N >= 2, got {N!r}")
+        raise InvalidInputError(f"need integer N >= 2, got {N!r}")
 
 
 def magnetic_phase(B: float, N: int) -> float:
@@ -153,7 +153,7 @@ def flat_field_amplitudes(N: int, k: int, s_range) -> list[float]:
     """
     check_tube_size(N)
     if not 1 <= k <= N:
-        raise InvalidModelError(f"channel index k must lie in 1..{N}, got {k}")
+        raise InvalidInputError(f"channel index k must lie in 1..{N}, got {k}")
     tan_half = math.tan(math.pi / (2 * N))
     out = []
     for s in s_range:
@@ -166,7 +166,7 @@ def flat_field_amplitudes(N: int, k: int, s_range) -> list[float]:
 def _check_finite(**values: float) -> None:
     for name, x in values.items():
         if not math.isfinite(x):
-            raise InvalidModelError(f"{name} must be finite, got {x}")
+            raise InvalidInputError(f"{name} must be finite, got {x}")
 
 
 def check_coupling(t: float, potential: PotentialProfile) -> None:
@@ -174,7 +174,7 @@ def check_coupling(t: float, potential: PotentialProfile) -> None:
     and difference of two of them, lies in the float range."""
     vmax = max(map(abs, potential.values))
     if not math.isfinite(2.0 * (t * vmax)):
-        raise InvalidModelError(f"t * max|v| must be at most half the largest float, got {t} * {vmax}")
+        raise InvalidInputError(f"t * max|v| must be at most half the largest float, got {t} * {vmax}")
 
 
 @dataclass(frozen=True)
@@ -211,7 +211,7 @@ class ArmchairModel:
     def __post_init__(self) -> None:
         check_tube_size(self.N)
         if len(self.phases) != 3:
-            raise InvalidModelError("armchair model needs exactly three phases (b1, b2, b3)")
+            raise InvalidInputError("armchair model needs exactly three phases (b1, b2, b3)")
         object.__setattr__(self, "phases", tuple(float(x) for x in self.phases))
         _check_finite(b1=self.phases[0], b2=self.phases[1], b3=self.phases[2], t=self.t)
         check_coupling(self.t, self.potential)

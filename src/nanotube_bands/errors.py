@@ -1,28 +1,14 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one per exit code of the CLI.
 
-
-class InvalidModelError(ValueError):
-    """Model parameters violate a structural requirement (e.g. N < 2)."""
+``InvalidInputError`` is every refusal (exit 2): a malformed file, an
+inconsistent flag, a model or argument outside its domain, or a regime whose
+hypotheses these inputs do not meet.  ``InternalConsistencyError`` is a
+failed cross-check (exit 3).
+"""
 
 
 class InvalidInputError(ValueError):
-    """Bad user-supplied data: malformed potential file, inconsistent flags."""
-
-
-class InvalidParameterError(ValueError):
-    """A numeric argument is outside its admissible domain (e.g. |tau| != 1)."""
-
-
-class FlatBandChannelError(ValueError):
-    """Transfer-matrix machinery was applied to a channel with a vanishing hopping."""
-
-
-class NotApplicableError(ValueError):
-    """An asymptotic predictor's hypotheses are not met for these inputs."""
-
-
-class InvalidTruncationError(ValueError):
-    """Finite axial length incompatible with the potential period."""
+    """The inputs are refused: the message says which requirement they miss."""
 
 
 class InternalConsistencyError(RuntimeError):

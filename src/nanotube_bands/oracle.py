@@ -29,7 +29,7 @@ import numpy as np
 
 from .armchair import decompose_armchair
 from .core import HERMITIAN_TOL, ROTATION_TOL, UNIT_ROUNDOFF, VERIFY_FLOOR, ArmchairModel, ZigzagModel, energy_scale
-from .errors import InternalConsistencyError, InvalidTruncationError
+from .errors import InternalConsistencyError, InvalidInputError
 from .spectral import block_period_matrix, fiber_matrices, scalar_period_matrix
 from .zigzag import channel_bonds
 
@@ -49,7 +49,6 @@ class FiniteHamiltonian:
     values: np.ndarray
     N: int
     L: int
-    lattice: str
 
     def __post_init__(self) -> None:
         # H - H^H is 0 - 0 off the written entries, so its residual is taken on them only
@@ -119,13 +118,23 @@ class FiniteHamiltonian:
         scale, times the square root of the written entries.  On 300 tori of
         N 300-1024 the norm stayed below 0.15 of that; ROTATION_TOL alone
         refused tori of N about 900 and more, L = 1, which ``verify`` accepts.
+
+        A block entry whose imaginary part is at most u times the scale has it
+        set to zero before the solve: on a nearly real block (imaginary parts
+        near 1e-159 on a scale of 3) the complex eigensolve misplaced a level
+        by 1e-7.  The change is at most u times the scale in each of the
+        (2L)^2 entries, so by Weyl's theorem it moves no level by more than
+        2L u <= 2 MAX_CELLS u times the scale, a quarter of the rounding
+        VERIFY_FLOOR already allows a deviation.
         """
         blocks, off = self.circumferential_blocks()
-        bound = max(ROTATION_TOL, self.N * math.sqrt(self.values.size) * UNIT_ROUNDOFF) * energy_scale(self.values)
+        scale = energy_scale(self.values)
+        bound = max(ROTATION_TOL, self.N * math.sqrt(self.values.size) * UNIT_ROUNDOFF) * scale
         if not off <= bound:
             raise InternalConsistencyError(
                 f"torus Hamiltonian is not rotation invariant: off-block norm {off} exceeds {bound}"
             )
+        blocks.imag[np.abs(blocks.imag) <= UNIT_ROUNDOFF * scale] = 0.0
         return np.sort(np.linalg.eigvalsh(blocks), axis=None)
 
 
@@ -138,11 +147,11 @@ MAX_DIM = 2048
 def _check_truncation(model, L: int) -> None:
     p = model.potential.p
     if not isinstance(L, (int, np.integer)) or L < 1 or L % p != 0:
-        raise InvalidTruncationError(f"axial length L = {L!r} must be a positive multiple of p = {p}")
+        raise InvalidInputError(f"axial length L = {L!r} must be a positive multiple of p = {p}")
     if L > MAX_CELLS:
-        raise InvalidTruncationError(f"axial length L = {L} exceeds the oracle's torus cap {MAX_CELLS}")
+        raise InvalidInputError(f"axial length L = {L} exceeds the oracle's torus cap {MAX_CELLS}")
     if 2 * model.N * L > MAX_DIM:
-        raise InvalidTruncationError(f"torus dimension 2NL = {2 * model.N * L} exceeds the oracle's torus cap {MAX_DIM}")
+        raise InvalidInputError(f"torus dimension 2NL = {2 * model.N * L} exceeds the oracle's torus cap {MAX_DIM}")
 
 
 def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:
@@ -184,8 +193,7 @@ def build_full_hamiltonian(model, L: int) -> FiniteHamiltonian:
     index, slot = np.unique(r * dim + c, return_inverse=True)
     values = np.zeros(index.size, dtype=complex)
     np.add.at(values, slot, terms)  # added onto zeros, not assigned: a -0.0 product is stored as 0.0
-    lattice = "zigzag" if isinstance(model, ZigzagModel) else "armchair"
-    return FiniteHamiltonian(*np.divmod(index, dim), values, N=N, L=L, lattice=lattice)
+    return FiniteHamiltonian(*np.divmod(index, dim), values, N=N, L=L)
 
 
 def channel_fiber_eigenvalues(model, L: int) -> np.ndarray:

@@ -70,7 +70,7 @@ from .core import (
     LEVEL_SKIP_SLACK, UNIMODULAR_TOL, UNION_CUT_TOL, UNIT_ROUNDOFF, ArmchairModel, PotentialProfile, ZigzagModel,
     energy_scale, is_flat_channel,
 )
-from .errors import FlatBandChannelError, HillOrderError, InternalConsistencyError, InvalidParameterError
+from .errors import HillOrderError, InternalConsistencyError, InvalidInputError
 from .zigzag import channel_constants
 
 STACK_BYTES = 2**20  # bytes of fiber matrices per eigvalsh call: 64 complex 32 x 32, 1024 real 8 x 8
@@ -150,7 +150,7 @@ def _check_unimodular(taus) -> np.ndarray:
     taus = taus.astype(np.result_type(taus, float), copy=False)
     off = np.abs(np.abs(taus) - 1.0) > UNIMODULAR_TOL
     if off.any():
-        raise InvalidParameterError(
+        raise InvalidInputError(
             f"quasi-momentum multiplier must be unimodular, got |tau| = {abs(taus[off][0])}"
         )
     return taus
@@ -678,7 +678,7 @@ def zigzag_chain_edges(c_k, diag) -> np.ndarray:
     """
     c = np.asarray(c_k, dtype=float)
     if np.any(is_flat_channel(c)):
-        raise FlatBandChannelError("flat-band channel: use flat_band_spectrum instead")
+        raise InvalidInputError("flat-band channel: use flat_band_spectrum instead")
     diag = np.asarray(diag, dtype=float)
     bonds = np.ones(np.broadcast_shapes(c.shape + (1,), diag.shape))
     bonds[..., 1::2] = 2.0 * np.abs(c)[..., None]

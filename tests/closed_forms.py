@@ -35,7 +35,7 @@ import numpy as np
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.armchair import decompose_armchair
 from nanotube_bands.core import PotentialProfile, ZigzagModel, is_flat_channel
-from nanotube_bands.errors import InvalidInputError, NotApplicableError
+from nanotube_bands.errors import InvalidInputError
 from nanotube_bands.spectral import (
     GAP_MERGE_TOL, BandStructure, band_structure, block_branch_ranges, channel_rows, full_spectrum,
 )
@@ -384,7 +384,7 @@ def predict_large_t_zigzag(
     dressing bound plus the width, so it contains the band for every channel.
     """
     if is_flat_channel(c_k):
-        raise NotApplicableError("flat-band channel: clusters are single points")
+        raise InvalidInputError("flat-band channel: clusters are single points")
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
     p = profile.p
@@ -457,7 +457,7 @@ def predict_large_t_armchair(
     """
     q = profile.q
     if q % 4 != 0 or q < 12:
-        raise NotApplicableError("cluster law needs a 4m-periodic potential with m > 2")
+        raise InvalidInputError("cluster law needs a 4m-periodic potential with m > 2")
     if t <= 0:
         raise InvalidInputError("strong-coupling regime needs t > 0")
     vals = np.asarray(profile.values, dtype=float)

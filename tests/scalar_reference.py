@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from nanotube_bands.core import FLAT_CHANNEL_TOL, ZigzagModel
-from nanotube_bands.errors import FlatBandChannelError
+from nanotube_bands.errors import InvalidInputError
 from nanotube_bands.spectral import periodic_jacobi_band_edges
 
 
@@ -95,7 +95,7 @@ def monodromy(jac: ScalarPeriodicJacobi, z) -> np.ndarray:
     an array of energies gives the bits of one call per energy.
     """
     if jac.is_flat:
-        raise FlatBandChannelError("monodromy undefined for a flat-band channel (vanishing bond)")
+        raise InvalidInputError("monodromy undefined for a flat-band channel (vanishing bond)")
     a = jac.a
     z = np.asarray(z, dtype=float)
     m = 2 * jac.p

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
-from nanotube_bands.errors import InvalidInputError, NotApplicableError
+from nanotube_bands.errors import InvalidInputError
 from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix, zigzag_chain_edges
 import closed_forms
 from closed_forms import intervals_contain, p1_closed_form, unperturbed_edges
@@ -97,7 +97,7 @@ def test_shrink_zero_constant_gives_flat_level():
 
 
 def test_shrink_rejects_degenerate_level():
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(InvalidInputError, match="is degenerate"):
         asy.predict_ck_shrink(PotentialProfile([0.0, 0.0, 0.0, 0.0]), 0.1, s=1)
 
 
@@ -121,7 +121,7 @@ def test_small_t_zero_potential():
 def test_small_t_no_admissible_gap_at_half_period_one():
     # p = 1 has only the central gap, which opens at first order only for
     # the unit-hopping chain
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(InvalidInputError, match="has no first-order law"):
         asy.predict_small_t(PotentialProfile([0.4, -0.4]), 0.4, n=1)
     assert asy.predict_small_t(PotentialProfile([0.4, -0.4]), 0.5, n=1).slope > 0
 
@@ -138,7 +138,7 @@ def test_small_t_unperturbed_edges():
 
 def test_small_t_central_gap_requires_unit_chain():
     prof = zero_mean_profile(np.random.default_rng(3), 4)
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(InvalidInputError, match="has no first-order law"):
         asy.predict_small_t(prof, 0.7, n=2)
     pred = asy.predict_small_t(prof, 0.5, n=2)  # a = 1
     hat0, hat1 = asy.fourier_hats(prof)
@@ -201,7 +201,7 @@ def test_window_radii():
     assert not w.central_gap_expected
     w4 = asy.low_energy_windows(4, 2)
     assert w4.r_high is None and w4.central_gap_expected
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(InvalidInputError, match="no window statement applies"):
         asy.low_energy_windows(6, 3)
 
 
@@ -305,7 +305,7 @@ def same_outcome(predict, reference):
     """Both predictors' results, or the same refusal from both."""
     try:
         expected = reference()
-    except (InvalidInputError, NotApplicableError) as exc:
+    except InvalidInputError as exc:
         with pytest.raises(type(exc), match=re.escape(str(exc))):
             predict()
         return None, None
@@ -353,7 +353,7 @@ def test_phase_weight_zero_field_top_channel():
 
 
 def test_large_t_armchair_rejects_short_period():
-    with pytest.raises(NotApplicableError):
+    with pytest.raises(InvalidInputError, match="cluster law needs a 4m-periodic potential"):
         asy.predict_large_t_armchair(PotentialProfile(np.linspace(-1, 1, 8)), 1, 30.0, 4)
 
 

@@ -51,7 +51,7 @@ from closed_forms import csv_lines, reference_merge, step_channels
 from nanotube_bands import cli, spectral
 from nanotube_bands.armchair import decompose_armchair, tube_geometry
 from nanotube_bands.core import ArmchairModel, PotentialProfile
-from nanotube_bands.errors import InternalConsistencyError, InvalidParameterError
+from nanotube_bands.errors import InternalConsistencyError, InvalidInputError
 from nanotube_bands.oracle import build_full_hamiltonian
 from nanotube_bands.spectral import (
     block_period_matrix,
@@ -354,7 +354,7 @@ def test_paired_multipliers_keep_both_checks():
         periods, wraps = block_period_matrix(*decompose_armchair([model]))
         m = 2 * p
         taus = np.exp(1j * np.arange(4.0))
-        with pytest.raises(InvalidParameterError):
+        with pytest.raises(InvalidInputError, match="must be unimodular"):
             fiber_matrices(periods, wraps, np.where(np.arange(4) == 3, 1.01 * taus, taus))
         # off the corners (for p > 1), in the lower-left corner and in the upper-right one
         for entry in ((0, 1), (m - 1, 0), (1, m - 2)):

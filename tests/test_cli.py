@@ -1261,3 +1261,14 @@ def test_verify_of_a_wide_torus_passes(tmp_path, argv, potential):
     pot.write_text(json.dumps(potential))
     code, out, err = run_in_process(argv.split() + ["--potential", str(pot)])
     assert (code, err) == (0, "") and json.loads(out)["pass"] is True
+
+
+def test_verify_of_a_nearly_real_torus_passes(tmp_path):
+    # exit 3 with max_abs_dev 1.16e-07: the kappa = 0 block's imaginary parts are
+    # about 1.7e-159, and the complex eigensolve put its lowest level off by 1e-7
+    pot = tmp_path / "v.json"
+    pot.write_text("[0.13383367775873012]")
+    argv = "verify --lattice armchair --N 7 --t 1e-149 --B=1e-159".split()
+    code, out, err = run_in_process(argv + ["--potential", str(pot)])
+    report = json.loads(out)
+    assert (code, err) == (0, "") and report["pass"] is True and report["max_abs_dev"] < 1e-13

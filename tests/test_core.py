@@ -10,7 +10,7 @@ from nanotube_bands import (
     load_potential,
     magnetic_phase,
 )
-from nanotube_bands.errors import InvalidInputError, InvalidModelError
+from nanotube_bands.errors import InvalidInputError
 
 
 def test_magnetic_phase_zero_field():
@@ -31,7 +31,7 @@ def test_magnetic_phase_flat_band_field():
 
 
 def test_magnetic_phase_rejects_small_N():
-    with pytest.raises(InvalidModelError):
+    with pytest.raises(InvalidInputError, match="need integer N >= 2"):
         magnetic_phase(1.0, 1)
 
 

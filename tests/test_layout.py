@@ -22,11 +22,18 @@ A third keeps the float rule of the writers in one place: the float spec of
 the output precision (``%.{sig}g``) and the quoted non-finite values
 (``"inf"``, ``"-inf"``, ``"nan"``) are spelled once in src/, in
 ``cli._float_slots``.
+
+A fourth keeps one exception per exit code: ``errors.py`` defines only
+``InvalidInputError`` (exit 2), ``InternalConsistencyError`` (exit 3) and
+``HillOrderError``, the subclass that carries its failing channel; every
+``raise`` in src/ names one of them or a builtin exception; and ``cli.main``
+maps them, with ``FileNotFoundError``, to their exit codes and nothing else.
 """
 
 from __future__ import annotations
 
 import ast
+import builtins
 import re
 from pathlib import Path
 
@@ -192,3 +199,82 @@ def test_float_rule_guard_flags_specs_and_quotes_outside_docstrings():
     assert float_rule_spellings(source) == [
         ("<module>", '"-inf"'), ("<module>", ".{n}g"), ("fmt", '"nan"'), ("fmt", ".{sig}g"),
     ]
+
+
+PACKAGE_EXCEPTIONS = ["HillOrderError", "InternalConsistencyError", "InvalidInputError"]
+EXIT_CODES = [(["FileNotFoundError", "InvalidInputError"], 2), (["InternalConsistencyError"], 3)]
+
+
+def _is_builtin_exception(name: str) -> bool:
+    obj = getattr(builtins, name, None)
+    return isinstance(obj, type) and issubclass(obj, BaseException)
+
+
+def defined_classes(source: str) -> list[str]:
+    return sorted(node.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef))
+
+
+def raised_names(source: str) -> list[tuple[int, str]]:
+    """(line, text) of each ``raise`` in ``source`` whose exception is not a builtin one; a bare re-raise is skipped."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if not _is_builtin_exception(ast.unparse(exc)):
+                found.append((node.lineno, ast.unparse(exc)))
+    return sorted(found)
+
+
+def exit_handlers(source: str, function: str = "main") -> list[tuple[list[str], int | None]]:
+    """(caught names, returned exit code) of each ``except`` clause in ``function`` of ``source``."""
+    (func,) = [node for node in ast.parse(source).body if isinstance(node, ast.FunctionDef) and node.name == function]
+    handlers = []
+    for node in ast.walk(func):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            returns = [r.value.value for r in node.body if isinstance(r, ast.Return) and isinstance(r.value, ast.Constant)]
+            handlers.append((sorted(ast.unparse(c) for c in caught), returns[0] if returns else None))
+    return handlers
+
+
+def test_errors_defines_one_exception_per_exit_code():
+    assert defined_classes((SRC / "errors.py").read_text(encoding="utf-8")) == PACKAGE_EXCEPTIONS
+
+
+def test_every_raise_in_src_names_a_package_or_builtin_exception():
+    found = [
+        f"{path.stem}.py:{line}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for line, name in raised_names(path.read_text(encoding="utf-8"))
+        if name not in PACKAGE_EXCEPTIONS
+    ]
+    assert found == [], "raises of exceptions outside errors.py's three: " + ", ".join(found)
+
+
+def test_cli_main_maps_each_exception_to_its_exit_code():
+    assert exit_handlers((SRC / "cli.py").read_text(encoding="utf-8")) == EXIT_CODES
+
+
+def test_exception_guard_flags_a_new_refusal_class():
+    errors = (SRC / "errors.py").read_text(encoding="utf-8") + "\n\nclass NotApplicableError(InvalidInputError):\n    pass\n"
+    source = (
+        "def predict(s):\n"
+        "    if s < 1:\n"
+        "        raise NotApplicableError(f'band index {s}')\n"
+        "    if s > 9:\n"
+        "        raise ValueError('programming error')\n"
+        "    try:\n"
+        "        return s\n"
+        "    except KeyError:\n"
+        "        raise\n"
+        "def main(argv=None):\n"
+        "    try:\n"
+        "        return predict(argv)\n"
+        "    except (InvalidInputError, NotApplicableError, FileNotFoundError) as exc:\n"
+        "        return 2\n"
+        "    except InternalConsistencyError:\n"
+        "        return 3\n"
+    )
+    assert defined_classes(errors) == [*PACKAGE_EXCEPTIONS, "NotApplicableError"]
+    assert raised_names(source) == [(3, "NotApplicableError")]
+    assert exit_handlers(source) == [(["FileNotFoundError", "InvalidInputError", "NotApplicableError"], 2), EXIT_CODES[1]]

@@ -13,7 +13,7 @@ from nanotube_bands import (
 )
 from nanotube_bands.cli import main
 from nanotube_bands.core import UNIT_ROUNDOFF, VERIFY_FLOOR
-from nanotube_bands.errors import InternalConsistencyError, InvalidTruncationError
+from nanotube_bands.errors import InternalConsistencyError, InvalidInputError
 from nanotube_bands.oracle import FiniteHamiltonian
 
 
@@ -50,9 +50,9 @@ def test_armchair_hull_bound():
 
 def test_truncation_must_be_multiple_of_period():
     model = ZigzagModel(3, 0.0, PotentialProfile([1.0, 2.0, 3.0, 4.0]), t=1.0)
-    with pytest.raises(InvalidTruncationError):
+    with pytest.raises(InvalidInputError, match="must be a positive multiple of p"):
         build_full_hamiltonian(model, 3)
-    with pytest.raises(InvalidTruncationError):
+    with pytest.raises(InvalidInputError, match="must be a positive multiple of p"):
         compare_decomposition(model, 0)
 
 
@@ -110,7 +110,7 @@ def test_report_json_shape():
 
 def test_truncation_cap():
     model = ZigzagModel(2, 0.0, PotentialProfile([0.0]), t=0.0)
-    with pytest.raises(InvalidTruncationError):
+    with pytest.raises(InvalidInputError, match="exceeds the oracle's torus cap"):
         build_full_hamiltonian(model, 65)
 
 
@@ -151,7 +151,7 @@ def test_hermiticity_check_refuses_nan_entries():
     values = H.values.copy()
     values[0] = math.nan
     with pytest.raises(InternalConsistencyError, match="not Hermitian"):
-        FiniteHamiltonian(H.rows, H.cols, values, N=H.N, L=H.L, lattice=H.lattice)
+        FiniteHamiltonian(H.rows, H.cols, values, N=H.N, L=H.L)
 
 
 def test_verify_floor_scales_with_the_torus():

@@ -178,7 +178,7 @@ def perturb(H: FiniteHamiltonian, delta: float, *positions: tuple[int, int]) -> 
     for row, col in positions:
         (at,) = np.flatnonzero((H.rows == row) & (H.cols == col))
         values[at] += delta
-    return FiniteHamiltonian(H.rows, H.cols, values, N=H.N, L=H.L, lattice=H.lattice)
+    return FiniteHamiltonian(H.rows, H.cols, values, N=H.N, L=H.L)
 
 
 def perturb_one_bond(H: FiniteHamiltonian, delta: float) -> FiniteHamiltonian:
@@ -207,7 +207,7 @@ def test_rotation_breaking_entry_off_the_bonds_is_refused(model, L):
     index = np.concatenate([H.rows * dim + H.cols, [1, dim]])
     order = np.argsort(index)
     values = np.concatenate([H.values, [delta, delta]])[order]
-    broken = FiniteHamiltonian(*np.divmod(index[order], dim), values, N=N, L=H.L, lattice=H.lattice)
+    broken = FiniteHamiltonian(*np.divmod(index[order], dim), values, N=N, L=H.L)
     _, off = broken.circumferential_blocks()
     assert off == pytest.approx(delta * math.sqrt(2 * (N - 1) / N), rel=1e-6)
     assert abs(off - dense_reduction(broken.matrix, N)[1]) <= 1e-12 * max(1.0, float(np.max(np.abs(values))))
@@ -225,7 +225,7 @@ def test_non_hermitian_entries_are_refused(model, L):
 def test_entries_out_of_order_are_refused():
     H = build_full_hamiltonian(*EDGE_CASES[1])
     with pytest.raises(ValueError, match="sorted"):
-        FiniteHamiltonian(H.rows[::-1], H.cols[::-1], H.values[::-1], N=H.N, L=H.L, lattice=H.lattice)
+        FiniteHamiltonian(H.rows[::-1], H.cols[::-1], H.values[::-1], N=H.N, L=H.L)
 
 
 def test_verify_exits_3_on_a_rotation_breaking_builder(tmp_path, monkeypatch):

@@ -24,7 +24,7 @@ from nanotube_bands import (
 )
 from nanotube_bands.cli import _bands_json
 from nanotube_bands.core import UNIT_ROUNDOFF
-from nanotube_bands.errors import FlatBandChannelError, InternalConsistencyError, InvalidParameterError
+from nanotube_bands.errors import InternalConsistencyError, InvalidInputError
 from nanotube_bands.spectral import (
     band_structure,
     block_period_matrix,
@@ -85,7 +85,7 @@ def test_monodromy_determinant():
 
 
 def test_monodromy_rejects_flat_channel():
-    with pytest.raises(FlatBandChannelError):
+    with pytest.raises(InvalidInputError, match="flat-band channel"):
         monodromy(chain(1, 0.0, [0.0, 0.0]), 0.3)
 
 
@@ -200,7 +200,7 @@ def test_scalar_fiber_stack_matches_one_matrix_reference():
 
 
 def test_floquet_scalar_rejects_bad_multiplier():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError, match="must be unimodular"):
         scalar_fiber(chain(1, 1.0, [0.0, 0.0]), 1.1)
 
 
@@ -375,7 +375,7 @@ def test_block_sweep_matches_per_fiber_reference(seed):
 
 def test_block_fibers_reject_bad_multiplier():
     jac = chain(1, 1.0, [0.0, 0.0])
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidInputError, match="must be unimodular"):
         block_fiber_levels(_scalar_as_blocks(jac), [1.1])
 
 
