@@ -11,7 +11,9 @@ the shifted-Schroedinger containment, the armchair cluster-centre errors and
 the strong-coupling predictors taken one position at a time) are kept with
 the tests, in ``tests/closed_forms.py``.  The strong-coupling predictors
 return a channel's clusters as arrays over its positions, so each
-channel-wide quantity is computed once per channel.
+channel-wide quantity is computed once per channel.  The regimes that
+compare sets of bands read them as (lo, hi) columns, as a ``BandStructure``
+holds them (``_clip``, ``_edge_deviation``).
 
 Index conventions match the rest of the package: potentials are 0-based
 arrays with dimer pairs ``(v[2j], v[2j+1])``, bonds ``a[i]`` couple sites i
@@ -36,9 +38,8 @@ from .spectral import (
     block_branch_ranges,
     flat_band_spectrum,
     full_spectrum,
-    merge_intervals,
-    max_edge_deviation,
-    schroedinger_band_edges,
+    fuse_rows,
+    periodic_jacobi_band_edges,
     zigzag_chain_edges,
     zigzag_channel_edges,
 )
@@ -390,7 +391,8 @@ def predict_large_t_zigzag(profile: PotentialProfile, c_k: float, t: float) -> L
 
 @dataclass(frozen=True)
 class SmallVArmchairPrediction:
-    edges: list[tuple[float, float]]    # predicted Schroedinger gap edges (z_n^-, z_n^+)
+    gap_lo: np.ndarray                  # predicted Schroedinger gap edges z_n^- and z_n^+, gap n at n - 1
+    gap_hi: np.ndarray
     in_gap_opening_set: bool
     r_minus: float
     r_plus: float
@@ -432,18 +434,20 @@ def _rung_values(profile: PotentialProfile) -> np.ndarray:
 
 
 def _shifted_overlay(profile: PotentialProfile, N: int) -> tuple:
-    """Rung values, Schroedinger bands, their copies shifted by -1 and +1, and
-    the band structure of the zero-field armchair tube with this potential.
+    """The overlay of the Schroedinger bands shifted by -1 and by +1, fused as
+    (lo, hi) columns, and the band structure of the zero-field armchair tube
+    with this potential.
 
     With v[2j] == v[2j+1] and zero field, the k = N armchair channel splits
     into two copies of the p-periodic Schroedinger operator J(v_even) shifted
     by -1 and +1.
     """
     q = _rung_values(profile)
-    j_bands = schroedinger_band_edges(q)
-    shifted = [(lo - 1.0, hi - 1.0) for lo, hi in j_bands] + [(lo + 1.0, hi + 1.0) for lo, hi in j_bands]
+    edges = periodic_jacobi_band_edges(np.ones_like(q), q)
+    shifted = np.concatenate([edges - 1.0, edges + 1.0])
+    _, lo, hi = fuse_rows(shifted[None, 0::2], shifted[None, 1::2])
     model = ArmchairModel(N=N, phases=(0.0, 0.0, 0.0), potential=profile, t=1.0)
-    return q, j_bands, shifted, full_spectrum(model)
+    return (lo, hi), full_spectrum(model)
 
 
 def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchairPrediction:
@@ -459,16 +463,15 @@ def predict_small_v_armchair(profile: PotentialProfile, N: int) -> SmallVArmchai
     if not math.isfinite(4.0 * p * vmax):
         raise InvalidInputError(f"small_v_armchair needs 4 p max|v| in the float range, got p = {p}, max|v| = {vmax}")
     hats = rung_fourier(q)
-    edges = []
-    for n in range(1, p):
-        base = -2.0 * math.cos(math.pi * n / p) + hats[0].real
-        edges.append((base - abs(hats[n]), base + abs(hats[n])))
+    base = np.array([-2.0 * math.cos(math.pi * n / p) for n in range(1, p)]) + hats[0].real
+    half = np.array([abs(h) for h in hats[1:]], dtype=float)  # np.abs of a complex array can move the last bit
     r_minus = 2.0 * math.cos(math.pi / 3 + 1.0 / (2 * N) + 1.0 / (6 * p)) - 1.0
     r_plus = 2.0 * math.cos(math.pi / 3 - 1.0 / (2 * N) - 1.0 / (6 * p)) - 1.0
     rtilde_minus = 1.0 + 2.0 * math.cos(math.pi / (2 * N) + 1.0 / (6 * p))
     rtilde_plus = 1.0 + 2.0 * math.cos(1.0 / (6 * p))
     return SmallVArmchairPrediction(
-        edges=edges,
+        gap_lo=base - half,
+        gap_hi=base + half,
         in_gap_opening_set=in_gap_opening_set(q),
         r_minus=r_minus,
         r_plus=r_plus,
@@ -666,9 +669,19 @@ def measure_large_t_armchair(model: ArmchairModel, k: int, tolerance: float = 0.
     ]
 
 
-def _clip(intervals, lo, hi) -> list[tuple[float, float]]:
-    """The parts of the intervals that lie inside (lo, hi)."""
-    return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
+def _clip(lo, hi, wlo: float, whi: float) -> tuple[np.ndarray, np.ndarray]:
+    """The parts of the bands (lo, hi) that lie inside the window (wlo, whi), as columns."""
+    inside = (hi > wlo) & (lo < whi)
+    lo, hi = lo[inside], hi[inside]
+    return np.where(wlo > lo, wlo, lo), np.where(whi < hi, whi, hi)
+
+
+def _edge_deviation(a, b) -> float:
+    """Largest endpoint difference between two sets of (lo, hi) columns, each fused; inf if their counts differ."""
+    (_, a_lo, a_hi), (_, b_lo, b_hi) = (fuse_rows(lo[None], hi[None]) for lo, hi in (a, b))
+    if a_lo.size != b_lo.size:
+        return math.inf
+    return float(np.max(np.maximum(np.abs(a_lo - b_lo), np.abs(a_hi - b_hi)), initial=0.0))
 
 
 def measure_low_energy_window(
@@ -682,7 +695,6 @@ def measure_low_energy_window(
     """
     windows = low_energy_windows(model.N, model.potential.p)
     s = full_spectrum(model)
-    union = list(zip(s.lo.tolist(), s.hi.tolist()))
     levels = s.row_lo[s.flat]
     cases = []
     if windows.r_high is not None:
@@ -695,13 +707,13 @@ def measure_low_energy_window(
         cases.append(((-r, r), None))
     out = []
     for (lo, hi), k in cases:
-        clipped = _clip(union, lo, hi)
+        union = _clip(s.lo, s.hi, lo, hi)
         if k is None:
-            measured = sum(b - a for a, b in clipped) + int(np.count_nonzero((lo <= levels) & (levels <= hi)))
+            # summed in order: np.sum adds pairwise, which can move the last bit
+            measured = sum((union[1] - union[0]).tolist()) + int(np.count_nonzero((lo <= levels) & (levels <= hi)))
         else:
             bands = ~s.flat & (s.chan == k - 1)  # channel k's bands
-            channel = zip(s.row_lo[bands].tolist(), s.row_hi[bands].tolist())
-            measured = max_edge_deviation(clipped, _clip(channel, lo, hi))
+            measured = _edge_deviation(union, _clip(s.row_lo[bands], s.row_hi[bands], lo, hi))
         out.append(
             AsymptoticReport(
                 regime="low_energy_window",
@@ -728,37 +740,31 @@ def measure_small_v_armchair(
     the comparison is set equality against the independently computed bands.
     """
     pred = predict_small_v_armchair(profile, N)
-    _, _, shifted, s = _shifted_overlay(profile, N)
-    union, gaps = list(zip(s.lo.tolist(), s.hi.tolist())), list(zip(s.union_gap_lo.tolist(), s.union_gap_hi.tolist()))
+    shifted, s = _shifted_overlay(profile, N)
     out = []
     cases = [(n, -1.0, (-pred.rtilde_plus, -pred.rtilde_minus)) for n in pred.negative_window]
     cases += [(n, +1.0, (pred.rtilde_minus, pred.rtilde_plus)) for n in pred.positive_window]
     for n, shift, (wlo, whi) in cases:
-        glo, ghi = pred.edges[n - 1]
+        glo, ghi = pred.gap_lo[n - 1], pred.gap_hi[n - 1]
         target = (glo + shift, ghi + shift)
         width = ghi - glo
         if target[0] < wlo or target[1] > whi or width <= 0:
             continue
         center = 0.5 * (target[0] + target[1])
-        best = None
-        for mlo, mhi in gaps:
-            if mhi < wlo or mlo > whi:
-                continue
-            off = abs(0.5 * (mlo + mhi) - center)
-            if best is None or off < best:
-                best = off
+        near = ~((s.union_gap_hi < wlo) | (s.union_gap_lo > whi))  # the union gaps that reach into the window
+        off = np.abs(0.5 * (s.union_gap_lo[near] + s.union_gap_hi[near]) - center)
         out.append(
             AsymptoticReport(
                 regime="small_v_armchair",
                 params={"n": n, "shift": shift, "window": [wlo, whi]},
                 predicted=0.0,
-                measured=float(best / width) if best is not None else math.inf,
+                measured=float(off.min() / width) if off.size else math.inf,
                 tolerance=tolerance,
             )
         )
 
-    dev = max_edge_deviation(
-        _clip(union, pred.r_minus, pred.r_plus), _clip(merge_intervals(shifted), pred.r_minus, pred.r_plus)
+    dev = _edge_deviation(
+        _clip(s.lo, s.hi, pred.r_minus, pred.r_plus), _clip(*shifted, pred.r_minus, pred.r_plus)
     )
     out.append(
         AsymptoticReport(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import asymptotics as asy
 from .armchair import model_from_field, tube_geometry
-from .core import ArmchairModel, PotentialProfile, ZigzagModel, check_coupling, load_potential, magnetic_phase
+from .core import ArmchairModel, PotentialProfile, ZigzagModel, check_coupling, half_period, load_potential, magnetic_phase
 from .errors import InternalConsistencyError, InvalidInputError
 from .oracle import compare_decomposition
 from .spectral import SWEEP_CHANNELS, channel_rows, full_spectrum
@@ -211,7 +211,7 @@ def _check_N(N: int | None) -> None:
 
 def _check_period(q: int, what: str) -> None:
     """Refuse a potential of q values whose period p (q/2 for even q, q for odd) exceeds MAX_P."""
-    if (q // 2 if q % 2 == 0 else q) > MAX_P:
+    if half_period(q) > MAX_P:
         raise InvalidInputError(
             f"{what} must be at most {2 * MAX_P} if even and {MAX_P - 1} if odd (period p at most {MAX_P}), got {q}"
         )

@@ -69,6 +69,11 @@ def energy_scale(x, axis=None):
     return np.maximum(1.0, np.max(np.abs(x), axis=axis))
 
 
+def half_period(q: int) -> int:
+    """The effective half-period p of q potential values: q/2 for an even q, q for an odd q."""
+    return q // 2 if q % 2 == 0 else q
+
+
 def is_flat_channel(c_k):
     """Whether the zigzag channel of constant c_k is flat: its odd bond 2|c_k| splits the chain into dimers."""
     return 2.0 * np.abs(c_k) <= FLAT_CHANNEL_TOL
@@ -96,8 +101,7 @@ class PotentialProfile:
     @property
     def p(self) -> int:
         """Effective half-period: the channel Jacobi coefficients repeat with period 2p."""
-        q = self.q
-        return q // 2 if q % 2 == 0 else q
+        return half_period(self.q)
 
     def extended(self, count: int, start: int = 0) -> np.ndarray:
         """Periodic extension ``(v[start], ..., v[start+count-1])``."""

@@ -52,7 +52,8 @@ every segment, and where the runs start and end decides exactly which
 adjacent entries have the same covering channels.  The fused table is stored
 as lo, hi and multiplicity columns, and the gaps between its bands as two
 more.  A ``BandStructure`` holds columns only; its readers select rows of
-``chan`` and ``flat``.
+``chan`` and ``flat``.  Every set of bands in the package is such a pair of
+lo and hi columns: no function takes or returns a list of (lo, hi) pairs.
 """
 
 from __future__ import annotations
@@ -118,26 +119,6 @@ def fuse_rows(lo, hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     start = np.ones(lo.shape, dtype=bool)
     start[:, 1:] = gap_after(lo, reach)
     return np.nonzero(start)[0], lo[start], reach[np.roll(start, -1, axis=-1)]
-
-
-def merge_intervals(intervals) -> list[tuple[float, float]]:
-    """Union of closed intervals: ``fuse_rows`` of one row, less the empty intervals (hi < lo)."""
-    ivs = np.array([(lo, hi) for lo, hi in intervals if hi >= lo], dtype=float).reshape(-1, 2)
-    _, lo, hi = fuse_rows(ivs[None, :, 0], ivs[None, :, 1])
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
-def max_edge_deviation(bands_a, bands_b) -> float:
-    """Max absolute endpoint mismatch between two band lists; inf if counts differ."""
-    a = merge_intervals(bands_a)
-    b = merge_intervals(bands_b)
-    if len(a) != len(b):
-        return math.inf
-    if not a:
-        return 0.0
-    return max(
-        max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(a, b)
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -289,13 +270,6 @@ def periodic_jacobi_band_edges(offdiag, diag) -> np.ndarray:
             c,
         )
     return np.sort(levels, axis=-1).reshape(shape + (2 * m,))
-
-
-def schroedinger_band_edges(q) -> list[tuple[float, float]]:
-    """Bands of the discrete Schroedinger operator with periodic potential q."""
-    q = np.asarray(q, dtype=float)
-    edges = periodic_jacobi_band_edges(np.ones_like(q), q)
-    return [(edges[2 * i], edges[2 * i + 1]) for i in range(q.size)]
 
 
 def flat_band_spectrum(profile: PotentialProfile, t: float) -> np.ndarray:

@@ -1,5 +1,14 @@
 """Closed forms and checks that only the tests use, each an independent reference for the engine.
 
+* ``reference_merge`` and ``reference_gaps``: the one-interval-at-a-time
+  merge of (lo, hi) pairs and its gaps;
+* ``max_edge_deviation`` and ``clip_intervals``: the list forms of the band-set
+  comparison and window clip of the ``asym`` regimes, which read columns, and
+  ``low_energy_window_measure`` and ``small_v_armchair_measure``: each report's
+  measured value of those two regimes, from (lo, hi) pairs and loops;
+* ``schroedinger_band_edges`` and ``shifted_overlay``: the bands of a periodic
+  Schroedinger operator, and their copies shifted by -1 and +1, as (lo, hi)
+  pairs;
 * ``intervals_contain``: whether every interval of one list sits inside an
   interval of another, with the worst slack;
 * ``channel_symmetry_map``: how a field relabelling moves the channel index
@@ -38,6 +47,7 @@ from nanotube_bands.core import PotentialProfile, ZigzagModel, is_flat_channel
 from nanotube_bands.errors import InvalidInputError
 from nanotube_bands.spectral import (
     GAP_MERGE_TOL, BandStructure, band_structure, block_branch_ranges, channel_rows, full_spectrum,
+    periodic_jacobi_band_edges,
 )
 
 
@@ -66,6 +76,77 @@ def reference_gaps(intervals) -> list[tuple[float, float]]:
     """The gaps between consecutive bands of ``reference_merge``: the gaps of a ``ChannelBands`` built by merging."""
     merged = reference_merge(intervals)
     return [(merged[i][1], merged[i + 1][0]) for i in range(len(merged) - 1)]
+
+
+def max_edge_deviation(bands_a, bands_b) -> float:
+    """Largest endpoint difference between two lists of (lo, hi) pairs, each merged; inf if the band counts differ.
+
+    The list form of ``asymptotics._edge_deviation``, kept as its reference.
+    """
+    a = reference_merge(bands_a)
+    b = reference_merge(bands_b)
+    if len(a) != len(b):
+        return math.inf
+    if not a:
+        return 0.0
+    return max(max(abs(x[0] - y[0]), abs(x[1] - y[1])) for x, y in zip(a, b))
+
+
+def clip_intervals(intervals, lo: float, hi: float) -> list[tuple[float, float]]:
+    """The parts of the (lo, hi) pairs that lie inside (lo, hi): the list form of ``asymptotics._clip``."""
+    return [(max(a, lo), min(b, hi)) for a, b in intervals if b > lo and a < hi]
+
+
+def low_energy_window_measure(structure: BandStructure, window, channel: int | None) -> float:
+    """The measured value of a ``low_energy_window`` report of ``window`` and ``channel``, from (lo, hi) pairs.
+
+    A channel's window compares the clipped union with the clipped bands of
+    the channel; the central gap (channel None) sums the clipped union band
+    lengths in order and counts the flat levels inside.
+    """
+    lo, hi = window
+    union = clip_intervals(union_intervals(structure), lo, hi)
+    if channel is None:
+        levels = [e for ch in channels_of(structure) for e in ch.flat_bands]
+        return sum(b - a for a, b in union) + sum(lo <= e <= hi for e in levels)
+    return max_edge_deviation(union, clip_intervals(channels_of(structure)[channel - 1].bands, lo, hi))
+
+
+def small_v_armchair_measure(profile: PotentialProfile, N: int, structure: BandStructure, params: dict) -> float:
+    """The measured value of the ``small_v_armchair`` report of ``params`` at N, from (lo, hi) pairs.
+
+    A gap report takes the union gap reaching into its window whose centre
+    lies nearest the shifted first-order gap's, in units of that gap's width;
+    the overlay report compares the clipped union with the clipped overlay
+    of the Schroedinger bands shifted by -1 and +1.
+    """
+    wlo, whi = params["window"]
+    if "n" not in params:
+        shifted = shifted_overlay(profile.pairs()[:, 0])
+        return max_edge_deviation(clip_intervals(union_intervals(structure), wlo, whi), clip_intervals(shifted, wlo, whi))
+    pred = asy.predict_small_v_armchair(profile, N)
+    glo, ghi = pred.gap_lo[params["n"] - 1], pred.gap_hi[params["n"] - 1]
+    center = 0.5 * ((glo + params["shift"]) + (ghi + params["shift"]))
+    best = None
+    for mlo, mhi in union_gaps(structure):
+        if mhi < wlo or mlo > whi:
+            continue
+        off = abs(0.5 * (mlo + mhi) - center)
+        if best is None or off < best:
+            best = off
+    return float(best / (ghi - glo)) if best is not None else math.inf
+
+
+def schroedinger_band_edges(q) -> list[tuple[float, float]]:
+    """Bands of the discrete Schroedinger operator with periodic potential q, as (lo, hi) pairs."""
+    q = np.asarray(q, dtype=float)
+    edges = periodic_jacobi_band_edges(np.ones_like(q), q)
+    return [(edges[2 * i], edges[2 * i + 1]) for i in range(q.size)]
+
+
+def shifted_overlay(q) -> list[tuple[float, float]]:
+    """The Schroedinger bands of q shifted by -1 and by +1, merged: the list form of ``asymptotics._shifted_overlay``."""
+    return reference_merge([(lo + shift, hi + shift) for shift in (-1.0, 1.0) for lo, hi in schroedinger_band_edges(q)])
 
 
 # ---------------------------------------------------------------------------
@@ -318,15 +399,16 @@ def shifted_schroedinger_inclusion(
     with the p-periodic potential v_even contains sigma(J) outright through
     its unit-hopping channel.
     """
-    v_even, j_bands, shifted, armchair = asy._shifted_overlay(profile, N)
-    arm_ok, arm_margin = intervals_contain(union_intervals(armchair), shifted, tol=tol)
+    (lo, hi), armchair = asy._shifted_overlay(profile, N)
+    arm_ok, arm_margin = intervals_contain(union_intervals(armchair), list(zip(lo.tolist(), hi.tolist())), tol=tol)
 
     zig_checked = N % 3 == 0
     zig_ok, zig_margin = True, math.inf
     if zig_checked:
+        v_even = profile.pairs()[:, 0]
         zig = ZigzagModel(N=N, b=0.0, potential=PotentialProfile(v_even), t=1.0)
         zig_bands = union_intervals(full_spectrum(zig))
-        zig_ok, zig_margin = intervals_contain(zig_bands, j_bands, tol=tol)
+        zig_ok, zig_margin = intervals_contain(zig_bands, schroedinger_band_edges(v_even), tol=tol)
 
     return InclusionReport(
         armchair_ok=arm_ok,

@@ -22,15 +22,15 @@ from nanotube_bands import (
 from nanotube_bands import asymptotics as asy
 from nanotube_bands.spectral import (
     fiber_matrices,
-    max_edge_deviation,
-    merge_intervals,
     periodic_jacobi_band_edges,
     scalar_period_matrix,
 )
 from closed_forms import (
     armchair_cluster_center_errors,
     armchair_unperturbed,
+    max_edge_deviation,
     p1_closed_form,
+    reference_merge,
     shifted_schroedinger_inclusion,
     union_intervals,
     unperturbed_edges,
@@ -206,7 +206,7 @@ def test_criterion_08_armchair_unperturbed():
             closed = armchair_unperturbed(N, vt)
             worst = max(worst, max_edge_deviation(union_intervals(swept), union_intervals(closed)))
     zero = max_edge_deviation(
-        merge_intervals(union_intervals(armchair_unperturbed(4, 0.0))), [(-3.0, 3.0)]
+        reference_merge(union_intervals(armchair_unperturbed(4, 0.0))), [(-3.0, 3.0)]
     )
     ok = worst < 1e-6 and zero < 1e-12
     verdict("8", ok, f"sweep vs closed form, worst edge dev {worst:.2e}")

@@ -12,14 +12,12 @@ from nanotube_bands import (
     tube_geometry,
 )
 from block_reference import block_bands, per_channel_fibers
-from closed_forms import reference_merge, shifted_schroedinger_inclusion
+from closed_forms import max_edge_deviation, shifted_overlay, shifted_schroedinger_inclusion
 from nanotube_bands.armchair import model_from_field
 from nanotube_bands.errors import InternalConsistencyError, InvalidInputError
 from nanotube_bands.spectral import (
     block_period_matrix,
     fiber_matrices,
-    max_edge_deviation,
-    schroedinger_band_edges,
 )
 
 
@@ -153,11 +151,7 @@ def test_top_channel_splits_into_shifted_chains():
         N = int(rng.integers(2, 6))
         a, d = decompose_armchair([ArmchairModel(N, (0.0, 0.0, 0.0), prof, t=1.0)])
         got = block_bands(a[N - 1 :], d[N - 1 :])[0]
-        j_bands = schroedinger_band_edges(ve)
-        want = reference_merge(
-            [(lo - 1, hi - 1) for lo, hi in j_bands] + [(lo + 1, hi + 1) for lo, hi in j_bands]
-        )
-        assert max_edge_deviation(got, want) < 1e-8
+        assert max_edge_deviation(got, shifted_overlay(ve)) < 1e-8
 
 
 def test_inclusion_zero_potential():

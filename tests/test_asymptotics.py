@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nanotube_bands import PotentialProfile, ZigzagModel, flat_band_spectrum
+from nanotube_bands import ArmchairModel, PotentialProfile, ZigzagModel, flat_band_spectrum
 from nanotube_bands import asymptotics as asy
+from nanotube_bands.core import GAP_MERGE_TOL
 from nanotube_bands.errors import InvalidInputError
 from nanotube_bands.spectral import fiber_matrices, scalar_period_matrix, zigzag_chain_edges
 import closed_forms
-from closed_forms import intervals_contain, p1_closed_form, unperturbed_edges
+from closed_forms import clip_intervals, intervals_contain, max_edge_deviation, p1_closed_form, unperturbed_edges
 from scalar_reference import channel_bands, decompose_zigzag
 
 
@@ -212,6 +213,105 @@ def test_central_gap_for_N_not_divisible_by_3():
     assert all(r.passed for r in reports)
 
 
+def _band_set(rng, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n seeded bands (lo, hi) whose edges sit on a grid of half-units, each moved by 0 to 3 GAP_MERGE_TOL.
+
+    Two bands meet, touch within GAP_MERGE_TOL or lie just apart, and the
+    grid holds both signed zeros.
+    """
+    grid = np.append(0.5 * np.arange(-3, 4), -0.0)
+    x, y = (rng.choice(grid, n) + rng.choice([0.0, 0.5, 1.0, 1.5, 3.0], n) * GAP_MERGE_TOL for _ in range(2))
+    return np.where(x <= y, x, y), np.where(x <= y, y, x)
+
+
+def _pairs(lo, hi) -> list[tuple[float, float]]:
+    return list(zip(lo.tolist(), hi.tolist()))
+
+
+def _hex(lo, hi) -> list[str]:
+    return [x.hex() for x in lo.tolist() + hi.tolist()]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_band_set_comparison_and_clip_match_their_list_references_to_the_bit(seed):
+    # the low_energy_window and small_v_armchair regimes clip and compare (lo, hi) columns;
+    # closed_forms keeps the list forms they replaced, merging by the one-at-a-time reference merge
+    rng = np.random.default_rng(seed)
+    windows = [(-0.75, 0.75), (-0.0, 1.0), (0.0, 0.5 + GAP_MERGE_TOL), (-1.5 - 0.5 * GAP_MERGE_TOL, -0.5), (2.0, 3.0)]
+    for _ in range(200):
+        a, b = _band_set(rng, int(rng.integers(0, 7))), _band_set(rng, int(rng.integers(0, 7)))
+        assert asy._edge_deviation(a, b).hex() == float(max_edge_deviation(_pairs(*a), _pairs(*b))).hex()
+        for wlo, whi in windows:
+            clipped = asy._clip(*a, wlo, whi)
+            assert _hex(*clipped) == _hex(*np.array(clip_intervals(_pairs(*a), wlo, whi)).reshape(-1, 2).T)
+            other = asy._clip(*b, wlo, whi)
+            want = max_edge_deviation(clip_intervals(_pairs(*a), wlo, whi), clip_intervals(_pairs(*b), wlo, whi))
+            assert asy._edge_deviation(clipped, other).hex() == float(want).hex()
+
+
+def test_low_energy_window_and_small_v_armchair_measure_as_their_list_references_to_the_bit():
+    # the regimes' clips, comparisons, in-order central-gap sum and nearest-gap search read columns;
+    # closed_forms computes each report's measured value from (lo, hi) pairs and loops
+    rng = np.random.default_rng(30)
+    for _ in range(40):
+        q = int(rng.integers(1, 33))
+        N = int(rng.choice([2, 3, 4, 5, 7, 8]))
+        model = ZigzagModel(N, float(rng.uniform(-1.0, 1.0)), PotentialProfile(rng.uniform(-1.0, 1.0, q)), t=0.05)
+        if model.potential.p <= 2 * N and N % 3 == 0:
+            continue  # no window statement applies
+        s = asy.full_spectrum(model)
+        for r in asy.measure_low_energy_window(model):
+            want = closed_forms.low_energy_window_measure(s, r.params["window"], r.params["channel"])
+            assert r.measured.hex() == float(want).hex(), r.params
+    for _ in range(40):
+        rungs = rng.uniform(-1.0, 1.0, int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-3, 0)
+        prof = PotentialProfile(np.repeat(rungs, 2))
+        N = int(rng.integers(2, 9))
+        s = asy.full_spectrum(ArmchairModel(N, (0.0, 0.0, 0.0), prof, t=1.0))
+        for r in asy.measure_small_v_armchair(prof, N):
+            assert r.measured.hex() == closed_forms.small_v_armchair_measure(prof, N, s, r.params).hex(), r.params
+
+
+def test_low_energy_window_and_small_v_armchair_measure_crafted_spectra_as_their_list_references(monkeypatch):
+    # spectra a model seldom has: 13 union bands in the central gap, whose lengths np.sum would add pairwise,
+    # and union gaps that reach over the edges of the small_v_armchair windows
+    rng = np.random.default_rng(31)
+    model = ZigzagModel(4, 0.0, PotentialProfile([0.3, -0.3]), t=1.0)  # one window: the central gap, |E| < 0.207
+    rungs = PotentialProfile(np.repeat([0.1, -0.05, 0.02, -0.07], 2))  # p = 4: gaps n = 1 and 3 have windows at N = 2
+    def one_channel(starts, widths):
+        return closed_forms.structure_of([closed_forms.ChannelBands(1, 0.5, tuple(zip(starts, starts + widths)))])
+
+    for _ in range(30):
+        central = one_channel(-0.2 + 0.03 * np.arange(13) + rng.uniform(0.0, 0.01, 13), rng.uniform(0.0, 0.02, 13))
+        wide = one_channel(rng.uniform(-4.0, 4.0, 40), rng.exponential(0.05, 40))
+        monkeypatch.setattr(asy, "full_spectrum", lambda _: central)
+        for r in asy.measure_low_energy_window(model):
+            want = closed_forms.low_energy_window_measure(central, r.params["window"], r.params["channel"])
+            assert r.measured.hex() == float(want).hex(), r.params
+        monkeypatch.setattr(asy, "full_spectrum", lambda _: wide)
+        for r in asy.measure_small_v_armchair(rungs, 2):
+            assert r.measured.hex() == closed_forms.small_v_armchair_measure(rungs, 2, wide, r.params).hex(), r.params
+        # the overlay: for a weak potential the two copies overlap, and fuse
+        q = rng.uniform(-1.0, 1.0, int(rng.integers(1, 9))) * 10.0 ** rng.uniform(-3, 0.5)
+        (lo, hi), _ = asy._shifted_overlay(PotentialProfile(np.repeat(q, 2)), 2)
+        assert _hex(lo, hi) == _hex(*np.array(closed_forms.shifted_overlay(q)).reshape(-1, 2).T)
+
+
+def test_band_set_comparison_fuses_touching_bands_and_counts_the_rest():
+    tol = GAP_MERGE_TOL
+    empty = (np.empty(0), np.empty(0))
+    one = (np.array([0.0]), np.array([2.0]))
+    touching = (np.array([1.0 + 0.5 * tol, 0.0]), np.array([2.0, 1.0]))  # a gap of at most GAP_MERGE_TOL: one band
+    apart = (np.array([0.0, 1.0 + 3 * tol]), np.array([1.0, 2.0]))  # a gap above it: two bands
+    assert asy._edge_deviation(empty, empty) == 0.0
+    assert asy._edge_deviation(empty, one) == asy._edge_deviation(one, empty) == math.inf
+    assert asy._edge_deviation(touching, one) == 0.0
+    assert asy._edge_deviation(apart, one) == math.inf
+    assert asy._edge_deviation(apart, (np.array([0.0, 1.5]), np.array([1.0, 2.5]))) == 0.5
+    assert [x.tolist() for x in asy._clip(*apart, 0.5, 1.5)] == [[0.5, 1.0 + 3 * tol], [1.0, 1.5]]
+    assert [x.size for x in asy._clip(*apart, 2.0, 3.0)] == [0, 0]  # a band that only touches the window is out
+
+
 # ---------------------------------------------------------------------------
 # strong-coupling zigzag
 
@@ -360,7 +460,7 @@ def test_large_t_armchair_rejects_short_period():
 def test_small_v_armchair_zero_potential():
     prof = PotentialProfile([0.0] * 10)
     pred = asy.predict_small_v_armchair(prof, N=2)
-    for n, (lo, hi) in enumerate(pred.edges, start=1):
+    for n, (lo, hi) in enumerate(zip(pred.gap_lo, pred.gap_hi), start=1):
         assert lo == pytest.approx(hi)
         assert lo == pytest.approx(-2 * math.cos(math.pi * n / 5))
 
@@ -369,7 +469,7 @@ def test_small_v_armchair_constant_shift():
     c = 0.3
     prof = PotentialProfile([c] * 10)
     pred = asy.predict_small_v_armchair(prof, N=2)
-    for n, (lo, hi) in enumerate(pred.edges, start=1):
+    for n, (lo, hi) in enumerate(zip(pred.gap_lo, pred.gap_hi), start=1):
         assert hi - lo == pytest.approx(0.0, abs=1e-12)
         assert lo == pytest.approx(-2 * math.cos(math.pi * n / 5) + c)
     assert not pred.in_gap_opening_set

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nanotube_bands import ArmchairModel, ZigzagModel, cli, flat_field_amplitudes
-from nanotube_bands.cli import main
+from nanotube_bands.cli import MAX_N, main
+from nanotube_bands.core import half_period
 
 
 def run(tmp_path, *argv):
@@ -914,6 +915,34 @@ def test_coupling_past_the_float_range_exits_2(tmp_path, argv, potential):
     assert err.count("\n") == 1
 
 
+def answers_or_refuses(argv, values=None) -> None:
+    """Run ``argv`` in process, with ``values`` as its ``--potential``, and check the exit-code rules.
+
+    Exit 2 refuses, with one error line and no output.  Otherwise the run
+    answers with JSON and an empty stderr: ``asym`` exits 1 exactly when a
+    report fails, any other command exits 0.  Exit 3, an exception escaping
+    ``main`` (a traceback) or a RuntimeWarning (an error under the test
+    settings) fails it.
+    """
+    import tempfile
+
+    from hypothesis import event
+
+    with tempfile.TemporaryDirectory() as tmp:
+        if values is not None:
+            argv = argv + ["--potential", f"{tmp}/v.json"]
+            with open(argv[-1], "w") as fh:
+                json.dump(values, fh)
+        code, out, err = run_in_process(argv)
+    event(f"exit {code}")
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (code, err)
+    else:
+        assert err == "", (code, err)
+        doc = json.loads(out)
+        assert code == (int(not all(report["pass"] for report in doc)) if argv[0] == "asym" else 0), (code, out)
+
+
 # ---------------------------------------------------------------------------
 # the strong-coupling regimes over the input box the CLI accepts
 
@@ -955,20 +984,7 @@ def large_t_argv(draw):
 @given(case=large_t_argv())
 @settings(max_examples=60, deadline=None)
 def test_large_t_regimes_answer_fail_or_refuse_over_the_accepted_box(case):
-    # exit 0 or 1 with reports and an empty stderr, or exit 2 with one error line; an exception
-    # escaping main (a traceback) or a RuntimeWarning (an error under the test settings) fails it
-    import tempfile
-
-    argv, values = case
-    with tempfile.TemporaryDirectory() as tmp:
-        pot = f"{tmp}/v.json"
-        with open(pot, "w") as fh:
-            json.dump(values, fh)
-        code, out, err = run_in_process(argv + ["--potential", pot])
-    if code == 2:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert code in (0, 1) and err == "" and json.loads(out)
+    answers_or_refuses(*case)
 
 
 @pytest.mark.parametrize(
@@ -1034,18 +1050,7 @@ def raw_potential_argv(draw):
 def test_asym_regimes_answer_fail_or_refuse_on_raw_potentials_up_to_the_float_limit(case):
     # the accepted-box property above draws potential values in [-1, 1]; this one draws their magnitudes up
     # to 1e308, where the difference of two values overflows
-    import tempfile
-
-    argv, values = case
-    with tempfile.TemporaryDirectory() as tmp:
-        pot = f"{tmp}/v.json"
-        with open(pot, "w") as fh:
-            json.dump(values, fh)
-        code, out, err = run_in_process(argv + ["--potential", pot])
-    if code == 2:
-        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
-    else:
-        assert code in (0, 1) and err == "" and json.loads(out)
+    answers_or_refuses(*case)
 
 
 # ---------------------------------------------------------------------------
@@ -1272,3 +1277,139 @@ def test_verify_of_a_nearly_real_torus_passes(tmp_path):
     code, out, err = run_in_process(argv + ["--potential", str(pot)])
     report = json.loads(out)
     assert (code, err) == (0, "") and report["pass"] is True and report["max_abs_dev"] < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the other asym regimes and geometry over the input box the CLI accepts
+
+ASYM_COST = 1024  # N * p of a drawn zigzag model, as for the strong-coupling regimes
+GEOMETRY_COST = 2048  # N * --cells of a drawn geometry: 2 N cells records, about 30 ms
+LOG_FIELD = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]), st.floats(-300.0, 308.0))
+LOG_FIELD |= st.floats(-10.0, 10.0)
+
+
+def _potential(draw, q: int) -> list:
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(-1.0, 1.0, q).tolist()
+
+
+def _zigzag_field(draw, N: int) -> str:
+    """--b or --B anywhere, or where a channel k is flat: its phase, or its first flat amplitudes."""
+    k = draw(st.integers(1, N))
+    choice = draw(st.sampled_from(["b", "flat", "B"]))
+    if choice == "b":
+        return f"--b={draw(LOG_FIELD)!r}"
+    if choice == "flat":
+        return f"--b={math.pi / 2 - math.pi * k / N!r}"
+    return f"--B={draw(LOG_FIELD | st.sampled_from(flat_field_amplitudes(N, k, [0, 1])))!r}"
+
+
+def _log_t(draw) -> float:
+    return draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-300.0, 308.0))
+
+
+def _log_ck(draw) -> float:
+    """A channel constant: log-uniform in magnitude from 1e-300 to 1 (half of them above 1e-12, where a channel is
+    not flat), either sign, or one of 0, 1/2 and 1."""
+    sign = draw(st.sampled_from([1.0] * 4 + [-1.0] * 4 + [0.0]))
+    return sign * draw(st.builds(lambda e: 10.0**e, st.floats(-300.0, 0.0) | st.floats(-12.0, 0.0)) | st.just(0.5))
+
+
+def _log_q(draw) -> int:
+    """A number of potential values, log-uniform in 1..32; an odd q above 15, whose period is refused, one lower."""
+    q = _log_int(draw, 1, 32)
+    return q - 1 if q % 2 and q > 15 else q
+
+
+@st.composite
+def low_energy_argv(draw):
+    """An ``asym low_energy_window`` command line anywhere in the accepted box, N * p at most ASYM_COST.
+
+    N and q are log-uniform, t log-uniform from 1e-300 to 1e308 with either
+    sign, and the fields reach 1e308 and hit flat phases.
+    """
+    q = _log_q(draw)
+    N = _log_int(draw, 2, min(MAX_N, ASYM_COST // half_period(q)))
+    argv = ["asym", "--regime", "low_energy_window", "--N", str(N), "--t", repr(_log_t(draw)), _zigzag_field(draw, N)]
+    return argv, _potential(draw, q)
+
+
+@st.composite
+def ck_to_zero_argv(draw):
+    """An ``asym ck_to_zero`` command line anywhere in the accepted box.
+
+    q is log-uniform, t log-uniform from 1e-300 to 1e308 with either sign, the
+    band index s mostly in 1..2p and sometimes just outside it or left out,
+    and one to four channel constants, or the default ones.
+    """
+    q = _log_q(draw)
+    p = half_period(q)
+    argv = ["asym", "--regime", "ck_to_zero", "--t", repr(_log_t(draw))]
+    if draw(st.integers(0, 4)):
+        argv.append(f"--s={draw(st.integers(1, 2 * p)) if draw(st.integers(0, 9)) else draw(st.sampled_from([0, 2 * p + 1]))}")
+    if draw(st.integers(0, 4)):
+        argv.append(f"--ck-values={','.join(repr(_log_ck(draw)) for _ in range(draw(st.integers(1, 4))))}")
+    return argv, _potential(draw, q)
+
+
+@st.composite
+def small_t_argv(draw):
+    """An ``asym small_t`` command line anywhere in the accepted box.
+
+    The potential is sampled (a log-uniform --sample-period in 1..40, with or
+    without --seed), zero-mean, or raw (mostly refused as not zero-mean); the
+    channel is --ck, or --k of a log-uniform N with a zigzag field.
+    """
+    argv = ["asym", "--regime", "small_t"]
+    values = None
+    source = draw(st.sampled_from(["sample", "zero_mean", "raw"]))
+    if source == "sample":
+        argv.append(f"--sample-period={_log_int(draw, 1, 40)}")
+        if draw(st.booleans()):
+            argv.append(f"--seed={draw(st.integers(0, 2**32 - 1))}")
+    else:
+        values = np.array(_potential(draw, _log_q(draw)))
+        p = half_period(values.size)
+        values = (values - np.resize(values, 2 * p).mean() if source == "zero_mean" else values).tolist()
+    if draw(st.booleans()):
+        argv.append(f"--ck={_log_ck(draw)!r}")
+    else:
+        N = _log_int(draw, 2, MAX_N)
+        argv += ["--N", str(N), "--k", str(draw(st.integers(1, N))), _zigzag_field(draw, N)]
+    return argv, values
+
+
+@st.composite
+def geometry_argv(draw):
+    """A ``geometry`` command line anywhere in the accepted box, N * --cells at most GEOMETRY_COST.
+
+    N (at least 3) and the cells are log-uniform, and B reaches 1e308 with
+    either sign or is not finite.
+    """
+    N = _log_int(draw, 3, MAX_N)
+    cells = _log_int(draw, 1, max(1, min(cli.MAX_GEOMETRY_CELLS, GEOMETRY_COST // N)))
+    B = draw(LOG_FIELD | st.sampled_from([math.inf, -math.inf, math.nan]))
+    return ["geometry", "--N", str(N), f"--B={B!r}", "--cells", str(cells)]
+
+
+@given(case=low_energy_argv())
+@settings(max_examples=200, deadline=None)
+def test_low_energy_window_answers_fails_or_refuses_over_the_accepted_box(case):
+    answers_or_refuses(*case)
+
+
+@given(case=ck_to_zero_argv())
+@settings(max_examples=200, deadline=None)
+def test_ck_to_zero_answers_fails_or_refuses_over_the_accepted_box(case):
+    answers_or_refuses(*case)
+
+
+@given(case=small_t_argv())
+@settings(max_examples=300, deadline=None)
+def test_small_t_answers_fails_or_refuses_over_the_accepted_box(case):
+    answers_or_refuses(*case)
+
+
+@given(argv=geometry_argv())
+@settings(max_examples=100, deadline=None)
+def test_geometry_answers_or_refuses_over_the_accepted_box(argv):
+    answers_or_refuses(argv)

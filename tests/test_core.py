@@ -10,6 +10,7 @@ from nanotube_bands import (
     load_potential,
     magnetic_phase,
 )
+from nanotube_bands.core import half_period
 from nanotube_bands.errors import InvalidInputError
 
 
@@ -73,7 +74,8 @@ def test_flat_field_inversion(N, data):
 
 @pytest.mark.parametrize("q,p", [(4, 2), (3, 3), (1, 1), (6, 3), (5, 5)])
 def test_effective_period(q, p):
-    assert PotentialProfile(range(1, q + 1)).p == p
+    # the profile and the CLI's period bound read the one formula
+    assert PotentialProfile(range(1, q + 1)).p == half_period(q) == p
 
 
 @given(values=st.lists(st.floats(-5, 5), min_size=1, max_size=9), n=st.integers(-10**6, 10**6))

@@ -72,7 +72,7 @@ CASES = {
     "arm_verify": (V3, "verify --lattice armchair --N 4 --B 0.9 --t 2", 0),
     # the largest torus the benchmark verifies: 2NL = 640
     "arm_verify_N8_L40": (V5, "verify --lattice armchair --N 8 --B 1.3 --t 0.7 --L 40", 0),
-    # rung-paired potentials: the only outputs that go through schroedinger_band_edges;
+    # rung-paired potentials: the only outputs that read the periodic Schroedinger bands;
     # for p = 1 both fiber corners land on one matrix entry
     "arm_small_v_p1": ([0.2, 0.2], "asym --regime small_v_armchair --N 4", 0),
     "arm_small_v_p3": (

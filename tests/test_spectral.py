@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 
 from block_reference import assert_band_edges, block_bands, channel, channels
 from closed_forms import (
-    ChannelBands, armchair_unperturbed, channels_of, intervals_contain, reference_gaps, reference_merge, step_channels,
-    structure_of, union_gaps, union_intervals,
+    ChannelBands, armchair_unperturbed, channels_of, intervals_contain, max_edge_deviation, reference_gaps,
+    reference_merge, schroedinger_band_edges, step_channels, structure_of, union_gaps, union_intervals,
 )
 from scalar_reference import ScalarPeriodicJacobi, channel_bands, decompose_zigzag, discriminant, monodromy
 from nanotube_bands import (
@@ -31,11 +31,8 @@ from nanotube_bands.spectral import (
     fiber_matrices,
     fuse_rows,
     gap_after,
-    max_edge_deviation,
-    merge_intervals,
     periodic_jacobi_band_edges,
     scalar_period_matrix,
-    schroedinger_band_edges,
 )
 
 
@@ -60,7 +57,8 @@ def block_fiber_levels(block, taus):
 
 
 def test_merge_and_gaps():
-    assert merge_intervals([(0, 1), (1 + 5e-10, 2), (3, 4)]) == [(0, 2), (3, 4)]
+    chan, lo, hi = fuse_rows(np.array([[0.0, 1 + 5e-10, 3.0]]), np.array([[1.0, 2.0, 4.0]]))
+    assert (chan.tolist(), lo.tolist(), hi.tolist()) == ([0, 0], [0.0, 3.0], [2.0, 4.0])
     assert gap_after(np.array([0.0, 3.0]), np.array([1.0, 4.0])).tolist() == [True]
     ok, margin = intervals_contain([(0, 10)], [(1, 2), (9, 10)])
     assert ok and margin == 0.0
@@ -381,9 +379,9 @@ def test_block_fibers_reject_bad_multiplier():
 
 def test_armchair_unperturbed_closed_form():
     bs = armchair_unperturbed(3, 0.0)
-    np.testing.assert_allclose(merge_intervals(union_intervals(bs)), [(-3, 3)], atol=1e-12)
+    np.testing.assert_allclose(reference_merge(union_intervals(bs)), [(-3, 3)], atol=1e-12)
     bs = armchair_unperturbed(4, 1.0)
-    merged = merge_intervals(union_intervals(bs))
+    merged = reference_merge(union_intervals(bs))
     rt10 = math.sqrt(10)
     np.testing.assert_allclose(merged, [(-rt10, -1.0), (1.0, rt10)], atol=1e-12)
     # channel k = N starts at |v| and its short branch ends at sqrt(1 + v^2)
@@ -791,13 +789,15 @@ def test_fuse_rows_matches_the_reference_merge_to_the_bit(seed):
     hi = np.maximum(lo, rng.choice(points, (300, 6)))
     with np.errstate(invalid="ignore"):
         chan, got_lo, got_hi = fuse_rows(lo, hi)
-        assert repr(merge_intervals([(0.0, math.inf), (math.inf, math.inf)])) == "[(0.0, inf), (inf, inf)]"
+        assert [x.tolist() for x in fuse_rows(np.array([[0.0, math.inf]]), np.array([[math.inf] * 2]))] == [
+            [0, 0], [0.0, math.inf], [math.inf, math.inf]
+        ]
     for c, (row_lo, row_hi) in enumerate(zip(lo, hi)):
         got = zip(got_lo[chan == c].tolist(), got_hi[chan == c].tolist())
         assert _bits(got) == _bits(reference_merge(zip(row_lo.tolist(), row_hi.tolist())))
     assert [x.size for x in fuse_rows(np.empty((3, 0)), np.empty((3, 0)))] == [0, 0, 0]
     # numpy's running maximum keeps the last of equal values, which would end this band at -0.0
-    assert repr(merge_intervals([(-1.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])) == "[(-1.0, 0.0)]"
+    assert repr(fuse_rows(np.array([[-1.0, 0.0, -0.0]]), np.array([[0.0, -0.0, -0.0]]))[2].tolist()) == "[0.0]"
 
 
 def _matmul_monodromy(jac, z):
